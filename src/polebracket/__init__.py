@@ -65,12 +65,8 @@ from .surfaces import (
     ClosedSurface,
     EmbeddedCurve,
     RibbonComplex,
-    bounds_disk,
     build_ribbon,
     cap_boundaries,
-    homology_class,
-    is_mobius,
-    is_separating,
 )
 from .verify import braid_closure, classical_fixtures, corpus_classical, corpus_twisted
 
@@ -91,7 +87,6 @@ __all__ = [
     "Visit",
     "apply_move",
     "assemble_from_table",
-    "bounds_disk",
     "braid_closure",
     "build_ribbon",
     "canonical_key",
@@ -109,11 +104,8 @@ __all__ = [
     "double_bracket",
     "enumerate_states",
     "equivalent",
-    "homology_class",
     "index",
     "insert_sites",
-    "is_mobius",
-    "is_separating",
     "make_code",
     "make_word",
     "minus_A_pow",

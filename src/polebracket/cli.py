@@ -83,7 +83,7 @@ def _read_code(args, err):
     src = args.input
     if src == "-":
         text = sys.stdin.read()
-    elif os.path.exists(src):
+    elif os.path.isfile(src):
         with open(src, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -120,6 +120,11 @@ def main(argv=None) -> int:
     def err(code_num, message):
         print(f"polebracket: {message}", file=sys.stderr)
         raise SystemExit(code_num)
+
+    if args.workers < 1:
+        err(EXIT_USAGE, f"--workers must be at least 1, got {args.workers}")
+    if args.count < 0:
+        err(EXIT_USAGE, f"--count must not be negative, got {args.count}")
 
     cmd = args.command
 

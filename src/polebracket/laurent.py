@@ -13,7 +13,7 @@ Coefficients are arbitrary-precision ints; there is no floating point here.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Monomial = tuple[int, int, tuple[tuple[int, int], ...]]
 
@@ -254,10 +254,3 @@ def delta() -> MultiLaurent:
 def minus_A_pow(k: int) -> MultiLaurent:
     """(-A)^k for any integer k, as (-1)^k A^k."""
     return MultiLaurent({(k, 0, ()): -1 if k % 2 else 1})
-
-
-def product(factors: Iterable[MultiLaurent]) -> MultiLaurent:
-    out = MultiLaurent.one()
-    for f in factors:
-        out = out * f
-    return out

@@ -27,8 +27,9 @@ surface, changes the value (a 2-gon face of the complement can still span a
 handle that nothing else uses).  R2 deletes and R3 rewrites therefore check
 both conditions and reject sites that fail them; R2 inserts are offered as
 nested fold pokes, which are local in a disk and always safe.  The T3 rewrite
-follows the bars-past-a-crossing slide; its role/sign effect is certified by
-the invariance suite.
+slides a bar pair, one bar on each strand and both on the same side of the
+crossing, past the crossing: the bars move to the other side, the two strands
+exchange over and under, and the crossing sign stays.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .surfaces import (
     EmbeddedCurve,
     _dart_in,
     _dart_out,
-    bounds_disk,
     build_ribbon,
     cap_boundaries,
 )
@@ -58,18 +58,6 @@ class MoveSpec:
     direction: str       # insert delete rewrite
     site: tuple = ()
     variant: int = 0
-
-
-# T3 transform: sliding a bar pair across a crossing exchanges which strand
-# passes over and keeps the crossing sign.  Certified empirically: of the
-# four role/sign transform combinations, only this one leaves the normalized
-# bracket unchanged across a bar-rich corpus (the others fail on 40-72% of
-# applicable sites).  Both bars must sit on the same side of the crossing
-# along their strands; that is the move's geometric shape, although the
-# invariance suite cannot tell the mixed-side variant apart.
-T3_ROLE_SWAP = True
-T3_SIGN_FLIP = False
-T3_REQUIRE_SAME_SIDE = True
 
 
 def _components(code: TwistedGaussCode) -> list[list]:
@@ -122,8 +110,7 @@ def _delete_positions(comps, removals):
 # realization-surface guards shared by R2 delete and R3
 
 
-def _piece_types(code) -> list[tuple]:
-    F = cap_boundaries(build_ribbon(code))
+def _piece_types(F) -> list[tuple]:
     return sorted((p.euler, p.orientable, p.genus, p.crosscaps) for p in F.pieces)
 
 
@@ -147,9 +134,9 @@ def _guard_realization(code, curve_builder, result_code) -> None:
     rs = build_ribbon(code)
     F = cap_boundaries(rs)
     curve = curve_builder(rs)
-    if not bounds_disk(F, curve):
+    if not F.bounds_disk(curve):
         raise MoveError("move circle does not bound a disk on the realization")
-    if _piece_types(code) != _piece_types(result_code):
+    if _piece_types(F) != _piece_types(cap_boundaries(build_ribbon(result_code))):
         raise MoveError("rewrite would change the realization surface")
 
 
@@ -416,16 +403,19 @@ def _t3_rewrite(code, site):
         raise MoveError("T3 legs must use distinct bars and visits")
     if t1.crossing != t2.crossing or t1.over == t2.over:
         raise MoveError("T3 bars must flank the two visits of one crossing")
-    if T3_REQUIRE_SAME_SIDE and a1 != a2:
+    # T3 transform: sliding a bar pair across a crossing exchanges which
+    # strand passes over and keeps the crossing sign.  Chosen empirically: of
+    # the four role/sign transform combinations, only this one leaves the
+    # normalized bracket unchanged across a bar-rich corpus (the others fail
+    # on 40-72% of applicable sites).  Both bars must sit on the same side of
+    # the crossing along their strands; that is the move's geometric shape,
+    # although the invariance suite cannot tell the mixed-side variant apart.
+    if a1 != a2:
         raise MoveError("T3 bars must sit on the same side of the crossing")
     bar_drops: dict[int, set] = {}
     swaps: dict[int, dict] = {}
     for ci, bpos, vpos, att, tok in seen_visits:
-        new_tok = Visit(
-            tok.crossing,
-            (not tok.over) if T3_ROLE_SWAP else tok.over,
-            -tok.sign if T3_SIGN_FLIP else tok.sign,
-        )
+        new_tok = Visit(tok.crossing, not tok.over, tok.sign)
         bar_drops.setdefault(ci, set()).add(bpos)
         swaps.setdefault(ci, {})[vpos] = (new_tok, att)
     for ci in bar_drops:
@@ -575,7 +565,7 @@ def t3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
         for (c1, b1, a1, o1), (c2, b2, a2, o2) in combinations(entries, 2):
             if o1 == o2 or (c1, b1) == (c2, b2):
                 continue
-            if T3_REQUIRE_SAME_SIDE and a1 != a2:
+            if a1 != a2:
                 continue
             out.append(MoveSpec("T3", "rewrite", (c1, b1, a1, c2, b2, a2)))
     return out

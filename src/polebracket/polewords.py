@@ -40,47 +40,9 @@ def _pole_positions(word: Word) -> list[int]:
     return [i for i, x in enumerate(word) if x != MARK]
 
 
-def _find_redex(word: Word):
-    """Leftmost cancellable adjacent pole pair, as (pos_p, pos_q), or None.
-    Pairs are scanned linearly with the wrap-around pair last."""
-    ps = _pole_positions(word)
-    m = len(ps)
-    if m < 2:
-        return None
-    for k in range(m):
-        i = ps[k]
-        j = ps[(k + 1) % m]
-        if k + 1 < m:
-            gap = word[i + 1 : j]
-        else:
-            gap = word[ps[-1] + 1 :] + word[: ps[0]]
-        marks = sum(1 for x in gap if x == MARK) % 2
-        if word[i] == word[j] ^ marks:
-            return (i, j)
-    return None
-
-
-def _cancel(word: Word, i: int, j: int) -> Word:
-    return tuple(x for p, x in enumerate(word) if p != i and p != j)
-
-
-def reduce(word: Word) -> Word:
-    """Cancel adjacent pole pairs until none remains, leftmost redex first."""
-    w = make_word(word)
-    while True:
-        redex = _find_redex(w)
-        if redex is None:
-            return w
-        w = _cancel(w, *redex)
-
-
-def index(word: Word) -> int:
-    """Half the pole count of the reduced word."""
-    reduced = reduce(word)
-    return sum(1 for x in reduced if x != MARK) // 2
-
-
 def _redexes(word: Word):
+    """Cancellable adjacent pole pairs, as (pos_p, pos_q), leftmost first.
+    Pairs are scanned linearly with the wrap-around pair last."""
     ps = _pole_positions(word)
     m = len(ps)
     if m < 2:
@@ -95,6 +57,26 @@ def _redexes(word: Word):
         marks = sum(1 for x in gap if x == MARK) % 2
         if word[i] == word[j] ^ marks:
             yield (i, j)
+
+
+def _cancel(word: Word, i: int, j: int) -> Word:
+    return tuple(x for p, x in enumerate(word) if p != i and p != j)
+
+
+def reduce(word: Word) -> Word:
+    """Cancel adjacent pole pairs until none remains, leftmost redex first."""
+    w = make_word(word)
+    while True:
+        redex = next(_redexes(w), None)
+        if redex is None:
+            return w
+        w = _cancel(w, *redex)
+
+
+def index(word: Word) -> int:
+    """Half the pole count of the reduced word."""
+    reduced = reduce(word)
+    return sum(1 for x in reduced if x != MARK) // 2
 
 
 def confluence_oracle(word: Word, max_poles: int = 12) -> bool:

@@ -51,10 +51,6 @@ class RibbonComplex:
     disk_of: tuple[int, ...]               # dart -> disk
     band_at: tuple[tuple[int, int, int], ...]  # dart -> (other dart, flip, band index)
 
-    def rotation_successor(self, d: int) -> int:
-        rot = self.rotations[self.disk_of[d]]
-        return rot[(rot.index(d) + 1) % len(rot)]
-
 
 def _dart_in(k: int, over: bool) -> int:
     return 4 * k if over else 4 * k + 1
@@ -190,9 +186,10 @@ class ClosedSurface:
     """Band surface with all boundary circles capped by disks.
 
     Exposes the closed-surface classification, a band-mask model of first
-    homology with Z/2 coefficients, the orientation character w1, and the
-    mod-2 intersection form on the chosen basis.  Instances are immutable
-    after construction apart from an internal memo of disk-bounding queries.
+    homology with Z/2 coefficients and the orientation character w1 on the
+    chosen basis, and the two curve predicates the state sum needs:
+    `homology_class` and `bounds_disk`.  Instances are immutable after
+    construction apart from an internal memo of disk-bounding queries.
     """
 
     def __init__(self, rs: RibbonComplex):
@@ -306,7 +303,6 @@ class ClosedSurface:
         self.w1_bits = tuple(self._w1(m) for m in basis)
         if self.orientable != all(b == 0 for b in self.w1_bits):
             raise AssertionError("orientation character disagrees with 2-coloring")
-        self.intersection_form = self._build_intersection_form()
 
     def _w1(self, mask: int) -> int:
         return bin(mask & self.flip_mask).count("1") % 2
@@ -324,171 +320,7 @@ class ClosedSurface:
             coords ^= row[1]
         return tuple((coords >> i) & 1 for i in range(self.h1_dim))
 
-    # -- intersection form -------------------------------------------------
-
-    def _strand_darts(self, mask: int) -> dict[int, list[int]]:
-        per_disk: dict[int, list[int]] = {}
-        for bi, (u, v, _f) in enumerate(self.ribbon.bands):
-            if (mask >> bi) & 1:
-                per_disk.setdefault(self.ribbon.disk_of[u], []).append(u)
-                per_disk.setdefault(self.ribbon.disk_of[v], []).append(v)
-        return per_disk
-
-    @staticmethod
-    def _interleaved(rot: tuple[int, ...], labels: dict[int, str]) -> int:
-        # four cyclic points, two per label; the chords cross exactly when
-        # the two z positions are separated by an even gap (z w z w pattern)
-        seq = [labels[d] for d in rot if d in labels]
-        zs = [i for i, s in enumerate(seq) if s == "z"]
-        if len(zs) != 2 or len(seq) != 4:
-            raise AssertionError("need two z and two w points")
-        return 1 if (zs[1] - zs[0]) % 2 == 0 else 0
-
-    def _cycle_intersection(self, mz: int, mw: int) -> int:
-        rs = self.ribbon
-        zd = self._strand_darts(mz)
-        wd = self._strand_darts(mw)
-        bit = 0
-        shared = mz & mw
-        # transversal disks: both cycles pass, on four distinct darts
-        for disk in zd.keys() & wd.keys():
-            zdarts, wdarts = zd[disk], wd[disk]
-            if set(zdarts) & set(wdarts):
-                continue
-            if len(zdarts) != 2 or len(wdarts) != 2:
-                raise AssertionError("basis cycle fails to be simple")
-            labels = {d: "z" for d in zdarts}
-            labels.update({d: "w" for d in wdarts})
-            bit ^= self._interleaved(rs.rotations[disk], labels)
-        # shared band runs: push the cycles to parallel lanes and count the
-        # crossings forced at the two ends of each maximal run
-        for run in self._shared_runs(shared):
-            bit ^= self._run_crossing(run, mz, mw)
-        return bit
-
-    def _shared_runs(self, shared: int) -> list[list[int]]:
-        """Maximal paths of bands lying on both cycles.  For simple basis
-        cycles the shared set per component is a simple path."""
-        rs = self.ribbon
-        if not shared:
-            return []
-        bis = [bi for bi in range(len(rs.bands)) if (shared >> bi) & 1]
-        ends: dict[int, list[int]] = {}
-        for bi in bis:
-            u, v, _f = rs.bands[bi]
-            ends.setdefault(rs.disk_of[u], []).append(bi)
-            ends.setdefault(rs.disk_of[v], []).append(bi)
-        runs = []
-        used: set[int] = set()
-        starts = sorted(d for d, bs in ends.items() if len(bs) == 1)
-        for d0 in starts:
-            bi = ends[d0][0]
-            if bi in used:
-                continue
-            run = []
-            disk = d0
-            while True:
-                run.append(bi)
-                used.add(bi)
-                u, v, _f = rs.bands[bi]
-                disk = rs.disk_of[v] if rs.disk_of[u] == disk else rs.disk_of[u]
-                nxt = [b for b in ends[disk] if b not in used]
-                if not nxt:
-                    break
-                bi = nxt[0]
-            runs.append(run)
-        if len(used) != len(bis):
-            raise AssertionError("shared bands form a closed loop")
-        return runs
-
-    def _run_darts(self, run: list[int]) -> tuple[list[int], list[int]]:
-        """Disk sequence and the shared darts at the two end disks."""
-        rs = self.ribbon
-        first, last = run[0], run[-1]
-        fu, fv, _ = rs.bands[first]
-        if len(run) == 1:
-            return [fu, fv], [fu, fv]
-        lu, lv, _ = rs.bands[last]
-        second_disks = {rs.disk_of[rs.bands[run[1]][0]], rs.disk_of[rs.bands[run[1]][1]]}
-        start_dart = fu if rs.disk_of[fu] not in second_disks else fv
-        prev_disks = {rs.disk_of[rs.bands[run[-2]][0]], rs.disk_of[rs.bands[run[-2]][1]]}
-        end_dart = lu if rs.disk_of[lu] not in prev_disks else lv
-        return [start_dart, end_dart], [start_dart, end_dart]
-
-    def _other_dart(self, mask: int, disk: int, exclude: int) -> int:
-        darts = self._strand_darts(mask)[disk]
-        rest = [d for d in darts if d != exclude]
-        if len(rest) != 1:
-            raise AssertionError("cycle not simple at divergence disk")
-        return rest[0]
-
-    def _run_crossing(self, run: list[int], mz: int, mw: int) -> int:
-        rs = self.ribbon
-        (start_dart, end_dart), _ = self._run_darts(run)
-        flips = 0
-        for bi in run:
-            flips ^= rs.bands[bi][2]
-        disk0 = rs.disk_of[start_dart]
-        disk1 = rs.disk_of[end_dart]
-        if disk0 == disk1:
-            raise AssertionError("shared run closes up")
-        z0 = self._other_dart(mz, disk0, start_dart)
-        w0 = self._other_dart(mw, disk0, start_dart)
-        z1 = self._other_dart(mz, disk1, end_dart)
-        w1 = self._other_dart(mw, disk1, end_dart)
-        # lanes: (left, right) at the run start; strands exit disk0, so the
-        # disk walk across the shared dart meets right lane first
-        lane = ("z", "w")
-        labels0 = {z0: "z", w0: "w"}
-        seq0 = []
-        for d in rs.rotations[disk0]:
-            if d == start_dart:
-                seq0 += [lane[1], lane[0]]
-            elif d in labels0:
-                seq0.append(labels0[d])
-        if flips:
-            lane = (lane[1], lane[0])
-        labels1 = {z1: "z", w1: "w"}
-        seq1 = []
-        for d in rs.rotations[disk1]:
-            if d == end_dart:
-                seq1 += [lane[0], lane[1]]
-            elif d in labels1:
-                seq1.append(labels1[d])
-        total = 0
-        for seq in (seq0, seq1):
-            zs = [i for i, s in enumerate(seq) if s == "z"]
-            if len(zs) != 2 or len(seq) != 4:
-                raise AssertionError("malformed lane sequence")
-            total ^= 1 if (zs[1] - zs[0]) % 2 == 0 else 0
-        return total
-
-    def _build_intersection_form(self) -> tuple[tuple[int, ...], ...]:
-        n = self.h1_dim
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = self.w1_bits[i]
-            for j in range(i + 1, n):
-                b = self._cycle_intersection(self.h1_basis[i], self.h1_basis[j])
-                mat[i][j] = mat[j][i] = b
-        return tuple(tuple(r) for r in mat)
-
-    def pairing(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        total = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                total ^= xi & yj & self.intersection_form[i][j]
-        return total
-
     # -- curve predicates ---------------------------------------------------
-
-    def is_mobius(self, curve: EmbeddedCurve) -> bool:
-        return curve.flip_parity == 1
-
-    def is_separating(self, curve: EmbeddedCurve) -> bool:
-        return not any(self.homology_class(curve))
 
     def bounds_disk(self, curve: EmbeddedCurve) -> bool:
         """True when the curve bounds an embedded disk inside the capped
@@ -543,22 +375,6 @@ def cap_boundaries(rs: RibbonComplex) -> ClosedSurface:
     return ClosedSurface(rs)
 
 
-def homology_class(F: ClosedSurface, c) -> tuple[int, ...]:
-    return F.homology_class(c)
-
-
-def is_separating(F: ClosedSurface, c: EmbeddedCurve) -> bool:
-    return F.is_separating(c)
-
-
-def bounds_disk(F: ClosedSurface, c: EmbeddedCurve) -> bool:
-    return F.bounds_disk(c)
-
-
-def is_mobius(c: EmbeddedCurve) -> bool:
-    return c.flip_parity == 1
-
-
 # ---------------------------------------------------------------------------
 # cutting along curves
 
@@ -568,7 +384,6 @@ class CutComplex:
     complex: PolygonComplex
     # face index of the two sides of each chord copy: (disk, chord) -> (fa, fb)
     chord_faces: dict
-    cut_edges: frozenset
 
 
 def _chords_by_disk(F: ClosedSurface, curves: Iterable[EmbeddedCurve]) -> dict:
@@ -596,7 +411,6 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
     rs = F.ribbon
     faces: list[list[tuple]] = []
     chord_faces: dict = {}
-    cut_edges: set = set()
 
     def AL(d):
         return ("AL", d)
@@ -640,7 +454,6 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
             faces += [f1, f2]
             key = (disk, (min(x, y), max(x, y)))
             chord_faces[key] = (len(faces) - 2, len(faces) - 1)
-            cut_edges.update((e1, e2))
             continue
         if len(norm) == 1:
             (x, y) = norm[0]
@@ -658,7 +471,6 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
             faces += [lune, rest]
             key = (disk, (min(x, y), max(x, y)))
             chord_faces[key] = (len(faces) - 2, len(faces) - 1)
-            cut_edges.update((lch, rch))
             continue
         if len(norm) == 2 and n == 4:
             (x0, y0), (x1, y1) = norm
@@ -672,7 +484,6 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
             for (x, y) in ((x0, y0), (x1, y1)):
                 lch = ("CH", disk, pos[x], "L")
                 lunes.append([(AL(x), 1), (corner(pos[x]), 1), (AR(y), 1), (lch, -1)])
-                cut_edges.update((lch, ("CH", disk, pos[x], "M")))
             mid = [
                 (AL(y0), 1),
                 (corner(pos[y0]), 1),
@@ -706,12 +517,11 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
         else:
             faces.append([(AL(u), 1), (s0, 1), (AL(v), -1), (col, -1)])
             faces.append([(AR(u), -1), (s1, 1), (AR(v), 1), (cor, -1)])
-        cut_edges.update((col, cor))
 
     for cap in F.caps:
         faces.append(list(cap))
 
-    return CutComplex(PolygonComplex(faces), chord_faces, frozenset(cut_edges))
+    return CutComplex(PolygonComplex(faces), chord_faces)
 
 
 @dataclass(frozen=True)

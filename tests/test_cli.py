@@ -122,3 +122,26 @@ def test_check_small_battery(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert out.count("PASS") == 5
+
+
+def test_directory_input_is_parse_error(capsys, tmp_path):
+    # a directory is not a code file, so the name is parsed as inline text
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "invariant", "-i", str(tmp_path))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "-i", "B", "--workers", "0"),
+        ("invariant", "-i", "B", "--workers", "-3"),
+        ("random", "--count", "-2"),
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 1
+    assert f"{argv[-2]} must" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import time
+
 from hypothesis import given, settings, strategies as st
 
 from polebracket.codes import parse_code, random_diagram
@@ -86,6 +88,15 @@ def test_h1_rank_matches_classification(c, b, seed):
     for p in F.pieces:
         expect += 2 * p.genus if p.orientable else p.crosscaps
     assert F.h1_dim == expect
+
+
+def test_large_surface_report_scales():
+    # info has no crossing guard, so surface build must stay cheap at large c;
+    # anything quadratic in the homology rank takes minutes here
+    start = time.perf_counter()
+    rep = cap_boundaries(build_ribbon(random_diagram(1, 500, 10))).report()
+    assert time.perf_counter() - start < 30
+    assert rep["h1_rank"] == 2 * len(rep["pieces"]) - rep["euler"]
 
 
 def test_regions_of_unknot_state():
