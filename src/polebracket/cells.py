@@ -6,9 +6,8 @@ A PolygonComplex is a list of faces, each face a cyclic list of slots
 they emerge as equivalence classes of edge-endpoints under the corner
 identifications read off the face walks.  This is enough to compute Euler
 characteristics, connected pieces, orientability, and boundary circles for
-every surface built in this package: ribbon neighborhoods of diagrams, their
-capped closed realizations, and the complexes obtained by cutting along
-state curves.
+every surface built in this package: ribbon neighborhoods of diagrams and
+the complexes obtained by cutting their capped surfaces along state curves.
 
 Edge ids must be tuples whose first entry is a string tag, so that sorting
 is well defined and traversal order is deterministic.
@@ -47,7 +46,9 @@ def _slot_ends(slot: Slot):
 
 
 class PolygonComplex:
-    """Immutable glued-polygon surface; all derived data computed eagerly."""
+    """Immutable glued-polygon surface.  Vertex classes, Euler characteristic
+    and pieces are computed on construction; orientability, boundary circles
+    and per-piece reports on request."""
 
     def __init__(self, faces: Iterable[Sequence[Slot]]):
         self.faces: tuple[tuple[Slot, ...], ...] = tuple(tuple(f) for f in faces)
@@ -78,11 +79,8 @@ class PolygonComplex:
                 corner_nbrs.setdefault(start_atom, []).append(end_atom)
         self._corner_nbrs = corner_nbrs
 
-        atoms = set()
-        for e in occ:
-            atoms.add((e, 0))
-            atoms.add((e, 1))
-        self.vertex_count = len({uf.find(a) for a in atoms})
+        self._vertex_of = {a: uf.find(a) for e in occ for a in ((e, 0), (e, 1))}
+        self.vertex_count = len(set(self._vertex_of.values()))
         self.edge_count = len(occ)
         self.face_count = len(self.faces)
         self.euler = self.vertex_count - self.edge_count + self.face_count
@@ -99,7 +97,6 @@ class PolygonComplex:
         self.face_piece = tuple(root_index[fuf.find(fi)] for fi in range(self.face_count))
         self.piece_count = len(roots)
 
-        self._piece_stats = None
         self._boundary = None
 
     # -- orientability --------------------------------------------------
@@ -194,42 +191,27 @@ class PolygonComplex:
     # -- per-piece reports -------------------------------------------------
 
     def piece_stats(self) -> tuple[dict, ...]:
-        """Per piece: euler, orientable, boundary circle count, face ids."""
-        if self._piece_stats is not None:
-            return self._piece_stats
-        orient = self.orientable_pieces()
+        """Per piece: "euler", its Euler characteristic, and
+        "boundary_circles", the number of its boundary circles."""
         # vertices and edges per piece
         vsets: list[set] = [set() for _ in range(self.piece_count)]
         ecount = [0] * self.piece_count
         fcount = [0] * self.piece_count
-        uf = _UnionFind()
-        for face in self.faces:
-            n = len(face)
-            for i in range(n):
-                _, end_atom = _slot_ends(face[i])
-                start_atom, _ = _slot_ends(face[(i + 1) % n])
-                uf.union(end_atom, start_atom)
         for e, os in self.edge_occ.items():
             p = self.face_piece[os[0][0]]
             ecount[p] += 1
-            vsets[p].add(uf.find((e, 0)))
-            vsets[p].add(uf.find((e, 1)))
+            vsets[p].add(self._vertex_of[(e, 0)])
+            vsets[p].add(self._vertex_of[(e, 1)])
         for fi in range(self.face_count):
             fcount[self.face_piece[fi]] += 1
         bcount = [0] * self.piece_count
         for circle in self.boundary_circles():
             e0 = circle[0][0]
             bcount[self.face_piece[self.edge_occ[e0][0][0]]] += 1
-        stats = tuple(
+        return tuple(
             {
                 "euler": len(vsets[p]) - ecount[p] + fcount[p],
-                "orientable": orient[p],
                 "boundary_circles": bcount[p],
-                "faces": tuple(
-                    fi for fi in range(self.face_count) if self.face_piece[fi] == p
-                ),
             }
             for p in range(self.piece_count)
         )
-        self._piece_stats = stats
-        return stats

@@ -2,9 +2,10 @@
 
 One computation per invocation: surface report, state dump, bracket values,
 move rewriting, random diagram generation, or the verification battery.
-Input codes come from --input as a file path, "-" for stdin, or inline .tgc
-text (";" separates components inline).  Output is byte-deterministic for
-fixed inputs, seed, and worker count.
+Input codes come from --input as inline .tgc text (";" separates components
+inline), "-" for stdin, or a file path.  Text that parses as a code is read
+inline even when a file of that name exists; give such a file as ./NAME.
+Output is byte-deterministic for fixed inputs, seed, and worker count.
 
 Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 verification
 failure.
@@ -83,11 +84,16 @@ def _read_code(args, err):
     src = args.input
     if src == "-":
         text = sys.stdin.read()
-    elif os.path.isfile(src):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
     else:
+        # text that parses as a code is inline even beside a file of that
+        # name; such a file is read by a path that is no code, like ./B
         text = src.replace(";", "\n")
+        if os.path.isfile(src):
+            try:
+                return parse_code(text)
+            except CodeError:
+                with open(src, "r", encoding="utf-8") as fh:
+                    text = fh.read()
     try:
         return parse_code(text)
     except CodeError as e:
@@ -103,8 +109,12 @@ def _guard(code, args, err):
         )
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_dumps(obj))
 
 
 def _poly_out(value, as_json: bool) -> None:
@@ -125,6 +135,8 @@ def main(argv=None) -> int:
         err(EXIT_USAGE, f"--workers must be at least 1, got {args.workers}")
     if args.count < 0:
         err(EXIT_USAGE, f"--count must not be negative, got {args.count}")
+    if args.max_crossings < 0:
+        err(EXIT_USAGE, f"--max-crossings must not be negative, got {args.max_crossings}")
 
     cmd = args.command
 
@@ -183,9 +195,15 @@ def main(argv=None) -> int:
 
     if cmd == "states":
         F = cap_boundaries(build_ribbon(code))
-        reports = [state_report(F, s) for s in enumerate_states(code, F)]
+        reports = (state_report(F, s) for s in enumerate_states(code, F))
         if args.json:
-            _emit_json(reports)
+            # the bytes of _emit_json(list(reports)), written one report at a time
+            sys.stdout.write("[")
+            for i, r in enumerate(reports):
+                if i:
+                    sys.stdout.write(",")
+                sys.stdout.write(_dumps(r))
+            sys.stdout.write("]\n")
         else:
             for r in reports:
                 curves = r["curves"]

@@ -186,31 +186,28 @@ class ClosedSurface:
     """Band surface with all boundary circles capped by disks.
 
     Exposes the closed-surface classification, a band-mask model of first
-    homology with Z/2 coefficients and the orientation character w1 on the
-    chosen basis, and the two curve predicates the state sum needs:
-    `homology_class` and `bounds_disk`.  Instances are immutable after
-    construction apart from an internal memo of disk-bounding queries.
+    homology with Z/2 coefficients, and the two curve predicates the state
+    sum needs: `homology_class` and `bounds_disk`.  Instances are immutable
+    after construction apart from an internal memo of disk-bounding queries.
     """
 
     def __init__(self, rs: RibbonComplex):
         self.ribbon = rs
         base = PolygonComplex(ribbon_faces(rs))
         self.caps = base.boundary_circles()
-        faces = list(base.faces) + [list(c) for c in self.caps]
-        self.complex = PolygonComplex(faces)
-        if self.complex.boundary_circles():
-            raise AssertionError("capping left a boundary")
-        self.euler = self.complex.euler
-        stats = self.complex.piece_stats()
+        # a cap is a disk glued along one boundary circle at vertices the band
+        # complex already identifies: it adds one face to that circle's piece
+        # and leaves the pieces and their orientability as they are
+        self.euler = base.euler + len(self.caps)
         self.pieces = tuple(
-            _classify_piece(s["euler"], s["orientable"]) for s in stats
+            _classify_piece(s["euler"] + s["boundary_circles"], orientable)
+            for s, orientable in zip(base.piece_stats(), base.orientable_pieces())
         )
         self.orientable = all(p.orientable for p in self.pieces)
 
         n_disks = len(rs.rotations)
-        self.disk_piece = tuple(self.complex.face_piece[d] for d in range(n_disks))
         self.band_piece = tuple(
-            self.complex.face_piece[n_disks + bi] for bi in range(len(rs.bands))
+            base.face_piece[n_disks + bi] for bi in range(len(rs.bands))
         )
         self.flip_mask = 0
         for bi, (_, _, flip) in enumerate(rs.bands):
@@ -293,15 +290,14 @@ class ClosedSurface:
                 basis.append(cyc)
                 coords_bit += 1
         self._rows = rows
-        self.h1_basis = tuple(basis)
         self.h1_dim = len(basis)
-        expected = 2 * self.complex.piece_count - self.euler
+        expected = 2 * len(self.pieces) - self.euler
         if self.h1_dim != expected:
             raise AssertionError(
                 f"homology dimension {self.h1_dim}, expected {expected}"
             )
-        self.w1_bits = tuple(self._w1(m) for m in basis)
-        if self.orientable != all(b == 0 for b in self.w1_bits):
+        w1 = [self._w1(m) for m in basis]
+        if self.orientable != all(b == 0 for b in w1):
             raise AssertionError("orientation character disagrees with 2-coloring")
 
     def _w1(self, mask: int) -> int:

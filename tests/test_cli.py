@@ -132,12 +132,37 @@ def test_directory_input_is_parse_error(capsys, tmp_path):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_inline_code_wins_over_file_of_that_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B").write_text("O1+ U1+\n", encoding="utf-8")
+    code, out, _ = run(capsys, "invariant", "-i", "B")
+    assert code == 0 and out.strip() == "M"
+    code, out, _ = run(capsys, "invariant", "-i", "./B")
+    assert code == 0 and out.strip() == "-A^2-A^-2"
+
+
+def test_states_json_streams_the_same_bytes(capsys):
+    from polebracket.codes import parse_code
+    from polebracket.states import enumerate_states, state_report
+    from polebracket.surfaces import build_ribbon, cap_boundaries
+
+    text = "O1- U2- O3- U1- O2- U3-"
+    code = parse_code(text)
+    F = cap_boundaries(build_ribbon(code))
+    reports = [state_report(F, s) for s in enumerate_states(code, F)]
+    assert len(reports) == 8
+    rc, out, _ = run(capsys, "states", "-i", text, "--json")
+    assert rc == 0
+    assert out == json.dumps(reports, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("invariant", "-i", "B", "--workers", "0"),
         ("invariant", "-i", "B", "--workers", "-3"),
         ("random", "--count", "-2"),
+        ("random", "--max-crossings", "-5"),
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv):

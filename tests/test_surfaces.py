@@ -1,9 +1,11 @@
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from polebracket.cells import PolygonComplex
 from polebracket.codes import parse_code, random_diagram
-from polebracket.surfaces import build_ribbon, cap_boundaries, regions
+from polebracket.surfaces import build_ribbon, cap_boundaries, regions, ribbon_faces
 
 
 def _report(text):
@@ -88,6 +90,37 @@ def test_h1_rank_matches_classification(c, b, seed):
     for p in F.pieces:
         expect += 2 * p.genus if p.orientable else p.crosscaps
     assert F.h1_dim == expect
+
+
+def _assert_capped_complex_agrees(code):
+    # ClosedSurface derives the capped surface from the band surface; gluing
+    # the caps in as faces must give the same closed surface, piece by piece
+    rs = build_ribbon(code)
+    F = cap_boundaries(rs)
+    capped = PolygonComplex(ribbon_faces(rs) + [list(c) for c in F.caps])
+    assert capped.boundary_circles() == ()
+    assert capped.euler == F.euler
+    pieces = [
+        (s["euler"], orientable)
+        for s, orientable in zip(capped.piece_stats(), capped.orientable_pieces())
+    ]
+    assert pieces == [(p.euler, p.orientable) for p in F.pieces]
+
+
+@pytest.mark.parametrize("text", ["EMPTY", "B", "B B", "EMPTY\nEMPTY", "B\nO1+ U1+"])
+def test_capped_complex_agrees_on_small_codes(text):
+    _assert_capped_complex_agrees(parse_code(text))
+
+
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_capped_complex_agrees(c, b, k, seed):
+    _assert_capped_complex_agrees(random_diagram(seed, c, b, min(k, max(1, 2 * c + b))))
 
 
 def test_large_surface_report_scales():
