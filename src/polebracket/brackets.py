@@ -8,13 +8,16 @@ a product of d_index variables, with d_0 = 1 and inessential curves each
 contributing a delta factor.  The normalized invariant multiplies by
 (-A)^(-3 writhe).
 
-State evaluation partitions the splice bitmask range across processes when
-asked; counts merge by exact integer addition, so worker count never
-changes a single output bit.
+Both brackets read one state-sum table, keyed by (signature, natural,
+inessential count); the double bracket collapses its keys instead of
+running a second sum.  State evaluation partitions the splice bitmask range
+across processes when asked; counts merge by exact integer addition, so
+worker count never changes a single output bit.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .codes import TwistedGaussCode, parse_code, serialize, writhe
@@ -86,13 +89,10 @@ def _surface(code: TwistedGaussCode) -> ClosedSurface:
 
 def _worker_counts(args):
     text, lo, hi = args
-    code = parse_code(text)
-    F = _surface(code)
-    d, b = sum_counts(F, lo, hi)
-    return list(d.items()), list(b.items())
+    return list(sum_counts(_surface(parse_code(text)), lo, hi).items())
 
 
-def _counts(code: TwistedGaussCode, workers: int = 1):
+def _counts(code: TwistedGaussCode, workers: int = 1) -> dict:
     F = _surface(code)
     total = 1 << F.ribbon.n_crossings
     if workers <= 1 or total < 4 * workers:
@@ -100,15 +100,14 @@ def _counts(code: TwistedGaussCode, workers: int = 1):
     text = serialize(code)
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(text, bounds[i], bounds[i + 1]) for i in range(workers)]
-    dcounts: dict = {}
-    bcounts: dict = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for dpart, bpart in pool.map(_worker_counts, jobs):
-            for k, v in dpart:
-                dcounts[k] = dcounts.get(k, 0) + v
-            for k, v in bpart:
-                bcounts[k] = bcounts.get(k, 0) + v
-    return dcounts, bcounts
+    counts: dict = {}
+    # the masks are still cut into `workers` jobs; the pool size only caps
+    # how many processes run them at once
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        for part in pool.map(_worker_counts, jobs):
+            for k, v in part:
+                counts[k] = counts.get(k, 0) + v
+    return counts
 
 
 def _delta_powers(n: int) -> list[MultiLaurent]:
@@ -119,7 +118,13 @@ def _delta_powers(n: int) -> list[MultiLaurent]:
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
-    dcounts, _ = _counts(code, workers)
+    # collapse each class to (one-sided count, indices >= 1); the signature
+    # is sorted by index, so the indices come out sorted
+    dcounts: dict = {}
+    for (sig, nat, iness), count in _counts(code, workers).items():
+        mob = sum(1 for curve in sig if curve[1])
+        key = (nat, iness, mob, tuple(curve[0] for curve in sig if curve[0] >= 1))
+        dcounts[key] = dcounts.get(key, 0) + count
     return _assemble_double(dcounts)
 
 
@@ -139,7 +144,7 @@ def _assemble_double(dcounts: dict) -> MultiLaurent:
 
 
 def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketValue:
-    _, bcounts = _counts(code, workers)
+    bcounts = _counts(code, workers)
     dpow = _delta_powers(max((k[2] for k in bcounts), default=0))
     classes: dict = {}
     for (sig, nat, iness), count in sorted(bcounts.items()):

@@ -19,7 +19,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class CodeError(ValueError):

@@ -8,8 +8,12 @@ collecting pole side bits and flip marks into cyclic pole words, then
 classified against the capped surface: bounds-disk, separating, one-sided,
 and the reduction index of the word.
 
-Classification of a curve depends only on its chord set, which lets a
-per-surface cache absorb the cost across all 2^c states.
+A curve is its chord set, band mask, flip parity and pole word; its poles
+are read back off the chords (`curve_poles`).  Classification depends only
+on the chord set, which lets a per-surface cache absorb the cost across all
+2^c states, and `sum_counts` folds each state into one count table keyed by
+what the surface pole bracket needs; the double bracket is collapsed from
+that same table.
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ from typing import Iterator
 from . import polewords
 from .codes import TwistedGaussCode
 from .polewords import MARK
-from .surfaces import ClosedSurface, EmbeddedCurve, Region
+from .surfaces import ClosedSurface, EmbeddedCurve
 from .surfaces import regions as surface_regions
 
 
 @dataclass(frozen=True)
 class PoleCurve:
+    """One state curve: where it runs, and its cyclic pole word.  Its poles
+    depend only on the chords and are read off them by `curve_poles`."""
+
     geometry: EmbeddedCurve
     word: tuple[int, ...]
-    kinds: tuple[str, ...]                                # I/O per pole, word order
-    poles: tuple[tuple[int, tuple[int, int], str], ...]   # (disk, chord, kind)
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,6 @@ class _Engine:
         c4 = 4 * rs.n_crossings
         tau = ([-1] * n, [-1] * n)
         side = ([-1] * n, [-1] * n)
-        kind = ([""] * n, [""] * n)
         for rot in rs.rotations:
             if len(rot) == 2:
                 d0, d1 = rot
@@ -73,36 +77,31 @@ class _Engine:
                 for a, b in pairs:
                     tau[bit][a] = b
                     tau[bit][b] = a
-                    a_in = (a % 4) < 2
-                    if a_in == ((b % 4) < 2):
-                        k = "I" if a_in else "O"
-                        kind[bit][a] = kind[bit][b] = k
+                    if (a % 4 < 2) == (b % 4 < 2):
                         side[bit][a] = 0 if succ[a] == b else 1
                         side[bit][b] = 0 if succ[b] == a else 1
         self.tau = tau
         self.side = side
-        self.kind = kind
         self.c4 = c4
         self.cls_cache: dict = {}
 
     def trace(self, mask: int):
         """Curve data for one splice choice: per curve
-        (chords, band_mask, flip_parity, word, kinds, poles)."""
+        (chords, band_mask, flip_parity, word)."""
         rs = self.rs
-        tau, side, kind, c4 = self.tau, self.side, self.kind, self.c4
+        tau, side, c4 = self.tau, self.side, self.c4
         band_at = rs.band_at
-        disk_of = rs.disk_of
         visited = bytearray(rs.total_darts)
         out = []
         for start in range(rs.total_darts):
             if visited[start]:
                 continue
             word: list[int] = []
-            kinds: list[str] = []
-            poles: list[tuple] = []
             chords: list[tuple[int, int]] = []
             bmask = 0
             fpar = 0
+            # a pole's kind is cur & 2: 0 at in-darts (I), 2 at out-darts (O)
+            first = last = -1
             cur = start
             while True:
                 visited[cur] = 1
@@ -110,12 +109,15 @@ class _Engine:
                 x = tau[bit][cur]
                 visited[x] = 1
                 s = side[bit][cur]
-                chord = (cur, x) if cur < x else (x, cur)
                 if s >= 0:
+                    k = cur & 2
+                    if k == last:
+                        raise AssertionError("pole kinds fail to alternate")
+                    if last < 0:
+                        first = k
+                    last = k
                     word.append(s)
-                    kinds.append(kind[bit][cur])
-                    poles.append((disk_of[cur], chord, kind[bit][cur]))
-                chords.append(chord)
+                chords.append((cur, x) if cur < x else (x, cur))
                 nxt, flip, bi = band_at[x]
                 if flip:
                     word.append(MARK)
@@ -124,13 +126,10 @@ class _Engine:
                 cur = nxt
                 if cur == start:
                     break
-            if len(kinds) % 2 or any(
-                a == b for a, b in zip(kinds, kinds[1:] + kinds[:1])
-            ):
+            if last >= 0 and first == last:
+                # the wrap-around pair; it also rules out an odd pole count
                 raise AssertionError("pole kinds fail to alternate")
-            out.append(
-                (tuple(sorted(chords)), bmask, fpar, tuple(word), tuple(kinds), tuple(poles))
-            )
+            out.append((tuple(sorted(chords)), bmask, fpar, tuple(word)))
         return out
 
     def classify(self, chords, bmask, fpar, word) -> CurveClassification:
@@ -164,8 +163,8 @@ def splice_curves(code: TwistedGaussCode, F: ClosedSurface, choice: int) -> Pole
         raise ValueError("splice choice out of range")
     eng = _engine(F)
     curves = tuple(
-        PoleCurve(EmbeddedCurve(chords, bmask, fpar), word, kinds, poles)
-        for (chords, bmask, fpar, word, kinds, poles) in eng.trace(choice)
+        PoleCurve(EmbeddedCurve(chords, bmask, fpar), word)
+        for (chords, bmask, fpar, word) in eng.trace(choice)
     )
     natural = c - 2 * bin(choice).count("1")
     return PoleState(choice, natural, curves)
@@ -174,6 +173,19 @@ def splice_curves(code: TwistedGaussCode, F: ClosedSurface, choice: int) -> Pole
 def enumerate_states(code: TwistedGaussCode, F: ClosedSurface) -> Iterator[PoleState]:
     for mask in range(1 << F.ribbon.n_crossings):
         yield splice_curves(code, F, mask)
+
+
+def curve_poles(F: ClosedSurface, curve: PoleCurve) -> list:
+    """The curve's poles as (disk, chord, kind), in chord order.  A chord at
+    a crossing disk joining two in-darts is an I pole, two out-darts an O
+    pole; bare-loop chords carry none."""
+    rs = F.ribbon
+    c4 = 4 * rs.n_crossings
+    return [
+        (rs.disk_of[a], (a, b), "I" if a % 4 < 2 else "O")
+        for (a, b) in curve.geometry.chords
+        if a < c4 and (a % 4 < 2) == (b % 4 < 2)
+    ]
 
 
 def classify_state(F: ClosedSurface, s: PoleState):
@@ -203,7 +215,7 @@ def check_pole_balance(F: ClosedSurface, s: PoleState) -> list:
     O-poles (counted with multiplicity over region-chord incidences)."""
     if not s.curves:
         return []
-    poles = [p for c in s.curves for p in c.poles]
+    poles = [p for c in s.curves for p in curve_poles(F, c)]
     regs = surface_regions(F, [c.geometry for c in s.curves], poles)
     return [(s.choice, r) for r in regs if r.i_poles != r.o_poles]
 
@@ -215,7 +227,7 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
         "natural": s.natural,
         "curves": [
             {
-                "poles": len(c.kinds),
+                "poles": sum(1 for x in c.word if x != MARK),
                 "index": cl.index,
                 "inessential": cl.inessential,
                 "separating": cl.separating,
@@ -227,35 +239,24 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
     }
 
 
-def sum_counts(F: ClosedSurface, lo: int, hi: int):
-    """Aggregate state counts for a bitmask range, keyed by everything the
-    brackets need.  Returns (double_counts, bracket_counts):
-        double_counts[(natural, iness, nonori, sorted index tuple)] = count
-        bracket_counts[(signature, natural, iness)] = count
+def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
+    """Count the states of a bitmask range by everything the brackets need:
+        counts[(signature, natural, iness)] = count
     where signature is the sorted per-essential-curve tuple
-    (index, mobius, separating, hom_class)."""
+    (index, mobius, separating, hom_class) and iness counts the curves that
+    bound disks."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
-    dcounts: dict = {}
-    bcounts: dict = {}
+    counts: dict = {}
     for mask in range(lo, hi):
-        nat = c - 2 * bin(mask).count("1")
         iness = 0
-        nonori = 0
-        idxs = []
         sig = []
-        for (chords, bmask, fpar, word, _kinds, _poles) in eng.trace(mask):
+        for (chords, bmask, fpar, word) in eng.trace(mask):
             cl = eng.classify(chords, bmask, fpar, word)
             if cl.inessential:
                 iness += 1
-                continue
-            if cl.mobius:
-                nonori += 1
-            if cl.index >= 1:
-                idxs.append(cl.index)
-            sig.append((cl.index, cl.mobius, cl.separating, cl.hom_class))
-        dkey = (nat, iness, nonori, tuple(sorted(idxs)))
-        dcounts[dkey] = dcounts.get(dkey, 0) + 1
-        bkey = (tuple(sorted(sig)), nat, iness)
-        bcounts[bkey] = bcounts.get(bkey, 0) + 1
-    return dcounts, bcounts
+            else:
+                sig.append((cl.index, cl.mobius, cl.separating, cl.hom_class))
+        key = (tuple(sorted(sig)), c - 2 * bin(mask).count("1"), iness)
+        counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -27,7 +27,7 @@ Edge ids in polygon complexes (first entry keeps sorting well defined):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .cells import PolygonComplex
 from .codes import Bar, TwistedGaussCode, Visit
@@ -188,7 +188,8 @@ class ClosedSurface:
     Exposes the closed-surface classification, a band-mask model of first
     homology with Z/2 coefficients, and the two curve predicates the state
     sum needs: `homology_class` and `bounds_disk`.  Instances are immutable
-    after construction apart from an internal memo of disk-bounding queries.
+    after construction, except that `states` attaches its per-surface engine
+    (splice tables and curve-class cache).
     """
 
     def __init__(self, rs: RibbonComplex):
@@ -216,7 +217,6 @@ class ClosedSurface:
 
         self._cap_masks = tuple(self._cap_band_mask(c) for c in self.caps)
         self._build_homology()
-        self._cut_memo: dict = {}
 
     # -- homology --------------------------------------------------------
 
@@ -327,22 +327,14 @@ class ClosedSurface:
             return False
         if any(self.homology_class(curve)):
             return False
-        key = curve.chords
-        hit = self._cut_memo.get(key)
-        if hit is not None:
-            return hit
-        piece_idx = self._curve_piece(curve)
-        if self.pieces[piece_idx].euler == 2:
-            self._cut_memo[key] = True
+        if self.pieces[self._curve_piece(curve)].euler == 2:
             return True
         cut = cut_complex(self, _chords_by_disk(self, [curve]), _split_bands(curve))
         # a disk piece (chi 1, one boundary circle) on either side of the cut
-        res = any(
+        return any(
             s["euler"] == 1 and s["boundary_circles"] == 1
             for s in cut.complex.piece_stats()
         )
-        self._cut_memo[key] = res
-        return res
 
     def _curve_piece(self, curve: EmbeddedCurve) -> int:
         for bi in range(len(self.ribbon.bands)):

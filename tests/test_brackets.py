@@ -5,8 +5,11 @@ bracket implementation (the oracle) rather than against values computed by
 the code under test.
 """
 
+import os
+
 import pytest
 
+from polebracket import brackets
 from polebracket.brackets import (
     BracketValue,
     assemble_from_table,
@@ -98,6 +101,37 @@ def test_specialization_identity_fixtures():
 def test_worker_determinism_small():
     code = parse_code("O1- U2- O3- U1- O2- U3-")
     assert double_bracket(code, workers=1) == double_bracket(code, workers=2)
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            sizes.append(len(jobs))
+            return map(fn, jobs)
+
+    code = parse_code("O1- U2- O3- U1- O2- U3-\nO4+ U5+ O6+ U4+ O5+ U6+")
+    expect = double_bracket(code, workers=1)
+    monkeypatch.setattr(brackets, "ProcessPoolExecutor", SerialPool)
+    for cpus, pool_size in ((2, 2), (None, 1), (64, 8)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert double_bracket(code, workers=8) == expect
+        # the pool shrinks to the CPUs, the split stays at eight mask ranges
+        assert sizes == [pool_size, 8]
 
 
 def test_assemble_from_table_worked_example():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -154,6 +155,24 @@ def test_states_json_streams_the_same_bytes(capsys):
     rc, out, _ = run(capsys, "states", "-i", text, "--json")
     assert rc == 0
     assert out == json.dumps(reports, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, flag, digest",
+    [
+        ("O1+ O2+ U1+ U2+", "--json", "408a99e10d524fc3ad3d4a5bb555f6e47e71178af5de14a9564bc4658c285415"),
+        ("O1+ O2+ U1+ U2+", "--dump", "52478c6f8f0110ef4f4798937ee187615eb2653d6a68dea410a2acc46066f826"),
+        ("B O1+ B U1+", "--json", "6df7525279dd2c8411da4d13ceea8cd40e41b6700c985173ab2bb091cbaa66cb"),
+        ("B O1+ B U1+", "--dump", "1c80f140d2375d158883245ad89c41a9efa5c468474b36f957d5447827c1c328"),
+        ("B;O1+ U1+", "--json", "bb03e6ba1587229cf355987877d20e040e9bf2908c0e1ae21e812961c7e3525b"),
+        ("B;O1+ U1+", "--dump", "554d02e66fa9738785970e3a335f11a614743704b12305910538719d6415421f"),
+    ],
+)
+def test_states_output_bytes_are_pinned(capsys, text, flag, digest):
+    # SHA-256 of `states` output as first recorded; no bench workload runs it
+    rc, out, _ = run(capsys, "states", "-i", text, flag)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,274 @@
+"""A frozen, plain state-sum engine, and differential tests against it.
+
+`RefEngine` is the splice tracer as it stood while every curve still carried
+its per-pole lists: it builds its own splice tables, records each pole's
+kind and its (disk, chord, kind) triple as it walks, and checks that the
+kinds alternate around the curve.  Curves are classified without the
+engine's cache: the homology class from the band mask, the disk test by
+cutting the surface along the curve (`surfaces.cut_complex`, memoized in a
+plain dict per diagram), and the index by `polewords.reduce`.  Both
+brackets are summed directly, one `MultiLaurent` term per state, with no
+count table in between.
+
+The fast engine must agree with it on both brackets (for 1 and 2 workers),
+and state by state on every curve record, derived pole list and class.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polebracket import states
+from polebracket.brackets import BracketValue, double_bracket, surface_pole_bracket
+from polebracket.codes import parse_code, random_diagram, serialize
+from polebracket.laurent import MultiLaurent, delta
+from polebracket.polewords import MARK, reduce
+from polebracket.states import classify_state, curve_poles, splice_curves
+from polebracket.surfaces import build_ribbon, cap_boundaries, cut_complex
+
+
+class RefEngine:
+    """Splice tables and the per-curve trace, frozen as first written."""
+
+    def __init__(self, F):
+        rs = F.ribbon
+        self.rs = rs
+        n = rs.total_darts
+        tau = ([-1] * n, [-1] * n)
+        side = ([-1] * n, [-1] * n)
+        kind = ([""] * n, [""] * n)
+        for rot in rs.rotations:
+            if len(rot) == 2:
+                d0, d1 = rot
+                for bit in (0, 1):
+                    tau[bit][d0] = d1
+                    tau[bit][d1] = d0
+                continue
+            r0, r1, r2, r3 = rot
+            succ = {r0: r1, r1: r2, r2: r3, r3: r0}
+            for bit, pairs in ((0, ((r1, r2), (r3, r0))), (1, ((r0, r1), (r2, r3)))):
+                for a, b in pairs:
+                    tau[bit][a] = b
+                    tau[bit][b] = a
+                    a_in = (a % 4) < 2
+                    if a_in == ((b % 4) < 2):
+                        k = "I" if a_in else "O"
+                        kind[bit][a] = kind[bit][b] = k
+                        side[bit][a] = 0 if succ[a] == b else 1
+                        side[bit][b] = 0 if succ[b] == a else 1
+        self.tau = tau
+        self.side = side
+        self.kind = kind
+        self.c4 = 4 * rs.n_crossings
+
+    def trace(self, mask):
+        """Per curve (chords, band_mask, flip_parity, word, kinds, poles)."""
+        rs = self.rs
+        tau, side, kind, c4 = self.tau, self.side, self.kind, self.c4
+        visited = bytearray(rs.total_darts)
+        out = []
+        for start in range(rs.total_darts):
+            if visited[start]:
+                continue
+            word, kinds, poles, chords = [], [], [], []
+            bmask = 0
+            fpar = 0
+            cur = start
+            while True:
+                visited[cur] = 1
+                bit = (mask >> (cur >> 2)) & 1 if cur < c4 else 0
+                x = tau[bit][cur]
+                visited[x] = 1
+                s = side[bit][cur]
+                chord = (cur, x) if cur < x else (x, cur)
+                if s >= 0:
+                    word.append(s)
+                    kinds.append(kind[bit][cur])
+                    poles.append((rs.disk_of[cur], chord, kind[bit][cur]))
+                chords.append(chord)
+                nxt, flip, bi = rs.band_at[x]
+                if flip:
+                    word.append(MARK)
+                    fpar ^= 1
+                bmask |= 1 << bi
+                cur = nxt
+                if cur == start:
+                    break
+            if len(kinds) % 2 or any(
+                a == b for a, b in zip(kinds, kinds[1:] + kinds[:1])
+            ):
+                raise AssertionError("pole kinds fail to alternate")
+            out.append(
+                (tuple(sorted(chords)), bmask, fpar, tuple(word), tuple(kinds), tuple(poles))
+            )
+        return out
+
+
+def ref_bounds_disk(F, chords, bmask, fpar, memo):
+    """Cut-based disk test: a two-sided, null-homologous curve bounds a disk
+    when its piece is a sphere or when cutting along it leaves a piece with
+    chi 1 and one boundary circle."""
+    if fpar or any(F.homology_class(bmask)):
+        return False
+    hit = memo.get(chords)
+    if hit is None:
+        low_band = (bmask & -bmask).bit_length() - 1
+        if F.pieces[F.band_piece[low_band]].euler == 2:
+            hit = True
+        else:
+            by_disk = {}
+            for (a, b) in chords:
+                by_disk.setdefault(F.ribbon.disk_of[a], []).append((a, b))
+            hit = any(
+                s["euler"] == 1 and s["boundary_circles"] == 1
+                for s in cut_complex(F, by_disk, bmask).complex.piece_stats()
+            )
+        memo[chords] = hit
+    return hit
+
+
+def ref_index(word):
+    return sum(1 for x in reduce(word) if x != MARK) // 2
+
+
+def ref_classify(F, curve, memo):
+    """(inessential, separating, mobius, index, hom_class) of a traced curve."""
+    chords, bmask, fpar, word = curve[:4]
+    hom = F.homology_class(bmask)
+    sep = not any(hom)
+    mob = fpar == 1
+    iness = (not mob) and sep and ref_bounds_disk(F, chords, bmask, fpar, memo)
+    return (iness, sep, mob, ref_index(word), hom)
+
+
+def ref_brackets(code):
+    """(double bracket, surface pole bracket), one term per state."""
+    F = cap_boundaries(build_ribbon(code))
+    eng = RefEngine(F)
+    memo = {}
+    c = F.ribbon.n_crossings
+    double = MultiLaurent.zero()
+    classes = {}
+    for mask in range(1 << c):
+        term = MultiLaurent.A(c - 2 * bin(mask).count("1"))
+        dterm = term
+        sig = []
+        for curve in eng.trace(mask):
+            iness, sep, mob, idx, hom = ref_classify(F, curve, memo)
+            if iness:
+                term = term * delta()
+                dterm = dterm * delta()
+                continue
+            sig.append((idx, mob, sep, hom))
+            if mob:
+                dterm = dterm * MultiLaurent.M()
+            if idx >= 1:
+                dterm = dterm * MultiLaurent.d(idx)
+        double = double + dterm
+        key = tuple(sorted(sig))
+        classes[key] = classes.get(key, MultiLaurent.zero()) + term
+    return double, BracketValue(classes)
+
+
+def assert_states_match(code):
+    F = cap_boundaries(build_ribbon(code))
+    ref = RefEngine(F)
+    memo = {}
+    for mask in range(1 << F.ribbon.n_crossings):
+        s = splice_curves(code, F, mask)
+        expect = ref.trace(mask)
+        got = [
+            (c.geometry.chords, c.geometry.band_mask, c.geometry.flip_parity, c.word)
+            for c in s.curves
+        ]
+        assert got == [e[:4] for e in expect]
+        for curve, e in zip(s.curves, expect):
+            assert sorted(curve_poles(F, curve)) == sorted(e[5])
+        cls, _, _ = classify_state(F, s)
+        assert [
+            (cl.inessential, cl.separating, cl.mobius, cl.index, cl.hom_class) for cl in cls
+        ] == [ref_classify(F, e, memo) for e in expect]
+
+
+def assert_brackets_match(code, workers=(1, 2)):
+    double, bracket = ref_brackets(code)
+    for w in workers:
+        assert double_bracket(code, workers=w) == double, w
+    assert surface_pole_bracket(code) == bracket
+
+
+@st.composite
+def diagrams(draw):
+    """c <= 8, bars <= 4, 1-3 components, sometimes one of them a bare loop."""
+    c = draw(st.integers(min_value=0, max_value=8))
+    b = draw(st.integers(min_value=0, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    loop = draw(st.sampled_from(("", "EMPTY", "B"))) if k > 1 else ""
+    main = random_diagram(seed, c, b, min(k - bool(loop), max(1, 2 * c + b)))
+    return parse_code(serialize(main) + loop)
+
+
+FIXTURES = ["EMPTY", "B", "B B", "O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
+            "B\nO1+ U1+", "O1+ U1+\nEMPTY", "O1- U2- O3- U1- O2- U3-\nB B"]
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_fixtures_match_reference(text):
+    code = parse_code(text)
+    assert_states_match(code)
+    assert_brackets_match(code)
+
+
+@given(diagrams())
+@settings(max_examples=100, deadline=None)
+def test_brackets_match_reference(code):
+    assert_brackets_match(code)
+
+
+@given(diagrams())
+@settings(max_examples=100, deadline=None)
+def test_states_match_reference(code):
+    assert_states_match(code)
+
+
+def _without_pole(engine, bit, a, b):
+    engine.side[bit][a] = engine.side[bit][b] = -1
+    return engine
+
+
+def assert_alternation_check_matches(code):
+    # drop one pole from both engines' tables: the curve through it keeps an
+    # odd pole count, which only the wrap-around check sees when the dropped
+    # pole was the first or last one met
+    F = cap_boundaries(build_ribbon(code))
+    c = F.ribbon.n_crossings
+    base = RefEngine(F)
+    for bit in (0, 1):
+        for a in range(4 * c):
+            b = base.tau[bit][a]
+            if a > b or base.side[bit][a] < 0:
+                continue
+            fast = _without_pole(states._Engine(F), bit, a, b)
+            ref = _without_pole(RefEngine(F), bit, a, b)
+            for mask in range(1 << c):
+                if (mask >> (a >> 2)) & 1 != bit:
+                    continue
+                with pytest.raises(AssertionError):
+                    ref.trace(mask)
+                with pytest.raises(AssertionError):
+                    fast.trace(mask)
+
+
+@pytest.mark.parametrize("text", ["O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+"])
+def test_alternation_check_matches_reference(text):
+    assert_alternation_check_matches(parse_code(text))
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_alternation_check_matches_reference_random(c, b, seed):
+    assert_alternation_check_matches(random_diagram(seed, c, b))

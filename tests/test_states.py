@@ -1,4 +1,5 @@
 from polebracket.codes import parse_code, random_diagram
+from polebracket.polewords import MARK
 from polebracket.states import (
     check_pole_balance,
     check_nonseparation,
@@ -39,7 +40,7 @@ def test_kink_states_on_sphere():
     cls_b, iness_b, nonori_b = classify_state(F, b)
     assert len(a.curves) == 2 and iness_a == 2 and nonori_a == 0
     assert len(b.curves) == 1 and iness_b == 1
-    assert sum(len(c.kinds) for c in b.curves) == 2
+    assert sum(1 for c in b.curves for x in c.word if x != MARK) == 2
     assert all(cl.index == 0 for cl in cls_b)
 
 
