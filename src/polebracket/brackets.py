@@ -93,10 +93,10 @@ def _worker_counts(args):
 
 
 def _counts(code: TwistedGaussCode, workers: int = 1) -> dict:
-    F = _surface(code)
-    total = 1 << F.ribbon.n_crossings
+    total = 1 << len(code.crossing_ids)
     if workers <= 1 or total < 4 * workers:
-        return sum_counts(F, 0, total)
+        return sum_counts(_surface(code), 0, total)
+    # the workers build their own surfaces; the parent needs none
     text = serialize(code)
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(text, bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -117,18 +117,14 @@ def _delta_powers(n: int) -> list[MultiLaurent]:
     return powers
 
 
-def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
+def _double_from_counts(counts: dict) -> MultiLaurent:
     # collapse each class to (one-sided count, indices >= 1); the signature
     # is sorted by index, so the indices come out sorted
     dcounts: dict = {}
-    for (sig, nat, iness), count in _counts(code, workers).items():
+    for (sig, nat, iness), count in counts.items():
         mob = sum(1 for curve in sig if curve[1])
         key = (nat, iness, mob, tuple(curve[0] for curve in sig if curve[0] >= 1))
         dcounts[key] = dcounts.get(key, 0) + count
-    return _assemble_double(dcounts)
-
-
-def _assemble_double(dcounts: dict) -> MultiLaurent:
     if not dcounts:
         return MultiLaurent.one()
     dpow = _delta_powers(max(k[1] for k in dcounts))
@@ -143,14 +139,27 @@ def _assemble_double(dcounts: dict) -> MultiLaurent:
     return total
 
 
-def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketValue:
-    bcounts = _counts(code, workers)
-    dpow = _delta_powers(max((k[2] for k in bcounts), default=0))
+def _bracket_from_counts(counts: dict) -> BracketValue:
+    dpow = _delta_powers(max((k[2] for k in counts), default=0))
     classes: dict = {}
-    for (sig, nat, iness), count in sorted(bcounts.items()):
+    for (sig, nat, iness), count in sorted(counts.items()):
         coeff = MultiLaurent.A(nat) * count * dpow[iness]
         classes[sig] = classes.get(sig, MultiLaurent.zero()) + coeff
     return BracketValue(classes)
+
+
+def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
+    return _double_from_counts(_counts(code, workers))
+
+
+def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketValue:
+    return _bracket_from_counts(_counts(code, workers))
+
+
+def bracket_pair(code: TwistedGaussCode, workers: int = 1) -> tuple[BracketValue, MultiLaurent]:
+    """(surface pole bracket, double bracket) from one state sum."""
+    counts = _counts(code, workers)
+    return _bracket_from_counts(counts), _double_from_counts(counts)
 
 
 def specialize_bracket(b: BracketValue) -> MultiLaurent:

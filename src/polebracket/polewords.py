@@ -11,7 +11,9 @@ mark.  An adjacent pair of poles (no pole strictly between them on one of
 the two cyclic arcs) cancels exactly when their side bits agree after
 accounting for the parity of flip marks on that arc; the marks survive the
 cancellation.  The index of a curve is half the number of poles left when no
-pair cancels.
+pair cancels.  Reduction is confluent, so the index does not depend on the
+order of cancellations, and `index` computes it in closed form without
+cancelling anything; `reduce` is the step-by-step rewriting it agrees with.
 
 Words are compared up to rotation, reversal with both side bits swapped,
 and sliding a mark past a pole (which toggles that pole's side).  Carrying
@@ -74,9 +76,29 @@ def reduce(word: Word) -> Word:
 
 
 def index(word: Word) -> int:
-    """Half the pole count of the reduced word."""
-    reduced = reduce(word)
-    return sum(1 for x in reduced if x != MARK) // 2
+    """Half the pole count of the reduced word, in closed form.
+
+    XOR each pole's side with the parity p of the marks before it: two
+    neighbouring poles then cancel exactly when the new bits are equal, so
+    reduction along the word is free reduction in Z/2 * Z/2, whose reduced
+    words alternate.  XOR the bit once more with the parity of the count k
+    of poles before it, and cancelling pairs become unequal neighbours, so
+    the reduced length is m = |#ones - #zeros|.  p ^ (k & 1) is just the
+    parity of the pole's position in the word, since every item before it
+    is a mark or a pole.  On the alternating reduced word the wrap-around
+    pair cancels either always or never: it cancels, and with it every
+    pole down to at most one, exactly when the total mark parity T differs
+    from the pole-count parity, that is when the word has odd length.
+    """
+    w = tuple(word)
+    marks = w.count(MARK)
+    poles = len(w) - marks
+    if w.count(L) + w.count(R) != poles:
+        make_word(w)  # raises on the bad item
+    if len(w) & 1:
+        return 0
+    ones = w[0::2].count(R) + w[1::2].count(L)
+    return abs(2 * ones - poles) // 2
 
 
 def confluence_oracle(word: Word, max_poles: int = 12) -> bool:

@@ -8,6 +8,14 @@ disk yields the closed carrier surface; state curves drawn on the band
 surface are classified against that closed surface (null-homologous,
 separating, disk-bounding, Mobius-core).
 
+The disk test works on the handle decomposition (crossing disks, bands,
+caps) with plain int tables: cutting along the curve splits the touched
+disks into fragments and the bands it runs along into two lanes each, a
+union-find over fragments finds the side of the curve, and Euler
+characteristic counted as fragments - lanes + caps decides whether that side
+or the other one is a disk.  `cut_complex` builds the same cut as a full
+polygon complex; `regions` reads pole incidences off it.
+
 Dart layout at crossing k (darts are band endpoints on disk boundaries):
     4k   over-in    4k+1 under-in    4k+2 over-out    4k+3 under-out
 Counterclockwise boundary order is (oi, ui, oo, uo) at a positive crossing
@@ -27,6 +35,7 @@ Edge ids in polygon complexes (first entry keeps sorting well defined):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .cells import PolygonComplex
@@ -188,7 +197,8 @@ class ClosedSurface:
     Exposes the closed-surface classification, a band-mask model of first
     homology with Z/2 coefficients, and the two curve predicates the state
     sum needs: `homology_class` and `bounds_disk`.  Instances are immutable
-    after construction, except that `states` attaches its per-surface engine
+    after construction, except that the first disk test that counts handles
+    fills in the corner tables, and `states` attaches its per-surface engine
     (splice tables and curve-class cache).
     """
 
@@ -321,19 +331,98 @@ class ClosedSurface:
     def bounds_disk(self, curve: EmbeddedCurve) -> bool:
         """True when the curve bounds an embedded disk inside the capped
         surface.  Mobius cores and homologically nontrivial curves are
-        rejected outright; otherwise the surface is cut along the curve and
-        the pieces are inspected for a disk."""
+        rejected outright, and on a sphere piece every remaining curve bounds
+        a disk.  Otherwise the curve is two-sided and null-homologous, so it
+        splits its piece into two sides, each with the curve as its one
+        boundary circle, and it bounds a disk iff one side has chi 1.  Chi
+        of a side is counted on the handle decomposition cut along the curve
+        (`_side_euler`), and chi of the other side is chi(piece) minus it."""
         if curve.flip_parity:
             return False
         if any(self.homology_class(curve)):
             return False
-        if self.pieces[self._curve_piece(curve)].euler == 2:
+        piece_euler = self.pieces[self._curve_piece(curve)].euler
+        if piece_euler == 2:
             return True
-        cut = cut_complex(self, _chords_by_disk(self, [curve]), _split_bands(curve))
-        # a disk piece (chi 1, one boundary circle) on either side of the cut
-        return any(
-            s["euler"] == 1 and s["boundary_circles"] == 1
-            for s in cut.complex.piece_stats()
+        side = self._side_euler(curve.chords, curve.band_mask)
+        return side == 1 or piece_euler - side == 1
+
+    @cached_property
+    def _corner_tables(self):
+        """Per-dart successor and predecessor in the disk's rotation, and
+        per cap one of its corners, where a corner is named by the dart it
+        follows (corner pos[d] of its disk).  Built on the first disk test
+        that needs them."""
+        rs = self.ribbon
+        succ = [0] * rs.total_darts
+        pred = [0] * rs.total_darts
+        for rot in rs.rotations:
+            for i, d in enumerate(rot):
+                succ[d] = rot[(i + 1) % len(rot)]
+                pred[succ[d]] = d
+        # boundary circles alternate corners and band sides
+        cap_corner = [
+            next(rs.rotations[e[1]][e[2]] for (e, _dir) in circle if e[0] == "C")
+            for circle in self.caps
+        ]
+        return succ, pred, cap_corner
+
+    def _side_euler(self, chords, band_mask: int) -> int:
+        """Euler characteristic of the side of a separating curve that holds
+        the lune of its first chord.
+
+        Cutting along the curve cuts the handle decomposition of the capped
+        surface into fragments.  A chord (x, succ x) cuts corner pos[x] off
+        its disk as a lune; the disk's other corners form one more fragment,
+        and an untouched disk stays whole.  A band the curve runs along
+        splits into two lanes: side 0 joins AL(u) to AR(v) and side 1 joins
+        AR(u) to AL(v), or AL(u) to AL(v) and AR(u) to AR(v) when the band
+        is flipped, where AL(d) is the half-arc of dart d next to corner
+        pos[d] and AR(d) the one next to corner pos[d] - 1 (the faces of
+        `cut_complex`).  Other bands join their two end fragments.  The
+        curve misses every boundary circle, so each cap lies on the side of
+        any one of its corners and joins nothing the lanes have not joined.
+        Then chi = disk fragments - band fragments + caps on that side."""
+        rs = self.ribbon
+        succ, pred, cap_corner = self._corner_tables
+        frag = list(rs.disk_of)      # corner -> fragment; disks keep their index
+        n_frag = len(rs.rotations)
+        for (a, b) in chords:
+            if succ[a] == b:
+                frag[a] = n_frag
+            elif succ[b] == a:
+                frag[b] = n_frag
+            else:
+                raise ValueError("chord joins non-adjacent darts")
+            n_frag += 1
+        lanes = []                   # (fragment, fragment) per band fragment
+        for bi, (u, v, flip) in enumerate(rs.bands):
+            if not (band_mask >> bi) & 1:
+                lanes.append((frag[u], frag[v]))
+            elif flip:
+                lanes.append((frag[u], frag[v]))
+                lanes.append((frag[pred[u]], frag[pred[v]]))
+            else:
+                lanes.append((frag[u], frag[pred[v]]))
+                lanes.append((frag[pred[u]], frag[v]))
+
+        parent = list(range(n_frag))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for (f, g) in lanes:
+            f, g = find(f), find(g)
+            if f != g:
+                parent[g] = f
+        roots = [find(x) for x in range(n_frag)]
+        side = roots[len(rs.rotations)]   # the first chord's lune
+        return (
+            roots.count(side)
+            - sum(1 for (f, _g) in lanes if roots[f] == side)
+            + sum(1 for d in cap_corner if roots[frag[d]] == side)
         )
 
     def _curve_piece(self, curve: EmbeddedCurve) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .brackets import double_bracket, normalized, specialize_bracket, surface_pole_bracket
+from .brackets import bracket_pair, double_bracket, normalized, specialize_bracket
 from .codes import TwistedGaussCode, Visit, make_code, parse_code, random_diagram
 from .moves import (
     MoveError,
@@ -174,7 +174,8 @@ def sweep_specialization(diagrams):
     failures = []
     for code in diagrams:
         checked += 1
-        if specialize_bracket(surface_pole_bracket(code)) != double_bracket(code):
+        bracket, double = bracket_pair(code)
+        if specialize_bracket(bracket) != double:
             failures.append(code)
     return checked, failures
 

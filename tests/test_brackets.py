@@ -13,6 +13,7 @@ from polebracket import brackets
 from polebracket.brackets import (
     BracketValue,
     assemble_from_table,
+    bracket_pair,
     double_bracket,
     normalized,
     specialize_bracket,
@@ -105,6 +106,8 @@ def test_worker_determinism_small():
 
 def test_pool_is_capped_at_cpu_count(monkeypatch):
     sizes = []
+    surfaces = []       # per surface build: was it inside a job?
+    in_job = []
 
     class SerialPool:
         """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
@@ -121,17 +124,41 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             jobs = list(jobs)
             sizes.append(len(jobs))
-            return map(fn, jobs)
+            out = []
+            for job in jobs:
+                in_job.append(True)
+                out.append(fn(job))
+                in_job.pop()
+            return out
+
+    build_surface = brackets._surface
+
+    def counted_surface(code):
+        surfaces.append(bool(in_job))
+        return build_surface(code)
 
     code = parse_code("O1- U2- O3- U1- O2- U3-\nO4+ U5+ O6+ U4+ O5+ U6+")
     expect = double_bracket(code, workers=1)
     monkeypatch.setattr(brackets, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(brackets, "_surface", counted_surface)
     for cpus, pool_size in ((2, 2), (None, 1), (64, 8)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sizes.clear()
+        surfaces.clear()
         assert double_bracket(code, workers=8) == expect
         # the pool shrinks to the CPUs, the split stays at eight mask ranges
         assert sizes == [pool_size, 8]
+        # each job builds its own surface; the parent builds none
+        assert surfaces == [True] * 8
+
+
+def test_bracket_pair_matches_both_brackets():
+    for text in ("EMPTY", "B", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
+        code = parse_code(text)
+        for workers in (1, 2):
+            bracket, double = bracket_pair(code, workers=workers)
+            assert bracket == surface_pole_bracket(code)
+            assert double == double_bracket(code)
 
 
 def test_assemble_from_table_worked_example():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -118,6 +119,35 @@ def test_index_is_class_invariant(items, seed):
 @settings(max_examples=100, deadline=None)
 def test_confluence_on_small_words(items):
     assert confluence_oracle(make_word(items))
+
+
+def _reduced_index(word):
+    return sum(x != MARK for x in reduce(word)) // 2
+
+
+def test_index_matches_reduction_on_all_short_words():
+    # every word of at most 10 items: 88,573 words, odd pole counts included
+    count = 0
+    for n in range(11):
+        for w in itertools.product((L, R, MARK), repeat=n):
+            assert index(w) == _reduced_index(w), w
+            count += 1
+    assert count == (3**11 - 1) // 2
+
+
+def test_index_matches_reduction_on_random_words():
+    rng = random.Random(20141)
+    for _ in range(2000):
+        w = [rng.choice((L, R)) for _ in range(rng.randrange(13))]
+        for _ in range(rng.randrange(5)):
+            w.insert(rng.randrange(len(w) + 1), MARK)
+        assert index(tuple(w)) == _reduced_index(tuple(w)), w
+
+
+def test_index_rejects_bad_items():
+    with pytest.raises(ValueError):
+        index((L, 3, R))
+    assert index([L, MARK, L, MARK]) == 1
 
 
 def test_confluence_guard():

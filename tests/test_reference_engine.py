@@ -12,6 +12,8 @@ count table in between.
 
 The fast engine must agree with it on both brackets (for 1 and 2 workers),
 and state by state on every curve record, derived pole list and class.
+`ClosedSurface.bounds_disk`, which counts handles instead of cutting, is
+also compared with the cut-based test directly, curve by curve.
 """
 
 import pytest
@@ -23,7 +25,8 @@ from polebracket.codes import parse_code, random_diagram, serialize
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.polewords import MARK, reduce
 from polebracket.states import classify_state, curve_poles, splice_curves
-from polebracket.surfaces import build_ribbon, cap_boundaries, cut_complex
+from polebracket.surfaces import EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex
+from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
 
 
 class RefEngine:
@@ -210,6 +213,28 @@ def diagrams(draw):
 
 FIXTURES = ["EMPTY", "B", "B B", "O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
             "B\nO1+ U1+", "O1+ U1+\nEMPTY", "O1- U2- O3- U1- O2- U3-\nB B"]
+
+
+def test_bounds_disk_matches_cut_reference():
+    codes = corpus_twisted(7, 40) + [code for _name, code in twisted_fixtures()]
+    codes += [code for _name, code in classical_fixtures()]
+    # diagrams with many separating curves that bound no disk, two with bars
+    codes += [random_diagram(seed, c, bars, components=k)
+              for (seed, c, bars, k) in ((3, 8, 0, 1), (2, 8, 0, 3), (3, 8, 2, 1), (1, 7, 2, 2))]
+    verdicts = {True: 0, False: 0}    # of curves that reach the handle count
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        eng = RefEngine(F)
+        memo = {}
+        for mask in range(1 << F.ribbon.n_crossings):
+            for (chords, bmask, fpar, *_rest) in eng.trace(mask):
+                got = F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
+                assert got == ref_bounds_disk(F, chords, bmask, fpar, memo), (code, chords)
+                low_band = (bmask & -bmask).bit_length() - 1
+                if not (fpar or any(F.homology_class(bmask))
+                        or F.pieces[F.band_piece[low_band]].euler == 2):
+                    verdicts[got] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
 
 
 @pytest.mark.parametrize("text", FIXTURES)

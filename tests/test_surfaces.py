@@ -141,3 +141,28 @@ def test_regions_of_unknot_state():
     s = splice_curves(code, F, 0)
     regs = regions(F, [c.geometry for c in s.curves], [])
     assert len(regs) == 2
+
+
+def test_disk_test_rejects_a_chord_across_a_crossing_disk():
+    # a separating curve off the sphere reaches the handle count, which
+    # needs every chord to join rotation-adjacent darts
+    from polebracket.states import splice_curves
+    from polebracket.surfaces import EmbeddedCurve
+
+    code = random_diagram(3, 8, 0, components=1)
+    F = cap_boundaries(build_ribbon(code))
+    assert F.pieces[0].euler != 2
+    curve = next(
+        c.geometry
+        for mask in range(1 << 8)
+        for c in splice_curves(code, F, mask).curves
+        if not c.geometry.flip_parity and not any(F.homology_class(c.geometry))
+    )
+    F.bounds_disk(curve)    # the curve as traced passes
+    (a, b), rest = curve.chords[0], curve.chords[1:]
+    rot = F.ribbon.rotations[F.ribbon.disk_of[a]]
+    across = rot[(rot.index(a) + 2) % 4]
+    bad = EmbeddedCurve(tuple(sorted(rest + ((min(a, across), max(a, across)),))),
+                        curve.band_mask, 0)
+    with pytest.raises(ValueError, match="non-adjacent"):
+        F.bounds_disk(bad)
