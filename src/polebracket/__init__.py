@@ -10,7 +10,6 @@ normalized invariant R.
 from .brackets import (
     BracketValue,
     assemble_from_table,
-    bracket_pair,
     double_bracket,
     normalized,
     specialize_bracket,
@@ -89,7 +88,6 @@ __all__ = [
     "apply_move",
     "assemble_from_table",
     "braid_closure",
-    "bracket_pair",
     "build_ribbon",
     "canonical_key",
     "canonicalize",

@@ -156,9 +156,9 @@ def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketVal
     return _bracket_from_counts(_counts(code, workers))
 
 
-def bracket_pair(code: TwistedGaussCode, workers: int = 1) -> tuple[BracketValue, MultiLaurent]:
+def bracket_pair(code: TwistedGaussCode) -> tuple[BracketValue, MultiLaurent]:
     """(surface pole bracket, double bracket) from one state sum."""
-    counts = _counts(code, workers)
+    counts = _counts(code)
     return _bracket_from_counts(counts), _double_from_counts(counts)
 
 

@@ -35,7 +35,6 @@ Edge ids in polygon complexes (first entry keeps sorting well defined):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .cells import PolygonComplex
@@ -197,8 +196,7 @@ class ClosedSurface:
     Exposes the closed-surface classification, a band-mask model of first
     homology with Z/2 coefficients, and the two curve predicates the state
     sum needs: `homology_class` and `bounds_disk`.  Instances are immutable
-    after construction, except that the first disk test that counts handles
-    fills in the corner tables, and `states` attaches its per-surface engine
+    after construction, except that `states` attaches its per-surface engine
     (splice tables and curve-class cache).
     """
 
@@ -227,6 +225,21 @@ class ClosedSurface:
 
         self._cap_masks = tuple(self._cap_band_mask(c) for c in self.caps)
         self._build_homology()
+
+        # int tables for the disk test: per-dart successor and predecessor in
+        # the disk's rotation, and per cap one of its corners, where a corner
+        # is named by the dart it follows (corner pos[d] of its disk);
+        # boundary circles alternate corners and band sides
+        self._succ = [0] * rs.total_darts
+        self._pred = [0] * rs.total_darts
+        for rot in rs.rotations:
+            for i, d in enumerate(rot):
+                self._succ[d] = rot[(i + 1) % len(rot)]
+                self._pred[self._succ[d]] = d
+        self._cap_corner = [
+            next(rs.rotations[e[1]][e[2]] for (e, _dir) in circle if e[0] == "C")
+            for circle in self.caps
+        ]
 
     # -- homology --------------------------------------------------------
 
@@ -347,26 +360,6 @@ class ClosedSurface:
         side = self._side_euler(curve.chords, curve.band_mask)
         return side == 1 or piece_euler - side == 1
 
-    @cached_property
-    def _corner_tables(self):
-        """Per-dart successor and predecessor in the disk's rotation, and
-        per cap one of its corners, where a corner is named by the dart it
-        follows (corner pos[d] of its disk).  Built on the first disk test
-        that needs them."""
-        rs = self.ribbon
-        succ = [0] * rs.total_darts
-        pred = [0] * rs.total_darts
-        for rot in rs.rotations:
-            for i, d in enumerate(rot):
-                succ[d] = rot[(i + 1) % len(rot)]
-                pred[succ[d]] = d
-        # boundary circles alternate corners and band sides
-        cap_corner = [
-            next(rs.rotations[e[1]][e[2]] for (e, _dir) in circle if e[0] == "C")
-            for circle in self.caps
-        ]
-        return succ, pred, cap_corner
-
     def _side_euler(self, chords, band_mask: int) -> int:
         """Euler characteristic of the side of a separating curve that holds
         the lune of its first chord.
@@ -384,7 +377,7 @@ class ClosedSurface:
         any one of its corners and joins nothing the lanes have not joined.
         Then chi = disk fragments - band fragments + caps on that side."""
         rs = self.ribbon
-        succ, pred, cap_corner = self._corner_tables
+        succ, pred = self._succ, self._pred
         frag = list(rs.disk_of)      # corner -> fragment; disks keep their index
         n_frag = len(rs.rotations)
         for (a, b) in chords:
@@ -422,7 +415,7 @@ class ClosedSurface:
         return (
             roots.count(side)
             - sum(1 for (f, _g) in lanes if roots[f] == side)
-            + sum(1 for d in cap_corner if roots[frag[d]] == side)
+            + sum(1 for d in self._cap_corner if roots[frag[d]] == side)
         )
 
     def _curve_piece(self, curve: EmbeddedCurve) -> int:

@@ -155,10 +155,9 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
 def test_bracket_pair_matches_both_brackets():
     for text in ("EMPTY", "B", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
         code = parse_code(text)
-        for workers in (1, 2):
-            bracket, double = bracket_pair(code, workers=workers)
-            assert bracket == surface_pole_bracket(code)
-            assert double == double_bracket(code)
+        bracket, double = bracket_pair(code)
+        assert bracket == surface_pole_bracket(code)
+        assert double == double_bracket(code)
 
 
 def test_assemble_from_table_worked_example():
