@@ -74,12 +74,17 @@ class TwistedGaussCode:
     def bars(self) -> int:
         return sum(1 for comp in self.components for t in comp if isinstance(t, Bar))
 
+    def signs(self) -> dict[int, int]:
+        """Crossing id -> sign, read in one pass over the code."""
+        return {
+            tok.crossing: tok.sign
+            for comp in self.components
+            for tok in comp
+            if isinstance(tok, Visit)
+        }
+
     def sign_of(self, crossing_id: int) -> int:
-        for comp in self.components:
-            for tok in comp:
-                if isinstance(tok, Visit) and tok.crossing == crossing_id:
-                    return tok.sign
-        raise KeyError(crossing_id)
+        return self.signs()[crossing_id]
 
     def __repr__(self) -> str:
         return f"TwistedGaussCode<{serialize(self).replace(chr(10), ' / ').strip()}>"

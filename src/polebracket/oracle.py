@@ -43,9 +43,10 @@ def classical_kauffman_oracle(code: TwistedGaussCode) -> MultiLaurent:
             other[p] = q
             other[q] = p
 
+    signs = code.signs()
+
     def chords(k: int, bit: int):
-        sign = code.sign_of(ids[k])
-        rot = (0, 1, 2, 3) if sign > 0 else (0, 3, 2, 1)
+        rot = (0, 1, 2, 3) if signs[ids[k]] > 0 else (0, 3, 2, 1)
         r = [4 * k + o for o in rot]
         if bit == 0:
             return ((r[1], r[2]), (r[3], r[0]))

@@ -8,13 +8,17 @@ disk yields the closed carrier surface; state curves drawn on the band
 surface are classified against that closed surface (null-homologous,
 separating, disk-bounding, Mobius-core).
 
-The disk test works on the handle decomposition (crossing disks, bands,
-caps) with plain int tables: cutting along the curve splits the touched
-disks into fragments and the bands it runs along into two lanes each, a
-union-find over fragments finds the side of the curve, and Euler
-characteristic counted as fragments - lanes + caps decides whether that side
-or the other one is a disk.  `cut_complex` builds the same cut as a full
-polygon complex; `regions` reads pole incidences off it.
+Cutting along curves works on the handle decomposition (crossing disks,
+bands, caps) with plain int tables, in one cutter, `ClosedSurface._cut`:
+chords split the touched disks into fragments, the bands the curves run
+along split into two lanes each, a union-find over fragments finds the
+regions, and each region's Euler characteristic is fragments - lanes + caps.
+It has two users.  The disk test cuts along one curve and asks whether the
+side of the curve, or the other one, is a disk.  `regions` cuts along all
+curves of a state and reads boundary circles and pole incidences off the
+chords.  `cut_complex` builds the same cut as a full polygon complex; no
+program code calls it, and it is kept as the reference that the tests and
+the bench tracer use.
 
 Dart layout at crossing k (darts are band endpoints on disk boundaries):
     4k   over-in    4k+1 under-in    4k+2 over-out    4k+3 under-out
@@ -72,12 +76,13 @@ def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
     ids = code.crossing_ids
     kidx = {cid: k for k, cid in enumerate(ids)}
     c = len(ids)
+    signs = code.signs()
 
     rotations: list[tuple[int, ...]] = []
     for cid in ids:
         k = kidx[cid]
         oi, ui, oo, uo = 4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3
-        if code.sign_of(cid) > 0:
+        if signs[cid] > 0:
             rotations.append((oi, ui, oo, uo))
         else:
             rotations.append((oi, uo, oo, ui))
@@ -362,33 +367,65 @@ class ClosedSurface:
 
     def _side_euler(self, chords, band_mask: int) -> int:
         """Euler characteristic of the side of a separating curve that holds
-        the lune of its first chord.
+        the lune of its first chord: the one-curve use of `_cut`."""
+        root, euler = self._cut(chords, band_mask)
+        return euler[root[len(self.ribbon.rotations)]]
 
-        Cutting along the curve cuts the handle decomposition of the capped
-        surface into fragments.  A chord (x, succ x) cuts corner pos[x] off
-        its disk as a lune; the disk's other corners form one more fragment,
-        and an untouched disk stays whole.  A band the curve runs along
+    def _cut(self, chords, band_mask: int) -> tuple[list[int], list[int]]:
+        """Cut the handle decomposition of the capped surface along a family
+        of disjoint curves, given by all their chords and the union of their
+        band masks.  Shared by the disk test (`_side_euler`, one curve) and
+        `regions` (all curves of a state).
+
+        The cut leaves fragments of disks.  A chord (x, succ x) cuts corner
+        pos[x] off its disk as a lune: the i-th chord's lune is fragment
+        n_disks + i, and the fragment on its other side keeps the disk's
+        index.  So a crossing disk with two chords leaves two lunes and the
+        middle, a bare-loop disk's one chord leaves a lune and the other
+        corner, and an untouched disk stays whole.  A band in the mask
         splits into two lanes: side 0 joins AL(u) to AR(v) and side 1 joins
         AR(u) to AL(v), or AL(u) to AL(v) and AR(u) to AR(v) when the band
         is flipped, where AL(d) is the half-arc of dart d next to corner
         pos[d] and AR(d) the one next to corner pos[d] - 1 (the faces of
-        `cut_complex`).  Other bands join their two end fragments.  The
-        curve misses every boundary circle, so each cap lies on the side of
-        any one of its corners and joins nothing the lanes have not joined.
-        Then chi = disk fragments - band fragments + caps on that side."""
+        `cut_complex`).  Any other band is one lane joining its two end
+        fragments.  The curves miss every boundary circle, so each cap lies
+        on the fragment of any one of its corners and joins nothing the
+        lanes have not joined.
+
+        Returns (root, euler): root[f] is the region of fragment f, named by
+        one of its fragments, and euler[r] = fragments - lanes + caps of
+        region r (0 where r names no region).  Raises ValueError, checked
+        chord by chord, for a chord dart on a band outside the mask, a chord
+        joining non-adjacent darts, two chords on a crossing disk that do
+        not cut opposite corners, and any other chord pattern: more than
+        two chords on a crossing disk or more than one on a bare-loop disk.
+        """
         rs = self.ribbon
-        succ, pred = self._succ, self._pred
-        frag = list(rs.disk_of)      # corner -> fragment; disks keep their index
-        n_frag = len(rs.rotations)
+        succ, pred, band_at, disk_of = self._succ, self._pred, rs.band_at, rs.disk_of
+        n_disks = len(rs.rotations)
+        frag = list(disk_of)         # corner -> fragment; disks keep their index
+        cuts = [0] * n_disks         # chords per disk
+        n_frag = n_disks
         for (a, b) in chords:
+            if not (band_mask >> band_at[a][2]) & 1 or not (band_mask >> band_at[b][2]) & 1:
+                raise ValueError("chord dart on an unsplit band")
             if succ[a] == b:
-                frag[a] = n_frag
+                x = a
             elif succ[b] == a:
-                frag[b] = n_frag
+                x = b
             else:
                 raise ValueError("chord joins non-adjacent darts")
+            disk = disk_of[x]
+            n = cuts[disk]
+            # a bare-loop disk has two darts, so there succ x is pred x
+            if n and (n == 2 or succ[x] == pred[x]):
+                raise ValueError("unsupported chord pattern")
+            if n and frag[succ[succ[x]]] == disk:
+                raise ValueError("chords overlap")
+            cuts[disk] = n + 1
+            frag[x] = n_frag
             n_frag += 1
-        lanes = []                   # (fragment, fragment) per band fragment
+        lanes = []                   # (fragment, fragment) per lane
         for bi, (u, v, flip) in enumerate(rs.bands):
             if not (band_mask >> bi) & 1:
                 lanes.append((frag[u], frag[v]))
@@ -410,13 +447,15 @@ class ClosedSurface:
             f, g = find(f), find(g)
             if f != g:
                 parent[g] = f
-        roots = [find(x) for x in range(n_frag)]
-        side = roots[len(rs.rotations)]   # the first chord's lune
-        return (
-            roots.count(side)
-            - sum(1 for (f, _g) in lanes if roots[f] == side)
-            + sum(1 for d in self._cap_corner if roots[frag[d]] == side)
-        )
+        root = [find(x) for x in range(n_frag)]
+        euler = [0] * n_frag
+        for r in root:
+            euler[r] += 1
+        for (f, _g) in lanes:
+            euler[root[f]] -= 1
+        for d in self._cap_corner:
+            euler[root[frag[d]]] += 1
+        return root, euler
 
     def _curve_piece(self, curve: EmbeddedCurve) -> int:
         for bi in range(len(self.ribbon.bands)):
@@ -456,28 +495,17 @@ class CutComplex:
     chord_faces: dict
 
 
-def _chords_by_disk(F: ClosedSurface, curves: Iterable[EmbeddedCurve]) -> dict:
-    by_disk: dict[int, list[tuple[int, int]]] = {}
-    for c in curves:
-        for (a, b) in c.chords:
-            by_disk.setdefault(F.ribbon.disk_of[a], []).append((a, b))
-    return by_disk
-
-
-def _split_bands(*curves: EmbeddedCurve) -> int:
-    mask = 0
-    for c in curves:
-        mask |= c.band_mask
-    return mask
-
-
 def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutComplex:
     """Polygon complex obtained from the capped surface by slicing every
     listed disk along its chords and every band in split_mask down its core.
     Chords at a crossing disk must join rotation-adjacent darts; a touched
     crossing disk carries one or two disjoint chords, a touched bare-loop
     disk carries its single chord.  Caps are retained unchanged, so the
-    result is the complement of the curves in the closed surface."""
+    result is the complement of the curves in the closed surface.
+
+    The reference for the int-table cutter `ClosedSurface._cut`, which the
+    disk test and `regions` use: the tests compare both with it, and it
+    raises the same errors.  No program code calls it."""
     rs = F.ribbon
     faces: list[list[tuple]] = []
     chord_faces: dict = {}
@@ -608,24 +636,36 @@ def regions(
     poles: Iterable[tuple[int, tuple[int, int], str]] = (),
 ) -> tuple[Region, ...]:
     """Complementary regions of a family of disjoint curves, with pole
-    incidences.  Each pole is (disk, chord, kind); a pole on a chord is
-    incident to both regions bordering that chord copy (with multiplicity
-    when a region borders it from both sides)."""
+    incidences, counted on the handle decomposition by `ClosedSurface._cut`
+    (the cutter the disk test uses).  Each curve leaves one boundary circle
+    on the region of its first chord's lune and, when it is two-sided, one
+    more on the region across that chord.  Each pole is (disk, chord, kind);
+    a pole on a chord is incident to both regions bordering that chord (with
+    multiplicity when a region borders it from both sides).  Regions come in
+    no particular order."""
     curves = list(curves)
-    cut = cut_complex(F, _chords_by_disk(F, curves), _split_bands(*curves))
-    stats = cut.complex.piece_stats()
-    icount = [0] * len(stats)
-    ocount = [0] * len(stats)
-    piece_of_face = cut.complex.face_piece
-    for (disk, chord, kind) in poles:
-        fa, fb = cut.chord_faces[(disk, chord)]
-        for f in (fa, fb):
-            p = piece_of_face[f]
-            if kind == "I":
-                icount[p] += 1
-            else:
-                ocount[p] += 1
+    chords = [ch for c in curves for ch in c.chords]
+    band_mask = 0
+    for c in curves:
+        band_mask |= c.band_mask
+    root, euler = F._cut(chords, band_mask)
+    n_disks = len(F.ribbon.rotations)
+    disk_of = F.ribbon.disk_of
+    # the i-th chord's two sides: its lune and the fragment keeping the disk
+    lune = {ch: n_disks + i for i, ch in enumerate(chords)}
+    circles = [0] * len(root)
+    icount = [0] * len(root)
+    ocount = [0] * len(root)
+    for c in curves:
+        first = c.chords[0]
+        circles[root[lune[first]]] += 1
+        if not c.flip_parity:
+            circles[root[disk_of[first[0]]]] += 1
+    for (_disk, chord, kind) in poles:
+        count = icount if kind == "I" else ocount
+        count[root[lune[chord]]] += 1
+        count[root[disk_of[chord[0]]]] += 1
     return tuple(
-        Region(s["euler"], s["boundary_circles"], icount[p], ocount[p])
-        for p, s in enumerate(stats)
+        Region(euler[r], circles[r], icount[r], ocount[r])
+        for r, f in enumerate(root) if r == f
     )

@@ -12,9 +12,13 @@ count table in between.
 
 The fast engine must agree with it on both brackets (for 1 and 2 workers),
 and state by state on every curve record, derived pole list and class.
-`ClosedSurface.bounds_disk`, which counts handles instead of cutting, is
-also compared with the cut-based test directly, curve by curve.
+`ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
+instead of building a polygon complex, are also compared with the cut
+directly: the disk test curve by curve, the regions family by family, and
+each malformed chord pattern must raise the same error in both.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +28,10 @@ from polebracket.brackets import BracketValue, double_bracket, surface_pole_brac
 from polebracket.codes import parse_code, random_diagram, serialize
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.polewords import MARK, reduce
-from polebracket.states import classify_state, curve_poles, splice_curves
-from polebracket.surfaces import EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex
+from polebracket.states import classify_state, curve_poles, enumerate_states, splice_curves
+from polebracket.surfaces import (
+    EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
+)
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
 
 
@@ -106,6 +112,14 @@ class RefEngine:
         return out
 
 
+def ref_cut(F, chords, mask):
+    """`cut_complex` along the given chords, with the bands in mask split."""
+    by_disk = {}
+    for (a, b) in chords:
+        by_disk.setdefault(F.ribbon.disk_of[a], []).append((a, b))
+    return cut_complex(F, by_disk, mask)
+
+
 def ref_bounds_disk(F, chords, bmask, fpar, memo):
     """Cut-based disk test: a two-sided, null-homologous curve bounds a disk
     when its piece is a sphere or when cutting along it leaves a piece with
@@ -118,15 +132,31 @@ def ref_bounds_disk(F, chords, bmask, fpar, memo):
         if F.pieces[F.band_piece[low_band]].euler == 2:
             hit = True
         else:
-            by_disk = {}
-            for (a, b) in chords:
-                by_disk.setdefault(F.ribbon.disk_of[a], []).append((a, b))
             hit = any(
                 s["euler"] == 1 and s["boundary_circles"] == 1
-                for s in cut_complex(F, by_disk, bmask).complex.piece_stats()
+                for s in ref_cut(F, chords, bmask).complex.piece_stats()
             )
         memo[chords] = hit
     return hit
+
+
+def ref_regions(F, curves, poles):
+    """Multiset of (euler, boundary circles, I poles, O poles) over the pieces
+    of the cut along a family of curves; a pole counts once on each face
+    beside its chord copy."""
+    mask = 0
+    for c in curves:
+        mask |= c.band_mask
+    cut = ref_cut(F, [ch for c in curves for ch in c.chords], mask)
+    stats = cut.complex.piece_stats()
+    count = {"I": [0] * len(stats), "O": [0] * len(stats)}
+    for (disk, chord, kind) in poles:
+        for f in cut.chord_faces[(disk, chord)]:
+            count[kind][cut.complex.face_piece[f]] += 1
+    return Counter(
+        (s["euler"], s["boundary_circles"], count["I"][p], count["O"][p])
+        for p, s in enumerate(stats)
+    )
 
 
 def ref_index(word):
@@ -235,6 +265,55 @@ def test_bounds_disk_matches_cut_reference():
                         or F.pieces[F.band_piece[low_band]].euler == 2):
                     verdicts[got] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
+
+
+def test_regions_match_cut_reference():
+    # all curves of a state, the first curve alone, and the first half
+    codes = corpus_twisted(7, 40) + [code for _name, code in twisted_fixtures()]
+    codes += [code for _name, code in classical_fixtures()]
+    families = 0
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        seen = set()
+        for s in enumerate_states(code, F):
+            for k in (len(s.curves), 1, max(1, len(s.curves) // 2)):
+                family = s.curves[:k]
+                key = tuple(c.geometry for c in family)
+                if not family or key in seen:
+                    continue
+                seen.add(key)
+                families += 1
+                poles = [p for c in family for p in curve_poles(F, c)]
+                got = Counter(
+                    (r.euler, r.boundary_circles, r.i_poles, r.o_poles)
+                    for r in regions(F, key, poles)
+                )
+                assert got == ref_regions(F, key, poles), (code, s.choice, k)
+    assert families > 2000, families
+
+
+# (code, chords, band mask, error): the kink's disk has rotation (0, 1, 2, 3),
+# band 0 joins darts 2 and 1 and band 1 joins 3 and 0; EMPTY is a bare loop
+MALFORMED = [
+    ("O1+ U1+", ((0, 1),), 0b01, "chord dart on an unsplit band"),
+    ("O1+ U1+", ((0, 2),), 0b11, "chord joins non-adjacent darts"),
+    ("O1+ U1+", ((0, 1), (1, 2)), 0b11, "chords overlap"),
+    ("O1+ U1+", ((0, 1), (2, 3), (1, 2)), 0b11, "unsupported chord pattern"),
+    ("EMPTY", ((0, 1), (0, 1)), 0b1, "unsupported chord pattern"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, chords, mask, message", MALFORMED,
+    ids=["unsplit-band", "non-adjacent", "overlap", "three-chords", "bare-loop-two-chords"],
+)
+def test_regions_reject_malformed_chords_like_the_cut(text, chords, mask, message):
+    F = cap_boundaries(build_ribbon(parse_code(text)))
+    curves = [EmbeddedCurve(chords, mask, 0)]
+    with pytest.raises(ValueError, match=message):
+        regions(F, curves)
+    with pytest.raises(ValueError, match=message):
+        ref_regions(F, curves, ())
 
 
 @pytest.mark.parametrize("text", FIXTURES)

@@ -125,11 +125,13 @@ def test_capped_complex_agrees(c, b, k, seed):
 
 def test_large_surface_report_scales():
     # info has no crossing guard, so surface build must stay cheap at large c;
-    # anything quadratic in the homology rank takes minutes here
-    start = time.perf_counter()
-    rep = cap_boundaries(build_ribbon(random_diagram(1, 500, 10))).report()
-    assert time.perf_counter() - start < 30
-    assert rep["h1_rank"] == 2 * len(rep["pieces"]) - rep["euler"]
+    # anything quadratic in the homology rank or the code length (such as a
+    # scan of the code per crossing) takes minutes here
+    for c in (500, 3000):
+        start = time.perf_counter()
+        rep = cap_boundaries(build_ribbon(random_diagram(1, c, 10))).report()
+        assert time.perf_counter() - start < 30
+        assert rep["h1_rank"] == 2 * len(rep["pieces"]) - rep["euler"]
 
 
 def test_regions_of_unknot_state():
