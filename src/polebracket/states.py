@@ -14,6 +14,14 @@ on the chord set, which lets a per-surface cache absorb the cost across all
 2^c states, and `sum_counts` folds each state into one count table keyed by
 what the surface pole bracket needs; the double bracket is collapsed from
 that same table.
+
+Every chord a splice can draw has one bit, so a chord set is an int.  The
+state loop of `sum_counts` traces each curve for its chord mask alone and
+looks that up in the cache.  Only a miss walks the curve again
+(`_Engine.walk`) for its pole word, band mask, flip parity and homology
+class, the XOR of the surface's per-band classes; the walker also checks
+that pole kinds alternate, which it does for every distinct chord set.
+`splice_curves` walks each curve once with the same walker.
 """
 
 from __future__ import annotations
@@ -54,14 +62,27 @@ class CurveClassification:
 
 
 class _Engine:
-    """Static splice tables for one surface, plus the classification cache."""
+    """Splice tables for one surface, and its curve-class cache.
+
+    Every chord a splice can draw has one bit: four per crossing disk (two
+    per splice bit) and one per bare loop, numbered in sorted (a, b) order,
+    so the set bits of a curve's chord mask, in increasing order, are its
+    sorted chord tuple.  Per (splice bit, dart): `tau` is the dart the chord
+    joins it to, `cbit` the chord's bit and `side` its pole's side bit (-1
+    where the chord joins an in-dart to an out-dart and makes no pole).
+    `band_other[d]` is the dart at the far end of d's band.  The walker's
+    `step` holds the rest of a step past a chord: (far dart, chord bit,
+    next dart, band flip, band bit, band class).
+
+    A chord set fixes the whole curve, so the cache is keyed by the chord
+    mask.  Each value is a shared pair (classification, signature entry),
+    the entry being None for a curve that bounds a disk.
+    """
 
     def __init__(self, F: ClosedSurface):
         self.F = F
         rs = F.ribbon
-        self.rs = rs
         n = rs.total_darts
-        c4 = 4 * rs.n_crossings
         tau = ([-1] * n, [-1] * n)
         side = ([-1] * n, [-1] * n)
         for rot in rs.rotations:
@@ -80,71 +101,104 @@ class _Engine:
                     if (a % 4 < 2) == (b % 4 < 2):
                         side[bit][a] = 0 if succ[a] == b else 1
                         side[bit][b] = 0 if succ[b] == a else 1
+        self.chords = tuple(sorted({(d, t[d]) for t in tau for d in range(n) if d < t[d]}))
+        self.chord_bit = {ch: 1 << i for i, ch in enumerate(self.chords)}
+        self.cbit = tuple(
+            [self.chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)]
+            for t in tau
+        )
         self.tau = tau
         self.side = side
-        self.c4 = c4
-        self.cls_cache: dict = {}
+        self.band_other = [b[0] for b in rs.band_at]
+        step = []
+        for t, cb in zip(tau, self.cbit):
+            row = []
+            for d in range(n):
+                nxt, flip, bi = rs.band_at[t[d]]
+                row.append((t[d], cb[d], nxt, flip, 1 << bi, F.band_class[bi]))
+            step.append(row)
+        self.step = tuple(step)
+        self.cache: dict = {}
+        self._shared: dict = {}
 
-    def trace(self, mask: int):
-        """Curve data for one splice choice: per curve
-        (chords, band_mask, flip_parity, word)."""
-        rs = self.rs
-        tau, side, c4 = self.tau, self.side, self.c4
-        band_at = rs.band_at
-        visited = bytearray(rs.total_darts)
+    def walk(self, mask: int, start: int, visited: bytearray):
+        """Walk the curve of splice choice `mask` that enters its disk at
+        dart `start`, marking its darts in `visited`.  Returns its chord
+        mask, pole word, band mask, flip parity and homology class (as in
+        `ClosedSurface._cycle_class`), and checks that its pole kinds
+        alternate."""
+        step, side = self.step, self.side
+        word: list[int] = []
+        cm = bmask = fpar = hom = 0
+        # a pole's kind is cur & 2: 0 at in-darts (I), 2 at out-darts (O);
+        # bare-loop darts lie past every mask bit, so their bit reads 0
+        first = last = -1
+        cur = start
+        while True:
+            bit = (mask >> (cur >> 2)) & 1
+            x, cb, nxt, flip, bb, hc = step[bit][cur]
+            visited[cur] = 1
+            visited[x] = 1
+            cm |= cb
+            s = side[bit][cur]
+            if s >= 0:
+                k = cur & 2
+                if k == last:
+                    raise AssertionError("pole kinds fail to alternate")
+                if last < 0:
+                    first = k
+                last = k
+                word.append(s)
+            if flip:
+                word.append(MARK)
+                fpar ^= 1
+            bmask |= bb
+            hom ^= hc
+            cur = nxt
+            if cur == start:
+                break
+        if last >= 0 and first == last:
+            # the wrap-around pair; it also rules out an odd pole count
+            raise AssertionError("pole kinds fail to alternate")
+        return cm, tuple(word), bmask, fpar, hom
+
+    def chords_of(self, cm: int) -> tuple[tuple[int, int], ...]:
+        """The sorted chord tuple of a chord mask."""
         out = []
-        for start in range(rs.total_darts):
-            if visited[start]:
-                continue
-            word: list[int] = []
-            chords: list[tuple[int, int]] = []
-            bmask = 0
-            fpar = 0
-            # a pole's kind is cur & 2: 0 at in-darts (I), 2 at out-darts (O)
-            first = last = -1
-            cur = start
-            while True:
-                visited[cur] = 1
-                bit = (mask >> (cur >> 2)) & 1 if cur < c4 else 0
-                x = tau[bit][cur]
-                visited[x] = 1
-                s = side[bit][cur]
-                if s >= 0:
-                    k = cur & 2
-                    if k == last:
-                        raise AssertionError("pole kinds fail to alternate")
-                    if last < 0:
-                        first = k
-                    last = k
-                    word.append(s)
-                chords.append((cur, x) if cur < x else (x, cur))
-                nxt, flip, bi = band_at[x]
-                if flip:
-                    word.append(MARK)
-                    fpar ^= 1
-                bmask |= 1 << bi
-                cur = nxt
-                if cur == start:
-                    break
-            if last >= 0 and first == last:
-                # the wrap-around pair; it also rules out an odd pole count
-                raise AssertionError("pole kinds fail to alternate")
-            out.append((tuple(sorted(chords)), bmask, fpar, tuple(word)))
-        return out
+        while cm:
+            low = cm & -cm
+            out.append(self.chords[low.bit_length() - 1])
+            cm ^= low
+        return tuple(out)
 
-    def classify(self, chords, bmask, fpar, word) -> CurveClassification:
-        hit = self.cls_cache.get(chords)
-        if hit is not None:
-            return hit
+    def classify(self, cm: int, word, bmask: int, fpar: int, hom: int):
+        """Classify a curve missing from the cache, and cache it."""
         F = self.F
         mob = fpar == 1
-        hom = F.homology_class(bmask)
-        sep = not any(hom)
+        sep = hom == 0
         idx = polewords.index(word)
-        iness = (not mob) and sep and F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
-        cls = CurveClassification(iness, sep, mob, idx, hom)
-        self.cls_cache[chords] = cls
-        return cls
+        iness = (not mob) and sep and F.bounds_disk(
+            EmbeddedCurve(self.chords_of(cm), bmask, fpar))
+        shared = self._shared.get((iness, mob, idx, hom))
+        if shared is None:
+            cl = CurveClassification(
+                iness, sep, mob, idx, tuple((hom >> i) & 1 for i in range(F.h1_dim)))
+            shared = (cl, None if iness else (idx, mob, sep, cl.hom_class))
+            self._shared[(iness, mob, idx, hom)] = shared
+        self.cache[cm] = shared
+        return shared
+
+    def lookup(self, curve: PoleCurve):
+        """The cached pair of a traced curve."""
+        g = curve.geometry
+        cm = 0
+        for ch in g.chords:
+            cm |= self.chord_bit[ch]
+        hit = self.cache.get(cm)
+        if hit is None:
+            hit = self.classify(cm, curve.word, g.band_mask, g.flip_parity,
+                                self.F._cycle_class(g.band_mask))
+        return hit
 
 
 def _engine(F: ClosedSurface) -> _Engine:
@@ -162,12 +216,15 @@ def splice_curves(code: TwistedGaussCode, F: ClosedSurface, choice: int) -> Pole
     if not 0 <= choice < (1 << c):
         raise ValueError("splice choice out of range")
     eng = _engine(F)
-    curves = tuple(
-        PoleCurve(EmbeddedCurve(chords, bmask, fpar), word)
-        for (chords, bmask, fpar, word) in eng.trace(choice)
-    )
+    visited = bytearray(F.ribbon.total_darts)
+    curves = []
+    start = visited.find(0)
+    while start >= 0:
+        cm, word, bmask, fpar, _hom = eng.walk(choice, start, visited)
+        curves.append(PoleCurve(EmbeddedCurve(eng.chords_of(cm), bmask, fpar), word))
+        start = visited.find(0, start + 1)
     natural = c - 2 * bin(choice).count("1")
-    return PoleState(choice, natural, curves)
+    return PoleState(choice, natural, tuple(curves))
 
 
 def enumerate_states(code: TwistedGaussCode, F: ClosedSurface) -> Iterator[PoleState]:
@@ -191,10 +248,7 @@ def curve_poles(F: ClosedSurface, curve: PoleCurve) -> list:
 def classify_state(F: ClosedSurface, s: PoleState):
     """Per-curve classifications plus (inessential count, one-sided count)."""
     eng = _engine(F)
-    cls = tuple(
-        eng.classify(c.geometry.chords, c.geometry.band_mask, c.geometry.flip_parity, c.word)
-        for c in s.curves
-    )
+    cls = tuple(eng.lookup(c)[0] for c in s.curves)
     iness = sum(1 for x in cls if x.inessential)
     nonori = sum(1 for x in cls if x.mobius)
     return cls, iness, nonori
@@ -244,19 +298,41 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
         counts[(signature, natural, iness)] = count
     where signature is the sorted per-essential-curve tuple
     (index, mobius, separating, hom_class) and iness counts the curves that
-    bound disks."""
+    bound disks.
+
+    Per dart the loop only marks darts visited, crosses the disk, ORs in the
+    chord's bit and crosses the band; the chord mask then looks the curve up
+    in the cache, and only a miss walks the curve again (`_Engine.walk`)."""
     eng = _engine(F)
+    tau, cbit, band_other, cache = eng.tau, eng.cbit, eng.band_other, eng.cache
+    n = F.ribbon.total_darts
     c = F.ribbon.n_crossings
     counts: dict = {}
     for mask in range(lo, hi):
+        visited = bytearray(n)
         iness = 0
         sig = []
-        for (chords, bmask, fpar, word) in eng.trace(mask):
-            cl = eng.classify(chords, bmask, fpar, word)
-            if cl.inessential:
+        start = visited.find(0)
+        while start >= 0:
+            cm = 0
+            cur = start
+            while True:
+                visited[cur] = 1
+                bit = (mask >> (cur >> 2)) & 1
+                x = tau[bit][cur]
+                visited[x] = 1
+                cm |= cbit[bit][cur]
+                cur = band_other[x]
+                if cur == start:
+                    break
+            hit = cache.get(cm)
+            if hit is None:
+                hit = eng.classify(*eng.walk(mask, start, visited))
+            if hit[1] is None:
                 iness += 1
             else:
-                sig.append((cl.index, cl.mobius, cl.separating, cl.hom_class))
+                sig.append(hit[1])
+            start = visited.find(0, start + 1)
         key = (tuple(sorted(sig)), c - 2 * bin(mask).count("1"), iness)
         counts[key] = counts.get(key, 0) + 1
     return counts

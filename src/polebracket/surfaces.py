@@ -200,7 +200,10 @@ class ClosedSurface:
 
     Exposes the closed-surface classification, a band-mask model of first
     homology with Z/2 coefficients, and the two curve predicates the state
-    sum needs: `homology_class` and `bounds_disk`.  Instances are immutable
+    sum needs: the homology class and `bounds_disk`.  The class is linear
+    in the bands, so a curve's class is the XOR of the per-band table
+    `band_class` over its bands; `homology_class` reduces an arbitrary band
+    mask instead and rejects one that is not a cycle.  Instances are immutable
     after construction, except that `states` attaches its per-surface engine
     (splice tables and curve-class cache).
     """
@@ -275,15 +278,10 @@ class ClosedSurface:
                 coords ^= row[1]
             return 0, coords
 
-        def _insert(vec: int, coords: int) -> bool:
-            v, c = _reduce(vec, coords)
-            if v == 0:
-                return False
-            rows[v.bit_length() - 1] = (v, c)
-            return True
-
         for m in self._cap_masks:
-            _insert(m, 0)
+            vec, _coords = _reduce(m, 0)
+            if vec:
+                rows[vec.bit_length() - 1] = (vec, 0)
 
         # spanning forest of the core graph: disks as vertices, bands as edges
         parent_edge = [-1] * n_disks
@@ -307,17 +305,24 @@ class ClosedSurface:
                         path_mask[y] = path_mask[x] ^ (1 << bi)
                         queue.append(y)
 
+        # a cycle's class is the XOR of the classes of the fundamental cycles
+        # of its non-tree bands, recorded here as each one is reduced
         tree = {parent_edge[x] for x in range(n_disks) if parent_edge[x] >= 0}
         basis: list[int] = []
-        coords_bit = 0
+        band_class = [0] * len(rs.bands)
         for bi, (u, v, _f) in enumerate(rs.bands):
             if bi in tree:
                 continue
             cyc = (1 << bi) ^ path_mask[rs.disk_of[u]] ^ path_mask[rs.disk_of[v]]
-            if _insert(cyc, 1 << coords_bit):
+            vec, coords = _reduce(cyc, 0)
+            if vec:
+                new = 1 << len(basis)
+                rows[vec.bit_length() - 1] = (vec, coords ^ new)
                 basis.append(cyc)
-                coords_bit += 1
+                coords = new
+            band_class[bi] = coords
         self._rows = rows
+        self.band_class = tuple(band_class)
         self.h1_dim = len(basis)
         expected = 2 * len(self.pieces) - self.euler
         if self.h1_dim != expected:
@@ -344,20 +349,30 @@ class ClosedSurface:
             coords ^= row[1]
         return tuple((coords >> i) & 1 for i in range(self.h1_dim))
 
+    def _cycle_class(self, band_mask: int) -> int:
+        """The class of a cycle with bit i as coordinate i of
+        `homology_class`: the XOR of `band_class` over its bands.  A curve's
+        band mask is always a cycle; this does not check it."""
+        h = 0
+        table = self.band_class
+        while band_mask:
+            low = band_mask & -band_mask
+            h ^= table[low.bit_length() - 1]
+            band_mask ^= low
+        return h
+
     # -- curve predicates ---------------------------------------------------
 
     def bounds_disk(self, curve: EmbeddedCurve) -> bool:
         """True when the curve bounds an embedded disk inside the capped
-        surface.  Mobius cores and homologically nontrivial curves are
-        rejected outright, and on a sphere piece every remaining curve bounds
-        a disk.  Otherwise the curve is two-sided and null-homologous, so it
+        surface.  Mobius cores and homologically nontrivial curves (class
+        read off `band_class`) are rejected outright, and on a sphere piece
+        every remaining curve bounds a disk.  Otherwise the curve is two-sided and null-homologous, so it
         splits its piece into two sides, each with the curve as its one
         boundary circle, and it bounds a disk iff one side has chi 1.  Chi
         of a side is counted on the handle decomposition cut along the curve
         (`_side_euler`), and chi of the other side is chi(piece) minus it."""
-        if curve.flip_parity:
-            return False
-        if any(self.homology_class(curve)):
+        if curve.flip_parity or self._cycle_class(curve.band_mask):
             return False
         piece_euler = self.pieces[self._curve_piece(curve)].euler
         if piece_euler == 2:

@@ -15,7 +15,9 @@ and state by state on every curve record, derived pole list and class.
 `ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
 instead of building a polygon complex, are also compared with the cut
 directly: the disk test curve by curve, the regions family by family, and
-each malformed chord pattern must raise the same error in both.
+each malformed chord pattern must raise the same error in both.  The
+engine's per-band homology table is checked against `homology_class`, and
+its int chord-mask cache keys against the chord tuples the reference traces.
 """
 
 from collections import Counter
@@ -292,6 +294,45 @@ def test_regions_match_cut_reference():
     assert families > 2000, families
 
 
+def test_band_class_table_matches_homology_class():
+    # a cycle's class is the XOR of its bands' classes; every band mask a
+    # reference-traced curve has, and a mask that is not a cycle
+    codes = corpus_twisted(3, 60) + [random_diagram(1, 12, 3)]
+    curves = 0
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        eng = RefEngine(F)
+        for mask in range(1 << F.ribbon.n_crossings):
+            for (_chords, bmask, *_rest) in eng.trace(mask):
+                h = 0
+                for bi, cls in enumerate(F.band_class):
+                    if (bmask >> bi) & 1:
+                        h ^= cls
+                assert tuple((h >> i) & 1 for i in range(F.h1_dim)) == F.homology_class(bmask)
+                curves += 1
+    assert curves > 19000, curves
+    F = cap_boundaries(build_ribbon(parse_code("O1+ O2+ U1+ U2+")))
+    bi = next(i for i, (u, v, _f) in enumerate(F.ribbon.bands)
+              if F.ribbon.disk_of[u] != F.ribbon.disk_of[v])
+    with pytest.raises(ValueError, match="not a cycle"):
+        F.homology_class(1 << bi)
+
+
+def test_chord_mask_keys_are_injective():
+    # one cache entry per distinct sorted chord tuple that the reference
+    # engine traces over all states, and each key reads back as its tuple
+    codes = [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40)
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        n = 1 << F.ribbon.n_crossings
+        states.sum_counts(F, 0, n)
+        ref = RefEngine(F)
+        distinct = {chords for mask in range(n) for (chords, *_rest) in ref.trace(mask)}
+        eng = states._engine(F)
+        assert len(eng.cache) == len(distinct), serialize(code)
+        assert {eng.chords_of(key) for key in eng.cache} == distinct
+
+
 # (code, chords, band mask, error): the kink's disk has rotation (0, 1, 2, 3),
 # band 0 joins darts 2 and 1 and band 1 joins 3 and 0; EMPTY is a bare loop
 MALFORMED = [
@@ -343,7 +384,10 @@ def _without_pole(engine, bit, a, b):
 def assert_alternation_check_matches(code):
     # drop one pole from both engines' tables: the curve through it keeps an
     # odd pole count, which only the wrap-around check sees when the dropped
-    # pole was the first or last one met
+    # pole was the first or last one met.  The fast engine checks in its
+    # walker, which runs for every curve of `splice_curves` and, in
+    # `sum_counts`, for every chord set its cache has not seen: a fresh
+    # engine per mask walks every curve of the state
     F = cap_boundaries(build_ribbon(code))
     c = F.ribbon.n_crossings
     base = RefEngine(F)
@@ -352,15 +396,17 @@ def assert_alternation_check_matches(code):
             b = base.tau[bit][a]
             if a > b or base.side[bit][a] < 0:
                 continue
-            fast = _without_pole(states._Engine(F), bit, a, b)
             ref = _without_pole(RefEngine(F), bit, a, b)
             for mask in range(1 << c):
                 if (mask >> (a >> 2)) & 1 != bit:
                     continue
                 with pytest.raises(AssertionError):
                     ref.trace(mask)
+                F._state_engine = _without_pole(states._Engine(F), bit, a, b)
                 with pytest.raises(AssertionError):
-                    fast.trace(mask)
+                    states.sum_counts(F, mask, mask + 1)
+                with pytest.raises(AssertionError):
+                    splice_curves(code, F, mask)
 
 
 @pytest.mark.parametrize("text", ["O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+"])
