@@ -15,13 +15,18 @@ on the chord set, which lets a per-surface cache absorb the cost across all
 what the surface pole bracket needs; the double bracket is collapsed from
 that same table.
 
-Every chord a splice can draw has one bit, so a chord set is an int.  The
-state loop of `sum_counts` traces each curve for its chord mask alone and
-looks that up in the cache.  Only a miss walks the curve again
-(`_Engine.walk`) for its pole word, band mask, flip parity and homology
-class, the XOR of the surface's per-band classes; the walker also checks
-that pole kinds alternate, which it does for every distinct chord set.
-`splice_curves` walks each curve once with the same walker.
+Every chord a splice can draw has one bit, so a chord set is an int.
+`sum_counts` never traces a state from scratch.  It grows the curves of
+all states at once, depth first over the splice bits: the bands start as
+open paths, each decided crossing adds its two chords, a chord that joins
+the two ends of one path closes a curve, and any other chord joins two
+paths and is undone on the way back.  A curve closed at a node is looked
+up in the cache by its chord mask once, for every state below that node.
+Only a miss walks the curve (`_Engine.walk`) for its pole word, band mask,
+flip parity and homology class, the XOR of the surface's per-band
+classes; the walker also checks that pole kinds alternate, which it does
+for every distinct chord set.  `splice_curves` walks each curve of one
+state with the same walker.
 """
 
 from __future__ import annotations
@@ -67,12 +72,14 @@ class _Engine:
     Every chord a splice can draw has one bit: four per crossing disk (two
     per splice bit) and one per bare loop, numbered in sorted (a, b) order,
     so the set bits of a curve's chord mask, in increasing order, are its
-    sorted chord tuple.  Per (splice bit, dart): `tau` is the dart the chord
-    joins it to, `cbit` the chord's bit and `side` its pole's side bit (-1
-    where the chord joins an in-dart to an out-dart and makes no pole).
-    `band_other[d]` is the dart at the far end of d's band.  The walker's
-    `step` holds the rest of a step past a chord: (far dart, chord bit,
-    next dart, band flip, band bit, band class).
+    sorted chord tuple.  `splice[bit][i]` holds the two chords crossing i
+    draws for that splice bit, as (a1, b1, bit1, a2, b2, bit2), and `loops`
+    the (a, b, bit) of every bare-loop chord; `band_other[d]` is the dart
+    at the far end of d's band.  These are all `block` reads.  For the
+    walker, per (splice bit, dart): `side` is the side bit of the chord's
+    pole (-1 where the chord joins an in-dart to an out-dart and makes no
+    pole), and `step` the rest of a step past the chord: (far dart, chord
+    bit, next dart, band flip, band bit, band class).
 
     A chord set fixes the whole curve, so the cache is keyed by the chord
     mask.  Each value is a shared pair (classification, signature entry),
@@ -103,15 +110,23 @@ class _Engine:
                         side[bit][b] = 0 if succ[b] == a else 1
         self.chords = tuple(sorted({(d, t[d]) for t in tau for d in range(n) if d < t[d]}))
         self.chord_bit = {ch: 1 << i for i, ch in enumerate(self.chords)}
-        self.cbit = tuple(
+        cbit = tuple(
             [self.chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)]
             for t in tau
         )
-        self.tau = tau
         self.side = side
         self.band_other = [b[0] for b in rs.band_at]
+        c4 = 4 * rs.n_crossings
+        self.loops = tuple((a, b, self.chord_bit[(a, b)]) for (a, b) in self.chords if a >= c4)
+        self.splice = tuple(
+            tuple(
+                tuple(x for d in range(4 * i, 4 * i + 4) if d < t[d] for x in (d, t[d], cb[d]))
+                for i in range(rs.n_crossings)
+            )
+            for t, cb in zip(tau, cbit)
+        )
         step = []
-        for t, cb in zip(tau, self.cbit):
+        for t, cb in zip(tau, cbit):
             row = []
             for d in range(n):
                 nxt, flip, bi = rs.band_at[t[d]]
@@ -199,6 +214,115 @@ class _Engine:
             hit = self.classify(cm, curve.word, g.band_mask, g.flip_parity,
                                 self.F._cycle_class(g.band_mask))
         return hit
+
+    def block(self, base: int, k: int, counts: dict) -> None:
+        """Add the 2^k states from `base` (a multiple of 2^k) to `counts`.
+
+        The bands start as open paths: `end[d]` is the other end of the path
+        ending at dart d, and `pm[d]` its chord mask.  The bare-loop chords
+        and the chords of the fixed bits k .. c-1 are added once, then bits
+        k-1 .. 0 are decided depth first, 0 before 1, so the states come in
+        increasing order.  A chord whose darts end one path closes a curve;
+        its cache entry is looked up there, once for every state below, and
+        only a miss walks it (`walk`, from its lowest dart, as
+        `splice_curves` does).  Any other chord (a, b) joins the paths a..e
+        and b..f into e..f, writing end[e], end[f], pm[e] and pm[f]; a and
+        b are never ends again, so undoing the join needs no saved state:
+        end[e] = a, end[f] = b, pm[e] = pm[a], pm[f] = pm[b].  At its end
+        the block checks that the undos restored the paths the fixed bits
+        left."""
+        c = self.F.ribbon.n_crossings
+        chords, cache, splice = self.chords, self.cache, self.splice
+        end = self.band_other[:]
+        pm = [0] * len(end)
+        scratch = bytearray(len(end))
+        sig: list = []
+
+        def entry(mask: int, cm: int):
+            hit = cache.get(cm)
+            if hit is None:
+                curve = self.walk(mask, chords[(cm & -cm).bit_length() - 1][0], scratch)
+                if curve[0] != cm:
+                    raise AssertionError("path chord mask disagrees with its walk")
+                hit = self.classify(*curve)
+            return hit[1]
+
+        iness = 0
+        fixed = list(self.loops)
+        for i in range(c - 1, k - 1, -1):
+            sp = splice[(base >> i) & 1][i]
+            fixed += (sp[:3], sp[3:])
+        for a, b, cb in fixed:
+            if end[a] == b:
+                hit = entry(base, pm[a] | cb)
+                if hit is None:
+                    iness += 1
+                else:
+                    sig.append(hit)
+            else:
+                e, f = end[a], end[b]
+                end[e], end[f] = f, e
+                pm[e] = pm[f] = pm[a] | pm[b] | cb
+
+        def descend(i: int, mask: int, nat: int, iness: int) -> None:
+            i -= 1
+            for bit in (0, 1):
+                if bit:
+                    mask |= 1 << i
+                    nat -= 2
+                a1, b1, cb1, a2, b2, cb2 = splice[bit][i]
+                top = len(sig)
+                inc = iness
+                e1 = end[a1]
+                if e1 == b1:
+                    hit = entry(mask, pm[a1] | cb1)
+                    if hit is None:
+                        inc += 1
+                    else:
+                        sig.append(hit)
+                else:
+                    f1 = end[b1]
+                    end[e1] = f1
+                    end[f1] = e1
+                    pm[e1] = pm[f1] = pm[a1] | pm[b1] | cb1
+                e2 = end[a2]
+                if e2 == b2:
+                    hit = entry(mask, pm[a2] | cb2)
+                    if hit is None:
+                        inc += 1
+                    else:
+                        sig.append(hit)
+                else:
+                    f2 = end[b2]
+                    end[e2] = f2
+                    end[f2] = e2
+                    pm[e2] = pm[f2] = pm[a2] | pm[b2] | cb2
+                if i:
+                    descend(i, mask, nat, inc)
+                else:
+                    key = (tuple(sorted(sig)), nat, inc)
+                    counts[key] = counts.get(key, 0) + 1
+                if e2 != b2:
+                    end[e2] = a2
+                    end[f2] = b2
+                    pm[e2] = pm[a2]
+                    pm[f2] = pm[b2]
+                if e1 != b1:
+                    end[e1] = a1
+                    end[f1] = b1
+                    pm[e1] = pm[a1]
+                    pm[f1] = pm[b1]
+                del sig[top:]
+
+        nat = c - 2 * bin(base).count("1")
+        if k:
+            paths = (end[:], pm[:])
+            descend(k, base, nat, iness)
+            if (end, pm) != paths:
+                raise AssertionError("undo left the open paths changed")
+        else:
+            key = (tuple(sorted(sig)), nat, iness)
+            counts[key] = counts.get(key, 0) + 1
 
 
 def _engine(F: ClosedSurface) -> _Engine:
@@ -300,39 +424,18 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
     (index, mobius, separating, hom_class) and iness counts the curves that
     bound disks.
 
-    Per dart the loop only marks darts visited, crosses the disk, ORs in the
-    chord's bit and crosses the band; the chord mask then looks the curve up
-    in the cache, and only a miss walks the curve again (`_Engine.walk`)."""
+    `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
+    bits; `_Engine.block` sums each one depth first over its k low bits, so
+    the work of a splice prefix is shared by every state below it."""
     eng = _engine(F)
-    tau, cbit, band_other, cache = eng.tau, eng.cbit, eng.band_other, eng.cache
-    n = F.ribbon.total_darts
     c = F.ribbon.n_crossings
+    if lo < 0 or hi > 1 << c:
+        raise ValueError("splice choice out of range")
     counts: dict = {}
-    for mask in range(lo, hi):
-        visited = bytearray(n)
-        iness = 0
-        sig = []
-        start = visited.find(0)
-        while start >= 0:
-            cm = 0
-            cur = start
-            while True:
-                visited[cur] = 1
-                bit = (mask >> (cur >> 2)) & 1
-                x = tau[bit][cur]
-                visited[x] = 1
-                cm |= cbit[bit][cur]
-                cur = band_other[x]
-                if cur == start:
-                    break
-            hit = cache.get(cm)
-            if hit is None:
-                hit = eng.classify(*eng.walk(mask, start, visited))
-            if hit[1] is None:
-                iness += 1
-            else:
-                sig.append(hit[1])
-            start = visited.find(0, start + 1)
-        key = (tuple(sorted(sig)), c - 2 * bin(mask).count("1"), iness)
-        counts[key] = counts.get(key, 0) + 1
+    while lo < hi:
+        k = (lo & -lo).bit_length() - 1 if lo else c
+        while lo + (1 << k) > hi:
+            k -= 1
+        eng.block(lo, k, counts)
+        lo += 1 << k
     return counts

@@ -11,7 +11,9 @@ brackets are summed directly, one `MultiLaurent` term per state, with no
 count table in between.
 
 The fast engine must agree with it on both brackets (for 1 and 2 workers),
-and state by state on every curve record, derived pole list and class.
+state by state on every curve record, derived pole list and class, and on
+the count table of any mask range: `sum_counts` over a range cut in three,
+or over a single mask, gives the reference's counts.
 `ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
 instead of building a polygon complex, are also compared with the cut
 directly: the disk test curve by curve, the regions family by family, and
@@ -374,6 +376,68 @@ def test_brackets_match_reference(code):
 @settings(max_examples=100, deadline=None)
 def test_states_match_reference(code):
     assert_states_match(code)
+
+
+def ref_state_keys(code):
+    """Per mask, the `sum_counts` key of its state, from the reference."""
+    F = cap_boundaries(build_ribbon(code))
+    eng = RefEngine(F)
+    memo = {}
+    c = F.ribbon.n_crossings
+    keys = []
+    for mask in range(1 << c):
+        sig, iness = [], 0
+        for curve in eng.trace(mask):
+            inessential, sep, mob, idx, hom = ref_classify(F, curve, memo)
+            if inessential:
+                iness += 1
+            else:
+                sig.append((idx, mob, sep, hom))
+        keys.append((tuple(sorted(sig)), c - 2 * bin(mask).count("1"), iness))
+    return keys
+
+
+def assert_ranges_merge(code, a, b, keys):
+    # [0, a), [a, b) and [b, 2^c), each summed on a fresh surface, merge to
+    # the full table; an empty range gives an empty table
+    n = 1 << len(code.crossing_ids)
+    merged = Counter()
+    for lo, hi in ((0, a), (a, b), (b, n)):
+        part = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
+        if lo == hi:
+            assert part == {}
+        merged.update(part)
+    full = states.sum_counts(cap_boundaries(build_ribbon(code)), 0, n)
+    assert merged == full == Counter(keys), (serialize(code), a, b)
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_fixture_ranges_match_reference(text):
+    # every pair of cut points, every single mask, and no mask out of range
+    code = parse_code(text)
+    keys = ref_state_keys(code)
+    n = len(keys)
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            assert_ranges_merge(code, a, b, keys)
+    F = cap_boundaries(build_ribbon(code))
+    for m in range(n):
+        assert states.sum_counts(F, m, m + 1) == {keys[m]: 1}
+    for lo, hi in ((-1, n), (0, n + 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            states.sum_counts(F, lo, hi)
+
+
+@given(diagrams(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ranges_match_reference(code, data):
+    keys = ref_state_keys(code)
+    n = len(keys)
+    a = data.draw(st.integers(min_value=0, max_value=n))
+    b = data.draw(st.integers(min_value=a, max_value=n))
+    assert_ranges_merge(code, a, b, keys)
+    m = data.draw(st.integers(min_value=0, max_value=n - 1))
+    assert states.sum_counts(cap_boundaries(build_ribbon(code)), m, m + 1) == {keys[m]: 1}
 
 
 def _without_pole(engine, bit, a, b):
