@@ -89,16 +89,47 @@ def index(word: Word) -> int:
     pair cancels either always or never: it cancels, and with it every
     pole down to at most one, exactly when the total mark parity T differs
     from the pole-count parity, that is when the word has odd length.
+    So the index is `closed_index(arc(word))`.
     """
+    return closed_index(arc(word))
+
+
+# ---------------------------------------------------------------------------
+# arcs: the index of a word assembled from its pieces
+#
+# An arc is an open stretch of a curve's word.  Its value is 2 S + (its
+# length mod 2), where the signed sum S counts +1 for every pole whose side
+# is R XOR whose position in the arc is odd and -1 for every other pole
+# (#ones - #zeros in `index`).  A value is all a state sum carries along an
+# open path: it composes under concatenation, S(uv) = S(u) + (-1)^|u| S(v),
+# and reading an arc from its other end, reversed with sides swapped, gives
+# S = (-1)^|u| S(u); a closed word's index reads off its value.
+
+
+def arc(word: Word) -> int:
+    """The value 2 S + (len & 1) of an arc."""
     w = tuple(word)
-    marks = w.count(MARK)
-    poles = len(w) - marks
+    poles = len(w) - w.count(MARK)
     if w.count(L) + w.count(R) != poles:
         make_word(w)  # raises on the bad item
-    if len(w) & 1:
-        return 0
     ones = w[0::2].count(R) + w[1::2].count(L)
-    return abs(2 * ones - poles) // 2
+    return 2 * (2 * ones - poles) + (len(w) & 1)
+
+
+def join_arcs(x: int, y: int) -> int:
+    """The value of arc u followed by arc v, from the values x of u and y of v."""
+    return x - y if x & 1 else x + y
+
+
+def reverse_arc(x: int) -> int:
+    """The value of an arc read from its other end, with sides swapped."""
+    return 2 - x if x & 1 else x
+
+
+def closed_index(x: int) -> int:
+    """The index of the cyclic word whose arc, cut anywhere, has value x:
+    0 for odd length, else |S| / 2."""
+    return 0 if x & 1 else abs(x) >> 2
 
 
 def confluence_oracle(word: Word, max_poles: int = 12) -> bool:

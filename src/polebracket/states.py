@@ -16,17 +16,22 @@ what the surface pole bracket needs; the double bracket is collapsed from
 that same table.
 
 Every chord a splice can draw has one bit, so a chord set is an int.
-`sum_counts` never traces a state from scratch.  It grows the curves of
-all states at once, depth first over the splice bits: the bands start as
-open paths, each decided crossing adds its two chords, a chord that joins
-the two ends of one path closes a curve, and any other chord joins two
-paths and is undone on the way back.  A curve closed at a node is looked
-up in the cache by its chord mask once, for every state below that node.
-Only a miss walks the curve (`_Engine.walk`) for its pole word, band mask,
-flip parity and homology class, the XOR of the surface's per-band
-classes; the walker also checks that pole kinds alternate, which it does
-for every distinct chord set.  `splice_curves` walks each curve of one
-state with the same walker.
+`sum_counts` never traces a state from scratch and never walks a curve.
+It grows the curves of all states at once, depth first over the splice
+bits: the bands start as open paths, each decided crossing adds its two
+chords, a chord that joins the two ends of one path closes a curve, and
+any other chord joins two paths and is undone on the way back.  A curve
+closed at a node is looked up in the cache by its key (chord and band
+bits) once, for every state below that node.  Each open path carries at
+its ends all a miss needs: its chord and band bits, which give the flip
+parity and the homology class (the XOR of the surface's per-band
+classes); the `polewords.arc` value of its word, read from either end,
+which gives the index by the composition law of arcs; and the kind of the
+pole nearest each end, so that each pole pair is checked to alternate
+when a join or a closing chord makes it adjacent.  A miss also checks
+that the curve has as many chords as bands.  `splice_curves` walks each
+curve of one state with `_Engine.walk`, which makes the same alternation
+check.
 """
 
 from __future__ import annotations
@@ -72,18 +77,22 @@ class _Engine:
     Every chord a splice can draw has one bit: four per crossing disk (two
     per splice bit) and one per bare loop, numbered in sorted (a, b) order,
     so the set bits of a curve's chord mask, in increasing order, are its
-    sorted chord tuple.  `splice[bit][i]` holds the two chords crossing i
-    draws for that splice bit, as (a1, b1, bit1, a2, b2, bit2), and `loops`
-    the (a, b, bit) of every bare-loop chord; `band_other[d]` is the dart
-    at the far end of d's band.  These are all `block` reads.  For the
-    walker, per (splice bit, dart): `side` is the side bit of the chord's
-    pole (-1 where the chord joins an in-dart to an out-dart and makes no
-    pole), and `step` the rest of a step past the chord: (far dart, chord
-    bit, next dart, band flip, band bit, band class).
+    sorted chord tuple.  Band i has bit n_chords + i above them.  A curve's
+    key is the union of its chord and band bits, one-to-one with its chord
+    set.  `splice[bit][i]` holds the two chords crossing i draws for that
+    splice bit, as (a1, b1, bit1, a2, b2, bit2), and `loops` the (a, b, bit)
+    of every bare-loop chord; `band_other[d]` is the dart at the far end of
+    d's band.  Per (splice bit, dart), `side` is the side bit of the pole
+    of the chord from that dart, and `kind` its kind, 1 for a sink (I, two
+    in-darts) and 2 for a source (O, two out-darts); both are -1 and 0
+    where the chord joins an in-dart to an out-dart and makes no pole.
+    `block` and the walker read the poles off these two tables.  For the
+    walker, `step` holds the rest of a step past the chord: (far dart,
+    chord bit, next dart, band flip, band bit).
 
-    A chord set fixes the whole curve, so the cache is keyed by the chord
-    mask.  Each value is a shared pair (classification, signature entry),
-    the entry being None for a curve that bounds a disk.
+    The cache is keyed by the curve key.  Each value is a shared pair
+    (classification, signature entry), the entry being None for a curve
+    that bounds a disk.
     """
 
     def __init__(self, F: ClosedSurface):
@@ -92,6 +101,7 @@ class _Engine:
         n = rs.total_darts
         tau = ([-1] * n, [-1] * n)
         side = ([-1] * n, [-1] * n)
+        kind = ([0] * n, [0] * n)
         for rot in rs.rotations:
             if len(rot) == 2:
                 d0, d1 = rot
@@ -108,14 +118,29 @@ class _Engine:
                     if (a % 4 < 2) == (b % 4 < 2):
                         side[bit][a] = 0 if succ[a] == b else 1
                         side[bit][b] = 0 if succ[b] == a else 1
+                        kind[bit][a] = kind[bit][b] = 1 if a % 4 < 2 else 2
         self.chords = tuple(sorted({(d, t[d]) for t in tau for d in range(n) if d < t[d]}))
+        self.n_chords = len(self.chords)
         self.chord_bit = {ch: 1 << i for i, ch in enumerate(self.chords)}
         cbit = tuple(
             [self.chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)]
             for t in tau
         )
         self.side = side
+        self.kind = kind
         self.band_other = [b[0] for b in rs.band_at]
+        # each band alone, as an open path: its key bit, and its arc (one
+        # mark when the band is flipped)
+        self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
+        self.band_arc = [polewords.arc((MARK,) if flip else ()) for (_o, flip, _b) in rs.band_at]
+        # the homology class of a band mask, as in `ClosedSurface._cycle_class`,
+        # is the XOR over its bytes of class_bytes[j][byte j]
+        self.class_bytes = []
+        for j in range(0, len(rs.bands), 8):
+            table = [0]
+            for h in F.band_class[j:j + 8]:
+                table += [x ^ h for x in table]
+            self.class_bytes.append(table)
         c4 = 4 * rs.n_crossings
         self.loops = tuple((a, b, self.chord_bit[(a, b)]) for (a, b) in self.chords if a >= c4)
         self.splice = tuple(
@@ -130,7 +155,7 @@ class _Engine:
             row = []
             for d in range(n):
                 nxt, flip, bi = rs.band_at[t[d]]
-                row.append((t[d], cb[d], nxt, flip, 1 << bi, F.band_class[bi]))
+                row.append((t[d], cb[d], nxt, flip, 1 << bi))
             step.append(row)
         self.step = tuple(step)
         self.cache: dict = {}
@@ -139,28 +164,26 @@ class _Engine:
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
         dart `start`, marking its darts in `visited`.  Returns its chord
-        mask, pole word, band mask, flip parity and homology class (as in
-        `ClosedSurface._cycle_class`), and checks that its pole kinds
-        alternate."""
-        step, side = self.step, self.side
+        mask, pole word, band mask and flip parity, and checks that its
+        pole kinds alternate."""
+        step, side, kind = self.step, self.side, self.kind
         word: list[int] = []
-        cm = bmask = fpar = hom = 0
-        # a pole's kind is cur & 2: 0 at in-darts (I), 2 at out-darts (O);
-        # bare-loop darts lie past every mask bit, so their bit reads 0
-        first = last = -1
+        cm = bmask = fpar = 0
+        first = last = 0
         cur = start
         while True:
+            # bare-loop darts lie past every mask bit, so their bit reads 0
             bit = (mask >> (cur >> 2)) & 1
-            x, cb, nxt, flip, bb, hc = step[bit][cur]
+            x, cb, nxt, flip, bb = step[bit][cur]
             visited[cur] = 1
             visited[x] = 1
             cm |= cb
             s = side[bit][cur]
             if s >= 0:
-                k = cur & 2
+                k = kind[bit][cur]
                 if k == last:
                     raise AssertionError("pole kinds fail to alternate")
-                if last < 0:
+                if not last:
                     first = k
                 last = k
                 word.append(s)
@@ -168,17 +191,17 @@ class _Engine:
                 word.append(MARK)
                 fpar ^= 1
             bmask |= bb
-            hom ^= hc
             cur = nxt
             if cur == start:
                 break
-        if last >= 0 and first == last:
+        if last and first == last:
             # the wrap-around pair; it also rules out an odd pole count
             raise AssertionError("pole kinds fail to alternate")
-        return cm, tuple(word), bmask, fpar, hom
+        return cm, tuple(word), bmask, fpar
 
-    def chords_of(self, cm: int) -> tuple[tuple[int, int], ...]:
-        """The sorted chord tuple of a chord mask."""
+    def chords_of(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The sorted chord tuple of a chord mask or curve key."""
+        cm = key & ((1 << self.n_chords) - 1)
         out = []
         while cm:
             low = cm & -cm
@@ -186,12 +209,21 @@ class _Engine:
             cm ^= low
         return tuple(out)
 
-    def classify(self, cm: int, word, bmask: int, fpar: int, hom: int):
-        """Classify a curve missing from the cache, and cache it."""
+    def classify(self, key: int, idx: int):
+        """Classify the curve with this key and pole-word index, missing
+        from the cache, and cache it."""
         F = self.F
+        cm = key & ((1 << self.n_chords) - 1)
+        bmask = key >> self.n_chords
+        # a closed curve alternates chord, band, chord, ...
+        if cm.bit_count() != bmask.bit_count():
+            raise AssertionError("path chord mask disagrees with its walk")
+        fpar = (bmask & F.flip_mask).bit_count() & 1
+        hom = 0
+        for j, table in enumerate(self.class_bytes):
+            hom ^= table[(bmask >> 8 * j) & 255]
         mob = fpar == 1
         sep = hom == 0
-        idx = polewords.index(word)
         iness = (not mob) and sep and F.bounds_disk(
             EmbeddedCurve(self.chords_of(cm), bmask, fpar))
         shared = self._shared.get((iness, mob, idx, hom))
@@ -200,103 +232,176 @@ class _Engine:
                 iness, sep, mob, idx, tuple((hom >> i) & 1 for i in range(F.h1_dim)))
             shared = (cl, None if iness else (idx, mob, sep, cl.hom_class))
             self._shared[(iness, mob, idx, hom)] = shared
-        self.cache[cm] = shared
+        self.cache[key] = shared
         return shared
 
     def lookup(self, curve: PoleCurve):
         """The cached pair of a traced curve."""
         g = curve.geometry
-        cm = 0
+        key = g.band_mask << self.n_chords
         for ch in g.chords:
-            cm |= self.chord_bit[ch]
-        hit = self.cache.get(cm)
+            key |= self.chord_bit[ch]
+        hit = self.cache.get(key)
         if hit is None:
-            hit = self.classify(cm, curve.word, g.band_mask, g.flip_parity,
-                                self.F._cycle_class(g.band_mask))
+            hit = self.classify(key, polewords.index(curve.word))
         return hit
+
+    def _items(self):
+        """Per splice bit and crossing, its two chords with their poles, as
+        (a1, b1, bit1, arc1, kind1, a2, b2, bit2, arc2, kind2), where arc is
+        the `polewords.arc` of the chord's pole read from a to b (0 for no
+        pole); and every bare-loop chord as (a, b, bit, 0, 0)."""
+        side, kind = self.side, self.kind
+
+        def pole(bit, a, b, cb):
+            s = side[bit][a]
+            return (a, b, cb, polewords.arc((s,)), kind[bit][a]) if s >= 0 else (a, b, cb, 0, 0)
+
+        items = tuple(
+            tuple(pole(bit, *sp[:3]) + pole(bit, *sp[3:]) for sp in row)
+            for bit, row in enumerate(self.splice)
+        )
+        return items, tuple(pole(0, *lp) for lp in self.loops)
 
     def block(self, base: int, k: int, counts: dict) -> None:
         """Add the 2^k states from `base` (a multiple of 2^k) to `counts`.
 
-        The bands start as open paths: `end[d]` is the other end of the path
-        ending at dart d, and `pm[d]` its chord mask.  The bare-loop chords
-        and the chords of the fixed bits k .. c-1 are added once, then bits
-        k-1 .. 0 are decided depth first, 0 before 1, so the states come in
-        increasing order.  A chord whose darts end one path closes a curve;
-        its cache entry is looked up there, once for every state below, and
-        only a miss walks it (`walk`, from its lowest dart, as
-        `splice_curves` does).  Any other chord (a, b) joins the paths a..e
-        and b..f into e..f, writing end[e], end[f], pm[e] and pm[f]; a and
-        b are never ends again, so undoing the join needs no saved state:
-        end[e] = a, end[f] = b, pm[e] = pm[a], pm[f] = pm[b].  At its end
-        the block checks that the undos restored the paths the fixed bits
-        left."""
+        The bands start as open paths, and each open path carries, at each
+        of its ends d: `end[d]`, the other end; `pm[d]`, the union of its
+        chord and band bits; `vs[d]`, the `polewords.arc` value of its word
+        read from d; and `kn[d]`, the kind of the pole nearest d (0 if it
+        has none).  The bare-loop chords and the chords of the fixed bits
+        k .. c-1 are added once, then bits k-1 .. 0 are decided depth
+        first, 0 before 1, so the states come in increasing order.
+
+        A chord (a, b) whose darts end one path closes a curve; its cache
+        entry is looked up by the key pm[a] | bit, once for every state
+        below.  A miss (`entry`) checks the two pole pairs the chord makes
+        adjacent, which closes the check of every pole pair of the curve,
+        and classifies it with the index of its word vs[b] + the chord's
+        pole: no curve is walked.  Any other chord joins the paths a..e and
+        b..f into e..f.  It first checks the pole pairs it makes adjacent,
+        then writes the ends e and f: the union key, the arcs
+        vs[e] + chord + vs[b] and its reverse, and the kind nearest each
+        end where the old path had no pole.  a and b are never ends again,
+        so undoing the join restores end, pm and kn from them and from the
+        kinds read at the join, and vs from the two values it saved.  At
+        its end the block checks that the undos restored the paths the
+        fixed bits left."""
         c = self.F.ribbon.n_crossings
-        chords, cache, splice = self.chords, self.cache, self.splice
+        cache, classify = self.cache, self.classify
+        closed_index, join_arcs = polewords.closed_index, polewords.join_arcs
+        items, loops = self._items()
         end = self.band_other[:]
-        pm = [0] * len(end)
-        scratch = bytearray(len(end))
+        pm = self.band_key[:]
+        vs = self.band_arc[:]
+        kn = [0] * len(end)
         sig: list = []
 
-        def entry(mask: int, cm: int):
-            hit = cache.get(cm)
+        # kinds are 1 and 2, so ka & kb is nonzero just when the poles at
+        # two ends are of one kind, and (ka | kb) & kc when either is kc's
+        def entry(a: int, b: int, key: int, v: int, kc: int):
+            hit = cache.get(key)
             if hit is None:
-                curve = self.walk(mask, chords[(cm & -cm).bit_length() - 1][0], scratch)
-                if curve[0] != cm:
-                    raise AssertionError("path chord mask disagrees with its walk")
-                hit = self.classify(*curve)
+                ka, kb = kn[a], kn[b]
+                if ((ka | kb) & kc or not ka) if kc else ka & kb:
+                    raise AssertionError("pole kinds fail to alternate")
+                hit = classify(key, closed_index(join_arcs(vs[b], v)))
             return hit[1]
 
+        def join(a: int, b: int, cb: int, v: int, kc: int) -> None:
+            e, f = end[a], end[b]
+            ka, kb = kn[a], kn[b]
+            if (ka | kb) & kc if kc else ka & kb:
+                raise AssertionError("pole kinds fail to alternate")
+            end[e], end[f] = f, e
+            pm[e] = pm[f] = pm[a] | pm[b] | cb
+            x = join_arcs(join_arcs(vs[e], v), vs[b])
+            vs[e], vs[f] = x, polewords.reverse_arc(x)
+            if not ka:
+                kn[e] = kc or kb
+            if not kb:
+                kn[f] = kc or ka
+
         iness = 0
-        fixed = list(self.loops)
+        fixed = list(loops)
         for i in range(c - 1, k - 1, -1):
-            sp = splice[(base >> i) & 1][i]
-            fixed += (sp[:3], sp[3:])
-        for a, b, cb in fixed:
+            sp = items[(base >> i) & 1][i]
+            fixed += (sp[:5], sp[5:])
+        for a, b, cb, v, kc in fixed:
             if end[a] == b:
-                hit = entry(base, pm[a] | cb)
+                hit = entry(a, b, pm[a] | cb, v, kc)
                 if hit is None:
                     iness += 1
                 else:
                     sig.append(hit)
             else:
-                e, f = end[a], end[b]
-                end[e], end[f] = f, e
-                pm[e] = pm[f] = pm[a] | pm[b] | cb
+                join(a, b, cb, v, kc)
 
+        # `join` inlined twice, `polewords.join_arcs` and `reverse_arc` with it
         def descend(i: int, mask: int, nat: int, iness: int) -> None:
             i -= 1
             for bit in (0, 1):
                 if bit:
                     mask |= 1 << i
                     nat -= 2
-                a1, b1, cb1, a2, b2, cb2 = splice[bit][i]
+                a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 = items[bit][i]
                 top = len(sig)
                 inc = iness
                 e1 = end[a1]
                 if e1 == b1:
-                    hit = entry(mask, pm[a1] | cb1)
+                    hit = entry(a1, b1, pm[a1] | cb1, v1, k1)
                     if hit is None:
                         inc += 1
                     else:
                         sig.append(hit)
                 else:
                     f1 = end[b1]
+                    ka1 = kn[a1]
+                    kb1 = kn[b1]
+                    if (ka1 | kb1) & k1 if k1 else ka1 & kb1:
+                        raise AssertionError("pole kinds fail to alternate")
                     end[e1] = f1
                     end[f1] = e1
                     pm[e1] = pm[f1] = pm[a1] | pm[b1] | cb1
+                    x = ve1 = vs[e1]
+                    vf1 = vs[f1]
+                    x = x - v1 if x & 1 else x + v1
+                    y = vs[b1]
+                    x = x - y if x & 1 else x + y
+                    vs[e1] = x
+                    vs[f1] = 2 - x if x & 1 else x
+                    if not ka1:
+                        kn[e1] = k1 or kb1
+                    if not kb1:
+                        kn[f1] = k1 or ka1
                 e2 = end[a2]
                 if e2 == b2:
-                    hit = entry(mask, pm[a2] | cb2)
+                    hit = entry(a2, b2, pm[a2] | cb2, v2, k2)
                     if hit is None:
                         inc += 1
                     else:
                         sig.append(hit)
                 else:
                     f2 = end[b2]
+                    ka2 = kn[a2]
+                    kb2 = kn[b2]
+                    if (ka2 | kb2) & k2 if k2 else ka2 & kb2:
+                        raise AssertionError("pole kinds fail to alternate")
                     end[e2] = f2
                     end[f2] = e2
                     pm[e2] = pm[f2] = pm[a2] | pm[b2] | cb2
+                    x = ve2 = vs[e2]
+                    vf2 = vs[f2]
+                    x = x - v2 if x & 1 else x + v2
+                    y = vs[b2]
+                    x = x - y if x & 1 else x + y
+                    vs[e2] = x
+                    vs[f2] = 2 - x if x & 1 else x
+                    if not ka2:
+                        kn[e2] = k2 or kb2
+                    if not kb2:
+                        kn[f2] = k2 or ka2
                 if i:
                     descend(i, mask, nat, inc)
                 else:
@@ -307,18 +412,30 @@ class _Engine:
                     end[f2] = b2
                     pm[e2] = pm[a2]
                     pm[f2] = pm[b2]
+                    vs[e2] = ve2
+                    vs[f2] = vf2
+                    if not ka2:
+                        kn[e2] = 0
+                    if not kb2:
+                        kn[f2] = 0
                 if e1 != b1:
                     end[e1] = a1
                     end[f1] = b1
                     pm[e1] = pm[a1]
                     pm[f1] = pm[b1]
+                    vs[e1] = ve1
+                    vs[f1] = vf1
+                    if not ka1:
+                        kn[e1] = 0
+                    if not kb1:
+                        kn[f1] = 0
                 del sig[top:]
 
         nat = c - 2 * bin(base).count("1")
         if k:
-            paths = (end[:], pm[:])
+            paths = (end[:], pm[:], vs[:], kn[:])
             descend(k, base, nat, iness)
-            if (end, pm) != paths:
+            if (end, pm, vs, kn) != paths:
                 raise AssertionError("undo left the open paths changed")
         else:
             key = (tuple(sorted(sig)), nat, iness)
@@ -344,7 +461,7 @@ def splice_curves(code: TwistedGaussCode, F: ClosedSurface, choice: int) -> Pole
     curves = []
     start = visited.find(0)
     while start >= 0:
-        cm, word, bmask, fpar, _hom = eng.walk(choice, start, visited)
+        cm, word, bmask, fpar = eng.walk(choice, start, visited)
         curves.append(PoleCurve(EmbeddedCurve(eng.chords_of(cm), bmask, fpar), word))
         start = visited.find(0, start + 1)
     natural = c - 2 * bin(choice).count("1")

@@ -8,15 +8,19 @@ from polebracket.polewords import (
     L,
     MARK,
     R,
+    arc,
     canonical_key,
+    closed_index,
     confluence_oracle,
     equivalent,
     index,
+    join_arcs,
     make_word,
     parse_word,
     random_equivalent,
     reduce,
     render,
+    reverse_arc,
     reverse_swap,
     rotate,
     slide_mark,
@@ -133,6 +137,27 @@ def test_index_matches_reduction_on_all_short_words():
             assert index(w) == _reduced_index(w), w
             count += 1
     assert count == (3**11 - 1) // 2
+
+
+def test_arc_values_compose_on_all_short_words():
+    # cut every word of at most 10 items at every point into arcs u and v:
+    # u's value, read from its other end with sides swapped and turned back,
+    # joined with v's gives the index of the word, and so do v's value
+    # joined with u's (the word rotated), as a state sum closes a curve at
+    # any chord
+    words = [w for n in range(11) for w in itertools.product((L, R, MARK), repeat=n)]
+    value = {w: arc(w) for w in words}
+    turned = {w: reverse_arc(value[reverse_swap(w)]) for w in words}
+    splits = 0
+    for w in words:
+        want = index(w)
+        assert closed_index(value[w]) == want
+        for i in range(len(w) + 1):
+            u, v = w[:i], w[i:]
+            assert closed_index(join_arcs(turned[u], value[v])) == want, (w, i)
+            assert closed_index(join_arcs(value[v], value[u])) == want, (w, i)
+            splits += 1
+    assert splits == sum((n + 1) * 3**n for n in range(11))
 
 
 def test_index_matches_reduction_on_random_words():

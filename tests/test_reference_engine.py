@@ -234,10 +234,10 @@ def assert_brackets_match(code, workers=(1, 2)):
 
 
 @st.composite
-def diagrams(draw):
+def diagrams(draw, min_bars=0):
     """c <= 8, bars <= 4, 1-3 components, sometimes one of them a bare loop."""
     c = draw(st.integers(min_value=0, max_value=8))
-    b = draw(st.integers(min_value=0, max_value=4))
+    b = draw(st.integers(min_value=min_bars, max_value=4))
     k = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=10**6))
     loop = draw(st.sampled_from(("", "EMPTY", "B"))) if k > 1 else ""
@@ -486,3 +486,136 @@ def test_alternation_check_matches_reference(text):
 @settings(max_examples=30, deadline=None)
 def test_alternation_check_matches_reference_random(c, b, seed):
     assert_alternation_check_matches(random_diagram(seed, c, b))
+
+
+def _no_walk(*_args):
+    raise AssertionError("sum_counts walked a curve")
+
+
+def assert_sums_without_walk(code):
+    # with the walker unusable, a full sum on a fresh surface, and a sum of
+    # each single mask on a fresh engine (every curve of it a cache miss),
+    # give the reference's key per mask: misses are classified from the
+    # open paths alone
+    keys = ref_state_keys(code)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states._Engine, "walk", _no_walk)
+        F = cap_boundaries(build_ribbon(code))
+        assert states.sum_counts(F, 0, len(keys)) == Counter(keys), serialize(code)
+        for m, key in enumerate(keys):
+            F._state_engine = states._Engine(F)
+            assert states.sum_counts(F, m, m + 1) == {key: 1}, (serialize(code), m)
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_fixture_sums_walk_no_curve(text):
+    assert_sums_without_walk(parse_code(text))
+
+
+def test_corpus_sums_walk_no_curve():
+    for code in corpus_twisted(7, 40):
+        assert_sums_without_walk(code)
+
+
+@given(diagrams(min_bars=1))
+@settings(max_examples=40, deadline=None)
+def test_sums_walk_no_curve(code):
+    assert_sums_without_walk(code)
+
+
+def test_reference_cases_reach_every_arc_rule():
+    # the walk-free sums above agree with the reference on these codes only
+    # if every rule of the open paths' arc values is right: they reach
+    # one-sided curves, words of odd length (index 0 whatever S is), positive
+    # indices, and curves with a positive index through a flipped band, where
+    # a mark reverses the sign of everything after it
+    codes = [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40)
+    seen = Counter()
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        eng = RefEngine(F)
+        for mask in range(1 << F.ribbon.n_crossings):
+            for (_chords, _bmask, fpar, word, *_rest) in eng.trace(mask):
+                idx = ref_index(word)
+                seen["one-sided"] += fpar
+                seen["odd length"] += len(word) & 1
+                seen["positive index"] += idx > 0
+                seen["positive index, flipped band"] += idx > 0 and MARK in word
+    assert min(seen.values()) > 100 and len(seen) == 4, seen
+
+
+def _swap_kind(engine, bit, a, b):
+    engine.kind[bit][a] = engine.kind[bit][b] = 3 - engine.kind[bit][a]
+    return engine
+
+
+def kind_check_raisers(code):
+    """Swap the kind (I and O) of each pole chord in turn on a fresh engine,
+    which makes both pole pairs beside it fail, then drop the pole, which
+    makes the one pair across it fail.  Every block of every size must
+    raise before it counts the first state that draws the chord, that is,
+    within the state where the failing pair first turns up, and
+    `splice_curves` must raise too.  Returns the names of the engine
+    functions that raised."""
+    F = cap_boundaries(build_ribbon(code))
+    c = F.ribbon.n_crossings
+    base = RefEngine(F)
+    where = set()
+    for bit in (0, 1):
+        for a in range(4 * c):
+            b = base.tau[bit][a]
+            if a > b or base.side[bit][a] < 0:
+                continue
+            i = a >> 2
+            for corrupt in (_swap_kind, _without_pole):
+                for k in range(c + 1):
+                    for lo in range(0, 1 << c, 1 << k):
+                        if i >= k and (lo >> i) & 1 != bit:
+                            continue
+                        # states come in increasing order
+                        before = bit << i if i < k else 0
+                        counts = {}
+                        eng = corrupt(states._Engine(F), bit, a, b)
+                        with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
+                            eng.block(lo, k, counts)
+                        assert sum(counts.values()) == before, (serialize(code), bit, a, k, lo)
+                        where.add(err.traceback[-1].name)
+                F._state_engine = corrupt(states._Engine(F), bit, a, b)
+                with pytest.raises(AssertionError, match="pole kinds fail to alternate"):
+                    splice_curves(code, F, bit << i)
+    return where
+
+
+def test_kind_check_raises_mid_path_and_on_closing():
+    # `entry` checks the pairs a closing chord makes adjacent (the
+    # wrap-around pair, or a single pole with itself); `join` (the fixed
+    # bits) and `descend` (the free bits) check the pairs a join makes
+    # adjacent mid-path
+    where = set()
+    for text in ("O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
+                 "O1- U2- O3- U1- O2- U3-\nB B"):
+        where |= kind_check_raisers(parse_code(text))
+    assert where == {"entry", "join", "descend"}, where
+
+
+def test_count_check_sees_a_lost_band():
+    # a closed curve alternates chord and band; drop one band's bit from the
+    # open path it starts as, and a curve through it fails the per-miss check
+    code = parse_code("O1- U2- O3- U1- O2- U3-\nB B")
+    F = cap_boundaries(build_ribbon(code))
+    for d in range(F.ribbon.total_darts):
+        eng = states._Engine(F)
+        eng.band_key[d] = eng.band_key[eng.band_other[d]] = 0
+        F._state_engine = eng
+        with pytest.raises(AssertionError, match="path chord mask disagrees"):
+            states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_kind_check_raises_random(c, b, seed):
+    kind_check_raisers(random_diagram(seed, c, b))
