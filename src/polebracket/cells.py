@@ -5,9 +5,9 @@ A PolygonComplex is a list of faces, each face a cyclic list of slots
 (an interior gluing) across all faces.  Vertices are not named explicitly;
 they emerge as equivalence classes of edge-endpoints under the corner
 identifications read off the face walks.  This is enough to compute Euler
-characteristics, connected pieces, orientability, and boundary circles for
-every surface built in this package: ribbon neighborhoods of diagrams and
-the complexes obtained by cutting their capped surfaces along state curves.
+characteristics, connected pieces, orientability, and boundary circles.  No
+program path builds one: it is the tests' independent reference for the
+int-table capped surfaces and cuts of `surfaces`, and the bench tracer names it.
 
 Edge ids must be tuples whose first entry is a string tag, so that sorting
 is well defined and traversal order is deterministic.

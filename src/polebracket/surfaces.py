@@ -6,7 +6,10 @@ bands, one band per diagram arc.  A band is flipped once for every bar on
 its arc (mod 2).  Capping every boundary circle of the band surface with a
 disk yields the closed carrier surface; state curves drawn on the band
 surface are classified against that closed surface (null-homologous,
-separating, disk-bounding, Mobius-core).
+separating, disk-bounding, Mobius-core).  The caps, pieces, Euler
+characteristic and orientability of the closed surface are read off the
+ribbon graph by face tracing (`ClosedSurface`); see Mohar and Thomassen,
+*Graphs on Surfaces* (2001), ch. 3-4.
 
 Cutting along curves works on the handle decomposition (crossing disks,
 bands, caps) with plain int tables, in one cutter, `ClosedSurface._cut`:
@@ -27,7 +30,10 @@ and (oi, uo, oo, ui) at a negative one; the sign convention is the
 determinant of (over direction, under direction), so the closure of a
 positive braid generator has all-positive crossings.
 
-Edge ids in polygon complexes (first entry keeps sorting well defined):
+`ribbon_faces` and `cut_complex` present the band surface and its cut as
+polygon complexes (`cells.PolygonComplex`) for the tests' reference; no
+program path builds one.  Their edge ids (the first entry keeps sorting
+well defined):
     ("A", d)        boundary arc of a disk across dart d, oriented with the
                     counterclockwise disk walk
     ("C", disk, i)  disk boundary corner between consecutive darts
@@ -189,6 +195,13 @@ class EmbeddedCurve:
     flip_parity: int                      # 1 when the curve core is orientation reversing
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _classify_piece(euler: int, orientable: bool) -> PieceReport:
     if orientable:
         return PieceReport(euler, True, (2 - euler) // 2, 0)
@@ -206,63 +219,47 @@ class ClosedSurface:
     mask instead and rejects one that is not a cycle.  Instances are immutable
     after construction, except that `states` attaches its per-surface engine
     (splice tables and curve-class cache).
+
+    Everything is read off the ribbon graph with int tables.  A corner of a
+    disk is named by the dart it follows.  A band side joins two corners:
+    u ~ pred v and pred u ~ v on an unflipped band (u, v), u ~ v and
+    pred u ~ pred v on a flipped one.  The caps are the classes of corners
+    (a union-find), each with the mask of the bands it runs along once and
+    one of its corners.  The pieces are the trees of the spanning forest
+    that the homology basis grows, with chi = disks - bands + caps; a piece
+    is one-sided iff w1, the flip parity, is odd on one of its fundamental
+    cycles.  Pieces are ordered by their largest disk: that is the order
+    `info` has always printed, so its output does not change.
     """
 
     def __init__(self, rs: RibbonComplex):
         self.ribbon = rs
-        base = PolygonComplex(ribbon_faces(rs))
-        self.caps = base.boundary_circles()
-        # a cap is a disk glued along one boundary circle at vertices the band
-        # complex already identifies: it adds one face to that circle's piece
-        # and leaves the pieces and their orientability as they are
-        self.euler = base.euler + len(self.caps)
-        self.pieces = tuple(
-            _classify_piece(s["euler"] + s["boundary_circles"], orientable)
-            for s, orientable in zip(base.piece_stats(), base.orientable_pieces())
-        )
-        self.orientable = all(p.orientable for p in self.pieces)
-
-        n_disks = len(rs.rotations)
-        self.band_piece = tuple(
-            base.face_piece[n_disks + bi] for bi in range(len(rs.bands))
-        )
-        self.flip_mask = 0
-        for bi, (_, _, flip) in enumerate(rs.bands):
-            if flip:
-                self.flip_mask |= 1 << bi
-
-        self._cap_masks = tuple(self._cap_band_mask(c) for c in self.caps)
-        self._build_homology()
-
-        # int tables for the disk test: per-dart successor and predecessor in
-        # the disk's rotation, and per cap one of its corners, where a corner
-        # is named by the dart it follows (corner pos[d] of its disk);
-        # boundary circles alternate corners and band sides
-        self._succ = [0] * rs.total_darts
-        self._pred = [0] * rs.total_darts
+        self._succ = succ = [0] * rs.total_darts
+        self._pred = pred = [0] * rs.total_darts
         for rot in rs.rotations:
             for i, d in enumerate(rot):
-                self._succ[d] = rot[(i + 1) % len(rot)]
-                self._pred[self._succ[d]] = d
-        self._cap_corner = [
-            next(rs.rotations[e[1]][e[2]] for (e, _dir) in circle if e[0] == "C")
-            for circle in self.caps
-        ]
+                succ[d] = rot[(i + 1) % len(rot)]
+                pred[succ[d]] = d
+        # the caps: classes of corners joined by band sides, which start at
+        # corners u (side 0) and pred u (side 1)
+        self.flip_mask = 0
+        parent = list(range(rs.total_darts))
+        for bi, (u, v, flip) in enumerate(rs.bands):
+            self.flip_mask |= flip << bi
+            for (x, y) in ((u, v), (pred[u], pred[v])) if flip else ((u, pred[v]), (pred[u], v)):
+                parent[_find(parent, y)] = _find(parent, x)
+        masks = {d: 0 for d in range(rs.total_darts) if _find(parent, d) == d}
+        for bi, (u, _v, _f) in enumerate(rs.bands):
+            masks[_find(parent, u)] ^= 1 << bi
+            masks[_find(parent, pred[u])] ^= 1 << bi
+        self._cap_masks = tuple(masks.values())
+        self._cap_corner = list(masks)
+        self._build_homology()
 
     # -- homology --------------------------------------------------------
 
-    def _cap_band_mask(self, circle) -> int:
-        mask = 0
-        count: dict[int, int] = {}
-        for (e, _d) in circle:
-            if e[0] == "S":
-                count[e[1]] = count.get(e[1], 0) + 1
-        for bi, c in count.items():
-            if c % 2:
-                mask |= 1 << bi
-        return mask
-
     def _build_homology(self):
+        """Z/2 homology, pieces and orientability (see the class docstring)."""
         rs = self.ribbon
         n_disks = len(rs.rotations)
         # echelon over GF(2): pivot bit -> (vector, coordinates in basis)
@@ -283,37 +280,52 @@ class ClosedSurface:
             if vec:
                 rows[vec.bit_length() - 1] = (vec, 0)
 
-        # spanning forest of the core graph: disks as vertices, bands as edges
-        parent_edge = [-1] * n_disks
-        seen = [False] * n_disks
+        # spanning forest: roots ascending, depth first, bands in index order;
+        # the homology basis, and so every printed class, follows this order
+        tree_bands = set()
+        tree = [-1] * n_disks        # disk -> the root of its tree
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n_disks)]
         for bi, (u, v, _f) in enumerate(rs.bands):
             adj[rs.disk_of[u]].append((rs.disk_of[v], bi))
             adj[rs.disk_of[v]].append((rs.disk_of[u], bi))
         path_mask = [0] * n_disks   # band mask of tree path to component root
         for root in range(n_disks):
-            if seen[root]:
+            if tree[root] >= 0:
                 continue
-            seen[root] = True
+            tree[root] = root
             queue = [root]
             while queue:
                 x = queue.pop()
                 for y, bi in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        parent_edge[y] = bi
+                    if tree[y] < 0:
+                        tree[y] = root
+                        tree_bands.add(bi)
                         path_mask[y] = path_mask[x] ^ (1 << bi)
                         queue.append(y)
 
+        largest = {r: x for x, r in enumerate(tree)}
+        index = {r: i for i, r in enumerate(sorted(largest, key=largest.get))}
+        piece = [index[r] for r in tree]
+        self.band_piece = tuple(piece[rs.disk_of[u]] for (u, _v, _f) in rs.bands)
+        euler = [0] * len(index)
+        for p in piece:
+            euler[p] += 1
+        for p in self.band_piece:
+            euler[p] -= 1
+        for d in self._cap_corner:
+            euler[piece[rs.disk_of[d]]] += 1
+        one_sided = [False] * len(index)
+
         # a cycle's class is the XOR of the classes of the fundamental cycles
         # of its non-tree bands, recorded here as each one is reduced
-        tree = {parent_edge[x] for x in range(n_disks) if parent_edge[x] >= 0}
         basis: list[int] = []
         band_class = [0] * len(rs.bands)
         for bi, (u, v, _f) in enumerate(rs.bands):
-            if bi in tree:
+            if bi in tree_bands:
                 continue
             cyc = (1 << bi) ^ path_mask[rs.disk_of[u]] ^ path_mask[rs.disk_of[v]]
+            if (cyc & self.flip_mask).bit_count() & 1:
+                one_sided[self.band_piece[bi]] = True
             vec, coords = _reduce(cyc, 0)
             if vec:
                 new = 1 << len(basis)
@@ -323,18 +335,17 @@ class ClosedSurface:
             band_class[bi] = coords
         self._rows = rows
         self.band_class = tuple(band_class)
+        self.pieces = tuple(
+            _classify_piece(e, not o) for e, o in zip(euler, one_sided)
+        )
+        self.euler = sum(euler)
+        self.orientable = not any(one_sided)
         self.h1_dim = len(basis)
         expected = 2 * len(self.pieces) - self.euler
         if self.h1_dim != expected:
             raise AssertionError(
                 f"homology dimension {self.h1_dim}, expected {expected}"
             )
-        w1 = [self._w1(m) for m in basis]
-        if self.orientable != all(b == 0 for b in w1):
-            raise AssertionError("orientation character disagrees with 2-coloring")
-
-    def _w1(self, mask: int) -> int:
-        return bin(mask & self.flip_mask).count("1") % 2
 
     def homology_class(self, curve) -> tuple[int, ...]:
         """Z/2 homology coordinates of a band cycle in the chosen basis."""
@@ -452,17 +463,9 @@ class ClosedSurface:
                 lanes.append((frag[pred[u]], frag[v]))
 
         parent = list(range(n_frag))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
         for (f, g) in lanes:
-            f, g = find(f), find(g)
-            if f != g:
-                parent[g] = f
-        root = [find(x) for x in range(n_frag)]
+            parent[_find(parent, g)] = _find(parent, f)
+        root = [_find(parent, x) for x in range(n_frag)]
         euler = [0] * n_frag
         for r in root:
             euler[r] += 1
@@ -473,10 +476,9 @@ class ClosedSurface:
         return root, euler
 
     def _curve_piece(self, curve: EmbeddedCurve) -> int:
-        for bi in range(len(self.ribbon.bands)):
-            if (curve.band_mask >> bi) & 1:
-                return self.band_piece[bi]
-        raise ValueError("curve uses no bands")
+        if not curve.band_mask:
+            raise ValueError("curve uses no bands")
+        return self.band_piece[(curve.band_mask & -curve.band_mask).bit_length() - 1]
 
     # -- reports -------------------------------------------------------------
 
@@ -631,7 +633,9 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
             faces.append([(AL(u), 1), (s0, 1), (AL(v), -1), (col, -1)])
             faces.append([(AR(u), -1), (s1, 1), (AR(v), 1), (cor, -1)])
 
-    for cap in F.caps:
+    # the caps come from the reference's own boundary circles, so the cut
+    # shares nothing with the int tables it checks
+    for cap in PolygonComplex(ribbon_faces(rs)).boundary_circles():
         faces.append(list(cap))
 
     return CutComplex(PolygonComplex(faces), chord_faces)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .brackets import bracket_pair, double_bracket, normalized, specialize_bracket
+from .brackets import bracket_pair, normalized, specialize_bracket
 from .codes import TwistedGaussCode, Visit, make_code, parse_code, random_diagram
 from .moves import (
     MoveError,
@@ -156,39 +156,34 @@ def sweep_move_invariance(diagrams, seed: int = 0):
 
 
 def sweep_states(diagrams):
-    """Non-separation and pole-balance checks over every state of every diagram."""
+    """Non-separation and pole-balance checks over every state, the
+    specialization identity and each diagram's double bracket, all on one
+    surface per diagram: the bracket's sum reuses its cached curve classes."""
     states = 0
     t1_bad = []
     l2_bad = []
+    spec_bad = []
+    doubles = []
     for code in diagrams:
         F = cap_boundaries(build_ribbon(code))
         for s in enumerate_states(code, F):
             states += 1
             t1_bad += [(code, v) for v in check_nonseparation(F, s)]
             l2_bad += [(code, v) for v in check_pole_balance(F, s)]
-    return states, t1_bad, l2_bad
-
-
-def sweep_specialization(diagrams):
-    checked = 0
-    failures = []
-    for code in diagrams:
-        checked += 1
-        bracket, double = bracket_pair(code)
+        bracket, double = bracket_pair(F)
         if specialize_bracket(bracket) != double:
-            failures.append(code)
-    return checked, failures
+            spec_bad.append(code)
+        doubles.append(double)
+    return states, t1_bad, l2_bad, spec_bad, doubles
 
 
-def sweep_classical_oracle(diagrams):
-    checked = 0
+def sweep_classical_oracle(diagrams, doubles):
+    """Double brackets of classical diagrams against the planar oracle."""
     failures = []
-    for code in diagrams:
-        checked += 1
-        value = double_bracket(code)
+    for code, value in zip(diagrams, doubles):
         if value != classical_kauffman_oracle(code) or not value.pure_A():
             failures.append(code)
-    return checked, failures
+    return len(diagrams), failures
 
 
 def run_battery(seed: int, count: int):
@@ -200,11 +195,11 @@ def run_battery(seed: int, count: int):
     results = []
     checked, bad = sweep_move_invariance(twisted, seed)
     results.append(("move invariance of R", checked, bad))
-    states, t1_bad, l2_bad = sweep_states(twisted + classical)
+    diagrams = twisted + classical
+    states, t1_bad, l2_bad, spec_bad, doubles = sweep_states(diagrams)
     results.append(("essential curves never separate", states, t1_bad))
     results.append(("region pole balance", states, l2_bad))
-    checked, bad = sweep_specialization(twisted + classical)
-    results.append(("specialization identity", checked, bad))
-    checked, bad = sweep_classical_oracle(classical)
+    results.append(("specialization identity", len(diagrams), spec_bad))
+    checked, bad = sweep_classical_oracle(classical, doubles[len(twisted):])
     results.append(("classical bracket oracle", checked, bad))
     return results

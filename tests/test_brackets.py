@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from polebracket import brackets
+from polebracket import brackets, states
 from polebracket.brackets import (
     BracketValue,
     assemble_from_table,
@@ -22,6 +22,8 @@ from polebracket.brackets import (
 from polebracket.codes import parse_code
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.oracle import classical_kauffman_oracle
+from polebracket.states import classify_state, enumerate_states
+from polebracket.surfaces import build_ribbon, cap_boundaries
 from polebracket.verify import braid_closure, classical_fixtures
 
 A = MultiLaurent.A
@@ -153,11 +155,17 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
 
 
 def test_bracket_pair_matches_both_brackets():
+    # on a fresh surface, and on one whose curve-class cache the state
+    # checks of `check` have filled
     for text in ("EMPTY", "B", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
         code = parse_code(text)
-        bracket, double = bracket_pair(code)
-        assert bracket == surface_pole_bracket(code)
-        assert double == double_bracket(code)
+        expect = (surface_pole_bracket(code), double_bracket(code))
+        assert bracket_pair(cap_boundaries(build_ribbon(code))) == expect
+        F = cap_boundaries(build_ribbon(code))
+        for s in enumerate_states(code, F):
+            classify_state(F, s)
+        assert states._engine(F).cache
+        assert bracket_pair(F) == expect
 
 
 def test_assemble_from_table_worked_example():

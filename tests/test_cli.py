@@ -4,6 +4,7 @@ import json
 import pytest
 
 from polebracket.cli import main
+from polebracket.codes import serialize
 
 
 def run(capsys, *argv):
@@ -176,6 +177,61 @@ def test_states_output_bytes_are_pinned(capsys, text, flag, digest):
     rc, out, _ = run(capsys, "states", "-i", text, flag)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# three pieces (crosscaps 2, torus, RP^2) whose order by largest disk is not
+# their order by smallest disk; a twisted two-component code on one piece
+# with h1_rank 4; the 6-crossing code CI compares across worker counts
+_MIXED = "O1+ O4+ U1+ U4+;O2+ B U2+ O3+ U3+ B;B"
+_TWISTED = "U1- O3+ O4- O2- U4- B;B O1- U3+ U2-"
+_CI = "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"
+
+
+@pytest.mark.parametrize(
+    "text, argv, digest",
+    [
+        (_MIXED, ("bracket",), "cd75c2da1abd23fe36b8d05bcd7c1da7624549a3aa03721801fd401072eade4a"),
+        (_MIXED, ("bracket", "--json"), "83b8d65fd0b084957e113a66d3218ba9a3a96ae9c8d13b1ddd5774f04841c90a"),
+        (_MIXED, ("info", "--json"), "41254a1ccfe31adda92b461f50ab6a26ca44c83c81980030654b3b4b591e0d29"),
+        (_TWISTED, ("bracket",), "07341ab84ad3823756662776fde3f7bad00c1d56437ea8c7e17022b91b76502c"),
+        (_TWISTED, ("bracket", "--json"), "963f6e3dc451f4db8fe36036f5ab57b7870d89bd1b582597f916a2e3f19ed92a"),
+        (_TWISTED, ("info", "--json"), "40569b9ad3e7e28f4b1e0299d71343b9179d699c3236359e5bfc3736bcb30b97"),
+        (_CI, ("bracket",), "d478ea0c4a3810a40a5ca968d4baaee6f32f7b731e66083bf76c132c3f88e0d6"),
+        (_CI, ("bracket", "--json"), "1212d21d3be9c49069dc9f321d56623e441d8e111a860f442b15f6d274790caa"),
+        (_CI, ("info", "--json"), "6da9f027f6391ebf2d816a745ab0bf7fe5286e6b77cf7624fe0c45aaccb94e2e"),
+    ],
+)
+def test_bracket_and_info_bytes_are_pinned(capsys, text, argv, digest):
+    # SHA-256 as first recorded: `bracket` prints each class's homology
+    # coordinates, so this pins the basis as well as the piece order
+    rc, out, _ = run(capsys, *argv, "-i", text)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd", ["info", "invariant", "bracket", "states --json"])
+def test_fixtures_build_no_polygon_complex(capsys, monkeypatch, cmd):
+    # the capped surface, the disk test and the regions all run on int
+    # tables; `cells.PolygonComplex` is only the tests' reference
+    from polebracket import cells
+    from polebracket.verify import classical_fixtures, twisted_fixtures
+
+    texts = [serialize(code) for _n, code in classical_fixtures() + twisted_fixtures()]
+    before = [run(capsys, *cmd.split(), "-i", t) for t in texts]
+    monkeypatch.setattr(cells.PolygonComplex, "__init__", _no_polygon_complex)
+    assert [run(capsys, *cmd.split(), "-i", t) for t in texts] == before
+
+
+def test_check_builds_no_polygon_complex(capsys, monkeypatch):
+    from polebracket import cells
+
+    before = run(capsys, "check", "--seed", "1", "--count", "2")
+    monkeypatch.setattr(cells.PolygonComplex, "__init__", _no_polygon_complex)
+    assert run(capsys, "check", "--seed", "1", "--count", "2") == before
+
+
+def _no_polygon_complex(*_args):
+    raise AssertionError("program code built a polygon complex")
 
 
 @pytest.mark.parametrize(

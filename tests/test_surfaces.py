@@ -73,7 +73,7 @@ def test_euler_formula(c, b, seed):
     rs = build_ribbon(code)
     F = cap_boundaries(rs)
     chi_band = len(rs.rotations) - len(rs.bands)
-    assert F.euler == chi_band + len(F.caps)
+    assert F.euler == chi_band + len(F._cap_masks)
     assert F.euler % 2 == 0 or not F.orientable
 
 
@@ -92,12 +92,27 @@ def test_h1_rank_matches_classification(c, b, seed):
     assert F.h1_dim == expect
 
 
+def _cap_band_mask(circle) -> int:
+    # the bands a boundary circle runs along once: its band sides, mod 2
+    mask = 0
+    for (e, _d) in circle:
+        if e[0] == "S":
+            mask ^= 1 << e[1]
+    return mask
+
+
 def _assert_capped_complex_agrees(code):
-    # ClosedSurface derives the capped surface from the band surface; gluing
-    # the caps in as faces must give the same closed surface, piece by piece
+    # ClosedSurface reads caps, pieces and orientability off int tables; the
+    # reference traces the boundary circles of the polygon band surface and
+    # glues them in as faces, which must give the same caps and the same
+    # closed surface, piece by piece.  Its 2-colouring of faces is the check
+    # of the program's orientability, which reads w1 on fundamental cycles.
     rs = build_ribbon(code)
     F = cap_boundaries(rs)
-    capped = PolygonComplex(ribbon_faces(rs) + [list(c) for c in F.caps])
+    circles = PolygonComplex(ribbon_faces(rs)).boundary_circles()
+    assert len(circles) == len(F._cap_masks) == len(F._cap_corner)
+    assert sorted(_cap_band_mask(c) for c in circles) == sorted(F._cap_masks)
+    capped = PolygonComplex(ribbon_faces(rs) + [list(c) for c in circles])
     assert capped.boundary_circles() == ()
     assert capped.euler == F.euler
     pieces = [
