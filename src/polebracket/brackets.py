@@ -10,18 +10,24 @@ contributing a delta factor.  The normalized invariant multiplies by
 
 Both brackets read one state-sum table, keyed by (signature, natural,
 inessential count); the double bracket collapses its keys instead of
-running a second sum.  State evaluation partitions the splice bitmask range
-across processes when asked; counts merge by exact integer addition, so
-worker count never changes a single output bit.
+running a second sum.  Both are assembled on int tables: delta^n is
+expanded once into rows of binomial coefficients, each key adds count
+times its row into an {exponent: int} table per class (for the double
+bracket, one {(a, m, d_exps): int} table, each signature's (M, d) part
+computed once), and a MultiLaurent is built once per table.  State
+evaluation partitions the splice bitmask range across processes when
+asked; counts merge by exact integer addition, so worker count never
+changes a single output bit.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from math import comb
 
 from .codes import TwistedGaussCode, parse_code, serialize, writhe
-from .laurent import MultiLaurent, delta, minus_A_pow
+from .laurent import MultiLaurent, minus_A_pow
 from .states import sum_counts
 from .surfaces import ClosedSurface, build_ribbon, cap_boundaries
 
@@ -110,42 +116,67 @@ def _counts(code: TwistedGaussCode, workers: int = 1) -> dict:
     return counts
 
 
-def _delta_powers(n: int) -> list[MultiLaurent]:
-    powers = [MultiLaurent.one()]
-    for _ in range(n):
-        powers.append(powers[-1] * delta())
-    return powers
+def _delta_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """rows[k] is delta^k = (-1)^k Sum_j C(k, j) A^(2k - 4j), as (exponent,
+    coefficient) pairs, for k = 0 .. n."""
+    return [
+        tuple((2 * k - 4 * j, -comb(k, j) if k & 1 else comb(k, j)) for j in range(k + 1))
+        for k in range(n + 1)
+    ]
+
+
+def _a_sums(terms, top: int) -> dict:
+    """Per label, Sum count * A^nat * delta^iness over the (label, nat, iness,
+    count) terms, each iness <= top: one {exponent: int} table per label,
+    then one MultiLaurent per label."""
+    rows = _delta_rows(top)
+    tables: dict = {}
+    for label, nat, iness, count in terms:
+        table = tables.get(label)
+        if table is None:
+            table = tables[label] = {}
+        for e, c in rows[iness]:
+            a = nat + e
+            table[a] = table.get(a, 0) + c * count
+    return {
+        label: MultiLaurent({(a, 0, ()): c for a, c in table.items()})
+        for label, table in tables.items()
+    }
+
+
+def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The (M, d) part a class collapses to: M per one-sided curve, d_index
+    per curve with index >= 1 (d_0 = 1), as (M exponent, d exponents)."""
+    mob = 0
+    d: dict = {}
+    for idx, m, _s, _h in sig:
+        if m:
+            mob += 1
+        if idx >= 1:
+            d[idx] = d.get(idx, 0) + 1
+    return mob, tuple(sorted(d.items()))
 
 
 def _double_from_counts(counts: dict) -> MultiLaurent:
-    # collapse each class to (one-sided count, indices >= 1); the signature
-    # is sorted by index, so the indices come out sorted
-    dcounts: dict = {}
-    for (sig, nat, iness), count in counts.items():
-        mob = sum(1 for curve in sig if curve[1])
-        key = (nat, iness, mob, tuple(curve[0] for curve in sig if curve[0] >= 1))
-        dcounts[key] = dcounts.get(key, 0) + count
-    if not dcounts:
+    if not counts:
         return MultiLaurent.one()
-    dpow = _delta_powers(max(k[1] for k in dcounts))
-    total = MultiLaurent.zero()
-    for (nat, iness, nonori, idxs), count in sorted(dcounts.items()):
-        term = MultiLaurent.A(nat) * count * dpow[iness]
-        if nonori:
-            term = term * MultiLaurent.M(nonori)
-        for i in idxs:
-            term = term * MultiLaurent.d(i)
-        total = total + term
-    return total
+    rows = _delta_rows(max(k[2] for k in counts))
+    parts: dict = {}
+    table: dict = {}
+    for (sig, nat, iness), count in counts.items():
+        part = parts.get(sig)
+        if part is None:
+            part = parts[sig] = _collapse(sig)
+        m, d = part
+        for e, c in rows[iness]:
+            mono = (nat + e, m, d)
+            table[mono] = table.get(mono, 0) + c * count
+    return MultiLaurent(table)
 
 
 def _bracket_from_counts(counts: dict) -> BracketValue:
-    dpow = _delta_powers(max((k[2] for k in counts), default=0))
-    classes: dict = {}
-    for (sig, nat, iness), count in sorted(counts.items()):
-        coeff = MultiLaurent.A(nat) * count * dpow[iness]
-        classes[sig] = classes.get(sig, MultiLaurent.zero()) + coeff
-    return BracketValue(classes)
+    terms = ((sig, nat, iness, count) for (sig, nat, iness), count in counts.items())
+    return BracketValue(_a_sums(terms, max((k[2] for k in counts), default=0)))
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
@@ -165,28 +196,27 @@ def bracket_pair(F: ClosedSurface) -> tuple[BracketValue, MultiLaurent]:
 def specialize_bracket(b: BracketValue) -> MultiLaurent:
     """Collapse bracket classes to the double-bracket variables: each curve
     of a signature becomes d_index (d_0 = 1), one-sided curves contribute M."""
-    total = MultiLaurent.zero()
-    for sig, coeff in b.items():
-        factor = MultiLaurent.one()
-        mob = sum(1 for (_i, m, _s, _h) in sig if m)
-        if mob:
-            factor = factor * MultiLaurent.M(mob)
-        for (idx, _m, _s, _h) in sig:
-            if idx >= 1:
-                factor = factor * MultiLaurent.d(idx)
-        total = total + coeff * factor
-    return total
+    table: dict = {}
+    for sig, coeff in b.classes.items():
+        m, d = _collapse(sig)
+        for (a, _m, _d), c in coeff.terms.items():
+            mono = (a, m, d)
+            table[mono] = table.get(mono, 0) + c
+    return MultiLaurent(table)
+
+
+def writhe_normalize(code: TwistedGaussCode, double: MultiLaurent) -> MultiLaurent:
+    """R = (-A)^(-3 writhe) times `double`, the code's double bracket."""
+    return minus_A_pow(-3 * writhe(code)) * double
 
 
 def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
-    return minus_A_pow(-3 * writhe(code)) * double_bracket(code, workers)
+    return writhe_normalize(code, double_bracket(code, workers))
 
 
 def assemble_from_table(rows) -> dict:
     """Pure assembly Sum A^natural * delta^iness per class label from rows
     (natural, iness_count, label); reproduces printed state tables."""
-    out: dict = {}
-    for (nat, iness, label) in rows:
-        term = MultiLaurent.A(nat) * _delta_powers(iness)[iness]
-        out[label] = out.get(label, MultiLaurent.zero()) + term
-    return out
+    rows = list(rows)
+    terms = ((label, nat, iness, 1) for nat, iness, label in rows)
+    return _a_sums(terms, max((r[1] for r in rows), default=0))

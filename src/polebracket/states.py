@@ -32,6 +32,14 @@ when a join or a closing chord makes it adjacent.  A miss also checks
 that the curve has as many chords as bands.  `splice_curves` walks each
 curve of one state with `_Engine.walk`, which makes the same alternation
 check.
+
+The sum counts with ints until its end.  Each class of essential curve
+has a small int id, and the essential curves closed so far are one node
+of a trie of such ids: closing a curve moves to a child node by one dict
+lookup.  A state is counted under one int that packs its node, its
+inessential-curve count and its B-splice count.  `sum_counts` then turns
+each node into its sorted signature once, and merges the nodes that hold
+one multiset of curves, reached in different orders, by exact addition.
 """
 
 from __future__ import annotations
@@ -71,6 +79,28 @@ class CurveClassification:
     hom_class: tuple[int, ...]
 
 
+_ID_BITS = 20
+_ID_LIMIT = 1 << _ID_BITS
+
+
+class _Trie(dict):
+    """Signature prefixes as int nodes.  Node 0 is the empty prefix, and
+    self[node << _ID_BITS | sid] is the node that adds the essential curve
+    with shared-pair id sid to it; looking up a missing child makes one.
+    `up[n]` is the key that made node n, so it holds n's parent and id."""
+
+    __slots__ = ("up",)
+
+    def __init__(self):
+        super().__init__()
+        self.up = [0]
+
+    def __missing__(self, key: int) -> int:
+        n = self[key] = len(self.up)
+        self.up.append(key)
+        return n
+
+
 class _Engine:
     """Splice tables for one surface, and its curve-class cache.
 
@@ -91,8 +121,11 @@ class _Engine:
     chord bit, next dart, band flip, band bit).
 
     The cache is keyed by the curve key.  Each value is a shared pair
-    (classification, signature entry), the entry being None for a curve
-    that bounds a disk.
+    (classification, id): the id is 0 for a curve that bounds a disk, and
+    otherwise indexes `entries`, the curve's signature entry (index,
+    mobius, separating, hom_class).  `block` carries the essential curves
+    closed so far as a node of `trie` and counts states under int leaf
+    keys; `decode` turns those into the signature-keyed table.
     """
 
     def __init__(self, F: ClosedSurface):
@@ -160,6 +193,14 @@ class _Engine:
         self.step = tuple(step)
         self.cache: dict = {}
         self._shared: dict = {}
+        # signature entry per shared-pair id; id 0 is a curve that bounds a disk
+        self.entries: list = [None]
+        # a leaf key packs (trie node, inessential count, B-splice count):
+        # node << node_shift | iness << pc_bits | B-splices.  A state has at
+        # most one curve per band and one B-splice per crossing
+        self.pc_bits = rs.n_crossings.bit_length()
+        self.node_shift = self.pc_bits + len(rs.bands).bit_length()
+        self.trie = _Trie()
 
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
@@ -230,7 +271,13 @@ class _Engine:
         if shared is None:
             cl = CurveClassification(
                 iness, sep, mob, idx, tuple((hom >> i) & 1 for i in range(F.h1_dim)))
-            shared = (cl, None if iness else (idx, mob, sep, cl.hom_class))
+            sid = 0
+            if not iness:
+                sid = len(self.entries)
+                if sid >= _ID_LIMIT:
+                    raise AssertionError("too many curve classes for a trie key")
+                self.entries.append((idx, mob, sep, cl.hom_class))
+            shared = (cl, sid)
             self._shared[(iness, mob, idx, hom)] = shared
         self.cache[key] = shared
         return shared
@@ -287,16 +334,24 @@ class _Engine:
         so undoing the join restores end, pm and kn from them and from the
         kinds read at the join, and vs from the two values it saved.  At
         its end the block checks that the undos restored the paths the
-        fixed bits left."""
+        fixed bits left.
+
+        The essential curves closed so far are a node of `trie`, and
+        closing one moves to the child for its id; a curve that bounds a
+        disk (id 0) adds one to the inessential count instead.  Each state
+        adds 1 to `counts` under its leaf key, node << node_shift |
+        iness << pc_bits | B-splices, as soon as its last bit is decided;
+        `decode` reads these keys back."""
         c = self.F.ribbon.n_crossings
-        cache, classify = self.cache, self.classify
+        cache, classify, trie = self.cache, self.classify, self.trie
         closed_index, join_arcs = polewords.closed_index, polewords.join_arcs
         items, loops = self._items()
         end = self.band_other[:]
         pm = self.band_key[:]
         vs = self.band_arc[:]
         kn = [0] * len(end)
-        sig: list = []
+        sh = self.node_shift
+        one = 1 << self.pc_bits
 
         # kinds are 1 and 2, so ka & kb is nonzero just when the poles at
         # two ends are of one kind, and (ka | kb) & kc when either is kc's
@@ -323,38 +378,36 @@ class _Engine:
             if not kb:
                 kn[f] = kc or ka
 
-        iness = 0
+        node = 0
+        t = bin(base).count("1")
         fixed = list(loops)
         for i in range(c - 1, k - 1, -1):
             sp = items[(base >> i) & 1][i]
             fixed += (sp[:5], sp[5:])
         for a, b, cb, v, kc in fixed:
             if end[a] == b:
-                hit = entry(a, b, pm[a] | cb, v, kc)
-                if hit is None:
-                    iness += 1
+                sid = entry(a, b, pm[a] | cb, v, kc)
+                if sid:
+                    node = trie[node << _ID_BITS | sid]
                 else:
-                    sig.append(hit)
+                    t += one
             else:
                 join(a, b, cb, v, kc)
 
         # `join` inlined twice, `polewords.join_arcs` and `reverse_arc` with it
-        def descend(i: int, mask: int, nat: int, iness: int) -> None:
+        def descend(i: int, node: int, t: int) -> None:
             i -= 1
             for bit in (0, 1):
-                if bit:
-                    mask |= 1 << i
-                    nat -= 2
                 a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 = items[bit][i]
-                top = len(sig)
-                inc = iness
+                nd = node
+                u = t + bit
                 e1 = end[a1]
                 if e1 == b1:
-                    hit = entry(a1, b1, pm[a1] | cb1, v1, k1)
-                    if hit is None:
-                        inc += 1
+                    sid = entry(a1, b1, pm[a1] | cb1, v1, k1)
+                    if sid:
+                        nd = trie[nd << _ID_BITS | sid]
                     else:
-                        sig.append(hit)
+                        u += one
                 else:
                     f1 = end[b1]
                     ka1 = kn[a1]
@@ -377,11 +430,11 @@ class _Engine:
                         kn[f1] = k1 or ka1
                 e2 = end[a2]
                 if e2 == b2:
-                    hit = entry(a2, b2, pm[a2] | cb2, v2, k2)
-                    if hit is None:
-                        inc += 1
+                    sid = entry(a2, b2, pm[a2] | cb2, v2, k2)
+                    if sid:
+                        nd = trie[nd << _ID_BITS | sid]
                     else:
-                        sig.append(hit)
+                        u += one
                 else:
                     f2 = end[b2]
                     ka2 = kn[a2]
@@ -403,9 +456,9 @@ class _Engine:
                     if not kb2:
                         kn[f2] = k2 or ka2
                 if i:
-                    descend(i, mask, nat, inc)
+                    descend(i, nd, u)
                 else:
-                    key = (tuple(sorted(sig)), nat, inc)
+                    key = nd << sh | u
                     counts[key] = counts.get(key, 0) + 1
                 if e2 != b2:
                     end[e2] = a2
@@ -429,17 +482,42 @@ class _Engine:
                         kn[e1] = 0
                     if not kb1:
                         kn[f1] = 0
-                del sig[top:]
 
-        nat = c - 2 * bin(base).count("1")
         if k:
             paths = (end[:], pm[:], vs[:], kn[:])
-            descend(k, base, nat, iness)
+            descend(k, node, t)
             if (end, pm, vs, kn) != paths:
                 raise AssertionError("undo left the open paths changed")
         else:
-            key = (tuple(sorted(sig)), nat, iness)
+            key = node << sh | t
             counts[key] = counts.get(key, 0) + 1
+
+    def decode(self, raw: dict) -> dict:
+        """The signature-keyed table of `block`'s leaf-key counts, and a
+        fresh trie in place of the one they refer to.  Each node is decoded
+        and sorted once; nodes reached in different orders that hold one
+        multiset of curves merge here, by exact addition."""
+        up, entries = self.trie.up, self.entries
+        self.trie = _Trie()
+        c, sh, pb = self.F.ribbon.n_crossings, self.node_shift, self.pc_bits
+        low, pc_mask, id_mask = (1 << sh) - 1, (1 << pb) - 1, (1 << _ID_BITS) - 1
+        sigs = {0: ()}
+        counts: dict = {}
+        for key, count in raw.items():
+            node = key >> sh
+            sig = sigs.get(node)
+            if sig is None:
+                curves = []
+                n = node
+                while n:
+                    n = up[n]
+                    curves.append(entries[n & id_mask])
+                    n >>= _ID_BITS
+                sig = sigs[node] = tuple(sorted(curves))
+            t = key & low
+            full = (sig, c - 2 * (t & pc_mask), t >> pb)
+            counts[full] = counts.get(full, 0) + count
+        return counts
 
 
 def _engine(F: ClosedSurface) -> _Engine:
@@ -543,16 +621,18 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
     bits; `_Engine.block` sums each one depth first over its k low bits, so
-    the work of a splice prefix is shared by every state below it."""
+    the work of a splice prefix is shared by every state below it.  The
+    blocks count under int leaf keys, which `_Engine.decode` turns into
+    this table once, at the end."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
     if lo < 0 or hi > 1 << c:
         raise ValueError("splice choice out of range")
-    counts: dict = {}
+    raw: dict = {}
     while lo < hi:
         k = (lo & -lo).bit_length() - 1 if lo else c
         while lo + (1 << k) > hi:
             k -= 1
-        eng.block(lo, k, counts)
+        eng.block(lo, k, raw)
         lo += 1 << k
-    return counts
+    return eng.decode(raw)

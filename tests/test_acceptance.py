@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from polebracket import verify
 from polebracket.brackets import (
     assemble_from_table,
     double_bracket,
@@ -87,6 +88,18 @@ def test_criterion_2_move_invariance(twisted_corpus):
         ok,
         f" ({len(twisted_corpus)} diagrams, {checked} applications, {len(failures)} failures, {elapsed:.0f}s)",
     )
+
+
+def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
+    # `check` passes the state sweep's double brackets to the move sweep:
+    # the result is the same, and only the moved diagrams are summed
+    corpus = corpus_twisted(SEED, 12)
+    expect = sweep_move_invariance(corpus, SEED)
+    doubles = [double_bracket(code) for code in corpus]
+    summed = []
+    monkeypatch.setattr(verify, "normalized", lambda code: summed.append(code) or normalized(code))
+    assert sweep_move_invariance(corpus, SEED, doubles=doubles) == expect
+    assert len(summed) == expect[0] > 0
 
 
 def test_criterion_3_classical_specialization(classical_corpus):

@@ -2,12 +2,16 @@
 
 The classical fixtures are checked against a separate planar Kauffman
 bracket implementation (the oracle) rather than against values computed by
-the code under test.
+the code under test.  The int-table assembly of both brackets, of
+`specialize_bracket` and of `assemble_from_table` is checked against the
+plain `MultiLaurent` assembly below, one product and sum per count-table
+key, on random count tables.
 """
 
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polebracket import brackets, states
 from polebracket.brackets import (
@@ -197,3 +201,111 @@ def test_bracket_value_equality_and_text():
 def test_oracle_rejects_nonplanar():
     with pytest.raises(ValueError):
         classical_kauffman_oracle(parse_code("O1+ O2+ U1+ U2+"))
+
+
+# ---------------------------------------------------------------------------
+# the slow reference assembly: one MultiLaurent product and sum per key
+
+
+def _ref_delta_powers(n):
+    powers = [MultiLaurent.one()]
+    for _ in range(n):
+        powers.append(powers[-1] * delta())
+    return powers
+
+
+def ref_double_from_counts(counts):
+    # collapse each class to (one-sided count, indices >= 1); the signature
+    # is sorted by index, so the indices come out sorted
+    dcounts = {}
+    for (sig, nat, iness), count in counts.items():
+        mob = sum(1 for curve in sig if curve[1])
+        key = (nat, iness, mob, tuple(curve[0] for curve in sig if curve[0] >= 1))
+        dcounts[key] = dcounts.get(key, 0) + count
+    if not dcounts:
+        return MultiLaurent.one()
+    dpow = _ref_delta_powers(max(k[1] for k in dcounts))
+    total = MultiLaurent.zero()
+    for (nat, iness, nonori, idxs), count in sorted(dcounts.items()):
+        term = MultiLaurent.A(nat) * count * dpow[iness]
+        if nonori:
+            term = term * MultiLaurent.M(nonori)
+        for i in idxs:
+            term = term * MultiLaurent.d(i)
+        total = total + term
+    return total
+
+
+def ref_bracket_from_counts(counts):
+    dpow = _ref_delta_powers(max((k[2] for k in counts), default=0))
+    classes = {}
+    for (sig, nat, iness), count in sorted(counts.items()):
+        coeff = MultiLaurent.A(nat) * count * dpow[iness]
+        classes[sig] = classes.get(sig, MultiLaurent.zero()) + coeff
+    return BracketValue(classes)
+
+
+def ref_specialize_bracket(b):
+    total = MultiLaurent.zero()
+    for sig, coeff in b.items():
+        factor = MultiLaurent.one()
+        mob = sum(1 for (_i, m, _s, _h) in sig if m)
+        if mob:
+            factor = factor * MultiLaurent.M(mob)
+        for (idx, _m, _s, _h) in sig:
+            if idx >= 1:
+                factor = factor * MultiLaurent.d(idx)
+        total = total + coeff * factor
+    return total
+
+
+def ref_assemble_from_table(rows):
+    out = {}
+    for (nat, iness, label) in rows:
+        term = MultiLaurent.A(nat) * _ref_delta_powers(iness)[iness]
+        out[label] = out.get(label, MultiLaurent.zero()) + term
+    return out
+
+
+_curve = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.integers(min_value=0, max_value=1), max_size=3).map(tuple),
+)
+_signature = st.lists(_curve, max_size=4).map(lambda curves: tuple(sorted(curves)))
+# negative naturals, up to ten inessential curves, counts up to 2^40; a few
+# signatures, naturals and counts, so that keys share classes and terms cancel
+count_tables = st.dictionaries(
+    st.tuples(
+        st.sampled_from([(), ((1, False, False, (1,)),)]) | _signature,
+        st.integers(min_value=-12, max_value=12),
+        st.integers(min_value=0, max_value=10),
+    ),
+    st.integers(min_value=1, max_value=1 << 40),
+    max_size=30,
+)
+
+
+@given(count_tables)
+@settings(max_examples=200, deadline=None)
+def test_int_table_assembly_matches_reference(counts):
+    bracket = brackets._bracket_from_counts(counts)
+    assert bracket == ref_bracket_from_counts(counts)
+    assert bracket.to_text() == ref_bracket_from_counts(counts).to_text()
+    double = brackets._double_from_counts(counts)
+    assert double == ref_double_from_counts(counts)
+    assert double.to_text() == ref_double_from_counts(counts).to_text()
+    assert specialize_bracket(bracket) == ref_specialize_bracket(bracket)
+    if counts:
+        # an empty table (no state) has double bracket 1 and bracket 0
+        assert specialize_bracket(bracket) == double
+    rows = [(nat, iness, sig) for (sig, nat, iness) in counts]
+    assert assemble_from_table(rows) == ref_assemble_from_table(rows)
+
+
+def test_int_table_assembly_of_the_empty_table():
+    assert brackets._bracket_from_counts({}) == ref_bracket_from_counts({}) == BracketValue({})
+    assert brackets._double_from_counts({}) == ref_double_from_counts({}) == MultiLaurent.one()
+    assert specialize_bracket(BracketValue({})) == ref_specialize_bracket(BracketValue({})) == 0
+    assert assemble_from_table([]) == ref_assemble_from_table([]) == {}

@@ -86,7 +86,7 @@ def test_state_guard_refuses_large(capsys):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "2^25 states, about 5 min" in err and "us per state" in err
+    assert "2^25 states, about 4 min" in err and "us per state" in err
     # info has no state sum and must not refuse
     code, _, _ = run(capsys, "info", "-i", toks_o + " " + toks_u)
     assert code == 0

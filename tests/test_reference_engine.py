@@ -13,7 +13,9 @@ count table in between.
 The fast engine must agree with it on both brackets (for 1 and 2 workers),
 state by state on every curve record, derived pole list and class, and on
 the count table of any mask range: `sum_counts` over a range cut in three,
-or over a single mask, gives the reference's counts.
+or over a single mask, gives the reference's counts.  The trie of signature prefixes that `sum_counts`
+counts under is decoded against the reference too, on a code where two
+splice orders close one multiset of curves through different trie nodes.
 `ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
 instead of building a polygon complex, are also compared with the cut
 directly: the disk test curve by curve, the regions family by family, and
@@ -619,3 +621,50 @@ def test_count_check_sees_a_lost_band():
 @settings(max_examples=30, deadline=None)
 def test_kind_check_raises_random(c, b, seed):
     kind_check_raisers(random_diagram(seed, c, b))
+
+
+def _trie_curves(eng, node):
+    """The signature entries on the trie path to `node`, in closing order."""
+    out = []
+    while node:
+        key = eng.trie.up[node]
+        out.append(eng.entries[key & ((1 << states._ID_BITS) - 1)])
+        node = key >> states._ID_BITS
+    return out[::-1]
+
+
+def test_decode_merges_one_multiset_reached_in_two_orders():
+    # two one-sided curves of different classes close in either order,
+    # depending on the splices, so two trie nodes hold one multiset; the
+    # decoded table merges their counts and equals the reference's
+    code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
+    F = cap_boundaries(build_ribbon(code))
+    eng = states._Engine(F)
+    c = F.ribbon.n_crossings
+    raw = {}
+    eng.block(0, c, raw)
+    orders = {}
+    for key in raw:
+        curves = tuple(_trie_curves(eng, key >> eng.node_shift))
+        orders.setdefault(tuple(sorted(curves)), set()).add(curves)
+    assert any(len(seen) > 1 for seen in orders.values())
+    expect = Counter()
+    for key, count in raw.items():
+        sig = tuple(sorted(_trie_curves(eng, key >> eng.node_shift)))
+        t = key & ((1 << eng.node_shift) - 1)
+        expect[(sig, c - 2 * (t & ((1 << eng.pc_bits) - 1)), t >> eng.pc_bits)] += count
+    decoded = eng.decode(raw)
+    assert decoded == expect == Counter(ref_state_keys(code))
+    assert len(decoded) < len(raw)
+    # the trie is released, and a second sum on the same engine agrees
+    assert eng.trie.up == [0] and not eng.trie
+    F._state_engine = eng
+    assert states.sum_counts(F, 0, 1 << c) == decoded
+
+
+def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
+    # a trie key holds an id in its low _ID_BITS bits
+    code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
+    monkeypatch.setattr(states, "_ID_LIMIT", 2)
+    with pytest.raises(AssertionError, match="too many curve classes"):
+        states.sum_counts(cap_boundaries(build_ribbon(code)), 0, 1 << 5)
