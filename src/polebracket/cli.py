@@ -103,14 +103,14 @@ def _read_code(args, err):
 def _guard(code, args, err):
     c = len(code.crossing_ids)
     if c > args.max_crossings:
-        # one process, normalized(random_diagram(1, c, 2)): 5-7 us per
+        # one process, normalized(random_diagram(1, c, 2)): 5-8 us per
         # state at c = 16 to 20 (Python 3.11, 2 vCPUs)
-        minutes = (1 << c) * 7e-6 / 60
+        minutes = (1 << c) * 8e-6 / 60
         err(
             EXIT_USAGE,
             f"{c} crossings means 2^{c} states, about {minutes:.0f} min in one process"
-            " at the measured 5-7 us per state (c = 16 to 20); peak memory was 26 MB"
-            " at c = 16, 40 MB at c = 18 and 73 MB at c = 20; raise --max-crossings"
+            " at the measured 5-8 us per state (c = 16 to 20); peak memory was 22 MB"
+            " at c = 16, 27 MB at c = 18 and 31 MB at c = 20; raise --max-crossings"
             " to force this",
         )
 

@@ -9,10 +9,15 @@ classified against the capped surface: bounds-disk, separating, one-sided,
 and the reduction index of the word.
 
 A curve is its chord set, band mask, flip parity and pole word; its poles
-are read back off the chords (`curve_poles`).  Classification depends only
-on the chord set, which lets a per-surface cache absorb the cost across all
-2^c states, and `sum_counts` folds each state into one count table keyed by
-what the surface pole bracket needs; the double bracket is collapsed from
+are read back off the chords (`curve_poles`).  Of its four classes only
+the disk test needs the curve's geometry.  One-sidedness (the flip parity,
+w1) and the Z/2 homology class are XORs over its bands, and the index
+comes from its word.  A curve that is one-sided or has a nonzero class
+bounds no disk, so its classification is a function of (index, class,
+parity), looked up in one small per-surface class table.  Only a
+two-sided curve of class 0 is keyed by its chord set, in a cache of disk
+tests; `sum_counts` folds each state into one count table keyed by what
+the surface pole bracket needs, and the double bracket is collapsed from
 that same table.
 
 Every chord a splice can draw has one bit, so a chord set is an int.
@@ -21,17 +26,16 @@ It grows the curves of all states at once, depth first over the splice
 bits: the bands start as open paths, each decided crossing adds its two
 chords, a chord that joins the two ends of one path closes a curve, and
 any other chord joins two paths and is undone on the way back.  A curve
-closed at a node is looked up in the cache by its key (chord and band
-bits) once, for every state below that node.  Each open path carries at
-its ends all a miss needs: its chord and band bits, which give the flip
-parity and the homology class (the XOR of the surface's per-band
-classes); the `polewords.arc` value of its word, read from either end,
-which gives the index by the composition law of arcs; and the kind of the
-pole nearest each end, so that each pole pair is checked to alternate
-when a join or a closing chord makes it adjacent.  A miss also checks
-that the curve has as many chords as bands.  `splice_curves` walks each
-curve of one state with `_Engine.walk`, which makes the same alternation
-check.
+closed at a node is classified once, for every state below that node.
+Each open path carries at its ends all a closing needs: its homology
+class and flip parity, the XOR of per-band tables; its chord and band
+bits, the curve's key; the `polewords.arc` value of its word, read from
+either end, which gives the index by the composition law of arcs; and the
+kind of the pole nearest each end, so that each pole pair is checked to
+alternate when a join or a closing chord makes it adjacent.  Every
+closing also checks that the curve has as many chords as bands.
+`splice_curves` walks each curve of one state with `_Engine.walk`, which
+makes the same alternation check.
 
 The sum counts with ints until its end.  Each class of essential curve
 has a small int id, and the essential curves closed so far are one node
@@ -101,8 +105,42 @@ class _Trie(dict):
         return n
 
 
+class _Classes(dict):
+    """Curve classes by int key, each a shared pair (classification, id)
+    made on first use.  A curve that bounds no disk has the key
+    idx << (h1_dim + 1) | hom << 1 | flip, of its index, homology class and
+    flip parity, and one that bounds a disk the key ~idx.  The id is 0 for
+    a curve that bounds a disk; otherwise it indexes `entries`, the curve's
+    signature entry (index, mobius, separating, hom_class)."""
+
+    __slots__ = ("h1_dim", "entries")
+
+    def __init__(self, h1_dim: int):
+        super().__init__()
+        self.h1_dim = h1_dim
+        self.entries: list = [None]
+
+    def __missing__(self, key: int):
+        h1 = self.h1_dim
+        if key < 0:
+            cl = CurveClassification(True, True, False, ~key, (0,) * h1)
+            sid = 0
+        else:
+            hom = key >> 1 & ((1 << h1) - 1)
+            cl = CurveClassification(
+                False, hom == 0, bool(key & 1), key >> (h1 + 1),
+                tuple((hom >> i) & 1 for i in range(h1)))
+            sid = len(self.entries)
+            if sid >= _ID_LIMIT:
+                raise AssertionError("too many curve classes for a trie key")
+            self.entries.append((cl.index, cl.mobius, cl.separating, cl.hom_class))
+        pair = self[key] = (cl, sid)
+        return pair
+
+
 class _Engine:
-    """Splice tables for one surface, and its curve-class cache.
+    """Splice tables for one surface, its curve classes and its cache of
+    disk tests.
 
     Every chord a splice can draw has one bit: four per crossing disk (two
     per splice bit) and one per bare loop, numbered in sorted (a, b) order,
@@ -120,12 +158,15 @@ class _Engine:
     walker, `step` holds the rest of a step past the chord: (far dart,
     chord bit, next dart, band flip, band bit).
 
-    The cache is keyed by the curve key.  Each value is a shared pair
-    (classification, id): the id is 0 for a curve that bounds a disk, and
-    otherwise indexes `entries`, the curve's signature entry (index,
-    mobius, separating, hom_class).  `block` carries the essential curves
-    closed so far as a node of `trie` and counts states under int leaf
-    keys; `decode` turns those into the signature-keyed table.
+    `band_hc[d]` is the class and flip of the band at d, as
+    band_class << 1 | flip, and `hc_bytes` XORs them over a band mask a
+    byte at a time.  `classes` maps a class key to its shared pair
+    (classification, id) (see `_Classes`).  `cache` maps a curve key to
+    the pair of its class; `block` keys only the two-sided class-0 curves
+    that reach the disk test, the walker path (`lookup`) every curve.
+    `block` carries the essential curves closed so far as a node of `trie`
+    and counts states under int leaf keys; `decode` turns those into the
+    signature-keyed table.
     """
 
     def __init__(self, F: ClosedSurface):
@@ -166,14 +207,17 @@ class _Engine:
         # mark when the band is flipped)
         self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
         self.band_arc = [polewords.arc((MARK,) if flip else ()) for (_o, flip, _b) in rs.band_at]
-        # the homology class of a band mask, as in `ClosedSurface._cycle_class`,
-        # is the XOR over its bytes of class_bytes[j][byte j]
-        self.class_bytes = []
-        for j in range(0, len(rs.bands), 8):
+        # class << 1 | flip per band; the homology class of a band mask, as in
+        # `ClosedSurface._cycle_class`, and its flip parity are the XOR over
+        # its bytes of hc_bytes[j][byte j]
+        hcb = [h << 1 | flip for h, (_u, _v, flip) in zip(F.band_class, rs.bands)]
+        self.band_hc = [hcb[bi] for (_o, _f, bi) in rs.band_at]
+        self.hc_bytes = []
+        for j in range(0, len(hcb), 8):
             table = [0]
-            for h in F.band_class[j:j + 8]:
+            for h in hcb[j:j + 8]:
                 table += [x ^ h for x in table]
-            self.class_bytes.append(table)
+            self.hc_bytes.append(table)
         c4 = 4 * rs.n_crossings
         self.loops = tuple((a, b, self.chord_bit[(a, b)]) for (a, b) in self.chords if a >= c4)
         self.splice = tuple(
@@ -192,9 +236,7 @@ class _Engine:
             step.append(row)
         self.step = tuple(step)
         self.cache: dict = {}
-        self._shared: dict = {}
-        # signature entry per shared-pair id; id 0 is a curve that bounds a disk
-        self.entries: list = [None]
+        self.classes = _Classes(F.h1_dim)
         # a leaf key packs (trie node, inessential count, B-splice count):
         # node << node_shift | iness << pc_bits | B-splices.  A state has at
         # most one curve per band and one B-splice per crossing
@@ -252,35 +294,23 @@ class _Engine:
 
     def classify(self, key: int, idx: int):
         """Classify the curve with this key and pole-word index, missing
-        from the cache, and cache it."""
+        from the cache, and cache it.  Only a two-sided curve of class 0
+        takes the disk test."""
         F = self.F
         cm = key & ((1 << self.n_chords) - 1)
         bmask = key >> self.n_chords
         # a closed curve alternates chord, band, chord, ...
         if cm.bit_count() != bmask.bit_count():
             raise AssertionError("path chord mask disagrees with its walk")
-        fpar = (bmask & F.flip_mask).bit_count() & 1
-        hom = 0
-        for j, table in enumerate(self.class_bytes):
-            hom ^= table[(bmask >> 8 * j) & 255]
-        mob = fpar == 1
-        sep = hom == 0
-        iness = (not mob) and sep and F.bounds_disk(
-            EmbeddedCurve(self.chords_of(cm), bmask, fpar))
-        shared = self._shared.get((iness, mob, idx, hom))
-        if shared is None:
-            cl = CurveClassification(
-                iness, sep, mob, idx, tuple((hom >> i) & 1 for i in range(F.h1_dim)))
-            sid = 0
-            if not iness:
-                sid = len(self.entries)
-                if sid >= _ID_LIMIT:
-                    raise AssertionError("too many curve classes for a trie key")
-                self.entries.append((idx, mob, sep, cl.hom_class))
-            shared = (cl, sid)
-            self._shared[(iness, mob, idx, hom)] = shared
-        self.cache[key] = shared
-        return shared
+        h = 0
+        for j, table in enumerate(self.hc_bytes):
+            h ^= table[(bmask >> 8 * j) & 255]
+        if not h and F.bounds_disk(EmbeddedCurve(self.chords_of(cm), bmask, 0)):
+            pair = self.classes[~idx]
+        else:
+            pair = self.classes[idx << (F.h1_dim + 1) | h]
+        self.cache[key] = pair
+        return pair
 
     def lookup(self, curve: PoleCurve):
         """The cached pair of a traced curve."""
@@ -314,27 +344,32 @@ class _Engine:
         """Add the 2^k states from `base` (a multiple of 2^k) to `counts`.
 
         The bands start as open paths, and each open path carries, at each
-        of its ends d: `end[d]`, the other end; `pm[d]`, the union of its
+        of its ends d: `end[d]`, the other end; `hc[d]`, its homology class
+        and flip parity as class << 1 | flip; `pm[d]`, the union of its
         chord and band bits; `vs[d]`, the `polewords.arc` value of its word
         read from d; and `kn[d]`, the kind of the pole nearest d (0 if it
         has none).  The bare-loop chords and the chords of the fixed bits
         k .. c-1 are added once, then bits k-1 .. 0 are decided depth
         first, 0 before 1, so the states come in increasing order.
 
-        A chord (a, b) whose darts end one path closes a curve; its cache
-        entry is looked up by the key pm[a] | bit, once for every state
-        below.  A miss (`entry`) checks the two pole pairs the chord makes
-        adjacent, which closes the check of every pole pair of the curve,
-        and classifies it with the index of its word vs[b] + the chord's
-        pole: no curve is walked.  Any other chord joins the paths a..e and
+        A chord (a, b) whose darts end one path closes a curve, once for
+        every state below.  The closing (`entry`) checks the two pole pairs
+        the chord makes adjacent, which closes the check of every pole pair
+        of the curve, and that the curve's key pm[a] | bit has as many
+        chords as bands; the index of its word is that of vs[b] + the
+        chord's pole: no curve is walked.  A curve with hc[a] nonzero is
+        one-sided or has a nonzero class, so it bounds no disk, and its
+        class is read from `classes` by index and hc[a] alone.  Any other
+        curve is looked up in the cache by its key, and a miss takes the
+        disk test (`classify`).  Any other chord joins the paths a..e and
         b..f into e..f.  It first checks the pole pairs it makes adjacent,
-        then writes the ends e and f: the union key, the arcs
-        vs[e] + chord + vs[b] and its reverse, and the kind nearest each
-        end where the old path had no pole.  a and b are never ends again,
-        so undoing the join restores end, pm and kn from them and from the
-        kinds read at the join, and vs from the two values it saved.  At
-        its end the block checks that the undos restored the paths the
-        fixed bits left.
+        then writes the ends e and f: the XOR of the classes, the union key,
+        the arcs vs[e] + chord + vs[b] and its reverse, and the kind nearest
+        each end where the old path had no pole.  a and b are never ends
+        again, so undoing the join restores end, hc, pm and kn from them and
+        from the kinds read at the join, and vs from the two values it
+        saved.  At its end the block checks that the undos restored the
+        paths the fixed bits left.
 
         The essential curves closed so far are a node of `trie`, and
         closing one moves to the child for its id; a curve that bounds a
@@ -343,25 +378,41 @@ class _Engine:
         iness << pc_bits | B-splices, as soon as its last bit is decided;
         `decode` reads these keys back."""
         c = self.F.ribbon.n_crossings
-        cache, classify, trie = self.cache, self.classify, self.trie
-        closed_index, join_arcs = polewords.closed_index, polewords.join_arcs
+        cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
+        join_arcs = polewords.join_arcs
         items, loops = self._items()
         end = self.band_other[:]
+        hc = self.band_hc[:]
         pm = self.band_key[:]
         vs = self.band_arc[:]
         kn = [0] * len(end)
         sh = self.node_shift
         one = 1 << self.pc_bits
+        nc = self.n_chords
+        hc_shift = self.F.h1_dim + 1
 
         # kinds are 1 and 2, so ka & kb is nonzero just when the poles at
         # two ends are of one kind, and (ka | kb) & kc when either is kc's
-        def entry(a: int, b: int, key: int, v: int, kc: int):
+        def entry(a: int, b: int, cb: int, v: int, kc: int):
+            ka, kb = kn[a], kn[b]
+            if ((ka | kb) & kc or not ka) if kc else ka & kb:
+                raise AssertionError("pole kinds fail to alternate")
+            key = pm[a] | cb
+            # a closed curve alternates chord, band, chord, ...
+            if key.bit_count() != (key >> nc).bit_count() << 1:
+                raise AssertionError("path chord mask disagrees with its walk")
+            # `polewords.join_arcs` and `closed_index`, inlined
+            x = vs[b]
+            x = x - v if x & 1 else x + v
+            idx = 0 if x & 1 else abs(x) >> 2
+            h = hc[a]
+            if h:
+                return classes[idx << hc_shift | h][1]
             hit = cache.get(key)
             if hit is None:
-                ka, kb = kn[a], kn[b]
-                if ((ka | kb) & kc or not ka) if kc else ka & kb:
-                    raise AssertionError("pole kinds fail to alternate")
-                hit = classify(key, closed_index(join_arcs(vs[b], v)))
+                hit = classify(key, idx)
+                if hit[0].mobius or not hit[0].separating:
+                    raise AssertionError("carried class disagrees with the band mask")
             return hit[1]
 
         def join(a: int, b: int, cb: int, v: int, kc: int) -> None:
@@ -370,6 +421,7 @@ class _Engine:
             if (ka | kb) & kc if kc else ka & kb:
                 raise AssertionError("pole kinds fail to alternate")
             end[e], end[f] = f, e
+            hc[e] = hc[f] = hc[a] ^ hc[b]
             pm[e] = pm[f] = pm[a] | pm[b] | cb
             x = join_arcs(join_arcs(vs[e], v), vs[b])
             vs[e], vs[f] = x, polewords.reverse_arc(x)
@@ -386,7 +438,7 @@ class _Engine:
             fixed += (sp[:5], sp[5:])
         for a, b, cb, v, kc in fixed:
             if end[a] == b:
-                sid = entry(a, b, pm[a] | cb, v, kc)
+                sid = entry(a, b, cb, v, kc)
                 if sid:
                     node = trie[node << _ID_BITS | sid]
                 else:
@@ -403,7 +455,7 @@ class _Engine:
                 u = t + bit
                 e1 = end[a1]
                 if e1 == b1:
-                    sid = entry(a1, b1, pm[a1] | cb1, v1, k1)
+                    sid = entry(a1, b1, cb1, v1, k1)
                     if sid:
                         nd = trie[nd << _ID_BITS | sid]
                     else:
@@ -416,6 +468,7 @@ class _Engine:
                         raise AssertionError("pole kinds fail to alternate")
                     end[e1] = f1
                     end[f1] = e1
+                    hc[e1] = hc[f1] = hc[a1] ^ hc[b1]
                     pm[e1] = pm[f1] = pm[a1] | pm[b1] | cb1
                     x = ve1 = vs[e1]
                     vf1 = vs[f1]
@@ -430,7 +483,7 @@ class _Engine:
                         kn[f1] = k1 or ka1
                 e2 = end[a2]
                 if e2 == b2:
-                    sid = entry(a2, b2, pm[a2] | cb2, v2, k2)
+                    sid = entry(a2, b2, cb2, v2, k2)
                     if sid:
                         nd = trie[nd << _ID_BITS | sid]
                     else:
@@ -443,6 +496,7 @@ class _Engine:
                         raise AssertionError("pole kinds fail to alternate")
                     end[e2] = f2
                     end[f2] = e2
+                    hc[e2] = hc[f2] = hc[a2] ^ hc[b2]
                     pm[e2] = pm[f2] = pm[a2] | pm[b2] | cb2
                     x = ve2 = vs[e2]
                     vf2 = vs[f2]
@@ -463,6 +517,8 @@ class _Engine:
                 if e2 != b2:
                     end[e2] = a2
                     end[f2] = b2
+                    hc[e2] = hc[a2]
+                    hc[f2] = hc[b2]
                     pm[e2] = pm[a2]
                     pm[f2] = pm[b2]
                     vs[e2] = ve2
@@ -474,6 +530,8 @@ class _Engine:
                 if e1 != b1:
                     end[e1] = a1
                     end[f1] = b1
+                    hc[e1] = hc[a1]
+                    hc[f1] = hc[b1]
                     pm[e1] = pm[a1]
                     pm[f1] = pm[b1]
                     vs[e1] = ve1
@@ -484,9 +542,9 @@ class _Engine:
                         kn[f1] = 0
 
         if k:
-            paths = (end[:], pm[:], vs[:], kn[:])
+            paths = (end[:], hc[:], pm[:], vs[:], kn[:])
             descend(k, node, t)
-            if (end, pm, vs, kn) != paths:
+            if (end, hc, pm, vs, kn) != paths:
                 raise AssertionError("undo left the open paths changed")
         else:
             key = node << sh | t
@@ -497,7 +555,7 @@ class _Engine:
         fresh trie in place of the one they refer to.  Each node is decoded
         and sorted once; nodes reached in different orders that hold one
         multiset of curves merge here, by exact addition."""
-        up, entries = self.trie.up, self.entries
+        up, entries = self.trie.up, self.classes.entries
         self.trie = _Trie()
         c, sh, pb = self.F.ribbon.n_crossings, self.node_shift, self.pc_bits
         low, pc_mask, id_mask = (1 << sh) - 1, (1 << pb) - 1, (1 << _ID_BITS) - 1

@@ -218,7 +218,7 @@ class ClosedSurface:
     `band_class` over its bands; `homology_class` reduces an arbitrary band
     mask instead and rejects one that is not a cycle.  Instances are immutable
     after construction, except that `states` attaches its per-surface engine
-    (splice tables and curve-class cache).
+    (splice tables, curve-class table and cache of disk tests).
 
     Everything is read off the ribbon graph with int tables.  A corner of a
     disk is named by the dart it follows.  A band side joins two corners:

@@ -164,7 +164,8 @@ def sweep_move_invariance(diagrams, seed: int = 0, *, doubles=None):
 def sweep_states(diagrams):
     """Non-separation and pole-balance checks over every state, the
     specialization identity and each diagram's double bracket, all on one
-    surface per diagram: the bracket's sum reuses its cached curve classes."""
+    surface per diagram: the bracket's sum reuses its curve-class table and
+    the disk tests the state checks made."""
     states = 0
     t1_bad = []
     l2_bad = []

@@ -22,6 +22,9 @@ directly: the disk test curve by curve, the regions family by family, and
 each malformed chord pattern must raise the same error in both.  The
 engine's per-band homology table is checked against `homology_class`, and
 its int chord-mask cache keys against the chord tuples the reference traces.
+A state sum's closings must reach all three ways a class is found (read off
+the open path; the disk test says yes; it says no), and the disk test must
+see only two-sided class-0 curves, each once.
 """
 
 from collections import Counter
@@ -36,7 +39,7 @@ from polebracket.laurent import MultiLaurent, delta
 from polebracket.polewords import MARK, reduce
 from polebracket.states import classify_state, curve_poles, enumerate_states, splice_curves
 from polebracket.surfaces import (
-    EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
+    ClosedSurface, EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
 )
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
 
@@ -323,18 +326,61 @@ def test_band_class_table_matches_homology_class():
 
 
 def test_chord_mask_keys_are_injective():
-    # one cache entry per distinct sorted chord tuple that the reference
-    # engine traces over all states, and each key reads back as its tuple
+    # a state sum keys only the curves that take the disk test: two-sided,
+    # of class 0.  The walker path keys every curve, so after it classifies
+    # every state there is one cache entry per distinct sorted chord tuple
+    # that the reference engine traces, and each key reads back as its tuple
     codes = [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40)
     for code in codes:
         F = cap_boundaries(build_ribbon(code))
         n = 1 << F.ribbon.n_crossings
         states.sum_counts(F, 0, n)
+        eng = states._engine(F)
+        for key in eng.cache:
+            bmask = key >> eng.n_chords
+            assert not (bmask & F.flip_mask).bit_count() & 1, serialize(code)
+            assert not any(F.homology_class(bmask)), serialize(code)
+        for s in enumerate_states(code, F):
+            classify_state(F, s)
         ref = RefEngine(F)
         distinct = {chords for mask in range(n) for (chords, *_rest) in ref.trace(mask)}
-        eng = states._engine(F)
         assert len(eng.cache) == len(distinct), serialize(code)
         assert {eng.chords_of(key) for key in eng.cache} == distinct
+
+
+def test_closings_reach_every_branch(monkeypatch):
+    # a closing reads a curve with a nonzero class or flip off its open
+    # path; only a two-sided class-0 curve takes the disk test, once per
+    # distinct curve, and both of its verdicts occur: a disk, and an
+    # essential separating curve (a Klein-bottle curve that cuts off two
+    # Moebius bands, say)
+    tested = []
+    real = ClosedSurface.bounds_disk
+
+    def record(self, curve):
+        got = real(self, curve)
+        tested.append((curve, got))
+        return got
+
+    monkeypatch.setattr(ClosedSurface, "bounds_disk", record)
+    verdicts = Counter()
+    carried = 0
+    for code in [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40):
+        F = cap_boundaries(build_ribbon(code))
+        tested.clear()
+        states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+        eng = states._engine(F)
+        # class keys with a nonzero class or flip come only from the paths
+        low = (2 << F.h1_dim) - 1
+        carried += sum(1 for key in eng.classes if key >= 0 and key & low)
+        keys = [(curve.chords, curve.band_mask) for curve, _got in tested]
+        assert len(keys) == len(set(keys)) == len(eng.cache), serialize(code)
+        for curve, got in tested:
+            assert curve.flip_parity == 0, serialize(code)
+            assert not (curve.band_mask & F.flip_mask).bit_count() & 1, serialize(code)
+            assert not any(F.homology_class(curve.band_mask)), serialize(code)
+            verdicts[got] += 1
+    assert carried > 100 and verdicts[True] > 50 and verdicts[False] > 5, (carried, verdicts)
 
 
 # (code, chords, band mask, error): the kink's disk has rotation (0, 1, 2, 3),
@@ -613,6 +659,21 @@ def test_count_check_sees_a_lost_band():
             states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
 
 
+def test_class_check_sees_a_lost_band_class():
+    # drop one band's class and flip from the open path it starts as; a
+    # curve whose carried class then reads 0 takes the disk test, which
+    # reads the class off its band mask and refuses it
+    code = parse_code("B O1+ B U1+")
+    F = cap_boundaries(build_ribbon(code))
+    for d in range(F.ribbon.total_darts):
+        eng = states._Engine(F)
+        assert eng.band_hc[d]
+        eng.band_hc[d] = eng.band_hc[eng.band_other[d]] = 0
+        F._state_engine = eng
+        with pytest.raises(AssertionError, match="carried class disagrees"):
+            states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+
+
 @given(
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=4),
@@ -628,7 +689,7 @@ def _trie_curves(eng, node):
     out = []
     while node:
         key = eng.trie.up[node]
-        out.append(eng.entries[key & ((1 << states._ID_BITS) - 1)])
+        out.append(eng.classes.entries[key & ((1 << states._ID_BITS) - 1)])
         node = key >> states._ID_BITS
     return out[::-1]
 
@@ -663,8 +724,28 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
 
 
 def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
-    # a trie key holds an id in its low _ID_BITS bits
-    code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
+    # a trie key holds an id in its low _ID_BITS bits.  Every new class id
+    # is checked, whether a closing reads the class off its open path, a
+    # miss takes the disk test, or the walker path classifies a curve
     monkeypatch.setattr(states, "_ID_LIMIT", 2)
+    code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
     with pytest.raises(AssertionError, match="too many curve classes"):
         states.sum_counts(cap_boundaries(build_ribbon(code)), 0, 1 << 5)
+    # on the torus every essential curve has a nonzero class, so its
+    # classes all arrive through the paths, and none takes the disk test
+    code = parse_code("O1+ O2+ U1+ U2+")
+    F = cap_boundaries(build_ribbon(code))
+    with pytest.raises(AssertionError, match="too many curve classes") as err:
+        states.sum_counts(F, 0, 1 << 2)
+    assert err.traceback[-2].name == "entry" and not states._engine(F).cache
+    # here the second essential class is a two-sided class-0 curve that
+    # bounds no disk, found by a miss's disk test
+    F3 = cap_boundaries(build_ribbon(parse_code("U1- B O1- O2+ O3+ B U2+ U3+ B")))
+    with pytest.raises(AssertionError, match="too many curve classes") as err:
+        states.sum_counts(F3, 0, 1 << 3)
+    assert [e.name for e in err.traceback[-3:-1]] == ["entry", "classify"]
+    F = cap_boundaries(build_ribbon(code))
+    with pytest.raises(AssertionError, match="too many curve classes") as err:
+        for s in enumerate_states(code, F):
+            classify_state(F, s)
+    assert err.traceback[-2].name == "classify"
