@@ -92,8 +92,11 @@ def _read_code(args, err):
             try:
                 return parse_code(text)
             except CodeError:
-                with open(src, "r", encoding="utf-8") as fh:
-                    text = fh.read()
+                try:
+                    with open(src, "r", encoding="utf-8") as fh:
+                        text = fh.read()
+                except (UnicodeDecodeError, OSError) as e:
+                    err(EXIT_PARSE, f"cannot read {src}: {e}")
     try:
         return parse_code(text)
     except CodeError as e:

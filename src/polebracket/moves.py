@@ -571,7 +571,11 @@ def t3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
     return out
 
 
-def insert_sites(code: TwistedGaussCode, rng, r1=8, r2=6, t1=4) -> list[MoveSpec]:
+# insertion sites sampled per diagram: R1, R2 and T1 draws
+_R1_DRAWS, _R2_DRAWS, _T1_DRAWS = 8, 6, 4
+
+
+def insert_sites(code: TwistedGaussCode, rng) -> list[MoveSpec]:
     """Seeded sample of insertion sites; deletions and rewrites enumerate
     exhaustively but insertion gap/variant spaces are too large for that."""
     gaps = [
@@ -580,14 +584,14 @@ def insert_sites(code: TwistedGaussCode, rng, r1=8, r2=6, t1=4) -> list[MoveSpec
     if not gaps:
         return []
     out = []
-    for _ in range(r1):
+    for _ in range(_R1_DRAWS):
         ci, g = gaps[rng.randrange(len(gaps))]
         kind = "R1+" if rng.randrange(2) else "R1-"
         out.append(MoveSpec(kind, "insert", (ci, g), rng.randrange(2)))
-    for _ in range(r2):
+    for _ in range(_R2_DRAWS):
         ci, g = gaps[rng.randrange(len(gaps))]
         out.append(MoveSpec("R2", "insert", (ci, g), rng.randrange(4)))
-    for _ in range(t1):
+    for _ in range(_T1_DRAWS):
         ci, g = gaps[rng.randrange(len(gaps))]
         out.append(MoveSpec("T1", "insert", (ci, g)))
     out.append(MoveSpec("T2", "rewrite", ()))

@@ -26,7 +26,9 @@ It grows the curves of all states at once, depth first over the splice
 bits: the bands start as open paths, each decided crossing adds its two
 chords, a chord that joins the two ends of one path closes a curve, and
 any other chord joins two paths and is undone on the way back.  A curve
-closed at a node is classified once, for every state below that node.
+closed at a node is classified once, for every state below that node.  A
+block of states that share their high bits takes each of those bits as a
+depth with one choice, so one descent serves every block.
 Each open path carries at its ends all a closing needs: its homology
 class and flip parity, the XOR of per-band tables; its chord and band
 bits, the curve's key; the `polewords.arc` value of its word, read from
@@ -147,20 +149,19 @@ class _Engine:
     so the set bits of a curve's chord mask, in increasing order, are its
     sorted chord tuple.  Band i has bit n_chords + i above them.  A curve's
     key is the union of its chord and band bits, one-to-one with its chord
-    set.  `splice[bit][i]` holds the two chords crossing i draws for that
-    splice bit, as (a1, b1, bit1, a2, b2, bit2), and `loops` the (a, b, bit)
-    of every bare-loop chord; `band_other[d]` is the dart at the far end of
-    d's band.  Per (splice bit, dart), `side` is the side bit of the pole
-    of the chord from that dart, and `kind` its kind, 1 for a sink (I, two
-    in-darts) and 2 for a source (O, two out-darts); both are -1 and 0
-    where the chord joins an in-dart to an out-dart and makes no pole.
-    `block` and the walker read the poles off these two tables.  For the
-    walker, `step` holds the rest of a step past the chord: (far dart,
-    chord bit, next dart, band flip, band bit).
+    set.  Per (splice bit, dart), `step` holds the chord from that dart and
+    the rest of a step past it: (far dart, chord bit, next dart, band flip,
+    band bit); `block` reads each crossing's two chords off it, and the
+    walker steps along it.  `side` is the side bit of the pole of the chord
+    from that dart, and `kind` its kind, 1 for a sink (I, two in-darts) and
+    2 for a source (O, two out-darts); both are -1 and 0 where the chord
+    joins an in-dart to an out-dart and makes no pole.  `block` and the
+    walker read the poles off these two tables.
 
-    `band_hc[d]` is the class and flip of the band at d, as
-    band_class << 1 | flip, and `hc_bytes` XORs them over a band mask a
-    byte at a time.  `classes` maps a class key to its shared pair
+    Per dart d, the band at d as an open path: `band_other[d]`, the dart at
+    its far end; `band_key[d]`, its band bit; `band_arc[d]`, the arc of its
+    word (one mark when it is flipped); `band_hc[d]`, its class and flip as
+    band_class << 1 | flip.  `classes` maps a class key to its shared pair
     (classification, id) (see `_Classes`).  `cache` maps a curve key to
     the pair of its class; `block` keys only the two-sided class-0 curves
     that reach the disk test, the walker path (`lookup`) every curve.
@@ -203,30 +204,9 @@ class _Engine:
         self.side = side
         self.kind = kind
         self.band_other = [b[0] for b in rs.band_at]
-        # each band alone, as an open path: its key bit, and its arc (one
-        # mark when the band is flipped)
         self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
         self.band_arc = [polewords.arc((MARK,) if flip else ()) for (_o, flip, _b) in rs.band_at]
-        # class << 1 | flip per band; the homology class of a band mask, as in
-        # `ClosedSurface._cycle_class`, and its flip parity are the XOR over
-        # its bytes of hc_bytes[j][byte j]
-        hcb = [h << 1 | flip for h, (_u, _v, flip) in zip(F.band_class, rs.bands)]
-        self.band_hc = [hcb[bi] for (_o, _f, bi) in rs.band_at]
-        self.hc_bytes = []
-        for j in range(0, len(hcb), 8):
-            table = [0]
-            for h in hcb[j:j + 8]:
-                table += [x ^ h for x in table]
-            self.hc_bytes.append(table)
-        c4 = 4 * rs.n_crossings
-        self.loops = tuple((a, b, self.chord_bit[(a, b)]) for (a, b) in self.chords if a >= c4)
-        self.splice = tuple(
-            tuple(
-                tuple(x for d in range(4 * i, 4 * i + 4) if d < t[d] for x in (d, t[d], cb[d]))
-                for i in range(rs.n_crossings)
-            )
-            for t, cb in zip(tau, cbit)
-        )
+        self.band_hc = [F.band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
         step = []
         for t, cb in zip(tau, cbit):
             row = []
@@ -294,17 +274,16 @@ class _Engine:
 
     def classify(self, key: int, idx: int):
         """Classify the curve with this key and pole-word index, missing
-        from the cache, and cache it.  Only a two-sided curve of class 0
-        takes the disk test."""
+        from the cache, and cache it.  Its class and flip are read off its
+        band mask (`ClosedSurface._cycle_class` and `flip_mask`), and only a
+        two-sided curve of class 0 takes the disk test."""
         F = self.F
         cm = key & ((1 << self.n_chords) - 1)
         bmask = key >> self.n_chords
         # a closed curve alternates chord, band, chord, ...
         if cm.bit_count() != bmask.bit_count():
             raise AssertionError("path chord mask disagrees with its walk")
-        h = 0
-        for j, table in enumerate(self.hc_bytes):
-            h ^= table[(bmask >> 8 * j) & 255]
+        h = F._cycle_class(bmask) << 1 | (bmask & F.flip_mask).bit_count() & 1
         if not h and F.bounds_disk(EmbeddedCurve(self.chords_of(cm), bmask, 0)):
             pair = self.classes[~idx]
         else:
@@ -324,21 +303,27 @@ class _Engine:
         return hit
 
     def _items(self):
-        """Per splice bit and crossing, its two chords with their poles, as
-        (a1, b1, bit1, arc1, kind1, a2, b2, bit2, arc2, kind2), where arc is
+        """Per crossing, the two choices of its splice bit, each as (bit,
+        a1, b1, cb1, arc1, kind1, a2, b2, cb2, arc2, kind2): the bit and the
+        two chords it draws, read off `step`, with their poles, where arc is
         the `polewords.arc` of the chord's pole read from a to b (0 for no
-        pole); and every bare-loop chord as (a, b, bit, 0, 0)."""
-        side, kind = self.side, self.kind
+        pole); and every bare-loop chord as (a, b, cb, 0, 0)."""
+        side, kind, step = self.side, self.kind, self.step
 
-        def pole(bit, a, b, cb):
+        def pole(bit, a):
+            b, cb = step[bit][a][:2]
             s = side[bit][a]
             return (a, b, cb, polewords.arc((s,)), kind[bit][a]) if s >= 0 else (a, b, cb, 0, 0)
 
+        c4 = 4 * self.F.ribbon.n_crossings
         items = tuple(
-            tuple(pole(bit, *sp[:3]) + pole(bit, *sp[3:]) for sp in row)
-            for bit, row in enumerate(self.splice)
+            tuple(
+                (bit,) + tuple(x for d in range(i, i + 4) if d < step[bit][d][0] for x in pole(bit, d))
+                for bit in (0, 1)
+            )
+            for i in range(0, c4, 4)
         )
-        return items, tuple(pole(0, *lp) for lp in self.loops)
+        return items, tuple(pole(0, d) for d in range(c4, len(step[0])) if d < step[0][d][0])
 
     def block(self, base: int, k: int, counts: dict) -> None:
         """Add the 2^k states from `base` (a multiple of 2^k) to `counts`.
@@ -348,9 +333,10 @@ class _Engine:
         and flip parity as class << 1 | flip; `pm[d]`, the union of its
         chord and band bits; `vs[d]`, the `polewords.arc` value of its word
         read from d; and `kn[d]`, the kind of the pole nearest d (0 if it
-        has none).  The bare-loop chords and the chords of the fixed bits
-        k .. c-1 are added once, then bits k-1 .. 0 are decided depth
-        first, 0 before 1, so the states come in increasing order.
+        has none).  A bare-loop chord joins the two ends of its band, so it
+        closes a curve at once; then `descend` decides bits c-1 .. 0, depth
+        first, 0 before 1, so the states come in increasing order.  A fixed
+        bit k .. c-1 is a depth with the one choice that `base` makes.
 
         A chord (a, b) whose darts end one path closes a curve, once for
         every state below.  The closing (`entry`) checks the two pole pairs
@@ -364,12 +350,12 @@ class _Engine:
         disk test (`classify`).  Any other chord joins the paths a..e and
         b..f into e..f.  It first checks the pole pairs it makes adjacent,
         then writes the ends e and f: the XOR of the classes, the union key,
-        the arcs vs[e] + chord + vs[b] and its reverse, and the kind nearest
-        each end where the old path had no pole.  a and b are never ends
-        again, so undoing the join restores end, hc, pm and kn from them and
-        from the kinds read at the join, and vs from the two values it
-        saved.  At its end the block checks that the undos restored the
-        paths the fixed bits left.
+        the arcs vs[e] + chord + vs[b] and its reverse (`polewords.join_arcs`
+        and `reverse_arc`, inlined), and the kind nearest each end where the
+        old path had no pole.  a and b are never ends again, so undoing the
+        join restores end, hc, pm and kn from them and from the kinds read
+        at the join, and vs from the two values it saved.  At its end the
+        block checks that the undos restored the band tables.
 
         The essential curves closed so far are a node of `trie`, and
         closing one moves to the child for its id; a curve that bounds a
@@ -379,8 +365,8 @@ class _Engine:
         `decode` reads these keys back."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
-        join_arcs = polewords.join_arcs
         items, loops = self._items()
+        choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
         end = self.band_other[:]
         hc = self.band_hc[:]
         pm = self.band_key[:]
@@ -415,42 +401,19 @@ class _Engine:
                     raise AssertionError("carried class disagrees with the band mask")
             return hit[1]
 
-        def join(a: int, b: int, cb: int, v: int, kc: int) -> None:
-            e, f = end[a], end[b]
-            ka, kb = kn[a], kn[b]
-            if (ka | kb) & kc if kc else ka & kb:
-                raise AssertionError("pole kinds fail to alternate")
-            end[e], end[f] = f, e
-            hc[e] = hc[f] = hc[a] ^ hc[b]
-            pm[e] = pm[f] = pm[a] | pm[b] | cb
-            x = join_arcs(join_arcs(vs[e], v), vs[b])
-            vs[e], vs[f] = x, polewords.reverse_arc(x)
-            if not ka:
-                kn[e] = kc or kb
-            if not kb:
-                kn[f] = kc or ka
-
-        node = 0
-        t = bin(base).count("1")
-        fixed = list(loops)
-        for i in range(c - 1, k - 1, -1):
-            sp = items[(base >> i) & 1][i]
-            fixed += (sp[:5], sp[5:])
-        for a, b, cb, v, kc in fixed:
-            if end[a] == b:
-                sid = entry(a, b, cb, v, kc)
-                if sid:
-                    node = trie[node << _ID_BITS | sid]
-                else:
-                    t += one
+        node = t = 0
+        for loop in loops:
+            sid = entry(*loop)
+            if sid:
+                node = trie[node << _ID_BITS | sid]
             else:
-                join(a, b, cb, v, kc)
+                t += one
 
-        # `join` inlined twice, `polewords.join_arcs` and `reverse_arc` with it
+        # both chords' joins are written out: one loop over the two chords
+        # with an undo list measured about 30% slower per state
         def descend(i: int, node: int, t: int) -> None:
             i -= 1
-            for bit in (0, 1):
-                a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 = items[bit][i]
+            for bit, a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 in choices[i]:
                 nd = node
                 u = t + bit
                 e1 = end[a1]
@@ -541,10 +504,10 @@ class _Engine:
                     if not kb1:
                         kn[f1] = 0
 
-        if k:
-            paths = (end[:], hc[:], pm[:], vs[:], kn[:])
-            descend(k, node, t)
-            if (end, hc, pm, vs, kn) != paths:
+        if c:
+            descend(c, node, t)
+            bands = (self.band_other, self.band_hc, self.band_key, self.band_arc, [0] * len(end))
+            if (end, hc, pm, vs, kn) != bands:
                 raise AssertionError("undo left the open paths changed")
         else:
             key = node << sh | t

@@ -109,13 +109,13 @@ def corpus_twisted(seed: int, count: int = 200) -> list[TwistedGaussCode]:
     return out
 
 
-def corpus_classical(seed: int, count: int = 50, max_crossings: int = 7) -> list[TwistedGaussCode]:
-    """Random braid closures; planar by construction."""
+def corpus_classical(seed: int, count: int = 50) -> list[TwistedGaussCode]:
+    """Random braid closures of 1 to 7 crossings; planar by construction."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         strands = rng.randrange(2, 5)
-        length = rng.randrange(1, max_crossings + 1)
+        length = rng.randrange(1, 8)
         word = [
             (rng.randrange(1, strands), rng.choice((1, -1))) for _ in range(length)
         ]

@@ -137,6 +137,17 @@ def test_directory_input_is_parse_error(capsys, tmp_path):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_undecodable_input_file_is_parse_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bin.tgc").write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "info", "-i", "./bin.tgc")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polebracket: cannot read ./bin.tgc: ")
+    assert err.count("\n") == 1
+
+
 def test_inline_code_wins_over_file_of_that_name(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "B").write_text("O1+ U1+\n", encoding="utf-8")

@@ -636,14 +636,13 @@ def kind_check_raisers(code):
 
 def test_kind_check_raises_mid_path_and_on_closing():
     # `entry` checks the pairs a closing chord makes adjacent (the
-    # wrap-around pair, or a single pole with itself); `join` (the fixed
-    # bits) and `descend` (the free bits) check the pairs a join makes
-    # adjacent mid-path
+    # wrap-around pair, or a single pole with itself); `descend` checks the
+    # pairs a join makes adjacent mid-path, for the fixed and the free bits
     where = set()
     for text in ("O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
                  "O1- U2- O3- U1- O2- U3-\nB B"):
         where |= kind_check_raisers(parse_code(text))
-    assert where == {"entry", "join", "descend"}, where
+    assert where == {"entry", "descend"}, where
 
 
 def test_count_check_sees_a_lost_band():
