@@ -21,7 +21,7 @@ import sys
 
 from .brackets import double_bracket, normalized, surface_pole_bracket
 from .codes import CodeError, parse_code, random_diagram, serialize
-from .moves import MoveError, MoveSpec, apply_move
+from .moves import DIRECTIONS, KINDS, MoveError, MoveSpec, apply_move
 from .states import enumerate_states, state_report
 from .surfaces import build_ribbon, cap_boundaries
 from .verify import run_battery
@@ -71,8 +71,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=blurb)
         _add_common(p)
         if name == "move":
-            p.add_argument("--kind", required=True, choices=["R1+", "R1-", "R2", "R3", "T1", "T2", "T3"])
-            p.add_argument("--dir", required=True, choices=["insert", "delete", "rewrite"])
+            p.add_argument("--kind", required=True, choices=KINDS)
+            p.add_argument("--dir", required=True, choices=DIRECTIONS)
             p.add_argument("--site", default="", help="comma-separated integers")
             p.add_argument("--variant", type=int, default=0)
     return top

@@ -66,14 +66,6 @@ class TwistedGaussCode:
                     seen.add(tok.crossing)
         return tuple(sorted(seen))
 
-    @property
-    def crossings(self) -> int:
-        return len(self.crossing_ids)
-
-    @property
-    def bars(self) -> int:
-        return sum(1 for comp in self.components for t in comp if isinstance(t, Bar))
-
     def signs(self) -> dict[int, int]:
         """Crossing id -> sign, read in one pass over the code."""
         return {

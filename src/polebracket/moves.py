@@ -4,7 +4,7 @@ Moves are token rewrites.  Sites are flat integer tuples:
 
     R1+/R1- insert   (component, gap)            variant 0 over-first, 1 under-first
     R1+/R1- delete   (component, position)       position of the pair's first token
-    R2 insert        (component, gap)            nested fold poke; variant bits:
+    R2 insert        (component, gap)            nested fold poke; variant 0..3, bits
                                                  1 poking strand over, 2 negative first
     R2 delete        (c1, pos1, c2, pos2)        positions of each pair's first token
     R3 rewrite       (ca, ia, cb, ib, cc, ic)    three adjacent pairs, one per strand
@@ -14,10 +14,12 @@ Moves are token rewrites.  Sites are flat integer tuples:
     T3 rewrite       (c1, bar1, att1, c2, bar2, att2)   att +1: visit follows bar,
                                                  att -1: visit precedes bar
 
-Gaps run 0..len(component).  The R3 validity table is not transcribed from
-pictures: it is computed at import time by sliding a line across the crossing
-of two others in the plane, enumerating all strand directions and over-orders,
-and recording the resulting local token patterns.
+Every other move takes variant 0 only; `_MOVES` holds each move's variant
+count, and apply_move rejects a variant outside it.  Gaps run
+0..len(component).  The R3 validity table is not transcribed from pictures:
+it is computed at import time by sliding a line across the crossing of two
+others in the plane, enumerating all strand directions and over-orders, and
+recording the resulting local token patterns.
 
 Moves must preserve the link diagram realization, not merely the token
 pattern.  The double bracket is computed on the closed realization surface,
@@ -26,10 +28,11 @@ disk there, or whose removal lets the realization destabilize to a smaller
 surface, changes the value (a 2-gon face of the complement can still span a
 handle that nothing else uses).  R2 deletes and R3 rewrites therefore check
 both conditions and reject sites that fail them; R2 inserts are offered as
-nested fold pokes, which are local in a disk and always safe.  The T3 rewrite
-slides a bar pair, one bar on each strand and both on the same side of the
-crossing, past the crossing: the bars move to the other side, the two strands
-exchange over and under, and the crossing sign stays.
+nested fold pokes, which are local in a disk and always safe.  The T3
+rewrite, which is not guarded, slides a bar pair, one bar on each strand and
+both on the same side of the crossing, past the crossing: the bars move to
+the other side, the two strands exchange over and under, and the crossing
+sign stays.
 """
 
 from __future__ import annotations
@@ -54,19 +57,14 @@ class MoveError(ValueError):
 
 @dataclass(frozen=True)
 class MoveSpec:
-    kind: str            # R1+ R1- R2 R3 T1 T2 T3
-    direction: str       # insert delete rewrite
+    kind: str            # one of KINDS
+    direction: str       # one of DIRECTIONS
     site: tuple = ()
     variant: int = 0
 
 
 def _components(code: TwistedGaussCode) -> list[list]:
     return [list(c) for c in code.components]
-
-
-def _fresh_ids(code: TwistedGaussCode, n: int) -> list[int]:
-    base = max(code.crossing_ids, default=0)
-    return [base + 1 + i for i in range(n)]
 
 
 def _check_site(site, length, what):
@@ -84,15 +82,6 @@ def _pos_ok(comps, ci, pos):
         raise MoveError("site outside the code")
 
 
-def _insert_at(comps, placements):
-    """placements: ordered (component, gap, tokens); equal gaps keep the
-    earlier placement first."""
-    order = sorted(range(len(placements)), key=lambda i: (placements[i][1], i))
-    for i in reversed(order):
-        ci, gap, tokens = placements[i]
-        comps[ci][gap:gap] = list(tokens)
-
-
 def _adjacent_pair(comps, ci, pos):
     comp = comps[ci]
     n = len(comp)
@@ -101,9 +90,54 @@ def _adjacent_pair(comps, ci, pos):
     return comp[pos], comp[(pos + 1) % n]
 
 
-def _delete_positions(comps, removals):
-    for ci, positions in removals.items():
-        comps[ci] = [t for i, t in enumerate(comps[ci]) if i not in positions]
+def _adjacent_pairs(code: TwistedGaussCode):
+    """(component, position, token, next token) for each cyclically
+    adjacent pair; a one-token component has none."""
+    for ci, comp in enumerate(code.components):
+        n = len(comp)
+        if n >= 2:
+            for i in range(n):
+                yield ci, i, comp[i], comp[(i + 1) % n]
+
+
+def _replace(comps, tokens):
+    """Put tokens[ci, i], a sequence of tokens, in place of the token at
+    position i of component ci."""
+    for ci in {ci for ci, _ in tokens}:
+        comps[ci] = [x for i, t in enumerate(comps[ci]) for x in tokens.get((ci, i), (t,))]
+
+
+def _insert(what, tokens):
+    """Handler that splices tokens(x, variant) into the gap site
+    (component, gap); x is the first crossing id past the code's."""
+
+    def handler(code, site, variant):
+        comps = _components(code)
+        _check_site(site, 2, what)
+        ci, gap = site
+        _gap_ok(comps, ci, gap)
+        comps[ci][gap:gap] = tokens(max(code.crossing_ids, default=0) + 1, variant)
+        return make_code(comps)
+
+    return handler
+
+
+def _delete_pair(what, fits, message):
+    """Handler that deletes the adjacent pair at site (component, position)
+    of its first token, if fits(first, second)."""
+
+    def handler(code, site, _variant):
+        comps = _components(code)
+        _check_site(site, 2, what)
+        ci, pos = site
+        _pos_ok(comps, ci, pos)
+        t, u = _adjacent_pair(comps, ci, pos)
+        if not fits(t, u):
+            raise MoveError(message)
+        _replace(comps, {(ci, pos): (), (ci, (pos + 1) % len(comps[ci])): ()})
+        return make_code(comps)
+
+    return handler
 
 
 # ---------------------------------------------------------------------------
@@ -144,62 +178,48 @@ def _guard_realization(code, curve_builder, result_code) -> None:
 # R1
 
 
-def _r1_insert(code, sign, site, variant):
-    comps = _components(code)
-    _check_site(site, 2, "R1 insert")
-    ci, gap = site
-    _gap_ok(comps, ci, gap)
-    (cid,) = _fresh_ids(code, 1)
-    over = Visit(cid, True, sign)
-    under = Visit(cid, False, sign)
-    pair = (over, under) if variant % 2 == 0 else (under, over)
-    _insert_at(comps, [(ci, gap, pair)])
-    return make_code(comps)
+def _kink(sign):
+    def tokens(x, variant):
+        pair = [Visit(x, True, sign), Visit(x, False, sign)]
+        return pair[::-1] if variant else pair
+
+    return tokens
 
 
-def _r1_delete(code, sign, site):
-    comps = _components(code)
-    _check_site(site, 2, "R1 delete")
-    ci, pos = site
-    _pos_ok(comps, ci, pos)
-    t, u = _adjacent_pair(comps, ci, pos)
-    if not (
+def _is_kink(t, u) -> bool:
+    return (
         isinstance(t, Visit)
         and isinstance(u, Visit)
         and t.crossing == u.crossing
         and t.over != u.over
-        and t.sign == sign
-    ):
-        raise MoveError("R1 delete needs adjacent over/under visits of one crossing")
-    n = len(comps[ci])
-    _delete_positions(comps, {ci: {pos, (pos + 1) % n}})
-    return make_code(comps)
+    )
+
+
+def _r1_delete(sign):
+    return _delete_pair(
+        "R1 delete",
+        lambda t, u: _is_kink(t, u) and t.sign == sign,
+        "R1 delete needs adjacent over/under visits of one crossing",
+    )
 
 
 # ---------------------------------------------------------------------------
 # R2
 
 
-def _r2_insert(code, site, variant):
+def _poke(x, variant):
     """Poke a fold of the strand across itself: a nested over-over /
     under-under quadruple with opposite signs, inserted at one gap.  The
     poke happens inside a disk neighbourhood of the arc, so it never
     touches the realization surface, whatever that surface is."""
-    comps = _components(code)
-    _check_site(site, 2, "R2 insert")
-    ci, gap = site
-    _gap_ok(comps, ci, gap)
-    x, y = _fresh_ids(code, 2)
     s = -1 if variant & 2 else 1
     over1 = bool(variant & 1)
-    tokens = (
+    return [
         Visit(x, over1, s),
-        Visit(y, over1, -s),
-        Visit(y, not over1, -s),
+        Visit(x + 1, over1, -s),
+        Visit(x + 1, not over1, -s),
         Visit(x, not over1, s),
-    )
-    _insert_at(comps, [(ci, gap, tokens)])
-    return make_code(comps)
+    ]
 
 
 def _bigon_curve(rs, a1, b1, a2, b2):
@@ -213,7 +233,7 @@ def _bigon_curve(rs, a1, b1, a2, b2):
     return EmbeddedCurve(chords, (1 << bi1) | (1 << bi2), 0)
 
 
-def _r2_delete(code, site):
+def _r2_delete(code, site, _variant):
     comps = _components(code)
     _check_site(site, 4, "R2 delete")
     c1, p1, c2, p2 = site
@@ -234,11 +254,7 @@ def _r2_delete(code, site):
         raise MoveError("R2 delete pairs must visit the same two crossings")
     if a1.sign != -b1.sign:
         raise MoveError("R2 delete needs opposite signs")
-    if c1 == c2:
-        removals = {c1: {p1, (p1 + 1) % n1, p2, (p2 + 1) % n2}}
-    else:
-        removals = {c1: {p1, (p1 + 1) % n1}, c2: {p2, (p2 + 1) % n2}}
-    _delete_positions(comps, removals)
+    _replace(comps, dict.fromkeys(spots, ()))
     result = make_code(comps)
     _guard_realization(code, lambda rs: _bigon_curve(rs, a1, b1, a2, b2), result)
     return result
@@ -324,7 +340,7 @@ def _r3_site_pattern(comps, site):
             a, b = owner[tok.crossing]
             ends.append((b if a == k else a, tok.over, tok.sign))
         strands.append(tuple(ends))
-    return anchors, tuple(strands)
+    return anchors, pairs, tuple(strands)
 
 
 def _triangle_curve(rs, pairs):
@@ -339,12 +355,11 @@ def _triangle_curve(rs, pairs):
     return EmbeddedCurve(chords, mask, 0)
 
 
-def _r3_rewrite(code, site):
+def _r3_rewrite(code, site, _variant):
     comps = _components(code)
-    anchors, strands = _r3_site_pattern(comps, site)
+    anchors, pairs, strands = _r3_site_pattern(comps, site)
     if _canon_r3(strands) not in _R3_PATTERNS:
         raise MoveError("R3 site is not a realizable triangle configuration")
-    pairs = [_adjacent_pair(comps, ci, pos) for ci, pos in anchors]
     for ci, pos in anchors:
         comp = comps[ci]
         n = len(comp)
@@ -359,29 +374,16 @@ def _r3_rewrite(code, site):
 # T1, T2, T3
 
 
-def _t1_insert(code, site):
-    comps = _components(code)
-    _check_site(site, 2, "T1 insert")
-    ci, gap = site
-    _gap_ok(comps, ci, gap)
-    _insert_at(comps, [(ci, gap, (BAR, BAR))])
-    return make_code(comps)
+def _are_bars(t, u) -> bool:
+    return isinstance(t, Bar) and isinstance(u, Bar)
 
 
-def _t1_delete(code, site):
-    comps = _components(code)
-    _check_site(site, 2, "T1 delete")
-    ci, pos = site
-    _pos_ok(comps, ci, pos)
-    t, u = _adjacent_pair(comps, ci, pos)
-    if not (isinstance(t, Bar) and isinstance(u, Bar)):
-        raise MoveError("T1 delete needs two adjacent bars")
-    n = len(comps[ci])
-    _delete_positions(comps, {ci: {pos, (pos + 1) % n}})
-    return make_code(comps)
+def _t2_rewrite(code, site, _variant):
+    _check_site(site, 0, "T2")
+    return code
 
 
-def _t3_rewrite(code, site):
+def _t3_rewrite(code, site, _variant):
     comps = _components(code)
     _check_site(site, 6, "T3")
     legs = [(site[0], site[1], site[2]), (site[3], site[4], site[5])]
@@ -412,23 +414,14 @@ def _t3_rewrite(code, site):
     # although the invariance suite cannot tell the mixed-side variant apart.
     if a1 != a2:
         raise MoveError("T3 bars must sit on the same side of the crossing")
-    bar_drops: dict[int, set] = {}
-    swaps: dict[int, dict] = {}
+    # each bar is dropped and put back beside its flipped visit, on the
+    # side it did not take
+    slid = {}
     for ci, bpos, vpos, att, tok in seen_visits:
         new_tok = Visit(tok.crossing, not tok.over, tok.sign)
-        bar_drops.setdefault(ci, set()).add(bpos)
-        swaps.setdefault(ci, {})[vpos] = (new_tok, att)
-    for ci in bar_drops:
-        out = []
-        for i, t in enumerate(comps[ci]):
-            if i in bar_drops[ci]:
-                continue
-            if i in swaps[ci]:
-                new_tok, att = swaps[ci][i]
-                out.extend([new_tok, BAR] if att == 1 else [BAR, new_tok])
-            else:
-                out.append(t)
-        comps[ci] = out
+        slid[ci, bpos] = ()
+        slid[ci, vpos] = (new_tok, BAR) if att == 1 else (BAR, new_tok)
+    _replace(comps, slid)
     return make_code(comps)
 
 
@@ -436,117 +429,86 @@ def _t3_rewrite(code, site):
 # dispatch
 
 
+# (kind, direction) -> (number of variants, handler(code, site, variant)),
+# kinds and directions in the order `polebracket move` lists them
+_MOVES = {
+    ("R1+", "insert"): (2, _insert("R1 insert", _kink(1))),
+    ("R1+", "delete"): (1, _r1_delete(1)),
+    ("R1-", "insert"): (2, _insert("R1 insert", _kink(-1))),
+    ("R1-", "delete"): (1, _r1_delete(-1)),
+    ("R2", "insert"): (4, _insert("R2 insert", _poke)),
+    ("R2", "delete"): (1, _r2_delete),
+    ("R3", "rewrite"): (1, _r3_rewrite),
+    ("T1", "insert"): (1, _insert("T1 insert", lambda _x, _variant: [BAR, BAR])),
+    ("T1", "delete"): (1, _delete_pair("T1 delete", _are_bars, "T1 delete needs two adjacent bars")),
+    ("T2", "rewrite"): (1, _t2_rewrite),
+    ("T3", "rewrite"): (1, _t3_rewrite),
+}
+KINDS = tuple(dict.fromkeys(kind for kind, _ in _MOVES))
+DIRECTIONS = tuple(dict.fromkeys(direction for _, direction in _MOVES))
+
+
 def apply_move(code: TwistedGaussCode, move: MoveSpec) -> TwistedGaussCode:
     kind, direction = move.kind, move.direction
-    if kind in ("R1+", "R1-"):
-        sign = 1 if kind == "R1+" else -1
-        if direction == "insert":
-            return _r1_insert(code, sign, move.site, move.variant)
-        if direction == "delete":
-            return _r1_delete(code, sign, move.site)
-    elif kind == "R2":
-        if direction == "insert":
-            return _r2_insert(code, move.site, move.variant)
-        if direction == "delete":
-            return _r2_delete(code, move.site)
-    elif kind == "R3":
-        if direction == "rewrite":
-            return _r3_rewrite(code, move.site)
-    elif kind == "T1":
-        if direction == "insert":
-            return _t1_insert(code, move.site)
-        if direction == "delete":
-            return _t1_delete(code, move.site)
-    elif kind == "T2":
-        if direction == "rewrite":
-            return code
-    elif kind == "T3":
-        if direction == "rewrite":
-            return _t3_rewrite(code, move.site)
-    else:
+    if kind not in KINDS:
         raise MoveError(f"unknown move kind {kind!r}")
-    raise MoveError(f"move {kind} does not support direction {direction!r}")
+    if (kind, direction) not in _MOVES:
+        raise MoveError(f"move {kind} does not support direction {direction!r}")
+    variants, handler = _MOVES[kind, direction]
+    if not 0 <= move.variant < variants:
+        raise MoveError(f"{kind} {direction} needs a variant in 0..{variants - 1}, not {move.variant}")
+    return handler(code, move.site, move.variant)
 
 
 # ---------------------------------------------------------------------------
 # site enumeration for the invariance harness
 
 
+def _two_crossings(t, u) -> bool:
+    return isinstance(t, Visit) and isinstance(u, Visit) and t.crossing != u.crossing
+
+
+def _accepts(handler, code, site) -> bool:
+    try:
+        handler(code, site, 0)
+    except MoveError:
+        return False
+    return True
+
+
 def r1_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
-    out = []
-    for ci, comp in enumerate(code.components):
-        n = len(comp)
-        for i in range(n):
-            t, u = comp[i], comp[(i + 1) % n]
-            if (
-                isinstance(t, Visit)
-                and isinstance(u, Visit)
-                and t.crossing == u.crossing
-                and t.over != u.over
-            ):
-                kind = "R1+" if t.sign > 0 else "R1-"
-                out.append(MoveSpec(kind, "delete", (ci, i)))
-    return out
+    return [
+        MoveSpec("R1+" if t.sign > 0 else "R1-", "delete", (ci, i))
+        for ci, i, t, u in _adjacent_pairs(code)
+        if _is_kink(t, u)
+    ]
 
 
 def r2_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
-    pairs = []
-    for ci, comp in enumerate(code.components):
-        n = len(comp)
-        for i in range(n):
-            t, u = comp[i], comp[(i + 1) % n]
-            if (
-                isinstance(t, Visit)
-                and isinstance(u, Visit)
-                and t.crossing != u.crossing
-                and t.over == u.over
-            ):
-                pairs.append((ci, i, t, u))
-    out = []
-    for (c1, p1, a1, b1), (c2, p2, a2, b2) in combinations(pairs, 2):
-        if a1.over == a2.over:
-            continue
-        site = (c1, p1, c2, p2)
-        try:
-            _r2_delete(code, site)
-        except MoveError:
-            continue
-        out.append(MoveSpec("R2", "delete", site))
-    return out
+    pairs = [
+        (ci, i, t) for ci, i, t, u in _adjacent_pairs(code)
+        if _two_crossings(t, u) and t.over == u.over
+    ]
+    sites = (
+        (c1, p1, c2, p2)
+        for (c1, p1, a1), (c2, p2, a2) in combinations(pairs, 2)
+        if a1.over != a2.over
+    )
+    return [MoveSpec("R2", "delete", s) for s in sites if _accepts(_r2_delete, code, s)]
 
 
 def r3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
-    comps = _components(code)
-    pairs = []
-    for ci, comp in enumerate(comps):
-        n = len(comp)
-        for i in range(n):
-            t, u = comp[i], comp[(i + 1) % n]
-            if (
-                isinstance(t, Visit)
-                and isinstance(u, Visit)
-                and t.crossing != u.crossing
-            ):
-                pairs.append((ci, i))
-    out = []
-    for trio in combinations(pairs, 3):
-        site = tuple(x for anchor in trio for x in anchor)
-        try:
-            _r3_rewrite(code, site)
-        except MoveError:
-            continue
-        out.append(MoveSpec("R3", "rewrite", site))
-    return out
+    pairs = [(ci, i) for ci, i, t, u in _adjacent_pairs(code) if _two_crossings(t, u)]
+    sites = (sum(trio, ()) for trio in combinations(pairs, 3))
+    return [MoveSpec("R3", "rewrite", s) for s in sites if _accepts(_r3_rewrite, code, s)]
 
 
 def t1_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
-    out = []
-    for ci, comp in enumerate(code.components):
-        n = len(comp)
-        for i in range(n):
-            if isinstance(comp[i], Bar) and isinstance(comp[(i + 1) % n], Bar) and n >= 2:
-                out.append(MoveSpec("T1", "delete", (ci, i)))
-    return out
+    return [
+        MoveSpec("T1", "delete", (ci, i))
+        for ci, i, t, u in _adjacent_pairs(code)
+        if _are_bars(t, u)
+    ]
 
 
 def t3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
@@ -563,11 +525,8 @@ def t3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
     out = []
     for _cid, entries in sorted(legs.items()):
         for (c1, b1, a1, o1), (c2, b2, a2, o2) in combinations(entries, 2):
-            if o1 == o2 or (c1, b1) == (c2, b2):
-                continue
-            if a1 != a2:
-                continue
-            out.append(MoveSpec("T3", "rewrite", (c1, b1, a1, c2, b2, a2)))
+            if o1 != o2 and a1 == a2 and (c1, b1) != (c2, b2):
+                    out.append(MoveSpec("T3", "rewrite", (c1, b1, a1, c2, b2, a2)))
     return out
 
 

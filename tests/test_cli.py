@@ -62,6 +62,49 @@ def test_move_rejection_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_move_round_trip(capsys):
+    kink = ("--kind", "R1+", "--site", "0,1")
+    code, kinked, _ = run(capsys, "move", "-i", "O1+ U2+ U1+ O2+", "--dir", "insert", *kink)
+    assert code == 0
+    code, out, _ = run(capsys, "move", "-i", kinked, "--dir", "delete", *kink)
+    assert code == 0
+    assert out == "O1+ U2+ U1+ O2+\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--kind", "R2", "--dir", "insert", "--site", "0,0", "--variant", "9"),
+         "R2 insert needs a variant in 0..3, not 9"),
+        (("--kind", "R1+", "--dir", "insert", "--site", "0,0", "--variant", "-3"),
+         "R1+ insert needs a variant in 0..1, not -3"),
+        (("--kind", "T1", "--dir", "insert", "--site", "0,0", "--variant", "5"),
+         "T1 insert needs a variant in 0..0, not 5"),
+        (("--kind", "T2", "--dir", "rewrite", "--site", "4,4,4"), "T2 needs a site of 0 integers"),
+    ],
+)
+def test_move_rejects_variants_and_sites_it_does_not_take(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "move", "-i", "O1+ U1+", *argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"polebracket: move rejected: {message}\n"
+
+
+def test_move_kind_and_direction_choices(capsys):
+    # the choices come from the move table, in the order they always had
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "move", "-i", "B", "--kind", "R9", "--dir", "insert")
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "argument --kind: invalid choice: 'R9' (choose from 'R1+', 'R1-', 'R2', 'R3', 'T1', 'T2', 'T3')\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "move", "-i", "B", "--kind", "R2", "--dir", "sideways")
+    assert capsys.readouterr().err.endswith(
+        "argument --dir: invalid choice: 'sideways' (choose from 'insert', 'delete', 'rewrite')\n"
+    )
+
+
 def test_parse_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "invariant", "-i", "O1+")

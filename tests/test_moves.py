@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -182,8 +184,123 @@ def test_insert_sites_sampling_is_seeded():
     assert {"R1+", "R1-", "R2", "T1", "T2"} <= kinds
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (MoveSpec("R2", "insert", (0, 0), 9), "R2 insert needs a variant in 0..3, not 9"),
+        (MoveSpec("R2", "insert", (0, 0), 4), "R2 insert needs a variant in 0..3, not 4"),
+        (MoveSpec("R1+", "insert", (0, 0), -3), "R1+ insert needs a variant in 0..1, not -3"),
+        (MoveSpec("R1-", "insert", (0, 0), 2), "R1- insert needs a variant in 0..1, not 2"),
+        (MoveSpec("T1", "insert", (0, 0), 5), "T1 insert needs a variant in 0..0, not 5"),
+        (MoveSpec("R1+", "delete", (0, 0), 1), "R1+ delete needs a variant in 0..0, not 1"),
+        (MoveSpec("T2", "rewrite", (), 1), "T2 rewrite needs a variant in 0..0, not 1"),
+        (MoveSpec("T2", "rewrite", (4, 4, 4)), "T2 needs a site of 0 integers"),
+    ],
+)
+def test_variants_and_sites_a_move_does_not_take_are_rejected(spec, message):
+    with pytest.raises(MoveError) as exc:
+        apply_move(parse_code("O1+ U1+"), spec)
+    assert str(exc.value) == message
+
+
 def test_unknown_move_rejected():
     with pytest.raises(MoveError):
         apply_move(parse_code("EMPTY"), MoveSpec("R9", "insert", (0, 0)))
     with pytest.raises(MoveError):
         apply_move(parse_code("EMPTY"), MoveSpec("R2", "rewrite", ()))
+
+
+# -- pinned move layer ----------------------------------------------------------
+
+# small codes that reach every MoveError message: empty, bare loops, kinks,
+# the torus and detour look-alikes of an R2 pair, a cyclic R3 pattern, a
+# four-crossing code, barred kinks and a two-component code
+_PROBE_CODES = (
+    "EMPTY",
+    "B",
+    "B B",
+    "O1+ U1+",
+    "O1+ O2+ U1+ U2+",
+    "U1+ U2- O2- O1+",
+    "U1+ U2- O1+ O2-",
+    "O1+ U3+ U2- U1+ O2- O3+",
+    "O1+ O2- O3+ U1+ U2- U3+",
+    "O1+ U3+ O2+ U1+ O3+ U2+",
+    "O1+ O2+ O3+ O4+ U1+ U2+ U3+ U4+",
+    "B O1+ B U1+",
+    "B O1+ U1+ B",
+    "B O1+ B U2+ O2+ U1+",
+    "O1+ U2- B;B O2- U1+",
+)
+
+
+def _probe_specs(code):
+    """Every spec of the right shape over a small code, in range and out,
+    plus sites of the wrong length and unknown kinds and directions."""
+    anchors = [(ci, p) for ci in range(-1, len(code.components) + 1) for p in range(-1, 8)]
+    inside = [(ci, p) for ci, comp in enumerate(code.components) for p in range(len(comp))]
+    specs = []
+    for site in anchors:
+        for kind, variants in (("R1+", 2), ("R1-", 2), ("R2", 4), ("T1", 1)):
+            specs += [MoveSpec(kind, "insert", site, v) for v in range(variants)]
+        for kind in ("R1+", "R1-", "T1"):
+            specs.append(MoveSpec(kind, "delete", site))
+    for a, b in itertools.product(inside, repeat=2):
+        specs.append(MoveSpec("R2", "delete", a + b))
+    for trio in itertools.combinations(inside, 3):
+        specs.append(MoveSpec("R3", "rewrite", sum(trio, ())))
+    legs = [(ci, p, att) for ci, p in inside for att in (1, -1, 2)]
+    for a, b in itertools.product(legs, repeat=2):
+        specs.append(MoveSpec("T3", "rewrite", a + b))
+    for kind, direction, length in (
+        ("R1+", "insert", 1), ("R1-", "delete", 3), ("R2", "insert", 0),
+        ("R2", "delete", 2), ("R3", "rewrite", 5), ("T1", "insert", 3),
+        ("T1", "delete", 1), ("T3", "rewrite", 7),
+    ):
+        specs.append(MoveSpec(kind, direction, (0,) * length))
+    specs.append(MoveSpec("R1+", "insert", (0, "0")))
+    specs.append(MoveSpec("R3", "rewrite", (0, 0, 0, 1, 0, 2.0)))
+    specs += [MoveSpec("T2", "rewrite", ()), MoveSpec("R9", "insert", (0, 0))]
+    for kind, direction in (("R1+", "rewrite"), ("R2", "rewrite"), ("R3", "delete"),
+                            ("T1", "rewrite"), ("T2", "insert"), ("T3", "delete"),
+                            ("R2", "sideways")):
+        specs.append(MoveSpec(kind, direction, (0, 0)))
+    return specs
+
+
+def _move_layer_dump():
+    """Every enumerator's site list, every moved code and every rejection
+    message, over the fixtures, a twisted corpus sample and the probes."""
+    from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
+
+    codes = [c for _n, c in twisted_fixtures() + classical_fixtures()] + corpus_twisted(16, 24)
+    lines = []
+
+    def apply(code, spec):
+        try:
+            lines.append(f"  {spec} = {serialize(apply_move(code, spec))!r}")
+        except MoveError as e:
+            lines.append(f"  {spec} ! {e}")
+
+    for i, code in enumerate(codes):
+        lines.append(f"code {serialize(code)!r}")
+        for enum in (r1_delete_sites, r2_delete_sites, r3_sites, t1_delete_sites, t3_sites):
+            lines.append(f" {enum.__name__}")
+            for spec in enum(code):
+                apply(code, spec)
+        lines.append(" insert_sites")
+        for spec in insert_sites(code, random.Random(i)):
+            apply(code, spec)
+    for text in _PROBE_CODES:
+        code = parse_code(text.replace(";", "\n"))
+        lines.append(f"probe {serialize(code)!r}")
+        for spec in _probe_specs(code):
+            apply(code, spec)
+    return "\n".join(lines) + "\n"
+
+
+def test_move_layer_pinned():
+    dump = _move_layer_dump()
+    assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == (
+        "2d2cdb9c5a6653dd4e456846a9c4f28fc33df20b7a73a7dddd7c3e7999d421c2"
+    )
