@@ -10,23 +10,23 @@ contributing a delta factor.  The normalized invariant multiplies by
 
 Both brackets read one state-sum table, keyed by (signature, natural,
 inessential count); the double bracket collapses its keys instead of
-running a second sum.  Both are assembled on int tables: delta^n is
-expanded once into rows of binomial coefficients, each key adds count
-times its row into an {exponent: int} table per class (for the double
-bracket, one {(a, m, d_exps): int} table, each signature's (M, d) part
-computed once), and a MultiLaurent is built once per table.  State
-evaluation partitions the splice bitmask range across processes when
-asked; counts merge by exact integer addition, so worker count never
-changes a single output bit.
+running a second sum.  One routine, `_fold`, adds each (label, natural,
+iness, count) term's count times a row of binomial coefficients (delta^n,
+expanded once) into an {A-exponent: int} table per label, and each bracket
+is a choice of label: the signature, its (M, d) part (the double bracket),
+or the given label (`assemble_from_table`).  State evaluation partitions
+the splice bitmask range across processes when asked; counts merge by
+exact integer addition, so worker count never changes a single output bit.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from math import comb
 
-from .codes import TwistedGaussCode, parse_code, serialize, writhe
+from .codes import TwistedGaussCode, writhe
 from .laurent import MultiLaurent, minus_A_pow
 from .states import sum_counts
 from .surfaces import ClosedSurface, build_ribbon, cap_boundaries
@@ -94,8 +94,8 @@ def _surface(code: TwistedGaussCode) -> ClosedSurface:
 
 
 def _worker_counts(args):
-    text, lo, hi = args
-    return list(sum_counts(_surface(parse_code(text)), lo, hi).items())
+    code, lo, hi = args
+    return list(sum_counts(_surface(code), lo, hi).items())
 
 
 def _counts(code: TwistedGaussCode, workers: int = 1) -> dict:
@@ -103,9 +103,8 @@ def _counts(code: TwistedGaussCode, workers: int = 1) -> dict:
     if workers <= 1 or total < 4 * workers:
         return sum_counts(_surface(code), 0, total)
     # the workers build their own surfaces; the parent needs none
-    text = serialize(code)
     bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [(text, bounds[i], bounds[i + 1]) for i in range(workers)]
+    jobs = [(code, bounds[i], bounds[i + 1]) for i in range(workers)]
     counts: dict = {}
     # the masks are still cut into `workers` jobs; the pool size only caps
     # how many processes run them at once
@@ -125,10 +124,9 @@ def _delta_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
     ]
 
 
-def _a_sums(terms, top: int) -> dict:
+def _fold(terms, top: int) -> dict:
     """Per label, Sum count * A^nat * delta^iness over the (label, nat, iness,
-    count) terms, each iness <= top: one {exponent: int} table per label,
-    then one MultiLaurent per label."""
+    count) terms, each iness <= top: one {A-exponent: int} table per label."""
     rows = _delta_rows(top)
     tables: dict = {}
     for label, nat, iness, count in terms:
@@ -138,6 +136,11 @@ def _a_sums(terms, top: int) -> dict:
         for e, c in rows[iness]:
             a = nat + e
             table[a] = table.get(a, 0) + c * count
+    return tables
+
+
+def _a_only(tables: dict) -> dict:
+    """One MultiLaurent in A per label of `_fold`'s tables."""
     return {
         label: MultiLaurent({(a, 0, ()): c for a, c in table.items()})
         for label, table in tables.items()
@@ -160,23 +163,15 @@ def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
 def _double_from_counts(counts: dict) -> MultiLaurent:
     if not counts:
         return MultiLaurent.one()
-    rows = _delta_rows(max(k[2] for k in counts))
-    parts: dict = {}
-    table: dict = {}
-    for (sig, nat, iness), count in counts.items():
-        part = parts.get(sig)
-        if part is None:
-            part = parts[sig] = _collapse(sig)
-        m, d = part
-        for e, c in rows[iness]:
-            mono = (nat + e, m, d)
-            table[mono] = table.get(mono, 0) + c * count
-    return MultiLaurent(table)
+    label = cache(_collapse)  # a fresh cache: each signature collapses once
+    terms = ((label(sig), nat, iness, count) for (sig, nat, iness), count in counts.items())
+    tables = _fold(terms, max(k[2] for k in counts))
+    return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
 
 
 def _bracket_from_counts(counts: dict) -> BracketValue:
     terms = ((sig, nat, iness, count) for (sig, nat, iness), count in counts.items())
-    return BracketValue(_a_sums(terms, max((k[2] for k in counts), default=0)))
+    return BracketValue(_a_only(_fold(terms, max((k[2] for k in counts), default=0))))
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
@@ -219,4 +214,4 @@ def assemble_from_table(rows) -> dict:
     (natural, iness_count, label); reproduces printed state tables."""
     rows = list(rows)
     terms = ((label, nat, iness, 1) for nat, iness, label in rows)
-    return _a_sums(terms, max((r[1] for r in rows), default=0))
+    return _a_only(_fold(terms, max((r[1] for r in rows), default=0)))

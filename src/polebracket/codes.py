@@ -156,9 +156,7 @@ def parse_code(text: str) -> TwistedGaussCode:
                 )
             )
         components.append(tuple(toks))
-    comps = tuple(components)
-    _validate(comps)
-    return TwistedGaussCode(comps)
+    return make_code(components)
 
 
 def serialize(code: TwistedGaussCode) -> str:

@@ -41,14 +41,9 @@ class MultiLaurent:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        tt: dict[Monomial, int] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    tt[mono] = tt.get(mono, 0) + c
-                    if not tt[mono]:
-                        del tt[mono]
-        self.terms = tt
+        """Keeps the nonzero coefficients of `terms`; `+` and `*` build their
+        results here too, so this is the one place that drops zeros."""
+        self.terms = {mono: c for mono, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -101,14 +96,8 @@ class MultiLaurent:
             other = MultiLaurent.const(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        r = MultiLaurent()
-        r.terms = out
-        return r
+            out[m] = out.get(m, 0) + c
+        return MultiLaurent(out)
 
     __radd__ = __add__
 
@@ -122,21 +111,13 @@ class MultiLaurent:
 
     def __mul__(self, other: "MultiLaurent | int") -> "MultiLaurent":
         if isinstance(other, int):
-            if not other:
-                return MultiLaurent()
             return MultiLaurent({m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mul_mono(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        r = MultiLaurent()
-        r.terms = out
-        return r
+                out[m] = out.get(m, 0) + c1 * c2
+        return MultiLaurent(out)
 
     __rmul__ = __mul__
 

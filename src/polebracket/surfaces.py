@@ -116,8 +116,6 @@ def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
                 if isinstance(comp[i], Bar):
                     flip ^= 1
                 i = (i + 1) % n
-            if len(visits) == 1:
-                flip = sum(1 for t in comp if isinstance(t, Bar)) % 2
             u = _dart_out(kidx[tok.crossing], tok.over)
             v = _dart_in(kidx[ntok.crossing], ntok.over)
             bands.append((u, v, flip))

@@ -139,9 +139,10 @@ def all_move_sites(code: TwistedGaussCode, rng) -> list:
 
 
 def sweep_move_invariance(diagrams, seed: int = 0, *, doubles=None):
-    """R of each diagram against R after each move site.  `doubles`, when
-    given, holds the diagrams' double brackets, so that R is read off them
-    instead of summing each diagram again."""
+    """R of each diagram against R after each move site; a site that
+    `apply_move` rejects fails too.  `doubles`, when given, holds the
+    diagrams' double brackets, so that R is read off them instead of
+    summing each diagram again."""
     rng = random.Random(seed)
     checked = 0
     failures = []
@@ -151,12 +152,13 @@ def sweep_move_invariance(diagrams, seed: int = 0, *, doubles=None):
         else:
             before = writhe_normalize(code, doubles[i])
         for spec in all_move_sites(code, rng):
-            try:
-                moved = apply_move(code, spec)
-            except MoveError:
-                continue
             checked += 1
-            if normalized(moved) != before:
+            try:
+                ok = normalized(apply_move(code, spec)) == before
+            except MoveError:
+                # a site the enumerators offer must be one the move takes
+                ok = False
+            if not ok:
                 failures.append((code, spec))
     return checked, failures
 

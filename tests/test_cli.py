@@ -288,6 +288,23 @@ def _no_polygon_complex(*_args):
     raise AssertionError("program code built a polygon complex")
 
 
+def test_check_fails_on_a_site_its_enumerators_offer_but_the_move_rejects(capsys, monkeypatch):
+    from polebracket import verify
+    from polebracket.moves import MoveSpec
+
+    _status, before, _ = run(capsys, "check", "--seed", "1", "--count", "2")
+    assert "PASS  move invariance of R (42 checked, 0 failures)" in before
+    # every diagram is now also offered an R1 deletion outside its code
+    real = verify.r1_delete_sites
+    bad = MoveSpec("R1+", "delete", (0, 10**6))
+    monkeypatch.setattr(verify, "r1_delete_sites", lambda code: real(code) + [bad])
+    status, out, _ = run(capsys, "check", "--seed", "1", "--count", "2")
+    assert status == 3
+    # the two twisted diagrams each fail once, and the rejected sites count as checked
+    assert "FAIL  move invariance of R (44 checked, 2 failures)" in out
+    assert "all checks passed" not in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -80,6 +80,9 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p - p == MultiLaurent.zero()
+    # the constructor drops zeros for every result, so none is ever stored
+    for result in (p + q, p - q, p * q):
+        assert 0 not in result.terms.values()
 
 
 @given(_polys())
