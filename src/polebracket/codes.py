@@ -75,9 +75,6 @@ class TwistedGaussCode:
             if isinstance(tok, Visit)
         }
 
-    def sign_of(self, crossing_id: int) -> int:
-        return self.signs()[crossing_id]
-
     def __repr__(self) -> str:
         return f"TwistedGaussCode<{serialize(self).replace(chr(10), ' / ').strip()}>"
 

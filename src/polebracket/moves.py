@@ -26,13 +26,15 @@ pattern.  The double bracket is computed on the closed realization surface,
 and a token-level R2 or R3 rewrite whose bigon or triangle does not bound a
 disk there, or whose removal lets the realization destabilize to a smaller
 surface, changes the value (a 2-gon face of the complement can still span a
-handle that nothing else uses).  R2 deletes and R3 rewrites therefore check
-both conditions and reject sites that fail them; R2 inserts are offered as
-nested fold pokes, which are local in a disk and always safe.  The T3
-rewrite, which is not guarded, slides a bar pair, one bar on each strand and
-both on the same side of the crossing, past the crossing: the bars move to
-the other side, the two strands exchange over and under, and the crossing
-sign stays.
+handle that nothing else uses).  R2 deletes and R3 rewrites therefore build
+one move circle from their visit pairs, and reject a site where it bounds no
+disk or the surface changes.  On a token-valid R2 site the circle runs beside
+a two-corner cap, so only the surface check can reject it.  R2 inserts are
+offered as nested fold pokes, which are local in a disk and always safe.
+The T3 rewrite, which is not guarded, slides a bar pair, one bar on each
+strand and both on the same side of the crossing, past the crossing: the
+bars move to the other side, the two strands exchange over and under, and
+the crossing sign stays.
 """
 
 from __future__ import annotations
@@ -148,27 +150,40 @@ def _piece_types(F) -> list[tuple]:
     return sorted((p.euler, p.orientable, p.genus, p.crosscaps) for p in F.pieces)
 
 
-def _pair_band(rs, first: Visit, second: Visit) -> tuple[int, int, int]:
-    """Band along the strand from an adjacent visit pair; returns
-    (out dart, in dart, band index)."""
+def _move_circle(rs, pairs) -> EmbeddedCurve:
+    """The move circle of a bigon (two visit pairs) or a triangle (three):
+    it runs along the band of each adjacent visit pair, and crosses each
+    crossing disk on one chord, joining the two darts the pairs end at
+    there."""
     kidx = {cid: k for k, cid in enumerate(rs.crossing_ids)}
-    u = _dart_out(kidx[first.crossing], first.over)
-    v = _dart_in(kidx[second.crossing], second.over)
-    other, _flip, bi = rs.band_at[u]
-    if other != v:
-        raise AssertionError("adjacent visits disagree with the ribbon bands")
-    return u, v, bi
+    ends: dict[int, list[int]] = {}
+    mask = 0
+    for first, second in pairs:
+        u = _dart_out(kidx[first.crossing], first.over)
+        v = _dart_in(kidx[second.crossing], second.over)
+        other, _flip, bi = rs.band_at[u]
+        if other != v:
+            raise AssertionError("adjacent visits disagree with the ribbon bands")
+        mask |= 1 << bi
+        ends.setdefault(first.crossing, []).append(u)
+        ends.setdefault(second.crossing, []).append(v)
+    chords = tuple(sorted(tuple(sorted(ds)) for ds in ends.values()))
+    return EmbeddedCurve(chords, mask, 0)
 
 
-def _guard_realization(code, curve_builder, result_code) -> None:
+def _guard_realization(code, pairs, result_code) -> None:
     """Reject rewrites that are not moves of the twisted link: the move
-    circle must bound a disk on the realization, and the realization
-    surface must survive the rewrite unchanged (else the rewrite quietly
-    dropped a handle or crosscap that the move circle was using)."""
+    circle of the visit pairs must bound a disk on the realization, and the
+    realization surface must survive the rewrite unchanged (else the rewrite
+    quietly dropped a handle or crosscap that the move circle was using).
+    On a token-valid R2 site the disk half holds: over and under darts
+    alternate around a crossing disk, so each bigon chord joins
+    rotation-adjacent darts, and with opposite signs at the two crossings
+    the bigon's two band sides join the two corners its chords cut off into
+    one two-corner cap, which the circle runs beside."""
     rs = build_ribbon(code)
     F = cap_boundaries(rs)
-    curve = curve_builder(rs)
-    if not F.bounds_disk(curve):
+    if not F.bounds_disk(_move_circle(rs, pairs)):
         raise MoveError("move circle does not bound a disk on the realization")
     if _piece_types(F) != _piece_types(cap_boundaries(build_ribbon(result_code))):
         raise MoveError("rewrite would change the realization surface")
@@ -222,17 +237,6 @@ def _poke(x, variant):
     ]
 
 
-def _bigon_curve(rs, a1, b1, a2, b2):
-    u1, v1, bi1 = _pair_band(rs, a1, b1)
-    u2, v2, bi2 = _pair_band(rs, a2, b2)
-    if a2.crossing == b1.crossing:       # strands antiparallel around the bigon
-        raw = [(v1, u2), (v2, u1)]
-    else:                                # parallel: second band walked backwards
-        raw = [(v1, v2), (u1, u2)]
-    chords = tuple(sorted(tuple(sorted(ch)) for ch in raw))
-    return EmbeddedCurve(chords, (1 << bi1) | (1 << bi2), 0)
-
-
 def _r2_delete(code, site, _variant):
     comps = _components(code)
     _check_site(site, 4, "R2 delete")
@@ -256,7 +260,7 @@ def _r2_delete(code, site, _variant):
         raise MoveError("R2 delete needs opposite signs")
     _replace(comps, dict.fromkeys(spots, ()))
     result = make_code(comps)
-    _guard_realization(code, lambda rs: _bigon_curve(rs, a1, b1, a2, b2), result)
+    _guard_realization(code, ((a1, b1), (a2, b2)), result)
     return result
 
 
@@ -265,17 +269,14 @@ def _r2_delete(code, site, _variant):
 
 
 def _canon_r3(strands: tuple) -> tuple:
-    best = None
-    for perm in permutations(range(3)):
-        relabeled = [None, None, None]
-        for i in range(3):
-            relabeled[perm[i]] = tuple(
-                (perm[j], over, sign) for (j, over, sign) in strands[i]
-            )
-        cand = tuple(relabeled)
-        if best is None or cand < best:
-            best = cand
-    return best
+    """Least relabelling of the three strands; strand i becomes perm[i]."""
+    return min(
+        tuple(
+            tuple((perm[j], over, sign) for (j, over, sign) in strands[perm.index(p)])
+            for p in range(3)
+        )
+        for perm in permutations(range(3))
+    )
 
 
 def _r3_table() -> frozenset:
@@ -343,18 +344,6 @@ def _r3_site_pattern(comps, site):
     return anchors, pairs, tuple(strands)
 
 
-def _triangle_curve(rs, pairs):
-    ends: dict[int, list[int]] = {}
-    mask = 0
-    for t, u in pairs:
-        du, dv, bi = _pair_band(rs, t, u)
-        mask |= 1 << bi
-        ends.setdefault(t.crossing, []).append(du)
-        ends.setdefault(u.crossing, []).append(dv)
-    chords = tuple(sorted(tuple(sorted(ds)) for ds in ends.values()))
-    return EmbeddedCurve(chords, mask, 0)
-
-
 def _r3_rewrite(code, site, _variant):
     comps = _components(code)
     anchors, pairs, strands = _r3_site_pattern(comps, site)
@@ -362,11 +351,10 @@ def _r3_rewrite(code, site, _variant):
         raise MoveError("R3 site is not a realizable triangle configuration")
     for ci, pos in anchors:
         comp = comps[ci]
-        n = len(comp)
-        q = (pos + 1) % n
+        q = (pos + 1) % len(comp)
         comp[pos], comp[q] = comp[q], comp[pos]
     result = make_code(comps)
-    _guard_realization(code, lambda rs: _triangle_curve(rs, pairs), result)
+    _guard_realization(code, pairs, result)
     return result
 
 
@@ -516,18 +504,13 @@ def t3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
     for ci, comp in enumerate(code.components):
         n = len(comp)
         for i in range(n):
-            if not isinstance(comp[i], Bar):
-                continue
-            for att in (1, -1):
-                tok = comp[(i + att) % n]
-                if isinstance(tok, Visit):
-                    legs.setdefault(tok.crossing, []).append((ci, i, att, tok.over))
-    out = []
-    for _cid, entries in sorted(legs.items()):
-        for (c1, b1, a1, o1), (c2, b2, a2, o2) in combinations(entries, 2):
-            if o1 != o2 and a1 == a2 and (c1, b1) != (c2, b2):
-                    out.append(MoveSpec("T3", "rewrite", (c1, b1, a1, c2, b2, a2)))
-    return out
+            if isinstance(comp[i], Bar):
+                for att in (1, -1):
+                    tok = comp[(i + att) % n]
+                    if isinstance(tok, Visit):
+                        legs.setdefault(tok.crossing, []).append((ci, i, att))
+    sites = (a + b for _cid, entries in sorted(legs.items()) for a, b in combinations(entries, 2))
+    return [MoveSpec("T3", "rewrite", s) for s in sites if _accepts(_t3_rewrite, code, s)]
 
 
 # insertion sites sampled per diagram: R1, R2 and T1 draws

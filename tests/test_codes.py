@@ -20,7 +20,7 @@ def test_parse_basic():
     code = parse_code("O1+ U2- B O2- U1+")
     assert len(code.components) == 1
     assert code.crossing_ids == (1, 2)
-    assert code.sign_of(1) == 1 and code.sign_of(2) == -1
+    assert code.signs() == {1: 1, 2: -1}
 
 
 def test_parse_empty_and_multiline():

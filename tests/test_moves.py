@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -135,6 +136,40 @@ def test_r3_rejects_cyclic_over_pattern():
     # cycle; no plane triangle realizes that
     code = parse_code("O1+ U3+ O2+ U1+ O3+ U2+")
     assert r3_sites(code) == []
+
+
+def test_every_move_circle_runs_beside_a_cap_and_bounds_a_disk(monkeypatch):
+    """The R2 and R3 guards build their circles through `_move_circle`; on
+    token-valid sites each one runs along the bands of one cap, so the disk
+    half of `_guard_realization` holds (the reason is given there)."""
+    from polebracket import moves
+    from polebracket.surfaces import cap_boundaries
+    from polebracket.verify import (
+        classical_fixtures, corpus_classical, corpus_twisted, twisted_fixtures,
+    )
+
+    build = moves._move_circle
+    shapes = collections.Counter()
+
+    def checked(rs, pairs):
+        circle = build(rs, pairs)
+        F = cap_boundaries(rs)
+        assert F.bounds_disk(circle)
+        assert circle.band_mask in F._cap_masks
+        if len(pairs) == 3:
+            shapes["triangle"] += 1
+        elif pairs[0][0].crossing == pairs[1][0].crossing:
+            shapes["parallel bigon"] += 1
+        else:
+            shapes["antiparallel bigon"] += 1
+        return circle
+
+    monkeypatch.setattr(moves, "_move_circle", checked)
+    codes = [c for _n, c in twisted_fixtures() + classical_fixtures()]
+    for code in codes + corpus_twisted(7, 40) + corpus_classical(8, 20):
+        r2_delete_sites(code)
+        r3_sites(code)
+    assert set(shapes) == {"triangle", "parallel bigon", "antiparallel bigon"}, shapes
 
 
 # -- T moves -----------------------------------------------------------------
