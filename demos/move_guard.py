@@ -1,10 +1,13 @@
-"""Moves, and why deletions are guarded.
+"""Moves, and why R2 deletions are guarded.
 
 apply_move rewrites a code in place of drawing pictures: insertions are
-always legal, but a deletion or triangle slide is only a move when the
-circle it sweeps bounds a disk on the canonical realization and the
-surgery leaves the surface type alone.  Two four-crossing-pattern
-look-alikes show the guard earning its keep.
+always legal, but a rewrite is only a move when the circle it sweeps
+bounds a disk on the canonical realization and the surgery leaves the
+surface type alone.  The token checks already give the disk for R2 and
+R3, and an R3 triangle slide or a T3 bar slide never changes the surface,
+so only an R2 deletion is guarded, by comparing the surface before and
+after.  Two four-crossing-pattern look-alikes show the guard earning its
+keep.
 """
 
 import random

@@ -21,20 +21,25 @@ it is computed at import time by sliding a line across the crossing of two
 others in the plane, enumerating all strand directions and over-orders, and
 recording the resulting local token patterns.
 
-Moves must preserve the link diagram realization, not merely the token
-pattern.  The double bracket is computed on the closed realization surface,
-and a token-level R2 or R3 rewrite whose bigon or triangle does not bound a
-disk there, or whose removal lets the realization destabilize to a smaller
-surface, changes the value (a 2-gon face of the complement can still span a
-handle that nothing else uses).  R2 deletes and R3 rewrites therefore build
-one move circle from their visit pairs, and reject a site where it bounds no
-disk or the surface changes.  On a token-valid R2 site the circle runs beside
-a two-corner cap, so only the surface check can reject it.  R2 inserts are
-offered as nested fold pokes, which are local in a disk and always safe.
-The T3 rewrite, which is not guarded, slides a bar pair, one bar on each
-strand and both on the same side of the crossing, past the crossing: the
-bars move to the other side, the two strands exchange over and under, and
-the crossing sign stays.
+Moves must keep the realization, not just the token pattern: the double
+bracket lives on the closed realization surface, so a rewrite is a move only
+if the circle it sweeps bounds a disk there and the surgery keeps the surface
+type.  Only R2 deletes can fail that, only on the surface; only they are guarded:
+- R2.  Over and under darts alternate around a crossing disk, so each bigon
+  chord cuts off one corner; with opposite signs the bigon's two band sides
+  join those corners into a two-corner cap, which the circle runs beside.
+  But a 2-gon face can still span a handle nothing else uses, so a deletion
+  that changes the surface's pieces is refused.
+- R3.  The pairs are adjacent tokens, so their bands are unflipped, and at
+  each crossing the two darts lie on one over- and one under-strand, so they
+  are rotation-adjacent.  The pattern fixes signs and directions, and
+  `_R3_PATTERNS` holds exactly the planar triangles, so the corners and band
+  sides close into one cap (a local fact: the 16 canonical patterns cover
+  every site).  Disks, bands and cap form a disk with six arms.  The rewrite
+  swaps each pair in place, keeps signs and over/under and leaves a planar
+  triangle (R3 undoes itself at its site), so the gluing is unchanged.
+R2 inserts are fold pokes, local in a disk, and the T3 bar slide turns one
+crossing disk over (see `_t3_rewrite`); neither needs a guard.
 """
 
 from __future__ import annotations
@@ -43,13 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .codes import BAR, Bar, TwistedGaussCode, Visit, make_code
-from .surfaces import (
-    EmbeddedCurve,
-    _dart_in,
-    _dart_out,
-    build_ribbon,
-    cap_boundaries,
-)
+from .surfaces import build_ribbon, cap_boundaries
 
 
 class MoveError(ValueError):
@@ -143,53 +142,6 @@ def _delete_pair(what, fits, message):
 
 
 # ---------------------------------------------------------------------------
-# realization-surface guards shared by R2 delete and R3
-
-
-def _piece_types(F) -> list[tuple]:
-    return sorted((p.euler, p.orientable, p.genus, p.crosscaps) for p in F.pieces)
-
-
-def _move_circle(rs, pairs) -> EmbeddedCurve:
-    """The move circle of a bigon (two visit pairs) or a triangle (three):
-    it runs along the band of each adjacent visit pair, and crosses each
-    crossing disk on one chord, joining the two darts the pairs end at
-    there."""
-    kidx = {cid: k for k, cid in enumerate(rs.crossing_ids)}
-    ends: dict[int, list[int]] = {}
-    mask = 0
-    for first, second in pairs:
-        u = _dart_out(kidx[first.crossing], first.over)
-        v = _dart_in(kidx[second.crossing], second.over)
-        other, _flip, bi = rs.band_at[u]
-        if other != v:
-            raise AssertionError("adjacent visits disagree with the ribbon bands")
-        mask |= 1 << bi
-        ends.setdefault(first.crossing, []).append(u)
-        ends.setdefault(second.crossing, []).append(v)
-    chords = tuple(sorted(tuple(sorted(ds)) for ds in ends.values()))
-    return EmbeddedCurve(chords, mask, 0)
-
-
-def _guard_realization(code, pairs, result_code) -> None:
-    """Reject rewrites that are not moves of the twisted link: the move
-    circle of the visit pairs must bound a disk on the realization, and the
-    realization surface must survive the rewrite unchanged (else the rewrite
-    quietly dropped a handle or crosscap that the move circle was using).
-    On a token-valid R2 site the disk half holds: over and under darts
-    alternate around a crossing disk, so each bigon chord joins
-    rotation-adjacent darts, and with opposite signs at the two crossings
-    the bigon's two band sides join the two corners its chords cut off into
-    one two-corner cap, which the circle runs beside."""
-    rs = build_ribbon(code)
-    F = cap_boundaries(rs)
-    if not F.bounds_disk(_move_circle(rs, pairs)):
-        raise MoveError("move circle does not bound a disk on the realization")
-    if _piece_types(F) != _piece_types(cap_boundaries(build_ribbon(result_code))):
-        raise MoveError("rewrite would change the realization surface")
-
-
-# ---------------------------------------------------------------------------
 # R1
 
 
@@ -220,6 +172,12 @@ def _r1_delete(sign):
 
 # ---------------------------------------------------------------------------
 # R2
+
+
+def _piece_types(code) -> list[tuple]:
+    """(euler, orientable) per piece of the realization; genus and crosscaps follow."""
+    F = cap_boundaries(build_ribbon(code))
+    return sorted((p.euler, p.orientable) for p in F.pieces)
 
 
 def _poke(x, variant):
@@ -260,7 +218,8 @@ def _r2_delete(code, site, _variant):
         raise MoveError("R2 delete needs opposite signs")
     _replace(comps, dict.fromkeys(spots, ()))
     result = make_code(comps)
-    _guard_realization(code, ((a1, b1), (a2, b2)), result)
+    if _piece_types(code) != _piece_types(result):
+        raise MoveError("rewrite would change the realization surface")
     return result
 
 
@@ -334,28 +293,24 @@ def _r3_site_pattern(comps, site):
         owner.setdefault(u.crossing, []).append(k)
     if len(owner) != 3 or any(len(v) != 2 for v in owner.values()):
         raise MoveError("R3 needs three crossings, each shared by two strands")
-    strands = []
-    for k, (t, u) in enumerate(pairs):
-        ends = []
-        for tok in (t, u):
-            a, b = owner[tok.crossing]
-            ends.append((b if a == k else a, tok.over, tok.sign))
-        strands.append(tuple(ends))
-    return anchors, pairs, tuple(strands)
+    # the other strand at a crossing is the owner that is not k
+    strands = tuple(
+        tuple((sum(owner[tok.crossing]) - k, tok.over, tok.sign) for tok in pair)
+        for k, pair in enumerate(pairs)
+    )
+    return anchors, strands
 
 
 def _r3_rewrite(code, site, _variant):
     comps = _components(code)
-    anchors, pairs, strands = _r3_site_pattern(comps, site)
+    anchors, strands = _r3_site_pattern(comps, site)
     if _canon_r3(strands) not in _R3_PATTERNS:
         raise MoveError("R3 site is not a realizable triangle configuration")
     for ci, pos in anchors:
         comp = comps[ci]
         q = (pos + 1) % len(comp)
         comp[pos], comp[q] = comp[q], comp[pos]
-    result = make_code(comps)
-    _guard_realization(code, pairs, result)
-    return result
+    return make_code(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +348,11 @@ def _t3_rewrite(code, site, _variant):
         raise MoveError("T3 legs must use distinct bars and visits")
     if t1.crossing != t2.crossing or t1.over == t2.over:
         raise MoveError("T3 bars must flank the two visits of one crossing")
-    # T3 transform: sliding a bar pair across a crossing exchanges which
-    # strand passes over and keeps the crossing sign.  Chosen empirically: of
-    # the four role/sign transform combinations, only this one leaves the
-    # normalized bracket unchanged across a bar-rich corpus (the others fail
-    # on 40-72% of applicable sites).  Both bars must sit on the same side of
-    # the crossing along their strands; that is the move's geometric shape,
-    # although the invariance suite cannot tell the mixed-side variant apart.
+    # Moving one bar past the crossing on each strand toggles the flip of all
+    # four bands at that crossing disk, which turns the disk over: the surface
+    # stays the same, over and under swap, and the sign stays.  Both bars must
+    # sit on the same side of the crossing along their strands, the move's
+    # shape; the mixed-side variant is a disk flip too, but is not accepted.
     if a1 != a2:
         raise MoveError("T3 bars must sit on the same side of the crossing")
     # each bar is dropped and put back beside its flipped visit, on the
@@ -486,8 +439,15 @@ def r2_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
 
 
 def r3_sites(code: TwistedGaussCode) -> list[MoveSpec]:
-    pairs = [(ci, i) for ci, i, t, u in _adjacent_pairs(code) if _two_crossings(t, u)]
-    sites = (sum(trio, ()) for trio in combinations(pairs, 3))
+    pairs = [
+        ((ci, i), frozenset((t.crossing, u.crossing)))
+        for ci, i, t, u in _adjacent_pairs(code) if _two_crossings(t, u)
+    ]
+    # the handler takes a trio only if its pairs are the three pairs of three crossings
+    sites = (
+        p + q + r for (p, a), (q, b), (r, c) in combinations(pairs, 3)
+        if len({a, b, c}) == 3 and len(a | b | c) == 3
+    )
     return [MoveSpec("R3", "rewrite", s) for s in sites if _accepts(_r3_rewrite, code, s)]
 
 

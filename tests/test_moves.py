@@ -18,6 +18,7 @@ from polebracket.moves import (
     t1_delete_sites,
     t3_sites,
 )
+from polebracket.surfaces import EmbeddedCurve, _dart_in, _dart_out, build_ribbon, cap_boundaries
 from polebracket.verify import braid_closure
 
 
@@ -138,38 +139,83 @@ def test_r3_rejects_cyclic_over_pattern():
     assert r3_sites(code) == []
 
 
-def test_every_move_circle_runs_beside_a_cap_and_bounds_a_disk(monkeypatch):
-    """The R2 and R3 guards build their circles through `_move_circle`; on
-    token-valid sites each one runs along the bands of one cap, so the disk
-    half of `_guard_realization` holds (the reason is given there)."""
+def _move_circle(rs, pairs):
+    """The move circle of a bigon (two visit pairs) or a triangle (three):
+    it runs along the band of each adjacent visit pair, and crosses each
+    crossing disk on one chord, joining the two darts the pairs end at
+    there."""
+    kidx = {cid: k for k, cid in enumerate(rs.crossing_ids)}
+    ends = {}
+    mask = 0
+    for first, second in pairs:
+        u = _dart_out(kidx[first.crossing], first.over)
+        v = _dart_in(kidx[second.crossing], second.over)
+        other, _flip, bi = rs.band_at[u]
+        assert other == v, "adjacent visits disagree with the ribbon bands"
+        mask |= 1 << bi
+        ends.setdefault(first.crossing, []).append(u)
+        ends.setdefault(second.crossing, []).append(v)
+    chords = tuple(sorted(tuple(sorted(ds)) for ds in ends.values()))
+    return EmbeddedCurve(chords, mask, 0)
+
+
+def _site_pairs(code, site):
+    """The visit pairs at a site's anchors, (component, first position) each."""
+    comps = code.components
+    return [
+        (comps[ci][pos], comps[ci][(pos + 1) % len(comps[ci])])
+        for ci, pos in zip(site[::2], site[1::2])
+    ]
+
+
+def _token_valid_r2_sites(code):
+    """Every R2 delete site that passes the token checks, including those
+    the surface comparison then refuses."""
+    spots = [(ci, pos) for ci, comp in enumerate(code.components) for pos in range(len(comp))]
+    valid = []
+    for a, b in itertools.combinations(spots, 2):
+        spec = MoveSpec("R2", "delete", a + b)
+        try:
+            apply_move(code, spec)
+        except MoveError as e:
+            if str(e) != "rewrite would change the realization surface":
+                continue
+        valid.append(spec)
+    return valid
+
+
+def test_every_move_circle_runs_beside_a_cap_and_bounds_a_disk():
+    """Why only R2 deletes are guarded, and only on the surface (the
+    `moves` docstring): on every token-valid R2 site and every R3 site the
+    move circle runs along the bands of one cap, so it bounds a disk, and
+    every R3 rewrite keeps the surface and undoes itself at its site."""
     from polebracket import moves
-    from polebracket.surfaces import cap_boundaries
     from polebracket.verify import (
         classical_fixtures, corpus_classical, corpus_twisted, twisted_fixtures,
     )
 
-    build = moves._move_circle
-    shapes = collections.Counter()
-
-    def checked(rs, pairs):
-        circle = build(rs, pairs)
-        F = cap_boundaries(rs)
-        assert F.bounds_disk(circle)
-        assert circle.band_mask in F._cap_masks
-        if len(pairs) == 3:
-            shapes["triangle"] += 1
-        elif pairs[0][0].crossing == pairs[1][0].crossing:
-            shapes["parallel bigon"] += 1
-        else:
-            shapes["antiparallel bigon"] += 1
-        return circle
-
-    monkeypatch.setattr(moves, "_move_circle", checked)
+    bigons = collections.Counter()
+    patterns = set()
     codes = [c for _n, c in twisted_fixtures() + classical_fixtures()]
-    for code in codes + corpus_twisted(7, 40) + corpus_classical(8, 20):
-        r2_delete_sites(code)
-        r3_sites(code)
-    assert set(shapes) == {"triangle", "parallel bigon", "antiparallel bigon"}, shapes
+    for code in codes + corpus_twisted(7, 40) + corpus_classical(8, 120):
+        rs = build_ribbon(code)
+        F = cap_boundaries(rs)
+        for spec in _token_valid_r2_sites(code) + r3_sites(code):
+            pairs = _site_pairs(code, spec.site)
+            circle = _move_circle(rs, pairs)
+            assert F.bounds_disk(circle)
+            assert circle.band_mask in F._cap_masks
+            if spec.kind == "R2":
+                parallel = pairs[0][0].crossing == pairs[1][0].crossing
+                bigons["parallel" if parallel else "antiparallel"] += 1
+                continue
+            moved = apply_move(code, spec)
+            assert moves._piece_types(moved) == moves._piece_types(code)
+            assert apply_move(moved, spec) == code
+            _anchors, strands = moves._r3_site_pattern(moves._components(code), spec.site)
+            patterns.add(moves._canon_r3(strands))
+    assert set(bigons) == {"parallel", "antiparallel"}, bigons
+    assert patterns == moves._R3_PATTERNS and len(patterns) == 16
 
 
 # -- T moves -----------------------------------------------------------------
@@ -195,6 +241,21 @@ def test_t3_slide_swaps_roles_keeps_sign():
     assert all(t.sign == 1 for t in tokens if hasattr(t, "sign"))
     assert writhe(moved) == writhe(code)
     assert normalized(moved) == normalized(code)
+
+
+def test_t3_turns_a_crossing_disk_over_and_keeps_the_surface():
+    """The T3 slide toggles the flip of the four bands at its crossing disk,
+    which turns the disk over (see `_t3_rewrite`); the surface stays."""
+    from polebracket.moves import _piece_types
+    from polebracket.verify import corpus_twisted, twisted_fixtures
+
+    codes = [c for _n, c in twisted_fixtures()] + corpus_twisted(7, 200)
+    sites = 0
+    for code in codes:
+        for spec in t3_sites(code):
+            assert _piece_types(apply_move(code, spec)) == _piece_types(code)
+            sites += 1
+    assert sites == 73
 
 
 def test_t3_requires_shared_crossing():
