@@ -10,24 +10,30 @@ contributing a delta factor.  The normalized invariant multiplies by
 
 Both brackets read one state-sum table, keyed by (signature, natural,
 inessential count); the double bracket collapses its keys instead of
-running a second sum.  One routine, `_fold`, adds each (label, natural,
-iness, count) term's count times a row of binomial coefficients (delta^n,
-expanded once) into an {A-exponent: int} table per label, and each bracket
-is a choice of label: the signature, its (M, d) part (the double bracket),
-or the given label (`assemble_from_table`).  State evaluation partitions
-the splice bitmask range across processes when asked; counts merge by
-exact integer addition, so worker count never changes a single output bit.
+running a second sum.  One routine, `_fold`, makes one pass over a count
+table and adds each key's count times a row of binomial coefficients
+(delta^n, expanded once) into an {A-exponent: int} table per label, and
+each bracket is a choice of label: the signature itself, its (M, d) part
+(the double bracket), or the given label
+(`assemble_from_table`).  The bracket's tables become A-only polynomials
+in one pass (`laurent.a_polys`), and `BracketValue.to_text` formats each
+distinct curve entry and each distinct coefficient once.  State evaluation
+partitions the splice bitmask range across processes when asked; counts
+merge by exact integer addition, so worker count never changes a single
+output bit.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import comb
+from operator import itemgetter
 
 from .codes import TwistedGaussCode, writhe
-from .laurent import MultiLaurent, minus_A_pow
+from .laurent import MultiLaurent, _a_poly_text, a_polys, minus_A_pow
 from .states import sum_counts
 from .surfaces import ClosedSurface, build_ribbon, cap_boundaries
 
@@ -41,13 +47,13 @@ class BracketValue:
     __slots__ = ("classes",)
 
     def __init__(self, classes: dict):
-        cleaned = {}
-        for sig, coeff in classes.items():
-            if coeff:
-                for (a, m, d), _c in coeff.terms.items():
-                    if m or d:
-                        raise ValueError("bracket coefficients must use A only")
-                cleaned[sig] = coeff
+        cleaned = dict(classes)  # a copy keeps its keys' hashes
+        for sig in [sig for sig, coeff in classes.items() if not coeff.terms]:
+            del cleaned[sig]
+        # the distinct monomials of all coefficients, each checked once
+        monos = {mono for coeff in cleaned.values() for mono in coeff.terms}
+        if any(m or d for _a, m, d in monos):
+            raise ValueError("bracket coefficients must use A only")
         self.classes = cleaned
 
     def __eq__(self, other):
@@ -57,7 +63,8 @@ class BracketValue:
         return f"BracketValue({self.classes!r})"
 
     def items(self):
-        return sorted(self.classes.items())
+        """(signature, coefficient) pairs in signature order."""
+        return sorted(self.classes.items(), key=itemgetter(0))
 
     def to_json(self) -> list:
         out = []
@@ -79,14 +86,34 @@ class BracketValue:
         return out
 
     def to_text(self) -> str:
-        parts = []
-        for sig, coeff in self.items():
-            label = "[" + ", ".join(
-                f"(i={idx},m={int(mob)},s={int(sep)},h={''.join(map(str, hom))})"
-                for (idx, mob, sep, hom) in sig
-            ) + "]"
-            parts.append(f"({coeff.to_text()})*{label}")
+        """"(coefficient)*[curves]" per class, in signature order, joined by
+        " + ".  Each distinct curve entry and each distinct coefficient is
+        formatted once; a coefficient is printed as the A-polynomial it is,
+        with `_a_poly_text`."""
+        curve, poly = _CurveText(), _PolyText()
+        parts = [
+            f"({poly[tuple(coeff.terms.items())]})*[{', '.join(map(curve.__getitem__, sig))}]"
+            for sig, coeff in self.items()
+        ]
         return " + ".join(parts) if parts else "0"
+
+
+class _CurveText(dict):
+    """Signature entry -> its text, made on first use."""
+
+    def __missing__(self, entry):
+        idx, mob, sep, hom = entry
+        text = self[entry] = f"(i={idx},m={int(mob)},s={int(sep)},h={''.join(map(str, hom))})"
+        return text
+
+
+class _PolyText(dict):
+    """The (monomial, coefficient) items of an A-only polynomial -> its
+    text, made on first use."""
+
+    def __missing__(self, items):
+        text = self[items] = _a_poly_text({a: c for (a, _m, _d), c in items})
+        return text
 
 
 def _surface(code: TwistedGaussCode) -> ClosedSurface:
@@ -124,27 +151,21 @@ def _delta_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
     ]
 
 
-def _fold(terms, top: int) -> dict:
-    """Per label, Sum count * A^nat * delta^iness over the (label, nat, iness,
-    count) terms, each iness <= top: one {A-exponent: int} table per label."""
-    rows = _delta_rows(top)
+def _fold(counts: dict, label=None) -> dict:
+    """Per label, Sum count * A^nat * delta^iness over a count table
+    {(key, nat, iness): count}, the label of a key being label(key), or the
+    key itself: one {A-exponent: int} table per label."""
+    rows = _delta_rows(max(map(itemgetter(2), counts), default=0))
     tables: dict = {}
-    for label, nat, iness, count in terms:
-        table = tables.get(label)
-        if table is None:
-            table = tables[label] = {}
+    for (key, nat, iness), count in counts.items():
+        if label:
+            key = label(key)
+        # one hash of the key; a get and then a set would hash a new key twice
+        table = tables.setdefault(key, {})
         for e, c in rows[iness]:
             a = nat + e
             table[a] = table.get(a, 0) + c * count
     return tables
-
-
-def _a_only(tables: dict) -> dict:
-    """One MultiLaurent in A per label of `_fold`'s tables."""
-    return {
-        label: MultiLaurent({(a, 0, ()): c for a, c in table.items()})
-        for label, table in tables.items()
-    }
 
 
 def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -163,15 +184,13 @@ def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
 def _double_from_counts(counts: dict) -> MultiLaurent:
     if not counts:
         return MultiLaurent.one()
-    label = cache(_collapse)  # a fresh cache: each signature collapses once
-    terms = ((label(sig), nat, iness, count) for (sig, nat, iness), count in counts.items())
-    tables = _fold(terms, max(k[2] for k in counts))
+    # a fresh cache: each signature collapses once
+    tables = _fold(counts, cache(_collapse))
     return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
 
 
 def _bracket_from_counts(counts: dict) -> BracketValue:
-    terms = ((sig, nat, iness, count) for (sig, nat, iness), count in counts.items())
-    return BracketValue(_a_only(_fold(terms, max((k[2] for k in counts), default=0))))
+    return BracketValue(a_polys(_fold(counts)))
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
@@ -212,6 +231,5 @@ def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
 def assemble_from_table(rows) -> dict:
     """Pure assembly Sum A^natural * delta^iness per class label from rows
     (natural, iness_count, label); reproduces printed state tables."""
-    rows = list(rows)
-    terms = ((label, nat, iness, 1) for nat, iness, label in rows)
-    return _a_only(_fold(terms, max((r[1] for r in rows), default=0)))
+    counts = Counter((label, nat, iness) for nat, iness, label in rows)
+    return a_polys(_fold(counts))

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 
 from .brackets import double_bracket, normalized, surface_pole_bracket
 from .codes import CodeError, parse_code, random_diagram, serialize
@@ -55,7 +56,11 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--dump", action="store_true", help="full per-curve detail in state dumps")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process and shared by
+    every call: parsing reads it and leaves it unchanged, and each call gets
+    a fresh namespace."""
     top = _Parser(prog="polebracket", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     for name, blurb in (

@@ -42,7 +42,7 @@ class MultiLaurent:
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         """Keeps the nonzero coefficients of `terms`; `+` and `*` build their
-        results here too, so this is the one place that drops zeros."""
+        results here too, so this and `a_polys` are the places that drop zeros."""
         self.terms = {mono: c for mono, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
@@ -198,6 +198,26 @@ class MultiLaurent:
 
     def __repr__(self) -> str:
         return f"MultiLaurent<{self.to_text()}>"
+
+
+class _Monomials(dict):
+    """A-exponent -> its monomial (a, 0, ()), made on first use."""
+
+    def __missing__(self, a: int) -> Monomial:
+        mono = self[a] = (a, 0, ())
+        return mono
+
+
+def a_polys(tables: Mapping) -> dict:
+    """{label: Sum c A^a} of {label: {a: c}} tables, in one pass that drops
+    the zero c.  The polynomials share one monomial tuple per exponent, so
+    the thousands of coefficients of a bracket hold a few dozen in all."""
+    monos = _Monomials()
+    out = {}
+    for label, table in tables.items():
+        p = out[label] = object.__new__(MultiLaurent)
+        p.terms = {monos[a]: c for a, c in table.items() if c}
+    return out
 
 
 def _a_poly_text(apoly: dict[int, int]) -> str:

@@ -195,7 +195,9 @@ def _poke(x, variant):
     ]
 
 
-def _r2_delete(code, site, _variant):
+def _r2_deleted(code, site):
+    """The code with the bigon at `site` deleted, if its tokens make one;
+    the surface is not compared."""
     comps = _components(code)
     _check_site(site, 4, "R2 delete")
     c1, p1, c2, p2 = site
@@ -217,7 +219,11 @@ def _r2_delete(code, site, _variant):
     if a1.sign != -b1.sign:
         raise MoveError("R2 delete needs opposite signs")
     _replace(comps, dict.fromkeys(spots, ()))
-    result = make_code(comps)
+    return make_code(comps)
+
+
+def _r2_delete(code, site, _variant):
+    result = _r2_deleted(code, site)
     if _piece_types(code) != _piece_types(result):
         raise MoveError("rewrite would change the realization surface")
     return result
@@ -426,6 +432,9 @@ def r1_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
 
 
 def r2_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
+    """The R2 deletions `apply_move` accepts.  The input's surface is built
+    once per sweep, on the first token-valid site, and each site's result
+    is compared with it as `_r2_delete` compares them."""
     pairs = [
         (ci, i, t) for ci, i, t, u in _adjacent_pairs(code)
         if _two_crossings(t, u) and t.over == u.over
@@ -435,7 +444,18 @@ def r2_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
         for (c1, p1, a1), (c2, p2, a2) in combinations(pairs, 2)
         if a1.over != a2.over
     )
-    return [MoveSpec("R2", "delete", s) for s in sites if _accepts(_r2_delete, code, s)]
+    out = []
+    ours = None
+    for s in sites:
+        try:
+            result = _r2_deleted(code, s)
+        except MoveError:
+            continue
+        if ours is None:
+            ours = _piece_types(code)
+        if _piece_types(result) == ours:
+            out.append(MoveSpec("R2", "delete", s))
+    return out
 
 
 def r3_sites(code: TwistedGaussCode) -> list[MoveSpec]:

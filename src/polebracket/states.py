@@ -44,13 +44,16 @@ has a small int id, and the essential curves closed so far are one node
 of a trie of such ids: closing a curve moves to a child node by one dict
 lookup.  A state is counted under one int that packs its node, its
 inessential-curve count and its B-splice count.  `sum_counts` then turns
-each node into its sorted signature once, and merges the nodes that hold
-one multiset of curves, reached in different orders, by exact addition.
+each node into its sorted signature once, in node order, from its parent's
+signature and its one curve, and merges the nodes that hold one multiset
+of curves, reached in different orders, by exact addition.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from . import polewords
@@ -515,28 +518,25 @@ class _Engine:
 
     def decode(self, raw: dict) -> dict:
         """The signature-keyed table of `block`'s leaf-key counts, and a
-        fresh trie in place of the one they refer to.  Each node is decoded
-        and sorted once; nodes reached in different orders that hold one
-        multiset of curves merge here, by exact addition."""
+        fresh trie in place of the one they refer to.  A node is made after
+        its parent, so the nodes are decoded in id order, each once: its
+        parent's sorted signature with its own entry put in its sorted
+        place.  Nodes reached in different orders that hold one multiset of
+        curves get equal signatures and merge here, by exact addition."""
         up, entries = self.trie.up, self.classes.entries
         self.trie = _Trie()
         c, sh, pb = self.F.ribbon.n_crossings, self.node_shift, self.pc_bits
         low, pc_mask, id_mask = (1 << sh) - 1, (1 << pb) - 1, (1 << _ID_BITS) - 1
-        sigs = {0: ()}
+        sigs = [()]
+        for key in islice(up, 1, None):
+            sig = sigs[key >> _ID_BITS]
+            entry = entries[key & id_mask]
+            i = bisect_right(sig, entry)
+            sigs.append(sig[:i] + (entry,) + sig[i:])
         counts: dict = {}
         for key, count in raw.items():
-            node = key >> sh
-            sig = sigs.get(node)
-            if sig is None:
-                curves = []
-                n = node
-                while n:
-                    n = up[n]
-                    curves.append(entries[n & id_mask])
-                    n >>= _ID_BITS
-                sig = sigs[node] = tuple(sorted(curves))
             t = key & low
-            full = (sig, c - 2 * (t & pc_mask), t >> pb)
+            full = (sigs[key >> sh], c - 2 * (t & pc_mask), t >> pb)
             counts[full] = counts.get(full, 0) + count
         return counts
 

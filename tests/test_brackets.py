@@ -23,12 +23,12 @@ from polebracket.brackets import (
     specialize_bracket,
     surface_pole_bracket,
 )
-from polebracket.codes import parse_code
+from polebracket.codes import parse_code, random_diagram
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
 from polebracket.surfaces import build_ribbon, cap_boundaries
-from polebracket.verify import braid_closure, classical_fixtures
+from polebracket.verify import braid_closure, classical_fixtures, corpus_twisted, twisted_fixtures
 
 A = MultiLaurent.A
 M = MultiLaurent.M
@@ -293,6 +293,7 @@ def test_int_table_assembly_matches_reference(counts):
     bracket = brackets._bracket_from_counts(counts)
     assert bracket == ref_bracket_from_counts(counts)
     assert bracket.to_text() == ref_bracket_from_counts(counts).to_text()
+    assert_printers_match_reference(bracket)
     double = brackets._double_from_counts(counts)
     assert double == ref_double_from_counts(counts)
     assert double.to_text() == ref_double_from_counts(counts).to_text()
@@ -309,3 +310,101 @@ def test_int_table_assembly_of_the_empty_table():
     assert brackets._double_from_counts({}) == ref_double_from_counts({}) == MultiLaurent.one()
     assert specialize_bracket(BracketValue({})) == ref_specialize_bracket(BracketValue({})) == 0
     assert assemble_from_table([]) == ref_assemble_from_table([]) == {}
+
+
+# ---------------------------------------------------------------------------
+# the slow reference printers: `BracketValue.to_text` and `to_json` as they
+# read before each distinct curve entry and coefficient was printed once,
+# with the A-polynomial printer they called then
+
+
+def ref_a_poly_text(apoly):
+    out = []
+    for a in sorted(apoly, reverse=True):
+        c = apoly[a]
+        sign = "-" if c < 0 else ("+" if out else "")
+        mag = abs(c)
+        if a == 0:
+            part = str(mag)
+        else:
+            apart = "A" if a == 1 else f"A^{a}"
+            part = apart if mag == 1 else f"{mag}*{apart}"
+        out.append(sign + part)
+    return "".join(out)
+
+
+def ref_bracket_text(b):
+    parts = []
+    for sig, coeff in sorted(b.classes.items()):
+        label = "[" + ", ".join(
+            f"(i={idx},m={int(mob)},s={int(sep)},h={''.join(map(str, hom))})"
+            for (idx, mob, sep, hom) in sig
+        ) + "]"
+        apoly = {a: c for (a, _m, _d), c in coeff.terms.items()}
+        parts.append(f"({ref_a_poly_text(apoly)})*{label}")
+    return " + ".join(parts) if parts else "0"
+
+
+def ref_bracket_json(b):
+    out = []
+    for sig, coeff in sorted(b.classes.items()):
+        out.append(
+            {
+                "curves": [
+                    {"index": idx, "mobius": bool(mob), "separating": bool(sep), "hom": list(hom)}
+                    for (idx, mob, sep, hom) in sig
+                ],
+                "coeff": [
+                    {"a": a, "m": m, "d": {str(i): e for i, e in d}, "coeff": coeff.terms[(a, m, d)]}
+                    for (a, m, d) in sorted(coeff.terms)
+                ],
+            }
+        )
+    return out
+
+
+def assert_printers_match_reference(b):
+    # class by class, so that a mismatch names its first class quickly
+    assert b.to_text().split(" + ") == ref_bracket_text(b).split(" + ")
+    assert b.to_json() == ref_bracket_json(b)
+
+
+def test_bracket_printers_match_reference_on_fixtures_and_corpus():
+    codes = [code for _n, code in classical_fixtures() + twisted_fixtures()]
+    for code in codes + corpus_twisted(7, 60):
+        assert_printers_match_reference(surface_pole_bracket(code))
+
+
+@st.composite
+def _diagrams(draw):
+    """c <= 8, bars <= 4, 1 to 3 components."""
+    c = draw(st.integers(min_value=0, max_value=8))
+    b = draw(st.integers(min_value=0, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return random_diagram(seed, c, b, min(k, max(1, 2 * c + b)))
+
+
+@given(_diagrams())
+@settings(max_examples=40, deadline=None)
+def test_bracket_printers_match_reference_random(code):
+    assert_printers_match_reference(surface_pole_bracket(code))
+
+
+# random_diagram(11, 13, 0): h1 = 14 and 1,694 classes
+HIGH_GENUS = (
+    "O6- O13+ U9- O5+ O4+ U8+ O3- U6- U11+ U4+ U12+ U5+ U7+ U2- O10- U1- O2- O9- O1- U3- O12+ U13+"
+    " O11+ O8+ O7+ U10-"
+)
+
+
+def test_bracket_printers_match_reference_at_high_genus():
+    # curve entries repeat across classes, and so do coefficients
+    code = parse_code(HIGH_GENUS)
+    assert cap_boundaries(build_ribbon(code)).h1_dim >= 8
+    b = surface_pole_bracket(code)
+    assert len(b.classes) >= 1000
+    entries = [e for sig in b.classes for e in sig]
+    assert len(set(entries)) < len(entries)
+    assert len({tuple(sorted(c.terms.items())) for c in b.classes.values()}) < len(b.classes)
+    assert_printers_match_reference(b)

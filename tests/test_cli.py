@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +323,39 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
         run(capsys, *argv)
     assert exc.value.code == 1
     assert f"{argv[-2]} must" in capsys.readouterr().err
+
+
+def test_one_process_reuses_its_parser(capsys):
+    # each in-process call prints the bytes and exits with the code of the
+    # same call in a fresh process, though all of them share one parser
+    import polebracket
+    from polebracket.cli import build_parser
+
+    src = str(Path(polebracket.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    vt = "O1+ O2+ U1+ U2+"
+    insert = ("move", "-i", "O1+ U2+ U1+ O2+", "--kind", "R1+", "--dir", "insert", "--site", "0,1")
+    calls = [
+        insert + ("--variant", "1"),
+        insert,  # no --variant: 0, not the 1 of the call before
+        ("invariant", "--json", "-i", vt),
+        ("invariant", "-i", vt),
+        ("move", "-i", vt, "--kind", "R9", "--dir", "insert"),  # usage error
+        ("invariant", "-i", "O1+"),  # parse error
+        ("info", "-i", vt),
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "polebracket", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (status, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seen.append((status, out.out))
+    assert [status for status, _ in seen] == [0, 0, 0, 0, 1, 2, 0]
+    assert seen[0][1] != seen[1][1] and seen[2][1] != seen[3][1]
+    assert build_parser() is build_parser()

@@ -400,3 +400,50 @@ def test_move_layer_pinned():
     assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == (
         "2d2cdb9c5a6653dd4e456846a9c4f28fc33df20b7a73a7dddd7c3e7999d421c2"
     )
+
+
+def _accepted_r2_deletes(code):
+    """The R2 deletions of `code` that `apply_move` accepts, over every pair
+    of adjacent two-crossing pairs: the sweep's reference."""
+    pairs = [
+        (ci, i) for ci, comp in enumerate(code.components) for i in range(len(comp))
+        if len(comp) >= 2
+    ]
+    out = []
+    for (c1, p1), (c2, p2) in itertools.combinations(pairs, 2):
+        spec = MoveSpec("R2", "delete", (c1, p1, c2, p2))
+        try:
+            apply_move(code, spec)
+        except MoveError:
+            continue
+        out.append(spec)
+    return out
+
+
+def test_r2_sweep_builds_its_inputs_surface_once(monkeypatch):
+    from polebracket import moves
+    from polebracket.verify import corpus_classical, corpus_twisted, twisted_fixtures
+
+    codes = [code for _n, code in twisted_fixtures()] + corpus_twisted(7, 40) + corpus_classical(8, 40)
+    codes += [parse_code(t) for t in ("O1+ U2+ U3- U1+ O2+ O3-", "U1+ U2- O1+ O2-", "O1+ U3+ U2- U1+ O2- O3+")]
+    expect = [_accepted_r2_deletes(code) for code in codes]
+    real = moves._piece_types
+    built = []
+
+    def counting(code):
+        built.append(code)
+        return real(code)
+
+    monkeypatch.setattr(moves, "_piece_types", counting)
+    swept = 0
+    for code, accepted in zip(codes, expect):
+        built.clear()
+        assert r2_delete_sites(code) == accepted
+        assert built.count(code) <= 1
+        swept += len(built) > 2
+    # some sweeps compared several candidates against the one input surface
+    assert swept
+    # apply_move still compares the input's surface with the result's, and
+    # refuses a deletion that would change it
+    with pytest.raises(MoveError, match="rewrite would change the realization surface"):
+        apply_move(parse_code("U1+ U2- O1+ O2-"), MoveSpec("R2", "delete", (0, 0, 0, 2)))
