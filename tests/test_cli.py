@@ -153,6 +153,25 @@ def test_random_deterministic(capsys):
     assert out1 != out3
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--seed", "5", "--count", "3"),
+         "93809aa68585870e89804ba408cc2e483862ba2b377e6ead5513d0d39d16c6c9"),
+        (("--seed", "7", "--count", "20", "--max-crossings", "3"),
+         "11b77fa059a09843920edcf56244cd9d41f0fae58baa062f66d29beda55c4e90"),
+        (("--seed", "1", "--count", "10", "--max-crossings", "0"),
+         "2f05fcfe330c4f0ff2bcbe9e0216755876ce8f102614978720204330e6d60a4e"),
+    ],
+)
+def test_random_output_bytes_are_pinned(capsys, argv, digest):
+    # SHA-256 of `random` output as first recorded, with the default and
+    # two lowered crossing bounds
+    rc, out, _ = run(capsys, "random", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_random_output_parses(capsys):
     from polebracket.codes import parse_code
 
