@@ -21,7 +21,6 @@ from .codes import (
     CodeError,
     TwistedGaussCode,
     Visit,
-    canonicalize,
     make_code,
     parse_code,
     random_diagram,
@@ -47,9 +46,7 @@ from .polewords import (
     equivalent,
     index,
     make_word,
-    parse_word,
     reduce,
-    render,
 )
 from .states import (
     PoleCurve,
@@ -90,7 +87,6 @@ __all__ = [
     "braid_closure",
     "build_ribbon",
     "canonical_key",
-    "canonicalize",
     "cap_boundaries",
     "check_nonseparation",
     "check_pole_balance",
@@ -111,13 +107,11 @@ __all__ = [
     "minus_A_pow",
     "normalized",
     "parse_code",
-    "parse_word",
     "r1_delete_sites",
     "r2_delete_sites",
     "r3_sites",
     "random_diagram",
     "reduce",
-    "render",
     "serialize",
     "specialize_bracket",
     "splice_curves",

@@ -16,16 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from functools import cache
 
 from .brackets import double_bracket, normalized, surface_pole_bracket
-from .codes import CodeError, parse_code, random_diagram, serialize
+from .codes import CodeError, parse_code, serialize
 from .moves import DIRECTIONS, KINDS, MoveError, MoveSpec, apply_move
 from .states import enumerate_states, state_report
 from .surfaces import build_ribbon, cap_boundaries
-from .verify import run_battery
+from .verify import corpus_twisted, run_battery
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -155,14 +154,8 @@ def main(argv=None) -> int:
     cmd = args.command
 
     if cmd == "random":
-        rng = random.Random(args.seed)
-        chunks = []
-        for i in range(args.count):
-            c = rng.randrange(0, min(8, args.max_crossings) + 1)
-            b = rng.randrange(0, 5)
-            k = 2 if rng.randrange(4) == 0 and 2 * c + b >= 2 else 1
-            chunks.append(serialize(random_diagram(args.seed * 100003 + i, c, b, components=k)))
-        print("\n".join(chunks), end="")
+        codes = corpus_twisted(args.seed, args.count, min(8, args.max_crossings))
+        print("\n".join(map(serialize, codes)), end="")
         return 0
 
     if cmd == "check":

@@ -1,4 +1,4 @@
-"""Twisted Gauss codes: parsing, validation, canonical forms, random diagrams.
+"""Twisted Gauss codes: parsing, validation, writhe, random diagrams.
 
 A twisted link diagram is stored as a list of components, each a cyclic
 sequence of tokens.  A token is either a crossing visit (O or U, a positive
@@ -15,7 +15,6 @@ component with no tokens at all is written as the single token EMPTY.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -59,12 +58,7 @@ class TwistedGaussCode:
 
     @property
     def crossing_ids(self) -> tuple[int, ...]:
-        seen = set()
-        for comp in self.components:
-            for tok in comp:
-                if isinstance(tok, Visit):
-                    seen.add(tok.crossing)
-        return tuple(sorted(seen))
+        return tuple(sorted(self.signs()))
 
     def signs(self) -> dict[int, int]:
         """Crossing id -> sign, read in one pass over the code."""
@@ -164,74 +158,9 @@ def serialize(code: TwistedGaussCode) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# ---------------------------------------------------------------------------
-# canonical form
-# ---------------------------------------------------------------------------
-
-
-def _candidate_key(comps: Sequence[Sequence[Token]]):
-    # relabel crossings by first appearance; tokens become comparable tuples
-    relabel: dict[int, int] = {}
-    key = []
-    for comp in comps:
-        ck = []
-        for tok in comp:
-            if isinstance(tok, Bar):
-                ck.append((0, 0, 0, 0))
-            else:
-                if tok.crossing not in relabel:
-                    relabel[tok.crossing] = len(relabel) + 1
-                ck.append(
-                    (1, relabel[tok.crossing], 0 if tok.over else 1, 0 if tok.sign > 0 else 1)
-                )
-        ck.append(tuple())  # component terminator so prefixes never tie with extensions
-        key.append(tuple(ck))
-    return tuple(key), relabel
-
-
-def canonicalize(code: TwistedGaussCode) -> TwistedGaussCode:
-    """Deterministic representative under component reordering, per-component
-    rotation, and crossing renumbering.  Idempotent; constant on orbits.
-
-    The search is exhaustive over component orders and rotation offsets,
-    which is fine at desk scale (token counts here are tens, not thousands).
-    """
-    comps = code.components
-    if not comps:
-        return code
-    best_key = None
-    best = None
-    rot_ranges = [range(max(1, len(c))) for c in comps]
-    for perm in itertools.permutations(range(len(comps))):
-        for offs in itertools.product(*(rot_ranges[i] for i in perm)):
-            cand = []
-            for i, off in zip(perm, offs):
-                comp = comps[i]
-                cand.append(comp[off:] + comp[:off])
-            key, relabel = _candidate_key(cand)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cand, relabel)
-    assert best is not None
-    cand, relabel = best
-    newcomps = tuple(
-        tuple(
-            t if isinstance(t, Bar) else Visit(relabel[t.crossing], t.over, t.sign)
-            for t in comp
-        )
-        for comp in cand
-    )
-    return TwistedGaussCode(newcomps)
-
-
 def writhe(code: TwistedGaussCode) -> int:
     """Sum of crossing signs, each crossing counted once."""
-    return sum(
-        tok.sign
-        for comp in code.components
-        for tok in comp
-        if isinstance(tok, Visit) and tok.over
-    )
+    return sum(code.signs().values())
 
 
 # ---------------------------------------------------------------------------

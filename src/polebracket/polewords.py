@@ -3,8 +3,7 @@
 A state curve carries a cyclic word recording, in traversal order, the poles
 it passes (each with a side bit) and a flip mark for every orientation
 reversing band it runs through.  Pole kinds (sink or source) alternate along
-the curve and are therefore not stored; they are recovered from an arbitrary
-starting choice when rendering.
+the curve and are therefore not stored.
 
 Items are small ints: 0 a left-side pole, 1 a right-side pole, 2 a flip
 mark.  An adjacent pair of poles (no pole strictly between them on one of
@@ -23,7 +22,6 @@ available exactly when at least one mark is present.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable
 
 L, R, MARK = 0, 1, 2
@@ -258,46 +256,3 @@ def random_equivalent(word: Word, rng, steps: int = 12) -> Word:
             if marks:
                 w = slide_mark(w, rng.choice(marks))
     return w
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-_ITEM_RE = re.compile(r"\((I|O):(L|R)\)|\|f\|")
-
-
-def render(word: Word, start_kind: str = "I") -> str:
-    """Debug text like (I:L)(O:R)|f|; kinds alternate from start_kind."""
-    w = make_word(word)
-    kind = start_kind
-    out = []
-    for x in w:
-        if x == MARK:
-            out.append("|f|")
-        else:
-            out.append(f"({kind}:{'L' if x == L else 'R'})")
-            kind = "O" if kind == "I" else "I"
-    return "".join(out)
-
-
-def parse_word(text: str) -> Word:
-    items: list[int] = []
-    kinds: list[str] = []
-    pos = 0
-    stripped = text.strip()
-    while pos < len(stripped):
-        m = _ITEM_RE.match(stripped, pos)
-        if not m:
-            raise ValueError(f"bad pole word at offset {pos}: {stripped[pos:]!r}")
-        if m.group(0) == "|f|":
-            items.append(MARK)
-        else:
-            kinds.append(m.group(1))
-            items.append(L if m.group(2) == "L" else R)
-        pos = m.end()
-    for a, b in zip(kinds, kinds[1:]):
-        if a == b:
-            raise ValueError("pole kinds must alternate")
-    if len(kinds) >= 2 and len(kinds) % 2 == 1:
-        raise ValueError("cyclic pole word needs an even pole count")
-    return tuple(items)

@@ -19,9 +19,7 @@ regions, and each region's Euler characteristic is fragments - lanes + caps.
 It has two users.  The disk test cuts along one curve and asks whether the
 side of the curve, or the other one, is a disk.  `regions` cuts along all
 curves of a state and reads boundary circles and pole incidences off the
-chords.  `cut_complex` builds the same cut as a full polygon complex; no
-program code calls it, and it is kept as the reference that the tests and
-the bench tracer use.
+chords.  `cut_complex` builds the same cut as a full polygon complex.
 
 Dart layout at crossing k (darts are band endpoints on disk boundaries):
     4k   over-in    4k+1 under-in    4k+2 over-out    4k+3 under-out
@@ -31,9 +29,9 @@ determinant of (over direction, under direction), so the closure of a
 positive braid generator has all-positive crossings.
 
 `ribbon_faces` and `cut_complex` present the band surface and its cut as
-polygon complexes (`cells.PolygonComplex`) for the tests' reference; no
-program path builds one.  Their edge ids (the first entry keeps sorting
-well defined):
+polygon complexes (`cells.PolygonComplex`).  No program path builds one:
+they are kept as the reference that the tests and the bench tracer use.
+Their edge ids (the first entry keeps sorting well defined):
     ("A", d)        boundary arc of a disk across dart d, oriented with the
                     counterclockwise disk walk
     ("C", disk, i)  disk boundary corner between consecutive darts

@@ -97,12 +97,14 @@ def twisted_fixtures() -> list[tuple[str, TwistedGaussCode]]:
 # corpora
 
 
-def corpus_twisted(seed: int, count: int = 200) -> list[TwistedGaussCode]:
-    """Random twisted diagrams, <= 8 crossings and <= 4 bars each."""
+def corpus_twisted(
+    seed: int, count: int = 200, max_crossings: int = 8
+) -> list[TwistedGaussCode]:
+    """Random twisted diagrams, <= max_crossings crossings and <= 4 bars each."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        c = rng.randrange(0, 9)
+        c = rng.randrange(0, max_crossings + 1)
         b = rng.randrange(0, 5)
         k = 2 if rng.randrange(4) == 0 and 2 * c + b >= 2 else 1
         out.append(random_diagram(seed * 100003 + i, c, b, components=k))

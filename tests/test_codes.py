@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polebracket.codes import (
-    Bar,
     CodeError,
     Visit,
-    canonicalize,
-    make_code,
     parse_code,
     random_diagram,
     serialize,
     writhe,
 )
+from polebracket.verify import corpus_twisted
 
 
 def test_parse_basic():
@@ -51,13 +49,6 @@ def test_writhe_counts_each_crossing_once():
     assert writhe(parse_code("EMPTY")) == 0
 
 
-def test_canonicalize_idempotent_fixture():
-    code = parse_code("U5- O7+ U7+ O5-")
-    c1 = canonicalize(code)
-    assert canonicalize(c1) == c1
-    assert min(c1.crossing_ids) == 1  # first-appearance relabel
-
-
 @st.composite
 def _codes(draw):
     n = draw(st.integers(min_value=0, max_value=4))
@@ -69,22 +60,42 @@ def _codes(draw):
     return random_diagram(seed, n, bars, components=comps)
 
 
-@given(_codes(), st.integers(min_value=0, max_value=11), st.integers(min_value=1, max_value=97))
-@settings(max_examples=60, deadline=None)
-def test_canonicalize_constant_on_orbit(code, rot, relabel_stride):
-    base = canonicalize(code)
-    # rotate each component and relabel crossings injectively
-    mapping = {cid: 1000 + relabel_stride * i for i, cid in enumerate(code.crossing_ids)}
-    comps = []
+# direct scans of the tokens, the references for `crossing_ids` and
+# `writhe`, which read `signs()`
+
+
+def ref_crossing_ids(code):
+    seen = set()
     for comp in code.components:
-        r = rot % max(1, len(comp))
-        rolled = comp[r:] + comp[:r]
-        comps.append(
-            [t if isinstance(t, Bar) else Visit(mapping[t.crossing], t.over, t.sign) for t in rolled]
-        )
-    comps.reverse()
-    other = make_code(comps)
-    assert canonicalize(other) == base
+        for tok in comp:
+            if isinstance(tok, Visit):
+                seen.add(tok.crossing)
+    return tuple(sorted(seen))
+
+
+def ref_writhe(code):
+    return sum(
+        tok.sign
+        for comp in code.components
+        for tok in comp
+        if isinstance(tok, Visit) and tok.over
+    )
+
+
+def _assert_scans_match_reference(code):
+    assert code.crossing_ids == ref_crossing_ids(code)
+    assert writhe(code) == ref_writhe(code)
+
+
+@given(_codes())
+@settings(max_examples=60, deadline=None)
+def test_token_scans_match_reference(code):
+    _assert_scans_match_reference(code)
+
+
+def test_token_scans_match_reference_on_corpus():
+    for code in corpus_twisted(3, 60):
+        _assert_scans_match_reference(code)
 
 
 @given(_codes())

@@ -16,30 +16,13 @@ from polebracket.polewords import (
     index,
     join_arcs,
     make_word,
-    parse_word,
     random_equivalent,
     reduce,
-    render,
     reverse_arc,
     reverse_swap,
     rotate,
     slide_mark,
 )
-
-
-def test_parse_render_round_trip():
-    w = parse_word("(I:L)(O:R)|f|(I:R)(O:R)")
-    assert w == (L, R, MARK, R, R)
-    assert render(w) == "(I:L)(O:R)|f|(I:R)(O:R)"
-
-
-def test_parse_rejects_nonalternating():
-    with pytest.raises(ValueError):
-        parse_word("(I:L)(I:R)")
-    with pytest.raises(ValueError):
-        parse_word("(I:L)(O:R)(I:L)")
-    with pytest.raises(ValueError):
-        parse_word("(X:L)")
 
 
 def test_reduce_equal_sides_cancel():
