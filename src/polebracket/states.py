@@ -39,6 +39,20 @@ closing also checks that the curve has as many chords as bands.
 `splice_curves` walks each curve of one state with `_Engine.walk`, which
 makes the same alternation check.
 
+R1 kinks are summed in closed form (Kauffman, "State models and the Jones
+polynomial", Topology 26, 1987).  A kink is an unflipped band from an
+out-dart to the other strand's in-dart on its own crossing disk.  One
+splice of that crossing, the loop-off, draws the chord that closes the band
+into a circle bounding a disk, and its other chord joins the two curve
+ends that the through splice reaches across the band.  The through curve's
+two extra poles are adjacent across an unflipped band with equal sides, so
+they cancel: a loop-off state has the through state's curves, plus one
+inessential circle, with the B-count moved by one.  `block` traces only the
+through splice of a kink bit it is free to choose and counts the loop-off
+states from the traced ones; `_Engine.__init__` finds the kinks, one per
+crossing, and checks this premise once.  The count table is the same for
+every range.
+
 The sum counts with ints until its end.  Each class of essential curve
 has a small int id, and the essential curves closed so far are one node
 of a trie of such ids: closing a curve moves to a child node by one dict
@@ -54,6 +68,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from math import comb
 from typing import Iterator
 
 from . import polewords
@@ -90,6 +105,8 @@ class CurveClassification:
 
 _ID_BITS = 20
 _ID_LIMIT = 1 << _ID_BITS
+# the bits of a byte, low bit first: a homology class is unpacked 8 bits at a time
+_BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
 
 
 class _Trie(dict):
@@ -132,9 +149,10 @@ class _Classes(dict):
             sid = 0
         else:
             hom = key >> 1 & ((1 << h1) - 1)
-            cl = CurveClassification(
-                False, hom == 0, bool(key & 1), key >> (h1 + 1),
-                tuple((hom >> i) & 1 for i in range(h1)))
+            bits = ()
+            for shift in range(0, h1, 8):
+                bits += _BYTE_BITS[hom >> shift & 255]
+            cl = CurveClassification(False, hom == 0, bool(key & 1), key >> (h1 + 1), bits[:h1])
             sid = len(self.entries)
             if sid >= _ID_LIMIT:
                 raise AssertionError("too many curve classes for a trie key")
@@ -170,7 +188,8 @@ class _Engine:
     that reach the disk test, the walker path (`lookup`) every curve.
     `block` carries the essential curves closed so far as a node of `trie`
     and counts states under int leaf keys; `decode` turns those into the
-    signature-keyed table.
+    signature-keyed table.  `kinks` maps each crossing that has an R1 kink
+    to its loop-off bit (see the module docstring).
     """
 
     def __init__(self, F: ClosedSurface):
@@ -226,6 +245,26 @@ class _Engine:
         self.pc_bits = rs.n_crossings.bit_length()
         self.node_shift = self.pc_bits + len(rs.bands).bit_length()
         self.trie = _Trie()
+        # R1 kinks, one per crossing disk at most: an unflipped band from an
+        # out-dart to the other strand's in-dart on its own disk.  The
+        # loop-off bit draws the chord that closes that band into a circle;
+        # the fold's premise is checked here, once per engine
+        self.kinks: dict[int, int] = {}
+        c4 = 4 * rs.n_crossings
+        for bi, (u, v, flip) in enumerate(rs.bands):
+            i = u >> 2
+            if flip or u >= c4 or v >> 2 != i or not (u ^ v) & 1 or i in self.kinks:
+                continue
+            off = int(tau[1][u] == v)
+            if any(side[off][d] >= 0 for d in range(4 * i, 4 * i + 4)):
+                raise AssertionError("a kink's loop-off chords carry a pole")
+            if self.band_hc[u]:
+                raise AssertionError("a kink's loop band has a class or flip")
+            # through `classify`, so the disk test runs once per curve key
+            circle = self.chord_bit[min(u, v), max(u, v)] | self.band_key[u]
+            if self.classify(circle, 0)[1]:
+                raise AssertionError("a kink's loop-off circle bounds no disk")
+            self.kinks[i] = off
 
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
@@ -339,7 +378,8 @@ class _Engine:
         has none).  A bare-loop chord joins the two ends of its band, so it
         closes a curve at once; then `descend` decides bits c-1 .. 0, depth
         first, 0 before 1, so the states come in increasing order.  A fixed
-        bit k .. c-1 is a depth with the one choice that `base` makes.
+        bit k .. c-1 is a depth with the one choice that `base` makes, and a
+        free bit of a kink (`kinks`) a depth with its through choice only.
 
         A chord (a, b) whose darts end one path closes a curve, once for
         every state below.  The closing (`entry`) checks the two pole pairs
@@ -365,11 +405,24 @@ class _Engine:
         disk (id 0) adds one to the inessential count instead.  Each state
         adds 1 to `counts` under its leaf key, node << node_shift |
         iness << pc_bits | B-splices, as soon as its last bit is decided;
-        `decode` reads these keys back."""
+        `decode` reads these keys back.
+
+        A block that folds kinks counts its traced states in a table of its
+        own and spreads it into `counts` at its end.  Taking the loop-off
+        choice at j of the p folded kinks whose loop-off bit is 1 and at l
+        of the q whose loop-off bit is 0 adds j + l disk circles and j - l
+        B-splices to a traced state's key, and C(p, j) C(q, l) states share
+        that key."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
         items, loops = self._items()
         choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
+        folded = []
+        for i, off in self.kinks.items():
+            if i < k:
+                choices[i] = (items[i][1 - off],)
+                folded.append(off)
+        leaves = {} if folded else counts
         end = self.band_other[:]
         hc = self.band_hc[:]
         pm = self.band_key[:]
@@ -479,7 +532,7 @@ class _Engine:
                     descend(i, nd, u)
                 else:
                     key = nd << sh | u
-                    counts[key] = counts.get(key, 0) + 1
+                    leaves[key] = leaves.get(key, 0) + 1
                 if e2 != b2:
                     end[e2] = a2
                     end[f2] = b2
@@ -515,6 +568,16 @@ class _Engine:
         else:
             key = node << sh | t
             counts[key] = counts.get(key, 0) + 1
+        if folded:
+            # a loop-off adds one inessential circle and shifts the B-count by
+            # b_off - b_through, +1 where the loop-off bit is 1, -1 where it is 0
+            up = sum(folded)
+            down = len(folded) - up
+            spread = [((j + l) * one + j - l, comb(up, j) * comb(down, l))
+                      for j in range(up + 1) for l in range(down + 1)]
+            for key, n in leaves.items():
+                for shift, w in spread:
+                    counts[key + shift] = counts.get(key + shift, 0) + n * w
 
     def decode(self, raw: dict) -> dict:
         """The signature-keyed table of `block`'s leaf-key counts, and a
@@ -642,9 +705,12 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
     bits; `_Engine.block` sums each one depth first over its k low bits, so
-    the work of a splice prefix is shared by every state below it.  The
-    blocks count under int leaf keys, which `_Engine.decode` turns into
-    this table once, at the end."""
+    the work of a splice prefix is shared by every state below it.  A kink
+    among the k low bits is traced on its through splice alone, and its
+    loop-off states are counted in closed form; a kink among the fixed high
+    bits is traced as it stands.  Either way every state of the range is
+    counted once.  The blocks count under int leaf keys, which
+    `_Engine.decode` turns into this table once, at the end."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
     if lo < 0 or hi > 1 << c:

@@ -23,7 +23,7 @@ from polebracket.brackets import (
 from polebracket.codes import parse_code, random_diagram
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.oracle import classical_kauffman_oracle
-from polebracket.polewords import L, MARK, R, confluence_oracle, index, make_word, random_equivalent
+from polebracket.polewords import L, MARK, R, confluence_oracle, index, make_word
 from polebracket.states import check_pole_balance, check_nonseparation, enumerate_states
 from polebracket.surfaces import build_ribbon, cap_boundaries
 from polebracket.verify import (
@@ -32,6 +32,9 @@ from polebracket.verify import (
     corpus_twisted,
     sweep_move_invariance,
 )
+
+# the word moves live beside the pole-word tests, their other user
+from test_polewords import random_equivalent
 
 SEED = 20260815
 A = MultiLaurent.A

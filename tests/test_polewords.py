@@ -16,13 +16,58 @@ from polebracket.polewords import (
     index,
     join_arcs,
     make_word,
-    random_equivalent,
     reduce,
     reverse_arc,
-    reverse_swap,
-    rotate,
-    slide_mark,
 )
+
+
+# the three moves that keep a word in its equivalence class, and a random
+# walk over them: generators of equivalent words for the invariance tests
+
+
+def rotate(word, r: int):
+    w = make_word(word)
+    if not w:
+        return w
+    r %= len(w)
+    return w[r:] + w[:r]
+
+
+def reverse_swap(word):
+    return tuple((1 - x) if x != MARK else MARK for x in reversed(make_word(word)))
+
+
+def slide_mark(word, i: int):
+    """Move the mark at position i forward past the next item; passing a
+    pole toggles that pole's side."""
+    w = make_word(word)
+    if w[i] != MARK:
+        raise ValueError("no mark at position")
+    if len(w) == 1:
+        return w
+    j = (i + 1) % len(w)
+    if w[j] == MARK:
+        return w
+    out = list(w)
+    out[i] = 1 - w[j]
+    out[j] = MARK
+    return tuple(out)
+
+
+def random_equivalent(word, rng, steps: int = 12):
+    """A word in the same equivalence class, reached by random legal moves."""
+    w = make_word(word)
+    for _ in range(steps):
+        choice = rng.randrange(3)
+        if choice == 0 and w:
+            w = rotate(w, rng.randrange(len(w)))
+        elif choice == 1:
+            w = reverse_swap(w)
+        else:
+            marks = [i for i, x in enumerate(w) if x == MARK]
+            if marks:
+                w = slide_mark(w, rng.choice(marks))
+    return w
 
 
 def test_reduce_equal_sides_cancel():

@@ -25,8 +25,11 @@ its int chord-mask cache keys against the chord tuples the reference traces.
 A state sum's closings must reach all three ways a class is found (read off
 the open path; the disk test says yes; it says no), and the disk test must
 see only two-sided class-0 curves, each once.
+R1 kinks, whose loop-off states `sum_counts` counts without tracing them,
+are compared on codes that have them, folded and traced, over any range.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -36,6 +39,7 @@ from polebracket import states
 from polebracket.brackets import BracketValue, double_bracket, surface_pole_bracket
 from polebracket.codes import parse_code, random_diagram, serialize
 from polebracket.laurent import MultiLaurent, delta
+from polebracket.moves import apply_move, insert_sites
 from polebracket.polewords import MARK, reduce
 from polebracket.states import classify_state, curve_poles, enumerate_states, splice_curves
 from polebracket.surfaces import (
@@ -239,9 +243,10 @@ def assert_brackets_match(code, workers=(1, 2)):
 
 
 @st.composite
-def diagrams(draw, min_bars=0):
-    """c <= 8, bars <= 4, 1-3 components, sometimes one of them a bare loop."""
-    c = draw(st.integers(min_value=0, max_value=8))
+def diagrams(draw, min_bars=0, max_crossings=8):
+    """c <= max_crossings, bars <= 4, 1-3 components, sometimes one of them
+    a bare loop."""
+    c = draw(st.integers(min_value=0, max_value=max_crossings))
     b = draw(st.integers(min_value=min_bars, max_value=4))
     k = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=10**6))
@@ -488,6 +493,65 @@ def test_ranges_match_reference(code, data):
     assert states.sum_counts(cap_boundaries(build_ribbon(code)), m, m + 1) == {keys[m]: 1}
 
 
+# (code, kinks the engine folds): both bands of one crossing are loops; a
+# loop band with two bars, so unflipped; a kink inside a kink; a loop band
+# with one bar on each side of the crossing, so flipped; and a crossing of
+# two components, whose bands each join a strand to itself
+FOLD_CASES = [("O1+ U1+", 1), ("O1+ B B U1+", 1), ("O1+ O2+ U2+ U1+", 2),
+              ("B O1+ B U1+", 0), ("O1+\nU1+", 0)]
+
+
+@pytest.mark.parametrize("text, kinks", FOLD_CASES)
+def test_fold_matches_reference(text, kinks):
+    # every range, each summed on a fresh surface, gives the reference's
+    # counts of its states, whether its blocks fold a kink bit or trace it
+    code = parse_code(text)
+    keys = ref_state_keys(code)
+    assert len(states._engine(cap_boundaries(build_ribbon(code))).kinks) == kinks
+    for lo in range(len(keys) + 1):
+        for hi in range(lo, len(keys) + 1):
+            got = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
+            assert got == Counter(keys[lo:hi]), (text, lo, hi)
+
+
+def test_fold_premise_is_checked(monkeypatch):
+    # a kink's loop band must have class 0 and its loop-off circle must
+    # bound a disk; the engine refuses to fold when either fails
+    F = cap_boundaries(build_ribbon(parse_code("O1+ U1+")))
+    F.band_class = (1,) * len(F.band_class)
+    with pytest.raises(AssertionError, match="loop band has a class"):
+        states._Engine(F)
+    monkeypatch.setattr(ClosedSurface, "bounds_disk", lambda _F, _curve: False)
+    with pytest.raises(AssertionError, match="circle bounds no disk"):
+        states._Engine(cap_boundaries(build_ribbon(parse_code("O1+ U1+"))))
+
+
+@st.composite
+def kinked_diagrams(draw):
+    """`diagrams` with c <= 5, then one to three R1 kinks inserted at
+    seeded sites, so c <= 8."""
+    code = draw(diagrams(max_crossings=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        code = apply_move(code, next(s for s in insert_sites(code, rng) if s.kind.startswith("R1")))
+    return code
+
+
+@given(kinked_diagrams(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fold_matches_reference_random(code, data):
+    # an inserted kink is folded, unless a later one splits it, and then
+    # the inner one is
+    keys = ref_state_keys(code)
+    F = cap_boundaries(build_ribbon(code))
+    assert states._engine(F).kinks, serialize(code)
+    assert states.sum_counts(F, 0, len(keys)) == Counter(keys), serialize(code)
+    lo = data.draw(st.integers(min_value=0, max_value=len(keys)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(keys)))
+    got = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
+    assert got == Counter(keys[lo:hi]), (serialize(code), lo, hi)
+
+
 def _without_pole(engine, bit, a, b):
     engine.side[bit][a] = engine.side[bit][b] = -1
     return engine
@@ -602,9 +666,9 @@ def kind_check_raisers(code):
     which makes both pole pairs beside it fail, then drop the pole, which
     makes the one pair across it fail.  Every block of every size must
     raise before it counts the first state that draws the chord, that is,
-    within the state where the failing pair first turns up, and
-    `splice_curves` must raise too.  Returns the names of the engine
-    functions that raised."""
+    within the state where the failing pair first turns up (a block that
+    folds a kink counts nothing before its end), and `splice_curves` must
+    raise too.  Returns the names of the engine functions that raised."""
     F = cap_boundaries(build_ribbon(code))
     c = F.ribbon.n_crossings
     base = RefEngine(F)
@@ -620,10 +684,12 @@ def kind_check_raisers(code):
                     for lo in range(0, 1 << c, 1 << k):
                         if i >= k and (lo >> i) & 1 != bit:
                             continue
-                        # states come in increasing order
-                        before = bit << i if i < k else 0
-                        counts = {}
                         eng = corrupt(states._Engine(F), bit, a, b)
+                        # a block that folds a kink counts its states at its
+                        # end; any other block counts them in increasing order
+                        folds = any(j < k for j in eng.kinks)
+                        before = 0 if folds or i >= k else bit << i
+                        counts = {}
                         with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
                             eng.block(lo, k, counts)
                         assert sum(counts.values()) == before, (serialize(code), bit, a, k, lo)

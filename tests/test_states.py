@@ -1,6 +1,8 @@
 from polebracket.codes import parse_code, random_diagram
 from polebracket.polewords import MARK
 from polebracket.states import (
+    CurveClassification,
+    _Classes,
     check_pole_balance,
     check_nonseparation,
     classify_state,
@@ -89,3 +91,17 @@ def test_pole_balance_random_sample():
         F = _surface(code)
         for s in enumerate_states(code, F):
             assert check_pole_balance(F, s) == []
+
+
+def test_class_table_unpacks_every_homology_bit():
+    # `_Classes` unpacks a class a byte at a time; every width, including
+    # 0 and widths that end mid-byte, gives the per-bit tuple
+    for h1 in range(25):
+        classes = _Classes(h1)
+        for hom in {0, (1 << h1) - 1, 0x5A5A5A & ((1 << h1) - 1), 1 << max(h1 - 1, 0)}:
+            hom &= (1 << h1) - 1
+            for idx, flip in ((0, 0), (3, 1)):
+                cl, sid = classes[idx << (h1 + 1) | hom << 1 | flip]
+                assert cl == CurveClassification(
+                    False, hom == 0, bool(flip), idx, tuple((hom >> i) & 1 for i in range(h1)))
+                assert classes.entries[sid] == (idx, bool(flip), hom == 0, cl.hom_class)
