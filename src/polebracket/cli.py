@@ -22,7 +22,7 @@ from functools import cache
 from .brackets import double_bracket, normalized, surface_pole_bracket
 from .codes import CodeError, parse_code, serialize
 from .moves import DIRECTIONS, KINDS, MoveError, MoveSpec, apply_move
-from .states import enumerate_states, state_report
+from .states import _engine, enumerate_states, state_report
 from .surfaces import build_ribbon, cap_boundaries
 from .verify import corpus_twisted, run_battery
 
@@ -109,16 +109,28 @@ def _read_code(args, err):
 
 def _guard(code, args, err):
     c = len(code.crossing_ids)
-    if c > args.max_crossings:
-        # one process, normalized(random_diagram(1, c, 2)): 5-8 us per
-        # state at c = 16 to 20 (Python 3.11, 2 vCPUs)
-        minutes = (1 << c) * 8e-6 / 60
+    if c <= args.max_crossings:
+        return
+    # one process, Python 3.11, 2 vCPUs: `normalized` of kink-free
+    # random_diagram(s, c, 2), four seeds per c, and `states` of three codes
+    if args.command == "states":
+        # the walker reads every state, kinks too
+        bits, folded, per_s = c, "", 90e-6
+        cost = ("47-90 us per state (c = 12 to 16), printed as it goes;"
+                " peak memory was 20-27 MB")
+    else:
+        # the sum traces only the through splice of each R1 kink it folds
+        kinks = len(_engine(cap_boundaries(build_ribbon(code))).kinks)
+        bits, per_s = c - kinks, 6e-6
+        folded = f" less {kinks} R1 kinks summed in closed form" if kinks else ""
+        cost = ("4-6 us per traced state (c = 16 to 20); peak memory was"
+                " 22-24 MB at c = 16, 24-35 MB at c = 18 and 41-64 MB at c = 20")
+    if bits > args.max_crossings:
+        minutes = (1 << bits) * per_s / 60
         err(
             EXIT_USAGE,
-            f"{c} crossings means 2^{c} states, about {minutes:.0f} min in one process"
-            " at the measured 5-8 us per state (c = 16 to 20); peak memory was 22 MB"
-            " at c = 16, 27 MB at c = 18 and 31 MB at c = 20; raise --max-crossings"
-            " to force this",
+            f"{c} crossings{folded} means 2^{bits} traced states, about {minutes:.0f} min"
+            f" in one process at the measured {cost}; raise --max-crossings to force this",
         )
 
 

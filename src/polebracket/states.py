@@ -13,12 +13,12 @@ are read back off the chords (`curve_poles`).  Of its four classes only
 the disk test needs the curve's geometry.  One-sidedness (the flip parity,
 w1) and the Z/2 homology class are XORs over its bands, and the index
 comes from its word.  A curve that is one-sided or has a nonzero class
-bounds no disk, so its classification is a function of (index, class,
-parity), looked up in one small per-surface class table.  Only a
+bounds no disk, so its class is a function of (index, class, parity): an
+int id in one small per-surface class table, and 0 for a disk.  Only a
 two-sided curve of class 0 is keyed by its chord set, in a cache of disk
 tests; `sum_counts` folds each state into one count table keyed by what
 the surface pole bracket needs, and the double bracket is collapsed from
-that same table.
+that same table.  Only the walker path builds `CurveClassification`s.
 
 Every chord a splice can draw has one bit, so a chord set is an int.
 `sum_counts` never traces a state from scratch and never walks a curve.
@@ -50,8 +50,9 @@ they cancel: a loop-off state has the through state's curves, plus one
 inessential circle, with the B-count moved by one.  `block` traces only the
 through splice of a kink bit it is free to choose and counts the loop-off
 states from the traced ones; `_Engine.__init__` finds the kinks, one per
-crossing, and checks this premise once.  The count table is the same for
-every range.
+crossing, and checks this premise once.  Every block counts in a table of
+its own and spreads it at its end, by the identity where it folds no kink.
+The count table is the same for every range.
 
 The sum counts with ints until its end.  Each class of essential curve
 has a small int id, and the essential curves closed so far are one node
@@ -128,12 +129,11 @@ class _Trie(dict):
 
 
 class _Classes(dict):
-    """Curve classes by int key, each a shared pair (classification, id)
-    made on first use.  A curve that bounds no disk has the key
-    idx << (h1_dim + 1) | hom << 1 | flip, of its index, homology class and
-    flip parity, and one that bounds a disk the key ~idx.  The id is 0 for
-    a curve that bounds a disk; otherwise it indexes `entries`, the curve's
-    signature entry (index, mobius, separating, hom_class)."""
+    """Essential curve classes by int key idx << (h1_dim + 1) | hom << 1 |
+    flip, of a curve's index, homology class and flip parity, each mapped to
+    a small int id made on first use.  `entries[id]` is the class's
+    signature entry (index, mobius, separating, hom_class).  Id 0 stands for
+    a curve that bounds a disk, which has no class key and no entry."""
 
     __slots__ = ("h1_dim", "entries")
 
@@ -142,23 +142,18 @@ class _Classes(dict):
         self.h1_dim = h1_dim
         self.entries: list = [None]
 
-    def __missing__(self, key: int):
+    def __missing__(self, key: int) -> int:
         h1 = self.h1_dim
-        if key < 0:
-            cl = CurveClassification(True, True, False, ~key, (0,) * h1)
-            sid = 0
-        else:
-            hom = key >> 1 & ((1 << h1) - 1)
-            bits = ()
-            for shift in range(0, h1, 8):
-                bits += _BYTE_BITS[hom >> shift & 255]
-            cl = CurveClassification(False, hom == 0, bool(key & 1), key >> (h1 + 1), bits[:h1])
-            sid = len(self.entries)
-            if sid >= _ID_LIMIT:
-                raise AssertionError("too many curve classes for a trie key")
-            self.entries.append((cl.index, cl.mobius, cl.separating, cl.hom_class))
-        pair = self[key] = (cl, sid)
-        return pair
+        hom = key >> 1 & ((1 << h1) - 1)
+        bits = ()
+        for shift in range(0, h1, 8):
+            bits += _BYTE_BITS[hom >> shift & 255]
+        sid = len(self.entries)
+        if sid >= _ID_LIMIT:
+            raise AssertionError("too many curve classes for a trie key")
+        self.entries.append((key >> (h1 + 1), bool(key & 1), hom == 0, bits[:h1]))
+        self[key] = sid
+        return sid
 
 
 class _Engine:
@@ -182,10 +177,10 @@ class _Engine:
     Per dart d, the band at d as an open path: `band_other[d]`, the dart at
     its far end; `band_key[d]`, its band bit; `band_arc[d]`, the arc of its
     word (one mark when it is flipped); `band_hc[d]`, its class and flip as
-    band_class << 1 | flip.  `classes` maps a class key to its shared pair
-    (classification, id) (see `_Classes`).  `cache` maps a curve key to
-    the pair of its class; `block` keys only the two-sided class-0 curves
-    that reach the disk test, the walker path (`lookup`) every curve.
+    band_class << 1 | flip.  `classes` maps a class key to its id (see
+    `_Classes`), and `cache` a curve key to its id; `block` keys only the
+    two-sided class-0 curves that reach the disk test, the walker path
+    (`lookup`, which alone builds classification records) every curve.
     `block` carries the essential curves closed so far as a node of `trie`
     and counts states under int leaf keys; `decode` turns those into the
     signature-keyed table.  `kinks` maps each crossing that has an R1 kink
@@ -262,7 +257,7 @@ class _Engine:
                 raise AssertionError("a kink's loop band has a class or flip")
             # through `classify`, so the disk test runs once per curve key
             circle = self.chord_bit[min(u, v), max(u, v)] | self.band_key[u]
-            if self.classify(circle, 0)[1]:
+            if self.classify(circle, 0):
                 raise AssertionError("a kink's loop-off circle bounds no disk")
             self.kinks[i] = off
 
@@ -314,11 +309,11 @@ class _Engine:
             cm ^= low
         return tuple(out)
 
-    def classify(self, key: int, idx: int):
-        """Classify the curve with this key and pole-word index, missing
-        from the cache, and cache it.  Its class and flip are read off its
-        band mask (`ClosedSurface._cycle_class` and `flip_mask`), and only a
-        two-sided curve of class 0 takes the disk test."""
+    def classify(self, key: int, idx: int) -> int:
+        """Cache and return the class id of the uncached curve with this key
+        and pole-word index.  Its class and flip are read off its band mask
+        (`ClosedSurface._cycle_class` and `flip_mask`), and only a two-sided
+        curve of class 0 takes the disk test."""
         F = self.F
         cm = key & ((1 << self.n_chords) - 1)
         bmask = key >> self.n_chords
@@ -327,22 +322,28 @@ class _Engine:
             raise AssertionError("path chord mask disagrees with its walk")
         h = F._cycle_class(bmask) << 1 | (bmask & F.flip_mask).bit_count() & 1
         if not h and F.bounds_disk(EmbeddedCurve(self.chords_of(cm), bmask, 0)):
-            pair = self.classes[~idx]
+            sid = 0
         else:
-            pair = self.classes[idx << (F.h1_dim + 1) | h]
-        self.cache[key] = pair
-        return pair
+            sid = self.classes[idx << (F.h1_dim + 1) | h]
+        self.cache[key] = sid
+        return sid
 
-    def lookup(self, curve: PoleCurve):
-        """The cached pair of a traced curve."""
+    def lookup(self, curve: PoleCurve) -> CurveClassification:
+        """The classification of a traced curve: its class entry, or, for a
+        curve that bounds a disk, its own index and the zero class."""
         g = curve.geometry
         key = g.band_mask << self.n_chords
         for ch in g.chords:
             key |= self.chord_bit[ch]
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.classify(key, polewords.index(curve.word))
-        return hit
+        sid = self.cache.get(key)
+        if not sid:
+            idx = polewords.index(curve.word)
+            if sid is None:
+                sid = self.classify(key, idx)
+        if sid:
+            idx, mobius, separating, hom = self.classes.entries[sid]
+            return CurveClassification(False, separating, mobius, idx, hom)
+        return CurveClassification(True, True, False, idx, (0,) * self.F.h1_dim)
 
     def _items(self):
         """Per crossing, the two choices of its splice bit, each as (bit,
@@ -402,17 +403,15 @@ class _Engine:
 
         The essential curves closed so far are a node of `trie`, and
         closing one moves to the child for its id; a curve that bounds a
-        disk (id 0) adds one to the inessential count instead.  Each state
-        adds 1 to `counts` under its leaf key, node << node_shift |
-        iness << pc_bits | B-splices, as soon as its last bit is decided;
-        `decode` reads these keys back.
-
-        A block that folds kinks counts its traced states in a table of its
-        own and spreads it into `counts` at its end.  Taking the loop-off
-        choice at j of the p folded kinks whose loop-off bit is 1 and at l
-        of the q whose loop-off bit is 0 adds j + l disk circles and j - l
-        B-splices to a traced state's key, and C(p, j) C(q, l) states share
-        that key."""
+        disk (id 0) adds one to the inessential count instead.  Each traced
+        state adds 1 to the block's own table `leaves` under its leaf key,
+        node << node_shift | iness << pc_bits | B-splices; `decode` reads
+        these keys back.  At its end the block spreads `leaves` into
+        `counts`: taking the loop-off choice at j of the p folded kinks
+        whose loop-off bit is 1 and at l of the q whose loop-off bit is 0
+        adds j + l disk circles and j - l B-splices to a traced state's key,
+        and C(p, j) C(q, l) states share that key.  With no folded kink that
+        is the identity, and a block that raises adds nothing to `counts`."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
         items, loops = self._items()
@@ -422,7 +421,7 @@ class _Engine:
             if i < k:
                 choices[i] = (items[i][1 - off],)
                 folded.append(off)
-        leaves = {} if folded else counts
+        leaves: dict = {}
         end = self.band_other[:]
         hc = self.band_hc[:]
         pm = self.band_key[:]
@@ -449,13 +448,14 @@ class _Engine:
             idx = 0 if x & 1 else abs(x) >> 2
             h = hc[a]
             if h:
-                return classes[idx << hc_shift | h][1]
+                return classes[idx << hc_shift | h]
             hit = cache.get(key)
             if hit is None:
                 hit = classify(key, idx)
-                if hit[0].mobius or not hit[0].separating:
+                # it carried class 0 and no flip: two-sided and separating
+                if hit and classes.entries[hit][1:3] != (False, True):
                     raise AssertionError("carried class disagrees with the band mask")
-            return hit[1]
+            return hit
 
         node = t = 0
         for loop in loops:
@@ -566,18 +566,16 @@ class _Engine:
             if (end, hc, pm, vs, kn) != bands:
                 raise AssertionError("undo left the open paths changed")
         else:
-            key = node << sh | t
-            counts[key] = counts.get(key, 0) + 1
-        if folded:
-            # a loop-off adds one inessential circle and shifts the B-count by
-            # b_off - b_through, +1 where the loop-off bit is 1, -1 where it is 0
-            up = sum(folded)
-            down = len(folded) - up
-            spread = [((j + l) * one + j - l, comb(up, j) * comb(down, l))
-                      for j in range(up + 1) for l in range(down + 1)]
-            for key, n in leaves.items():
-                for shift, w in spread:
-                    counts[key + shift] = counts.get(key + shift, 0) + n * w
+            leaves[node << sh | t] = 1
+        # a loop-off adds one inessential circle and shifts the B-count by
+        # b_off - b_through, +1 where the loop-off bit is 1, -1 where it is 0
+        up = sum(folded)
+        down = len(folded) - up
+        spread = [((j + l) * one + j - l, comb(up, j) * comb(down, l))
+                  for j in range(up + 1) for l in range(down + 1)]
+        for key, n in leaves.items():
+            for shift, w in spread:
+                counts[key + shift] = counts.get(key + shift, 0) + n * w
 
     def decode(self, raw: dict) -> dict:
         """The signature-keyed table of `block`'s leaf-key counts, and a
@@ -651,7 +649,7 @@ def curve_poles(F: ClosedSurface, curve: PoleCurve) -> list:
 def classify_state(F: ClosedSurface, s: PoleState):
     """Per-curve classifications plus (inessential count, one-sided count)."""
     eng = _engine(F)
-    cls = tuple(eng.lookup(c)[0] for c in s.curves)
+    cls = tuple(eng.lookup(c) for c in s.curves)
     iness = sum(1 for x in cls if x.inessential)
     nonori = sum(1 for x in cls if x.mobius)
     return cls, iness, nonori

@@ -60,7 +60,6 @@ class RibbonComplex:
     code: TwistedGaussCode
     crossing_ids: tuple[int, ...]          # sorted; disk k realizes crossing_ids[k]
     n_crossings: int
-    n_free: int                            # bare-loop disks, indexed after crossings
     total_darts: int
     rotations: tuple[tuple[int, ...], ...]  # counterclockwise darts per disk
     bands: tuple[tuple[int, int, int], ...]  # (u, v, flip); core oriented u -> v
@@ -135,7 +134,6 @@ def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
         code=code,
         crossing_ids=ids,
         n_crossings=c,
-        n_free=n_free,
         total_darts=total,
         rotations=tuple(rotations),
         bands=tuple(bands),
@@ -377,26 +375,22 @@ class ClosedSurface:
         every remaining curve bounds a disk.  Otherwise the curve is two-sided and null-homologous, so it
         splits its piece into two sides, each with the curve as its one
         boundary circle, and it bounds a disk iff one side has chi 1.  Chi
-        of a side is counted on the handle decomposition cut along the curve
-        (`_side_euler`), and chi of the other side is chi(piece) minus it."""
+        of the side that holds the lune of the curve's first chord is counted
+        on the handle decomposition cut along the curve (`_cut`), and chi of
+        the other side is chi(piece) minus it."""
         if curve.flip_parity or self._cycle_class(curve.band_mask):
             return False
         piece_euler = self.pieces[self._curve_piece(curve)].euler
         if piece_euler == 2:
             return True
-        side = self._side_euler(curve.chords, curve.band_mask)
+        root, euler = self._cut(curve.chords, curve.band_mask)
+        side = euler[root[len(self.ribbon.rotations)]]
         return side == 1 or piece_euler - side == 1
-
-    def _side_euler(self, chords, band_mask: int) -> int:
-        """Euler characteristic of the side of a separating curve that holds
-        the lune of its first chord: the one-curve use of `_cut`."""
-        root, euler = self._cut(chords, band_mask)
-        return euler[root[len(self.ribbon.rotations)]]
 
     def _cut(self, chords, band_mask: int) -> tuple[list[int], list[int]]:
         """Cut the handle decomposition of the capped surface along a family
         of disjoint curves, given by all their chords and the union of their
-        band masks.  Shared by the disk test (`_side_euler`, one curve) and
+        band masks.  Shared by the disk test (`bounds_disk`, one curve) and
         `regions` (all curves of a state).
 
         The cut leaves fragments of disks.  A chord (x, succ x) cuts corner

@@ -133,9 +133,30 @@ def test_state_guard_refuses_large(capsys):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "2^25 states, about 4 min" in err and "us per state" in err
+    assert "25 crossings means 2^25 traced states, about 3 min" in err
+    assert "us per traced state" in err
     # info has no state sum and must not refuse
     code, _, _ = run(capsys, "info", "-i", toks_o + " " + toks_u)
+    assert code == 0
+
+
+def test_state_guard_counts_folded_kinks(capsys):
+    # 26 R1 kinks in a row: a sum folds every one of them and traces one
+    # state, so the default guard lets it run; `states` walks all 2^26
+    kinks = " ".join(f"O{i}+ U{i}+" for i in range(1, 27))
+    code, out, _ = run(capsys, "invariant", "-i", kinks)
+    assert code == 0 and out == "-A^2-A^-2\n"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "states", "-i", kinks)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "26 crossings means 2^26 traced states" in err
+    # with 3 of 5 crossings folded, the guard prices the 2 traced ones
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "dbracket", "--max-crossings", "1", "-i", "O1+ U1+ O2+ U2+ O3+ O4+ U3+ U4+ O5+ U5+")
+    assert exc.value.code == 1
+    assert "5 crossings less 3 R1 kinks summed in closed form means 2^2" in capsys.readouterr().err
+    code, _, _ = run(capsys, "dbracket", "--max-crossings", "2", "-i", "O1+ U1+ O2+ U2+ O3+ O4+ U3+ U4+ O5+ U5+")
     assert code == 0
 
 

@@ -1,8 +1,8 @@
 from polebracket.codes import parse_code, random_diagram
 from polebracket.polewords import MARK
 from polebracket.states import (
-    CurveClassification,
     _Classes,
+    _Engine,
     check_pole_balance,
     check_nonseparation,
     classify_state,
@@ -95,13 +95,40 @@ def test_pole_balance_random_sample():
 
 def test_class_table_unpacks_every_homology_bit():
     # `_Classes` unpacks a class a byte at a time; every width, including
-    # 0 and widths that end mid-byte, gives the per-bit tuple
+    # 0 and widths that end mid-byte, gives the per-bit tuple.  Ids count up
+    # from 1 (0 is the disk), one per key, and a key seen again keeps its id
     for h1 in range(25):
         classes = _Classes(h1)
+        ids = {}
         for hom in {0, (1 << h1) - 1, 0x5A5A5A & ((1 << h1) - 1), 1 << max(h1 - 1, 0)}:
             hom &= (1 << h1) - 1
             for idx, flip in ((0, 0), (3, 1)):
-                cl, sid = classes[idx << (h1 + 1) | hom << 1 | flip]
-                assert cl == CurveClassification(
-                    False, hom == 0, bool(flip), idx, tuple((hom >> i) & 1 for i in range(h1)))
-                assert classes.entries[sid] == (idx, bool(flip), hom == 0, cl.hom_class)
+                key = idx << (h1 + 1) | hom << 1 | flip
+                ids.setdefault(key, len(ids) + 1)
+                sid = classes[key]
+                assert sid == ids[key] and len(classes.entries) == len(ids) + 1
+                assert classes.entries[sid] == (
+                    idx, bool(flip), hom == 0, tuple((hom >> i) & 1 for i in range(h1)))
+
+
+def test_nonseparation_check_reads_a_disk_curve_own_index():
+    # a curve that bounds a disk separates, so the non-separation result
+    # gives it index 0.  Flip the side of one pole on a fresh engine: the
+    # classical trefoil lies on a sphere, so the curve through that pole
+    # still bounds a disk, and the check must see its index, now positive
+    code = parse_code("O1- U2- O3- U1- O2- U3-")
+    F = _surface(code)
+    seen = 0
+    for bit in (0, 1):
+        for a in range(12):
+            eng = _Engine(F)
+            b = eng.step[bit][a][0]
+            if a > b or eng.side[bit][a] < 0:
+                continue
+            eng.side[bit][a] ^= 1
+            eng.side[bit][b] ^= 1
+            F._state_engine = eng
+            bad = [v for s in enumerate_states(code, F) for v in check_nonseparation(F, s)]
+            assert bad and all(cl.inessential and cl.index > 0 for _m, _ch, cl in bad)
+            seen += 1
+    assert seen == 6
