@@ -27,7 +27,7 @@ print("surface:", F.report())
 print()
 
 print("states (mask = smoothing choice per crossing):")
-for s in enumerate_states(code, F):
+for s in enumerate_states(F):
     r = state_report(F, s)
     tags = [
         f"index {c['index']}" + (" inessential" if c["inessential"] else "")

@@ -5,6 +5,7 @@ move rewriting, random diagram generation, or the verification battery.
 Input codes come from --input as inline .tgc text (";" separates components
 inline), "-" for stdin, or a file path.  Text that parses as a code is read
 inline even when a file of that name exists; give such a file as ./NAME.
+Other text with a directory part is a path, so a missing file is unreadable.
 Output is byte-deterministic for fixed inputs, seed, and worker count.
 
 Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 verification
@@ -90,17 +91,17 @@ def _read_code(args, err):
         text = sys.stdin.read()
     else:
         # text that parses as a code is inline even beside a file of that
-        # name; such a file is read by a path that is no code, like ./B
-        text = src.replace(";", "\n")
-        if os.path.isfile(src):
-            try:
-                return parse_code(text)
-            except CodeError:
-                try:
-                    with open(src, "r", encoding="utf-8") as fh:
-                        text = fh.read()
-                except (UnicodeDecodeError, OSError) as e:
-                    err(EXIT_PARSE, f"cannot read {src}: {e}")
+        # name; other text is a path if it names a file or has a directory part
+        try:
+            return parse_code(src.replace(";", "\n"))
+        except CodeError as e:
+            if not (os.path.isfile(src) or os.path.dirname(src)):
+                err(EXIT_PARSE, str(e))
+        try:
+            with open(src, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (UnicodeDecodeError, OSError) as e:
+            err(EXIT_PARSE, f"cannot read {src}: {e}")
     try:
         return parse_code(text)
     except CodeError as e:
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
 
     if cmd == "states":
         F = cap_boundaries(build_ribbon(code))
-        reports = (state_report(F, s) for s in enumerate_states(code, F))
+        reports = (state_report(F, s) for s in enumerate_states(F))
         if args.json:
             # the bytes of _emit_json(list(reports)), written one report at a time
             sys.stdout.write("[")

@@ -37,7 +37,8 @@ kind of the pole nearest each end, so that each pole pair is checked to
 alternate when a join or a closing chord makes it adjacent.  Every
 closing also checks that the curve has as many chords as bands.
 `splice_curves` walks each curve of one state with `_Engine.walk`, which
-makes the same alternation check.
+makes the same alternation check and returns the same key, so `lookup`
+reads the cache `block` fills.
 
 R1 kinks are summed in closed form (Kauffman, "State models and the Jones
 polynomial", Topology 26, 1987).  A kink is an unflipped band from an
@@ -73,7 +74,6 @@ from math import comb
 from typing import Iterator
 
 from . import polewords
-from .codes import TwistedGaussCode
 from .polewords import MARK
 from .surfaces import ClosedSurface, EmbeddedCurve
 from .surfaces import regions as surface_regions
@@ -81,9 +81,11 @@ from .surfaces import regions as surface_regions
 
 @dataclass(frozen=True)
 class PoleCurve:
-    """One state curve: where it runs, and its cyclic pole word.  Its poles
-    depend only on the chords and are read off them by `curve_poles`."""
+    """One state curve: its key (chord bits | band bits << n_chords, as
+    `_Engine` numbers them), where it runs, and its cyclic pole word.  Its
+    poles depend only on the chords and are read off them by `curve_poles`."""
 
+    key: int
     geometry: EmbeddedCurve
     word: tuple[int, ...]
 
@@ -180,7 +182,8 @@ class _Engine:
     band_class << 1 | flip.  `classes` maps a class key to its id (see
     `_Classes`), and `cache` a curve key to its id; `block` keys only the
     two-sided class-0 curves that reach the disk test, the walker path
-    (`lookup`, which alone builds classification records) every curve.
+    (`lookup`, which alone builds classification records) every curve, by
+    the key `walk` returns.
     `block` carries the essential curves closed so far as a node of `trie`
     and counts states under int leaf keys; `decode` turns those into the
     signature-keyed table.  `kinks` maps each crossing that has an R1 kink
@@ -213,9 +216,9 @@ class _Engine:
                         kind[bit][a] = kind[bit][b] = 1 if a % 4 < 2 else 2
         self.chords = tuple(sorted({(d, t[d]) for t in tau for d in range(n) if d < t[d]}))
         self.n_chords = len(self.chords)
-        self.chord_bit = {ch: 1 << i for i, ch in enumerate(self.chords)}
+        chord_bit = {ch: 1 << i for i, ch in enumerate(self.chords)}
         cbit = tuple(
-            [self.chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)]
+            [chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)]
             for t in tau
         )
         self.side = side
@@ -228,8 +231,8 @@ class _Engine:
         for t, cb in zip(tau, cbit):
             row = []
             for d in range(n):
-                nxt, flip, bi = rs.band_at[t[d]]
-                row.append((t[d], cb[d], nxt, flip, 1 << bi))
+                nxt, flip = rs.band_at[t[d]][:2]
+                row.append((t[d], cb[d], nxt, flip, self.band_key[t[d]]))
             step.append(row)
         self.step = tuple(step)
         self.cache: dict = {}
@@ -256,19 +259,19 @@ class _Engine:
             if self.band_hc[u]:
                 raise AssertionError("a kink's loop band has a class or flip")
             # through `classify`, so the disk test runs once per curve key
-            circle = self.chord_bit[min(u, v), max(u, v)] | self.band_key[u]
+            circle = chord_bit[min(u, v), max(u, v)] | self.band_key[u]
             if self.classify(circle, 0):
                 raise AssertionError("a kink's loop-off circle bounds no disk")
             self.kinks[i] = off
 
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
-        dart `start`, marking its darts in `visited`.  Returns its chord
-        mask, pole word, band mask and flip parity, and checks that its
-        pole kinds alternate."""
+        dart `start`, marking its darts in `visited`.  Returns its key (chord
+        bits | band bits << n_chords, the key `block` and `classify` use),
+        pole word and flip parity, and checks that its pole kinds alternate."""
         step, side, kind = self.step, self.side, self.kind
         word: list[int] = []
-        cm = bmask = fpar = 0
+        key = fpar = 0
         first = last = 0
         cur = start
         while True:
@@ -277,7 +280,7 @@ class _Engine:
             x, cb, nxt, flip, bb = step[bit][cur]
             visited[cur] = 1
             visited[x] = 1
-            cm |= cb
+            key |= cb | bb
             s = side[bit][cur]
             if s >= 0:
                 k = kind[bit][cur]
@@ -290,14 +293,13 @@ class _Engine:
             if flip:
                 word.append(MARK)
                 fpar ^= 1
-            bmask |= bb
             cur = nxt
             if cur == start:
                 break
         if last and first == last:
             # the wrap-around pair; it also rules out an odd pole count
             raise AssertionError("pole kinds fail to alternate")
-        return cm, tuple(word), bmask, fpar
+        return key, tuple(word), fpar
 
     def chords_of(self, key: int) -> tuple[tuple[int, int], ...]:
         """The sorted chord tuple of a chord mask or curve key."""
@@ -329,17 +331,13 @@ class _Engine:
         return sid
 
     def lookup(self, curve: PoleCurve) -> CurveClassification:
-        """The classification of a traced curve: its class entry, or, for a
-        curve that bounds a disk, its own index and the zero class."""
-        g = curve.geometry
-        key = g.band_mask << self.n_chords
-        for ch in g.chords:
-            key |= self.chord_bit[ch]
-        sid = self.cache.get(key)
+        """The classification of a walked curve, by its key: its class entry,
+        or, for a curve that bounds a disk, its own index and the zero class."""
+        sid = self.cache.get(curve.key)
         if not sid:
             idx = polewords.index(curve.word)
             if sid is None:
-                sid = self.classify(key, idx)
+                sid = self.classify(curve.key, idx)
         if sid:
             idx, mobius, separating, hom = self.classes.entries[sid]
             return CurveClassification(False, separating, mobius, idx, hom)
@@ -610,9 +608,8 @@ def _engine(F: ClosedSurface) -> _Engine:
     return eng
 
 
-def splice_curves(code: TwistedGaussCode, F: ClosedSurface, choice: int) -> PoleState:
-    if code != F.ribbon.code:
-        raise ValueError("surface was built from a different code")
+def splice_curves(F: ClosedSurface, choice: int) -> PoleState:
+    """The curves of splice choice `choice` on `F`, in order of their lowest darts."""
     c = F.ribbon.n_crossings
     if not 0 <= choice < (1 << c):
         raise ValueError("splice choice out of range")
@@ -621,16 +618,17 @@ def splice_curves(code: TwistedGaussCode, F: ClosedSurface, choice: int) -> Pole
     curves = []
     start = visited.find(0)
     while start >= 0:
-        cm, word, bmask, fpar = eng.walk(choice, start, visited)
-        curves.append(PoleCurve(EmbeddedCurve(eng.chords_of(cm), bmask, fpar), word))
+        key, word, fpar = eng.walk(choice, start, visited)
+        geometry = EmbeddedCurve(eng.chords_of(key), key >> eng.n_chords, fpar)
+        curves.append(PoleCurve(key, geometry, word))
         start = visited.find(0, start + 1)
     natural = c - 2 * bin(choice).count("1")
     return PoleState(choice, natural, tuple(curves))
 
 
-def enumerate_states(code: TwistedGaussCode, F: ClosedSurface) -> Iterator[PoleState]:
+def enumerate_states(F: ClosedSurface) -> Iterator[PoleState]:
     for mask in range(1 << F.ribbon.n_crossings):
-        yield splice_curves(code, F, mask)
+        yield splice_curves(F, mask)
 
 
 def curve_poles(F: ClosedSurface, curve: PoleCurve) -> list:
@@ -646,20 +644,16 @@ def curve_poles(F: ClosedSurface, curve: PoleCurve) -> list:
     ]
 
 
-def classify_state(F: ClosedSurface, s: PoleState):
-    """Per-curve classifications plus (inessential count, one-sided count)."""
-    eng = _engine(F)
-    cls = tuple(eng.lookup(c) for c in s.curves)
-    iness = sum(1 for x in cls if x.inessential)
-    nonori = sum(1 for x in cls if x.mobius)
-    return cls, iness, nonori
+def classify_state(F: ClosedSurface, s: PoleState) -> tuple[CurveClassification, ...]:
+    """The classification of each curve of `s`, in curve order."""
+    lookup = _engine(F).lookup
+    return tuple(lookup(c) for c in s.curves)
 
 
 def check_nonseparation(F: ClosedSurface, s: PoleState) -> list:
     """Violations of: positive index forces non-separating."""
-    cls, _, _ = classify_state(F, s)
     out = []
-    for curve, cl in zip(s.curves, cls):
+    for curve, cl in zip(s.curves, classify_state(F, s)):
         if cl.index > 0 and cl.separating:
             out.append((s.choice, curve.geometry.chords, cl))
     return out
@@ -676,7 +670,6 @@ def check_pole_balance(F: ClosedSurface, s: PoleState) -> list:
 
 
 def state_report(F: ClosedSurface, s: PoleState) -> dict:
-    cls, _, _ = classify_state(F, s)
     return {
         "mask": s.choice,
         "natural": s.natural,
@@ -689,7 +682,7 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
                 "mobius": cl.mobius,
                 "hom": list(cl.hom_class),
             }
-            for c, cl in zip(s.curves, cls)
+            for c, cl in zip(s.curves, classify_state(F, s))
         ],
     }
 

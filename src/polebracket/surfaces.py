@@ -55,9 +55,9 @@ from .codes import Bar, TwistedGaussCode, Visit
 
 @dataclass(frozen=True)
 class RibbonComplex:
-    """Band-surface presentation of a twisted Gauss code."""
+    """Band-surface presentation of a twisted Gauss code.  It keeps what
+    the capped surface and its splice states read, not the code itself."""
 
-    code: TwistedGaussCode
     crossing_ids: tuple[int, ...]          # sorted; disk k realizes crossing_ids[k]
     n_crossings: int
     total_darts: int
@@ -131,7 +131,6 @@ def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
         raise AssertionError("dart without band")
 
     return RibbonComplex(
-        code=code,
         crossing_ids=ids,
         n_crossings=c,
         total_darts=total,

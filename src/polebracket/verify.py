@@ -177,7 +177,7 @@ def sweep_states(diagrams):
     doubles = []
     for code in diagrams:
         F = cap_boundaries(build_ribbon(code))
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             states += 1
             t1_bad += [(code, v) for v in check_nonseparation(F, s)]
             l2_bad += [(code, v) for v in check_pole_balance(F, s)]

@@ -133,7 +133,7 @@ def state_sweep(twisted_corpus, classical_corpus):
     states = 0
     for code in twisted_corpus + classical_corpus:
         F = cap_boundaries(build_ribbon(code))
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             states += 1
             t1_bad += check_nonseparation(F, s)
             l2_bad += check_pole_balance(F, s)

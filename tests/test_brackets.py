@@ -166,7 +166,7 @@ def test_bracket_pair_matches_both_brackets():
         expect = (surface_pole_bracket(code), double_bracket(code))
         assert bracket_pair(cap_boundaries(build_ribbon(code))) == expect
         F = cap_boundaries(build_ribbon(code))
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             classify_state(F, s)
         assert states._engine(F).cache
         assert bracket_pair(F) == expect

@@ -217,11 +217,31 @@ def test_check_small_battery(capsys):
 
 
 def test_directory_input_is_parse_error(capsys, tmp_path):
-    # a directory is not a code file, so the name is parsed as inline text
+    # a directory is not a code file, and its path is no code
     with pytest.raises(SystemExit) as exc:
         run(capsys, "invariant", "-i", str(tmp_path))
     assert exc.value.code == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_path_that_names_no_file_is_unreadable(capsys, tmp_path, monkeypatch):
+    # text that is no code but has a directory part is read as a path, so a
+    # missing file or a directory is reported as unreadable, not as a token
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    for path in ("./missing.tgc", "./adir"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "invariant", "-i", path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polebracket: cannot read {path}: ")
+        assert err.count("\n") == 1
+    # no directory part: the text stays inline, with its token message
+    for text, token in (("O1+ X", "X"), ("adir", "adir")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "invariant", "-i", text)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"bad token {token!r}\n")
 
 
 def test_undecodable_input_file_is_parse_error(capsys, tmp_path, monkeypatch):
@@ -252,7 +272,7 @@ def test_states_json_streams_the_same_bytes(capsys):
     text = "O1- U2- O3- U1- O2- U3-"
     code = parse_code(text)
     F = cap_boundaries(build_ribbon(code))
-    reports = [state_report(F, s) for s in enumerate_states(code, F)]
+    reports = [state_report(F, s) for s in enumerate_states(F)]
     assert len(reports) == 8
     rc, out, _ = run(capsys, "states", "-i", text, "--json")
     assert rc == 0

@@ -218,18 +218,24 @@ def ref_brackets(code):
 def assert_states_match(code):
     F = cap_boundaries(build_ribbon(code))
     ref = RefEngine(F)
+    eng = states._engine(F)
     memo = {}
     for mask in range(1 << F.ribbon.n_crossings):
-        s = splice_curves(code, F, mask)
+        s = splice_curves(F, mask)
         expect = ref.trace(mask)
         got = [
             (c.geometry.chords, c.geometry.band_mask, c.geometry.flip_parity, c.word)
             for c in s.curves
         ]
         assert got == [e[:4] for e in expect]
+        # the walked key is the one `block` and `classify` read: its chord
+        # bits give the reference's chords, and the bits above them its bands
+        assert [(eng.chords_of(c.key), c.key >> eng.n_chords) for c in s.curves] == [
+            e[:2] for e in expect
+        ]
         for curve, e in zip(s.curves, expect):
             assert sorted(curve_poles(F, curve)) == sorted(e[5])
-        cls, _, _ = classify_state(F, s)
+        cls = classify_state(F, s)
         assert [
             (cl.inessential, cl.separating, cl.mobius, cl.index, cl.hom_class) for cl in cls
         ] == [ref_classify(F, e, memo) for e in expect]
@@ -289,7 +295,7 @@ def test_regions_match_cut_reference():
     for code in codes:
         F = cap_boundaries(build_ribbon(code))
         seen = set()
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             for k in (len(s.curves), 1, max(1, len(s.curves) // 2)):
                 family = s.curves[:k]
                 key = tuple(c.geometry for c in family)
@@ -345,7 +351,7 @@ def test_chord_mask_keys_are_injective():
             bmask = key >> eng.n_chords
             assert not (bmask & F.flip_mask).bit_count() & 1, serialize(code)
             assert not any(F.homology_class(bmask)), serialize(code)
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             classify_state(F, s)
         ref = RefEngine(F)
         distinct = {chords for mask in range(n) for (chords, *_rest) in ref.trace(mask)}
@@ -479,6 +485,9 @@ def test_fixture_ranges_match_reference(text):
     for lo, hi in ((-1, n), (0, n + 1)):
         with pytest.raises(ValueError, match="out of range"):
             states.sum_counts(F, lo, hi)
+    for choice in (-1, n):
+        with pytest.raises(ValueError, match="out of range"):
+            splice_curves(F, choice)
 
 
 @given(diagrams(), st.data())
@@ -582,7 +591,7 @@ def assert_alternation_check_matches(code):
                 with pytest.raises(AssertionError):
                     states.sum_counts(F, mask, mask + 1)
                 with pytest.raises(AssertionError):
-                    splice_curves(code, F, mask)
+                    splice_curves(F, mask)
 
 
 @pytest.mark.parametrize("text", ["O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+"])
@@ -691,7 +700,7 @@ def kind_check_raisers(code):
                         where.add(err.traceback[-1].name)
                 F._state_engine = corrupt(states._Engine(F), bit, a, b)
                 with pytest.raises(AssertionError, match="pole kinds fail to alternate"):
-                    splice_curves(code, F, bit << i)
+                    splice_curves(F, bit << i)
     return where
 
 
@@ -806,6 +815,6 @@ def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
     assert [e.name for e in err.traceback[-3:-1]] == ["entry", "classify"]
     F = cap_boundaries(build_ribbon(code))
     with pytest.raises(AssertionError, match="too many curve classes") as err:
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             classify_state(F, s)
     assert err.traceback[-2].name == "classify"

@@ -20,7 +20,7 @@ def _surface(code):
 def test_state_count_is_two_to_the_crossings():
     code = parse_code("O1- U2- O3- U1- O2- U3-")
     F = _surface(code)
-    states = list(enumerate_states(code, F))
+    states = list(enumerate_states(F))
     assert len(states) == 8
     assert sorted({s.natural for s in states}) == [-3, -1, 1, 3]
 
@@ -29,17 +29,20 @@ def test_natural_tracks_splice_mask():
     code = parse_code("O1+ U2+ U1+ O2+")
     F = _surface(code)
     for mask in range(4):
-        s = splice_curves(code, F, mask)
+        s = splice_curves(F, mask)
         assert s.natural == 2 - 2 * bin(mask).count("1")
 
 
 def test_kink_states_on_sphere():
     code = parse_code("O1+ U1+")
     F = _surface(code)
-    a = splice_curves(code, F, 0)   # coherent: two circles
-    b = splice_curves(code, F, 1)   # incoherent: one circle, two poles
-    cls_a, iness_a, nonori_a = classify_state(F, a)
-    cls_b, iness_b, nonori_b = classify_state(F, b)
+    a = splice_curves(F, 0)   # coherent: two circles
+    b = splice_curves(F, 1)   # incoherent: one circle, two poles
+    cls_a = classify_state(F, a)
+    cls_b = classify_state(F, b)
+    iness_a = sum(cl.inessential for cl in cls_a)
+    nonori_a = sum(cl.mobius for cl in cls_a)
+    iness_b = sum(cl.inessential for cl in cls_b)
     assert len(a.curves) == 2 and iness_a == 2 and nonori_a == 0
     assert len(b.curves) == 1 and iness_b == 1
     assert sum(1 for c in b.curves for x in c.word if x != MARK) == 2
@@ -50,9 +53,8 @@ def test_virtual_trefoil_has_index_one_curve():
     code = parse_code("O1+ O2+ U1+ U2+")
     F = _surface(code)
     found = set()
-    for s in enumerate_states(code, F):
-        cls, _, _ = classify_state(F, s)
-        for cl in cls:
+    for s in enumerate_states(F):
+        for cl in classify_state(F, s):
             found.add((cl.index, cl.inessential))
     assert (1, False) in found  # an essential curve with one irreducible pole pair
 
@@ -60,8 +62,10 @@ def test_virtual_trefoil_has_index_one_curve():
 def test_one_bar_loop_state_is_mobius():
     code = parse_code("B")
     F = _surface(code)
-    s = splice_curves(code, F, 0)
-    cls, iness, nonori = classify_state(F, s)
+    s = splice_curves(F, 0)
+    cls = classify_state(F, s)
+    iness = sum(cl.inessential for cl in cls)
+    nonori = sum(cl.mobius for cl in cls)
     assert len(s.curves) == 1 and nonori == 1 and iness == 0
     assert cls[0].mobius and not cls[0].separating
 
@@ -70,7 +74,7 @@ def test_structure_checks_clean_on_fixtures():
     for text in ("EMPTY", "O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-"):
         code = parse_code(text)
         F = _surface(code)
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             assert check_nonseparation(F, s) == []
             assert check_pole_balance(F, s) == []
 
@@ -78,7 +82,7 @@ def test_structure_checks_clean_on_fixtures():
 def test_state_report_shape():
     code = parse_code("O1+ U1+")
     F = _surface(code)
-    rep = state_report(F, splice_curves(code, F, 1))
+    rep = state_report(F, splice_curves(F, 1))
     assert rep["mask"] == 1 and rep["natural"] == -1
     assert len(rep["curves"]) == 1
     curve = rep["curves"][0]
@@ -89,7 +93,7 @@ def test_pole_balance_random_sample():
     for seed in range(8):
         code = random_diagram(seed, 4, 2)
         F = _surface(code)
-        for s in enumerate_states(code, F):
+        for s in enumerate_states(F):
             assert check_pole_balance(F, s) == []
 
 
@@ -128,7 +132,7 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
             eng.side[bit][a] ^= 1
             eng.side[bit][b] ^= 1
             F._state_engine = eng
-            bad = [v for s in enumerate_states(code, F) for v in check_nonseparation(F, s)]
+            bad = [v for s in enumerate_states(F) for v in check_nonseparation(F, s)]
             assert bad and all(cl.inessential and cl.index > 0 for _m, _ch, cl in bad)
             seen += 1
     assert seen == 6

@@ -155,7 +155,7 @@ def test_regions_of_unknot_state():
     F = cap_boundaries(build_ribbon(code))
     from polebracket.states import splice_curves
 
-    s = splice_curves(code, F, 0)
+    s = splice_curves(F, 0)
     regs = regions(F, [c.geometry for c in s.curves], [])
     assert len(regs) == 2
 
@@ -172,7 +172,7 @@ def test_disk_test_rejects_a_chord_across_a_crossing_disk():
     curve = next(
         c.geometry
         for mask in range(1 << 8)
-        for c in splice_curves(code, F, mask).curves
+        for c in splice_curves(F, mask).curves
         if not c.geometry.flip_parity and not any(F.homology_class(c.geometry))
     )
     F.bounds_disk(curve)    # the curve as traced passes
