@@ -201,9 +201,10 @@ def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketVal
     return _bracket_from_counts(_counts(code, workers))
 
 
-def bracket_pair(F: ClosedSurface) -> tuple[BracketValue, MultiLaurent]:
-    """(surface pole bracket, double bracket) from one state sum on F."""
-    counts = sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+def bracket_pair(counts: dict) -> tuple[BracketValue, MultiLaurent]:
+    """(surface pole bracket, double bracket) from one `sum_counts` table,
+    which its caller also reads (the `check` battery counts its
+    non-separation violations off it)."""
     return _bracket_from_counts(counts), _double_from_counts(counts)
 
 

@@ -63,6 +63,17 @@ inessential-curve count and its B-splice count.  `sum_counts` then turns
 each node into its sorted signature once, in node order, from its parent's
 signature and its one curve, and merges the nodes that hold one multiset
 of curves, reached in different orders, by exact addition.
+
+The two structure results of the paper are checked without a state walk.
+A curve of positive index never separates: `check_nonseparation` reads the
+essential curves off a count table, and `_Engine.classify` refuses a curve
+of positive index that bounds a disk, so every curve of every sum is
+covered.  Every complementary region of a state sees as many I-poles as
+O-poles: `pole_regions` finds a full state's regions as the caps joined at
+each crossing disk's middle, O(c) per state, and reads each pole's kind off
+the dart layout, not off the engine's tables.  The walker (`splice_curves`,
+`classify_state`, `lookup`) serves the `states` command; `curve_poles` is
+the tests' reading of a walked curve's poles.
 """
 
 from __future__ import annotations
@@ -75,8 +86,7 @@ from typing import Iterator
 
 from . import polewords
 from .polewords import MARK
-from .surfaces import ClosedSurface, EmbeddedCurve
-from .surfaces import regions as surface_regions
+from .surfaces import ClosedSurface, EmbeddedCurve, _find
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,10 @@ class CurveClassification:
 
 _ID_BITS = 20
 _ID_LIMIT = 1 << _ID_BITS
+# the `polewords.arc` of a band's word, by its flip (no mark, one mark), and
+# of a one-pole word, by its side bit
+_BAND_ARC = (polewords.arc(()), polewords.arc((MARK,)))
+_POLE_ARC = (polewords.arc((0,)), polewords.arc((1,)))
 # the bits of a byte, low bit first: a homology class is unpacked 8 bits at a time
 _BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
 
@@ -225,7 +239,7 @@ class _Engine:
         self.kind = kind
         self.band_other = [b[0] for b in rs.band_at]
         self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
-        self.band_arc = [polewords.arc((MARK,) if flip else ()) for (_o, flip, _b) in rs.band_at]
+        self.band_arc = [_BAND_ARC[flip] for (_o, flip, _b) in rs.band_at]
         self.band_hc = [F.band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
         step = []
         for t, cb in zip(tau, cbit):
@@ -246,9 +260,10 @@ class _Engine:
         # R1 kinks, one per crossing disk at most: an unflipped band from an
         # out-dart to the other strand's in-dart on its own disk.  The
         # loop-off bit draws the chord that closes that band into a circle;
-        # the fold's premise is checked here, once per engine
+        # the fold's premise is checked here, in O(1) per kink
         self.kinks: dict[int, int] = {}
         c4 = 4 * rs.n_crossings
+        pred = F._pred
         for bi, (u, v, flip) in enumerate(rs.bands):
             i = u >> 2
             if flip or u >= c4 or v >> 2 != i or not (u ^ v) & 1 or i in self.kinks:
@@ -258,9 +273,12 @@ class _Engine:
                 raise AssertionError("a kink's loop-off chords carry a pole")
             if self.band_hc[u]:
                 raise AssertionError("a kink's loop band has a class or flip")
-            # through `classify`, so the disk test runs once per curve key
-            circle = chord_bit[min(u, v), max(u, v)] | self.band_key[u]
-            if self.classify(circle, 0):
+            # the loop-off chord joins u and v; when they are rotation
+            # adjacent it cuts off the corner between them, u when pred v = u
+            # and v when pred u = v.  The unflipped band's side from that
+            # corner (u ~ pred v, or pred u ~ v) returns to it, so the circle
+            # runs beside a one-corner cap and bounds a disk
+            if tau[off][u] != v or not (pred[v] == u or pred[u] == v):
                 raise AssertionError("a kink's loop-off circle bounds no disk")
             self.kinks[i] = off
 
@@ -315,7 +333,12 @@ class _Engine:
         """Cache and return the class id of the uncached curve with this key
         and pole-word index.  Its class and flip are read off its band mask
         (`ClosedSurface._cycle_class` and `flip_mask`), and only a two-sided
-        curve of class 0 takes the disk test."""
+        curve of class 0 takes the disk test.  A curve that bounds a disk
+        separates, so it must have index 0: one of positive index raises
+        AssertionError.  Every curve of every sum that takes the disk test
+        passes here once per key, so together with `check_nonseparation`,
+        which reads the essential curves off the count table, this checks
+        that no curve of positive index separates."""
         F = self.F
         cm = key & ((1 << self.n_chords) - 1)
         bmask = key >> self.n_chords
@@ -324,6 +347,9 @@ class _Engine:
             raise AssertionError("path chord mask disagrees with its walk")
         h = F._cycle_class(bmask) << 1 | (bmask & F.flip_mask).bit_count() & 1
         if not h and F.bounds_disk(EmbeddedCurve(self.chords_of(cm), bmask, 0)):
+            # a disk separates, and a curve of positive index never does
+            if idx:
+                raise AssertionError("a curve of positive index bounds a disk")
             sid = 0
         else:
             sid = self.classes[idx << (F.h1_dim + 1) | h]
@@ -354,7 +380,7 @@ class _Engine:
         def pole(bit, a):
             b, cb = step[bit][a][:2]
             s = side[bit][a]
-            return (a, b, cb, polewords.arc((s,)), kind[bit][a]) if s >= 0 else (a, b, cb, 0, 0)
+            return (a, b, cb, _POLE_ARC[s], kind[bit][a]) if s >= 0 else (a, b, cb, 0, 0)
 
         c4 = 4 * self.F.ribbon.n_crossings
         items = tuple(
@@ -650,23 +676,86 @@ def classify_state(F: ClosedSurface, s: PoleState) -> tuple[CurveClassification,
     return tuple(lookup(c) for c in s.curves)
 
 
-def check_nonseparation(F: ClosedSurface, s: PoleState) -> list:
-    """Violations of: positive index forces non-separating."""
-    out = []
-    for curve, cl in zip(s.curves, classify_state(F, s)):
-        if cl.index > 0 and cl.separating:
-            out.append((s.choice, curve.geometry.chords, cl))
-    return out
+def check_nonseparation(counts: dict) -> int:
+    """The number of (state, curve) pairs of a `sum_counts` table that break
+    "positive index forces non-separating": each signature entry with index
+    > 0 that separates, times the count of its key.  The table holds only
+    essential curves; a curve that bounds a disk has no entry, and
+    `_Engine.classify` refuses one of positive index as it sums."""
+    return sum(
+        n * sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep)
+        for (sig, _nat, _iness), n in counts.items()
+    )
 
 
-def check_pole_balance(F: ClosedSurface, s: PoleState) -> list:
-    """Violations of: every complementary region sees as many I-poles as
-    O-poles (counted with multiplicity over region-chord incidences)."""
-    if not s.curves:
-        return []
-    poles = [p for c in s.curves for p in curve_poles(F, c)]
-    regs = surface_regions(F, [c.geometry for c in s.curves], poles)
-    return [(s.choice, r) for r in regs if r.i_poles != r.o_poles]
+# a pole load packs a region's I-pole count and O-pole count into one int
+_O_POLE = 1 << 32
+
+
+def pole_regions(F: ClosedSurface) -> Iterator[list[tuple[int, int]]]:
+    """Per state, in mask order, the (I poles, O poles) of each complementary
+    region of its curves, in no particular order.
+
+    In a full state every band is split and every crossing disk carries two
+    chords, each cutting one corner off as a lune, so each fragment of the
+    cut holds corners and each lane runs beside a band side.  The regions
+    are then the caps (`ClosedSurface.corner_caps`), joined at each crossing
+    disk by its middle fragment, which holds the two corners that no chord
+    cuts off; a bare-loop disk's two fragments hold one corner each and join
+    nothing.  A pole counts once on its lune's region and once on the
+    middle's region, as `surfaces.regions` counts it.  Its kind is read off
+    the dart layout (in-in is I, out-out is O), not off the state sum's
+    tables, so the check shares nothing with the sum it checks.  Bit b of a
+    crossing with rotation (r0, r1, r2, r3) draws the chords from corners
+    r(b+1) and r(b+3), and its middle joins the caps of r(b) and r(b+2).
+    The caps are unioned per state, O(c) each."""
+    rs = F.ribbon
+    cap = F.corner_caps
+    n_caps = len(F._cap_masks)
+    table = []
+    for rot in rs.rotations[:rs.n_crossings]:
+        row = []
+        for b in (0, 1):
+            loads = []
+            mid = 0
+            for j in (b + 1, b + 3):
+                x, y = rot[j % 4], rot[(j + 1) % 4]
+                if (x % 4 < 2) == (y % 4 < 2):
+                    w = 1 if x % 4 < 2 else _O_POLE
+                    loads.append((cap[x], w))
+                    mid += w
+            loads.append((cap[rot[b]], mid))
+            row.append((cap[rot[b]], cap[rot[b + 2]], loads))
+        table.append(row)
+    low = _O_POLE - 1
+    caps = range(n_caps)
+    for choice in range(1 << rs.n_crossings):
+        parent = list(caps)
+        load = [0] * n_caps
+        for i, row in enumerate(table):
+            m1, m2, loads = row[choice >> i & 1]
+            parent[_find(parent, m2)] = _find(parent, m1)
+            for k, w in loads:
+                load[k] += w
+        # each cap's load goes to its region's root, which no cap leaves
+        for k in caps:
+            r = _find(parent, k)
+            if r != k:
+                load[r] += load[k]
+        yield [(x & low, x >> 32) for k, x in enumerate(load) if parent[k] == k]
+
+
+def check_pole_balance(F: ClosedSurface) -> list:
+    """Violations of: every complementary region of every state sees as
+    many I-poles as O-poles (counted with multiplicity over region-chord
+    incidences), as (state, I poles, O poles) per unbalanced region; see
+    `pole_regions`."""
+    return [
+        (choice, i, o)
+        for choice, regs in enumerate(pole_regions(F))
+        for i, o in regs
+        if i != o
+    ]
 
 
 def state_report(F: ClosedSurface, s: PoleState) -> dict:

@@ -16,10 +16,12 @@ bands, caps) with plain int tables, in one cutter, `ClosedSurface._cut`:
 chords split the touched disks into fragments, the bands the curves run
 along split into two lanes each, a union-find over fragments finds the
 regions, and each region's Euler characteristic is fragments - lanes + caps.
-It has two users.  The disk test cuts along one curve and asks whether the
-side of the curve, or the other one, is a disk.  `regions` cuts along all
-curves of a state and reads boundary circles and pole incidences off the
-chords.  `cut_complex` builds the same cut as a full polygon complex.
+The disk test cuts along one curve and asks whether the side of the curve,
+or the other one, is a disk.  `regions` cuts along all curves of a state
+and reads boundary circles and pole incidences off the chords; no program
+path calls it, and the tests check the pole-balance check's cap count
+(`states.pole_regions`) against it.  `cut_complex` builds the same cut as
+a full polygon complex.
 
 Dart layout at crossing k (darts are band endpoints on disk boundaries):
     4k   over-in    4k+1 under-in    4k+2 over-out    4k+3 under-out
@@ -43,6 +45,7 @@ Their edge ids (the first entry keeps sorting well defined):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .cells import PolygonComplex
@@ -211,7 +214,8 @@ class ClosedSurface:
     `band_class` over its bands; `homology_class` reduces an arbitrary band
     mask instead and rejects one that is not a cycle.  Instances are immutable
     after construction, except that `states` attaches its per-surface engine
-    (splice tables, curve-class table and cache of disk tests).
+    (splice tables, curve-class table and cache of disk tests) and that
+    `corner_caps` is made on first use.
 
     Everything is read off the ribbon graph with int tables.  A corner of a
     disk is named by the dart it follows.  A band side joins two corners:
@@ -247,6 +251,7 @@ class ClosedSurface:
             masks[_find(parent, pred[u])] ^= 1 << bi
         self._cap_masks = tuple(masks.values())
         self._cap_corner = list(masks)
+        self._corner_forest = parent
         self._build_homology()
 
     # -- homology --------------------------------------------------------
@@ -364,6 +369,16 @@ class ClosedSurface:
             h ^= table[low.bit_length() - 1]
             band_mask ^= low
         return h
+
+    @cached_property
+    def corner_caps(self) -> list[int]:
+        """Per corner, named by the dart it follows, the index of its cap in
+        `_cap_masks` order.  Made on first use from the corner forest that
+        `__init__` grows: only the pole-balance check reads it, so a surface
+        that `info` reports builds none."""
+        index = {r: i for i, r in enumerate(self._cap_corner)}
+        forest = self._corner_forest
+        return [index[_find(forest, d)] for d in range(self.ribbon.total_darts)]
 
     # -- curve predicates ---------------------------------------------------
 

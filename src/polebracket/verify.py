@@ -24,7 +24,7 @@ from .moves import (
     t3_sites,
 )
 from .oracle import classical_kauffman_oracle
-from .states import check_pole_balance, check_nonseparation, enumerate_states
+from .states import check_nonseparation, check_pole_balance, sum_counts
 from .surfaces import build_ribbon, cap_boundaries
 
 
@@ -167,9 +167,11 @@ def sweep_move_invariance(diagrams, seed: int = 0, *, doubles=None):
 
 def sweep_states(diagrams):
     """Non-separation and pole-balance checks over every state, the
-    specialization identity and each diagram's double bracket, all on one
-    surface per diagram: the bracket's sum reuses its curve-class table and
-    the disk tests the state checks made."""
+    specialization identity and each diagram's double bracket, from one
+    state sum per diagram and no state walk.  Non-separation is read off
+    the sum's count table, one failure per (state, curve) that breaks it;
+    pole balance is counted on the surface's caps, one failure per
+    unbalanced region of a state."""
     states = 0
     t1_bad = []
     l2_bad = []
@@ -177,11 +179,11 @@ def sweep_states(diagrams):
     doubles = []
     for code in diagrams:
         F = cap_boundaries(build_ribbon(code))
-        for s in enumerate_states(F):
-            states += 1
-            t1_bad += [(code, v) for v in check_nonseparation(F, s)]
-            l2_bad += [(code, v) for v in check_pole_balance(F, s)]
-        bracket, double = bracket_pair(F)
+        counts = sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+        states += sum(counts.values())
+        t1_bad += [code] * check_nonseparation(counts)
+        l2_bad += [(code, v) for v in check_pole_balance(F)]
+        bracket, double = bracket_pair(counts)
         if specialize_bracket(bracket) != double:
             spec_bad.append(code)
         doubles.append(double)

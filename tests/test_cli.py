@@ -340,6 +340,48 @@ def test_fixtures_build_no_polygon_complex(capsys, monkeypatch, cmd):
     assert [run(capsys, *cmd.split(), "-i", t) for t in texts] == before
 
 
+# `check` stdout as first recorded: (move sites, states, diagrams, classical
+# diagrams) checked, per (seed, count)
+_CHECK_PINS = {
+    (1, 0): (0, 47, 9, 9), (1, 2): (42, 67, 11, 9), (1, 6): (128, 205, 15, 9),
+    (2, 0): (0, 77, 9, 9), (2, 2): (39, 110, 11, 9), (2, 6): (127, 447, 15, 9),
+    (3, 0): (0, 53, 9, 9), (3, 2): (43, 93, 11, 9), (3, 6): (126, 295, 15, 9),
+    (4, 0): (0, 53, 9, 9), (4, 2): (41, 125, 11, 9), (4, 6): (121, 208, 15, 9),
+}
+
+
+@pytest.mark.parametrize("seed, count", sorted(_CHECK_PINS))
+def test_check_output_bytes_are_pinned(capsys, seed, count):
+    moves, states, diagrams, classical = _CHECK_PINS[seed, count]
+    expect = (
+        f"PASS  move invariance of R ({moves} checked, 0 failures)\n"
+        f"PASS  essential curves never separate ({states} checked, 0 failures)\n"
+        f"PASS  region pole balance ({states} checked, 0 failures)\n"
+        f"PASS  specialization identity ({diagrams} checked, 0 failures)\n"
+        f"PASS  classical bracket oracle ({classical} checked, 0 failures)\n"
+        "all checks passed\n"
+    )
+    assert run(capsys, "check", "--seed", str(seed), "--count", str(count)) == (0, expect, "")
+
+
+def _no_cap_table(*_args):
+    raise AssertionError("built a corner-to-cap table")
+
+
+def test_only_check_builds_a_cap_table(capsys, monkeypatch):
+    # `corner_caps` is made on first use, and only the pole-balance check
+    # of `check` uses it; `info` on large codes must not pay for it
+    from polebracket.surfaces import ClosedSurface
+    from polebracket.verify import classical_fixtures, twisted_fixtures
+
+    texts = [serialize(code) for _n, code in classical_fixtures() + twisted_fixtures()]
+    before = [run(capsys, "info", "-i", t) for t in texts]
+    monkeypatch.setattr(ClosedSurface, "corner_caps", property(_no_cap_table))
+    assert [run(capsys, "info", "-i", t) for t in texts] == before
+    with pytest.raises(AssertionError, match="cap table"):
+        run(capsys, "check", "--seed", "1", "--count", "0")
+
+
 def test_check_builds_no_polygon_complex(capsys, monkeypatch):
     from polebracket import cells
 

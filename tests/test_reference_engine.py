@@ -29,6 +29,7 @@ R1 kinks, whose loop-off states `sum_counts` counts without tracing them,
 are compared on codes that have them, folded and traced, over any range.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -41,7 +42,10 @@ from polebracket.codes import parse_code, random_diagram, serialize
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.moves import apply_move, insert_sites
 from polebracket.polewords import MARK, reduce
-from polebracket.states import classify_state, curve_poles, enumerate_states, splice_curves
+from polebracket.states import (
+    PoleCurve, check_pole_balance, classify_state, curve_poles, enumerate_states, pole_regions,
+    splice_curves,
+)
 from polebracket.surfaces import (
     ClosedSurface, EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
 )
@@ -312,6 +316,86 @@ def test_regions_match_cut_reference():
     assert families > 2000, families
 
 
+def _cut_pole_regions(F, walked, dart=None):
+    """Per state of the surface `walked` (F itself, or F before `dart`
+    renumbered its darts), the (I, O) multiset of the regions that
+    `regions` finds on F, its poles read off the chords by `curve_poles`."""
+    dart = dart or list(range(F.ribbon.total_darts))
+    for s in enumerate_states(walked):
+        curves = []
+        for c in s.curves:
+            chords = tuple(sorted(tuple(sorted((dart[a], dart[b]))) for a, b in c.geometry.chords))
+            geometry = EmbeddedCurve(chords, c.geometry.band_mask, c.geometry.flip_parity)
+            curves.append(PoleCurve(c.key, geometry, c.word))
+        poles = [p for c in curves for p in curve_poles(F, c)]
+        yield Counter((r.i_poles, r.o_poles) for r in regions(F, [c.geometry for c in curves], poles))
+
+
+def assert_pole_regions_match_cut(code):
+    # the cap union gives, state by state, the regions of the cut: as many,
+    # with the same (I, O) pole counts
+    F = cap_boundaries(build_ribbon(code))
+    pairs = zip(pole_regions(F), _cut_pole_regions(F, F), strict=True)
+    for s, (got, ref) in enumerate(pairs):
+        assert Counter(got) == ref, (serialize(code), s)
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_pole_regions_match_cut_on_fixtures(text):
+    assert_pole_regions_match_cut(parse_code(text))
+
+
+def test_pole_regions_match_cut_on_corpus():
+    for code in corpus_twisted(7, 40) + [c for _n, c in twisted_fixtures() + classical_fixtures()]:
+        assert_pole_regions_match_cut(code)
+
+
+@given(diagrams(max_crossings=7))
+@settings(max_examples=40, deadline=None)
+def test_pole_regions_match_cut(code):
+    assert_pole_regions_match_cut(code)
+
+
+def _swap_in_and_out(rs, k):
+    """`rs` with the in-darts and out-darts of crossing k trading numbers
+    (4k <-> 4k+2, 4k+1 <-> 4k+3), and the renumbering: the same surface,
+    with each pole at k read as the other kind."""
+    dart = list(range(rs.total_darts))
+    for d in (4 * k, 4 * k + 1):
+        dart[d], dart[d + 2] = d + 2, d
+    band_at = [None] * rs.total_darts
+    for d, (o, flip, bi) in enumerate(rs.band_at):
+        band_at[dart[d]] = (dart[o], flip, bi)
+    swapped = dataclasses.replace(
+        rs,
+        rotations=tuple(tuple(dart[d] for d in rot) for rot in rs.rotations),
+        bands=tuple((dart[u], dart[v], flip) for u, v, flip in rs.bands),
+        band_at=tuple(band_at),
+    )
+    return swapped, dart
+
+
+def test_swapped_pole_kinds_unbalance_the_same_states():
+    # swap one crossing's I and O darts: the cap union and the cut, each
+    # reading the kinds off the swapped numbering, must find the same
+    # unbalanced states, and before the swap neither finds one
+    codes = corpus_twisted(7, 40) + [c for _n, c in twisted_fixtures() + classical_fixtures()]
+    unbalanced = 0
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        if not F.ribbon.n_crossings:
+            continue
+        assert check_pole_balance(F) == []
+        rs, dart = _swap_in_and_out(F.ribbon, 0)
+        G = cap_boundaries(rs)
+        got = {s for s, _i, _o in check_pole_balance(G)}
+        ref = {s for s, regs in enumerate(_cut_pole_regions(G, F, dart))
+               if any(i != o for i, o in regs.elements())}
+        assert got == ref, serialize(code)
+        unbalanced += len(got)
+    assert unbalanced > 20, unbalanced
+
+
 def test_band_class_table_matches_homology_class():
     # a cycle's class is the XOR of its bands' classes; every band mask a
     # reference-traced curve has, and a mask that is not a cycle
@@ -523,16 +607,53 @@ def test_fold_matches_reference(text, kinks):
             assert got == Counter(keys[lo:hi]), (text, lo, hi)
 
 
-def test_fold_premise_is_checked(monkeypatch):
-    # a kink's loop band must have class 0 and its loop-off circle must
-    # bound a disk; the engine refuses to fold when either fails
+def test_fold_premise_is_checked():
+    # a kink's loop band must have class 0, and its loop-off chord must cut
+    # off the corner that the band's side returns to, its two darts
+    # adjacent in the surface's corner order, so that the circle runs beside
+    # a one-corner cap; the engine refuses to fold when either fails
     F = cap_boundaries(build_ribbon(parse_code("O1+ U1+")))
     F.band_class = (1,) * len(F.band_class)
     with pytest.raises(AssertionError, match="loop band has a class"):
         states._Engine(F)
-    monkeypatch.setattr(ClosedSurface, "bounds_disk", lambda _F, _curve: False)
+    # the loop band joins darts 2 and 1; a corner order 0, 2, 3, 1 puts
+    # them apart
+    F = cap_boundaries(build_ribbon(parse_code("O1+ U1+")))
+    order = (0, 2, 3, 1)
+    F._pred = [order[order.index(d) - 1] for d in range(4)]
     with pytest.raises(AssertionError, match="circle bounds no disk"):
-        states._Engine(cap_boundaries(build_ribbon(parse_code("O1+ U1+"))))
+        states._Engine(F)
+
+
+def folded_circles(F):
+    """The loop-off circle of each kink the engine folds: the chord that
+    its loop-off bit draws, and the loop band."""
+    eng = states._Engine(F)
+    out = []
+    for i, off in eng.kinks.items():
+        u, v, bi = next((u, v, bi) for bi, (u, v, flip) in enumerate(F.ribbon.bands)
+                        if not flip and u >> 2 == i == v >> 2 and (u ^ v) & 1)
+        assert eng.step[off][u][0] == v
+        out.append(EmbeddedCurve(((min(u, v), max(u, v)),), 1 << bi, 0))
+    return out
+
+
+def assert_folded_circles_bound_disks(code):
+    # the premise the engine checks from the corner order alone, checked
+    # by the disk test and by the cut
+    F = cap_boundaries(build_ribbon(code))
+    circles = folded_circles(F)
+    for curve in circles:
+        assert F.bounds_disk(curve), serialize(code)
+        assert ref_bounds_disk(F, curve.chords, curve.band_mask, 0, {}), serialize(code)
+    return len(circles)
+
+
+def test_folded_kinks_bound_disks_on_fixtures():
+    texts = [t for t, _k in FOLD_CASES] + FIXTURES
+    folded = sum(assert_folded_circles_bound_disks(parse_code(t)) for t in texts)
+    folded += sum(assert_folded_circles_bound_disks(c) for _n, c in classical_fixtures() + twisted_fixtures())
+    assert folded >= 8, folded
 
 
 @st.composite
@@ -544,6 +665,12 @@ def kinked_diagrams(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         code = apply_move(code, next(s for s in insert_sites(code, rng) if s.kind.startswith("R1")))
     return code
+
+
+@given(kinked_diagrams())
+@settings(max_examples=40, deadline=None)
+def test_folded_kinks_bound_disks(code):
+    assert assert_folded_circles_bound_disks(code) > 0
 
 
 @given(kinked_diagrams(), st.data())

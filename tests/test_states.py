@@ -1,3 +1,7 @@
+import pytest
+
+from polebracket import verify
+from polebracket.brackets import double_bracket
 from polebracket.codes import parse_code, random_diagram
 from polebracket.polewords import MARK
 from polebracket.states import (
@@ -9,6 +13,7 @@ from polebracket.states import (
     enumerate_states,
     splice_curves,
     state_report,
+    sum_counts,
 )
 from polebracket.surfaces import build_ribbon, cap_boundaries
 
@@ -74,9 +79,8 @@ def test_structure_checks_clean_on_fixtures():
     for text in ("EMPTY", "O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-"):
         code = parse_code(text)
         F = _surface(code)
-        for s in enumerate_states(F):
-            assert check_nonseparation(F, s) == []
-            assert check_pole_balance(F, s) == []
+        assert check_nonseparation(sum_counts(F, 0, 1 << F.ribbon.n_crossings)) == 0
+        assert check_pole_balance(F) == []
 
 
 def test_state_report_shape():
@@ -92,9 +96,7 @@ def test_state_report_shape():
 def test_pole_balance_random_sample():
     for seed in range(8):
         code = random_diagram(seed, 4, 2)
-        F = _surface(code)
-        for s in enumerate_states(F):
-            assert check_pole_balance(F, s) == []
+        assert check_pole_balance(_surface(code)) == []
 
 
 def test_class_table_unpacks_every_homology_bit():
@@ -115,13 +117,24 @@ def test_class_table_unpacks_every_homology_bit():
                     idx, bool(flip), hom == 0, tuple((hom >> i) & 1 for i in range(h1)))
 
 
+def _flip_side(eng, bit, a, b):
+    eng.side[bit][a] ^= 1
+    eng.side[bit][b] ^= 1
+    return eng
+
+
 def test_nonseparation_check_reads_a_disk_curve_own_index():
-    # a curve that bounds a disk separates, so the non-separation result
-    # gives it index 0.  Flip the side of one pole on a fresh engine: the
-    # classical trefoil lies on a sphere, so the curve through that pole
-    # still bounds a disk, and the check must see its index, now positive
+    # a curve that bounds a disk separates, so its index must be 0; the
+    # count table keeps no entry for it, and the engine's disk verdict
+    # refuses a positive index instead.  Flip the side of one pole on a
+    # fresh engine: the classical trefoil lies on a sphere, so the curve
+    # through that pole still bounds a disk, now with a positive index, and
+    # both the state sum and the walker must raise.  Unflipped, neither does
     code = parse_code("O1- U2- O3- U1- O2- U3-")
     F = _surface(code)
+    assert check_nonseparation(sum_counts(F, 0, 8)) == 0
+    for s in enumerate_states(F):
+        classify_state(F, s)
     seen = 0
     for bit in (0, 1):
         for a in range(12):
@@ -129,10 +142,44 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
             b = eng.step[bit][a][0]
             if a > b or eng.side[bit][a] < 0:
                 continue
-            eng.side[bit][a] ^= 1
-            eng.side[bit][b] ^= 1
-            F._state_engine = eng
-            bad = [v for s in enumerate_states(F) for v in check_nonseparation(F, s)]
-            assert bad and all(cl.inessential and cl.index > 0 for _m, _ch, cl in bad)
+            F._state_engine = _flip_side(eng, bit, a, b)
+            with pytest.raises(AssertionError, match="positive index bounds a disk"):
+                sum_counts(F, 0, 8)
+            F._state_engine = _flip_side(_Engine(F), bit, a, b)
+            with pytest.raises(AssertionError, match="positive index bounds a disk"):
+                for s in enumerate_states(F):
+                    classify_state(F, s)
             seen += 1
     assert seen == 6
+
+
+def test_nonseparation_counts_each_separating_entry_times_its_count():
+    # a synthetic count table: an entry of positive index that separates
+    # counts once per state of its key, and once per copy in a signature
+    bad = (2, False, True, ())
+    ok = [(1, False, False, (1,)), (0, False, True, ()), (3, True, False, (1,))]
+    counts = {((ok[0], bad), 1, 0): 3, ((bad, bad), -1, 2): 5, ((ok[1], ok[2]), 0, 1): 7}
+    assert check_nonseparation(counts) == 3 + 2 * 5
+    assert check_nonseparation({k: n for k, n in counts.items() if bad not in k[0]}) == 0
+    assert check_nonseparation({}) == 0
+
+
+def _no_walk(*_args):
+    raise AssertionError("the state sweep walked a curve")
+
+
+def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
+    # one full-range `sum_counts` per diagram feeds both checks and both
+    # brackets; no curve is walked or looked up, and every state is counted
+    diagrams = [code for _n, code in verify.twisted_fixtures()] + verify.corpus_twisted(3, 8)
+    expect = [double_bracket(code) for code in diagrams]
+    sums = []
+    monkeypatch.setattr(verify, "sum_counts", lambda F, lo, hi: sums.append((F, lo, hi)) or sum_counts(F, lo, hi))
+    monkeypatch.setattr(_Engine, "walk", _no_walk)
+    monkeypatch.setattr(_Engine, "lookup", _no_walk)
+    states, t1_bad, l2_bad, spec_bad, doubles = verify.sweep_states(diagrams)
+    assert [F.ribbon.n_crossings for F, _lo, _hi in sums] == [len(c.crossing_ids) for c in diagrams]
+    assert all(lo == 0 and hi == 1 << F.ribbon.n_crossings for F, lo, hi in sums)
+    assert states == sum(1 << len(c.crossing_ids) for c in diagrams)
+    assert (t1_bad, l2_bad, spec_bad) == ([], [], [])
+    assert doubles == expect
