@@ -9,7 +9,6 @@ normalized invariant R.
 
 from .brackets import (
     BracketValue,
-    assemble_from_table,
     double_bracket,
     normalized,
     specialize_bracket,
@@ -40,14 +39,7 @@ from .moves import (
     t3_sites,
 )
 from .oracle import classical_kauffman_oracle
-from .polewords import (
-    canonical_key,
-    confluence_oracle,
-    equivalent,
-    index,
-    make_word,
-    reduce,
-)
+from .polewords import index, make_word
 from .states import (
     PoleCurve,
     PoleState,
@@ -83,23 +75,19 @@ __all__ = [
     "TwistedGaussCode",
     "Visit",
     "apply_move",
-    "assemble_from_table",
     "braid_closure",
     "build_ribbon",
-    "canonical_key",
     "cap_boundaries",
     "check_nonseparation",
     "check_pole_balance",
     "classical_fixtures",
     "classical_kauffman_oracle",
     "classify_state",
-    "confluence_oracle",
     "corpus_classical",
     "corpus_twisted",
     "delta",
     "double_bracket",
     "enumerate_states",
-    "equivalent",
     "index",
     "insert_sites",
     "make_code",
@@ -111,7 +99,6 @@ __all__ = [
     "r2_delete_sites",
     "r3_sites",
     "random_diagram",
-    "reduce",
     "serialize",
     "specialize_bracket",
     "splice_curves",

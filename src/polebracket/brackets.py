@@ -13,20 +13,19 @@ inessential count); the double bracket collapses its keys instead of
 running a second sum.  One routine, `_fold`, makes one pass over a count
 table and adds each key's count times a row of binomial coefficients
 (delta^n, expanded once) into an {A-exponent: int} table per label, and
-each bracket is a choice of label: the signature itself, its (M, d) part
-(the double bracket), or the given label
-(`assemble_from_table`).  The bracket's tables become A-only polynomials
-in one pass (`laurent.a_polys`), and `BracketValue.to_text` formats each
-distinct curve entry and each distinct coefficient once.  State evaluation
-partitions the splice bitmask range across processes when asked; counts
-merge by exact integer addition, so worker count never changes a single
-output bit.
+each bracket is a choice of label: the signature itself, or its (M, d)
+part (the double bracket); the tests fold printed state-table rows through
+it too (`tests/reference.py`).  The bracket's tables become A-only
+polynomials in one pass (`laurent.a_polys`), and `BracketValue.to_text`
+formats each distinct curve entry and each distinct coefficient once.
+State evaluation partitions the splice bitmask range across processes when
+asked; counts merge by exact integer addition, so worker count never
+changes a single output bit.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import comb
@@ -228,9 +227,3 @@ def writhe_normalize(code: TwistedGaussCode, double: MultiLaurent) -> MultiLaure
 def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
     return writhe_normalize(code, double_bracket(code, workers))
 
-
-def assemble_from_table(rows) -> dict:
-    """Pure assembly Sum A^natural * delta^iness per class label from rows
-    (natural, iness_count, label); reproduces printed state tables."""
-    counts = Counter((label, nat, iness) for nat, iness, label in rows)
-    return a_polys(_fold(counts))

@@ -116,9 +116,9 @@ def _guard(code, args, err):
     # random_diagram(s, c, 2), four seeds per c, and `states` of three codes
     if args.command == "states":
         # the walker reads every state, kinks too
-        bits, folded, per_s = c, "", 90e-6
-        cost = ("47-90 us per state (c = 12 to 16), printed as it goes;"
-                " peak memory was 20-27 MB")
+        bits, folded, per_s = c, "", 79e-6
+        cost = ("25-79 us per state (c = 12 to 16), printed as it goes;"
+                " peak memory was 19-26 MB")
     else:
         # the sum traces only the through splice of each R1 kink it folds
         kinks = len(_engine(cap_boundaries(build_ribbon(code))).kinks)

@@ -8,17 +8,17 @@ collecting pole side bits and flip marks into cyclic pole words, then
 classified against the capped surface: bounds-disk, separating, one-sided,
 and the reduction index of the word.
 
-A curve is its chord set, band mask, flip parity and pole word; its poles
-are read back off the chords (`curve_poles`).  Of its four classes only
-the disk test needs the curve's geometry.  One-sidedness (the flip parity,
-w1) and the Z/2 homology class are XORs over its bands, and the index
-comes from its word.  A curve that is one-sided or has a nonzero class
-bounds no disk, so its class is a function of (index, class, parity): an
-int id in one small per-surface class table, and 0 for a disk.  Only a
-two-sided curve of class 0 is keyed by its chord set, in a cache of disk
-tests; `sum_counts` folds each state into one count table keyed by what
-the surface pole bracket needs, and the double bracket is collapsed from
-that same table.  Only the walker path builds `CurveClassification`s.
+A curve is its key, the union of its chord and band bits, and its pole
+word.  Of its four classes only the disk test needs the curve's chords,
+and it reads them off the key.  One-sidedness (the flip parity, w1) and
+the Z/2 homology class are XORs over its bands, and the index comes from
+its word.  A curve that is one-sided or has a nonzero class bounds no
+disk, so its class is a function of (index, class, parity): an int id in
+one small per-surface class table, and 0 for a disk.  Only a two-sided
+curve of class 0 is keyed by its chord set, in a cache of disk tests;
+`sum_counts` folds each state into one count table keyed by what the
+surface pole bracket needs, and the double bracket is collapsed from that
+same table.  Only the walker path builds `CurveClassification`s.
 
 Every chord a splice can draw has one bit, so a chord set is an int.
 `sum_counts` never traces a state from scratch and never walks a curve.
@@ -72,8 +72,8 @@ covered.  Every complementary region of a state sees as many I-poles as
 O-poles: `pole_regions` finds a full state's regions as the caps joined at
 each crossing disk's middle, O(c) per state, and reads each pole's kind off
 the dart layout, not off the engine's tables.  The walker (`splice_curves`,
-`classify_state`, `lookup`) serves the `states` command; `curve_poles` is
-the tests' reading of a walked curve's poles.
+`classify_state`, `lookup`) serves the `states` command, which prints each
+curve's pole count and classes, so it keeps only a curve's key and word.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ from .surfaces import ClosedSurface, EmbeddedCurve, _find
 @dataclass(frozen=True)
 class PoleCurve:
     """One state curve: its key (chord bits | band bits << n_chords, as
-    `_Engine` numbers them), where it runs, and its cyclic pole word.  Its
-    poles depend only on the chords and are read off them by `curve_poles`."""
+    `_Engine` numbers them) and its cyclic pole word.  The key is where the
+    curve runs: its chords, bands and flip parity read back off it."""
 
     key: int
-    geometry: EmbeddedCurve
     word: tuple[int, ...]
 
 
@@ -285,11 +284,11 @@ class _Engine:
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
         dart `start`, marking its darts in `visited`.  Returns its key (chord
-        bits | band bits << n_chords, the key `block` and `classify` use),
-        pole word and flip parity, and checks that its pole kinds alternate."""
+        bits | band bits << n_chords, the key `block` and `classify` use) and
+        pole word, and checks that its pole kinds alternate."""
         step, side, kind = self.step, self.side, self.kind
         word: list[int] = []
-        key = fpar = 0
+        key = 0
         first = last = 0
         cur = start
         while True:
@@ -310,14 +309,13 @@ class _Engine:
                 word.append(s)
             if flip:
                 word.append(MARK)
-                fpar ^= 1
             cur = nxt
             if cur == start:
                 break
         if last and first == last:
             # the wrap-around pair; it also rules out an odd pole count
             raise AssertionError("pole kinds fail to alternate")
-        return key, tuple(word), fpar
+        return key, tuple(word)
 
     def chords_of(self, key: int) -> tuple[tuple[int, int], ...]:
         """The sorted chord tuple of a chord mask or curve key."""
@@ -644,9 +642,7 @@ def splice_curves(F: ClosedSurface, choice: int) -> PoleState:
     curves = []
     start = visited.find(0)
     while start >= 0:
-        key, word, fpar = eng.walk(choice, start, visited)
-        geometry = EmbeddedCurve(eng.chords_of(key), key >> eng.n_chords, fpar)
-        curves.append(PoleCurve(key, geometry, word))
+        curves.append(PoleCurve(*eng.walk(choice, start, visited)))
         start = visited.find(0, start + 1)
     natural = c - 2 * bin(choice).count("1")
     return PoleState(choice, natural, tuple(curves))
@@ -655,19 +651,6 @@ def splice_curves(F: ClosedSurface, choice: int) -> PoleState:
 def enumerate_states(F: ClosedSurface) -> Iterator[PoleState]:
     for mask in range(1 << F.ribbon.n_crossings):
         yield splice_curves(F, mask)
-
-
-def curve_poles(F: ClosedSurface, curve: PoleCurve) -> list:
-    """The curve's poles as (disk, chord, kind), in chord order.  A chord at
-    a crossing disk joining two in-darts is an I pole, two out-darts an O
-    pole; bare-loop chords carry none."""
-    rs = F.ribbon
-    c4 = 4 * rs.n_crossings
-    return [
-        (rs.disk_of[a], (a, b), "I" if a % 4 < 2 else "O")
-        for (a, b) in curve.geometry.chords
-        if a < c4 and (a % 4 < 2) == (b % 4 < 2)
-    ]
 
 
 def classify_state(F: ClosedSurface, s: PoleState) -> tuple[CurveClassification, ...]:

@@ -1,0 +1,185 @@
+"""Slow reference code that the tests check the library against.
+
+No command runs any of this.  The library computes a pole word's index in
+closed form (`polewords.index`) and never rewrites a word; the step-by-step
+calculus it must agree with lives here:
+
+- `reduce` cancels adjacent pole pairs, leftmost first, until none remains,
+  and `confluence_oracle` tries every order of cancellation;
+- `canonical_key` and `equivalent` compare words up to rotation, reversal
+  with both side bits swapped, and sliding a mark past a pole (which
+  toggles that pole's side).  Carrying one mark all the way around toggles
+  every side, so a global side swap is available exactly when at least one
+  mark is present.
+
+Beside it, what the state walker no longer builds or reads: `geometry`
+rebuilds a walked curve's `EmbeddedCurve` from its key, `curve_poles` reads
+a curve's poles off its chords, and `assemble_from_table` assembles a
+bracket from printed state-table rows.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from polebracket.brackets import _fold
+from polebracket.laurent import a_polys
+from polebracket.polewords import MARK, Word, make_word
+from polebracket.states import PoleCurve, _engine
+from polebracket.surfaces import ClosedSurface, EmbeddedCurve
+
+
+# ---------------------------------------------------------------------------
+# pole-word rewriting
+
+
+def _pole_positions(word: Word) -> list[int]:
+    return [i for i, x in enumerate(word) if x != MARK]
+
+
+def _redexes(word: Word):
+    """Cancellable adjacent pole pairs, as (pos_p, pos_q), leftmost first.
+    Pairs are scanned linearly with the wrap-around pair last."""
+    ps = _pole_positions(word)
+    m = len(ps)
+    if m < 2:
+        return
+    for k in range(m):
+        i = ps[k]
+        j = ps[(k + 1) % m]
+        if k + 1 < m:
+            gap = word[i + 1 : j]
+        else:
+            gap = word[ps[-1] + 1 :] + word[: ps[0]]
+        marks = sum(1 for x in gap if x == MARK) % 2
+        if word[i] == word[j] ^ marks:
+            yield (i, j)
+
+
+def _cancel(word: Word, i: int, j: int) -> Word:
+    return tuple(x for p, x in enumerate(word) if p != i and p != j)
+
+
+def reduce(word: Word) -> Word:
+    """Cancel adjacent pole pairs until none remains, leftmost redex first."""
+    w = make_word(word)
+    while True:
+        redex = next(_redexes(w), None)
+        if redex is None:
+            return w
+        w = _cancel(w, *redex)
+
+
+def confluence_oracle(word: Word, max_poles: int = 12) -> bool:
+    """Explore every reduction order and compare all terminal words up to
+    equivalence.  Exponential; guarded by a pole-count bound."""
+    w = make_word(word)
+    if len(_pole_positions(w)) > max_poles:
+        raise ValueError("word too large for exhaustive reduction search")
+    memo: dict[Word, frozenset] = {}
+
+    def terminals(u: Word) -> frozenset:
+        hit = memo.get(u)
+        if hit is not None:
+            return hit
+        reds = list(_redexes(u))
+        if not reds:
+            out = frozenset([canonical_key(u)])
+        else:
+            acc = set()
+            for (i, j) in reds:
+                acc |= terminals(_cancel(u, i, j))
+            out = frozenset(acc)
+        memo[u] = out
+        return out
+
+    return len(terminals(w)) == 1
+
+
+# ---------------------------------------------------------------------------
+# word equivalence
+
+
+def _sides_and_gaps(word: Word) -> tuple[list[int], list[int], int]:
+    """Side bits in order, mark-count parity of the gap before each pole
+    (gap 0 wraps), and the total mark count."""
+    total = sum(1 for x in word if x == MARK)
+    ps = _pole_positions(word)
+    sides = [word[i] for i in ps]
+    gaps = []
+    for k, i in enumerate(ps):
+        if k == 0:
+            seg = word[ps[-1] + 1 :] + word[:i] if len(ps) > 0 else word
+        else:
+            seg = word[ps[k - 1] + 1 : i]
+        gaps.append(sum(1 for x in seg if x == MARK) % 2)
+    return sides, gaps, total
+
+
+def canonical_key(word: Word):
+    """Orbit invariant of a word under rotation, reversal with side swap,
+    and mark slides.  Marks are pushed into a single gap; what remains is
+    the side string up to rotation, reversal and, when a mark exists, a
+    global side toggle, together with the pole count and total mark parity."""
+    w = make_word(word)
+    sides, gaps, total = _sides_and_gaps(w)
+    parity = total % 2
+    n = len(sides)
+    if n == 0:
+        return (0, parity, ())
+    rev_sides = [1 - sides[n - 1 - j] for j in range(n)]
+    rev_gaps = [gaps[(n - j) % n] for j in range(n)]
+    best = None
+    for ss, gg in ((sides, gaps), (rev_sides, rev_gaps)):
+        for r in range(n):
+            s2 = ss[r:] + ss[:r]
+            g2 = gg[r:] + gg[:r]
+            acc = 0
+            pushed = []
+            for j in range(n):
+                if j > 0:
+                    acc ^= g2[j]
+                pushed.append(s2[j] ^ acc)
+            cands = [tuple(pushed)]
+            if total > 0:
+                cands.append(tuple(1 - x for x in pushed))
+            for c in cands:
+                if best is None or c < best:
+                    best = c
+    return (n, parity, best)
+
+
+def equivalent(w1: Word, w2: Word) -> bool:
+    return canonical_key(w1) == canonical_key(w2)
+
+
+# ---------------------------------------------------------------------------
+# curves and state tables
+
+
+def geometry(F: ClosedSurface, curve: PoleCurve) -> EmbeddedCurve:
+    """The walked curve's chords, band mask and flip parity, read off its
+    key (chord bits | band bits << n_chords) with `F`'s state engine."""
+    eng = _engine(F)
+    bmask = curve.key >> eng.n_chords
+    return EmbeddedCurve(eng.chords_of(curve.key), bmask, (bmask & F.flip_mask).bit_count() & 1)
+
+
+def curve_poles(F: ClosedSurface, curve: EmbeddedCurve) -> list:
+    """The curve's poles as (disk, chord, kind), in chord order.  A chord at
+    a crossing disk joining two in-darts is an I pole, two out-darts an O
+    pole; bare-loop chords carry none."""
+    rs = F.ribbon
+    c4 = 4 * rs.n_crossings
+    return [
+        (rs.disk_of[a], (a, b), "I" if a % 4 < 2 else "O")
+        for (a, b) in curve.chords
+        if a < c4 and (a % 4 < 2) == (b % 4 < 2)
+    ]
+
+
+def assemble_from_table(rows) -> dict:
+    """Pure assembly Sum A^natural * delta^iness per class label from rows
+    (natural, iness_count, label); reproduces printed state tables."""
+    counts = Counter((label, nat, iness) for nat, iness, label in rows)
+    return a_polys(_fold(counts))

@@ -14,7 +14,6 @@ import pytest
 
 from polebracket import verify
 from polebracket.brackets import (
-    assemble_from_table,
     double_bracket,
     normalized,
     specialize_bracket,
@@ -23,7 +22,7 @@ from polebracket.brackets import (
 from polebracket.codes import parse_code, random_diagram
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.oracle import classical_kauffman_oracle
-from polebracket.polewords import L, MARK, R, confluence_oracle, index, make_word
+from polebracket.polewords import L, MARK, R, index, make_word
 from polebracket.states import check_nonseparation, check_pole_balance, sum_counts
 from polebracket.surfaces import build_ribbon, cap_boundaries
 from polebracket.verify import (
@@ -33,6 +32,7 @@ from polebracket.verify import (
     sweep_move_invariance,
 )
 
+from reference import assemble_from_table, confluence_oracle
 # the word moves live beside the pole-word tests, their other user
 from test_polewords import random_equivalent
 

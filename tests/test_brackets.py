@@ -3,9 +3,10 @@
 The classical fixtures are checked against a separate planar Kauffman
 bracket implementation (the oracle) rather than against values computed by
 the code under test.  The int-table assembly of both brackets, of
-`specialize_bracket` and of `assemble_from_table` is checked against the
-plain `MultiLaurent` assembly below, one product and sum per count-table
-key, on random count tables.
+`specialize_bracket` and of `assemble_from_table` (`tests/reference.py`,
+which folds state-table rows through the same `brackets._fold`) is checked
+against the plain `MultiLaurent` assembly below, one product and sum per
+count-table key, on random count tables.
 """
 
 import os
@@ -16,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from polebracket import brackets, states
 from polebracket.brackets import (
     BracketValue,
-    assemble_from_table,
     bracket_pair,
     double_bracket,
     normalized,
@@ -29,6 +29,7 @@ from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
 from polebracket.surfaces import build_ribbon, cap_boundaries
 from polebracket.verify import braid_closure, classical_fixtures, corpus_twisted, twisted_fixtures
+from reference import assemble_from_table
 
 A = MultiLaurent.A
 M = MultiLaurent.M

@@ -9,16 +9,13 @@ from polebracket.polewords import (
     MARK,
     R,
     arc,
-    canonical_key,
     closed_index,
-    confluence_oracle,
-    equivalent,
     index,
     join_arcs,
     make_word,
-    reduce,
     reverse_arc,
 )
+from reference import canonical_key, confluence_oracle, equivalent, reduce
 
 
 # the three moves that keep a word in its equivalence class, and a random

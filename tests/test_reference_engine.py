@@ -6,9 +6,9 @@ kind and its (disk, chord, kind) triple as it walks, and checks that the
 kinds alternate around the curve.  Curves are classified without the
 engine's cache: the homology class from the band mask, the disk test by
 cutting the surface along the curve (`surfaces.cut_complex`, memoized in a
-plain dict per diagram), and the index by `polewords.reduce`.  Both
-brackets are summed directly, one `MultiLaurent` term per state, with no
-count table in between.
+plain dict per diagram), and the index by the step-by-step `reduce` of
+`tests/reference.py`.  Both brackets are summed directly, one
+`MultiLaurent` term per state, with no count table in between.
 
 The fast engine must agree with it on both brackets (for 1 and 2 workers),
 state by state on every curve record, derived pole list and class, and on
@@ -41,15 +41,15 @@ from polebracket.brackets import BracketValue, double_bracket, surface_pole_brac
 from polebracket.codes import parse_code, random_diagram, serialize
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.moves import apply_move, insert_sites
-from polebracket.polewords import MARK, reduce
+from polebracket.polewords import MARK
 from polebracket.states import (
-    PoleCurve, check_pole_balance, classify_state, curve_poles, enumerate_states, pole_regions,
-    splice_curves,
+    check_pole_balance, classify_state, enumerate_states, pole_regions, splice_curves,
 )
 from polebracket.surfaces import (
     ClosedSurface, EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
 )
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
+from reference import curve_poles, geometry, reduce
 
 
 class RefEngine:
@@ -222,23 +222,18 @@ def ref_brackets(code):
 def assert_states_match(code):
     F = cap_boundaries(build_ribbon(code))
     ref = RefEngine(F)
-    eng = states._engine(F)
     memo = {}
     for mask in range(1 << F.ribbon.n_crossings):
         s = splice_curves(F, mask)
         expect = ref.trace(mask)
-        got = [
-            (c.geometry.chords, c.geometry.band_mask, c.geometry.flip_parity, c.word)
-            for c in s.curves
-        ]
-        assert got == [e[:4] for e in expect]
         # the walked key is the one `block` and `classify` read: its chord
-        # bits give the reference's chords, and the bits above them its bands
-        assert [(eng.chords_of(c.key), c.key >> eng.n_chords) for c in s.curves] == [
-            e[:2] for e in expect
-        ]
-        for curve, e in zip(s.curves, expect):
-            assert sorted(curve_poles(F, curve)) == sorted(e[5])
+        # bits give the reference's chords, the bits above them its bands,
+        # and the flipped bands among them its flip parity
+        shapes = [geometry(F, c) for c in s.curves]
+        got = [(g.chords, g.band_mask, g.flip_parity, c.word) for g, c in zip(shapes, s.curves)]
+        assert got == [e[:4] for e in expect]
+        for g, e in zip(shapes, expect):
+            assert sorted(curve_poles(F, g)) == sorted(e[5])
         cls = classify_state(F, s)
         assert [
             (cl.inessential, cl.separating, cl.mobius, cl.index, cl.hom_class) for cl in cls
@@ -302,12 +297,12 @@ def test_regions_match_cut_reference():
         for s in enumerate_states(F):
             for k in (len(s.curves), 1, max(1, len(s.curves) // 2)):
                 family = s.curves[:k]
-                key = tuple(c.geometry for c in family)
+                key = tuple(geometry(F, c) for c in family)
                 if not family or key in seen:
                     continue
                 seen.add(key)
                 families += 1
-                poles = [p for c in family for p in curve_poles(F, c)]
+                poles = [p for g in key for p in curve_poles(F, g)]
                 got = Counter(
                     (r.euler, r.boundary_circles, r.i_poles, r.o_poles)
                     for r in regions(F, key, poles)
@@ -324,11 +319,11 @@ def _cut_pole_regions(F, walked, dart=None):
     for s in enumerate_states(walked):
         curves = []
         for c in s.curves:
-            chords = tuple(sorted(tuple(sorted((dart[a], dart[b]))) for a, b in c.geometry.chords))
-            geometry = EmbeddedCurve(chords, c.geometry.band_mask, c.geometry.flip_parity)
-            curves.append(PoleCurve(c.key, geometry, c.word))
+            g = geometry(walked, c)
+            chords = tuple(sorted(tuple(sorted((dart[a], dart[b]))) for a, b in g.chords))
+            curves.append(EmbeddedCurve(chords, g.band_mask, g.flip_parity))
         poles = [p for c in curves for p in curve_poles(F, c)]
-        yield Counter((r.i_poles, r.o_poles) for r in regions(F, [c.geometry for c in curves], poles))
+        yield Counter((r.i_poles, r.o_poles) for r in regions(F, curves, poles))
 
 
 def assert_pole_regions_match_cut(code):

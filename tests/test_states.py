@@ -183,3 +183,25 @@ def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
     assert states == sum(1 << len(c.crossing_ids) for c in diagrams)
     assert (t1_bad, l2_bad, spec_bad) == ([], [], [])
     assert doubles == expect
+
+
+def _no_chords(*_args):
+    raise AssertionError("the walker built a chord tuple")
+
+
+def test_walker_builds_no_geometry(monkeypatch):
+    # `splice_curves` keeps each curve's key and word and builds no chord
+    # tuple or `EmbeddedCurve`, which the `states` command never prints;
+    # `classify_state` may read the chords off a key for its disk tests
+    fixtures = verify.twisted_fixtures() + verify.classical_fixtures()
+    walked = []
+    with monkeypatch.context() as mp:
+        mp.setattr(_Engine, "chords_of", _no_chords)
+        for code in [code for _n, code in fixtures] + verify.corpus_twisted(7, 40):
+            F = _surface(code)
+            walked.append((F, [splice_curves(F, m) for m in range(1 << F.ribbon.n_crossings)]))
+    assert sum(len(ss) for _F, ss in walked) > 1000
+    for F, ss in walked:
+        for s in ss:
+            assert len(classify_state(F, s)) == len(s.curves) > 0
+            assert all(type(c.key) is int and type(c.word) is tuple for c in s.curves)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from polebracket.cells import PolygonComplex
 from polebracket.codes import parse_code, random_diagram
 from polebracket.surfaces import build_ribbon, cap_boundaries, regions, ribbon_faces
+from reference import geometry
 
 
 def _report(text):
@@ -156,7 +157,7 @@ def test_regions_of_unknot_state():
     from polebracket.states import splice_curves
 
     s = splice_curves(F, 0)
-    regs = regions(F, [c.geometry for c in s.curves], [])
+    regs = regions(F, [geometry(F, c) for c in s.curves], [])
     assert len(regs) == 2
 
 
@@ -170,10 +171,10 @@ def test_disk_test_rejects_a_chord_across_a_crossing_disk():
     F = cap_boundaries(build_ribbon(code))
     assert F.pieces[0].euler != 2
     curve = next(
-        c.geometry
+        g
         for mask in range(1 << 8)
-        for c in splice_curves(F, mask).curves
-        if not c.geometry.flip_parity and not any(F.homology_class(c.geometry))
+        for g in (geometry(F, c) for c in splice_curves(F, mask).curves)
+        if not g.flip_parity and not any(F.homology_class(g))
     )
     F.bounds_disk(curve)    # the curve as traced passes
     (a, b), rest = curve.chords[0], curve.chords[1:]
