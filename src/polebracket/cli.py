@@ -8,8 +8,10 @@ inline even when a file of that name exists; give such a file as ./NAME.
 Other text with a directory part is a path, so a missing file is unreadable.
 Output is byte-deterministic for fixed inputs, seed, and worker count.
 
-Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 verification
-failure.
+Each subcommand takes only the options it reads (info also takes --workers
+and ignores it); any other option is a usage error.  Exit codes: 0 success, 1 usage (an unknown subcommand or
+option, a missing or out-of-range value, a refused state sum), 2 input
+parse/validation or rejected move, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -41,45 +43,58 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--input", "-i", help=".tgc path, '-' for stdin, or inline code")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument(
-        "--max-crossings",
-        type=int,
-        default=_STATE_GUARD,
-        help=f"refuse state sums beyond this many crossings (default {_STATE_GUARD})",
-    )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--dump", action="store_true", help="full per-curve detail in state dumps")
+# every option's flags and settings, under the name the table below uses
+_OPTIONS = {
+    "-i": (("--input", "-i"), {"help": ".tgc path, '-' for stdin, or inline code"}),
+    "--json": (("--json",), {"action": "store_true", "help": "emit JSON instead of text"}),
+    "--dump": (("--dump",), {"action": "store_true", "help": "full per-curve detail in state dumps"}),
+    "--workers": (("--workers",), {"type": int, "default": 1}),
+    "--max-crossings": (
+        ("--max-crossings",),
+        {
+            "type": int,
+            "default": _STATE_GUARD,
+            "help": f"refuse state sums beyond this many crossings (default {_STATE_GUARD})",
+        },
+    ),
+    "--seed": (("--seed",), {"type": int, "default": 0}),
+    "--count": (("--count",), {"type": int, "default": 1}),
+    "--kind": (("--kind",), {"required": True, "choices": KINDS}),
+    "--dir": (("--dir",), {"required": True, "choices": DIRECTIONS}),
+    "--site": (("--site",), {"default": "", "help": "comma-separated integers"}),
+    "--variant": (("--variant",), {"type": int, "default": 0}),
+}
+
+# each subcommand's blurb and the options `main` reads for it; `info` reads
+# no --workers but takes it, because the bench harness passes --workers with
+# every code it feeds in
+_COMMANDS = {
+    "info": ("closed-surface report of the code's realization", "-i --json --workers"),
+    "states": ("dump all splice states with curve classifications", "-i --json --dump --max-crossings"),
+    "bracket": ("surface pole bracket, one coefficient per curve class", "-i --json --workers --max-crossings"),
+    "dbracket": ("double bracket in A, M, d_i", "-i --json --workers --max-crossings"),
+    "invariant": ("normalized invariant R = (-A)^(-3w) * double bracket", "-i --json --workers --max-crossings"),
+    "move": ("apply one extended Reidemeister move and print the code", "-i --kind --dir --site --variant"),
+    "check": ("run the verification battery (corpus properties)", "--seed --count"),
+    "random": ("emit seeded random diagrams", "--seed --count --max-crossings"),
+}
 
 
 @cache
 def build_parser() -> _Parser:
     """The parser of every subcommand, built once per process and shared by
     every call: parsing reads it and leaves it unchanged, and each call gets
-    a fresh namespace."""
+    a fresh namespace.  A subcommand takes only the options it reads."""
     top = _Parser(prog="polebracket", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("info", "closed-surface report of the code's realization"),
-        ("states", "dump all splice states with curve classifications"),
-        ("bracket", "surface pole bracket, one coefficient per curve class"),
-        ("dbracket", "double bracket in A, M, d_i"),
-        ("invariant", "normalized invariant R = (-A)^(-3w) * double bracket"),
-        ("move", "apply one extended Reidemeister move and print the code"),
-        ("check", "run the verification battery (corpus properties)"),
-        ("random", "emit seeded random diagrams"),
-    ):
+    for name, (blurb, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        _add_common(p)
-        if name == "move":
-            p.add_argument("--kind", required=True, choices=KINDS)
-            p.add_argument("--dir", required=True, choices=DIRECTIONS)
-            p.add_argument("--site", default="", help="comma-separated integers")
-            p.add_argument("--variant", type=int, default=0)
+        for option in options.split():
+            flags, kwargs = _OPTIONS[option]
+            if name == "random" and option == "--max-crossings":
+                # no state sum here: the option caps the diagrams' size
+                kwargs = dict(kwargs, help="give each diagram at most min(8, MAX_CROSSINGS) crossings")
+            p.add_argument(*flags, **kwargs)
     return top
 
 
@@ -157,12 +172,15 @@ def main(argv=None) -> int:
         print(f"polebracket: {message}", file=sys.stderr)
         raise SystemExit(code_num)
 
-    if args.workers < 1:
-        err(EXIT_USAGE, f"--workers must be at least 1, got {args.workers}")
-    if args.count < 0:
-        err(EXIT_USAGE, f"--count must not be negative, got {args.count}")
-    if args.max_crossings < 0:
-        err(EXIT_USAGE, f"--max-crossings must not be negative, got {args.max_crossings}")
+    # each range check runs only where the subcommand has the option
+    for flag, least, rule in (
+        ("--workers", 1, "be at least 1"),
+        ("--count", 0, "not be negative"),
+        ("--max-crossings", 0, "not be negative"),
+    ):
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least:
+            err(EXIT_USAGE, f"{flag} must {rule}, got {value}")
 
     cmd = args.command
 

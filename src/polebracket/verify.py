@@ -140,19 +140,14 @@ def all_move_sites(code: TwistedGaussCode, rng) -> list:
     )
 
 
-def sweep_move_invariance(diagrams, seed: int = 0, *, doubles=None):
-    """R of each diagram against R after each move site; a site that
-    `apply_move` rejects fails too.  `doubles`, when given, holds the
-    diagrams' double brackets, so that R is read off them instead of
-    summing each diagram again."""
+def sweep_move_invariance(diagrams, doubles, seed: int = 0):
+    """R of each diagram, read off its double bracket in `doubles`, against
+    R after each move site; a site that `apply_move` rejects fails too."""
     rng = random.Random(seed)
     checked = 0
     failures = []
-    for i, code in enumerate(diagrams):
-        if doubles is None:
-            before = normalized(code)
-        else:
-            before = writhe_normalize(code, doubles[i])
+    for code, double in zip(diagrams, doubles, strict=True):
+        before = writhe_normalize(code, double)
         for spec in all_move_sites(code, rng):
             checked += 1
             try:
@@ -209,7 +204,7 @@ def run_battery(seed: int, count: int):
     # twisted diagrams' R off those sums
     diagrams = twisted + classical
     states, t1_bad, l2_bad, spec_bad, doubles = sweep_states(diagrams)
-    checked, bad = sweep_move_invariance(twisted, seed, doubles=doubles[:len(twisted)])
+    checked, bad = sweep_move_invariance(twisted, doubles[:len(twisted)], seed)
     results = [("move invariance of R", checked, bad)]
     results.append(("essential curves never separate", states, t1_bad))
     results.append(("region pole balance", states, l2_bad))

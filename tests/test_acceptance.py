@@ -21,6 +21,7 @@ from polebracket.brackets import (
 )
 from polebracket.codes import parse_code, random_diagram
 from polebracket.laurent import MultiLaurent, delta
+from polebracket.moves import MoveError, apply_move
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.polewords import L, MARK, R, index, make_word
 from polebracket.states import check_nonseparation, check_pole_balance, sum_counts
@@ -82,7 +83,8 @@ def test_criterion_1_worked_example_table():
 
 def test_criterion_2_move_invariance(twisted_corpus):
     t0 = time.perf_counter()
-    checked, failures = sweep_move_invariance(twisted_corpus, SEED)
+    doubles = [double_bracket(code) for code in twisted_corpus]
+    checked, failures = sweep_move_invariance(twisted_corpus, doubles, SEED)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300.0
     _verdict(
@@ -95,14 +97,25 @@ def test_criterion_2_move_invariance(twisted_corpus):
 
 def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
     # `check` passes the state sweep's double brackets to the move sweep:
-    # the result is the same, and only the moved diagrams are summed
+    # it reads each diagram's R off them, and sums only the moved diagrams
     corpus = corpus_twisted(SEED, 12)
-    expect = sweep_move_invariance(corpus, SEED)
+    rng = random.Random(SEED)
+    checked, failures = 0, []
+    for code in corpus:
+        before = normalized(code)
+        for spec in verify.all_move_sites(code, rng):
+            checked += 1
+            try:
+                ok = normalized(apply_move(code, spec)) == before
+            except MoveError:
+                ok = False
+            if not ok:
+                failures.append((code, spec))
     doubles = [double_bracket(code) for code in corpus]
     summed = []
     monkeypatch.setattr(verify, "normalized", lambda code: summed.append(code) or normalized(code))
-    assert sweep_move_invariance(corpus, SEED, doubles=doubles) == expect
-    assert len(summed) == expect[0] > 0
+    assert sweep_move_invariance(corpus, doubles, SEED) == (checked, failures)
+    assert len(summed) == checked > 0
 
 
 def test_criterion_3_classical_specialization(classical_corpus):

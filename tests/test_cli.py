@@ -418,6 +418,8 @@ def test_check_fails_on_a_site_its_enumerators_offer_but_the_move_rejects(capsys
         ("invariant", "-i", "B", "--workers", "-3"),
         ("random", "--count", "-2"),
         ("random", "--max-crossings", "-5"),
+        ("check", "--count", "-1"),
+        ("states", "-i", "B", "--max-crossings", "-1"),
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
@@ -461,3 +463,65 @@ def test_one_process_reuses_its_parser(capsys):
     assert [status for status, _ in seen] == [0, 0, 0, 0, 1, 2, 0]
     assert seen[0][1] != seen[1][1] and seen[2][1] != seen[3][1]
     assert build_parser() is build_parser()
+
+
+# the options each subcommand takes, as `main` reads them; `info` also takes
+# --workers, which the bench harness passes with every code it feeds in
+_TAKES = {
+    "info": {"--input", "--json", "--workers"},
+    "states": {"--input", "--json", "--dump", "--max-crossings"},
+    "bracket": {"--input", "--json", "--workers", "--max-crossings"},
+    "dbracket": {"--input", "--json", "--workers", "--max-crossings"},
+    "invariant": {"--input", "--json", "--workers", "--max-crossings"},
+    "move": {"--input", "--kind", "--dir", "--site", "--variant"},
+    "check": {"--seed", "--count"},
+    "random": {"--seed", "--count", "--max-crossings"},
+}
+# each subcommand's shortest valid call, and the seven options every
+# subcommand once took, with a value for those that need one
+_CALLS = {
+    "info": ("-i", "B"),
+    "states": ("-i", "B"),
+    "bracket": ("-i", "B"),
+    "dbracket": ("-i", "B"),
+    "invariant": ("-i", "B"),
+    "move": ("-i", "EMPTY", "--kind", "R1+", "--dir", "insert", "--site", "0,0"),
+    "check": ("--count", "0"),
+    "random": (),
+}
+_OLD_COMMON = {
+    "--input": ("B",), "--json": (), "--seed": ("1",), "--count": ("1",),
+    "--max-crossings": ("4",), "--workers": ("2",), "--dump": (),
+}
+
+
+def test_each_subcommand_takes_its_table_row():
+    from polebracket.cli import build_parser
+
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(subparsers) == sorted(_TAKES)
+    takes = {
+        name: [a.option_strings[0] for a in p._actions if a.option_strings[0] != "-h"]
+        for name, p in subparsers.items()
+    }
+    assert {name: set(opts) for name, opts in takes.items()} == _TAKES
+    assert sum(map(len, takes.values())) == 29
+
+
+@pytest.mark.parametrize(
+    "cmd, option",
+    [(cmd, opt) for cmd in _TAKES for opt in _OLD_COMMON if opt not in _TAKES[cmd]],
+)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, cmd, option):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, cmd, *_CALLS[cmd], option, *_OLD_COMMON[option])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_info_takes_workers_as_the_bench_passes_it(capsys):
+    plain = run(capsys, "info", "-i", "B")
+    assert plain[0] == 0
+    assert run(capsys, "info", "-i", "B", "--workers", "1") == plain
