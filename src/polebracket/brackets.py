@@ -79,7 +79,7 @@ class BracketValue:
                         }
                         for (idx, mob, sep, hom) in sig
                     ],
-                    "coeff": coeff.to_json_terms(),
+                    "coeff": coeff.to_json(),
                 }
             )
         return out

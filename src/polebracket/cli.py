@@ -93,7 +93,9 @@ def build_parser() -> _Parser:
             flags, kwargs = _OPTIONS[option]
             if name == "random" and option == "--max-crossings":
                 # no state sum here: the option caps the diagrams' size
-                kwargs = dict(kwargs, help="give each diagram at most min(8, MAX_CROSSINGS) crossings")
+                kwargs = dict(
+                    kwargs, default=8, help="give each diagram at most min(8, MAX_CROSSINGS) crossings (default 8)"
+                )
             p.add_argument(*flags, **kwargs)
     return top
 
@@ -156,13 +158,6 @@ def _dumps(obj) -> str:
 
 def _emit_json(obj) -> None:
     print(_dumps(obj))
-
-
-def _poly_out(value, as_json: bool) -> None:
-    if as_json:
-        _emit_json(value.to_json_terms())
-    else:
-        print(value.to_text())
 
 
 def main(argv=None) -> int:
@@ -261,23 +256,14 @@ def main(argv=None) -> int:
                 print(f"state {r['mask']:>4} natural {r['natural']:>3} {detail}")
         return 0
 
-    if cmd == "bracket":
-        value = surface_pole_bracket(code, workers=args.workers)
-        if args.json:
-            _emit_json(value.to_json())
-        else:
-            print(value.to_text())
-        return 0
-
-    if cmd == "dbracket":
-        _poly_out(double_bracket(code, workers=args.workers), args.json)
-        return 0
-
-    if cmd == "invariant":
-        _poly_out(normalized(code, workers=args.workers), args.json)
-        return 0
-
-    raise AssertionError(f"unhandled command {cmd}")
+    # looked up per call, so a name rebound in this module's globals is called
+    compute = {"bracket": surface_pole_bracket, "dbracket": double_bracket, "invariant": normalized}[cmd]
+    value = compute(code, workers=args.workers)
+    if args.json:
+        _emit_json(value.to_json())
+    else:
+        print(value.to_text())
+    return 0
 
 
 if __name__ == "__main__":

@@ -179,7 +179,7 @@ class MultiLaurent:
                 out += " + " + p
         return out
 
-    def to_json_terms(self) -> list[dict]:
+    def to_json(self) -> list[dict]:
         """Sorted term list [{"a": int, "m": int, "d": {"1": int}, "coeff": int}]."""
         rows = []
         for (a, m, d) in sorted(self.terms):

@@ -65,13 +65,14 @@ signature and its one curve, and merges the nodes that hold one multiset
 of curves, reached in different orders, by exact addition.
 
 The two structure results of the paper are checked without a state walk.
-A curve of positive index never separates: `check_nonseparation` reads the
-essential curves off a count table, and `_Engine.classify` refuses a curve
-of positive index that bounds a disk, so every curve of every sum is
-covered.  Every complementary region of a state sees as many I-poles as
-O-poles: `pole_regions` finds a full state's regions as the caps joined at
-each crossing disk's middle, O(c) per state, and reads each pole's kind off
-the dart layout, not off the engine's tables.  The walker (`splice_curves`,
+A curve of positive index never separates: `_Engine.classify` refuses a
+two-sided curve of class 0 and positive index, which separates whether or
+not it bounds a disk, as each curve of each sum or walk is classified, and
+`check_nonseparation` reads the essential curves off a count table.  Every
+complementary region of a state sees as many I-poles as O-poles:
+`pole_regions` finds a full state's regions as the caps joined at each
+crossing disk's middle, O(c) per state, and reads each pole's kind off the
+dart layout, not off the engine's tables.  The walker (`splice_curves`,
 `classify_state`, `lookup`) serves the `states` command, which prints each
 curve's pole count and classes, so it keeps only a curve's key and word.
 """
@@ -331,11 +332,10 @@ class _Engine:
         """Cache and return the class id of the uncached curve with this key
         and pole-word index.  Its class and flip are read off its band mask
         (`ClosedSurface._cycle_class` and `flip_mask`), and only a two-sided
-        curve of class 0 takes the disk test.  A curve that bounds a disk
-        separates, so it must have index 0: one of positive index raises
-        AssertionError.  Every curve of every sum that takes the disk test
-        passes here once per key, so together with `check_nonseparation`,
-        which reads the essential curves off the count table, this checks
+        curve of class 0 takes the disk test.  Such a curve separates,
+        whether or not it bounds a disk, so it must have index 0: one of
+        positive index raises AssertionError before the disk test.  Every
+        curve of every sum and walk passes here once per key, so this checks
         that no curve of positive index separates."""
         F = self.F
         cm = key & ((1 << self.n_chords) - 1)
@@ -344,10 +344,11 @@ class _Engine:
         if cm.bit_count() != bmask.bit_count():
             raise AssertionError("path chord mask disagrees with its walk")
         h = F._cycle_class(bmask) << 1 | (bmask & F.flip_mask).bit_count() & 1
+        if not h and idx:
+            # a two-sided curve of class 0 separates, disk or not, and a
+            # curve of positive index never does
+            raise AssertionError("a curve of positive index separates")
         if not h and F.bounds_disk(EmbeddedCurve(self.chords_of(cm), bmask, 0)):
-            # a disk separates, and a curve of positive index never does
-            if idx:
-                raise AssertionError("a curve of positive index bounds a disk")
             sid = 0
         else:
             sid = self.classes[idx << (F.h1_dim + 1) | h]
@@ -664,7 +665,8 @@ def check_nonseparation(counts: dict) -> int:
     "positive index forces non-separating": each signature entry with index
     > 0 that separates, times the count of its key.  The table holds only
     essential curves; a curve that bounds a disk has no entry, and
-    `_Engine.classify` refuses one of positive index as it sums."""
+    `_Engine.classify` refuses every separating curve of positive index,
+    disk or not, as it sums."""
     return sum(
         n * sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep)
         for (sig, _nat, _iness), n in counts.items()

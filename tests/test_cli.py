@@ -193,6 +193,16 @@ def test_random_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_random_shows_the_crossing_cap_in_effect():
+    # `random` draws at most min(8, --max-crossings) crossings, so its
+    # default is the 8 that applies, not the state guard of the sums
+    from polebracket.cli import build_parser
+
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert subparsers["random"].parse_args([]).max_crossings == 8
+    assert subparsers["invariant"].parse_args([]).max_crossings == 24
+
+
 def test_random_output_parses(capsys):
     from polebracket.codes import parse_code
 
@@ -317,14 +327,36 @@ _CI = "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"
         (_CI, ("bracket",), "d478ea0c4a3810a40a5ca968d4baaee6f32f7b731e66083bf76c132c3f88e0d6"),
         (_CI, ("bracket", "--json"), "1212d21d3be9c49069dc9f321d56623e441d8e111a860f442b15f6d274790caa"),
         (_CI, ("info", "--json"), "6da9f027f6391ebf2d816a745ab0bf7fe5286e6b77cf7624fe0c45aaccb94e2e"),
+        (_MIXED, ("dbracket", "--json"), "d17bb946de363900ab884386e12ff3ea11eb6654ac793644547f74bfbd68aa79"),
+        (_MIXED, ("invariant", "--json"), "961d88873c202397dbbcbfbb59735b6898119d208e1a301a72bedb9b948ab258"),
+        (_TWISTED, ("dbracket", "--json"), "c3619c9e8ef4592f937dbe52f36adcd600e9b8d144c1cff5bc8b71d7c5e551f4"),
+        (_TWISTED, ("invariant", "--json"), "3493b09e1db60b852ecec638ec69acf707bd47874e52f692ccf3ac62b71ad643"),
+        (_CI, ("dbracket", "--json"), "f454ce02e4f2b6292a188994ef8dc7fa172fb372b3c187abed3275279b96e591"),
+        (_CI, ("invariant", "--json"), "47233fa8cb865726841414e19bf1332364516f4e9461dd69b775eec5c8adc9f6"),
     ],
 )
 def test_bracket_and_info_bytes_are_pinned(capsys, text, argv, digest):
     # SHA-256 as first recorded: `bracket` prints each class's homology
-    # coordinates, so this pins the basis as well as the piece order
+    # coordinates, so this pins the basis as well as the piece order; the
+    # `dbracket` and `invariant` JSON pins cover `MultiLaurent.to_json`
     rc, out, _ = run(capsys, *argv, "-i", text)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd, name", [
+    ("bracket", "surface_pole_bracket"), ("dbracket", "double_bracket"), ("invariant", "normalized"),
+])
+def test_state_sum_commands_call_the_function_bound_at_call_time(capsys, monkeypatch, cmd, name):
+    # a wrapper bound over the module's global after import, as a tracer
+    # binds one, is the function `main` calls
+    from polebracket import cli
+
+    calls = []
+    inner = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
+    rc, out, _ = run(capsys, cmd, "-i", "O1+ U1+")
+    assert rc == 0 and out and len(calls) == 1
 
 
 @pytest.mark.parametrize("cmd", ["info", "invariant", "bracket", "states --json"])

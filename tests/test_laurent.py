@@ -50,7 +50,7 @@ def test_text_rendering_deterministic():
 
 def test_json_terms_round_data():
     p = MultiLaurent.A(-2) * 3 + MultiLaurent.M(2) * MultiLaurent.d(1)
-    terms = p.to_json_terms()
+    terms = p.to_json()
     assert isinstance(terms, list) and all("coeff" in t for t in terms)
 
 

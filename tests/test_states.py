@@ -125,11 +125,11 @@ def _flip_side(eng, bit, a, b):
 
 def test_nonseparation_check_reads_a_disk_curve_own_index():
     # a curve that bounds a disk separates, so its index must be 0; the
-    # count table keeps no entry for it, and the engine's disk verdict
-    # refuses a positive index instead.  Flip the side of one pole on a
-    # fresh engine: the classical trefoil lies on a sphere, so the curve
-    # through that pole still bounds a disk, now with a positive index, and
-    # both the state sum and the walker must raise.  Unflipped, neither does
+    # count table keeps no entry for it, and the engine refuses a separating
+    # curve of positive index instead.  Flip the side of one pole on a fresh
+    # engine: the classical trefoil lies on a sphere, so the curve through
+    # that pole still bounds a disk, now with a positive index, and both the
+    # state sum and the walker must raise.  Unflipped, neither does
     code = parse_code("O1- U2- O3- U1- O2- U3-")
     F = _surface(code)
     assert check_nonseparation(sum_counts(F, 0, 8)) == 0
@@ -143,14 +143,37 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
             if a > b or eng.side[bit][a] < 0:
                 continue
             F._state_engine = _flip_side(eng, bit, a, b)
-            with pytest.raises(AssertionError, match="positive index bounds a disk"):
+            with pytest.raises(AssertionError, match="positive index separates"):
                 sum_counts(F, 0, 8)
             F._state_engine = _flip_side(_Engine(F), bit, a, b)
-            with pytest.raises(AssertionError, match="positive index bounds a disk"):
+            with pytest.raises(AssertionError, match="positive index separates"):
                 for s in enumerate_states(F):
                     classify_state(F, s)
             seen += 1
     assert seen == 6
+
+
+def test_engine_refuses_a_separating_essential_curve_of_positive_index():
+    # a two-sided curve of class 0 separates whether or not it bounds a
+    # disk.  On this genus-2 code, flipping the side of splice bit 0's pole
+    # chords (8, 9) or (10, 11) gives a positive index to a curve that cuts
+    # the surface into two tori: no disk, but it separates, so both the
+    # state sum and the walker must raise.  Unflipped, neither does
+    code = parse_code("U2- O4+ U3- O2- O6- U5- U1+ U4+ O3- B B O1+ O5- U6-")
+    F = _surface(code)
+    assert check_nonseparation(sum_counts(F, 0, 64)) == 0
+    for s in enumerate_states(F):
+        classify_state(F, s)
+    for a, b in ((8, 9), (10, 11)):
+        eng = _Engine(F)
+        assert eng.step[0][a][0] == b and eng.side[0][a] >= 0
+        F._state_engine = _flip_side(eng, 0, a, b)
+        with pytest.raises(AssertionError, match="positive index separates"):
+            sum_counts(F, 0, 64)
+        F._state_engine = _flip_side(_Engine(F), 0, a, b)
+        with pytest.raises(AssertionError, match="positive index separates"):
+            for s in enumerate_states(F):
+                classify_state(F, s)
 
 
 def test_nonseparation_counts_each_separating_entry_times_its_count():
