@@ -8,32 +8,34 @@ a product of d_index variables, with d_0 = 1 and inessential curves each
 contributing a delta factor.  The normalized invariant multiplies by
 (-A)^(-3 writhe).
 
-Both brackets read one state-sum table, keyed by (signature, natural,
-inessential count); the double bracket collapses its keys instead of
-running a second sum.  One routine, `_fold`, makes one pass over a count
-table and adds each key's count times a row of binomial coefficients
-(delta^n, expanded once) into an {A-exponent: int} table per label, and
-each bracket is a choice of label: the signature itself, or its (M, d)
-part (the double bracket); the tests fold printed state-table rows through
-it too (`tests/reference.py`).  The bracket's tables become A-only
-polynomials in one pass (`laurent.a_polys`), and `BracketValue.to_text`
-formats each distinct curve entry and each distinct coefficient once.
-State evaluation partitions the splice bitmask range across processes when
-asked; counts merge by exact integer addition, so worker count never
-changes a single output bit.
+Both brackets read one state-sum count table (`states.CountTable`), whose
+int keys pack a signature id, the inessential count and the B-splice
+count, beside the list of distinct signatures; the double bracket
+collapses its signatures instead of running a second sum.  One routine,
+`_fold`, makes one pass over the int keys and adds each key's count times
+a row of binomial coefficients (delta^n, expanded once) into an
+{A-exponent: int} table per label, and each bracket is a choice of label
+per signature id: the signature itself, or its (M, d) part (the double
+bracket), so each distinct signature is hashed or collapsed once.  The
+bracket's tables become A-only polynomials in one pass
+(`laurent.a_polys`), and `BracketValue.to_text` formats each distinct
+curve entry and each distinct coefficient once.  State evaluation
+partitions the splice bitmask range across processes when asked; each
+worker returns its count table, whose signature ids are its own, and the
+parent re-keys them by signature and adds the counts exactly, so worker
+count never changes a single output bit.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache
 from math import comb
 from operator import itemgetter
 
 from .codes import TwistedGaussCode, writhe
 from .laurent import MultiLaurent, _a_poly_text, a_polys, minus_A_pow
-from .states import sum_counts
+from .states import CountTable, sum_counts
 from .surfaces import ClosedSurface, build_ribbon, cap_boundaries
 
 Signature = tuple  # sorted per-curve tuples (index, mobius, separating, hom)
@@ -121,24 +123,25 @@ def _surface(code: TwistedGaussCode) -> ClosedSurface:
 
 def _worker_counts(args):
     code, lo, hi = args
-    return list(sum_counts(_surface(code), lo, hi).items())
+    return sum_counts(_surface(code), lo, hi)
 
 
-def _counts(code: TwistedGaussCode, workers: int = 1) -> dict:
+def _counts(code: TwistedGaussCode, workers: int = 1) -> CountTable:
     total = 1 << len(code.crossing_ids)
     if workers <= 1 or total < 4 * workers:
         return sum_counts(_surface(code), 0, total)
     # the workers build their own surfaces; the parent needs none
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(code, bounds[i], bounds[i + 1]) for i in range(workers)]
-    counts: dict = {}
     # the masks are still cut into `workers` jobs; the pool size only caps
-    # how many processes run them at once
+    # how many processes run them at once.  Each job's signature ids are its
+    # own, and `CountTable.add` re-keys them by signature
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        for part in pool.map(_worker_counts, jobs):
-            for k, v in part:
-                counts[k] = counts.get(k, 0) + v
-    return counts
+        parts = iter(pool.map(_worker_counts, jobs))
+        table = next(parts)
+        for part in parts:
+            table.add(part)
+    return table
 
 
 def _delta_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -150,20 +153,23 @@ def _delta_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
     ]
 
 
-def _fold(counts: dict, label=None) -> dict:
-    """Per label, Sum count * A^nat * delta^iness over a count table
-    {(key, nat, iness): count}, the label of a key being label(key), or the
-    key itself: one {A-exponent: int} table per label."""
-    rows = _delta_rows(max(map(itemgetter(2), counts), default=0))
+def _fold(table: CountTable, labels: list) -> dict:
+    """Per label, Sum count * A^nat * delta^iness over a count table, the
+    label of a key being labels[s] for its signature id s: one {A-exponent:
+    int} table per label, in the order labels first appear.  Each label is
+    hashed once, and each key is read as the ints it packs: nat = c - 2
+    B-splices."""
     tables: dict = {}
-    for (key, nat, iness), count in counts.items():
-        if label:
-            key = label(key)
-        # one hash of the key; a get and then a set would hash a new key twice
-        table = tables.setdefault(key, {})
-        for e, c in rows[iness]:
+    by_sig = [tables.setdefault(label, {}) for label in labels]
+    counts, c, pb, sh = table.counts, table.c, table.pc_bits, table.shift
+    pc_mask, iness_mask = (1 << pb) - 1, (1 << (sh - pb)) - 1
+    rows = _delta_rows(max((key >> pb & iness_mask for key in counts), default=0))
+    for key, count in counts.items():
+        t = by_sig[key >> sh]
+        nat = c - 2 * (key & pc_mask)
+        for e, co in rows[key >> pb & iness_mask]:
             a = nat + e
-            table[a] = table.get(a, 0) + c * count
+            t[a] = t.get(a, 0) + co * count
     return tables
 
 
@@ -180,16 +186,15 @@ def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
     return mob, tuple(sorted(d.items()))
 
 
-def _double_from_counts(counts: dict) -> MultiLaurent:
-    if not counts:
+def _double_from_counts(table: CountTable) -> MultiLaurent:
+    if not table.counts:
         return MultiLaurent.one()
-    # a fresh cache: each signature collapses once
-    tables = _fold(counts, cache(_collapse))
+    tables = _fold(table, [_collapse(sig) for sig in table.sigs])
     return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
 
 
-def _bracket_from_counts(counts: dict) -> BracketValue:
-    return BracketValue(a_polys(_fold(counts)))
+def _bracket_from_counts(table: CountTable) -> BracketValue:
+    return BracketValue(a_polys(_fold(table, table.sigs)))
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
@@ -200,11 +205,11 @@ def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketVal
     return _bracket_from_counts(_counts(code, workers))
 
 
-def bracket_pair(counts: dict) -> tuple[BracketValue, MultiLaurent]:
+def bracket_pair(table: CountTable) -> tuple[BracketValue, MultiLaurent]:
     """(surface pole bracket, double bracket) from one `sum_counts` table,
     which its caller also reads (the `check` battery counts its
     non-separation violations off it)."""
-    return _bracket_from_counts(counts), _double_from_counts(counts)
+    return _bracket_from_counts(table), _double_from_counts(table)
 
 
 def specialize_bracket(b: BracketValue) -> MultiLaurent:

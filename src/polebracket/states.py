@@ -25,10 +25,12 @@ Every chord a splice can draw has one bit, so a chord set is an int.
 It grows the curves of all states at once, depth first over the splice
 bits: the bands start as open paths, each decided crossing adds its two
 chords, a chord that joins the two ends of one path closes a curve, and
-any other chord joins two paths and is undone on the way back.  A curve
-closed at a node is classified once, for every state below that node.  A
-block of states that share their high bits takes each of those bits as a
-depth with one choice, so one descent serves every block.
+any other chord joins two paths and is undone on the way back.  Crossing
+0 is decided last, when its four darts end the two paths left, so each of
+its choices closes both by reading their ends, with no write and no undo.
+A curve closed at a node is classified once, for every state below that
+node.  A block of states that share their high bits takes each of those
+bits as a depth with one choice, so one descent serves every block.
 Each open path carries at its ends all a closing needs: its homology
 class and flip parity, the XOR of per-band tables; its chord and band
 bits, the curve's key; the `polewords.arc` value of its word, read from
@@ -52,17 +54,22 @@ inessential circle, with the B-count moved by one.  `block` traces only the
 through splice of a kink bit it is free to choose and counts the loop-off
 states from the traced ones; `_Engine.__init__` finds the kinks, one per
 crossing, and checks this premise once.  Every block counts in a table of
-its own and spreads it at its end, by the identity where it folds no kink.
-The count table is the same for every range.
+its own, which is its result where it folds no kink, and spreads it over
+the loop-off states at its end where it does.  The count table is the same
+for every range.
 
-The sum counts with ints until its end.  Each class of essential curve
-has a small int id, and the essential curves closed so far are one node
-of a trie of such ids: closing a curve moves to a child node by one dict
-lookup.  A state is counted under one int that packs its node, its
-inessential-curve count and its B-splice count.  `sum_counts` then turns
-each node into its sorted signature once, in node order, from its parent's
-signature and its one curve, and merges the nodes that hold one multiset
-of curves, reached in different orders, by exact addition.
+The sum counts with ints.  Each class of essential curve has a small int
+id, and the essential curves closed so far are one node of a trie of
+such ids: closing a curve moves to a child node by one dict lookup.  A
+state is counted under one int leaf key that packs its node, its
+inessential-curve count and its B-splice count.  At the end one pass
+turns the leaf counts into the count table (`CountTable`) and uses them
+up: each node gets the id of its multiset of curves, nodes that hold one
+multiset, reached in different orders, merge by exact addition, and each
+distinct signature is built once.  The table's keys pack that id in place
+of the node, and the brackets read them as ints.  Node and class ids
+belong to one engine and signature ids to one table, so a table that
+crosses a process is re-keyed by signature (`CountTable.add`).
 
 The two structure results of the paper are checked without a state walk.
 A curve of positive index never separates: `_Engine.classify` refuses a
@@ -124,6 +131,8 @@ _BAND_ARC = (polewords.arc(()), polewords.arc((MARK,)))
 _POLE_ARC = (polewords.arc((0,)), polewords.arc((1,)))
 # the bits of a byte, low bit first: a homology class is unpacked 8 bits at a time
 _BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
+# each byte with its bits in reverse order
+_REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class _Trie(dict):
@@ -148,28 +157,79 @@ class _Classes(dict):
     """Essential curve classes by int key idx << (h1_dim + 1) | hom << 1 |
     flip, of a curve's index, homology class and flip parity, each mapped to
     a small int id made on first use.  `entries[id]` is the class's
-    signature entry (index, mobius, separating, hom_class).  Id 0 stands for
+    signature entry (index, mobius, separating, hom_class), and `order[id]`
+    an int that sorts as that entry does: the index, the flip, whether the
+    class is 0, and the class's bits read from bit 0 down.  Id 0 stands for
     a curve that bounds a disk, which has no class key and no entry."""
 
-    __slots__ = ("h1_dim", "entries")
+    __slots__ = ("h1_dim", "entries", "order")
 
     def __init__(self, h1_dim: int):
         super().__init__()
         self.h1_dim = h1_dim
         self.entries: list = [None]
+        self.order: list = [-1]
 
     def __missing__(self, key: int) -> int:
         h1 = self.h1_dim
-        hom = key >> 1 & ((1 << h1) - 1)
+        idx, hom, flip = key >> (h1 + 1), key >> 1 & ((1 << h1) - 1), key & 1
         bits = ()
+        rev = 0
         for shift in range(0, h1, 8):
-            bits += _BYTE_BITS[hom >> shift & 255]
+            byte = hom >> shift & 255
+            bits += _BYTE_BITS[byte]
+            rev = rev << 8 | _REVERSED_BYTE[byte]
         sid = len(self.entries)
         if sid >= _ID_LIMIT:
             raise AssertionError("too many curve classes for a trie key")
-        self.entries.append((key >> (h1 + 1), bool(key & 1), hom == 0, bits[:h1]))
+        self.entries.append((idx, bool(flip), hom == 0, bits[:h1]))
+        # the class's bits, bit 0 highest: they sort as the bit tuple does
+        rev >>= -h1 & 7
+        self.order.append((idx << 2 | flip << 1 | (hom == 0)) << h1 | rev)
         self[key] = sid
         return sid
+
+
+class CountTable:
+    """The states of a splice range, counted by everything the brackets
+    need, with int keys.
+
+    `sigs[s]` is a signature: the sorted per-essential-curve tuple (index,
+    mobius, separating, hom_class) of a state, each distinct signature
+    once.  `counts` maps s << shift | iness << pc_bits | B-splices to the
+    number of states with signature `sigs[s]`, `iness` curves that bound
+    disks and that many B-splices; such a state's natural is c - 2
+    B-splices.  A signature id means nothing outside its table: `add`
+    re-keys another table's ids by signature."""
+
+    __slots__ = ("c", "pc_bits", "shift", "sigs", "counts")
+
+    def __init__(self, c: int, pc_bits: int, shift: int):
+        self.c = c
+        self.pc_bits = pc_bits
+        self.shift = shift
+        self.sigs: list = []
+        self.counts: dict = {}
+
+    def states(self) -> int:
+        return sum(self.counts.values())
+
+    def add(self, other: CountTable) -> None:
+        """Add the counts of `other`, a table of the same diagram, by exact
+        addition, its signatures found or added here by value."""
+        sigs, counts, sh = self.sigs, self.counts, self.shift
+        ids = {sig: s for s, sig in enumerate(sigs)}
+        remap = []
+        for sig in other.sigs:
+            s = ids.get(sig)
+            if s is None:
+                s = ids[sig] = len(sigs)
+                sigs.append(sig)
+            remap.append(s)
+        low = (1 << sh) - 1
+        for key, n in other.counts.items():
+            key = remap[key >> sh] << sh | key & low
+            counts[key] = counts.get(key, 0) + n
 
 
 class _Engine:
@@ -199,9 +259,9 @@ class _Engine:
     (`lookup`, which alone builds classification records) every curve, by
     the key `walk` returns.
     `block` carries the essential curves closed so far as a node of `trie`
-    and counts states under int leaf keys; `decode` turns those into the
-    signature-keyed table.  `kinks` maps each crossing that has an R1 kink
-    to its loop-off bit (see the module docstring).
+    and counts states under int leaf keys; `table` turns those into the
+    count table.  `kinks` maps each crossing that has an R1 kink to its
+    loop-off bit (see the module docstring).
     """
 
     def __init__(self, F: ClosedSurface):
@@ -391,8 +451,9 @@ class _Engine:
         )
         return items, tuple(pole(0, d) for d in range(c4, len(step[0])) if d < step[0][d][0])
 
-    def block(self, base: int, k: int, counts: dict) -> None:
-        """Add the 2^k states from `base` (a multiple of 2^k) to `counts`.
+    def block(self, base: int, k: int) -> dict:
+        """The 2^k states from `base` (a multiple of 2^k), counted under
+        leaf keys.
 
         The bands start as open paths, and each open path carries, at each
         of its ends d: `end[d]`, the other end; `hc[d]`, its homology class
@@ -406,7 +467,8 @@ class _Engine:
         free bit of a kink (`kinks`) a depth with its through choice only.
 
         A chord (a, b) whose darts end one path closes a curve, once for
-        every state below.  The closing (`entry`) checks the two pole pairs
+        every state below.  The closing (`entry`, given the values at a and
+        b) checks the two pole pairs
         the chord makes adjacent, which closes the check of every pole pair
         of the curve, and that the curve's key pm[a] | bit has as many
         chords as bands; the index of its word is that of vs[b] + the
@@ -424,17 +486,26 @@ class _Engine:
         at the join, and vs from the two values it saved.  At its end the
         block checks that the undos restored the band tables.
 
+        Crossing 0 is the last depth, and there its four darts end the two
+        open paths left.  Each choice closes both without writing: if its
+        first chord closes a path, its second must close the other; if the
+        first joins a1..e1 and b1..f1, the second must join e1 and f1, and
+        the joined path's key, class, arc and end kinds are read off the
+        two paths as a write would have made them.  Both closings make the
+        checks above, the join its kind check, and a choice that would
+        leave a path open raises AssertionError.
+
         The essential curves closed so far are a node of `trie`, and
         closing one moves to the child for its id; a curve that bounds a
         disk (id 0) adds one to the inessential count instead.  Each traced
         state adds 1 to the block's own table `leaves` under its leaf key,
-        node << node_shift | iness << pc_bits | B-splices; `decode` reads
-        these keys back.  At its end the block spreads `leaves` into
-        `counts`: taking the loop-off choice at j of the p folded kinks
-        whose loop-off bit is 1 and at l of the q whose loop-off bit is 0
-        adds j + l disk circles and j - l B-splices to a traced state's key,
-        and C(p, j) C(q, l) states share that key.  With no folded kink that
-        is the identity, and a block that raises adds nothing to `counts`."""
+        node << node_shift | iness << pc_bits | B-splices; `table` reads
+        these keys back.  With no folded kink `leaves` is the block's
+        table; otherwise the block spreads it into a new one at its end:
+        taking the loop-off choice at j of the p folded kinks whose loop-off
+        bit is 1 and at l of the q whose loop-off bit is 0 adds j + l disk
+        circles and j - l B-splices to a traced state's key, and C(p, j)
+        C(q, l) states share that key."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
         items, loops = self._items()
@@ -456,20 +527,20 @@ class _Engine:
         hc_shift = self.F.h1_dim + 1
 
         # kinds are 1 and 2, so ka & kb is nonzero just when the poles at
-        # two ends are of one kind, and (ka | kb) & kc when either is kc's
-        def entry(a: int, b: int, cb: int, v: int, kc: int):
-            ka, kb = kn[a], kn[b]
+        # two ends are of one kind, and (ka | kb) & kc when either is kc's.
+        # A closing chord of pole kind kc and arc v joins the ends a and b
+        # of one path: ka and kb are the kinds nearest them, key is the
+        # path's key with the chord's bit, x the arc of its word read from
+        # b, and h its class and flip
+        def entry(ka: int, kb: int, kc: int, key: int, x: int, v: int, h: int):
             if ((ka | kb) & kc or not ka) if kc else ka & kb:
                 raise AssertionError("pole kinds fail to alternate")
-            key = pm[a] | cb
             # a closed curve alternates chord, band, chord, ...
             if key.bit_count() != (key >> nc).bit_count() << 1:
                 raise AssertionError("path chord mask disagrees with its walk")
             # `polewords.join_arcs` and `closed_index`, inlined
-            x = vs[b]
             x = x - v if x & 1 else x + v
             idx = 0 if x & 1 else abs(x) >> 2
-            h = hc[a]
             if h:
                 return classes[idx << hc_shift | h]
             hit = cache.get(key)
@@ -481,8 +552,8 @@ class _Engine:
             return hit
 
         node = t = 0
-        for loop in loops:
-            sid = entry(*loop)
+        for a, b, cb, v, kc in loops:
+            sid = entry(kn[a], kn[b], kc, pm[a] | cb, vs[b], v, hc[a])
             if sid:
                 node = trie[node << _ID_BITS | sid]
             else:
@@ -492,12 +563,58 @@ class _Engine:
         # with an undo list measured about 30% slower per state
         def descend(i: int, node: int, t: int) -> None:
             i -= 1
+            if not i:
+                # crossing 0: its four darts end the two open paths left, so
+                # each choice closes both, reading the tables and writing
+                # nothing
+                for bit, a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 in choices[0]:
+                    nd = node
+                    u = t + bit
+                    e1 = end[a1]
+                    if e1 == b1:
+                        if end[a2] != b2:
+                            raise AssertionError("the last splice leaves a path open")
+                        sid = entry(kn[a1], kn[b1], k1, pm[a1] | cb1, vs[b1], v1, hc[a1])
+                        if sid:
+                            nd = trie[nd << _ID_BITS | sid]
+                        else:
+                            u += one
+                        sid = entry(kn[a2], kn[b2], k2, pm[a2] | cb2, vs[b2], v2, hc[a2])
+                    else:
+                        # the first chord joins a1..e1 and b1..f1 into e1..f1,
+                        # which the second must close: x is the joined word's
+                        # arc read from e1, ke and kf the kinds nearest e1 and f1
+                        f1 = end[b1]
+                        ka1 = kn[a1]
+                        kb1 = kn[b1]
+                        if (ka1 | kb1) & k1 if k1 else ka1 & kb1:
+                            raise AssertionError("pole kinds fail to alternate")
+                        x = vs[e1]
+                        x = x - v1 if x & 1 else x + v1
+                        y = vs[b1]
+                        x = x - y if x & 1 else x + y
+                        ke = kn[e1] if ka1 else k1 or kb1
+                        kf = kn[f1] if kb1 else k1 or ka1
+                        key = pm[a1] | pm[b1] | cb1 | cb2
+                        if a2 == f1 and b2 == e1:
+                            sid = entry(kf, ke, k2, key, x, v2, hc[a1] ^ hc[b1])
+                        elif a2 == e1 and b2 == f1:
+                            sid = entry(ke, kf, k2, key, 2 - x if x & 1 else x, v2, hc[a1] ^ hc[b1])
+                        else:
+                            raise AssertionError("the last splice leaves a path open")
+                    if sid:
+                        nd = trie[nd << _ID_BITS | sid]
+                    else:
+                        u += one
+                    key = nd << sh | u
+                    leaves[key] = leaves.get(key, 0) + 1
+                return
             for bit, a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 in choices[i]:
                 nd = node
                 u = t + bit
                 e1 = end[a1]
                 if e1 == b1:
-                    sid = entry(a1, b1, cb1, v1, k1)
+                    sid = entry(kn[a1], kn[b1], k1, pm[a1] | cb1, vs[b1], v1, hc[a1])
                     if sid:
                         nd = trie[nd << _ID_BITS | sid]
                     else:
@@ -525,7 +642,7 @@ class _Engine:
                         kn[f1] = k1 or ka1
                 e2 = end[a2]
                 if e2 == b2:
-                    sid = entry(a2, b2, cb2, v2, k2)
+                    sid = entry(kn[a2], kn[b2], k2, pm[a2] | cb2, vs[b2], v2, hc[a2])
                     if sid:
                         nd = trie[nd << _ID_BITS | sid]
                     else:
@@ -551,11 +668,7 @@ class _Engine:
                         kn[e2] = k2 or kb2
                     if not kb2:
                         kn[f2] = k2 or ka2
-                if i:
-                    descend(i, nd, u)
-                else:
-                    key = nd << sh | u
-                    leaves[key] = leaves.get(key, 0) + 1
+                descend(i, nd, u)
                 if e2 != b2:
                     end[e2] = a2
                     end[f2] = b2
@@ -590,39 +703,64 @@ class _Engine:
                 raise AssertionError("undo left the open paths changed")
         else:
             leaves[node << sh | t] = 1
+        if not folded:
+            return leaves
         # a loop-off adds one inessential circle and shifts the B-count by
         # b_off - b_through, +1 where the loop-off bit is 1, -1 where it is 0
         up = sum(folded)
         down = len(folded) - up
         spread = [((j + l) * one + j - l, comb(up, j) * comb(down, l))
                   for j in range(up + 1) for l in range(down + 1)]
+        counts: dict = {}
         for key, n in leaves.items():
             for shift, w in spread:
                 counts[key + shift] = counts.get(key + shift, 0) + n * w
-
-    def decode(self, raw: dict) -> dict:
-        """The signature-keyed table of `block`'s leaf-key counts, and a
-        fresh trie in place of the one they refer to.  A node is made after
-        its parent, so the nodes are decoded in id order, each once: its
-        parent's sorted signature with its own entry put in its sorted
-        place.  Nodes reached in different orders that hold one multiset of
-        curves get equal signatures and merge here, by exact addition."""
-        up, entries = self.trie.up, self.classes.entries
-        self.trie = _Trie()
-        c, sh, pb = self.F.ribbon.n_crossings, self.node_shift, self.pc_bits
-        low, pc_mask, id_mask = (1 << sh) - 1, (1 << pb) - 1, (1 << _ID_BITS) - 1
-        sigs = [()]
-        for key in islice(up, 1, None):
-            sig = sigs[key >> _ID_BITS]
-            entry = entries[key & id_mask]
-            i = bisect_right(sig, entry)
-            sigs.append(sig[:i] + (entry,) + sig[i:])
-        counts: dict = {}
-        for key, count in raw.items():
-            t = key & low
-            full = (sigs[key >> sh], c - 2 * (t & pc_mask), t >> pb)
-            counts[full] = counts.get(full, 0) + count
         return counts
+
+    def table(self, raw: dict) -> CountTable:
+        """The count table of `block`'s leaf-key counts, which it uses up,
+        and a fresh trie in place of the one they refer to.  The classes are
+        ranked as their entries sort (`_Classes.order`).  A node is made
+        after its parent, so in id order each node's sorted tuple of class
+        ranks, its bag, is its parent's with its own rank put in place.
+        Each leaf key's node gets the signature id of its bag, made the
+        first time a key reads that bag, with its signature, the bag's
+        entries in order; so nodes reached in different orders that hold
+        one multiset of curves merge here, by exact addition, and each
+        signature is built once."""
+        up, entries, order = self.trie.up, self.classes.entries, self.classes.order
+        self.trie = _Trie()
+        sh = self.node_shift
+        low, id_mask = (1 << sh) - 1, (1 << _ID_BITS) - 1
+        by_rank = sorted(range(1, len(entries)), key=order.__getitem__)
+        rank = [0] * len(entries)
+        for r, cid in enumerate(by_rank):
+            rank[cid] = r
+        ranked_entries = [entries[cid] for cid in by_rank]
+        bags = [()]
+        for key in islice(up, 1, None):
+            bag = bags[key >> _ID_BITS]
+            r = rank[key & id_mask]
+            i = bisect_right(bag, r)
+            bags.append(bag[:i] + (r,) + bag[i:])
+        table = CountTable(self.F.ribbon.n_crossings, self.pc_bits, sh)
+        sigs, counts = table.sigs, table.counts
+        node_sig = [-1] * len(bags)
+        ids: dict = {}
+        while raw:
+            key, n = raw.popitem()
+            node = key >> sh
+            s = node_sig[node]
+            if s < 0:
+                bag = bags[node]
+                s = ids.get(bag)
+                if s is None:
+                    s = ids[bag] = len(sigs)
+                    sigs.append(tuple(map(ranked_entries.__getitem__, bag)))
+                node_sig[node] = s
+            key = s << sh | key & low
+            counts[key] = counts.get(key, 0) + n
+        return table
 
 
 def _engine(F: ClosedSurface) -> _Engine:
@@ -660,17 +798,18 @@ def classify_state(F: ClosedSurface, s: PoleState) -> tuple[CurveClassification,
     return tuple(lookup(c) for c in s.curves)
 
 
-def check_nonseparation(counts: dict) -> int:
+def check_nonseparation(table: CountTable) -> int:
     """The number of (state, curve) pairs of a `sum_counts` table that break
     "positive index forces non-separating": each signature entry with index
     > 0 that separates, times the count of its key.  The table holds only
     essential curves; a curve that bounds a disk has no entry, and
     `_Engine.classify` refuses every separating curve of positive index,
     disk or not, as it sums."""
-    return sum(
-        n * sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep)
-        for (sig, _nat, _iness), n in counts.items()
-    )
+    bad = [sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep) for sig in table.sigs]
+    if not any(bad):
+        return 0
+    sh = table.shift
+    return sum(n * bad[key >> sh] for key, n in table.counts.items())
 
 
 # a pole load packs a region's I-pole count and O-pole count into one int
@@ -761,12 +900,11 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
     }
 
 
-def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
+def sum_counts(F: ClosedSurface, lo: int, hi: int) -> CountTable:
     """Count the states of a bitmask range by everything the brackets need:
-        counts[(signature, natural, iness)] = count
-    where signature is the sorted per-essential-curve tuple
-    (index, mobius, separating, hom_class) and iness counts the curves that
-    bound disks.
+    per signature (the sorted per-essential-curve tuple (index, mobius,
+    separating, hom_class)), natural and number of curves that bound disks,
+    as a `CountTable`.
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
     bits; `_Engine.block` sums each one depth first over its k low bits, so
@@ -775,7 +913,7 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
     loop-off states are counted in closed form; a kink among the fixed high
     bits is traced as it stands.  Either way every state of the range is
     counted once.  The blocks count under int leaf keys, which
-    `_Engine.decode` turns into this table once, at the end."""
+    `_Engine.table` turns into the count table once, at the end."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
     if lo < 0 or hi > 1 << c:
@@ -785,6 +923,11 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> dict:
         k = (lo & -lo).bit_length() - 1 if lo else c
         while lo + (1 << k) > hi:
             k -= 1
-        eng.block(lo, k, raw)
+        part = eng.block(lo, k)
+        if raw:
+            for key, n in part.items():
+                raw[key] = raw.get(key, 0) + n
+        else:
+            raw = part
         lo += 1 << k
-    return eng.decode(raw)
+    return eng.table(raw)

@@ -16,16 +16,27 @@ Beside it, what the state walker no longer builds or reads: `geometry`
 rebuilds a walked curve's `EmbeddedCurve` from its key, `curve_poles` reads
 a curve's poles off its chords, and `assemble_from_table` assembles a
 bracket from printed state-table rows.
+
+Last, the state sum's signature-keyed path, as the library had it before
+its count table took int keys: `decode` turns a block's leaf counts into a
+table keyed by (signature, natural, iness), `fold` sums such a table per
+label, and `bracket_of`, `double_of` and `nonseparation_of` read the
+brackets and the non-separation count off it.  `by_signature` and
+`count_table` convert between that table and a `states.CountTable`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from functools import cache
+from itertools import islice
+from operator import itemgetter
 
-from polebracket.brackets import _fold
-from polebracket.laurent import a_polys
+from polebracket.brackets import BracketValue, _collapse, _delta_rows
+from polebracket.laurent import MultiLaurent, a_polys
 from polebracket.polewords import MARK, Word, make_word
-from polebracket.states import PoleCurve, _engine
+from polebracket.states import _ID_BITS, CountTable, PoleCurve, _engine
 from polebracket.surfaces import ClosedSurface, EmbeddedCurve
 
 
@@ -182,4 +193,99 @@ def assemble_from_table(rows) -> dict:
     """Pure assembly Sum A^natural * delta^iness per class label from rows
     (natural, iness_count, label); reproduces printed state tables."""
     counts = Counter((label, nat, iness) for nat, iness, label in rows)
-    return a_polys(_fold(counts))
+    return a_polys(fold(counts))
+
+
+# ---------------------------------------------------------------------------
+# signature-keyed count tables
+
+
+def decode(eng, raw: dict) -> dict:
+    """The signature-keyed table of `_Engine.block`'s leaf-key counts, read
+    off the engine's trie, which it leaves as it is.  A node is made after
+    its parent, so the nodes are decoded in id order, each once: its
+    parent's sorted signature with its own entry put in its sorted place.
+    Nodes reached in different orders that hold one multiset of curves get
+    equal signatures and merge here, by exact addition."""
+    up, entries = eng.trie.up, eng.classes.entries
+    c, sh, pb = eng.F.ribbon.n_crossings, eng.node_shift, eng.pc_bits
+    low, pc_mask, id_mask = (1 << sh) - 1, (1 << pb) - 1, (1 << _ID_BITS) - 1
+    sigs = [()]
+    for key in islice(up, 1, None):
+        sig = sigs[key >> _ID_BITS]
+        entry = entries[key & id_mask]
+        i = bisect_right(sig, entry)
+        sigs.append(sig[:i] + (entry,) + sig[i:])
+    counts: dict = {}
+    for key, count in raw.items():
+        t = key & low
+        full = (sigs[key >> sh], c - 2 * (t & pc_mask), t >> pb)
+        counts[full] = counts.get(full, 0) + count
+    return counts
+
+
+def fold(counts: dict, label=None) -> dict:
+    """Per label, Sum count * A^nat * delta^iness over a count table
+    {(key, nat, iness): count}, the label of a key being label(key), or the
+    key itself: one {A-exponent: int} table per label."""
+    rows = _delta_rows(max(map(itemgetter(2), counts), default=0))
+    tables: dict = {}
+    for (key, nat, iness), count in counts.items():
+        if label:
+            key = label(key)
+        table = tables.setdefault(key, {})
+        for e, c in rows[iness]:
+            a = nat + e
+            table[a] = table.get(a, 0) + c * count
+    return tables
+
+
+def bracket_of(counts: dict) -> BracketValue:
+    return BracketValue(a_polys(fold(counts)))
+
+
+def double_of(counts: dict) -> MultiLaurent:
+    if not counts:
+        return MultiLaurent.one()
+    tables = fold(counts, cache(_collapse))
+    return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
+
+
+def nonseparation_of(counts: dict) -> int:
+    """Each signature entry with index > 0 that separates, times the count
+    of its key."""
+    return sum(
+        n * sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep)
+        for (sig, _nat, _iness), n in counts.items()
+    )
+
+
+def by_signature(table: CountTable) -> dict:
+    """A count table keyed by (signature, natural, iness)."""
+    sh, pb = table.shift, table.pc_bits
+    low, pc_mask = (1 << sh) - 1, (1 << pb) - 1
+    out: dict = {}
+    for key, n in table.counts.items():
+        t = key & low
+        full = (table.sigs[key >> sh], table.c - 2 * (t & pc_mask), t >> pb)
+        out[full] = out.get(full, 0) + n
+    return out
+
+
+def count_table(counts: dict, c: int) -> CountTable:
+    """The `CountTable` of a {(signature, natural, iness): count} table of
+    a diagram with c crossings; each natural is c - 2 B for 0 <= B <= c."""
+    iness = max((i for _s, _n, i in counts), default=0)
+    pc_bits = c.bit_length()
+    table = CountTable(c, pc_bits, pc_bits + iness.bit_length())
+    ids: dict = {}
+    for (sig, nat, i), n in counts.items():
+        b, odd = divmod(c - nat, 2)
+        if odd or not 0 <= b <= c:
+            raise ValueError("natural out of range")
+        s = ids.setdefault(sig, len(ids))
+        if s == len(table.sigs):
+            table.sigs.append(sig)
+        key = s << table.shift | i << pc_bits | b
+        table.counts[key] = table.counts.get(key, 0) + n
+    return table

@@ -146,9 +146,9 @@ def state_sweep(twisted_corpus, classical_corpus):
     states = 0
     for code in twisted_corpus + classical_corpus:
         F = cap_boundaries(build_ribbon(code))
-        counts = sum_counts(F, 0, 1 << F.ribbon.n_crossings)
-        states += sum(counts.values())
-        t1_bad += check_nonseparation(counts)
+        table = sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+        states += table.states()
+        t1_bad += check_nonseparation(table)
         l2_bad += check_pole_balance(F)
     assert states == sum(1 << len(c.crossing_ids) for c in twisted_corpus + classical_corpus)
     return states, t1_bad, l2_bad

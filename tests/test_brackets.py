@@ -4,9 +4,10 @@ The classical fixtures are checked against a separate planar Kauffman
 bracket implementation (the oracle) rather than against values computed by
 the code under test.  The int-table assembly of both brackets, of
 `specialize_bracket` and of `assemble_from_table` (`tests/reference.py`,
-which folds state-table rows through the same `brackets._fold`) is checked
-against the plain `MultiLaurent` assembly below, one product and sum per
-count-table key, on random count tables.
+which folds state-table rows through the signature-keyed `fold` there) is
+checked against the plain `MultiLaurent` assembly below, one product and
+sum per count-table key, and against the signature-keyed reference
+assembly, on random count tables.
 """
 
 import os
@@ -29,7 +30,7 @@ from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
 from polebracket.surfaces import build_ribbon, cap_boundaries
 from polebracket.verify import braid_closure, classical_fixtures, corpus_twisted, twisted_fixtures
-from reference import assemble_from_table
+from reference import assemble_from_table, bracket_of, count_table, double_of
 
 A = MultiLaurent.A
 M = MultiLaurent.M
@@ -279,28 +280,38 @@ _curve = st.tuples(
     st.lists(st.integers(min_value=0, max_value=1), max_size=3).map(tuple),
 )
 _signature = st.lists(_curve, max_size=4).map(lambda curves: tuple(sorted(curves)))
-# negative naturals, up to ten inessential curves, counts up to 2^40; a few
-# signatures, naturals and counts, so that keys share classes and terms cancel
-count_tables = st.dictionaries(
-    st.tuples(
-        st.sampled_from([(), ((1, False, False, (1,)),)]) | _signature,
-        st.integers(min_value=-12, max_value=12),
-        st.integers(min_value=0, max_value=10),
-    ),
-    st.integers(min_value=1, max_value=1 << 40),
-    max_size=30,
-)
 
 
-@given(count_tables)
+@st.composite
+def count_tables(draw):
+    """(c, {(signature, natural, iness): count}) of a c-crossing diagram, c
+    <= 12: negative naturals, up to ten inessential curves, counts up to
+    2^40; a few signatures, naturals and counts, so that keys share classes
+    and terms cancel.  A natural is c - 2 B, B <= c being the B-splices."""
+    c = draw(st.integers(min_value=0, max_value=12))
+    counts = draw(st.dictionaries(
+        st.tuples(
+            st.sampled_from([(), ((1, False, False, (1,)),)]) | _signature,
+            st.integers(min_value=0, max_value=c).map(lambda b: c - 2 * b),
+            st.integers(min_value=0, max_value=10),
+        ),
+        st.integers(min_value=1, max_value=1 << 40),
+        max_size=30,
+    ))
+    return c, counts
+
+
+@given(count_tables())
 @settings(max_examples=200, deadline=None)
-def test_int_table_assembly_matches_reference(counts):
-    bracket = brackets._bracket_from_counts(counts)
-    assert bracket == ref_bracket_from_counts(counts)
+def test_int_table_assembly_matches_reference(drawn):
+    c, counts = drawn
+    table = count_table(counts, c)
+    bracket = brackets._bracket_from_counts(table)
+    assert bracket == ref_bracket_from_counts(counts) == bracket_of(counts)
     assert bracket.to_text() == ref_bracket_from_counts(counts).to_text()
     assert_printers_match_reference(bracket)
-    double = brackets._double_from_counts(counts)
-    assert double == ref_double_from_counts(counts)
+    double = brackets._double_from_counts(table)
+    assert double == ref_double_from_counts(counts) == double_of(counts)
     assert double.to_text() == ref_double_from_counts(counts).to_text()
     assert specialize_bracket(bracket) == ref_specialize_bracket(bracket)
     if counts:
@@ -311,8 +322,9 @@ def test_int_table_assembly_matches_reference(counts):
 
 
 def test_int_table_assembly_of_the_empty_table():
-    assert brackets._bracket_from_counts({}) == ref_bracket_from_counts({}) == BracketValue({})
-    assert brackets._double_from_counts({}) == ref_double_from_counts({}) == MultiLaurent.one()
+    empty = count_table({}, 0)
+    assert brackets._bracket_from_counts(empty) == ref_bracket_from_counts({}) == BracketValue({})
+    assert brackets._double_from_counts(empty) == ref_double_from_counts({}) == MultiLaurent.one()
     assert specialize_bracket(BracketValue({})) == ref_specialize_bracket(BracketValue({})) == 0
     assert assemble_from_table([]) == ref_assemble_from_table([]) == {}
 

@@ -16,6 +16,12 @@ the count table of any mask range: `sum_counts` over a range cut in three,
 or over a single mask, gives the reference's counts.  The trie of signature prefixes that `sum_counts`
 counts under is decoded against the reference too, on a code where two
 splice orders close one multiset of curves through different trie nodes.
+The int-keyed count table, its brackets, `R` and its non-separation count
+are compared with the signature-keyed `decode` and `fold` of
+`tests/reference.py` at 1, 2 and 3 workers, where each worker's table
+numbers its signatures its own way.  Crossing 0, which the descent closes
+without writing, must raise on a swapped pole kind and on chords that
+leave a path open.
 `ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
 instead of building a polygon complex, are also compared with the cut
 directly: the disk test curve by curve, the regions family by family, and
@@ -30,26 +36,32 @@ are compared on codes that have them, folded and traced, over any range.
 """
 
 import dataclasses
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polebracket import states
-from polebracket.brackets import BracketValue, double_bracket, surface_pole_bracket
+from polebracket import brackets, states
+from polebracket.brackets import (
+    BracketValue, double_bracket, normalized, surface_pole_bracket, writhe_normalize,
+)
 from polebracket.codes import parse_code, random_diagram, serialize
 from polebracket.laurent import MultiLaurent, delta
 from polebracket.moves import apply_move, insert_sites
 from polebracket.polewords import MARK
 from polebracket.states import (
-    check_pole_balance, classify_state, enumerate_states, pole_regions, splice_curves,
+    check_nonseparation, check_pole_balance, classify_state, enumerate_states, pole_regions,
+    splice_curves,
 )
 from polebracket.surfaces import (
     ClosedSurface, EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
 )
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
-from reference import curve_poles, geometry, reduce
+from reference import (
+    bracket_of, by_signature, curve_poles, decode, double_of, geometry, nonseparation_of, reduce,
+)
 
 
 class RefEngine:
@@ -537,16 +549,23 @@ def ref_state_keys(code):
 
 def assert_ranges_merge(code, a, b, keys):
     # [0, a), [a, b) and [b, 2^c), each summed on a fresh surface, merge to
-    # the full table; an empty range gives an empty table
+    # the full table, by signature, and so does `CountTable.add` of the
+    # three, whose signature ids differ; an empty range gives an empty table
     n = 1 << len(code.crossing_ids)
     merged = Counter()
+    added = None
     for lo, hi in ((0, a), (a, b), (b, n)):
         part = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
         if lo == hi:
-            assert part == {}
-        merged.update(part)
-    full = states.sum_counts(cap_boundaries(build_ribbon(code)), 0, n)
-    assert merged == full == Counter(keys), (serialize(code), a, b)
+            assert part.counts == {}
+        merged.update(by_signature(part))
+        if added is None:
+            added = part
+        else:
+            added.add(part)
+    full = by_signature(states.sum_counts(cap_boundaries(build_ribbon(code)), 0, n))
+    assert merged == full == by_signature(added) == Counter(keys), (serialize(code), a, b)
+    assert len(added.sigs) == len(set(added.sigs))
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -560,7 +579,7 @@ def test_fixture_ranges_match_reference(text):
             assert_ranges_merge(code, a, b, keys)
     F = cap_boundaries(build_ribbon(code))
     for m in range(n):
-        assert states.sum_counts(F, m, m + 1) == {keys[m]: 1}
+        assert by_signature(states.sum_counts(F, m, m + 1)) == {keys[m]: 1}
     for lo, hi in ((-1, n), (0, n + 1)):
         with pytest.raises(ValueError, match="out of range"):
             states.sum_counts(F, lo, hi)
@@ -578,7 +597,7 @@ def test_ranges_match_reference(code, data):
     b = data.draw(st.integers(min_value=a, max_value=n))
     assert_ranges_merge(code, a, b, keys)
     m = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert states.sum_counts(cap_boundaries(build_ribbon(code)), m, m + 1) == {keys[m]: 1}
+    assert by_signature(states.sum_counts(cap_boundaries(build_ribbon(code)), m, m + 1)) == {keys[m]: 1}
 
 
 # (code, kinks the engine folds): both bands of one crossing are loops; a
@@ -599,7 +618,7 @@ def test_fold_matches_reference(text, kinks):
     for lo in range(len(keys) + 1):
         for hi in range(lo, len(keys) + 1):
             got = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
-            assert got == Counter(keys[lo:hi]), (text, lo, hi)
+            assert by_signature(got) == Counter(keys[lo:hi]), (text, lo, hi)
 
 
 def test_fold_premise_is_checked():
@@ -676,11 +695,11 @@ def test_fold_matches_reference_random(code, data):
     keys = ref_state_keys(code)
     F = cap_boundaries(build_ribbon(code))
     assert states._engine(F).kinks, serialize(code)
-    assert states.sum_counts(F, 0, len(keys)) == Counter(keys), serialize(code)
+    assert by_signature(states.sum_counts(F, 0, len(keys))) == Counter(keys), serialize(code)
     lo = data.draw(st.integers(min_value=0, max_value=len(keys)))
     hi = data.draw(st.integers(min_value=lo, max_value=len(keys)))
     got = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
-    assert got == Counter(keys[lo:hi]), (serialize(code), lo, hi)
+    assert by_signature(got) == Counter(keys[lo:hi]), (serialize(code), lo, hi)
 
 
 def _without_pole(engine, bit, a, b):
@@ -744,10 +763,10 @@ def assert_sums_without_walk(code):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(states._Engine, "walk", _no_walk)
         F = cap_boundaries(build_ribbon(code))
-        assert states.sum_counts(F, 0, len(keys)) == Counter(keys), serialize(code)
+        assert by_signature(states.sum_counts(F, 0, len(keys))) == Counter(keys), serialize(code)
         for m, key in enumerate(keys):
             F._state_engine = states._Engine(F)
-            assert states.sum_counts(F, m, m + 1) == {key: 1}, (serialize(code), m)
+            assert by_signature(states.sum_counts(F, m, m + 1)) == {key: 1}, (serialize(code), m)
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -796,8 +815,7 @@ def kind_check_raisers(code):
     """Swap the kind (I and O) of each pole chord in turn on a fresh engine,
     which makes both pole pairs beside it fail, then drop the pole, which
     makes the one pair across it fail.  Every block of every size must
-    raise, and a block counts its states only at its end, so it adds
-    nothing to the table it was given; `splice_curves` must raise too.
+    raise; `splice_curves` must raise too.
     Returns the names of the engine functions that raised."""
     F = cap_boundaries(build_ribbon(code))
     c = F.ribbon.n_crossings
@@ -815,10 +833,8 @@ def kind_check_raisers(code):
                         if i >= k and (lo >> i) & 1 != bit:
                             continue
                         eng = corrupt(states._Engine(F), bit, a, b)
-                        counts = {}
                         with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
-                            eng.block(lo, k, counts)
-                        assert not counts, (serialize(code), bit, a, k, lo)
+                            eng.block(lo, k)
                         where.add(err.traceback[-1].name)
                 F._state_engine = corrupt(states._Engine(F), bit, a, b)
                 with pytest.raises(AssertionError, match="pole kinds fail to alternate"):
@@ -888,13 +904,13 @@ def _trie_curves(eng, node):
 def test_decode_merges_one_multiset_reached_in_two_orders():
     # two one-sided curves of different classes close in either order,
     # depending on the splices, so two trie nodes hold one multiset; the
-    # decoded table merges their counts and equals the reference's
+    # count table gives both one signature id, merges their counts, and
+    # equals the reference's decoded table
     code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
     F = cap_boundaries(build_ribbon(code))
     eng = states._Engine(F)
     c = F.ribbon.n_crossings
-    raw = {}
-    eng.block(0, c, raw)
+    raw = eng.block(0, c)
     orders = {}
     for key in raw:
         curves = tuple(_trie_curves(eng, key >> eng.node_shift))
@@ -905,13 +921,16 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
         sig = tuple(sorted(_trie_curves(eng, key >> eng.node_shift)))
         t = key & ((1 << eng.node_shift) - 1)
         expect[(sig, c - 2 * (t & ((1 << eng.pc_bits) - 1)), t >> eng.pc_bits)] += count
-    decoded = eng.decode(raw)
-    assert decoded == expect == Counter(ref_state_keys(code))
-    assert len(decoded) < len(raw)
+    decoded = decode(eng, raw)
+    leaves = len(raw)
+    table = eng.table(raw)
+    assert by_signature(table) == decoded == expect == Counter(ref_state_keys(code))
+    assert len(table.counts) < leaves and not raw
+    assert sorted(table.sigs) == sorted(orders)
     # the trie is released, and a second sum on the same engine agrees
     assert eng.trie.up == [0] and not eng.trie
     F._state_engine = eng
-    assert states.sum_counts(F, 0, 1 << c) == decoded
+    assert by_signature(states.sum_counts(F, 0, 1 << c)) == decoded
 
 
 def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
@@ -940,3 +959,159 @@ def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
         for s in enumerate_states(F):
             classify_state(F, s)
     assert err.traceback[-2].name == "classify"
+
+
+# ---------------------------------------------------------------------------
+# the last crossing, closed without writing
+
+
+def _corrupt_last_crossing(eng):
+    """Give both choices of crossing 0 a second chord from the second
+    chord's first dart to the first chord's second dart, so that the two
+    chords share a dart and the fourth dart's path stays open."""
+    items, loops = eng._items()
+    bad = tuple(ch[:7] + ch[2:3] + ch[8:] for ch in items[0])
+    eng._items = lambda: ((bad,) + items[1:], loops)
+    return eng
+
+
+def test_last_splice_must_leave_no_path_open():
+    # whichever choice of crossing 0 a block takes, and at every block
+    # size, the last level finds a path its chords leave open and raises
+    for text in ("O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
+        F = cap_boundaries(build_ribbon(parse_code(text)))
+        c = F.ribbon.n_crossings
+        for k in range(c + 1):
+            for lo in range(0, 1 << c, 1 << k):
+                eng = _corrupt_last_crossing(states._Engine(F))
+                with pytest.raises(AssertionError, match="the last splice leaves a path open"):
+                    eng.block(lo, k)
+
+
+def test_swapped_kind_at_the_last_crossing_raises():
+    # swap the kind of each pole chord of crossing 0 on a fresh engine: a
+    # block that takes its choice raises while it closes crossing 0, in
+    # `descend` at its last level, which writes nothing, or in the `entry`
+    # that level calls
+    where = set()
+    for text in ("O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
+                 "O1- U2- O3- U1- O2- U3-\nB B",
+                 "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"):
+        F = cap_boundaries(build_ribbon(parse_code(text)))
+        c = F.ribbon.n_crossings
+        for bit in (0, 1):
+            for a in range(4):
+                eng = states._Engine(F)
+                b = eng.step[bit][a][0]
+                if a > b or eng.side[bit][a] < 0:
+                    continue
+                for k in range(c + 1):
+                    for lo in range(0, 1 << c, 1 << k):
+                        if k == 0 and lo & 1 != bit:
+                            continue
+                        eng = _swap_kind(states._Engine(F), bit, a, b)
+                        with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
+                            eng.block(lo, k)
+                        frames = [e for e in err.traceback if e.name == "descend"]
+                        assert frames[-1].locals["i"] == 0, (text, bit, a, k, lo)
+                        where.add(err.traceback[-1].name)
+    assert where == {"entry", "descend"}, where
+
+
+# ---------------------------------------------------------------------------
+# the int-keyed count table against the signature-keyed reference
+
+
+def pickling_pool(parts):
+    """A stand-in for ProcessPoolExecutor that runs each job in this
+    process, on its own surface and engine, and hands its table back through
+    pickle, as a worker process would; each table's {signature: id} is
+    appended to `parts` before the parent merges them."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            tables = [pickle.loads(pickle.dumps(fn(job))) for job in jobs]
+            parts.append([{sig: s for s, sig in enumerate(t.sigs)} for t in tables])
+            return tables
+
+    return Pool
+
+
+def rekeyed(parts):
+    """The signatures that two tables of one merge hold under different ids."""
+    return sum(
+        1
+        for tables in parts
+        for i, ids in enumerate(tables)
+        for other in tables[:i]
+        for sig, s in ids.items()
+        if other.get(sig, s) != s
+    )
+
+
+def assert_table_matches_reference(code):
+    # the leaf counts of one full block on a fresh engine, decoded by the
+    # reference, give the signature-keyed table; the count table, its
+    # brackets, R and its non-separation count must match what the
+    # reference reads off it, at 1, 2 and 3 workers
+    F = cap_boundaries(build_ribbon(code))
+    eng = states._Engine(F)
+    ref = decode(eng, eng.block(0, F.ribbon.n_crossings))
+    bracket, double = bracket_of(ref), double_of(ref)
+    invariant = writhe_normalize(code, double)
+    for w in (1, 2, 3):
+        table = brackets._counts(code, w)
+        assert by_signature(table) == ref, (serialize(code), w)
+        assert len(set(table.sigs)) == len(table.sigs)
+        assert check_nonseparation(table) == nonseparation_of(ref) == 0
+        got = surface_pole_bracket(code, w)
+        assert got == bracket and got.to_text() == bracket.to_text(), (serialize(code), w)
+        assert got.to_json() == bracket.to_json()
+        got = double_bracket(code, w)
+        assert got == double and got.to_text() == double.to_text(), (serialize(code), w)
+        got = normalized(code, w)
+        assert got == invariant and got.to_json() == invariant.to_json(), (serialize(code), w)
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_fixture_tables_match_reference(text, monkeypatch):
+    monkeypatch.setattr(brackets, "ProcessPoolExecutor", pickling_pool([]))
+    assert_table_matches_reference(parse_code(text))
+
+
+def test_corpus_tables_match_reference(monkeypatch):
+    # the worker tables of one merge number shared signatures differently,
+    # and the parent re-keys them
+    parts = []
+    monkeypatch.setattr(brackets, "ProcessPoolExecutor", pickling_pool(parts))
+    for code in corpus_twisted(7, 40):
+        assert_table_matches_reference(code)
+    assert rekeyed(parts) > 50, rekeyed(parts)
+
+
+@given(diagrams(max_crossings=9))
+@settings(max_examples=40, deadline=None)
+def test_tables_match_reference(code):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brackets, "ProcessPoolExecutor", pickling_pool([]))
+        assert_table_matches_reference(code)
+
+
+def test_worker_processes_match_reference():
+    # real worker processes: a 10-crossing code whose bracket has hundreds
+    # of classes, and the largest codes of the corpus
+    wide = parse_code("U5- U3+ U7- U1+ B B O3+ U10- O7- O9+ U8- O6- O10- U6- U2- "
+                      "O5- O1+ U4+ O2- O8- U9+ O4+")
+    assert len(surface_pole_bracket(wide).classes) > 300
+    codes = sorted(corpus_twisted(7, 40), key=lambda code: len(code.crossing_ids))[-2:]
+    for code in [wide] + codes:
+        assert_table_matches_reference(code)

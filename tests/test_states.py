@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from polebracket import verify
+from polebracket import cli, verify
 from polebracket.brackets import double_bracket
 from polebracket.codes import parse_code, random_diagram
 from polebracket.polewords import MARK
@@ -16,6 +18,7 @@ from polebracket.states import (
     sum_counts,
 )
 from polebracket.surfaces import build_ribbon, cap_boundaries
+from reference import count_table, nonseparation_of
 
 
 def _surface(code):
@@ -117,6 +120,21 @@ def test_class_table_unpacks_every_homology_bit():
                     idx, bool(flip), hom == 0, tuple((hom >> i) & 1 for i in range(h1)))
 
 
+def test_class_order_sorts_as_the_entries():
+    # the count table ranks classes by `order`, so it must sort the ids as
+    # their entries sort, over every index, flip and class tried
+    rng = random.Random(5)
+    for h1 in range(20):
+        classes = _Classes(h1)
+        homs = {0, (1 << h1) - 1} | {rng.getrandbits(h1) if h1 else 0 for _ in range(40)}
+        keys = [idx << (h1 + 1) | hom << 1 | flip for idx in (0, 1, 2, 5) for hom in homs for flip in (0, 1)]
+        rng.shuffle(keys)
+        for key in keys:
+            classes[key]
+        ids = range(1, len(classes.entries))
+        assert sorted(ids, key=classes.order.__getitem__) == sorted(ids, key=classes.entries.__getitem__)
+
+
 def _flip_side(eng, bit, a, b):
     eng.side[bit][a] ^= 1
     eng.side[bit][b] ^= 1
@@ -177,14 +195,16 @@ def test_engine_refuses_a_separating_essential_curve_of_positive_index():
 
 
 def test_nonseparation_counts_each_separating_entry_times_its_count():
-    # a synthetic count table: an entry of positive index that separates
-    # counts once per state of its key, and once per copy in a signature
+    # a synthetic count table of a 3-crossing diagram: an entry of positive
+    # index that separates counts once per state of its key, and once per
+    # copy in a signature, as the signature-keyed reference counts it
     bad = (2, False, True, ())
     ok = [(1, False, False, (1,)), (0, False, True, ()), (3, True, False, (1,))]
-    counts = {((ok[0], bad), 1, 0): 3, ((bad, bad), -1, 2): 5, ((ok[1], ok[2]), 0, 1): 7}
-    assert check_nonseparation(counts) == 3 + 2 * 5
-    assert check_nonseparation({k: n for k, n in counts.items() if bad not in k[0]}) == 0
-    assert check_nonseparation({}) == 0
+    counts = {((ok[0], bad), 1, 0): 3, ((bad, bad), -1, 2): 5, ((ok[1], ok[2]), 3, 1): 7}
+    assert check_nonseparation(count_table(counts, 3)) == nonseparation_of(counts) == 3 + 2 * 5
+    clean = {k: n for k, n in counts.items() if bad not in k[0]}
+    assert check_nonseparation(count_table(clean, 3)) == nonseparation_of(clean) == 0
+    assert check_nonseparation(count_table({}, 0)) == 0
 
 
 def _no_walk(*_args):
@@ -206,6 +226,41 @@ def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
     assert states == sum(1 << len(c.crossing_ids) for c in diagrams)
     assert (t1_bad, l2_bad, spec_bad) == ([], [], [])
     assert doubles == expect
+
+
+def _flip_first_pole(F):
+    """A fresh engine of `F` with the side of its first pole chord flipped,
+    if it has one."""
+    eng = _Engine(F)
+    for bit in (0, 1):
+        for a, (b, *_rest) in enumerate(eng.step[bit]):
+            if a < b and eng.side[bit][a] >= 0:
+                return _flip_side(eng, bit, a, b)
+    return eng
+
+
+def test_check_prints_a_fail_line_when_a_sum_refuses(monkeypatch, capsys):
+    # the state sweep sums on engines with a pole side flipped, as above;
+    # each sum that raises is one non-separation failure, so `check` prints
+    # a FAIL line and exits 3, with no traceback.  The move sweep skips the
+    # diagrams whose sums raised
+    refused = []
+
+    def faulty_sum(F, lo, hi):
+        F._state_engine = _flip_first_pole(F)
+        try:
+            return sum_counts(F, lo, hi)
+        except AssertionError as err:
+            refused.append(str(err))
+            raise
+
+    monkeypatch.setattr(verify, "sum_counts", faulty_sum)
+    assert cli.main(["check", "--seed", "1", "--count", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert refused and set(refused) == {"a curve of positive index separates"}
+    line = f"FAIL  essential curves never separate (67 checked, {len(refused)} failures)"
+    assert line in out.splitlines()
+    assert "Traceback" not in out + err and "all checks passed" not in out
 
 
 def _no_chords(*_args):
