@@ -187,8 +187,6 @@ def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _double_from_counts(table: CountTable) -> MultiLaurent:
-    if not table.counts:
-        return MultiLaurent.one()
     tables = _fold(table, [_collapse(sig) for sig in table.sigs])
     return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
 
@@ -207,8 +205,9 @@ def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketVal
 
 def bracket_pair(table: CountTable) -> tuple[BracketValue, MultiLaurent]:
     """(surface pole bracket, double bracket) from one `sum_counts` table,
-    which its caller also reads (the `check` battery counts its
-    non-separation violations off it)."""
+    which its caller also reads: the `check` battery counts each diagram's
+    non-separation violations off it, checks the specialization identity on
+    the pair, and reads R for the move sweep off the double bracket."""
     return _bracket_from_counts(table), _double_from_counts(table)
 
 

@@ -144,10 +144,12 @@ def _guard(code, args, err):
         cost = ("4-6 us per traced state (c = 16 to 20); peak memory was"
                 " 22-24 MB at c = 16, 24-35 MB at c = 18 and 41-64 MB at c = 20")
     if bits > args.max_crossings:
-        minutes = (1 << bits) * per_s / 60
+        seconds = (1 << bits) * per_s
+        took = (f"about {seconds / 60:.0f} min" if seconds >= 60
+                else f"about {seconds:.0f} s" if seconds >= 1 else "under 1 s")
         err(
             EXIT_USAGE,
-            f"{c} crossings{folded} means 2^{bits} traced states, about {minutes:.0f} min"
+            f"{c} crossings{folded} means 2^{bits} traced states, {took}"
             f" in one process at the measured {cost}; raise --max-crossings to force this",
         )
 

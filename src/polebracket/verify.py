@@ -1,10 +1,12 @@
-"""Verification corpus and property sweeps.
+"""Verification corpus and the `check` battery.
 
 Everything here is deterministic in the seed.  The fixture lists feed the
 classical-specialization and fixture-value checks; the random corpora feed
-the move-invariance, non-separation, pole-balance, and specialization-identity
-sweeps.  Classical fixtures are produced by braid closure so their planarity
-is by construction, not by luck.
+`run_battery`, which checks each diagram in one pass: pole balance,
+non-separation, the specialization identity, and then R under every move
+site (twisted diagrams) or the planar oracle (classical ones).  Classical
+fixtures are produced by braid closure so their planarity is by
+construction, not by luck.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def corpus_classical(seed: int, count: int = 50) -> list[TwistedGaussCode]:
 
 
 # ---------------------------------------------------------------------------
-# sweeps; each returns (checked count, failure list)
+# the battery
 
 
 def all_move_sites(code: TwistedGaussCode, rng) -> list:
@@ -140,47 +142,41 @@ def all_move_sites(code: TwistedGaussCode, rng) -> list:
     )
 
 
-def sweep_move_invariance(diagrams, doubles, seed: int = 0):
-    """R of each diagram, read off its double bracket in `doubles`, against
-    R after each move site; a site that `apply_move` rejects fails too.  A
-    diagram whose double is None (its sum failed) is skipped."""
-    rng = random.Random(seed)
-    checked = 0
+def move_invariance(code: TwistedGaussCode, double, rng):
+    """R of `code`, read off its double bracket, against R after each move
+    site drawn from `rng`; a site fails if R changes, `apply_move` rejects
+    it or the moved sum raises.  Returns (checked, [(code, site), ...])."""
+    before = writhe_normalize(code, double)
+    sites = all_move_sites(code, rng)
     failures = []
-    for code, double in zip(diagrams, doubles, strict=True):
-        if double is None:
-            continue
-        before = writhe_normalize(code, double)
-        for spec in all_move_sites(code, rng):
-            checked += 1
-            try:
-                ok = normalized(apply_move(code, spec)) == before
-            except MoveError:
-                # a site the enumerators offer must be one the move takes
-                ok = False
-            if not ok:
-                failures.append((code, spec))
-    return checked, failures
+    for spec in sites:
+        try:
+            ok = normalized(apply_move(code, spec)) == before
+        except (MoveError, AssertionError):
+            # a site the enumerators offer must be one the move takes, and
+            # the moved diagram's sum must not refuse a curve
+            ok = False
+        if not ok:
+            failures.append((code, spec))
+    return len(sites), failures
 
 
-def sweep_states(diagrams):
-    """Non-separation and pole-balance checks over every state, the
-    specialization identity and each diagram's double bracket, from one
-    state sum per diagram and no state walk.  Non-separation is read off
-    the sum's count table, one failure per (state, curve) that breaks it;
-    pole balance is counted on the surface's caps, one failure per
-    unbalanced region of a state.  The sum itself raises AssertionError
-    when the engine refuses a curve (a separating curve of positive index,
-    or a failed check of its own); that diagram counts as one
-    non-separation failure with all its states checked, and the later
-    sweeps skip it: it has no specialization check, and its entry in
-    `doubles`, which stays aligned with `diagrams`, is None."""
-    states = 0
-    t1_bad = []
-    l2_bad = []
-    spec_bad = []
-    doubles = []
-    for code in diagrams:
+def run_battery(seed: int, count: int):
+    """The `check` subcommand's battery; count scales the corpus sizes.
+    Returns a list of (label, checked, failures).  One state sum per
+    diagram, and no state walk: pole balance is counted on the surface's
+    caps (one failure per unbalanced region of a state), non-separation is
+    read off the count table (one per (state, curve) that breaks it), and
+    both brackets come from that table.  A sum that raises AssertionError
+    (the engine refused a curve) is one non-separation failure with all its
+    states checked, and its diagram gets no other check."""
+    twisted = corpus_twisted(seed, count)
+    classical = corpus_classical(seed + 1, max(1, count // 4))
+    classical += [code for _name, code in classical_fixtures()]
+    rng = random.Random(seed)
+    states = summed = moved = oracled = 0
+    move_bad, t1_bad, l2_bad, spec_bad, oracle_bad = [], [], [], [], []
+    for i, code in enumerate(twisted + classical):
         F = cap_boundaries(build_ribbon(code))
         l2_bad += [(code, v) for v in check_pole_balance(F)]
         try:
@@ -188,47 +184,25 @@ def sweep_states(diagrams):
         except AssertionError:
             states += 1 << F.ribbon.n_crossings
             t1_bad.append(code)
-            doubles.append(None)
             continue
         states += table.states()
         t1_bad += [code] * check_nonseparation(table)
         bracket, double = bracket_pair(table)
+        summed += 1
         if specialize_bracket(bracket) != double:
             spec_bad.append(code)
-        doubles.append(double)
-    return states, t1_bad, l2_bad, spec_bad, doubles
-
-
-def sweep_classical_oracle(diagrams, doubles):
-    """Double brackets of classical diagrams against the planar oracle; a
-    diagram whose double is None (its sum failed) is skipped."""
-    checked = 0
-    failures = []
-    for code, value in zip(diagrams, doubles, strict=True):
-        if value is None:
-            continue
-        checked += 1
-        if value != classical_kauffman_oracle(code) or not value.pure_A():
-            failures.append(code)
-    return checked, failures
-
-
-def run_battery(seed: int, count: int):
-    """The `check` subcommand's battery; count scales the corpus sizes.
-    Returns a list of (label, checked, failures)."""
-    twisted = corpus_twisted(seed, count)
-    classical = corpus_classical(seed + 1, max(1, count // 4))
-    classical += [code for _name, code in classical_fixtures()]
-    # the state sweep sums every diagram once; the move sweep reads the
-    # twisted diagrams' R off those sums
-    diagrams = twisted + classical
-    states, t1_bad, l2_bad, spec_bad, doubles = sweep_states(diagrams)
-    checked, bad = sweep_move_invariance(twisted, doubles[:len(twisted)], seed)
-    results = [("move invariance of R", checked, bad)]
-    results.append(("essential curves never separate", states, t1_bad))
-    results.append(("region pole balance", states, l2_bad))
-    summed = sum(double is not None for double in doubles)
-    results.append(("specialization identity", summed, spec_bad))
-    checked, bad = sweep_classical_oracle(classical, doubles[len(twisted):])
-    results.append(("classical bracket oracle", checked, bad))
-    return results
+        if i < len(twisted):
+            checked, bad = move_invariance(code, double, rng)
+            moved += checked
+            move_bad += bad
+        else:
+            oracled += 1
+            if double != classical_kauffman_oracle(code) or not double.pure_A():
+                oracle_bad.append(code)
+    return [
+        ("move invariance of R", moved, move_bad),
+        ("essential curves never separate", states, t1_bad),
+        ("region pole balance", states, l2_bad),
+        ("specialization identity", summed, spec_bad),
+        ("classical bracket oracle", oracled, oracle_bad),
+    ]

@@ -245,8 +245,6 @@ def bracket_of(counts: dict) -> BracketValue:
 
 
 def double_of(counts: dict) -> MultiLaurent:
-    if not counts:
-        return MultiLaurent.one()
     tables = fold(counts, cache(_collapse))
     return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
 

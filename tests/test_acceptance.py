@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from polebracket import verify
+from polebracket import cli, verify
 from polebracket.brackets import (
     double_bracket,
     normalized,
@@ -30,7 +30,7 @@ from polebracket.verify import (
     classical_fixtures,
     corpus_classical,
     corpus_twisted,
-    sweep_move_invariance,
+    move_invariance,
 )
 
 from reference import assemble_from_table, confluence_oracle
@@ -81,10 +81,21 @@ def test_criterion_1_worked_example_table():
     _verdict(1, "worked-example table assembly", ok, f" ({elapsed * 1e6:.0f} us)")
 
 
+def _move_sweep(corpus, doubles):
+    """`move_invariance` over a corpus with one Random(SEED), as `check`
+    runs it: (sites checked, failures)."""
+    rng = random.Random(SEED)
+    checked, failures = 0, []
+    for code, double in zip(corpus, doubles):
+        n, bad = move_invariance(code, double, rng)
+        checked += n
+        failures += bad
+    return checked, failures
+
+
 def test_criterion_2_move_invariance(twisted_corpus):
     t0 = time.perf_counter()
-    doubles = [double_bracket(code) for code in twisted_corpus]
-    checked, failures = sweep_move_invariance(twisted_corpus, doubles, SEED)
+    checked, failures = _move_sweep(twisted_corpus, map(double_bracket, twisted_corpus))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300.0
     _verdict(
@@ -96,8 +107,9 @@ def test_criterion_2_move_invariance(twisted_corpus):
 
 
 def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
-    # `check` passes the state sweep's double brackets to the move sweep:
-    # it reads each diagram's R off them, and sums only the moved diagrams
+    # `check` passes each diagram's double bracket, from its one state sum,
+    # to `move_invariance`: it reads the diagram's R off it, and sums only
+    # the moved diagrams
     corpus = corpus_twisted(SEED, 12)
     rng = random.Random(SEED)
     checked, failures = 0, []
@@ -114,8 +126,29 @@ def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
     doubles = [double_bracket(code) for code in corpus]
     summed = []
     monkeypatch.setattr(verify, "normalized", lambda code: summed.append(code) or normalized(code))
-    assert sweep_move_invariance(corpus, doubles, SEED) == (checked, failures)
+    assert _move_sweep(corpus, doubles) == (checked, failures)
     assert len(summed) == checked > 0
+
+
+def test_move_sweep_fails_a_site_whose_moved_sum_raises(monkeypatch, capsys):
+    # a moved diagram whose sum refuses a curve fails its site, as a site
+    # that `apply_move` rejects does: `check` prints FAIL and exits 3, with
+    # no traceback
+    refused = []
+
+    def refusing(code):
+        if len(code.crossing_ids) >= 3:
+            refused.append(code)
+            raise AssertionError("a curve of positive index separates")
+        return normalized(code)
+
+    monkeypatch.setattr(verify, "normalized", refusing)
+    assert cli.main(["check", "--seed", "1", "--count", "2"]) == 3
+    out, err = capsys.readouterr()
+    moves = [line for line in out.splitlines() if "move invariance of R" in line]
+    assert refused and moves[0].startswith("FAIL")
+    assert moves[0].endswith(f"checked, {len(refused)} failures)")
+    assert "Traceback" not in out + err and "all checks passed" not in out
 
 
 def test_criterion_3_classical_specialization(classical_corpus):

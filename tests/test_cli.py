@@ -140,6 +140,26 @@ def test_state_guard_refuses_large(capsys):
     assert code == 0
 
 
+def test_state_guard_prices_short_sums_in_seconds(capsys):
+    # under a minute the estimate is in seconds, under a second it says so;
+    # the 25-crossing refusal above keeps its minutes
+    def refusal(*argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--max-crossings", "1")
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and " min " not in err
+        return err
+
+    assert "2^2 traced states, under 1 s in one process" in refusal("states", "-i", "O1+ U1+ O2+ U2+")
+    for cmd in ("bracket", "dbracket", "invariant"):
+        assert "2^2 traced states, under 1 s in one process" in refusal(cmd, "-i", "O1+ O2+ U1+ U2+")
+    toks = " ".join(f"O{i}+" for i in range(1, 23)) + " " + " ".join(f"U{i}+" for i in range(1, 23))
+    assert "22 crossings means 2^22 traced states, about 25 s in one process" in refusal("dbracket", "-i", toks)
+    toks = " ".join(f"O{i}+" for i in range(1, 17)) + " " + " ".join(f"U{i}+" for i in range(1, 17))
+    assert "16 crossings means 2^16 traced states, about 5 s in one process" in refusal("states", "-i", toks)
+
+
 def test_state_guard_counts_folded_kinks(capsys):
     # 26 R1 kinks in a row: a sum folds every one of them and traces one
     # state, so the default guard lets it run; `states` walks all 2^26

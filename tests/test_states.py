@@ -3,7 +3,7 @@ import random
 import pytest
 
 from polebracket import cli, verify
-from polebracket.brackets import double_bracket
+from polebracket.brackets import bracket_pair, double_bracket
 from polebracket.codes import parse_code, random_diagram
 from polebracket.polewords import MARK
 from polebracket.states import (
@@ -212,19 +212,32 @@ def _no_walk(*_args):
 
 
 def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
-    # one full-range `sum_counts` per diagram feeds both checks and both
-    # brackets; no curve is walked or looked up, and every state is counted
-    diagrams = [code for _n, code in verify.twisted_fixtures()] + verify.corpus_twisted(3, 8)
+    # one full-range `sum_counts` per battery diagram feeds both checks,
+    # both brackets and the move sweep or oracle; no curve is walked or
+    # looked up, and every state is counted
+    seed, count = 3, 8
+    diagrams = verify.corpus_twisted(seed, count) + verify.corpus_classical(seed + 1, 2)
+    diagrams += [code for _n, code in verify.classical_fixtures()]
     expect = [double_bracket(code) for code in diagrams]
-    sums = []
+    sums, doubles = [], []
     monkeypatch.setattr(verify, "sum_counts", lambda F, lo, hi: sums.append((F, lo, hi)) or sum_counts(F, lo, hi))
+
+    def pair_of(table):
+        pair = bracket_pair(table)
+        doubles.append(pair[1])
+        return pair
+
+    monkeypatch.setattr(verify, "bracket_pair", pair_of)
     monkeypatch.setattr(_Engine, "walk", _no_walk)
     monkeypatch.setattr(_Engine, "lookup", _no_walk)
-    states, t1_bad, l2_bad, spec_bad, doubles = verify.sweep_states(diagrams)
+    results = verify.run_battery(seed, count)
     assert [F.ribbon.n_crossings for F, _lo, _hi in sums] == [len(c.crossing_ids) for c in diagrams]
     assert all(lo == 0 and hi == 1 << F.ribbon.n_crossings for F, lo, hi in sums)
-    assert states == sum(1 << len(c.crossing_ids) for c in diagrams)
-    assert (t1_bad, l2_bad, spec_bad) == ([], [], [])
+    checked = {label: n for label, n, _bad in results}
+    assert checked["essential curves never separate"] == sum(1 << len(c.crossing_ids) for c in diagrams)
+    assert checked["specialization identity"] == len(diagrams)
+    assert checked["classical bracket oracle"] == len(diagrams) - count
+    assert all(bad == [] for _label, _n, bad in results)
     assert doubles == expect
 
 
@@ -240,10 +253,10 @@ def _flip_first_pole(F):
 
 
 def test_check_prints_a_fail_line_when_a_sum_refuses(monkeypatch, capsys):
-    # the state sweep sums on engines with a pole side flipped, as above;
-    # each sum that raises is one non-separation failure, so `check` prints
-    # a FAIL line and exits 3, with no traceback.  The move sweep skips the
-    # diagrams whose sums raised
+    # the battery sums on engines with a pole side flipped, as above; each
+    # sum that raises is one non-separation failure, so `check` prints a
+    # FAIL line and exits 3, with no traceback.  A diagram whose sum raised
+    # gets no other check
     refused = []
 
     def faulty_sum(F, lo, hi):
