@@ -34,7 +34,7 @@ from math import comb
 from operator import itemgetter
 
 from .codes import TwistedGaussCode, writhe
-from .laurent import MultiLaurent, _a_poly_text, a_polys, minus_A_pow
+from .laurent import MultiLaurent, _a_poly_text, a_polys
 from .states import CountTable, sum_counts
 from .surfaces import ClosedSurface, build_ribbon, cap_boundaries
 
@@ -224,8 +224,11 @@ def specialize_bracket(b: BracketValue) -> MultiLaurent:
 
 
 def writhe_normalize(code: TwistedGaussCode, double: MultiLaurent) -> MultiLaurent:
-    """R = (-A)^(-3 writhe) times `double`, the code's double bracket."""
-    return minus_A_pow(-3 * writhe(code)) * double
+    """R = (-A)^(-3 writhe) times `double`, the code's double bracket: each
+    A-exponent shifts by k = -3 writhe, and the signs flip when k is odd."""
+    k = -3 * writhe(code)
+    sign = -1 if k % 2 else 1
+    return MultiLaurent({(a + k, m, d): sign * c for (a, m, d), c in double.terms.items()})
 
 
 def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:

@@ -4,9 +4,11 @@ Everything here is deterministic in the seed.  The fixture lists feed the
 classical-specialization and fixture-value checks; the random corpora feed
 `run_battery`, which checks each diagram in one pass: pole balance,
 non-separation, the specialization identity, and then R under every move
-site (twisted diagrams) or the planar oracle (classical ones).  Classical
-fixtures are produced by braid closure so their planarity is by
-construction, not by luck.
+site (twisted diagrams) or the planar oracle (classical ones).  The move
+sweep sums each distinct realization once, keyed by the moved diagram's
+ribbon: the sum reads nothing else, and the ribbon's rotations fix every
+crossing's sign, so the key is exact.  Classical fixtures are produced by
+braid closure so their planarity is by construction, not by luck.
 """
 
 from __future__ import annotations
@@ -145,13 +147,25 @@ def all_move_sites(code: TwistedGaussCode, rng) -> list:
 def move_invariance(code: TwistedGaussCode, double, rng):
     """R of `code`, read off its double bracket, against R after each move
     site drawn from `rng`; a site fails if R changes, `apply_move` rejects
-    it or the moved sum raises.  Returns (checked, [(code, site), ...])."""
+    it or the moved sum raises.  Returns (checked, [(code, site), ...]).
+
+    Each distinct realization is summed once: R is kept per moved ribbon,
+    starting from the code's own.  This is exact, because everything the
+    sum reads is the ribbon, and its rotations fix every crossing's sign,
+    so equal ribbons have equal writhe and equal R.  T1 and T2 sites, and
+    insert draws that repeat, sum nothing.  A rejected move or a refused
+    sum stores nothing, so each such site fails."""
     before = writhe_normalize(code, double)
+    seen = {build_ribbon(code): before}
     sites = all_move_sites(code, rng)
     failures = []
     for spec in sites:
         try:
-            ok = normalized(apply_move(code, spec)) == before
+            moved = apply_move(code, spec)
+            ribbon = build_ribbon(moved)
+            if ribbon not in seen:
+                seen[ribbon] = normalized(moved)
+            ok = seen[ribbon] == before
         except (MoveError, AssertionError):
             # a site the enumerators offer must be one the move takes, and
             # the moved diagram's sum must not refuse a curve

@@ -6,11 +6,14 @@ criteria through module-scoped fixtures, so the whole module is
 deterministic.
 """
 
+import contextlib
+import io
 import random
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polebracket import cli, verify
 from polebracket.brackets import (
@@ -19,9 +22,9 @@ from polebracket.brackets import (
     specialize_bracket,
     surface_pole_bracket,
 )
-from polebracket.codes import parse_code, random_diagram
+from polebracket.codes import parse_code, random_diagram, serialize, writhe
 from polebracket.laurent import MultiLaurent, delta
-from polebracket.moves import MoveError, apply_move
+from polebracket.moves import MoveError, MoveSpec, apply_move, t1_delete_sites
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.polewords import L, MARK, R, index, make_word
 from polebracket.states import check_nonseparation, check_pole_balance, sum_counts
@@ -36,6 +39,7 @@ from polebracket.verify import (
 from reference import assemble_from_table, confluence_oracle
 # the word moves live beside the pole-word tests, their other user
 from test_polewords import random_equivalent
+from test_reference_engine import diagrams
 
 SEED = 20260815
 A = MultiLaurent.A
@@ -81,10 +85,10 @@ def test_criterion_1_worked_example_table():
     _verdict(1, "worked-example table assembly", ok, f" ({elapsed * 1e6:.0f} us)")
 
 
-def _move_sweep(corpus, doubles):
-    """`move_invariance` over a corpus with one Random(SEED), as `check`
+def _move_sweep(corpus, doubles, seed=SEED):
+    """`move_invariance` over a corpus with one Random(seed), as `check`
     runs it: (sites checked, failures)."""
-    rng = random.Random(SEED)
+    rng = random.Random(seed)
     checked, failures = 0, []
     for code, double in zip(corpus, doubles):
         n, bad = move_invariance(code, double, rng)
@@ -106,28 +110,132 @@ def test_criterion_2_move_invariance(twisted_corpus):
     )
 
 
-def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
-    # `check` passes each diagram's double bracket, from its one state sum,
-    # to `move_invariance`: it reads the diagram's R off it, and sums only
-    # the moved diagrams
-    corpus = corpus_twisted(SEED, 12)
-    rng = random.Random(SEED)
-    checked, failures = 0, []
+def _site_by_site(corpus, seed=SEED):
+    """Each move site of the sweep, summed on its own: (sites checked,
+    failures, the distinct moved ribbons per diagram other than its own,
+    in the order first met)."""
+    rng = random.Random(seed)
+    checked, failures, ribbons = 0, [], []
     for code in corpus:
         before = normalized(code)
+        moved = {}
         for spec in verify.all_move_sites(code, rng):
             checked += 1
             try:
-                ok = normalized(apply_move(code, spec)) == before
+                after = apply_move(code, spec)
+                ok = normalized(after) == before
+                moved[build_ribbon(after)] = None
             except MoveError:
                 ok = False
             if not ok:
                 failures.append((code, spec))
+        moved.pop(build_ribbon(code), None)
+        ribbons.append(list(moved))
+    return checked, failures, ribbons
+
+
+def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
+    # `check` passes each diagram's double bracket, from its one state sum,
+    # to `move_invariance`: it reads the diagram's R off it, and sums each
+    # distinct moved ribbon other than the diagram's own exactly once
+    corpus = corpus_twisted(SEED, 12)
+    checked, failures, ribbons = _site_by_site(corpus)
     doubles = [double_bracket(code) for code in corpus]
     summed = []
     monkeypatch.setattr(verify, "normalized", lambda code: summed.append(code) or normalized(code))
     assert _move_sweep(corpus, doubles) == (checked, failures)
-    assert len(summed) == checked > 0
+    assert len(summed) == sum(map(len, ribbons)) > 0
+    assert [build_ribbon(code) for code in summed] == [r for per in ribbons for r in per]
+
+
+_SWEEP_CORPORA = [(SEED, 40)] + [(seed, 6) for seed in range(1, 5)]
+
+
+def test_move_sweep_sums_no_T1_or_T2_site(monkeypatch):
+    # the memo's answers: on the acceptance corpus and the twisted corpora
+    # of `check` at seeds 1-4, the sweep agrees with a site-by-site sum, it
+    # sums each distinct moved ribbon once, and a T1 insert, T1 delete or
+    # T2 site keeps the ribbon, so it is answered without a sum
+    site, summed_at, t_sites = [None], [], [0]
+
+    def applying(code, spec):
+        site[0] = spec
+        t_sites[0] += spec.kind in ("T1", "T2")
+        return apply_move(code, spec)
+
+    for seed, count in _SWEEP_CORPORA:
+        corpus = corpus_twisted(seed, count)
+        checked, failures, ribbons = _site_by_site(corpus, seed)
+        doubles = [double_bracket(code) for code in corpus]
+        summed_at.clear()
+        with monkeypatch.context() as m:
+            m.setattr(verify, "apply_move", applying)
+            m.setattr(verify, "normalized", lambda code: summed_at.append(site[0]) or normalized(code))
+            assert _move_sweep(corpus, doubles, seed) == (checked, failures)
+        assert len(summed_at) == sum(map(len, ribbons))
+        assert not [spec for spec in summed_at if spec.kind in ("T1", "T2")]
+    assert t_sites[0] > 100
+
+
+def test_move_sweep_answers_each_site_by_its_own_ribbon(monkeypatch):
+    # with a stand-in sum that returns the moved diagram's ribbon, a site
+    # fails iff its ribbon differs from the diagram's: a memo keyed by
+    # anything coarser than the ribbon passes a site it should fail
+    monkeypatch.setattr(verify, "normalized", build_ribbon)
+    for seed, count in _SWEEP_CORPORA:
+        corpus = corpus_twisted(seed, count)
+        rng = random.Random(seed)
+        expected = [
+            (code, spec)
+            for code in corpus
+            for spec in verify.all_move_sites(code, rng)
+            if build_ribbon(apply_move(code, spec)) != build_ribbon(code)
+        ]
+        doubles = [double_bracket(code) for code in corpus]
+        assert _move_sweep(corpus, doubles, seed)[1] == expected
+
+
+def _invariant_text(code):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["invariant", "-i", serialize(code)]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagrams(max_crossings=7), st.data())
+def test_equal_ribbons_have_equal_writhe_and_invariant(code, data):
+    # the memo's premise: codes made from one another by T1 insertions,
+    # T1 deletions and T2 have one ribbon, and then equal writhe and equal
+    # `invariant` bytes
+    gaps = [(ci, g) for ci, comp in enumerate(code.components) for g in range(len(comp) + 1)]
+    codes = [code, apply_move(code, MoveSpec("T2", "rewrite", ()))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        codes.append(apply_move(codes[-1], MoveSpec("T1", "insert", data.draw(st.sampled_from(gaps)))))
+    deletions = t1_delete_sites(codes[-1])
+    if deletions:
+        codes.append(apply_move(codes[-1], data.draw(st.sampled_from(deletions))))
+    assert len({build_ribbon(c) for c in codes}) == 1
+    assert len({writhe(c) for c in codes}) == 1
+    assert len({_invariant_text(c) for c in codes}) == 1
+
+
+def test_move_sweep_fails_each_site_whose_refused_ribbon_repeats(monkeypatch):
+    # a refused sum stores nothing: an insert draw that repeats a refused
+    # one is summed again, and refused again, so both sites fail
+    code = parse_code("O1+ O2+ U1+ U2+")
+    spec = MoveSpec("R1+", "insert", (0, 1), 0)
+    refused = []
+
+    def refusing(moved):
+        refused.append(moved)
+        raise AssertionError("a curve of positive index separates")
+
+    monkeypatch.setattr(verify, "all_move_sites", lambda _code, _rng: [spec, spec])
+    monkeypatch.setattr(verify, "normalized", refusing)
+    checked, failures = move_invariance(code, double_bracket(code), random.Random(SEED))
+    assert (checked, failures) == (2, [(code, spec), (code, spec)])
+    assert len(refused) == 2 and build_ribbon(refused[0]) == build_ribbon(refused[1])
 
 
 def test_move_sweep_fails_a_site_whose_moved_sum_raises(monkeypatch, capsys):

@@ -24,8 +24,8 @@ from polebracket.brackets import (
     specialize_bracket,
     surface_pole_bracket,
 )
-from polebracket.codes import parse_code, random_diagram
-from polebracket.laurent import MultiLaurent, delta
+from polebracket.codes import parse_code, random_diagram, writhe
+from polebracket.laurent import MultiLaurent, delta, minus_A_pow
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
 from polebracket.surfaces import build_ribbon, cap_boundaries
@@ -49,6 +49,20 @@ def test_kink_values_and_normalization():
     assert double_bracket(minus) == -A(-3) * delta()
     assert normalized(plus) == delta()
     assert normalized(minus) == delta()
+
+
+def test_writhe_normalize_is_the_monomial_product():
+    # the shift of A-exponents and the sign flip give the product with
+    # (-A)^(-3 writhe) term for term, in the same order, so every printed
+    # byte of R is the same
+    codes = [code for _name, code in classical_fixtures() + twisted_fixtures()]
+    codes += corpus_twisted(5, 30, 5)
+    assert {writhe(code) % 2 for code in codes} == {0, 1}
+    for code in codes:
+        double = double_bracket(code)
+        got = brackets.writhe_normalize(code, double)
+        want = minus_A_pow(-3 * writhe(code)) * double
+        assert list(got.terms.items()) == list(want.terms.items()), code
 
 
 def test_one_bar_loop_is_M():

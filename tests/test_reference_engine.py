@@ -298,6 +298,56 @@ def test_bounds_disk_matches_cut_reference():
     assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
 
 
+def _piece_kind(piece):
+    """"sphere", "RP2" or "torus" for the pieces on which a two-sided
+    class-0 curve always bounds a disk, else None."""
+    return {(True, 2): "sphere", (False, 1): "RP2", (True, 0): "torus"}.get(
+        (piece.orientable, piece.euler)
+    )
+
+
+def test_bounds_disk_is_two_sided_class_zero_on_small_pieces():
+    # topology, not the cut: on a sphere, a projective plane or a torus, a
+    # curve bounds a disk iff it is two-sided with class 0
+    codes = [code for _name, code in twisted_fixtures() + classical_fixtures()]
+    codes += [code for seed in (1, 2, 3) for code in corpus_twisted(seed, 60, 5)]
+    verdicts = Counter()
+    for code in codes:
+        F = cap_boundaries(build_ribbon(code))
+        eng = RefEngine(F)
+        for mask in range(1 << F.ribbon.n_crossings):
+            for (chords, bmask, fpar, *_rest) in eng.trace(mask):
+                kind = _piece_kind(F.pieces[F.band_piece[(bmask & -bmask).bit_length() - 1]])
+                if kind is None:
+                    continue
+                got = F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
+                assert got == (not fpar and not any(F.homology_class(bmask))), (code, chords)
+                verdicts[kind, got] += 1
+    assert verdicts["sphere", True] and not verdicts["sphere", False]
+    for kind in ("RP2", "torus"):
+        assert verdicts[kind, True] > 100 and verdicts[kind, False] > 100, verdicts
+
+
+def test_separating_curve_of_a_klein_bottle_bounds_no_disk():
+    # a Klein bottle is two Mobius bands glued along their boundary: the
+    # curve between them is two-sided with class 0 (twice a core), and
+    # neither side is a disk
+    code = parse_code("B O1- O2- B U1- U2-")
+    F = cap_boundaries(build_ribbon(code))
+    assert [(p.orientable, p.euler) for p in F.pieces] == [(False, 0)]
+    chords = ((0, 3), (1, 2), (4, 7), (5, 6))
+    curves = [c for c in RefEngine(F).trace(3) if c[0] == chords]
+    assert len(curves) == 1
+    (_chords, bmask, fpar, *_rest) = curves[0]
+    assert not fpar and not any(F.homology_class(bmask))
+    assert not F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
+    # each side has one boundary circle and chi 0, so each is a Mobius band
+    root, euler = F._cut(chords, bmask)
+    side = euler[root[len(F.ribbon.rotations)]]
+    assert (side, F.pieces[0].euler - side) == (0, 0)
+    assert not ref_bounds_disk(F, chords, bmask, fpar, {})
+
+
 def test_regions_match_cut_reference():
     # all curves of a state, the first curve alone, and the first half
     codes = corpus_twisted(7, 40) + [code for _name, code in twisted_fixtures()]
