@@ -16,12 +16,11 @@ from polebracket import (
     MoveError,
     MoveSpec,
     apply_move,
-    build_ribbon,
-    cap_boundaries,
     insert_sites,
     normalized,
     parse_code,
     r2_delete_sites,
+    realize,
     serialize,
 )
 
@@ -45,7 +44,7 @@ print()
 planar = parse_code("U1+ U2- O2- O1+")   # realization is a sphere
 torus = parse_code("U1+ U2- O1+ O2-")    # realization is a torus
 for name, c in (("planar poke", planar), ("torus wrap ", torus)):
-    F = cap_boundaries(build_ribbon(c))
+    F = realize(c)
     print(f"{name}: {serialize(c).strip()}  surface {F.report()['pieces']}")
     sites = r2_delete_sites(c)
     for spec in sites:

@@ -6,12 +6,11 @@ bracket layers and the normalized invariant.
 """
 
 from polebracket import (
-    build_ribbon,
-    cap_boundaries,
     double_bracket,
     enumerate_states,
     normalized,
     parse_code,
+    realize,
     serialize,
     state_report,
     surface_pole_bracket,
@@ -22,7 +21,7 @@ code = parse_code("O1+ O2+ U1+ U2+")
 print("diagram:", serialize(code).strip())
 print("writhe :", writhe(code))
 
-F = cap_boundaries(build_ribbon(code))
+F = realize(code)
 print("surface:", F.report())
 print()
 

@@ -55,7 +55,7 @@ from .surfaces import (
     EmbeddedCurve,
     RibbonComplex,
     build_ribbon,
-    cap_boundaries,
+    realize,
 )
 from .verify import braid_closure, classical_fixtures, corpus_classical, corpus_twisted
 
@@ -77,7 +77,6 @@ __all__ = [
     "apply_move",
     "braid_closure",
     "build_ribbon",
-    "cap_boundaries",
     "check_nonseparation",
     "check_pole_balance",
     "classical_fixtures",
@@ -99,6 +98,7 @@ __all__ = [
     "r2_delete_sites",
     "r3_sites",
     "random_diagram",
+    "realize",
     "serialize",
     "specialize_bracket",
     "splice_curves",

@@ -36,7 +36,7 @@ from operator import itemgetter
 from .codes import TwistedGaussCode, writhe
 from .laurent import MultiLaurent, _a_poly_text, a_polys
 from .states import CountTable, sum_counts
-from .surfaces import ClosedSurface, build_ribbon, cap_boundaries
+from .surfaces import realize
 
 Signature = tuple  # sorted per-curve tuples (index, mobius, separating, hom)
 
@@ -117,19 +117,15 @@ class _PolyText(dict):
         return text
 
 
-def _surface(code: TwistedGaussCode) -> ClosedSurface:
-    return cap_boundaries(build_ribbon(code))
-
-
 def _worker_counts(args):
     code, lo, hi = args
-    return sum_counts(_surface(code), lo, hi)
+    return sum_counts(realize(code), lo, hi)
 
 
 def _counts(code: TwistedGaussCode, workers: int = 1) -> CountTable:
     total = 1 << len(code.crossing_ids)
     if workers <= 1 or total < 4 * workers:
-        return sum_counts(_surface(code), 0, total)
+        return sum_counts(realize(code), 0, total)
     # the workers build their own surfaces; the parent needs none
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(code, bounds[i], bounds[i + 1]) for i in range(workers)]

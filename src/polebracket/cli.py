@@ -26,7 +26,7 @@ from .brackets import double_bracket, normalized, surface_pole_bracket
 from .codes import CodeError, parse_code, serialize
 from .moves import DIRECTIONS, KINDS, MoveError, MoveSpec, apply_move
 from .states import _engine, enumerate_states, state_report
-from .surfaces import build_ribbon, cap_boundaries
+from .surfaces import realize
 from .verify import corpus_twisted, run_battery
 
 EXIT_USAGE = 1
@@ -138,7 +138,7 @@ def _guard(code, args, err):
                 " peak memory was 19-26 MB")
     else:
         # the sum traces only the through splice of each R1 kink it folds
-        kinks = len(_engine(cap_boundaries(build_ribbon(code))).kinks)
+        kinks = len(_engine(realize(code)).kinks)
         bits, per_s = c - kinks, 6e-6
         folded = f" less {kinks} R1 kinks summed in closed form" if kinks else ""
         cost = ("4-6 us per traced state (c = 16 to 20); peak memory was"
@@ -213,8 +213,7 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "info":
-        F = cap_boundaries(build_ribbon(code))
-        rep = F.report()
+        rep = realize(code).report()
         if args.json:
             _emit_json(rep)
         else:
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
     _guard(code, args, err)
 
     if cmd == "states":
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         reports = (state_report(F, s) for s in enumerate_states(F))
         if args.json:
             # the bytes of _emit_json(list(reports)), written one report at a time

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .codes import BAR, Bar, TwistedGaussCode, Visit, make_code
-from .surfaces import build_ribbon, cap_boundaries
+from .surfaces import realize
 
 
 class MoveError(ValueError):
@@ -176,8 +176,7 @@ def _r1_delete(sign):
 
 def _piece_types(code) -> list[tuple]:
     """(euler, orientable) per piece of the realization; genus and crosscaps follow."""
-    F = cap_boundaries(build_ribbon(code))
-    return sorted((p.euler, p.orientable) for p in F.pieces)
+    return sorted((p.euler, p.orientable) for p in realize(code).pieces)
 
 
 def _poke(x, variant):

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from .codes import Bar, TwistedGaussCode, Visit
 from .laurent import MultiLaurent, delta
-from .surfaces import build_ribbon, cap_boundaries
+from .surfaces import realize
 
 
 def classical_kauffman_oracle(code: TwistedGaussCode) -> MultiLaurent:
     if any(isinstance(t, Bar) for comp in code.components for t in comp):
         raise ValueError("classical oracle requires a bar-free code")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     if any(p.euler != 2 for p in F.pieces):
         raise ValueError("realization is not a union of spheres")
 

@@ -268,6 +268,7 @@ class _Engine:
         self.F = F
         rs = F.ribbon
         n = rs.total_darts
+        succ = F._succ
         tau = ([-1] * n, [-1] * n)
         side = ([-1] * n, [-1] * n)
         kind = ([0] * n, [0] * n)
@@ -279,7 +280,6 @@ class _Engine:
                     tau[bit][d1] = d0
                 continue
             r0, r1, r2, r3 = rot
-            succ = {r0: r1, r1: r2, r2: r3, r3: r0}
             for bit, pairs in ((0, ((r1, r2), (r3, r0))), (1, ((r0, r1), (r2, r3)))):
                 for a, b in pairs:
                     tau[bit][a] = b

@@ -9,7 +9,8 @@ surface are classified against that closed surface (null-homologous,
 separating, disk-bounding, Mobius-core).  The caps, pieces, Euler
 characteristic and orientability of the closed surface are read off the
 ribbon graph by face tracing (`ClosedSurface`); see Mohar and Thomassen,
-*Graphs on Surfaces* (2001), ch. 3-4.
+*Graphs on Surfaces* (2001), ch. 3-4.  `realize` caps a code's ribbon: it
+is the one place where a code becomes a surface.
 
 Cutting along curves works on the handle decomposition (crossing disks,
 bands, caps) with plain int tables, in one cutter, `ClosedSurface._cut`:
@@ -59,9 +60,9 @@ from .codes import Bar, TwistedGaussCode, Visit
 @dataclass(frozen=True)
 class RibbonComplex:
     """Band-surface presentation of a twisted Gauss code.  It keeps what
-    the capped surface and its splice states read, not the code itself."""
+    the capped surface and its splice states read, not the code itself: disk
+    k realizes the k-th smallest crossing id, and the ids are not kept."""
 
-    crossing_ids: tuple[int, ...]          # sorted; disk k realizes crossing_ids[k]
     n_crossings: int
     total_darts: int
     rotations: tuple[tuple[int, ...], ...]  # counterclockwise darts per disk
@@ -134,7 +135,6 @@ def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
         raise AssertionError("dart without band")
 
     return RibbonComplex(
-        crossing_ids=ids,
         n_crossings=c,
         total_darts=total,
         rotations=tuple(rotations),
@@ -501,8 +501,9 @@ class ClosedSurface:
         }
 
 
-def cap_boundaries(rs: RibbonComplex) -> ClosedSurface:
-    return ClosedSurface(rs)
+def realize(code: TwistedGaussCode) -> ClosedSurface:
+    """The closed surface a code is drawn on: its ribbon, capped."""
+    return ClosedSurface(build_ribbon(code))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .moves import (
 )
 from .oracle import classical_kauffman_oracle
 from .states import check_nonseparation, check_pole_balance, sum_counts
-from .surfaces import build_ribbon, cap_boundaries
+from .surfaces import build_ribbon, realize
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +153,9 @@ def move_invariance(code: TwistedGaussCode, double, rng):
     starting from the code's own.  This is exact, because everything the
     sum reads is the ribbon, and its rotations fix every crossing's sign,
     so equal ribbons have equal writhe and equal R.  T1 and T2 sites, and
-    insert draws that repeat, sum nothing.  A rejected move or a refused
-    sum stores nothing, so each such site fails."""
+    insert draws that repeat, sum nothing, nor do diagrams that differ only
+    in their crossing labels: the ribbon keeps none.  A rejected move or a
+    refused sum stores nothing, so each such site fails."""
     before = writhe_normalize(code, double)
     seen = {build_ribbon(code): before}
     sites = all_move_sites(code, rng)
@@ -191,7 +192,7 @@ def run_battery(seed: int, count: int):
     states = summed = moved = oracled = 0
     move_bad, t1_bad, l2_bad, spec_bad, oracle_bad = [], [], [], [], []
     for i, code in enumerate(twisted + classical):
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         l2_bad += [(code, v) for v in check_pole_balance(F)]
         try:
             table = sum_counts(F, 0, 1 << F.ribbon.n_crossings)

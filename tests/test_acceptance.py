@@ -8,6 +8,7 @@ deterministic.
 
 import contextlib
 import io
+import itertools
 import random
 import sys
 import time
@@ -28,7 +29,7 @@ from polebracket.moves import MoveError, MoveSpec, apply_move, t1_delete_sites
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.polewords import L, MARK, R, index, make_word
 from polebracket.states import check_nonseparation, check_pole_balance, sum_counts
-from polebracket.surfaces import build_ribbon, cap_boundaries
+from polebracket.surfaces import build_ribbon, realize
 from polebracket.verify import (
     classical_fixtures,
     corpus_classical,
@@ -37,6 +38,7 @@ from polebracket.verify import (
 )
 
 from reference import assemble_from_table, confluence_oracle
+from test_identities import relabel
 # the word moves live beside the pole-word tests, their other user
 from test_polewords import random_equivalent
 from test_reference_engine import diagrams
@@ -195,10 +197,10 @@ def test_move_sweep_answers_each_site_by_its_own_ribbon(monkeypatch):
         assert _move_sweep(corpus, doubles, seed)[1] == expected
 
 
-def _invariant_text(code):
+def _cli_text(code, *argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["invariant", "-i", serialize(code)]) == 0
+        assert cli.main([*argv, "-i", serialize(code)]) == 0
     return out.getvalue()
 
 
@@ -217,7 +219,22 @@ def test_equal_ribbons_have_equal_writhe_and_invariant(code, data):
         codes.append(apply_move(codes[-1], data.draw(st.sampled_from(deletions))))
     assert len({build_ribbon(c) for c in codes}) == 1
     assert len({writhe(c) for c in codes}) == 1
-    assert len({_invariant_text(c) for c in codes}) == 1
+    assert len({_cli_text(c, "invariant") for c in codes}) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagrams(max_crossings=7), st.data())
+def test_relabeling_crossings_in_order_keeps_the_ribbon(code, data):
+    # the memo's key holds no crossing ids: an increasing relabeling with
+    # gaps, which moves every id, gives an equal ribbon, and the same
+    # `bracket`, `bracket --json` and `invariant` bytes
+    ids = code.crossing_ids
+    gaps = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+    new_id = {cid: cid + 1 + shift for cid, shift in zip(ids, itertools.accumulate(gaps))}
+    relabeled = relabel(code, new_id)
+    assert build_ribbon(relabeled) == build_ribbon(code)
+    for argv in (["bracket"], ["bracket", "--json"], ["invariant"]):
+        assert _cli_text(relabeled, *argv) == _cli_text(code, *argv), argv
 
 
 def test_move_sweep_fails_each_site_whose_refused_ribbon_repeats(monkeypatch):
@@ -265,7 +282,7 @@ def test_criterion_3_classical_specialization(classical_corpus):
     ]
     bad = []
     for name, code in diagrams:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         if any(not p.orientable or p.genus for p in F.pieces):
             bad.append((name, "not a sphere union"))
             continue
@@ -286,7 +303,7 @@ def state_sweep(twisted_corpus, classical_corpus):
     l2_bad = []
     states = 0
     for code in twisted_corpus + classical_corpus:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         table = sum_counts(F, 0, 1 << F.ribbon.n_crossings)
         states += table.states()
         t1_bad += check_nonseparation(table)
@@ -338,9 +355,9 @@ def test_criterion_7_fixture_values():
         normalized(parse_code("O1+ O2+ U1+ U2+")).uses_d(1),
     ]
     reports = {
-        "trefoil": cap_boundaries(build_ribbon(parse_code("O1- U2- O3- U1- O2- U3-"))).report(),
-        "virtual trefoil": cap_boundaries(build_ribbon(parse_code("O1+ O2+ U1+ U2+"))).report(),
-        "one-bar loop": cap_boundaries(build_ribbon(parse_code("B"))).report(),
+        "trefoil": realize(parse_code("O1- U2- O3- U1- O2- U3-")).report(),
+        "virtual trefoil": realize(parse_code("O1+ O2+ U1+ U2+")).report(),
+        "one-bar loop": realize(parse_code("B")).report(),
     }
     checks += [
         reports["trefoil"]["pieces"] == [{"orientable": True, "genus": 0}],

@@ -28,7 +28,7 @@ from polebracket.codes import parse_code, random_diagram, writhe
 from polebracket.laurent import MultiLaurent, delta, minus_A_pow
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
-from polebracket.surfaces import build_ribbon, cap_boundaries
+from polebracket.surfaces import realize
 from polebracket.verify import braid_closure, classical_fixtures, corpus_twisted, twisted_fixtures
 from reference import assemble_from_table, bracket_of, count_table, double_of
 
@@ -153,7 +153,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
                 in_job.pop()
             return out
 
-    build_surface = brackets._surface
+    build_surface = brackets.realize
 
     def counted_surface(code):
         surfaces.append(bool(in_job))
@@ -162,7 +162,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     code = parse_code("O1- U2- O3- U1- O2- U3-\nO4+ U5+ O6+ U4+ O5+ U6+")
     expect = double_bracket(code, workers=1)
     monkeypatch.setattr(brackets, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(brackets, "_surface", counted_surface)
+    monkeypatch.setattr(brackets, "realize", counted_surface)
     for cpus, pool_size in ((2, 2), (None, 1), (64, 8)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sizes.clear()
@@ -184,8 +184,8 @@ def test_bracket_pair_matches_both_brackets():
     for text in ("EMPTY", "B", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
         code = parse_code(text)
         expect = (surface_pole_bracket(code), double_bracket(code))
-        assert bracket_pair(_full_sum(cap_boundaries(build_ribbon(code)))) == expect
-        F = cap_boundaries(build_ribbon(code))
+        assert bracket_pair(_full_sum(realize(code))) == expect
+        F = realize(code)
         for s in enumerate_states(F):
             classify_state(F, s)
         assert states._engine(F).cache
@@ -429,7 +429,7 @@ HIGH_GENUS = (
 def test_bracket_printers_match_reference_at_high_genus():
     # curve entries repeat across classes, and so do coefficients
     code = parse_code(HIGH_GENUS)
-    assert cap_boundaries(build_ribbon(code)).h1_dim >= 8
+    assert realize(code).h1_dim >= 8
     b = surface_pole_bracket(code)
     assert len(b.classes) >= 1000
     entries = [e for sig in b.classes for e in sig]

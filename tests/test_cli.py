@@ -297,11 +297,11 @@ def test_inline_code_wins_over_file_of_that_name(capsys, tmp_path, monkeypatch):
 def test_states_json_streams_the_same_bytes(capsys):
     from polebracket.codes import parse_code
     from polebracket.states import enumerate_states, state_report
-    from polebracket.surfaces import build_ribbon, cap_boundaries
+    from polebracket.surfaces import realize
 
     text = "O1- U2- O3- U1- O2- U3-"
     code = parse_code(text)
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     reports = [state_report(F, s) for s in enumerate_states(F)]
     assert len(reports) == 8
     rc, out, _ = run(capsys, "states", "-i", text, "--json")

@@ -1,12 +1,14 @@
 import collections
+import functools
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from polebracket.brackets import normalized
+from polebracket.brackets import normalized, surface_pole_bracket
 from polebracket.codes import Bar, parse_code, serialize, writhe
+from polebracket.laurent import MultiLaurent, minus_A_pow
 from polebracket.moves import (
     MoveError,
     MoveSpec,
@@ -18,7 +20,7 @@ from polebracket.moves import (
     t1_delete_sites,
     t3_sites,
 )
-from polebracket.surfaces import EmbeddedCurve, _dart_in, _dart_out, build_ribbon, cap_boundaries
+from polebracket.surfaces import ClosedSurface, EmbeddedCurve, _dart_in, _dart_out, build_ribbon
 from polebracket.verify import braid_closure
 
 
@@ -150,12 +152,12 @@ def test_r3_rejects_cyclic_over_pattern():
     assert r3_sites(code) == []
 
 
-def _move_circle(rs, pairs):
-    """The move circle of a bigon (two visit pairs) or a triangle (three):
-    it runs along the band of each adjacent visit pair, and crosses each
-    crossing disk on one chord, joining the two darts the pairs end at
-    there."""
-    kidx = {cid: k for k, cid in enumerate(rs.crossing_ids)}
+def _move_circle(rs, ids, pairs):
+    """The move circle of a bigon (two visit pairs) or a triangle (three) on
+    the ribbon of a code with crossing ids `ids`: it runs along the band of
+    each adjacent visit pair, and crosses each crossing disk on one chord,
+    joining the two darts the pairs end at there."""
+    kidx = {cid: k for k, cid in enumerate(ids)}
     ends = {}
     mask = 0
     for first, second in pairs:
@@ -210,10 +212,10 @@ def test_every_move_circle_runs_beside_a_cap_and_bounds_a_disk():
     codes = [c for _n, c in twisted_fixtures() + classical_fixtures()]
     for code in codes + corpus_twisted(7, 40) + corpus_classical(8, 120):
         rs = build_ribbon(code)
-        F = cap_boundaries(rs)
+        F = ClosedSurface(rs)
         for spec in _token_valid_r2_sites(code) + r3_sites(code):
             pairs = _site_pairs(code, spec.site)
-            circle = _move_circle(rs, pairs)
+            circle = _move_circle(rs, code.crossing_ids, pairs)
             assert F.bounds_disk(circle)
             assert circle.band_mask in F._cap_masks
             if spec.kind == "R2":
@@ -458,3 +460,103 @@ def test_r2_sweep_builds_its_inputs_surface_once(monkeypatch):
     # refuses a deletion that would change it
     with pytest.raises(MoveError, match="rewrite would change the realization surface"):
         apply_move(parse_code("U1+ U2- O1+ O2-"), MoveSpec("R2", "delete", (0, 0, 0, 2)))
+
+
+# -- the surface pole bracket under moves -------------------------------------
+#
+# `check` compares only R, which forgets every homology class and separation
+# flag.  Here the surface pole bracket itself is compared before and after
+# each move site.  The two surfaces number their homology bases
+# independently, so each signature is projected basis-free first.
+
+
+def _z2_rank(classes) -> int:
+    rows = {}
+    for v in classes:
+        while v and v.bit_length() in rows:
+            v ^= rows[v.bit_length()]
+        if v:
+            rows[v.bit_length()] = v
+    return len(rows)
+
+
+@functools.cache
+def _basis_free(sig) -> frozenset:
+    """The multiset, over every non-empty subset of a signature's curves, of
+    (the subset's sorted (index, mobius, separating) entries, the Z/2 rank
+    of its classes).  No change of homology basis moves it."""
+    curves = [((idx, mob, sep), int("".join(map(str, hom)) or "0", 2)) for idx, mob, sep, hom in sig]
+    out = collections.Counter()
+    for mask in range(1, 1 << len(curves)):
+        subset = [curve for i, curve in enumerate(curves) if mask >> i & 1]
+        out[tuple(sorted(e for e, _h in subset)), _z2_rank(h for _e, h in subset)] += 1
+    return frozenset(out.items())
+
+
+def _projected_bracket(code):
+    """The surface pole bracket times (-A)^(-3 writhe), its coefficients
+    summed by the `_basis_free` projection of their signatures; None when
+    the engine refuses a curve."""
+    shift = minus_A_pow(-3 * writhe(code))
+    try:
+        classes = surface_pole_bracket(code).classes
+    except AssertionError:
+        return None
+    out = collections.defaultdict(MultiLaurent)
+    for sig, coeff in classes.items():
+        out[_basis_free(sig)] += coeff * shift
+    return {key: value for key, value in out.items() if value}
+
+
+def _triangle_braids(rng, count):
+    """Braid closures of two triangles s_i s_j s_i (|i - j| = 1), on 3 or 4
+    strands: R3 sites."""
+    out = []
+    for _ in range(count):
+        strands = rng.randrange(3, 5)
+        word = []
+        for _ in range(2):
+            i = rng.randrange(1, strands - 1)
+            j = i + 1 if rng.randrange(2) else i
+            e = rng.choice((1, -1))
+            f = e if rng.random() < 0.7 else -e
+            word += [(j, e), (2 * i + 1 - j, f), (j, e)]
+        out.append(braid_closure(word, strands))
+    return out
+
+
+def _barred_kink_sums():
+    """Every connected sum of two barred kinks, each on RP^2, so the sum is
+    on a Klein bottle: T3 sites.  Half of them have a state curve of two
+    chords, the neck, that cuts the Klein bottle into two Mobius bands:
+    two-sided and class 0, yet it bounds no disk."""
+    kinks = [kink.format("{0}", sign) for kink in ("B O{0}{1} B U{0}{1}", "B U{0}{1} B O{0}{1}",
+                                                   "O{0}{1} B U{0}{1} B") for sign in "+-"]
+    return [parse_code(f"{a.format(1)} {b.format(2)}") for a, b in itertools.product(kinks, repeat=2)]
+
+
+def test_surface_pole_bracket_is_invariant_under_every_move_site():
+    from polebracket.verify import all_move_sites, classical_fixtures, corpus_twisted, twisted_fixtures
+
+    rng = random.Random(33)
+    codes = [code for _n, code in twisted_fixtures() + classical_fixtures()]
+    codes += [code for s in (1, 2, 3) for code in corpus_twisted(s, 60, 7)]
+    codes += _triangle_braids(rng, 24) + _barred_kink_sums()
+    kinds, failures = collections.Counter(), []
+    for code in codes:
+        before = _projected_bracket(code)
+        # equal ribbons have equal brackets and writhes, so each distinct
+        # moved ribbon is summed once
+        seen = {build_ribbon(code): before}
+        for spec in all_move_sites(code, rng):
+            kinds[spec.kind] += 1
+            moved = apply_move(code, spec)
+            ribbon = build_ribbon(moved)
+            if ribbon not in seen:
+                seen[ribbon] = _projected_bracket(moved)
+            if before is None or seen[ribbon] != before:
+                failures.append((serialize(code), spec))
+    assert not failures, f"{len(failures)} of {kinds.total()} moves: {failures[:3]}"
+    # every kind of move is met often: the braids give R3 sites (the corpora
+    # alone give 17), and the kink sums T3 sites
+    assert min(kinds.values()) >= 80 and len(kinds) == 7, kinds

@@ -56,7 +56,7 @@ from polebracket.states import (
     splice_curves,
 )
 from polebracket.surfaces import (
-    ClosedSurface, EmbeddedCurve, build_ribbon, cap_boundaries, cut_complex, regions,
+    ClosedSurface, EmbeddedCurve, cut_complex, realize, regions,
 )
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
 from reference import (
@@ -204,7 +204,7 @@ def ref_classify(F, curve, memo):
 
 def ref_brackets(code):
     """(double bracket, surface pole bracket), one term per state."""
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     eng = RefEngine(F)
     memo = {}
     c = F.ribbon.n_crossings
@@ -232,7 +232,7 @@ def ref_brackets(code):
 
 
 def assert_states_match(code):
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     ref = RefEngine(F)
     memo = {}
     for mask in range(1 << F.ribbon.n_crossings):
@@ -284,7 +284,7 @@ def test_bounds_disk_matches_cut_reference():
               for (seed, c, bars, k) in ((3, 8, 0, 1), (2, 8, 0, 3), (3, 8, 2, 1), (1, 7, 2, 2))]
     verdicts = {True: 0, False: 0}    # of curves that reach the handle count
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         eng = RefEngine(F)
         memo = {}
         for mask in range(1 << F.ribbon.n_crossings):
@@ -313,7 +313,7 @@ def test_bounds_disk_is_two_sided_class_zero_on_small_pieces():
     codes += [code for seed in (1, 2, 3) for code in corpus_twisted(seed, 60, 5)]
     verdicts = Counter()
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         eng = RefEngine(F)
         for mask in range(1 << F.ribbon.n_crossings):
             for (chords, bmask, fpar, *_rest) in eng.trace(mask):
@@ -333,7 +333,7 @@ def test_separating_curve_of_a_klein_bottle_bounds_no_disk():
     # curve between them is two-sided with class 0 (twice a core), and
     # neither side is a disk
     code = parse_code("B O1- O2- B U1- U2-")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     assert [(p.orientable, p.euler) for p in F.pieces] == [(False, 0)]
     chords = ((0, 3), (1, 2), (4, 7), (5, 6))
     curves = [c for c in RefEngine(F).trace(3) if c[0] == chords]
@@ -354,7 +354,7 @@ def test_regions_match_cut_reference():
     codes += [code for _name, code in classical_fixtures()]
     families = 0
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         seen = set()
         for s in enumerate_states(F):
             for k in (len(s.curves), 1, max(1, len(s.curves) // 2)):
@@ -391,7 +391,7 @@ def _cut_pole_regions(F, walked, dart=None):
 def assert_pole_regions_match_cut(code):
     # the cap union gives, state by state, the regions of the cut: as many,
     # with the same (I, O) pole counts
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     pairs = zip(pole_regions(F), _cut_pole_regions(F, F), strict=True)
     for s, (got, ref) in enumerate(pairs):
         assert Counter(got) == ref, (serialize(code), s)
@@ -439,12 +439,12 @@ def test_swapped_pole_kinds_unbalance_the_same_states():
     codes = corpus_twisted(7, 40) + [c for _n, c in twisted_fixtures() + classical_fixtures()]
     unbalanced = 0
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         if not F.ribbon.n_crossings:
             continue
         assert check_pole_balance(F) == []
         rs, dart = _swap_in_and_out(F.ribbon, 0)
-        G = cap_boundaries(rs)
+        G = ClosedSurface(rs)
         got = {s for s, _i, _o in check_pole_balance(G)}
         ref = {s for s, regs in enumerate(_cut_pole_regions(G, F, dart))
                if any(i != o for i, o in regs.elements())}
@@ -459,7 +459,7 @@ def test_band_class_table_matches_homology_class():
     codes = corpus_twisted(3, 60) + [random_diagram(1, 12, 3)]
     curves = 0
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         eng = RefEngine(F)
         for mask in range(1 << F.ribbon.n_crossings):
             for (_chords, bmask, *_rest) in eng.trace(mask):
@@ -470,7 +470,7 @@ def test_band_class_table_matches_homology_class():
                 assert tuple((h >> i) & 1 for i in range(F.h1_dim)) == F.homology_class(bmask)
                 curves += 1
     assert curves > 19000, curves
-    F = cap_boundaries(build_ribbon(parse_code("O1+ O2+ U1+ U2+")))
+    F = realize(parse_code("O1+ O2+ U1+ U2+"))
     bi = next(i for i, (u, v, _f) in enumerate(F.ribbon.bands)
               if F.ribbon.disk_of[u] != F.ribbon.disk_of[v])
     with pytest.raises(ValueError, match="not a cycle"):
@@ -484,7 +484,7 @@ def test_chord_mask_keys_are_injective():
     # that the reference engine traces, and each key reads back as its tuple
     codes = [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40)
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         n = 1 << F.ribbon.n_crossings
         states.sum_counts(F, 0, n)
         eng = states._engine(F)
@@ -518,7 +518,7 @@ def test_closings_reach_every_branch(monkeypatch):
     verdicts = Counter()
     carried = 0
     for code in [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40):
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         tested.clear()
         states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
         eng = states._engine(F)
@@ -551,7 +551,7 @@ MALFORMED = [
     ids=["unsplit-band", "non-adjacent", "overlap", "three-chords", "bare-loop-two-chords"],
 )
 def test_regions_reject_malformed_chords_like_the_cut(text, chords, mask, message):
-    F = cap_boundaries(build_ribbon(parse_code(text)))
+    F = realize(parse_code(text))
     curves = [EmbeddedCurve(chords, mask, 0)]
     with pytest.raises(ValueError, match=message):
         regions(F, curves)
@@ -580,7 +580,7 @@ def test_states_match_reference(code):
 
 def ref_state_keys(code):
     """Per mask, the `sum_counts` key of its state, from the reference."""
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     eng = RefEngine(F)
     memo = {}
     c = F.ribbon.n_crossings
@@ -605,7 +605,7 @@ def assert_ranges_merge(code, a, b, keys):
     merged = Counter()
     added = None
     for lo, hi in ((0, a), (a, b), (b, n)):
-        part = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
+        part = states.sum_counts(realize(code), lo, hi)
         if lo == hi:
             assert part.counts == {}
         merged.update(by_signature(part))
@@ -613,7 +613,7 @@ def assert_ranges_merge(code, a, b, keys):
             added = part
         else:
             added.add(part)
-    full = by_signature(states.sum_counts(cap_boundaries(build_ribbon(code)), 0, n))
+    full = by_signature(states.sum_counts(realize(code), 0, n))
     assert merged == full == by_signature(added) == Counter(keys), (serialize(code), a, b)
     assert len(added.sigs) == len(set(added.sigs))
 
@@ -627,7 +627,7 @@ def test_fixture_ranges_match_reference(text):
     for a in range(n + 1):
         for b in range(a, n + 1):
             assert_ranges_merge(code, a, b, keys)
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     for m in range(n):
         assert by_signature(states.sum_counts(F, m, m + 1)) == {keys[m]: 1}
     for lo, hi in ((-1, n), (0, n + 1)):
@@ -647,7 +647,7 @@ def test_ranges_match_reference(code, data):
     b = data.draw(st.integers(min_value=a, max_value=n))
     assert_ranges_merge(code, a, b, keys)
     m = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert by_signature(states.sum_counts(cap_boundaries(build_ribbon(code)), m, m + 1)) == {keys[m]: 1}
+    assert by_signature(states.sum_counts(realize(code), m, m + 1)) == {keys[m]: 1}
 
 
 # (code, kinks the engine folds): both bands of one crossing are loops; a
@@ -664,10 +664,10 @@ def test_fold_matches_reference(text, kinks):
     # counts of its states, whether its blocks fold a kink bit or trace it
     code = parse_code(text)
     keys = ref_state_keys(code)
-    assert len(states._engine(cap_boundaries(build_ribbon(code))).kinks) == kinks
+    assert len(states._engine(realize(code)).kinks) == kinks
     for lo in range(len(keys) + 1):
         for hi in range(lo, len(keys) + 1):
-            got = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
+            got = states.sum_counts(realize(code), lo, hi)
             assert by_signature(got) == Counter(keys[lo:hi]), (text, lo, hi)
 
 
@@ -676,13 +676,13 @@ def test_fold_premise_is_checked():
     # off the corner that the band's side returns to, its two darts
     # adjacent in the surface's corner order, so that the circle runs beside
     # a one-corner cap; the engine refuses to fold when either fails
-    F = cap_boundaries(build_ribbon(parse_code("O1+ U1+")))
+    F = realize(parse_code("O1+ U1+"))
     F.band_class = (1,) * len(F.band_class)
     with pytest.raises(AssertionError, match="loop band has a class"):
         states._Engine(F)
     # the loop band joins darts 2 and 1; a corner order 0, 2, 3, 1 puts
     # them apart
-    F = cap_boundaries(build_ribbon(parse_code("O1+ U1+")))
+    F = realize(parse_code("O1+ U1+"))
     order = (0, 2, 3, 1)
     F._pred = [order[order.index(d) - 1] for d in range(4)]
     with pytest.raises(AssertionError, match="circle bounds no disk"):
@@ -705,7 +705,7 @@ def folded_circles(F):
 def assert_folded_circles_bound_disks(code):
     # the premise the engine checks from the corner order alone, checked
     # by the disk test and by the cut
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     circles = folded_circles(F)
     for curve in circles:
         assert F.bounds_disk(curve), serialize(code)
@@ -743,12 +743,12 @@ def test_fold_matches_reference_random(code, data):
     # an inserted kink is folded, unless a later one splits it, and then
     # the inner one is
     keys = ref_state_keys(code)
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     assert states._engine(F).kinks, serialize(code)
     assert by_signature(states.sum_counts(F, 0, len(keys))) == Counter(keys), serialize(code)
     lo = data.draw(st.integers(min_value=0, max_value=len(keys)))
     hi = data.draw(st.integers(min_value=lo, max_value=len(keys)))
-    got = states.sum_counts(cap_boundaries(build_ribbon(code)), lo, hi)
+    got = states.sum_counts(realize(code), lo, hi)
     assert by_signature(got) == Counter(keys[lo:hi]), (serialize(code), lo, hi)
 
 
@@ -764,7 +764,7 @@ def assert_alternation_check_matches(code):
     # walker, which runs for every curve of `splice_curves` and, in
     # `sum_counts`, for every chord set its cache has not seen: a fresh
     # engine per mask walks every curve of the state
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     c = F.ribbon.n_crossings
     base = RefEngine(F)
     for bit in (0, 1):
@@ -812,7 +812,7 @@ def assert_sums_without_walk(code):
     keys = ref_state_keys(code)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(states._Engine, "walk", _no_walk)
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         assert by_signature(states.sum_counts(F, 0, len(keys))) == Counter(keys), serialize(code)
         for m, key in enumerate(keys):
             F._state_engine = states._Engine(F)
@@ -844,7 +844,7 @@ def test_reference_cases_reach_every_arc_rule():
     codes = [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40)
     seen = Counter()
     for code in codes:
-        F = cap_boundaries(build_ribbon(code))
+        F = realize(code)
         eng = RefEngine(F)
         for mask in range(1 << F.ribbon.n_crossings):
             for (_chords, _bmask, fpar, word, *_rest) in eng.trace(mask):
@@ -867,7 +867,7 @@ def kind_check_raisers(code):
     makes the one pair across it fail.  Every block of every size must
     raise; `splice_curves` must raise too.
     Returns the names of the engine functions that raised."""
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     c = F.ribbon.n_crossings
     base = RefEngine(F)
     where = set()
@@ -907,7 +907,7 @@ def test_count_check_sees_a_lost_band():
     # a closed curve alternates chord and band; drop one band's bit from the
     # open path it starts as, and a curve through it fails the per-miss check
     code = parse_code("O1- U2- O3- U1- O2- U3-\nB B")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     for d in range(F.ribbon.total_darts):
         eng = states._Engine(F)
         eng.band_key[d] = eng.band_key[eng.band_other[d]] = 0
@@ -921,7 +921,7 @@ def test_class_check_sees_a_lost_band_class():
     # curve whose carried class then reads 0 takes the disk test, which
     # reads the class off its band mask and refuses it
     code = parse_code("B O1+ B U1+")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     for d in range(F.ribbon.total_darts):
         eng = states._Engine(F)
         assert eng.band_hc[d]
@@ -957,7 +957,7 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
     # count table gives both one signature id, merges their counts, and
     # equals the reference's decoded table
     code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     eng = states._Engine(F)
     c = F.ribbon.n_crossings
     raw = eng.block(0, c)
@@ -990,21 +990,21 @@ def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
     monkeypatch.setattr(states, "_ID_LIMIT", 2)
     code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
     with pytest.raises(AssertionError, match="too many curve classes"):
-        states.sum_counts(cap_boundaries(build_ribbon(code)), 0, 1 << 5)
+        states.sum_counts(realize(code), 0, 1 << 5)
     # on the torus every essential curve has a nonzero class, so its
     # classes all arrive through the paths, and none takes the disk test
     code = parse_code("O1+ O2+ U1+ U2+")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     with pytest.raises(AssertionError, match="too many curve classes") as err:
         states.sum_counts(F, 0, 1 << 2)
     assert err.traceback[-2].name == "entry" and not states._engine(F).cache
     # here the second essential class is a two-sided class-0 curve that
     # bounds no disk, found by a miss's disk test
-    F3 = cap_boundaries(build_ribbon(parse_code("U1- B O1- O2+ O3+ B U2+ U3+ B")))
+    F3 = realize(parse_code("U1- B O1- O2+ O3+ B U2+ U3+ B"))
     with pytest.raises(AssertionError, match="too many curve classes") as err:
         states.sum_counts(F3, 0, 1 << 3)
     assert [e.name for e in err.traceback[-3:-1]] == ["entry", "classify"]
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     with pytest.raises(AssertionError, match="too many curve classes") as err:
         for s in enumerate_states(F):
             classify_state(F, s)
@@ -1029,7 +1029,7 @@ def test_last_splice_must_leave_no_path_open():
     # whichever choice of crossing 0 a block takes, and at every block
     # size, the last level finds a path its chords leave open and raises
     for text in ("O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
-        F = cap_boundaries(build_ribbon(parse_code(text)))
+        F = realize(parse_code(text))
         c = F.ribbon.n_crossings
         for k in range(c + 1):
             for lo in range(0, 1 << c, 1 << k):
@@ -1047,7 +1047,7 @@ def test_swapped_kind_at_the_last_crossing_raises():
     for text in ("O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
                  "O1- U2- O3- U1- O2- U3-\nB B",
                  "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"):
-        F = cap_boundaries(build_ribbon(parse_code(text)))
+        F = realize(parse_code(text))
         c = F.ribbon.n_crossings
         for bit in (0, 1):
             for a in range(4):
@@ -1113,7 +1113,7 @@ def assert_table_matches_reference(code):
     # reference, give the signature-keyed table; the count table, its
     # brackets, R and its non-separation count must match what the
     # reference reads off it, at 1, 2 and 3 workers
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     eng = states._Engine(F)
     ref = decode(eng, eng.block(0, F.ribbon.n_crossings))
     bracket, double = bracket_of(ref), double_of(ref)

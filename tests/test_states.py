@@ -17,17 +17,13 @@ from polebracket.states import (
     state_report,
     sum_counts,
 )
-from polebracket.surfaces import build_ribbon, cap_boundaries
+from polebracket.surfaces import realize
 from reference import count_table, nonseparation_of
-
-
-def _surface(code):
-    return cap_boundaries(build_ribbon(code))
 
 
 def test_state_count_is_two_to_the_crossings():
     code = parse_code("O1- U2- O3- U1- O2- U3-")
-    F = _surface(code)
+    F = realize(code)
     states = list(enumerate_states(F))
     assert len(states) == 8
     assert sorted({s.natural for s in states}) == [-3, -1, 1, 3]
@@ -35,7 +31,7 @@ def test_state_count_is_two_to_the_crossings():
 
 def test_natural_tracks_splice_mask():
     code = parse_code("O1+ U2+ U1+ O2+")
-    F = _surface(code)
+    F = realize(code)
     for mask in range(4):
         s = splice_curves(F, mask)
         assert s.natural == 2 - 2 * bin(mask).count("1")
@@ -43,7 +39,7 @@ def test_natural_tracks_splice_mask():
 
 def test_kink_states_on_sphere():
     code = parse_code("O1+ U1+")
-    F = _surface(code)
+    F = realize(code)
     a = splice_curves(F, 0)   # coherent: two circles
     b = splice_curves(F, 1)   # incoherent: one circle, two poles
     cls_a = classify_state(F, a)
@@ -59,7 +55,7 @@ def test_kink_states_on_sphere():
 
 def test_virtual_trefoil_has_index_one_curve():
     code = parse_code("O1+ O2+ U1+ U2+")
-    F = _surface(code)
+    F = realize(code)
     found = set()
     for s in enumerate_states(F):
         for cl in classify_state(F, s):
@@ -69,7 +65,7 @@ def test_virtual_trefoil_has_index_one_curve():
 
 def test_one_bar_loop_state_is_mobius():
     code = parse_code("B")
-    F = _surface(code)
+    F = realize(code)
     s = splice_curves(F, 0)
     cls = classify_state(F, s)
     iness = sum(cl.inessential for cl in cls)
@@ -81,14 +77,14 @@ def test_one_bar_loop_state_is_mobius():
 def test_structure_checks_clean_on_fixtures():
     for text in ("EMPTY", "O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-"):
         code = parse_code(text)
-        F = _surface(code)
+        F = realize(code)
         assert check_nonseparation(sum_counts(F, 0, 1 << F.ribbon.n_crossings)) == 0
         assert check_pole_balance(F) == []
 
 
 def test_state_report_shape():
     code = parse_code("O1+ U1+")
-    F = _surface(code)
+    F = realize(code)
     rep = state_report(F, splice_curves(F, 1))
     assert rep["mask"] == 1 and rep["natural"] == -1
     assert len(rep["curves"]) == 1
@@ -99,7 +95,7 @@ def test_state_report_shape():
 def test_pole_balance_random_sample():
     for seed in range(8):
         code = random_diagram(seed, 4, 2)
-        assert check_pole_balance(_surface(code)) == []
+        assert check_pole_balance(realize(code)) == []
 
 
 def test_class_table_unpacks_every_homology_bit():
@@ -149,7 +145,7 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
     # that pole still bounds a disk, now with a positive index, and both the
     # state sum and the walker must raise.  Unflipped, neither does
     code = parse_code("O1- U2- O3- U1- O2- U3-")
-    F = _surface(code)
+    F = realize(code)
     assert check_nonseparation(sum_counts(F, 0, 8)) == 0
     for s in enumerate_states(F):
         classify_state(F, s)
@@ -178,7 +174,7 @@ def test_engine_refuses_a_separating_essential_curve_of_positive_index():
     # the surface into two tori: no disk, but it separates, so both the
     # state sum and the walker must raise.  Unflipped, neither does
     code = parse_code("U2- O4+ U3- O2- O6- U5- U1+ U4+ O3- B B O1+ O5- U6-")
-    F = _surface(code)
+    F = realize(code)
     assert check_nonseparation(sum_counts(F, 0, 64)) == 0
     for s in enumerate_states(F):
         classify_state(F, s)
@@ -289,7 +285,7 @@ def test_walker_builds_no_geometry(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(_Engine, "chords_of", _no_chords)
         for code in [code for _n, code in fixtures] + verify.corpus_twisted(7, 40):
-            F = _surface(code)
+            F = realize(code)
             walked.append((F, [splice_curves(F, m) for m in range(1 << F.ribbon.n_crossings)]))
     assert sum(len(ss) for _F, ss in walked) > 1000
     for F, ss in walked:

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from polebracket.cells import PolygonComplex
 from polebracket.codes import parse_code, random_diagram
-from polebracket.surfaces import build_ribbon, cap_boundaries, regions, ribbon_faces
+from polebracket.surfaces import ClosedSurface, build_ribbon, realize, regions, ribbon_faces
 from reference import geometry
 
 
 def _report(text):
-    return cap_boundaries(build_ribbon(parse_code(text))).report()
+    return realize(parse_code(text)).report()
 
 
 def test_unknot_is_sphere():
@@ -72,7 +72,7 @@ def test_euler_formula(c, b, seed):
     # disks - bands: each crossing disk has 4 bands ends, free loop 1 band
     code = random_diagram(seed, c, b)
     rs = build_ribbon(code)
-    F = cap_boundaries(rs)
+    F = ClosedSurface(rs)
     chi_band = len(rs.rotations) - len(rs.bands)
     assert F.euler == chi_band + len(F._cap_masks)
     assert F.euler % 2 == 0 or not F.orientable
@@ -86,7 +86,7 @@ def test_euler_formula(c, b, seed):
 @settings(max_examples=40, deadline=None)
 def test_h1_rank_matches_classification(c, b, seed):
     code = random_diagram(seed, c, b)
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     expect = 0
     for p in F.pieces:
         expect += 2 * p.genus if p.orientable else p.crosscaps
@@ -109,7 +109,7 @@ def _assert_capped_complex_agrees(code):
     # closed surface, piece by piece.  Its 2-colouring of faces is the check
     # of the program's orientability, which reads w1 on fundamental cycles.
     rs = build_ribbon(code)
-    F = cap_boundaries(rs)
+    F = ClosedSurface(rs)
     circles = PolygonComplex(ribbon_faces(rs)).boundary_circles()
     assert len(circles) == len(F._cap_masks) == len(F._cap_corner)
     assert sorted(_cap_band_mask(c) for c in circles) == sorted(F._cap_masks)
@@ -145,7 +145,7 @@ def test_large_surface_report_scales():
     # scan of the code per crossing) takes minutes here
     for c in (500, 3000):
         start = time.perf_counter()
-        rep = cap_boundaries(build_ribbon(random_diagram(1, c, 10))).report()
+        rep = realize(random_diagram(1, c, 10)).report()
         assert time.perf_counter() - start < 30
         assert rep["h1_rank"] == 2 * len(rep["pieces"]) - rep["euler"]
 
@@ -153,7 +153,7 @@ def test_large_surface_report_scales():
 def test_regions_of_unknot_state():
     # a single inessential curve on the sphere has two disk regions
     code = parse_code("EMPTY")
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     from polebracket.states import splice_curves
 
     s = splice_curves(F, 0)
@@ -168,7 +168,7 @@ def test_disk_test_rejects_a_chord_across_a_crossing_disk():
     from polebracket.surfaces import EmbeddedCurve
 
     code = random_diagram(3, 8, 0, components=1)
-    F = cap_boundaries(build_ribbon(code))
+    F = realize(code)
     assert F.pieces[0].euler != 2
     curve = next(
         g
