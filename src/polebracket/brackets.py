@@ -13,13 +13,15 @@ int keys pack a signature id, the inessential count and the B-splice
 count, beside the list of distinct signatures; the double bracket
 collapses its signatures instead of running a second sum.  One routine,
 `_fold`, makes one pass over the int keys and adds each key's count times
-a row of binomial coefficients (delta^n, expanded once) into an
+a row of binomial coefficients (delta^n, expanded once per process) into an
 {A-exponent: int} table per label, and each bracket is a choice of label
 per signature id: the signature itself, or its (M, d) part (the double
 bracket), so each distinct signature is hashed or collapsed once.  The
 bracket's tables become A-only polynomials in one pass
 (`laurent.a_polys`), and `BracketValue.to_text` formats each distinct
-curve entry and each distinct coefficient once.  State evaluation
+curve entry and each distinct coefficient once.  The sums here fold R2
+bigons (see `states`): their tables hold fewer states than `check`'s, but
+every polynomial is the same.  State evaluation
 partitions the splice bitmask range across processes when asked; each
 worker returns its count table, whose signature ids are its own, and the
 parent re-keys them by signature and adds the counts exactly, so worker
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from math import comb
 from operator import itemgetter
 
 from .codes import TwistedGaussCode, writhe
 from .laurent import MultiLaurent, _a_poly_text, a_polys
 from .states import CountTable, sum_counts
-from .surfaces import realize
+from .surfaces import ClosedSurface, RibbonComplex, realize
 
 Signature = tuple  # sorted per-curve tuples (index, mobius, separating, hom)
 
@@ -119,13 +122,13 @@ class _PolyText(dict):
 
 def _worker_counts(args):
     code, lo, hi = args
-    return sum_counts(realize(code), lo, hi)
+    return sum_counts(realize(code), lo, hi, True)
 
 
 def _counts(code: TwistedGaussCode, workers: int = 1) -> CountTable:
     total = 1 << len(code.crossing_ids)
     if workers <= 1 or total < 4 * workers:
-        return sum_counts(realize(code), 0, total)
+        return sum_counts(realize(code), 0, total, True)
     # the workers build their own surfaces; the parent needs none
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(code, bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -140,13 +143,11 @@ def _counts(code: TwistedGaussCode, workers: int = 1) -> CountTable:
     return table
 
 
-def _delta_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """rows[k] is delta^k = (-1)^k Sum_j C(k, j) A^(2k - 4j), as (exponent,
-    coefficient) pairs, for k = 0 .. n."""
-    return [
-        tuple((2 * k - 4 * j, -comb(k, j) if k & 1 else comb(k, j)) for j in range(k + 1))
-        for k in range(n + 1)
-    ]
+@cache
+def _delta_row(k: int) -> tuple[tuple[int, int], ...]:
+    """delta^k = (-1)^k Sum_j C(k, j) A^(2k - 4j), as (exponent, coefficient)
+    pairs; each row is expanded once per process."""
+    return tuple((2 * k - 4 * j, -comb(k, j) if k & 1 else comb(k, j)) for j in range(k + 1))
 
 
 def _fold(table: CountTable, labels: list) -> dict:
@@ -159,7 +160,7 @@ def _fold(table: CountTable, labels: list) -> dict:
     by_sig = [tables.setdefault(label, {}) for label in labels]
     counts, c, pb, sh = table.counts, table.c, table.pc_bits, table.shift
     pc_mask, iness_mask = (1 << pb) - 1, (1 << (sh - pb)) - 1
-    rows = _delta_rows(max((key >> pb & iness_mask for key in counts), default=0))
+    rows = list(map(_delta_row, range(max((key >> pb & iness_mask for key in counts), default=0) + 1)))
     for key, count in counts.items():
         t = by_sig[key >> sh]
         nat = c - 2 * (key & pc_mask)
@@ -230,3 +231,10 @@ def writhe_normalize(code: TwistedGaussCode, double: MultiLaurent) -> MultiLaure
 def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
     return writhe_normalize(code, double_bracket(code, workers))
 
+
+def ribbon_normalized(code: TwistedGaussCode, ribbon: RibbonComplex) -> MultiLaurent:
+    """`normalized(code)`, summed from `ribbon`, the code's own
+    `build_ribbon`, in one process: the move sweep keys each moved diagram
+    by its ribbon, so it has the ribbon already."""
+    table = sum_counts(ClosedSurface(ribbon), 0, 1 << ribbon.n_crossings, True)
+    return writhe_normalize(code, _double_from_counts(table))

@@ -137,10 +137,16 @@ def _guard(code, args, err):
         cost = ("25-79 us per state (c = 12 to 16), printed as it goes;"
                 " peak memory was 19-26 MB")
     else:
-        # the sum traces only the through splice of each R1 kink it folds
-        kinks = len(_engine(realize(code)).kinks)
-        bits, per_s = c - kinks, 6e-6
-        folded = f" less {kinks} R1 kinks summed in closed form" if kinks else ""
+        # the sum traces only the through splices of each R1 kink and R2
+        # bigon it folds; a kink on a bigon's crossing folds with the bigon
+        eng = _engine(realize(code))
+        pairs = len(eng.bigons)
+        paired = {i for x, _tx, y, _ty in eng.bigons for i in (x, y)}
+        kinks = len(eng.kinks.keys() - paired)
+        bits, per_s = c - kinks - 2 * pairs, 6e-6
+        parts = [f"{kinks} R1 kinks summed in closed form"] * bool(kinks)
+        parts += [f"{pairs} R2 bigons traced on their through splices"] * bool(pairs)
+        folded = f" less {' and '.join(parts)}" if parts else ""
         cost = ("4-6 us per traced state (c = 16 to 20); peak memory was"
                 " 22-24 MB at c = 16, 24-35 MB at c = 18 and 41-64 MB at c = 20")
     if bits > args.max_crossings:

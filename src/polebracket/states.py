@@ -58,6 +58,24 @@ its own, which is its result where it folds no kink, and spreads it over
 the loop-off states at its end where it does.  The count table is the same
 for every range.
 
+R2 bigons are folded too, when a sum's caller asks (Kauffman, same paper;
+the source paper's R2 invariance).  A bigon is two unflipped bands that
+join crossing disks x != y, one over at both ends and one under at both,
+at crossings of opposite signs, and that bound one cap with exactly two
+corners, whose opposite corners at x and y lie on different caps, as an R2
+deletion that keeps the surface needs.  Of the four splice pairs at x and
+y, the through pair lets both strands pass; the other three turn them
+back, with naturals n and n - 4 and k disk circles, and n - 2 with k + 1,
+and one signature, so they add up to A^(n-2) delta^k (A^2 + A^-2 + delta)
+= 0.  `block` traces only the through pair of a bigon whose two bits it is
+free to choose, and counts nothing for the other three.  A kink on a
+bigon's crossing has the bigon's through choice as its own, and the bigon
+takes precedence: it is not spread in such a block.  A bigon with a fixed
+bit is traced as it stands, and a kink on it folds as a kink.  The table
+then holds fewer states, but every polynomial read off it is the same, so
+`sum_counts` folds bigons only where its caller asks; `check`, which counts
+the states it checks and reads each entry, does not.
+
 The sum counts with ints.  Each class of essential curve has a small int
 id, and the essential curves closed so far are one node of a trie of
 such ids: closing a curve moves to a child node by one dict lookup.  A
@@ -261,7 +279,8 @@ class _Engine:
     `block` carries the essential curves closed so far as a node of `trie`
     and counts states under int leaf keys; `table` turns those into the
     count table.  `kinks` maps each crossing that has an R1 kink to its
-    loop-off bit (see the module docstring).
+    loop-off bit, and `bigons` lists disjoint R2 bigons as (x, through bit,
+    y, through bit) (see the module docstring).
     """
 
     def __init__(self, F: ClosedSurface):
@@ -341,6 +360,39 @@ class _Engine:
             if tau[off][u] != v or not (pred[v] == u or pred[u] == v):
                 raise AssertionError("a kink's loop-off circle bounds no disk")
             self.kinks[i] = off
+        # R2 bigons, on disjoint pairs of crossing disks x != y, as (x, its
+        # through bit, y, its through bit).  An unflipped band (u, v) over at
+        # both ends and an unflipped band under at both ends, from a dart w
+        # beside u, join x and y, whose signs are opposite.  They bound one
+        # cap with exactly two corners: the corner at x lies between d and
+        # e = succ d, {d, e} = {u, w}, and its sides run along the bands at d
+        # and e to the corners pred(other d) and other e, so the cap closes
+        # after two corners iff those are one.  The corners opposite it at x
+        # and y, succ e and succ(other d), must lie on different caps, or an
+        # R2 deletion would change the surface (the torus look-alike
+        # U1+ U2- O1+ O2-).  Around a two-corner cap the over-and-under test
+        # and the sign test agree, so an alternating bigon fails both.  A
+        # disk's through bit is the one whose chords leave its bigon corner
+        # whole
+        self.bigons: list[tuple[int, int, int, int]] = []
+        rot = rs.rotations
+        band_at = rs.band_at
+        forest = F._corner_forest
+        taken: set[int] = set()
+        for u, v, flip in rs.bands:
+            x, y = u >> 2, v >> 2
+            if (flip or (u | v) & 1 or x == y or x in taken or y in taken
+                    or not (rot[x][1] ^ rot[y][1]) & 2):
+                continue
+            for d, e in ((u, succ[u]), (pred[u], u)):
+                w2, wflip, _b = band_at[e if d == u else d]
+                d2, e2 = band_at[d][0], band_at[e][0]
+                if (wflip or not w2 & 1 or w2 >> 2 != y or succ[e2] != d2
+                        or _find(forest, succ[e]) == _find(forest, succ[d2])):
+                    continue
+                self.bigons.append((x, int(tau[1][d] != e), y, int(tau[1][e2] != d2)))
+                taken.update((x, y))
+                break
 
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
@@ -451,9 +503,10 @@ class _Engine:
         )
         return items, tuple(pole(0, d) for d in range(c4, len(step[0])) if d < step[0][d][0])
 
-    def block(self, base: int, k: int) -> dict:
+    def block(self, base: int, k: int, fold: bool) -> dict:
         """The 2^k states from `base` (a multiple of 2^k), counted under
-        leaf keys.
+        leaf keys; with `fold`, the turned-back states of each R2 bigon whose
+        two bits are free are left out, because they sum to zero.
 
         The bands start as open paths, and each open path carries, at each
         of its ends d: `end[d]`, the other end; `hc[d]`, its homology class
@@ -465,6 +518,9 @@ class _Engine:
         first, 0 before 1, so the states come in increasing order.  A fixed
         bit k .. c-1 is a depth with the one choice that `base` makes, and a
         free bit of a kink (`kinks`) a depth with its through choice only.
+        With `fold`, so are the two bits of a bigon (`bigons`) when both are
+        free, and a kink on one of them is then not spread; a bigon with a
+        fixed bit is traced as it stands.
 
         A chord (a, b) whose darts end one path closes a curve, once for
         every state below.  The closing (`entry`, given the values at a and
@@ -510,9 +566,16 @@ class _Engine:
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
         items, loops = self._items()
         choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
+        paired = set()
+        if fold:
+            for x, tx, y, ty in self.bigons:
+                if x < k and y < k:
+                    choices[x] = (items[x][tx],)
+                    choices[y] = (items[y][ty],)
+                    paired.update((x, y))
         folded = []
         for i, off in self.kinks.items():
-            if i < k:
+            if i < k and i not in paired:
                 choices[i] = (items[i][1 - off],)
                 folded.append(off)
         leaves: dict = {}
@@ -900,7 +963,7 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
     }
 
 
-def sum_counts(F: ClosedSurface, lo: int, hi: int) -> CountTable:
+def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool) -> CountTable:
     """Count the states of a bitmask range by everything the brackets need:
     per signature (the sorted per-essential-curve tuple (index, mobius,
     separating, hom_class)), natural and number of curves that bound disks,
@@ -912,8 +975,13 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> CountTable:
     among the k low bits is traced on its through splice alone, and its
     loop-off states are counted in closed form; a kink among the fixed high
     bits is traced as it stands.  Either way every state of the range is
-    counted once.  The blocks count under int leaf keys, which
-    `_Engine.table` turns into the count table once, at the end."""
+    counted once.  With `fold`, an R2 bigon whose two bits are both among
+    the k low bits is traced on its through pair alone, and its turned-back
+    states, which sum to zero, are not counted: every polynomial the
+    brackets read off the table is the same, but the table is not, so a
+    caller that counts states or reads each one passes False.  The blocks
+    count under int leaf keys, which `_Engine.table` turns into the count
+    table once, at the end."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
     if lo < 0 or hi > 1 << c:
@@ -923,7 +991,7 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int) -> CountTable:
         k = (lo & -lo).bit_length() - 1 if lo else c
         while lo + (1 << k) > hi:
             k -= 1
-        part = eng.block(lo, k)
+        part = eng.block(lo, k, fold)
         if raw:
             for key, n in part.items():
                 raw[key] = raw.get(key, 0) + n

@@ -31,9 +31,8 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cache
 from itertools import islice
-from operator import itemgetter
 
-from polebracket.brackets import BracketValue, _collapse, _delta_rows
+from polebracket.brackets import BracketValue, _collapse, _delta_row
 from polebracket.laurent import MultiLaurent, a_polys
 from polebracket.polewords import MARK, Word, make_word
 from polebracket.states import _ID_BITS, CountTable, PoleCurve, _engine
@@ -228,13 +227,12 @@ def fold(counts: dict, label=None) -> dict:
     """Per label, Sum count * A^nat * delta^iness over a count table
     {(key, nat, iness): count}, the label of a key being label(key), or the
     key itself: one {A-exponent: int} table per label."""
-    rows = _delta_rows(max(map(itemgetter(2), counts), default=0))
     tables: dict = {}
     for (key, nat, iness), count in counts.items():
         if label:
             key = label(key)
         table = tables.setdefault(key, {})
-        for e, c in rows[iness]:
+        for e, c in _delta_row(iness):
             a = nat + e
             table[a] = table.get(a, 0) + c * count
     return tables

@@ -20,6 +20,7 @@ from polebracket import cli, verify
 from polebracket.brackets import (
     double_bracket,
     normalized,
+    ribbon_normalized,
     specialize_bracket,
     surface_pole_bracket,
 )
@@ -93,7 +94,7 @@ def _move_sweep(corpus, doubles, seed=SEED):
     rng = random.Random(seed)
     checked, failures = 0, []
     for code, double in zip(corpus, doubles):
-        n, bad = move_invariance(code, double, rng)
+        n, bad = move_invariance(code, build_ribbon(code), double, rng)
         checked += n
         failures += bad
     return checked, failures
@@ -144,7 +145,8 @@ def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
     checked, failures, ribbons = _site_by_site(corpus)
     doubles = [double_bracket(code) for code in corpus]
     summed = []
-    monkeypatch.setattr(verify, "normalized", lambda code: summed.append(code) or normalized(code))
+    monkeypatch.setattr(verify, "ribbon_normalized",
+                        lambda code, ribbon: summed.append(code) or ribbon_normalized(code, ribbon))
     assert _move_sweep(corpus, doubles) == (checked, failures)
     assert len(summed) == sum(map(len, ribbons)) > 0
     assert [build_ribbon(code) for code in summed] == [r for per in ribbons for r in per]
@@ -172,7 +174,8 @@ def test_move_sweep_sums_no_T1_or_T2_site(monkeypatch):
         summed_at.clear()
         with monkeypatch.context() as m:
             m.setattr(verify, "apply_move", applying)
-            m.setattr(verify, "normalized", lambda code: summed_at.append(site[0]) or normalized(code))
+            m.setattr(verify, "ribbon_normalized",
+                      lambda code, ribbon: summed_at.append(site[0]) or ribbon_normalized(code, ribbon))
             assert _move_sweep(corpus, doubles, seed) == (checked, failures)
         assert len(summed_at) == sum(map(len, ribbons))
         assert not [spec for spec in summed_at if spec.kind in ("T1", "T2")]
@@ -183,7 +186,7 @@ def test_move_sweep_answers_each_site_by_its_own_ribbon(monkeypatch):
     # with a stand-in sum that returns the moved diagram's ribbon, a site
     # fails iff its ribbon differs from the diagram's: a memo keyed by
     # anything coarser than the ribbon passes a site it should fail
-    monkeypatch.setattr(verify, "normalized", build_ribbon)
+    monkeypatch.setattr(verify, "ribbon_normalized", lambda code, _ribbon: build_ribbon(code))
     for seed, count in _SWEEP_CORPORA:
         corpus = corpus_twisted(seed, count)
         rng = random.Random(seed)
@@ -244,13 +247,13 @@ def test_move_sweep_fails_each_site_whose_refused_ribbon_repeats(monkeypatch):
     spec = MoveSpec("R1+", "insert", (0, 1), 0)
     refused = []
 
-    def refusing(moved):
+    def refusing(moved, _ribbon):
         refused.append(moved)
         raise AssertionError("a curve of positive index separates")
 
     monkeypatch.setattr(verify, "all_move_sites", lambda _code, _rng: [spec, spec])
-    monkeypatch.setattr(verify, "normalized", refusing)
-    checked, failures = move_invariance(code, double_bracket(code), random.Random(SEED))
+    monkeypatch.setattr(verify, "ribbon_normalized", refusing)
+    checked, failures = move_invariance(code, build_ribbon(code), double_bracket(code), random.Random(SEED))
     assert (checked, failures) == (2, [(code, spec), (code, spec)])
     assert len(refused) == 2 and build_ribbon(refused[0]) == build_ribbon(refused[1])
 
@@ -261,13 +264,13 @@ def test_move_sweep_fails_a_site_whose_moved_sum_raises(monkeypatch, capsys):
     # no traceback
     refused = []
 
-    def refusing(code):
+    def refusing(code, ribbon):
         if len(code.crossing_ids) >= 3:
             refused.append(code)
             raise AssertionError("a curve of positive index separates")
-        return normalized(code)
+        return ribbon_normalized(code, ribbon)
 
-    monkeypatch.setattr(verify, "normalized", refusing)
+    monkeypatch.setattr(verify, "ribbon_normalized", refusing)
     assert cli.main(["check", "--seed", "1", "--count", "2"]) == 3
     out, err = capsys.readouterr()
     moves = [line for line in out.splitlines() if "move invariance of R" in line]
@@ -304,7 +307,7 @@ def state_sweep(twisted_corpus, classical_corpus):
     states = 0
     for code in twisted_corpus + classical_corpus:
         F = realize(code)
-        table = sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+        table = sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
         states += table.states()
         t1_bad += check_nonseparation(table)
         l2_bad += check_pole_balance(F)

@@ -2,7 +2,7 @@
 `arrow.py`, through the arrow specialization.
 
 The oracle checks the state trace, the index composition, the kink fold,
-the trie and count table, the folds and the worker merge.  It does not
+the bigon fold, the trie and count table, the folds and the worker merge.  It does not
 check the disk test or the homology classes, which the specialization
 forgets; `test_moves.py` compares the bracket itself under moves for those.
 """
@@ -18,7 +18,9 @@ from polebracket import brackets
 from polebracket.brackets import surface_pole_bracket
 from polebracket.codes import parse_code, serialize
 from polebracket.laurent import MultiLaurent, delta
-from polebracket.moves import apply_move, insert_sites
+from polebracket.moves import MoveSpec, apply_move, insert_sites
+from polebracket.states import _engine
+from polebracket.surfaces import realize
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
 
 from arrow import arrow_bracket
@@ -79,8 +81,8 @@ def test_fixtures_and_corpora_match_the_oracle():
 
 
 def test_inserted_codes_match_the_oracle():
-    # R1 kinks are folded in closed form, R2 pokes and T1 bars are traced:
-    # a seeded sample of inserts on the corpus, c <= 9
+    # R1 kinks are folded in closed form, R2 pokes on their through pair,
+    # and T1 bars are traced: a seeded sample of inserts on the corpus, c <= 9
     rng = random.Random(1)
     checked = 0
     for code in corpus_twisted(6, 60, 7):
@@ -89,6 +91,21 @@ def test_inserted_codes_match_the_oracle():
             assert engine_arrow(moved) == arrow_bracket(moved), (serialize(code), spec)
             checked += 1
     assert checked == 120
+
+
+def test_poke_codes_match_the_oracle():
+    # one or two R2 pokes, in all four variants, on the corpus, c <= 10:
+    # the engine traces each folded bigon's through pair alone, and a kink
+    # inside it is not spread; the oracle sums every state
+    rng = random.Random(34)
+    folded = 0
+    for code in corpus_twisted(7, 60, 6):
+        for _ in range(rng.randrange(1, 3)):
+            gaps = [(ci, g) for ci, comp in enumerate(code.components) for g in range(len(comp) + 1)]
+            code = apply_move(code, MoveSpec("R2", "insert", rng.choice(gaps), rng.randrange(4)))
+        folded += len(_engine(realize(code)).bigons)
+        assert engine_arrow(code) == arrow_bracket(code), serialize(code)
+    assert folded >= 60, folded
 
 
 @given(diagrams(max_crossings=8), st.integers(min_value=1, max_value=3))

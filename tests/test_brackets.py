@@ -175,7 +175,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
 
 
 def _full_sum(F):
-    return states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+    return states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
 
 
 def test_bracket_pair_matches_both_brackets():

@@ -180,6 +180,32 @@ def test_state_guard_counts_folded_kinks(capsys):
     assert code == 0
 
 
+def test_state_guard_prices_folded_bigons(capsys):
+    # an R2 poke O x O y U y U x inside a strand: a bigon on x and y with a
+    # kink on y, which counts once.  Three pokes on the virtual trefoil and
+    # a free kink: 9 crossings, less 1 kink and 3 bigons, leave 2^2 traced
+    pokes = "O3+ O4- U4- U3+ O5- O6+ U6+ U5- O7+ O8- U8- U7+"
+    text = f"O1+ {pokes} O2+ U1+ U2+ O9+ U9+"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "invariant", "--max-crossings", "1", "-i", text)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("9 crossings less 1 R1 kinks summed in closed form and 3 R2 bigons"
+            " traced on their through splices means 2^2 traced states") in err
+    code, out, _ = run(capsys, "invariant", "--max-crossings", "2", "-i", text)
+    assert code == 0 and out == run(capsys, "invariant", "-i", "O1+ O2+ U1+ U2+")[1]
+    # the walker traces every state, so `states` prices all 9 crossings
+    with pytest.raises(SystemExit):
+        run(capsys, "states", "--max-crossings", "8", "-i", text)
+    assert "9 crossings means 2^9 traced states" in capsys.readouterr().err
+    # 26 pokes in a row: 52 crossings, each pair folded, so the default
+    # guard lets the sum run, on one traced state
+    chain = " ".join(f"O{2 * i + 1}+ O{2 * i + 2}- U{2 * i + 2}- U{2 * i + 1}+" for i in range(26))
+    code, out, _ = run(capsys, "invariant", "-i", chain)
+    assert code == 0 and out == "-A^2-A^-2\n"
+
+
 def test_inline_semicolon_components(capsys):
     code, out, _ = run(capsys, "info", "-i", "O1+ U1+;EMPTY", "--json")
     assert code == 0

@@ -19,7 +19,8 @@ splice orders close one multiset of curves through different trie nodes.
 The int-keyed count table, its brackets, `R` and its non-separation count
 are compared with the signature-keyed `decode` and `fold` of
 `tests/reference.py` at 1, 2 and 3 workers, where each worker's table
-numbers its signatures its own way.  Crossing 0, which the descent closes
+numbers its signatures its own way: with every state counted state by
+state, and with R2 bigons folded, as the brackets sum, by polynomial.  Crossing 0, which the descent closes
 without writing, must raise on a swapped pole kind and on chords that
 leave a path open.
 `ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
@@ -486,7 +487,7 @@ def test_chord_mask_keys_are_injective():
     for code in codes:
         F = realize(code)
         n = 1 << F.ribbon.n_crossings
-        states.sum_counts(F, 0, n)
+        states.sum_counts(F, 0, n, False)
         eng = states._engine(F)
         for key in eng.cache:
             bmask = key >> eng.n_chords
@@ -520,7 +521,7 @@ def test_closings_reach_every_branch(monkeypatch):
     for code in [parse_code(t) for t in FIXTURES] + corpus_twisted(7, 40):
         F = realize(code)
         tested.clear()
-        states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+        states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
         eng = states._engine(F)
         # class keys with a nonzero class or flip come only from the paths
         low = (2 << F.h1_dim) - 1
@@ -605,7 +606,7 @@ def assert_ranges_merge(code, a, b, keys):
     merged = Counter()
     added = None
     for lo, hi in ((0, a), (a, b), (b, n)):
-        part = states.sum_counts(realize(code), lo, hi)
+        part = states.sum_counts(realize(code), lo, hi, False)
         if lo == hi:
             assert part.counts == {}
         merged.update(by_signature(part))
@@ -613,7 +614,7 @@ def assert_ranges_merge(code, a, b, keys):
             added = part
         else:
             added.add(part)
-    full = by_signature(states.sum_counts(realize(code), 0, n))
+    full = by_signature(states.sum_counts(realize(code), 0, n, False))
     assert merged == full == by_signature(added) == Counter(keys), (serialize(code), a, b)
     assert len(added.sigs) == len(set(added.sigs))
 
@@ -629,10 +630,10 @@ def test_fixture_ranges_match_reference(text):
             assert_ranges_merge(code, a, b, keys)
     F = realize(code)
     for m in range(n):
-        assert by_signature(states.sum_counts(F, m, m + 1)) == {keys[m]: 1}
+        assert by_signature(states.sum_counts(F, m, m + 1, False)) == {keys[m]: 1}
     for lo, hi in ((-1, n), (0, n + 1)):
         with pytest.raises(ValueError, match="out of range"):
-            states.sum_counts(F, lo, hi)
+            states.sum_counts(F, lo, hi, False)
     for choice in (-1, n):
         with pytest.raises(ValueError, match="out of range"):
             splice_curves(F, choice)
@@ -647,7 +648,7 @@ def test_ranges_match_reference(code, data):
     b = data.draw(st.integers(min_value=a, max_value=n))
     assert_ranges_merge(code, a, b, keys)
     m = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert by_signature(states.sum_counts(realize(code), m, m + 1)) == {keys[m]: 1}
+    assert by_signature(states.sum_counts(realize(code), m, m + 1, False)) == {keys[m]: 1}
 
 
 # (code, kinks the engine folds): both bands of one crossing are loops; a
@@ -667,7 +668,7 @@ def test_fold_matches_reference(text, kinks):
     assert len(states._engine(realize(code)).kinks) == kinks
     for lo in range(len(keys) + 1):
         for hi in range(lo, len(keys) + 1):
-            got = states.sum_counts(realize(code), lo, hi)
+            got = states.sum_counts(realize(code), lo, hi, False)
             assert by_signature(got) == Counter(keys[lo:hi]), (text, lo, hi)
 
 
@@ -745,10 +746,10 @@ def test_fold_matches_reference_random(code, data):
     keys = ref_state_keys(code)
     F = realize(code)
     assert states._engine(F).kinks, serialize(code)
-    assert by_signature(states.sum_counts(F, 0, len(keys))) == Counter(keys), serialize(code)
+    assert by_signature(states.sum_counts(F, 0, len(keys), False)) == Counter(keys), serialize(code)
     lo = data.draw(st.integers(min_value=0, max_value=len(keys)))
     hi = data.draw(st.integers(min_value=lo, max_value=len(keys)))
-    got = states.sum_counts(realize(code), lo, hi)
+    got = states.sum_counts(realize(code), lo, hi, False)
     assert by_signature(got) == Counter(keys[lo:hi]), (serialize(code), lo, hi)
 
 
@@ -780,7 +781,7 @@ def assert_alternation_check_matches(code):
                     ref.trace(mask)
                 F._state_engine = _without_pole(states._Engine(F), bit, a, b)
                 with pytest.raises(AssertionError):
-                    states.sum_counts(F, mask, mask + 1)
+                    states.sum_counts(F, mask, mask + 1, False)
                 with pytest.raises(AssertionError):
                     splice_curves(F, mask)
 
@@ -813,10 +814,10 @@ def assert_sums_without_walk(code):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(states._Engine, "walk", _no_walk)
         F = realize(code)
-        assert by_signature(states.sum_counts(F, 0, len(keys))) == Counter(keys), serialize(code)
+        assert by_signature(states.sum_counts(F, 0, len(keys), False)) == Counter(keys), serialize(code)
         for m, key in enumerate(keys):
             F._state_engine = states._Engine(F)
-            assert by_signature(states.sum_counts(F, m, m + 1)) == {key: 1}, (serialize(code), m)
+            assert by_signature(states.sum_counts(F, m, m + 1, False)) == {key: 1}, (serialize(code), m)
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -884,7 +885,7 @@ def kind_check_raisers(code):
                             continue
                         eng = corrupt(states._Engine(F), bit, a, b)
                         with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
-                            eng.block(lo, k)
+                            eng.block(lo, k, False)
                         where.add(err.traceback[-1].name)
                 F._state_engine = corrupt(states._Engine(F), bit, a, b)
                 with pytest.raises(AssertionError, match="pole kinds fail to alternate"):
@@ -913,7 +914,7 @@ def test_count_check_sees_a_lost_band():
         eng.band_key[d] = eng.band_key[eng.band_other[d]] = 0
         F._state_engine = eng
         with pytest.raises(AssertionError, match="path chord mask disagrees"):
-            states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+            states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
 
 
 def test_class_check_sees_a_lost_band_class():
@@ -928,7 +929,7 @@ def test_class_check_sees_a_lost_band_class():
         eng.band_hc[d] = eng.band_hc[eng.band_other[d]] = 0
         F._state_engine = eng
         with pytest.raises(AssertionError, match="carried class disagrees"):
-            states.sum_counts(F, 0, 1 << F.ribbon.n_crossings)
+            states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
 
 
 @given(
@@ -960,7 +961,7 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
     F = realize(code)
     eng = states._Engine(F)
     c = F.ribbon.n_crossings
-    raw = eng.block(0, c)
+    raw = eng.block(0, c, False)
     orders = {}
     for key in raw:
         curves = tuple(_trie_curves(eng, key >> eng.node_shift))
@@ -980,7 +981,7 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
     # the trie is released, and a second sum on the same engine agrees
     assert eng.trie.up == [0] and not eng.trie
     F._state_engine = eng
-    assert by_signature(states.sum_counts(F, 0, 1 << c)) == decoded
+    assert by_signature(states.sum_counts(F, 0, 1 << c, False)) == decoded
 
 
 def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
@@ -990,19 +991,19 @@ def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
     monkeypatch.setattr(states, "_ID_LIMIT", 2)
     code = parse_code("O4+ O2- B O1- U2- U1- O5- B O3- U3- U5- U4+")
     with pytest.raises(AssertionError, match="too many curve classes"):
-        states.sum_counts(realize(code), 0, 1 << 5)
+        states.sum_counts(realize(code), 0, 1 << 5, False)
     # on the torus every essential curve has a nonzero class, so its
     # classes all arrive through the paths, and none takes the disk test
     code = parse_code("O1+ O2+ U1+ U2+")
     F = realize(code)
     with pytest.raises(AssertionError, match="too many curve classes") as err:
-        states.sum_counts(F, 0, 1 << 2)
+        states.sum_counts(F, 0, 1 << 2, False)
     assert err.traceback[-2].name == "entry" and not states._engine(F).cache
     # here the second essential class is a two-sided class-0 curve that
     # bounds no disk, found by a miss's disk test
     F3 = realize(parse_code("U1- B O1- O2+ O3+ B U2+ U3+ B"))
     with pytest.raises(AssertionError, match="too many curve classes") as err:
-        states.sum_counts(F3, 0, 1 << 3)
+        states.sum_counts(F3, 0, 1 << 3, False)
     assert [e.name for e in err.traceback[-3:-1]] == ["entry", "classify"]
     F = realize(code)
     with pytest.raises(AssertionError, match="too many curve classes") as err:
@@ -1035,7 +1036,7 @@ def test_last_splice_must_leave_no_path_open():
             for lo in range(0, 1 << c, 1 << k):
                 eng = _corrupt_last_crossing(states._Engine(F))
                 with pytest.raises(AssertionError, match="the last splice leaves a path open"):
-                    eng.block(lo, k)
+                    eng.block(lo, k, False)
 
 
 def test_swapped_kind_at_the_last_crossing_raises():
@@ -1061,7 +1062,7 @@ def test_swapped_kind_at_the_last_crossing_raises():
                             continue
                         eng = _swap_kind(states._Engine(F), bit, a, b)
                         with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
-                            eng.block(lo, k)
+                            eng.block(lo, k, False)
                         frames = [e for e in err.traceback if e.name == "descend"]
                         assert frames[-1].locals["i"] == 0, (text, bit, a, k, lo)
                         where.add(err.traceback[-1].name)
@@ -1070,6 +1071,12 @@ def test_swapped_kind_at_the_last_crossing_raises():
 
 # ---------------------------------------------------------------------------
 # the int-keyed count table against the signature-keyed reference
+
+
+def count_every_state(mp):
+    """Make the brackets' sums fold no R2 bigon, so that their tables count
+    every state, as `check`'s own sums do."""
+    mp.setattr(brackets, "sum_counts", lambda F, lo, hi, _fold: states.sum_counts(F, lo, hi, False))
 
 
 def pickling_pool(parts):
@@ -1112,17 +1119,24 @@ def assert_table_matches_reference(code):
     # the leaf counts of one full block on a fresh engine, decoded by the
     # reference, give the signature-keyed table; the count table, its
     # brackets, R and its non-separation count must match what the
-    # reference reads off it, at 1, 2 and 3 workers
+    # reference reads off it, at 1, 2 and 3 workers.  The brackets' own
+    # tables fold R2 bigons, so they hold fewer states; they are compared by
+    # polynomial, and the same ranges and merge with every state counted are
+    # compared state by state
     F = realize(code)
     eng = states._Engine(F)
-    ref = decode(eng, eng.block(0, F.ribbon.n_crossings))
+    ref = decode(eng, eng.block(0, F.ribbon.n_crossings, False))
     bracket, double = bracket_of(ref), double_of(ref)
     invariant = writhe_normalize(code, double)
     for w in (1, 2, 3):
-        table = brackets._counts(code, w)
+        with pytest.MonkeyPatch.context() as mp:
+            count_every_state(mp)
+            table = brackets._counts(code, w)
         assert by_signature(table) == ref, (serialize(code), w)
         assert len(set(table.sigs)) == len(table.sigs)
         assert check_nonseparation(table) == nonseparation_of(ref) == 0
+        folded = by_signature(brackets._counts(code, w))
+        assert bracket_of(folded) == bracket and double_of(folded) == double, (serialize(code), w)
         got = surface_pole_bracket(code, w)
         assert got == bracket and got.to_text() == bracket.to_text(), (serialize(code), w)
         assert got.to_json() == bracket.to_json()

@@ -78,7 +78,7 @@ def test_structure_checks_clean_on_fixtures():
     for text in ("EMPTY", "O1+ U1+", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-"):
         code = parse_code(text)
         F = realize(code)
-        assert check_nonseparation(sum_counts(F, 0, 1 << F.ribbon.n_crossings)) == 0
+        assert check_nonseparation(sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)) == 0
         assert check_pole_balance(F) == []
 
 
@@ -146,7 +146,7 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
     # state sum and the walker must raise.  Unflipped, neither does
     code = parse_code("O1- U2- O3- U1- O2- U3-")
     F = realize(code)
-    assert check_nonseparation(sum_counts(F, 0, 8)) == 0
+    assert check_nonseparation(sum_counts(F, 0, 8, False)) == 0
     for s in enumerate_states(F):
         classify_state(F, s)
     seen = 0
@@ -158,7 +158,7 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
                 continue
             F._state_engine = _flip_side(eng, bit, a, b)
             with pytest.raises(AssertionError, match="positive index separates"):
-                sum_counts(F, 0, 8)
+                sum_counts(F, 0, 8, False)
             F._state_engine = _flip_side(_Engine(F), bit, a, b)
             with pytest.raises(AssertionError, match="positive index separates"):
                 for s in enumerate_states(F):
@@ -175,7 +175,7 @@ def test_engine_refuses_a_separating_essential_curve_of_positive_index():
     # state sum and the walker must raise.  Unflipped, neither does
     code = parse_code("U2- O4+ U3- O2- O6- U5- U1+ U4+ O3- B B O1+ O5- U6-")
     F = realize(code)
-    assert check_nonseparation(sum_counts(F, 0, 64)) == 0
+    assert check_nonseparation(sum_counts(F, 0, 64, False)) == 0
     for s in enumerate_states(F):
         classify_state(F, s)
     for a, b in ((8, 9), (10, 11)):
@@ -183,7 +183,7 @@ def test_engine_refuses_a_separating_essential_curve_of_positive_index():
         assert eng.step[0][a][0] == b and eng.side[0][a] >= 0
         F._state_engine = _flip_side(eng, 0, a, b)
         with pytest.raises(AssertionError, match="positive index separates"):
-            sum_counts(F, 0, 64)
+            sum_counts(F, 0, 64, False)
         F._state_engine = _flip_side(_Engine(F), 0, a, b)
         with pytest.raises(AssertionError, match="positive index separates"):
             for s in enumerate_states(F):
@@ -216,7 +216,8 @@ def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
     diagrams += [code for _n, code in verify.classical_fixtures()]
     expect = [double_bracket(code) for code in diagrams]
     sums, doubles = [], []
-    monkeypatch.setattr(verify, "sum_counts", lambda F, lo, hi: sums.append((F, lo, hi)) or sum_counts(F, lo, hi))
+    monkeypatch.setattr(verify, "sum_counts",
+                        lambda F, lo, hi, fold: sums.append((F, lo, hi, fold)) or sum_counts(F, lo, hi, fold))
 
     def pair_of(table):
         pair = bracket_pair(table)
@@ -227,8 +228,9 @@ def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
     monkeypatch.setattr(_Engine, "walk", _no_walk)
     monkeypatch.setattr(_Engine, "lookup", _no_walk)
     results = verify.run_battery(seed, count)
-    assert [F.ribbon.n_crossings for F, _lo, _hi in sums] == [len(c.crossing_ids) for c in diagrams]
-    assert all(lo == 0 and hi == 1 << F.ribbon.n_crossings for F, lo, hi in sums)
+    assert [F.ribbon.n_crossings for F, _lo, _hi, _fold in sums] == [len(c.crossing_ids) for c in diagrams]
+    # every state is counted: the base sums fold no R2 bigon
+    assert all(lo == 0 and hi == 1 << F.ribbon.n_crossings and not fold for F, lo, hi, fold in sums)
     checked = {label: n for label, n, _bad in results}
     assert checked["essential curves never separate"] == sum(1 << len(c.crossing_ids) for c in diagrams)
     assert checked["specialization identity"] == len(diagrams)
@@ -255,10 +257,10 @@ def test_check_prints_a_fail_line_when_a_sum_refuses(monkeypatch, capsys):
     # gets no other check
     refused = []
 
-    def faulty_sum(F, lo, hi):
+    def faulty_sum(F, lo, hi, fold):
         F._state_engine = _flip_first_pole(F)
         try:
-            return sum_counts(F, lo, hi)
+            return sum_counts(F, lo, hi, fold)
         except AssertionError as err:
             refused.append(str(err))
             raise
