@@ -7,25 +7,29 @@ reconnects the four ports of one crossing, and a closed loop contributes a
 factor delta.  Every loop counts (so the unknot evaluates to delta),
 matching the double bracket's convention for inessential curves.
 
-This deliberately shares no state-tracing code with the state engine; it is
-the oracle side of the classical-specialization check.
+Whether the realization is a union of spheres is read off the same port
+pairing: the faces are the orbits of "cross the arc, then turn to the next
+port" in each crossing's counterclockwise port order.  A piece with V
+crossings has 2V arcs, so its chi is its faces minus V; a bar-free piece is
+orientable, so its chi is at most 2, and every piece is a sphere exactly
+when faces - crossings is twice the number of pieces.  A bare loop is
+always a sphere.
+
+This deliberately shares no code with the surfaces or the state engine; it
+is the oracle side of the classical-specialization check.
 """
 
 from __future__ import annotations
 
 from .codes import Bar, TwistedGaussCode, Visit
 from .laurent import MultiLaurent, delta
-from .surfaces import realize
 
 
 def classical_kauffman_oracle(code: TwistedGaussCode) -> MultiLaurent:
     if any(isinstance(t, Bar) for comp in code.components for t in comp):
         raise ValueError("classical oracle requires a bar-free code")
-    F = realize(code)
-    if any(p.euler != 2 for p in F.pieces):
-        raise ValueError("realization is not a union of spheres")
-
-    ids = code.crossing_ids
+    signs = code.signs()
+    ids = sorted(signs)
     kidx = {cid: k for k, cid in enumerate(ids)}
     c = len(ids)
 
@@ -43,11 +47,42 @@ def classical_kauffman_oracle(code: TwistedGaussCode) -> MultiLaurent:
             other[p] = q
             other[q] = p
 
-    signs = code.signs()
+    # ports over-in, under-in, over-out, under-out are 0..3; counterclockwise
+    # they run (0, 1, 2, 3) at a positive crossing and (0, 3, 2, 1) at a
+    # negative one
+    rots = [(0, 1, 2, 3) if signs[cid] > 0 else (0, 3, 2, 1) for cid in ids]
+    turn = [0] * (4 * c)
+    for k, rot in enumerate(rots):
+        for i in range(4):
+            turn[4 * k + rot[i - 1]] = 4 * k + rot[i]
+    faces = 0
+    seen = bytearray(4 * c)
+    for p in range(4 * c):
+        if not seen[p]:
+            faces += 1
+            while not seen[p]:
+                seen[p] = 1
+                p = turn[other[p]]
+    pieces = 0
+    reached = bytearray(c)
+    for k in range(c):
+        if reached[k]:
+            continue
+        pieces += 1
+        reached[k] = 1
+        stack = [k]
+        while stack:
+            x = stack.pop()
+            for p in range(4 * x, 4 * x + 4):
+                y = other[p] >> 2
+                if not reached[y]:
+                    reached[y] = 1
+                    stack.append(y)
+    if faces - c != 2 * pieces:
+        raise ValueError("realization is not a union of spheres")
 
     def chords(k: int, bit: int):
-        rot = (0, 1, 2, 3) if signs[ids[k]] > 0 else (0, 3, 2, 1)
-        r = [4 * k + o for o in rot]
+        r = [4 * k + o for o in rots[k]]
         if bit == 0:
             return ((r[1], r[2]), (r[3], r[0]))
         return ((r[0], r[1]), (r[2], r[3]))

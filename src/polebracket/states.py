@@ -20,7 +20,9 @@ curve of class 0 is keyed by its chord set, in a cache of disk tests;
 surface pole bracket needs, and the double bracket is collapsed from that
 same table.  Only the walker path builds `CurveClassification`s.
 
-Every chord a splice can draw has one bit, so a chord set is an int.
+Every chord a splice can draw has one bit, so a chord set is an int: the
+bits of crossing disk k's four chords are 4k .. 4k+3, and bare loop i's is
+4c+i (see `_Engine`).
 `sum_counts` never traces a state from scratch and never walks a curve.
 It grows the curves of all states at once, depth first over the splice
 bits: the bands start as open paths, each decided crossing adds its two
@@ -106,13 +108,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from math import comb
 from typing import Iterator
 
 from . import polewords
 from .polewords import MARK
-from .surfaces import ClosedSurface, EmbeddedCurve, _find
+from .surfaces import ClosedSurface, EmbeddedCurve
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,27 @@ _POLE_ARC = (polewords.arc((0,)), polewords.arc((1,)))
 _BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
 # each byte with its bits in reverse order
 _REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+# The splice tables of crossing disk 0, whose darts (oi, ui, oo, uo) are
+# 0..3, by sign and then by splice bit; disk k's are these shifted by 4k.
+# Sign 0 is a positive disk, rotation (oi, ui, oo, uo), and sign 1 a
+# negative one, (oi, uo, oo, ui): bit 1 of the disk's second dart.  Bit 0
+# of rotation (r0, r1, r2, r3) draws the chords (r1, r2) and (r3, r0), bit 1
+# (r0, r1) and (r2, r3).  So both signs draw the four chords of
+# `_CHORD_DARTS`, whose chord bits are 0..3 in that order: the bit that
+# differs from the sign joins in-in (0, 1) and out-out (2, 3), an I and an
+# O pole, and the other joins each in-dart to an out-dart.  `_TAU` is the
+# far dart of the chord from each dart, and `_CHORDS` a bit's two chords as
+# (a, b, chord bit), a < b, in order of a.  `_POLE_ROWS` holds by sign the
+# rows of `_Engine.side` for bits 0 and 1, then of `_Engine.kind`: a pole
+# (a, b) has side 0 at a when b is the next dart after a counterclockwise.
+_CHORD_DARTS = ((0, 1), (0, 3), (1, 2), (2, 3))
+_TAU = (((3, 2, 1, 0), (1, 0, 3, 2)), ((1, 0, 3, 2), (3, 2, 1, 0)))
+_CHORDS = ((((0, 3, 1), (1, 2, 2)), ((0, 1, 0), (2, 3, 3))),
+           (((0, 1, 0), (2, 3, 3)), ((0, 3, 1), (1, 2, 2))))
+_POLE_ROWS = (((-1, -1, -1, -1), (0, 1, 0, 1), (0, 0, 0, 0), (1, 1, 2, 2)),
+              ((1, 0, 1, 0), (-1, -1, -1, -1), (1, 1, 2, 2), (0, 0, 0, 0)))
 
 
 class _Trie(dict):
@@ -254,19 +278,21 @@ class _Engine:
     """Splice tables for one surface, its curve classes and its cache of
     disk tests.
 
-    Every chord a splice can draw has one bit: four per crossing disk (two
-    per splice bit) and one per bare loop, numbered in sorted (a, b) order,
-    so the set bits of a curve's chord mask, in increasing order, are its
-    sorted chord tuple.  Band i has bit n_chords + i above them.  A curve's
-    key is the union of its chord and band bits, one-to-one with its chord
-    set.  Per (splice bit, dart), `step` holds the chord from that dart and
-    the rest of a step past it: (far dart, chord bit, next dart, band flip,
-    band bit); `block` reads each crossing's two chords off it, and the
-    walker steps along it.  `side` is the side bit of the pole of the chord
+    Every chord a splice can draw has one bit, by formula: crossing disk
+    k's four chords, `_CHORD_DARTS` shifted by 4k for either sign, have
+    bits 4k .. 4k+3, and bare loop i's chord, between its darts 4c+2i and
+    4c+2i+1, has bit 4c+i.  That is sorted (a, b) order, so the set bits of
+    a curve's chord mask, in increasing order, are its sorted chord tuple
+    (`chords_of`).  Band i has bit n_chords + i above them.  A curve's key
+    is the union of its chord and band bits, one-to-one with its chord set.
+
+    Per (splice bit, dart), `side` is the side bit of the pole of the chord
     from that dart, and `kind` its kind, 1 for a sink (I, two in-darts) and
     2 for a source (O, two out-darts); both are -1 and 0 where the chord
-    joins an in-dart to an out-dart and makes no pole.  `block` and the
-    walker read the poles off these two tables.
+    makes no pole.  They are built per engine from the rows of the two
+    sign templates (`_POLE_ROWS`), and `block` (through `_items`, which
+    takes the chords from `_CHORDS`) and the walker read the poles off
+    them.  `step`, which only the walker reads, is made on first use.
 
     Per dart d, the band at d as an open path: `band_other[d]`, the dart at
     its far end; `band_key[d]`, its band bit; `band_arc[d]`, the arc of its
@@ -287,47 +313,24 @@ class _Engine:
         self.F = F
         rs = F.ribbon
         n = rs.total_darts
-        succ = F._succ
-        tau = ([-1] * n, [-1] * n)
-        side = ([-1] * n, [-1] * n)
-        kind = ([0] * n, [0] * n)
-        for rot in rs.rotations:
-            if len(rot) == 2:
-                d0, d1 = rot
-                for bit in (0, 1):
-                    tau[bit][d0] = d1
-                    tau[bit][d1] = d0
-                continue
-            r0, r1, r2, r3 = rot
-            for bit, pairs in ((0, ((r1, r2), (r3, r0))), (1, ((r0, r1), (r2, r3)))):
-                for a, b in pairs:
-                    tau[bit][a] = b
-                    tau[bit][b] = a
-                    if (a % 4 < 2) == (b % 4 < 2):
-                        side[bit][a] = 0 if succ[a] == b else 1
-                        side[bit][b] = 0 if succ[b] == a else 1
-                        kind[bit][a] = kind[bit][b] = 1 if a % 4 < 2 else 2
-        self.chords = tuple(sorted({(d, t[d]) for t in tau for d in range(n) if d < t[d]}))
-        self.n_chords = len(self.chords)
-        chord_bit = {ch: 1 << i for i, ch in enumerate(self.chords)}
-        cbit = tuple(
-            [chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)]
-            for t in tau
-        )
-        self.side = side
-        self.kind = kind
+        c4 = 4 * rs.n_crossings
+        negative = [rot[1] >> 1 & 1 for rot in rs.rotations[:rs.n_crossings]]
+        side0, side1, kind0, kind1 = [], [], [], []
+        for neg in negative:
+            s0, s1, k0, k1 = _POLE_ROWS[neg]
+            side0 += s0
+            side1 += s1
+            kind0 += k0
+            kind1 += k1
+        # a bare-loop chord makes no pole
+        loops = n - c4
+        self.side = (side0 + [-1] * loops, side1 + [-1] * loops)
+        self.kind = (kind0 + [0] * loops, kind1 + [0] * loops)
+        self.n_chords = c4 + loops // 2
         self.band_other = [b[0] for b in rs.band_at]
         self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
         self.band_arc = [_BAND_ARC[flip] for (_o, flip, _b) in rs.band_at]
         self.band_hc = [F.band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
-        step = []
-        for t, cb in zip(tau, cbit):
-            row = []
-            for d in range(n):
-                nxt, flip = rs.band_at[t[d]][:2]
-                row.append((t[d], cb[d], nxt, flip, self.band_key[t[d]]))
-            step.append(row)
-        self.step = tuple(step)
         self.cache: dict = {}
         self.classes = _Classes(F.h1_dim)
         # a leaf key packs (trie node, inessential count, B-splice count):
@@ -336,30 +339,14 @@ class _Engine:
         self.pc_bits = rs.n_crossings.bit_length()
         self.node_shift = self.pc_bits + len(rs.bands).bit_length()
         self.trie = _Trie()
+        side = self.side
+        succ, pred = F._succ, F._pred
+        band_at = rs.band_at
+        cap = F._corner_root
         # R1 kinks, one per crossing disk at most: an unflipped band from an
         # out-dart to the other strand's in-dart on its own disk.  The
         # loop-off bit draws the chord that closes that band into a circle;
-        # the fold's premise is checked here, in O(1) per kink
-        self.kinks: dict[int, int] = {}
-        c4 = 4 * rs.n_crossings
-        pred = F._pred
-        for bi, (u, v, flip) in enumerate(rs.bands):
-            i = u >> 2
-            if flip or u >= c4 or v >> 2 != i or not (u ^ v) & 1 or i in self.kinks:
-                continue
-            off = int(tau[1][u] == v)
-            if any(side[off][d] >= 0 for d in range(4 * i, 4 * i + 4)):
-                raise AssertionError("a kink's loop-off chords carry a pole")
-            if self.band_hc[u]:
-                raise AssertionError("a kink's loop band has a class or flip")
-            # the loop-off chord joins u and v; when they are rotation
-            # adjacent it cuts off the corner between them, u when pred v = u
-            # and v when pred u = v.  The unflipped band's side from that
-            # corner (u ~ pred v, or pred u ~ v) returns to it, so the circle
-            # runs beside a one-corner cap and bounds a disk
-            if tau[off][u] != v or not (pred[v] == u or pred[u] == v):
-                raise AssertionError("a kink's loop-off circle bounds no disk")
-            self.kinks[i] = off
+        # the fold's premise is checked here, in O(1) per kink.
         # R2 bigons, on disjoint pairs of crossing disks x != y, as (x, its
         # through bit, y, its through bit).  An unflipped band (u, v) over at
         # both ends and an unflipped band under at both ends, from a dart w
@@ -373,26 +360,61 @@ class _Engine:
         # U1+ U2- O1+ O2-).  Around a two-corner cap the over-and-under test
         # and the sign test agree, so an alternating bigon fails both.  A
         # disk's through bit is the one whose chords leave its bigon corner
-        # whole
+        # whole.  One pass over the bands finds both: a kink's band has its
+        # two ends on one disk, a bigon's on two
+        self.kinks: dict[int, int] = {}
         self.bigons: list[tuple[int, int, int, int]] = []
-        rot = rs.rotations
-        band_at = rs.band_at
-        forest = F._corner_forest
         taken: set[int] = set()
         for u, v, flip in rs.bands:
             x, y = u >> 2, v >> 2
-            if (flip or (u | v) & 1 or x == y or x in taken or y in taken
-                    or not (rot[x][1] ^ rot[y][1]) & 2):
+            if flip:
+                continue
+            if x == y:
+                if u >= c4 or not (u ^ v) & 1 or x in self.kinks:
+                    continue
+                tau = _TAU[negative[x]]
+                off = int(tau[1][u & 3] == v & 3)
+                if any(side[off][d] >= 0 for d in range(4 * x, 4 * x + 4)):
+                    raise AssertionError("a kink's loop-off chords carry a pole")
+                if self.band_hc[u]:
+                    raise AssertionError("a kink's loop band has a class or flip")
+                # the loop-off chord joins u and v; when they are rotation
+                # adjacent it cuts off the corner between them, u when pred
+                # v = u and v when pred u = v.  The unflipped band's side from
+                # that corner (u ~ pred v, or pred u ~ v) returns to it, so
+                # the circle runs beside a one-corner cap and bounds a disk
+                if tau[off][u & 3] != v & 3 or not (pred[v] == u or pred[u] == v):
+                    raise AssertionError("a kink's loop-off circle bounds no disk")
+                self.kinks[x] = off
+                continue
+            if (u | v) & 1 or x in taken or y in taken or negative[x] == negative[y]:
                 continue
             for d, e in ((u, succ[u]), (pred[u], u)):
                 w2, wflip, _b = band_at[e if d == u else d]
                 d2, e2 = band_at[d][0], band_at[e][0]
                 if (wflip or not w2 & 1 or w2 >> 2 != y or succ[e2] != d2
-                        or _find(forest, succ[e]) == _find(forest, succ[d2])):
+                        or cap[succ[e]] == cap[succ[d2]]):
                     continue
-                self.bigons.append((x, int(tau[1][d] != e), y, int(tau[1][e2] != d2)))
+                self.bigons.append((x, int(_TAU[negative[x]][1][d & 3] != e & 3),
+                                    y, int(_TAU[negative[y]][1][e2 & 3] != d2 & 3)))
                 taken.update((x, y))
                 break
+
+    @cached_property
+    def step(self) -> tuple[list, list]:
+        """Per (splice bit, dart), the chord from that dart and the rest of
+        a step past it: (far dart, chord bit, next dart, band flip, band
+        bit).  Made on first use, from the chords of `_items`: only the
+        walker reads it."""
+        band_at, band_key = self.F.ribbon.band_at, self.band_key
+        items, loops = self._items()
+        step = ([None] * len(band_at), [None] * len(band_at))
+        for bit, row in enumerate(step):
+            chords = [ch for item in items for ch in (item[bit][1:4], item[bit][6:9])]
+            for a, b, cb in chords + [loop[:3] for loop in loops]:
+                row[a] = (b, cb, *band_at[b][:2], band_key[b])
+                row[b] = (a, cb, *band_at[a][:2], band_key[a])
+        return step
 
     def walk(self, mask: int, start: int, visited: bytearray):
         """Walk the curve of splice choice `mask` that enters its disk at
@@ -431,12 +453,19 @@ class _Engine:
         return key, tuple(word)
 
     def chords_of(self, key: int) -> tuple[tuple[int, int], ...]:
-        """The sorted chord tuple of a chord mask or curve key."""
+        """The sorted chord tuple of a chord mask or curve key, each chord
+        read off its bit by the formula of the class docstring."""
         cm = key & ((1 << self.n_chords) - 1)
+        c4 = 4 * self.F.ribbon.n_crossings
         out = []
         while cm:
             low = cm & -cm
-            out.append(self.chords[low.bit_length() - 1])
+            j = low.bit_length() - 1
+            if j < c4:
+                a, b = _CHORD_DARTS[j & 3]
+                out.append(((j & -4) + a, (j & -4) + b))
+            else:
+                out.append((2 * j - c4, 2 * j - c4 + 1))
             cm ^= low
         return tuple(out)
 
@@ -483,25 +512,29 @@ class _Engine:
     def _items(self):
         """Per crossing, the two choices of its splice bit, each as (bit,
         a1, b1, cb1, arc1, kind1, a2, b2, cb2, arc2, kind2): the bit and the
-        two chords it draws, read off `step`, with their poles, where arc is
-        the `polewords.arc` of the chord's pole read from a to b (0 for no
-        pole); and every bare-loop chord as (a, b, cb, 0, 0)."""
-        side, kind, step = self.side, self.kind, self.step
-
-        def pole(bit, a):
-            b, cb = step[bit][a][:2]
-            s = side[bit][a]
-            return (a, b, cb, _POLE_ARC[s], kind[bit][a]) if s >= 0 else (a, b, cb, 0, 0)
-
-        c4 = 4 * self.F.ribbon.n_crossings
-        items = tuple(
-            tuple(
-                (bit,) + tuple(x for d in range(i, i + 4) if d < step[bit][d][0] for x in pole(bit, d))
-                for bit in (0, 1)
-            )
-            for i in range(0, c4, 4)
-        )
-        return items, tuple(pole(0, d) for d in range(c4, len(step[0])) if d < step[0][d][0])
+        two chords it draws, from the templates, with their poles read off
+        `side` and `kind`, where arc is the `polewords.arc` of the chord's
+        pole read from a to b (0 for no pole); and every bare-loop chord as
+        (a, b, cb, 0, 0)."""
+        rs = self.F.ribbon
+        items = []
+        for k, rot in enumerate(rs.rotations[:rs.n_crossings]):
+            base = 4 * k
+            chords = _CHORDS[rot[1] >> 1 & 1]
+            pair = []
+            for bit, sd, kd in zip((0, 1), self.side, self.kind):
+                row = (bit,)
+                for a, b, j in chords[bit]:
+                    a += base
+                    s = sd[a]
+                    if s >= 0:
+                        row += (a, base + b, 1 << base + j, _POLE_ARC[s], kd[a])
+                    else:
+                        row += (a, base + b, 1 << base + j, 0, 0)
+                pair.append(row)
+            items.append(tuple(pair))
+        c4 = 4 * len(items)
+        return tuple(items), tuple((d, d + 1, 1 << (c4 + d) // 2, 0, 0) for d in range(c4, len(self.side[0]), 2))
 
     def block(self, base: int, k: int, fold: bool) -> dict:
         """The 2^k states from `base` (a multiple of 2^k), counted under
@@ -921,13 +954,19 @@ def pole_regions(F: ClosedSurface) -> Iterator[list[tuple[int, int]]]:
         load = [0] * n_caps
         for i, row in enumerate(table):
             m1, m2, loads = row[choice >> i & 1]
-            parent[_find(parent, m2)] = _find(parent, m1)
+            while parent[m1] != m1:
+                parent[m1] = m1 = parent[parent[m1]]
+            while parent[m2] != m2:
+                parent[m2] = m2 = parent[parent[m2]]
+            parent[m2] = m1
             for k, w in loads:
                 load[k] += w
         # each cap's load goes to its region's root, which no cap leaves
         for k in caps:
-            r = _find(parent, k)
+            r = parent[k]
             if r != k:
+                while parent[r] != r:
+                    r = parent[r]
                 load[r] += load[k]
         yield [(x & low, x >> 32) for k, x in enumerate(load) if parent[k] == k]
 

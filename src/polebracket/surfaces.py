@@ -80,14 +80,13 @@ def _dart_out(k: int, over: bool) -> int:
 
 
 def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
-    ids = code.crossing_ids
+    signs = code.signs()
+    ids = sorted(signs)
     kidx = {cid: k for k, cid in enumerate(ids)}
     c = len(ids)
-    signs = code.signs()
 
     rotations: list[tuple[int, ...]] = []
-    for cid in ids:
-        k = kidx[cid]
+    for k, cid in enumerate(ids):
         oi, ui, oo, uo = 4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3
         if signs[cid] > 0:
             rotations.append((oi, ui, oo, uo))
@@ -191,13 +190,6 @@ class EmbeddedCurve:
     flip_parity: int                      # 1 when the curve core is orientation reversing
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 def _classify_piece(euler: int, orientable: bool) -> PieceReport:
     if orientable:
         return PieceReport(euler, True, (2 - euler) // 2, 0)
@@ -220,38 +212,58 @@ class ClosedSurface:
     Everything is read off the ribbon graph with int tables.  A corner of a
     disk is named by the dart it follows.  A band side joins two corners:
     u ~ pred v and pred u ~ v on an unflipped band (u, v), u ~ v and
-    pred u ~ pred v on a flipped one.  The caps are the classes of corners
-    (a union-find), each with the mask of the bands it runs along once and
-    one of its corners.  The pieces are the trees of the spanning forest
-    that the homology basis grows, with chi = disks - bands + caps; a piece
-    is one-sided iff w1, the flip parity, is odd on one of its fundamental
-    cycles.  Pieces are ordered by their largest disk: that is the order
-    `info` has always printed, so its output does not change.
+    pred u ~ pred v on a flipped one.  The caps are the classes of corners,
+    found by a union-find run inline and flattened once, so that
+    `_corner_root[d]` is the root corner of d's cap; each cap keeps the
+    mask of the bands it runs along once and its root corner.  The pieces
+    are the trees of the spanning forest that the homology basis grows,
+    with chi = disks - bands + caps; a piece is one-sided iff w1, the flip
+    parity, is odd on one of its fundamental cycles.  Pieces are ordered by
+    their largest disk: that is the order `info` has always printed, so its
+    output does not change.
     """
 
     def __init__(self, rs: RibbonComplex):
         self.ribbon = rs
-        self._succ = succ = [0] * rs.total_darts
-        self._pred = pred = [0] * rs.total_darts
+        n = rs.total_darts
+        self._succ = succ = [0] * n
+        self._pred = pred = [0] * n
         for rot in rs.rotations:
-            for i, d in enumerate(rot):
-                succ[d] = rot[(i + 1) % len(rot)]
-                pred[succ[d]] = d
+            a = rot[-1]
+            for b in rot:
+                succ[a] = b
+                pred[b] = a
+                a = b
         # the caps: classes of corners joined by band sides, which start at
-        # corners u (side 0) and pred u (side 1)
-        self.flip_mask = 0
-        parent = list(range(rs.total_darts))
+        # corners u (side 0) and pred u (side 1); a union-find with path
+        # halving, flattened at the end so that root[d] is the root of d
+        flip_mask = 0
+        root = list(range(n))
         for bi, (u, v, flip) in enumerate(rs.bands):
-            self.flip_mask |= flip << bi
-            for (x, y) in ((u, v), (pred[u], pred[v])) if flip else ((u, pred[v]), (pred[u], v)):
-                parent[_find(parent, y)] = _find(parent, x)
-        masks = {d: 0 for d in range(rs.total_darts) if _find(parent, d) == d}
+            if flip:
+                flip_mask |= 1 << bi
+                sides = ((u, v), (pred[u], pred[v]))
+            else:
+                sides = ((u, pred[v]), (pred[u], v))
+            for x, y in sides:
+                while root[x] != x:
+                    root[x] = x = root[root[x]]
+                while root[y] != y:
+                    root[y] = y = root[root[y]]
+                root[y] = x
+        for d in range(n):
+            r = root[d]
+            while root[r] != r:
+                r = root[r]
+            root[d] = r
+        masks = [0] * n
         for bi, (u, _v, _f) in enumerate(rs.bands):
-            masks[_find(parent, u)] ^= 1 << bi
-            masks[_find(parent, pred[u])] ^= 1 << bi
-        self._cap_masks = tuple(masks.values())
-        self._cap_corner = list(masks)
-        self._corner_forest = parent
+            masks[root[u]] ^= 1 << bi
+            masks[root[pred[u]]] ^= 1 << bi
+        self.flip_mask = flip_mask
+        self._cap_corner = [d for d in range(n) if root[d] == d]
+        self._cap_masks = tuple(masks[d] for d in self._cap_corner)
+        self._corner_root = root
         self._build_homology()
 
     # -- homology --------------------------------------------------------
@@ -260,32 +272,28 @@ class ClosedSurface:
         """Z/2 homology, pieces and orientability (see the class docstring)."""
         rs = self.ribbon
         n_disks = len(rs.rotations)
-        # echelon over GF(2): pivot bit -> (vector, coordinates in basis)
+        # echelon over GF(2): pivot bit -> (vector, coordinates in basis);
+        # the caps' rows, reduced first, have coordinates 0
         rows: dict[int, tuple[int, int]] = {}
-
-        def _reduce(vec: int, coords: int) -> tuple[int, int]:
+        for vec in self._cap_masks:
             while vec:
                 p = vec.bit_length() - 1
                 row = rows.get(p)
                 if row is None:
-                    return vec, coords
+                    rows[p] = (vec, 0)
+                    break
                 vec ^= row[0]
-                coords ^= row[1]
-            return 0, coords
-
-        for m in self._cap_masks:
-            vec, _coords = _reduce(m, 0)
-            if vec:
-                rows[vec.bit_length() - 1] = (vec, 0)
 
         # spanning forest: roots ascending, depth first, bands in index order;
         # the homology basis, and so every printed class, follows this order
-        tree_bands = set()
+        bands, disk_of = rs.bands, rs.disk_of
+        in_tree = bytearray(len(bands))
         tree = [-1] * n_disks        # disk -> the root of its tree
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n_disks)]
-        for bi, (u, v, _f) in enumerate(rs.bands):
-            adj[rs.disk_of[u]].append((rs.disk_of[v], bi))
-            adj[rs.disk_of[v]].append((rs.disk_of[u], bi))
+        for bi, (u, v, _f) in enumerate(bands):
+            x, y = disk_of[u], disk_of[v]
+            adj[x].append((y, bi))
+            adj[y].append((x, bi))
         path_mask = [0] * n_disks   # band mask of tree path to component root
         for root in range(n_disks):
             if tree[root] >= 0:
@@ -297,39 +305,46 @@ class ClosedSurface:
                 for y, bi in adj[x]:
                     if tree[y] < 0:
                         tree[y] = root
-                        tree_bands.add(bi)
+                        in_tree[bi] = 1
                         path_mask[y] = path_mask[x] ^ (1 << bi)
                         queue.append(y)
 
         largest = {r: x for x, r in enumerate(tree)}
         index = {r: i for i, r in enumerate(sorted(largest, key=largest.get))}
         piece = [index[r] for r in tree]
-        self.band_piece = tuple(piece[rs.disk_of[u]] for (u, _v, _f) in rs.bands)
+        self.band_piece = band_piece = tuple([piece[disk_of[u]] for (u, _v, _f) in bands])
         euler = [0] * len(index)
         for p in piece:
             euler[p] += 1
-        for p in self.band_piece:
+        for p in band_piece:
             euler[p] -= 1
         for d in self._cap_corner:
-            euler[piece[rs.disk_of[d]]] += 1
+            euler[piece[disk_of[d]]] += 1
         one_sided = [False] * len(index)
 
         # a cycle's class is the XOR of the classes of the fundamental cycles
         # of its non-tree bands, recorded here as each one is reduced
         basis: list[int] = []
-        band_class = [0] * len(rs.bands)
-        for bi, (u, v, _f) in enumerate(rs.bands):
-            if bi in tree_bands:
+        band_class = [0] * len(bands)
+        flip_mask = self.flip_mask
+        for bi, (u, v, _f) in enumerate(bands):
+            if in_tree[bi]:
                 continue
-            cyc = (1 << bi) ^ path_mask[rs.disk_of[u]] ^ path_mask[rs.disk_of[v]]
-            if (cyc & self.flip_mask).bit_count() & 1:
-                one_sided[self.band_piece[bi]] = True
-            vec, coords = _reduce(cyc, 0)
-            if vec:
-                new = 1 << len(basis)
-                rows[vec.bit_length() - 1] = (vec, coords ^ new)
-                basis.append(cyc)
-                coords = new
+            cyc = (1 << bi) ^ path_mask[disk_of[u]] ^ path_mask[disk_of[v]]
+            if (cyc & flip_mask).bit_count() & 1:
+                one_sided[band_piece[bi]] = True
+            vec, coords = cyc, 0
+            while vec:
+                p = vec.bit_length() - 1
+                row = rows.get(p)
+                if row is None:
+                    new = 1 << len(basis)
+                    rows[p] = (vec, coords ^ new)
+                    basis.append(cyc)
+                    coords = new
+                    break
+                vec ^= row[0]
+                coords ^= row[1]
             band_class[bi] = coords
         self._rows = rows
         self.band_class = tuple(band_class)
@@ -373,12 +388,11 @@ class ClosedSurface:
     @cached_property
     def corner_caps(self) -> list[int]:
         """Per corner, named by the dart it follows, the index of its cap in
-        `_cap_masks` order.  Made on first use from the corner forest that
-        `__init__` grows: only the pole-balance check reads it, so a surface
+        `_cap_masks` order.  Made on first use from the cap roots that
+        `__init__` finds: only the pole-balance check reads it, so a surface
         that `info` reports builds none."""
         index = {r: i for i, r in enumerate(self._cap_corner)}
-        forest = self._corner_forest
-        return [index[_find(forest, d)] for d in range(self.ribbon.total_darts)]
+        return [index[r] for r in self._corner_root]
 
     # -- curve predicates ---------------------------------------------------
 
@@ -466,10 +480,18 @@ class ClosedSurface:
                 lanes.append((frag[u], frag[pred[v]]))
                 lanes.append((frag[pred[u]], frag[v]))
 
-        parent = list(range(n_frag))
+        root = list(range(n_frag))
         for (f, g) in lanes:
-            parent[_find(parent, g)] = _find(parent, f)
-        root = [_find(parent, x) for x in range(n_frag)]
+            while root[f] != f:
+                root[f] = f = root[root[f]]
+            while root[g] != g:
+                root[g] = g = root[root[g]]
+            root[g] = f
+        for x in range(n_frag):
+            r = root[x]
+            while root[r] != r:
+                r = root[r]
+            root[x] = r
         euler = [0] * n_frag
         for r in root:
             euler[r] += 1

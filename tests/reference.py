@@ -17,6 +17,14 @@ rebuilds a walked curve's `EmbeddedCurve` from its key, `curve_poles` reads
 a curve's poles off its chords, and `assemble_from_table` assembles a
 bracket from printed state-table rows.
 
+The state engine builds its splice tables from two sign templates
+shifted per crossing disk, and numbers its chords by formula.
+`splice_tables` builds the same tables dart by dart from the surface's
+corner order: tau, side and kind per dart, the chords sorted and numbered
+in that order, the walker's step table, the per-crossing chord items, and
+the kinks and bigons read off the per-dart tau and a union-find of the
+caps of its own.
+
 Last, the state sum's signature-keyed path, as the library had it before
 its count table took int keys: `decode` turns a block's leaf counts into a
 table keyed by (signature, natural, iness), `fold` sums such a table per
@@ -34,7 +42,7 @@ from itertools import islice
 
 from polebracket.brackets import BracketValue, _collapse, _delta_row
 from polebracket.laurent import MultiLaurent, a_polys
-from polebracket.polewords import MARK, Word, make_word
+from polebracket.polewords import MARK, Word, arc, make_word
 from polebracket.states import _ID_BITS, CountTable, PoleCurve, _engine
 from polebracket.surfaces import ClosedSurface, EmbeddedCurve
 
@@ -193,6 +201,100 @@ def assemble_from_table(rows) -> dict:
     (natural, iness_count, label); reproduces printed state tables."""
     counts = Counter((label, nat, iness) for nat, iness, label in rows)
     return a_polys(fold(counts))
+
+
+# ---------------------------------------------------------------------------
+# splice tables, dart by dart
+
+
+def splice_tables(F: ClosedSurface) -> dict:
+    """The state engine's splice tables of `F`, built per dart: "side",
+    "kind", "step", "items" (what `_Engine._items` returns), "chords" (the
+    sorted chord list, whose index is the chord's bit), "kinks" and
+    "bigons".  Bit 0 of rotation (r0, r1, r2, r3) draws chords (r1, r2) and
+    (r3, r0), bit 1 (r0, r1) and (r2, r3); a chord between two in-darts or
+    two out-darts is a pole, of side 0 at dart a when b follows a."""
+    rs = F.ribbon
+    n = rs.total_darts
+    c4 = 4 * rs.n_crossings
+    succ, pred = F._succ, F._pred
+    tau = ([-1] * n, [-1] * n)
+    side = ([-1] * n, [-1] * n)
+    kind = ([0] * n, [0] * n)
+    for rot in rs.rotations:
+        if len(rot) == 2:
+            d0, d1 = rot
+            for bit in (0, 1):
+                tau[bit][d0] = d1
+                tau[bit][d1] = d0
+            continue
+        r0, r1, r2, r3 = rot
+        for bit, pairs in ((0, ((r1, r2), (r3, r0))), (1, ((r0, r1), (r2, r3)))):
+            for a, b in pairs:
+                tau[bit][a] = b
+                tau[bit][b] = a
+                if (a % 4 < 2) == (b % 4 < 2):
+                    side[bit][a] = 0 if succ[a] == b else 1
+                    side[bit][b] = 0 if succ[b] == a else 1
+                    kind[bit][a] = kind[bit][b] = 1 if a % 4 < 2 else 2
+    chords = sorted({(d, t[d]) for t in tau for d in range(n) if d < t[d]})
+    chord_bit = {ch: 1 << i for i, ch in enumerate(chords)}
+    cbit = [[chord_bit[(d, t[d]) if d < t[d] else (t[d], d)] for d in range(n)] for t in tau]
+    band_key = [1 << (len(chords) + bi) for (_o, _f, bi) in rs.band_at]
+    step = tuple(
+        [(t[d], cb[d], *rs.band_at[t[d]][:2], band_key[t[d]]) for d in range(n)]
+        for t, cb in zip(tau, cbit)
+    )
+
+    def pole(bit, a):
+        b, cb = tau[bit][a], cbit[bit][a]
+        s = side[bit][a]
+        return (a, b, cb, arc((s,)), kind[bit][a]) if s >= 0 else (a, b, cb, 0, 0)
+
+    items = tuple(
+        tuple(
+            (bit,) + tuple(x for d in range(i, i + 4) if d < tau[bit][d] for x in pole(bit, d))
+            for bit in (0, 1)
+        )
+        for i in range(0, c4, 4)
+    )
+    loops = tuple(pole(0, d) for d in range(c4, n) if d < tau[0][d])
+
+    kinks = {}
+    for u, v, flip in rs.bands:
+        i = u >> 2
+        if flip or u >= c4 or v >> 2 != i or not (u ^ v) & 1 or i in kinks:
+            continue
+        kinks[i] = int(tau[1][u] == v)
+
+    cap = list(range(n))
+
+    def find(x):
+        while cap[x] != x:
+            x = cap[x]
+        return x
+
+    for u, v, flip in rs.bands:
+        for x, y in ((u, v), (pred[u], pred[v])) if flip else ((u, pred[v]), (pred[u], v)):
+            cap[find(y)] = find(x)
+    bigons = []
+    taken = set()
+    for u, v, flip in rs.bands:
+        x, y = u >> 2, v >> 2
+        if (flip or (u | v) & 1 or x == y or x in taken or y in taken
+                or not (rs.rotations[x][1] ^ rs.rotations[y][1]) & 2):
+            continue
+        for d, e in ((u, succ[u]), (pred[u], u)):
+            w2, wflip, _b = rs.band_at[e if d == u else d]
+            d2, e2 = rs.band_at[d][0], rs.band_at[e][0]
+            if (wflip or not w2 & 1 or w2 >> 2 != y or succ[e2] != d2
+                    or find(succ[e]) == find(succ[d2])):
+                continue
+            bigons.append((x, int(tau[1][d] != e), y, int(tau[1][e2] != d2)))
+            taken.update((x, y))
+            break
+    return {"side": side, "kind": kind, "step": step, "items": (items, loops),
+            "chords": chords, "kinks": kinks, "bigons": bigons}
 
 
 # ---------------------------------------------------------------------------
