@@ -9,24 +9,27 @@ already determines the twisted link, and the virtual moves plus T2 hold by
 construction.
 
 Text format (.tgc): one component per line, whitespace-separated tokens
-O<id><sign> / U<id><sign> / B, sign in {+,-}; '#' starts a comment; a
-component with no tokens at all is written as the single token EMPTY.
+O<id><sign> / U<id><sign> / B, id in ASCII decimal digits, sign in {+,-}
+(U+2212 reads as -); '#' starts a comment; a component with no tokens at
+all is written as the single token EMPTY.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class CodeError(ValueError):
     """Raised for malformed .tgc text or invalid token structure."""
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
+    """One pass of a strand through a crossing, as an immutable named
+    tuple.  Its hash is hash((crossing, over, sign)), which fixes the order
+    in which a set of visits iterates."""
+
     crossing: int
     over: bool
     sign: int  # +1 or -1
@@ -74,6 +77,33 @@ class TwistedGaussCode:
 
 
 def _validate(components: Sequence[Sequence[Token]]) -> None:
+    """Raise CodeError unless every crossing id >= 1 has one O visit and one
+    U visit with one sign, +1 or -1.  One pass files each visit's sign under
+    its id on the O side or the U side, and a valid code has two equal
+    sides with no id filed twice; only an invalid one runs `_first_fault`,
+    which names the fault."""
+    over: dict[int, int] = {}
+    under: dict[int, int] = {}
+    n = 0
+    for comp in components:
+        for tok in comp:
+            if isinstance(tok, Visit):
+                n += 1
+                (over if tok.over else under)[tok.crossing] = tok.sign
+    if (
+        over == under
+        and 2 * len(over) == n
+        and min(over, default=1) >= 1
+        and set(over.values()) <= {1, -1}
+    ):
+        return
+    _first_fault(components)
+
+
+def _first_fault(components: Sequence[Sequence[Token]]) -> None:
+    """Raise CodeError on the first fault of a code: a bad id or sign,
+    visits component by component, then crossings by id: a count other
+    than two, two visits on one side, or two signs."""
     seen: dict[int, list[Visit]] = {}
     for ci, comp in enumerate(components):
         for tok in comp:
@@ -106,13 +136,15 @@ def make_code(components: Iterable[Iterable[Token]]) -> TwistedGaussCode:
 # text format
 # ---------------------------------------------------------------------------
 
-_VISIT_RE = re.compile(r"^([OU])([0-9]+)([+-])$")
+_SIGN = {"+": 1, "-": -1}
 
 
 def parse_code(text: str) -> TwistedGaussCode:
     """Parse .tgc text into a validated code.
 
-    Errors carry the 1-based component index and token offset.
+    A visit token is read by slicing: O or U, then ASCII digits (so a
+    digit of another script, which `int` would read, is a bad token), then
+    the sign.  Errors carry the 1-based component index and token offset.
     """
     components: list[tuple[Token, ...]] = []
     comp_no = 0
@@ -134,18 +166,12 @@ def parse_code(text: str) -> TwistedGaussCode:
             if w == "B":
                 toks.append(BAR)
                 continue
-            m = _VISIT_RE.match(w)
-            if not m:
+            head, digits, sign = w[0], w[1:-1], _SIGN.get(w[-1])
+            if sign is None or head not in "OU" or not (digits.isascii() and digits.isdigit()):
                 raise CodeError(
                     f"component {comp_no}, token {off + 1}: bad token {w!r}"
                 )
-            toks.append(
-                Visit(
-                    crossing=int(m.group(2)),
-                    over=m.group(1) == "O",
-                    sign=1 if m.group(3) == "+" else -1,
-                )
-            )
+            toks.append(Visit(int(digits), head == "O", sign))
         components.append(tuple(toks))
     return make_code(components)
 

@@ -110,14 +110,16 @@ def _replace(comps, tokens):
 
 def _insert(what, tokens):
     """Handler that splices tokens(x, variant) into the gap site
-    (component, gap); x is the first crossing id past the code's."""
+    (component, gap); x is the first crossing id past the code's, the
+    largest id a visit carries plus 1."""
 
     def handler(code, site, variant):
         comps = _components(code)
         _check_site(site, 2, what)
         ci, gap = site
         _gap_ok(comps, ci, gap)
-        comps[ci][gap:gap] = tokens(max(code.crossing_ids, default=0) + 1, variant)
+        top = max((t.crossing for comp in comps for t in comp if isinstance(t, Visit)), default=0)
+        comps[ci][gap:gap] = tokens(top + 1, variant)
         return make_code(comps)
 
     return handler

@@ -9,8 +9,12 @@ surface are classified against that closed surface (null-homologous,
 separating, disk-bounding, Mobius-core).  The caps, pieces, Euler
 characteristic and orientability of the closed surface are read off the
 ribbon graph by face tracing (`ClosedSurface`); see Mohar and Thomassen,
-*Graphs on Surfaces* (2001), ch. 3-4.  `realize` caps a code's ribbon: it
-is the one place where a code becomes a surface.
+*Graphs on Surfaces* (2001), ch. 3-4.  Z/2 homology is read in the
+coordinates of a spanning forest's fundamental cycles, the tree-cotree
+idea of Eppstein (SODA 2003): a cycle's coordinates are its non-tree
+bands, and the caps, reduced in those coordinates, are the relations.
+`realize` caps a code's ribbon: it is the one place where a code becomes
+a surface.
 
 Cutting along curves works on the handle decomposition (crossing disks,
 bands, caps) with plain int tables, in one cutter, `ClosedSurface._cut`:
@@ -50,7 +54,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .cells import PolygonComplex
-from .codes import Bar, TwistedGaussCode, Visit
+from .codes import TwistedGaussCode, Visit
 
 
 # ---------------------------------------------------------------------------
@@ -71,66 +75,55 @@ class RibbonComplex:
     band_at: tuple[tuple[int, int, int], ...]  # dart -> (other dart, flip, band index)
 
 
-def _dart_in(k: int, over: bool) -> int:
-    return 4 * k if over else 4 * k + 1
-
-
-def _dart_out(k: int, over: bool) -> int:
-    return 4 * k + 2 if over else 4 * k + 3
-
-
 def build_ribbon(code: TwistedGaussCode) -> RibbonComplex:
+    """The band surface of a code, in one pass per component.
+
+    Crossing id cid is disk k, the k-th smallest id, and its darts are 4k
+    onward.  Each visit closes the band from the previous visit's out-dart
+    to its own in-dart, flipped once per bar between them; the bars before
+    a component's first visit join its last band, which closes the cycle.
+    A component with no visit is a bare loop: a two-dart disk numbered
+    after the crossings, with one band back to itself.  Bands are numbered
+    in that order, component by component."""
     signs = code.signs()
     ids = sorted(signs)
-    kidx = {cid: k for k, cid in enumerate(ids)}
     c = len(ids)
-
-    rotations: list[tuple[int, ...]] = []
-    for k, cid in enumerate(ids):
-        oi, ui, oo, uo = 4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3
-        if signs[cid] > 0:
-            rotations.append((oi, ui, oo, uo))
-        else:
-            rotations.append((oi, uo, oo, ui))
+    kidx = dict(zip(ids, range(0, 4 * c, 4)))
+    rotations: list[tuple[int, ...]] = [
+        (d, d + 1, d + 2, d + 3) if signs[cid] > 0 else (d, d + 3, d + 2, d + 1)
+        for cid, d in kidx.items()
+    ]
+    disk_of = [d >> 2 for d in range(4 * c)]
 
     bands: list[tuple[int, int, int]] = []
-    n_free = 0
-    free_rotations: list[tuple[int, ...]] = []
+    total = 4 * c
     for comp in code.components:
-        visits = [(i, t) for i, t in enumerate(comp) if isinstance(t, Visit)]
-        if not visits:
+        prev = first = -1
+        flip = lead = 0
+        for tok in comp:
+            if isinstance(tok, Visit):
+                d = kidx[tok.crossing] if tok.over else kidx[tok.crossing] + 1
+                if prev < 0:
+                    first, lead = d, flip
+                else:
+                    bands.append((prev, d, flip))
+                prev, flip = d + 2, 0
+            else:
+                flip ^= 1
+        if prev >= 0:
+            bands.append((prev, first, flip ^ lead))
+        else:
             # bare loop: a small disk with two darts and one band back to itself
-            d0 = 4 * c + 2 * n_free
-            d1 = d0 + 1
-            flip = sum(1 for t in comp if isinstance(t, Bar)) % 2
-            free_rotations.append((d0, d1))
-            bands.append((d1, d0, flip))
-            n_free += 1
-            continue
-        n = len(comp)
-        for j, (pos, tok) in enumerate(visits):
-            npos, ntok = visits[(j + 1) % len(visits)]
-            flip = 0
-            i = (pos + 1) % n
-            while i != npos:
-                if isinstance(comp[i], Bar):
-                    flip ^= 1
-                i = (i + 1) % n
-            u = _dart_out(kidx[tok.crossing], tok.over)
-            v = _dart_in(kidx[ntok.crossing], ntok.over)
-            bands.append((u, v, flip))
+            rotations.append((total, total + 1))
+            disk_of += (len(rotations) - 1,) * 2
+            bands.append((total + 1, total, flip))
+            total += 2
 
-    rotations += free_rotations
-    total = 4 * c + 2 * n_free
-    disk_of = [0] * total
-    for disk, rot in enumerate(rotations):
-        for d in rot:
-            disk_of[d] = disk
-    band_at: list[tuple[int, int, int]] = [(-1, -1, -1)] * total
+    band_at: list = [None] * total
     for bi, (u, v, flip) in enumerate(bands):
         band_at[u] = (v, flip, bi)
         band_at[v] = (u, flip, bi)
-    if any(b[0] < 0 for b in band_at):
+    if None in band_at:
         raise AssertionError("dart without band")
 
     return RibbonComplex(
@@ -203,11 +196,11 @@ class ClosedSurface:
     homology with Z/2 coefficients, and the two curve predicates the state
     sum needs: the homology class and `bounds_disk`.  The class is linear
     in the bands, so a curve's class is the XOR of the per-band table
-    `band_class` over its bands; `homology_class` reduces an arbitrary band
-    mask instead and rejects one that is not a cycle.  Instances are immutable
-    after construction, except that `states` attaches its per-surface engine
-    (splice tables, curve-class table and cache of disk tests) and that
-    `corner_caps` is made on first use.
+    `band_class` over its bands; `homology_class` takes any band mask,
+    rejects one that is not a cycle and reads the same table.  Instances
+    are immutable after construction, except that `states` attaches its
+    per-surface engine (splice tables, curve-class table and cache of disk
+    tests) and that `corner_caps` is made on first use.
 
     Everything is read off the ribbon graph with int tables.  A corner of a
     disk is named by the dart it follows.  A band side joins two corners:
@@ -216,11 +209,21 @@ class ClosedSurface:
     found by a union-find run inline and flattened once, so that
     `_corner_root[d]` is the root corner of d's cap; each cap keeps the
     mask of the bands it runs along once and its root corner.  The pieces
-    are the trees of the spanning forest that the homology basis grows,
-    with chi = disks - bands + caps; a piece is one-sided iff w1, the flip
-    parity, is odd on one of its fundamental cycles.  Pieces are ordered by
-    their largest disk: that is the order `info` has always printed, so its
-    output does not change.
+    are the trees of a spanning forest, with chi = disks - bands + caps; a
+    piece is one-sided iff w1, the flip parity, is odd on one of its
+    fundamental cycles, read off the flip parity of each disk's tree path.
+    Pieces are ordered by their largest disk: that is the order `info` has
+    always printed, so its output does not change.
+
+    Homology: every cycle is the sum of the fundamental cycles of its
+    non-tree bands, so those bits are its coordinates, and the caps'
+    non-tree bits span the boundaries.  They are put in reduced echelon
+    form with the highest bit as pivot.  The fundamental cycles of the
+    other non-tree bands, in band order, are the basis; a pivot band's
+    cycle is homologous to the sum of the rest of its row, so its class is
+    the basis positions of those bits.  This is the basis, and so every
+    printed class, that a band-space echelon of the caps followed by the
+    fundamental cycles in band order gives (`tests/reference.py`).
     """
 
     def __init__(self, rs: RibbonComplex):
@@ -272,29 +275,17 @@ class ClosedSurface:
         """Z/2 homology, pieces and orientability (see the class docstring)."""
         rs = self.ribbon
         n_disks = len(rs.rotations)
-        # echelon over GF(2): pivot bit -> (vector, coordinates in basis);
-        # the caps' rows, reduced first, have coordinates 0
-        rows: dict[int, tuple[int, int]] = {}
-        for vec in self._cap_masks:
-            while vec:
-                p = vec.bit_length() - 1
-                row = rows.get(p)
-                if row is None:
-                    rows[p] = (vec, 0)
-                    break
-                vec ^= row[0]
-
         # spanning forest: roots ascending, depth first, bands in index order;
         # the homology basis, and so every printed class, follows this order
         bands, disk_of = rs.bands, rs.disk_of
-        in_tree = bytearray(len(bands))
         tree = [-1] * n_disks        # disk -> the root of its tree
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n_disks)]
         for bi, (u, v, _f) in enumerate(bands):
             x, y = disk_of[u], disk_of[v]
             adj[x].append((y, bi))
             adj[y].append((x, bi))
-        path_mask = [0] * n_disks   # band mask of tree path to component root
+        tree_mask = 0
+        parity = [0] * n_disks       # flip parity of the tree path to the root
         for root in range(n_disks):
             if tree[root] >= 0:
                 continue
@@ -305,8 +296,8 @@ class ClosedSurface:
                 for y, bi in adj[x]:
                     if tree[y] < 0:
                         tree[y] = root
-                        in_tree[bi] = 1
-                        path_mask[y] = path_mask[x] ^ (1 << bi)
+                        tree_mask |= 1 << bi
+                        parity[y] = parity[x] ^ bands[bi][2]
                         queue.append(y)
 
         largest = {r: x for x, r in enumerate(tree)}
@@ -321,39 +312,61 @@ class ClosedSurface:
         for d in self._cap_corner:
             euler[piece[disk_of[d]]] += 1
         one_sided = [False] * len(index)
-
-        # a cycle's class is the XOR of the classes of the fundamental cycles
-        # of its non-tree bands, recorded here as each one is reduced
-        basis: list[int] = []
-        band_class = [0] * len(bands)
-        flip_mask = self.flip_mask
-        for bi, (u, v, _f) in enumerate(bands):
-            if in_tree[bi]:
-                continue
-            cyc = (1 << bi) ^ path_mask[disk_of[u]] ^ path_mask[disk_of[v]]
-            if (cyc & flip_mask).bit_count() & 1:
+        for bi, (u, v, flip) in enumerate(bands):
+            if not (tree_mask >> bi) & 1 and parity[disk_of[u]] ^ parity[disk_of[v]] ^ flip:
                 one_sided[band_piece[bi]] = True
-            vec, coords = cyc, 0
+
+        # a cycle is the sum of the fundamental cycles of its non-tree bands,
+        # so those bits are its coordinates.  The caps span the boundaries:
+        # their non-tree bits in reduced echelon form, highest bit as pivot
+        cotree = ~tree_mask
+        rows: dict[int, int] = {}
+        for vec in self._cap_masks:
+            vec &= cotree
             while vec:
                 p = vec.bit_length() - 1
                 row = rows.get(p)
                 if row is None:
-                    new = 1 << len(basis)
-                    rows[p] = (vec, coords ^ new)
-                    basis.append(cyc)
-                    coords = new
+                    rows[p] = vec
                     break
-                vec ^= row[0]
-                coords ^= row[1]
-            band_class[bi] = coords
-        self._rows = rows
+                vec ^= row
+        pivots = 0
+        for p in sorted(rows):
+            # every lower row is reduced already, so each step clears one pivot
+            row = rows[p]
+            low = row & pivots
+            while low:
+                q = low.bit_length() - 1
+                row ^= rows[q]
+                low ^= 1 << q
+            rows[p] = row
+            pivots |= 1 << p
+        # the other non-tree bands' fundamental cycles are the basis, in band
+        # order; a pivot band's cycle is homologous to the rest of its row
+        band_class = [0] * len(bands)
+        position = {}
+        free = cotree & ~pivots & ((1 << len(bands)) - 1)
+        while free:
+            low = free & -free
+            bi = low.bit_length() - 1
+            band_class[bi] = 1 << len(position)
+            position[bi] = len(position)
+            free ^= low
+        for p, row in rows.items():
+            row ^= 1 << p
+            h = 0
+            while row:
+                low = row & -row
+                h |= 1 << position[low.bit_length() - 1]
+                row ^= low
+            band_class[p] = h
         self.band_class = tuple(band_class)
         self.pieces = tuple(
             _classify_piece(e, not o) for e, o in zip(euler, one_sided)
         )
         self.euler = sum(euler)
         self.orientable = not any(one_sided)
-        self.h1_dim = len(basis)
+        self.h1_dim = len(position)
         expected = 2 * len(self.pieces) - self.euler
         if self.h1_dim != expected:
             raise AssertionError(
@@ -361,17 +374,23 @@ class ClosedSurface:
             )
 
     def homology_class(self, curve) -> tuple[int, ...]:
-        """Z/2 homology coordinates of a band cycle in the chosen basis."""
+        """Z/2 homology coordinates of a band cycle in the chosen basis.
+        Raises ValueError when the mask is not a cycle: when some disk meets
+        its bands an odd number of times."""
         mask = curve.band_mask if isinstance(curve, EmbeddedCurve) else int(curve)
-        vec, coords = mask, 0
-        while vec:
-            p = vec.bit_length() - 1
-            row = self._rows.get(p)
-            if row is None:
-                raise ValueError("band mask is not a cycle")
-            vec ^= row[0]
-            coords ^= row[1]
-        return tuple((coords >> i) & 1 for i in range(self.h1_dim))
+        bands, disk_of = self.ribbon.bands, self.ribbon.disk_of
+        if mask < 0 or mask >> len(bands):
+            raise ValueError("band mask is not a cycle")
+        odd, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            u, v, _f = bands[low.bit_length() - 1]
+            odd ^= (1 << disk_of[u]) ^ (1 << disk_of[v])
+            rest ^= low
+        if odd:
+            raise ValueError("band mask is not a cycle")
+        h = self._cycle_class(mask)
+        return tuple((h >> i) & 1 for i in range(self.h1_dim))
 
     def _cycle_class(self, band_mask: int) -> int:
         """The class of a cycle with bit i as coordinate i of

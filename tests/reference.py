@@ -31,20 +31,34 @@ table keyed by (signature, natural, iness), `fold` sums such a table per
 label, and `bracket_of`, `double_of` and `nonseparation_of` read the
 brackets and the non-separation count off it.  `by_signature` and
 `count_table` convert between that table and a `states.CountTable`.
+
+The first steps of every command, as the library first wrote them:
+`parse_code_regex` reads a visit token with a regular expression and
+`validate` searches the visits in order for the first fault, to be
+matched code for code and message for message; `ribbon` builds the band
+surface with a scan between each pair of consecutive visits; `homology`
+reduces the
+capped surface's Z/2 homology in band space, the caps first, then the
+fundamental cycles of the non-tree bands in band order, and reads its caps
+and pieces off the polygon complex (`surfaces.ribbon_faces`), not off the
+library's corner union-find.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections import Counter
 from functools import cache
 from itertools import islice
 
 from polebracket.brackets import BracketValue, _collapse, _delta_row
+from polebracket.cells import PolygonComplex
+from polebracket.codes import BAR, Bar, CodeError, TwistedGaussCode, Visit
 from polebracket.laurent import MultiLaurent, a_polys
 from polebracket.polewords import MARK, Word, arc, make_word
 from polebracket.states import _ID_BITS, CountTable, PoleCurve, _engine
-from polebracket.surfaces import ClosedSurface, EmbeddedCurve
+from polebracket.surfaces import ClosedSurface, EmbeddedCurve, RibbonComplex, ribbon_faces
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +401,216 @@ def count_table(counts: dict, c: int) -> CountTable:
         key = s << table.shift | i << pc_bits | b
         table.counts[key] = table.counts.get(key, 0) + n
     return table
+
+
+# ---------------------------------------------------------------------------
+# parsing and validation
+
+
+_VISIT_RE = re.compile(r"^([OU])([0-9]+)([+-])$")
+
+
+def validate(components) -> None:
+    """Raise CodeError on the first fault of a code's components: a visit
+    with an id below 1 or a sign other than +1 or -1, component by
+    component, then per crossing id ascending, a count other than two, two
+    visits on one side, or two signs."""
+    seen: dict = {}
+    for ci, comp in enumerate(components):
+        for tok in comp:
+            if isinstance(tok, Visit):
+                if tok.crossing < 1:
+                    raise CodeError(f"component {ci + 1}: crossing id must be >= 1")
+                if tok.sign not in (1, -1):
+                    raise CodeError(f"component {ci + 1}: sign must be +1 or -1")
+                seen.setdefault(tok.crossing, []).append(tok)
+    for cid, visits in sorted(seen.items()):
+        if len(visits) != 2:
+            raise CodeError(
+                f"crossing {cid} visited {len(visits)} time(s); need exactly one O and one U"
+            )
+        a, b = visits
+        if a.over == b.over:
+            role = "O" if a.over else "U"
+            raise CodeError(f"crossing {cid} has two {role} visits; need one O and one U")
+        if a.sign != b.sign:
+            raise CodeError(f"crossing {cid} has mismatched signs on its two visits")
+
+
+def parse_code_regex(text: str) -> TwistedGaussCode:
+    """`codes.parse_code` as first written: .tgc text to a code, one
+    regular-expression match per visit token."""
+    components = []
+    comp_no = 0
+    for raw_line in text.replace("\u2212", "-").splitlines():
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        comp_no += 1
+        words = line.split()
+        if "EMPTY" in words:
+            if len(words) != 1:
+                raise CodeError(
+                    f"component {comp_no}: EMPTY must be the only token on its line"
+                )
+            components.append(())
+            continue
+        toks = []
+        for off, w in enumerate(words):
+            if w == "B":
+                toks.append(BAR)
+                continue
+            m = _VISIT_RE.match(w)
+            if not m:
+                raise CodeError(f"component {comp_no}, token {off + 1}: bad token {w!r}")
+            toks.append(Visit(int(m.group(2)), m.group(1) == "O", 1 if m.group(3) == "+" else -1))
+        components.append(tuple(toks))
+    validate(components)
+    return TwistedGaussCode(tuple(components))
+
+
+# ---------------------------------------------------------------------------
+# the band surface
+
+
+def ribbon(code: TwistedGaussCode) -> RibbonComplex:
+    """`surfaces.build_ribbon` as first written: the bands of a component
+    run from each visit to the next one, wrapping around, each flipped once
+    per bar found by scanning the tokens between them; a component with no
+    visit is a bare loop, whose disks follow every crossing disk."""
+    signs = code.signs()
+    ids = sorted(signs)
+    kidx = {cid: k for k, cid in enumerate(ids)}
+    c = len(ids)
+    rotations = []
+    for k, cid in enumerate(ids):
+        oi, ui, oo, uo = 4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3
+        rotations.append((oi, ui, oo, uo) if signs[cid] > 0 else (oi, uo, oo, ui))
+    bands = []
+    free_rotations = []
+    for comp in code.components:
+        visits = [(i, t) for i, t in enumerate(comp) if isinstance(t, Visit)]
+        if not visits:
+            d0 = 4 * c + 2 * len(free_rotations)
+            free_rotations.append((d0, d0 + 1))
+            bands.append((d0 + 1, d0, sum(1 for t in comp if isinstance(t, Bar)) % 2))
+            continue
+        n = len(comp)
+        for j, (pos, tok) in enumerate(visits):
+            npos, ntok = visits[(j + 1) % len(visits)]
+            flip = 0
+            i = (pos + 1) % n
+            while i != npos:
+                if isinstance(comp[i], Bar):
+                    flip ^= 1
+                i = (i + 1) % n
+            u = 4 * kidx[tok.crossing] + (2 if tok.over else 3)
+            v = 4 * kidx[ntok.crossing] + (0 if ntok.over else 1)
+            bands.append((u, v, flip))
+    rotations += free_rotations
+    total = 4 * c + 2 * len(free_rotations)
+    disk_of = [0] * total
+    for disk, rot in enumerate(rotations):
+        for d in rot:
+            disk_of[d] = disk
+    band_at = [(-1, -1, -1)] * total
+    for bi, (u, v, flip) in enumerate(bands):
+        band_at[u] = (v, flip, bi)
+        band_at[v] = (u, flip, bi)
+    return RibbonComplex(c, total, tuple(rotations), tuple(bands), tuple(disk_of), tuple(band_at))
+
+
+# ---------------------------------------------------------------------------
+# homology in band space
+
+
+def circle_mask(circle) -> int:
+    """The bands a boundary circle runs along once: its band sides, mod 2."""
+    mask = 0
+    for (e, _d) in circle:
+        if e[0] == "S":
+            mask ^= 1 << e[1]
+    return mask
+
+
+def homology(rs) -> dict:
+    """Z/2 first homology of the capped surface of ribbon `rs`, in band space.
+
+    The caps are the boundary circles of the polygon band surface.  The
+    spanning forest grows from the roots in ascending order, depth first,
+    bands in index order, and keeps each disk's tree path to its root as a
+    band mask.  An echelon over GF(2), highest bit as pivot, takes the caps'
+    band masks first, then each non-tree band's fundamental cycle in band
+    order: a cycle that reduces to 0 is dependent, any other is the next
+    basis element.  Returns "basis" (those fundamental cycles),
+    "band_class" (per band, the class of its fundamental cycle, bit i for
+    basis element i; 0 on tree bands), "h1_dim", "pieces" ((euler,
+    orientable) per piece of the capped polygon complex) and "classify", a
+    band mask's coordinate tuple, which raises ValueError on a non-cycle."""
+    faces = ribbon_faces(rs)
+    circles = PolygonComplex(faces).boundary_circles()
+    capped = PolygonComplex(faces + [list(c) for c in circles])
+    pieces = [
+        (st["euler"], orientable)
+        for st, orientable in zip(capped.piece_stats(), capped.orientable_pieces())
+    ]
+    rows: dict = {}
+    for vec in map(circle_mask, circles):
+        while vec:
+            p = vec.bit_length() - 1
+            if p not in rows:
+                rows[p] = (vec, 0)
+                break
+            vec ^= rows[p][0]
+
+    n_disks = len(rs.rotations)
+    adj = [[] for _ in range(n_disks)]
+    for bi, (u, v, _f) in enumerate(rs.bands):
+        adj[rs.disk_of[u]].append((rs.disk_of[v], bi))
+        adj[rs.disk_of[v]].append((rs.disk_of[u], bi))
+    path = [None] * n_disks
+    in_tree = set()
+    for root in range(n_disks):
+        if path[root] is not None:
+            continue
+        path[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, bi in adj[x]:
+                if path[y] is None:
+                    path[y] = path[x] ^ (1 << bi)
+                    in_tree.add(bi)
+                    stack.append(y)
+
+    basis = []
+    band_class = [0] * len(rs.bands)
+    for bi, (u, v, _f) in enumerate(rs.bands):
+        if bi in in_tree:
+            continue
+        cyc = (1 << bi) ^ path[rs.disk_of[u]] ^ path[rs.disk_of[v]]
+        vec, coords = cyc, 0
+        while vec:
+            p = vec.bit_length() - 1
+            if p not in rows:
+                coords ^= 1 << len(basis)
+                rows[p] = (vec, coords)
+                coords = 1 << len(basis)
+                basis.append(cyc)
+                break
+            vec ^= rows[p][0]
+            coords ^= rows[p][1]
+        band_class[bi] = coords
+
+    def classify(mask: int) -> tuple:
+        vec, coords = mask, 0
+        while vec:
+            p = vec.bit_length() - 1
+            if p not in rows:
+                raise ValueError("band mask is not a cycle")
+            vec ^= rows[p][0]
+            coords ^= rows[p][1]
+        return tuple((coords >> i) & 1 for i in range(len(basis)))
+
+    return {"basis": basis, "band_class": tuple(band_class), "h1_dim": len(basis),
+            "pieces": pieces, "classify": classify}

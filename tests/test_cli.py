@@ -272,6 +272,33 @@ def test_check_small_battery(capsys):
     assert out.count("PASS") == 5
 
 
+def test_check_battery_bytes_pinned(capsys):
+    # the six lines CI compares for `check --seed 3 --count 6`, as first
+    # recorded: 126 move sites over six twisted diagrams
+    code, out, _ = run(capsys, "check", "--seed", "3", "--count", "6")
+    assert code == 0
+    assert out == (
+        "PASS  move invariance of R (126 checked, 0 failures)\n"
+        "PASS  essential curves never separate (295 checked, 0 failures)\n"
+        "PASS  region pole balance (295 checked, 0 failures)\n"
+        "PASS  specialization identity (15 checked, 0 failures)\n"
+        "PASS  classical bracket oracle (9 checked, 0 failures)\n"
+        "all checks passed\n"
+    )
+
+
+def test_non_ascii_digit_is_a_bad_token_and_leading_zeros_read(capsys):
+    # int() reads U+0661 as 1; the parser does not, so the token is refused
+    # with exit 2, and a leading zero names the same crossing
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "info", "-i", "O1+ U\u0661+")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "polebracket: component 1, token 2: bad token 'U\u0661+'\n"
+    _, padded, _ = run(capsys, "info", "-i", "O01+ U1+")
+    _, plain, _ = run(capsys, "info", "-i", "O1+ U1+")
+    assert padded == plain
+
+
 def test_directory_input_is_parse_error(capsys, tmp_path):
     # a directory is not a code file, and its path is no code
     with pytest.raises(SystemExit) as exc:

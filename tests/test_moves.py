@@ -20,7 +20,7 @@ from polebracket.moves import (
     t1_delete_sites,
     t3_sites,
 )
-from polebracket.surfaces import ClosedSurface, EmbeddedCurve, _dart_in, _dart_out, build_ribbon
+from polebracket.surfaces import ClosedSurface, EmbeddedCurve, build_ribbon
 from polebracket.verify import braid_closure
 
 
@@ -161,8 +161,9 @@ def _move_circle(rs, ids, pairs):
     ends = {}
     mask = 0
     for first, second in pairs:
-        u = _dart_out(kidx[first.crossing], first.over)
-        v = _dart_in(kidx[second.crossing], second.over)
+        # darts at disk k: 4k over-in, 4k+1 under-in, 4k+2 over-out, 4k+3 under-out
+        u = 4 * kidx[first.crossing] + (2 if first.over else 3)
+        v = 4 * kidx[second.crossing] + (0 if second.over else 1)
         other, _flip, bi = rs.band_at[u]
         assert other == v, "adjacent visits disagree with the ribbon bands"
         mask |= 1 << bi
@@ -413,6 +414,40 @@ def test_move_layer_pinned():
     assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == (
         "2d2cdb9c5a6653dd4e456846a9c4f28fc33df20b7a73a7dddd7c3e7999d421c2"
     )
+
+
+def _battery_moves(batteries):
+    """Every site the `check` battery's move sweep draws, with its moved
+    code or its rejection, over the twisted corpora of the given (seed,
+    count) batteries, drawn with one `Random(seed)` per battery as the
+    sweep draws them."""
+    from polebracket.verify import all_move_sites, corpus_twisted
+
+    lines = []
+    for seed, count in batteries:
+        rng = random.Random(seed)
+        for code in corpus_twisted(seed, count):
+            for spec in all_move_sites(code, rng):
+                try:
+                    lines.append(f"{spec} = {serialize(apply_move(code, spec))!r}")
+                except MoveError as e:
+                    lines.append(f"{spec} ! {e}")
+    return lines
+
+
+@pytest.mark.parametrize("batteries, sites, digest", [
+    # the bench's `check` pool, seeds 0-119 at count 2
+    ([(seed, 2) for seed in range(120)], 4996,
+     "234861a76938957e8c9f60caaf941dfac32dc3df0bddf61dffabc6981d2d5c19"),
+    # `check --seed 3 --count 6`, whose six lines CI compares
+    ([(3, 6)], 126, "19976649fc46996590978a09da237df2f06eb7333b3c191ecea104626f5d36c8"),
+], ids=["check-pool", "seed-3-count-6"])
+def test_check_battery_moves_pinned(batteries, sites, digest):
+    # an insert takes the next crossing id past the largest one a visit
+    # carries; the moved codes are the ones first recorded
+    lines = _battery_moves(batteries)
+    assert len(lines) == sites
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == digest
 
 
 def _accepted_r2_deletes(code):

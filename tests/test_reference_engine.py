@@ -26,12 +26,14 @@ leave a path open.
 `ClosedSurface.bounds_disk` and `surfaces.regions`, which count handles
 instead of building a polygon complex, are also compared with the cut
 directly: the disk test curve by curve, the regions family by family, and
-each malformed chord pattern must raise the same error in both.  The
-engine's per-band homology table is checked against `homology_class`, and
-its int chord-mask cache keys against the chord tuples the reference traces.
-A state sum's closings must reach all three ways a class is found (read off
-the open path; the disk test says yes; it says no), and the disk test must
-see only two-sided class-0 curves, each once.
+each malformed chord pattern must raise the same error in both.  Curve
+classes come from the band-space homology of `tests/reference.py`, which
+the engine's per-band homology table and `homology_class` are checked
+against, and the engine's int chord-mask cache keys are checked against
+the chord tuples the reference traces.  A state sum's closings must reach
+all three ways a class is found (read off the open path; the disk test
+says yes; it says no), and the disk test must see only two-sided class-0
+curves, each once.
 R1 kinks, whose loop-off states `sum_counts` counts without tracing them,
 are compared on codes that have them, folded and traced, over any range.
 """
@@ -39,6 +41,7 @@ are compared on codes that have them, folded and traced, over any range.
 import dataclasses
 import pickle
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -61,7 +64,8 @@ from polebracket.surfaces import (
 )
 from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
 from reference import (
-    bracket_of, by_signature, curve_poles, decode, double_of, geometry, nonseparation_of, reduce,
+    bracket_of, by_signature, curve_poles, decode, double_of, geometry, homology, nonseparation_of,
+    reduce,
 )
 
 
@@ -142,6 +146,18 @@ class RefEngine:
         return out
 
 
+_HOMOLOGY = weakref.WeakKeyDictionary()
+
+
+def ref_class(F, bmask):
+    """The class of a band cycle on F by the band-space reference
+    (`reference.homology`), made once per surface."""
+    hom = _HOMOLOGY.get(F)
+    if hom is None:
+        hom = _HOMOLOGY[F] = homology(F.ribbon)
+    return hom["classify"](bmask)
+
+
 def ref_cut(F, chords, mask):
     """`cut_complex` along the given chords, with the bands in mask split."""
     by_disk = {}
@@ -154,7 +170,7 @@ def ref_bounds_disk(F, chords, bmask, fpar, memo):
     """Cut-based disk test: a two-sided, null-homologous curve bounds a disk
     when its piece is a sphere or when cutting along it leaves a piece with
     chi 1 and one boundary circle."""
-    if fpar or any(F.homology_class(bmask)):
+    if fpar or any(ref_class(F, bmask)):
         return False
     hit = memo.get(chords)
     if hit is None:
@@ -196,7 +212,7 @@ def ref_index(word):
 def ref_classify(F, curve, memo):
     """(inessential, separating, mobius, index, hom_class) of a traced curve."""
     chords, bmask, fpar, word = curve[:4]
-    hom = F.homology_class(bmask)
+    hom = ref_class(F, bmask)
     sep = not any(hom)
     mob = fpar == 1
     iness = (not mob) and sep and ref_bounds_disk(F, chords, bmask, fpar, memo)
@@ -293,7 +309,7 @@ def test_bounds_disk_matches_cut_reference():
                 got = F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
                 assert got == ref_bounds_disk(F, chords, bmask, fpar, memo), (code, chords)
                 low_band = (bmask & -bmask).bit_length() - 1
-                if not (fpar or any(F.homology_class(bmask))
+                if not (fpar or any(ref_class(F, bmask))
                         or F.pieces[F.band_piece[low_band]].euler == 2):
                     verdicts[got] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
@@ -322,7 +338,7 @@ def test_bounds_disk_is_two_sided_class_zero_on_small_pieces():
                 if kind is None:
                     continue
                 got = F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
-                assert got == (not fpar and not any(F.homology_class(bmask))), (code, chords)
+                assert got == (not fpar and not any(ref_class(F, bmask))), (code, chords)
                 verdicts[kind, got] += 1
     assert verdicts["sphere", True] and not verdicts["sphere", False]
     for kind in ("RP2", "torus"):
@@ -340,7 +356,7 @@ def test_separating_curve_of_a_klein_bottle_bounds_no_disk():
     curves = [c for c in RefEngine(F).trace(3) if c[0] == chords]
     assert len(curves) == 1
     (_chords, bmask, fpar, *_rest) = curves[0]
-    assert not fpar and not any(F.homology_class(bmask))
+    assert not fpar and not any(ref_class(F, bmask))
     assert not F.bounds_disk(EmbeddedCurve(chords, bmask, fpar))
     # each side has one boundary circle and chi 0, so each is a Mobius band
     root, euler = F._cut(chords, bmask)
@@ -456,7 +472,8 @@ def test_swapped_pole_kinds_unbalance_the_same_states():
 
 def test_band_class_table_matches_homology_class():
     # a cycle's class is the XOR of its bands' classes; every band mask a
-    # reference-traced curve has, and a mask that is not a cycle
+    # reference-traced curve has, against the band-space reference and
+    # `homology_class`, and a mask that is not a cycle
     codes = corpus_twisted(3, 60) + [random_diagram(1, 12, 3)]
     curves = 0
     for code in codes:
@@ -468,12 +485,16 @@ def test_band_class_table_matches_homology_class():
                 for bi, cls in enumerate(F.band_class):
                     if (bmask >> bi) & 1:
                         h ^= cls
-                assert tuple((h >> i) & 1 for i in range(F.h1_dim)) == F.homology_class(bmask)
+                ref = ref_class(F, bmask)
+                assert tuple((h >> i) & 1 for i in range(F.h1_dim)) == ref
+                assert F.homology_class(bmask) == ref
                 curves += 1
     assert curves > 19000, curves
     F = realize(parse_code("O1+ O2+ U1+ U2+"))
     bi = next(i for i, (u, v, _f) in enumerate(F.ribbon.bands)
               if F.ribbon.disk_of[u] != F.ribbon.disk_of[v])
+    with pytest.raises(ValueError, match="not a cycle"):
+        ref_class(F, 1 << bi)
     with pytest.raises(ValueError, match="not a cycle"):
         F.homology_class(1 << bi)
 
@@ -492,7 +513,7 @@ def test_chord_mask_keys_are_injective():
         for key in eng.cache:
             bmask = key >> eng.n_chords
             assert not (bmask & F.flip_mask).bit_count() & 1, serialize(code)
-            assert not any(F.homology_class(bmask)), serialize(code)
+            assert not any(ref_class(F, bmask)), serialize(code)
         for s in enumerate_states(F):
             classify_state(F, s)
         ref = RefEngine(F)
@@ -531,7 +552,7 @@ def test_closings_reach_every_branch(monkeypatch):
         for curve, got in tested:
             assert curve.flip_parity == 0, serialize(code)
             assert not (curve.band_mask & F.flip_mask).bit_count() & 1, serialize(code)
-            assert not any(F.homology_class(curve.band_mask)), serialize(code)
+            assert not any(ref_class(F, curve.band_mask)), serialize(code)
             verdicts[got] += 1
     assert carried > 100 and verdicts[True] > 50 and verdicts[False] > 5, (carried, verdicts)
 

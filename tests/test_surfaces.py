@@ -1,12 +1,14 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polebracket.cells import PolygonComplex
-from polebracket.codes import parse_code, random_diagram
+from polebracket.codes import BAR, make_code, parse_code, random_diagram
 from polebracket.surfaces import ClosedSurface, build_ribbon, realize, regions, ribbon_faces
-from reference import geometry
+from polebracket.verify import corpus_twisted, twisted_fixtures
+from reference import circle_mask, geometry, homology, ribbon
 
 
 def _report(text):
@@ -93,15 +95,6 @@ def test_h1_rank_matches_classification(c, b, seed):
     assert F.h1_dim == expect
 
 
-def _cap_band_mask(circle) -> int:
-    # the bands a boundary circle runs along once: its band sides, mod 2
-    mask = 0
-    for (e, _d) in circle:
-        if e[0] == "S":
-            mask ^= 1 << e[1]
-    return mask
-
-
 def _assert_capped_complex_agrees(code):
     # ClosedSurface reads caps, pieces and orientability off int tables; the
     # reference traces the boundary circles of the polygon band surface and
@@ -112,7 +105,7 @@ def _assert_capped_complex_agrees(code):
     F = ClosedSurface(rs)
     circles = PolygonComplex(ribbon_faces(rs)).boundary_circles()
     assert len(circles) == len(F._cap_masks) == len(F._cap_corner)
-    assert sorted(_cap_band_mask(c) for c in circles) == sorted(F._cap_masks)
+    assert sorted(circle_mask(c) for c in circles) == sorted(F._cap_masks)
     capped = PolygonComplex(ribbon_faces(rs) + [list(c) for c in circles])
     assert capped.boundary_circles() == ()
     assert capped.euler == F.euler
@@ -184,3 +177,64 @@ def test_disk_test_rejects_a_chord_across_a_crossing_disk():
                         curve.band_mask, 0)
     with pytest.raises(ValueError, match="non-adjacent"):
         F.bounds_disk(bad)
+
+
+@st.composite
+def _diagrams(draw):
+    """c <= 12 crossings, bars <= 6, 1-3 components, and up to two more
+    bare loops of 0-2 bars each."""
+    c = draw(st.integers(min_value=0, max_value=12))
+    b = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=3))
+    code = random_diagram(draw(st.integers(min_value=0, max_value=10**6)), c, b,
+                          min(k, max(1, 2 * c + b)))
+    loops = draw(st.lists(st.integers(min_value=0, max_value=2), max_size=2))
+    return make_code(list(code.components) + [[BAR] * n for n in loops])
+
+
+def _assert_homology_matches_reference(code, rng):
+    # the ribbon, the class of each band's fundamental cycle, the basis
+    # (each basis cycle of the band-space reference has a unit class), the
+    # rank, the pieces, the class of a random sum of caps and fundamental
+    # cycles, and the refusal of a mask that is not a cycle
+    rs = build_ribbon(code)
+    assert rs == ribbon(code)
+    F = ClosedSurface(rs)
+    ref = homology(rs)
+    assert F.band_class == ref["band_class"]
+    assert F.h1_dim == ref["h1_dim"]
+    for i, cycle in enumerate(ref["basis"]):
+        assert F.homology_class(cycle) == tuple(int(j == i) for j in range(F.h1_dim))
+    assert [(p.euler, p.orientable) for p in F.pieces] == ref["pieces"]
+    cycles = list(F._cap_masks) + ref["basis"] + [
+        1 << bi for bi, (u, v, _f) in enumerate(rs.bands) if rs.disk_of[u] == rs.disk_of[v]
+    ]
+    for _ in range(4):
+        mask = 0
+        for cycle in cycles:
+            if rng.randrange(2):
+                mask ^= cycle
+        assert F.homology_class(mask) == ref["classify"](mask)
+    for bi, (u, v, _f) in enumerate(rs.bands):
+        if rs.disk_of[u] != rs.disk_of[v]:
+            with pytest.raises(ValueError, match="not a cycle"):
+                ref["classify"](1 << bi)
+            with pytest.raises(ValueError, match="not a cycle"):
+                F.homology_class(1 << bi)
+            break
+    with pytest.raises(ValueError, match="not a cycle"):
+        F.homology_class(1 << len(rs.bands))
+
+
+@given(_diagrams(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_homology_matches_band_space_reference(code, seed):
+    _assert_homology_matches_reference(code, random.Random(seed))
+
+
+def test_homology_matches_band_space_reference_on_corpus():
+    rng = random.Random(37)
+    codes = [code for _name, code in twisted_fixtures()] + corpus_twisted(5, 150, 9)
+    codes += [parse_code(t) for t in ("EMPTY", "B", "B B\nEMPTY", "B O1- O2- B U1- U2-")]
+    for code in codes:
+        _assert_homology_matches_reference(code, rng)
