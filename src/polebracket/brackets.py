@@ -25,13 +25,14 @@ every polynomial is the same.  State evaluation
 partitions the splice bitmask range across processes when asked; each
 worker returns its count table, whose signature ids are its own, and the
 parent re-keys them by signature and adds the counts exactly, so worker
-count never changes a single output bit.
+count never changes a single output bit.  The process pool, and with it
+`multiprocessing`, is imported only when a sum runs on more than one
+worker, so a one-worker call loads neither.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import comb
 from operator import itemgetter
@@ -132,6 +133,8 @@ def _counts(code: TwistedGaussCode, workers: int = 1) -> CountTable:
     # the workers build their own surfaces; the parent needs none
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(code, bounds[i], bounds[i + 1]) for i in range(workers)]
+    from concurrent.futures import ProcessPoolExecutor
+
     # the masks are still cut into `workers` jobs; the pool size only caps
     # how many processes run them at once.  Each job's signature ids are its
     # own, and `CountTable.add` re-keys them by signature

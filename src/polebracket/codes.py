@@ -17,7 +17,6 @@ all is written as the single token EMPTY.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
@@ -38,8 +37,18 @@ class Visit(NamedTuple):
         return token_text(self)
 
 
-@dataclass(frozen=True)
 class Bar:
+    """A half-twist on an arc.  Every bar equals every other, and hashes
+    as the empty tuple; it has no fields, so it cannot be changed."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __repr__(self) -> str:
         return "B"
 
@@ -55,8 +64,9 @@ def token_text(tok: Token) -> str:
     return f"{'O' if tok.over else 'U'}{tok.crossing}{'+' if tok.sign > 0 else '-'}"
 
 
-@dataclass(frozen=True)
-class TwistedGaussCode:
+class TwistedGaussCode(NamedTuple):
+    """A validated code, as an immutable named tuple of its components."""
+
     components: tuple[tuple[Token, ...], ...]
 
     @property

@@ -16,10 +16,12 @@ Moves are token rewrites.  Sites are flat integer tuples:
 
 Every other move takes variant 0 only; `_MOVES` holds each move's variant
 count, and apply_move rejects a variant outside it.  Gaps run
-0..len(component).  The R3 validity table is not transcribed from pictures:
-it is computed at import time by sliding a line across the crossing of two
-others in the plane, enumerating all strand directions and over-orders, and
-recording the resulting local token patterns.
+0..len(component).  The R3 validity table, `_r3_table()`, is not
+transcribed from pictures: it is computed by sliding a line across the
+crossing of two others in the plane, enumerating all strand directions and
+over-orders, and recording the resulting local token patterns.  It is
+built on the first R3 site a process checks, so a process that checks none
+builds nothing.
 
 Moves must keep the realization, not just the token pattern: the double
 bracket lives on the closed realization surface, so a rewrite is a move only
@@ -33,7 +35,7 @@ type.  Only R2 deletes can fail that, only on the surface; only they are guarded
 - R3.  The pairs are adjacent tokens, so their bands are unflipped, and at
   each crossing the two darts lie on one over- and one under-strand, so they
   are rotation-adjacent.  The pattern fixes signs and directions, and
-  `_R3_PATTERNS` holds exactly the planar triangles, so the corners and band
+  `_r3_table()` holds exactly the planar triangles, so the corners and band
   sides close into one cap (a local fact: the 16 canonical patterns cover
   every site).  Disks, bands and cap form a disk with six arms.  The rewrite
   swaps each pair in place, keeps signs and over/under and leaves a planar
@@ -44,8 +46,9 @@ crossing disk over (see `_t3_rewrite`); neither needs a guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from .codes import BAR, Bar, TwistedGaussCode, Visit, make_code
 from .surfaces import realize
@@ -56,8 +59,7 @@ class MoveError(ValueError):
     rewrite would not be a move of the underlying twisted link."""
 
 
-@dataclass(frozen=True)
-class MoveSpec:
+class MoveSpec(NamedTuple):
     kind: str            # one of KINDS
     direction: str       # one of DIRECTIONS
     site: tuple = ()
@@ -245,7 +247,10 @@ def _canon_r3(strands: tuple) -> tuple:
     )
 
 
+@cache
 def _r3_table() -> frozenset:
+    """The canonical token patterns of the planar triangles, made once per
+    process, on first use."""
     dirs3 = ((1, 0), (0, 1), (1, -1))  # the lines y=0, x=0, x+y=2
     meet = {(0, 1): (0, 0), (0, 2): (2, 0), (1, 2): (0, 2)}
 
@@ -272,9 +277,6 @@ def _r3_table() -> frozenset:
                 strands.append(tuple((j, over, s) for (_t, j, over, s) in visits))
             pats.add(_canon_r3(tuple(strands)))
     return frozenset(pats)
-
-
-_R3_PATTERNS = _r3_table()
 
 
 def _r3_site_pattern(comps, site):
@@ -311,7 +313,7 @@ def _r3_site_pattern(comps, site):
 def _r3_rewrite(code, site, _variant):
     comps = _components(code)
     anchors, strands = _r3_site_pattern(comps, site)
-    if _canon_r3(strands) not in _R3_PATTERNS:
+    if _canon_r3(strands) not in _r3_table():
         raise MoveError("R3 site is not a realizable triangle configuration")
     for ci, pos in anchors:
         comp = comps[ci]

@@ -107,19 +107,17 @@ curve's pole count and classes, so it keeps only a curve's key and word.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import polewords
 from .polewords import MARK
 from .surfaces import ClosedSurface, EmbeddedCurve
 
 
-@dataclass(frozen=True)
-class PoleCurve:
+class PoleCurve(NamedTuple):
     """One state curve: its key (chord bits | band bits << n_chords, as
     `_Engine` numbers them) and its cyclic pole word.  The key is where the
     curve runs: its chords, bands and flip parity read back off it."""
@@ -128,15 +126,13 @@ class PoleCurve:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PoleState:
+class PoleState(NamedTuple):
     choice: int
     natural: int
     curves: tuple[PoleCurve, ...]
 
 
-@dataclass(frozen=True)
-class CurveClassification:
+class CurveClassification(NamedTuple):
     inessential: bool
     separating: bool
     mobius: bool
@@ -330,7 +326,8 @@ class _Engine:
         self.band_other = [b[0] for b in rs.band_at]
         self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
         self.band_arc = [_BAND_ARC[flip] for (_o, flip, _b) in rs.band_at]
-        self.band_hc = [F.band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
+        band_class = F.band_class
+        self.band_hc = [band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
         self.cache: dict = {}
         self.classes = _Classes(F.h1_dim)
         # a leaf key packs (trie node, inessential count, B-splice count):

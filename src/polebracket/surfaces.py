@@ -49,9 +49,8 @@ Their edge ids (the first entry keeps sorting well defined):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cells import PolygonComplex
 from .codes import TwistedGaussCode, Visit
@@ -61,8 +60,7 @@ from .codes import TwistedGaussCode, Visit
 # ribbon construction
 
 
-@dataclass(frozen=True)
-class RibbonComplex:
+class RibbonComplex(NamedTuple):
     """Band-surface presentation of a twisted Gauss code.  It keeps what
     the capped surface and its splice states read, not the code itself: disk
     k realizes the k-th smallest crossing id, and the ids are not kept."""
@@ -165,16 +163,14 @@ def ribbon_faces(rs: RibbonComplex) -> list[list[tuple]]:
 # closed surface
 
 
-@dataclass(frozen=True)
-class PieceReport:
+class PieceReport(NamedTuple):
     euler: int
     orientable: bool
     genus: int        # handles if orientable, else 0
     crosscaps: int    # 0 if orientable
 
 
-@dataclass(frozen=True)
-class EmbeddedCurve:
+class EmbeddedCurve(NamedTuple):
     """A closed curve on the band surface running through whole bands and
     crossing each touched disk along straight chords between darts."""
 
@@ -200,7 +196,11 @@ class ClosedSurface:
     rejects one that is not a cycle and reads the same table.  Instances
     are immutable after construction, except that `states` attaches its
     per-surface engine (splice tables, curve-class table and cache of disk
-    tests) and that `corner_caps` is made on first use.
+    tests) and that two tables are made on first use: `band_class`, which
+    the state sum and the curve predicates read, and `corner_caps`, which
+    only the pole-balance check reads.  Construction makes what `info`
+    prints: the pieces, Euler characteristic, orientability and the rank
+    of H1, which it checks against 2 x pieces - chi.
 
     Everything is read off the ribbon graph with int tables.  A corner of a
     disk is named by the dart it follows.  A band side joins two corners:
@@ -217,11 +217,12 @@ class ClosedSurface:
 
     Homology: every cycle is the sum of the fundamental cycles of its
     non-tree bands, so those bits are its coordinates, and the caps'
-    non-tree bits span the boundaries.  They are put in reduced echelon
-    form with the highest bit as pivot.  The fundamental cycles of the
-    other non-tree bands, in band order, are the basis; a pivot band's
-    cycle is homologous to the sum of the rest of its row, so its class is
-    the basis positions of those bits.  This is the basis, and so every
+    non-tree bits span the boundaries.  Construction puts them in echelon
+    form with the highest bit as pivot, which fixes the rank; `band_class`
+    reduces the rows fully.  The fundamental cycles of the other non-tree
+    bands, in band order, are the basis; a pivot band's cycle is homologous
+    to the sum of the rest of its reduced row, so its class is the basis
+    positions of those bits.  This is the basis, and so every
     printed class, that a band-space echelon of the caps followed by the
     fundamental cycles in band order gives (`tests/reference.py`).
     """
@@ -272,7 +273,9 @@ class ClosedSurface:
     # -- homology --------------------------------------------------------
 
     def _build_homology(self):
-        """Z/2 homology, pieces and orientability (see the class docstring)."""
+        """Pieces, orientability and the caps' echelon rows, which fix the
+        rank of Z/2 homology; `band_class` reads the classes off the rows
+        (see the class docstring)."""
         rs = self.ribbon
         n_disks = len(rs.rotations)
         # spanning forest: roots ascending, depth first, bands in index order;
@@ -318,8 +321,8 @@ class ClosedSurface:
 
         # a cycle is the sum of the fundamental cycles of its non-tree bands,
         # so those bits are its coordinates.  The caps span the boundaries:
-        # their non-tree bits in reduced echelon form, highest bit as pivot
-        cotree = ~tree_mask
+        # their non-tree bits in echelon form, highest bit as pivot
+        cotree = ~tree_mask & ((1 << len(bands)) - 1)
         rows: dict[int, int] = {}
         for vec in self._cap_masks:
             vec &= cotree
@@ -330,6 +333,31 @@ class ClosedSurface:
                     rows[p] = vec
                     break
                 vec ^= row
+        self._rows = rows
+        # the other non-tree bands' fundamental cycles are the basis
+        self._free = free = cotree & ~sum(1 << p for p in rows)
+        self.pieces = tuple(
+            _classify_piece(e, not o) for e, o in zip(euler, one_sided)
+        )
+        self.euler = sum(euler)
+        self.orientable = not any(one_sided)
+        self.h1_dim = free.bit_count()
+        expected = 2 * len(self.pieces) - self.euler
+        if self.h1_dim != expected:
+            raise AssertionError(
+                f"homology dimension {self.h1_dim}, expected {expected}"
+            )
+
+    @cached_property
+    def band_class(self) -> tuple[int, ...]:
+        """Per band, the class of its fundamental cycle, with bit i as basis
+        position i (0 on tree bands).  Made on first use from the echelon
+        rows of the caps that `__init__` finds: the basis is the free
+        non-tree bands in band order, and a pivot band's cycle is homologous
+        to the rest of its row once the row is fully reduced.  The state
+        sum and `homology_class` read it; a surface that `info` reports
+        builds none."""
+        rows = dict(self._rows)
         pivots = 0
         for p in sorted(rows):
             # every lower row is reduced already, so each step clears one pivot
@@ -341,11 +369,9 @@ class ClosedSurface:
                 low ^= 1 << q
             rows[p] = row
             pivots |= 1 << p
-        # the other non-tree bands' fundamental cycles are the basis, in band
-        # order; a pivot band's cycle is homologous to the rest of its row
-        band_class = [0] * len(bands)
+        band_class = [0] * len(self.ribbon.bands)
         position = {}
-        free = cotree & ~pivots & ((1 << len(bands)) - 1)
+        free = self._free
         while free:
             low = free & -free
             bi = low.bit_length() - 1
@@ -360,18 +386,7 @@ class ClosedSurface:
                 h |= 1 << position[low.bit_length() - 1]
                 row ^= low
             band_class[p] = h
-        self.band_class = tuple(band_class)
-        self.pieces = tuple(
-            _classify_piece(e, not o) for e, o in zip(euler, one_sided)
-        )
-        self.euler = sum(euler)
-        self.orientable = not any(one_sided)
-        self.h1_dim = len(position)
-        expected = 2 * len(self.pieces) - self.euler
-        if self.h1_dim != expected:
-            raise AssertionError(
-                f"homology dimension {self.h1_dim}, expected {expected}"
-            )
+        return tuple(band_class)
 
     def homology_class(self, curve) -> tuple[int, ...]:
         """Z/2 homology coordinates of a band cycle in the chosen basis.
@@ -551,8 +566,7 @@ def realize(code: TwistedGaussCode) -> ClosedSurface:
 # cutting along curves
 
 
-@dataclass(frozen=True)
-class CutComplex:
+class CutComplex(NamedTuple):
     complex: PolygonComplex
     # face index of the two sides of each chord copy: (disk, chord) -> (fa, fb)
     chord_faces: dict
@@ -687,8 +701,7 @@ def cut_complex(F: ClosedSurface, chords_by_disk: dict, split_mask: int) -> CutC
     return CutComplex(PolygonComplex(faces), chord_faces)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     euler: int
     boundary_circles: int
     i_poles: int

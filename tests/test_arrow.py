@@ -113,5 +113,5 @@ def test_poke_codes_match_the_oracle():
 def test_random_diagrams_match_the_oracle(code, workers):
     # the workers' tables come back through pickle, as from worker processes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(brackets, "ProcessPoolExecutor", pickling_pool([]))
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool([]))
         assert engine_arrow(code, workers) == arrow_bracket(code), (serialize(code), workers)

@@ -175,7 +175,7 @@ def test_folding_bigons_keeps_every_output_byte(code, workers, data):
     argv = ("--workers", str(workers))
     for cmd in (["bracket"], ["bracket", "--json"], ["dbracket"], ["invariant"]):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(brackets, "ProcessPoolExecutor", pickling_pool([]))
+            mp.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool([]))
             folded = _cli_text(code, *cmd, *argv)
             count_every_state(mp)
             assert _cli_text(code, *cmd, *argv) == folded, (serialize(code), cmd, workers)

@@ -161,7 +161,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
 
     code = parse_code("O1- U2- O3- U1- O2- U3-\nO4+ U5+ O6+ U4+ O5+ U6+")
     expect = double_bracket(code, workers=1)
-    monkeypatch.setattr(brackets, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(brackets, "realize", counted_surface)
     for cpus, pool_size in ((2, 2), (None, 1), (64, 8)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)

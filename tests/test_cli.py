@@ -487,6 +487,24 @@ def test_only_check_builds_a_cap_table(capsys, monkeypatch):
         run(capsys, "check", "--seed", "1", "--count", "0")
 
 
+def _no_class_table(*_args):
+    raise AssertionError("built a band class table")
+
+
+def test_info_builds_no_band_class_table(capsys, monkeypatch):
+    # `band_class` is made on first use, by a state sum or a curve
+    # predicate; `info` prints only the rank, which construction fixes
+    from polebracket.surfaces import ClosedSurface
+    from polebracket.verify import classical_fixtures, twisted_fixtures
+
+    texts = [serialize(code) for _n, code in classical_fixtures() + twisted_fixtures()]
+    before = [run(capsys, "info", "-i", t) for t in texts]
+    monkeypatch.setattr(ClosedSurface, "band_class", property(_no_class_table))
+    assert [run(capsys, "info", "-i", t) for t in texts] == before
+    with pytest.raises(AssertionError, match="band class table"):
+        run(capsys, "invariant", "-i", texts[0])
+
+
 def test_check_builds_no_polygon_complex(capsys, monkeypatch):
     from polebracket import cells
 

@@ -229,7 +229,7 @@ def test_every_move_circle_runs_beside_a_cap_and_bounds_a_disk():
             _anchors, strands = moves._r3_site_pattern(moves._components(code), spec.site)
             patterns.add(moves._canon_r3(strands))
     assert set(bigons) == {"parallel", "antiparallel"}, bigons
-    assert patterns == moves._R3_PATTERNS and len(patterns) == 16
+    assert patterns == moves._r3_table() and len(patterns) == 16
 
 
 # -- T moves -----------------------------------------------------------------

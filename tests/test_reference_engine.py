@@ -38,7 +38,6 @@ R1 kinks, whose loop-off states `sum_counts` counts without tracing them,
 are compared on codes that have them, folded and traced, over any range.
 """
 
-import dataclasses
 import pickle
 import random
 import weakref
@@ -440,8 +439,7 @@ def _swap_in_and_out(rs, k):
     band_at = [None] * rs.total_darts
     for d, (o, flip, bi) in enumerate(rs.band_at):
         band_at[dart[d]] = (dart[o], flip, bi)
-    swapped = dataclasses.replace(
-        rs,
+    swapped = rs._replace(
         rotations=tuple(tuple(dart[d] for d in rot) for rot in rs.rotations),
         bands=tuple((dart[u], dart[v], flip) for u, v, flip in rs.bands),
         band_at=tuple(band_at),
@@ -1169,7 +1167,7 @@ def assert_table_matches_reference(code):
 
 @pytest.mark.parametrize("text", FIXTURES)
 def test_fixture_tables_match_reference(text, monkeypatch):
-    monkeypatch.setattr(brackets, "ProcessPoolExecutor", pickling_pool([]))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool([]))
     assert_table_matches_reference(parse_code(text))
 
 
@@ -1177,7 +1175,7 @@ def test_corpus_tables_match_reference(monkeypatch):
     # the worker tables of one merge number shared signatures differently,
     # and the parent re-keys them
     parts = []
-    monkeypatch.setattr(brackets, "ProcessPoolExecutor", pickling_pool(parts))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool(parts))
     for code in corpus_twisted(7, 40):
         assert_table_matches_reference(code)
     assert rekeyed(parts) > 50, rekeyed(parts)
@@ -1187,7 +1185,7 @@ def test_corpus_tables_match_reference(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_tables_match_reference(code):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(brackets, "ProcessPoolExecutor", pickling_pool([]))
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool([]))
         assert_table_matches_reference(code)
 
 
