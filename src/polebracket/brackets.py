@@ -8,25 +8,28 @@ a product of d_index variables, with d_0 = 1 and inessential curves each
 contributing a delta factor.  The normalized invariant multiplies by
 (-A)^(-3 writhe).
 
-Both brackets read one state-sum count table (`states.CountTable`), whose
-int keys pack a signature id, the inessential count and the B-splice
-count, beside the list of distinct signatures; the double bracket
-collapses its signatures instead of running a second sum.  One routine,
-`_fold`, makes one pass over the int keys and adds each key's count times
-a row of binomial coefficients (delta^n, expanded once per process) into an
-{A-exponent: int} table per label, and each bracket is a choice of label
-per signature id: the signature itself, or its (M, d) part (the double
-bracket), so each distinct signature is hashed or collapsed once.  The
-bracket's tables become A-only polynomials in one pass
+The surface pole bracket reads one state-sum count table
+(`states.CountTable`), whose int keys pack a signature id, the inessential
+count and the B-splice count, beside the list of distinct signatures.
+`_fold` makes one pass over the int keys and adds each key's count times a
+row of binomial coefficients (delta^n, expanded once per process) into an
+{A-exponent: int} table per signature, so each distinct signature is
+hashed once.  The bracket's tables become A-only polynomials in one pass
 (`laurent.a_polys`), and `BracketValue.to_text` formats each distinct
-curve entry and each distinct coefficient once.  The sums here fold R2
-bigons (see `states`): their tables hold fewer states than `check`'s, but
-every polynomial is the same.  State evaluation
-partitions the splice bitmask range across processes when asked; each
-worker returns its count table, whose signature ids are its own, and the
-parent re-keys them by signature and adds the counts exactly, so worker
-count never changes a single output bit.  The process pool, and with it
-`multiprocessing`, is imported only when a sum runs on more than one
+curve entry and each distinct coefficient once.  The double bracket and R
+build no signature: they are read straight off the state sum's leaf keys
+(`states.DoubleCounts`), whose keys pack an (M, d) label in place of the
+signature id, and `_fold_double` folds them the same way, per label, with
+R's writhe shift applied as it folds.  `check` folds both from one sum and
+compares the signature-collapsed bracket with that double bracket.  The sums
+here fold bigons (see `states`): their tables hold fewer states than
+`check`'s, but every polynomial is the same.  State evaluation partitions
+the splice bitmask range across processes when asked; each worker returns
+its count table, whose signature ids are its own, and the parent re-keys
+them by signature and adds the counts exactly, or its double counts, whose
+labels are the same in every process, and the parent adds them as they are;
+so worker count never changes a single output bit.  The process pool, and
+with it `multiprocessing`, is imported only when a sum runs on more than one
 worker, so a one-worker call loads neither.
 """
 
@@ -37,9 +40,9 @@ from functools import cache
 from math import comb
 from operator import itemgetter
 
-from .codes import TwistedGaussCode, writhe
+from .codes import TwistedGaussCode
 from .laurent import MultiLaurent, _a_poly_text, a_polys
-from .states import CountTable, sum_counts
+from .states import CountTable, DoubleCounts, sum_counts
 from .surfaces import ClosedSurface, RibbonComplex, realize
 
 Signature = tuple  # sorted per-curve tuples (index, mobius, separating, hom)
@@ -122,22 +125,25 @@ class _PolyText(dict):
 
 
 def _worker_counts(args):
-    code, lo, hi = args
-    return sum_counts(realize(code), lo, hi, True)
+    code, lo, hi, want = args
+    return sum_counts(realize(code), lo, hi, True, want)
 
 
-def _counts(code: TwistedGaussCode, workers: int = 1) -> CountTable:
+def _counts(code: TwistedGaussCode, workers: int = 1, want: str = "table"):
+    """The `sum_counts` result `want` asks for ("table" or "double") of
+    the code's full range, the range cut into `workers` jobs."""
     total = 1 << len(code.crossing_ids)
     if workers <= 1 or total < 4 * workers:
-        return sum_counts(realize(code), 0, total, True)
+        return sum_counts(realize(code), 0, total, True, want)
     # the workers build their own surfaces; the parent needs none
     bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [(code, bounds[i], bounds[i + 1]) for i in range(workers)]
+    jobs = [(code, bounds[i], bounds[i + 1], want) for i in range(workers)]
     from concurrent.futures import ProcessPoolExecutor
 
     # the masks are still cut into `workers` jobs; the pool size only caps
-    # how many processes run them at once.  Each job's signature ids are its
-    # own, and `CountTable.add` re-keys them by signature
+    # how many processes run them at once.  Each count table's signature
+    # ids are its own, and `CountTable.add` re-keys them by signature;
+    # double-bracket labels are the same everywhere, so those add as they are
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         parts = iter(pool.map(_worker_counts, jobs))
         table = next(parts)
@@ -186,9 +192,39 @@ def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
     return mob, tuple(sorted(d.items()))
 
 
-def _double_from_counts(table: CountTable) -> MultiLaurent:
-    tables = _fold(table, [_collapse(sig) for sig in table.sigs])
-    return MultiLaurent({(a, m, d): c for (m, d), t in tables.items() for a, c in t.items()})
+def _fold_double(part: DoubleCounts, normalize: bool) -> MultiLaurent:
+    """The double bracket, or with `normalize` R, of a sum's double counts:
+    Sum count * A^nat * delta^iness per (M, d) label, one {A-exponent: int}
+    table each, and then each label unpacked once to its (M, d) part.  R
+    multiplies by (-A)^(-3 writhe): every A-exponent shifts by k = -3
+    writhe, and the signs flip when k is odd."""
+    c, pb, sh, width = part.c, part.pc_bits, part.shift, part.width
+    pc_mask, iness_mask, field = (1 << pb) - 1, (1 << (sh - pb)) - 1, (1 << width) - 1
+    k = -3 * part.writhe if normalize else 0
+    sign = -1 if k & 1 else 1
+    tables: dict = {}
+    for key, count in part.counts.items():
+        t = tables.get(key >> sh)
+        if t is None:
+            t = tables[key >> sh] = {}
+        nat = c - 2 * (key & pc_mask) + k
+        count *= sign
+        for e, co in _delta_row(key >> pb & iness_mask):
+            a = nat + e
+            t[a] = t.get(a, 0) + co * count
+    terms: dict = {}
+    for label, t in tables.items():
+        # field 0 holds M's exponent, field i >= 1 d_i's
+        d, i, rest = [], 1, label >> width
+        while rest:
+            if rest & field:
+                d.append((i, rest & field))
+            rest >>= width
+            i += 1
+        m, d = label & field, tuple(d)
+        for a, co in t.items():
+            terms[a, m, d] = co
+    return MultiLaurent(terms)
 
 
 def _bracket_from_counts(table: CountTable) -> BracketValue:
@@ -196,19 +232,21 @@ def _bracket_from_counts(table: CountTable) -> BracketValue:
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
-    return _double_from_counts(_counts(code, workers))
+    return _fold_double(_counts(code, workers, "double"), False)
 
 
 def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketValue:
     return _bracket_from_counts(_counts(code, workers))
 
 
-def bracket_pair(table: CountTable) -> tuple[BracketValue, MultiLaurent]:
-    """(surface pole bracket, double bracket) from one `sum_counts` table,
-    which its caller also reads: the `check` battery counts each diagram's
-    non-separation violations off it, checks the specialization identity on
-    the pair, and reads R for the move sweep off the double bracket."""
-    return _bracket_from_counts(table), _double_from_counts(table)
+def bracket_pair(table: CountTable, part: DoubleCounts) -> tuple[BracketValue, MultiLaurent]:
+    """(surface pole bracket, double bracket) from the count table and the
+    double counts of one `sum_counts` call, which its caller also reads:
+    the `check` battery counts each diagram's non-separation violations off
+    the table and checks the specialization identity on the pair, which
+    compares the signature-collapsed bracket with the double bracket folded
+    off the leaf keys."""
+    return _bracket_from_counts(table), _fold_double(part, False)
 
 
 def specialize_bracket(b: BracketValue) -> MultiLaurent:
@@ -223,21 +261,13 @@ def specialize_bracket(b: BracketValue) -> MultiLaurent:
     return MultiLaurent(table)
 
 
-def writhe_normalize(code: TwistedGaussCode, double: MultiLaurent) -> MultiLaurent:
-    """R = (-A)^(-3 writhe) times `double`, the code's double bracket: each
-    A-exponent shifts by k = -3 writhe, and the signs flip when k is odd."""
-    k = -3 * writhe(code)
-    sign = -1 if k % 2 else 1
-    return MultiLaurent({(a + k, m, d): sign * c for (a, m, d), c in double.terms.items()})
-
-
 def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
-    return writhe_normalize(code, double_bracket(code, workers))
+    return _fold_double(_counts(code, workers, "double"), True)
 
 
-def ribbon_normalized(code: TwistedGaussCode, ribbon: RibbonComplex) -> MultiLaurent:
-    """`normalized(code)`, summed from `ribbon`, the code's own
-    `build_ribbon`, in one process: the move sweep keys each moved diagram
-    by its ribbon, so it has the ribbon already."""
-    table = sum_counts(ClosedSurface(ribbon), 0, 1 << ribbon.n_crossings, True)
-    return writhe_normalize(code, _double_from_counts(table))
+def ribbon_normalized(ribbon: RibbonComplex) -> MultiLaurent:
+    """R of the code whose `build_ribbon` is `ribbon`, summed in one
+    process: the move sweep keys each moved diagram by its ribbon, so it
+    has the ribbon already, and the writhe is read off its rotations."""
+    part = sum_counts(ClosedSurface(ribbon), 0, 1 << ribbon.n_crossings, True, "double")
+    return _fold_double(part, True)

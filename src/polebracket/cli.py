@@ -138,14 +138,17 @@ def _guard(code, args, err):
                 " peak memory was 19-26 MB")
     else:
         # the sum traces only the through splices of each R1 kink and R2
-        # bigon it folds; a kink on a bigon's crossing folds with the bigon
+        # bigon it folds, and one crossing of each alternating bigon; a kink
+        # on an R2 bigon's crossing folds with the bigon
         eng = _engine(realize(code))
-        pairs = len(eng.bigons)
-        paired = {i for x, _tx, y, _ty in eng.bigons for i in (x, y)}
+        alternating = sum(alt for *_b, alt in eng.bigons)
+        pairs = len(eng.bigons) - alternating
+        paired = {i for x, _tx, y, _ty, alt in eng.bigons if not alt for i in (x, y)}
         kinks = len(eng.kinks.keys() - paired)
-        bits, per_s = c - kinks - 2 * pairs, 6e-6
+        bits, per_s = c - kinks - 2 * pairs - alternating, 6e-6
         parts = [f"{kinks} R1 kinks summed in closed form"] * bool(kinks)
         parts += [f"{pairs} R2 bigons traced on their through splices"] * bool(pairs)
+        parts += [f"{alternating} alternating bigons traced on half their splices"] * bool(alternating)
         folded = f" less {' and '.join(parts)}" if parts else ""
         cost = ("4-6 us per traced state (c = 16 to 20); peak memory was"
                 " 22-24 MB at c = 16, 24-35 MB at c = 18 and 41-64 MB at c = 20")

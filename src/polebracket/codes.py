@@ -83,7 +83,7 @@ class TwistedGaussCode(NamedTuple):
         }
 
     def __repr__(self) -> str:
-        return f"TwistedGaussCode<{serialize(self).replace(chr(10), ' / ').strip()}>"
+        return f"TwistedGaussCode<{serialize(self).strip().replace(chr(10), ' / ')}>"
 
 
 def _validate(components: Sequence[Sequence[Token]]) -> None:

@@ -17,8 +17,9 @@ disk, so its class is a function of (index, class, parity): an int id in
 one small per-surface class table, and 0 for a disk.  Only a two-sided
 curve of class 0 is keyed by its chord set, in a cache of disk tests;
 `sum_counts` folds each state into one count table keyed by what the
-surface pole bracket needs, and the double bracket is collapsed from that
-same table.  Only the walker path builds `CurveClassification`s.
+surface pole bracket needs, or into double counts keyed by what the double
+bracket and R need, or both from one trace.  Only the walker path builds
+`CurveClassification`s.
 
 Every chord a splice can draw has one bit, so a chord set is an int: the
 bits of crossing disk k's four chords are 4k .. 4k+3, and bare loop i's is
@@ -60,23 +61,40 @@ its own, which is its result where it folds no kink, and spreads it over
 the loop-off states at its end where it does.  The count table is the same
 for every range.
 
-R2 bigons are folded too, when a sum's caller asks (Kauffman, same paper;
+Bigons are folded too, when a sum's caller asks (Kauffman, same paper;
 the source paper's R2 invariance).  A bigon is two unflipped bands that
-join crossing disks x != y, one over at both ends and one under at both,
-at crossings of opposite signs, and that bound one cap with exactly two
-corners, whose opposite corners at x and y lie on different caps, as an R2
-deletion that keeps the surface needs.  Of the four splice pairs at x and
-y, the through pair lets both strands pass; the other three turn them
-back, with naturals n and n - 4 and k disk circles, and n - 2 with k + 1,
-and one signature, so they add up to A^(n-2) delta^k (A^2 + A^-2 + delta)
-= 0.  `block` traces only the through pair of a bigon whose two bits it is
-free to choose, and counts nothing for the other three.  A kink on a
-bigon's crossing has the bigon's through choice as its own, and the bigon
-takes precedence: it is not spread in such a block.  A bigon with a fixed
-bit is traced as it stands, and a kink on it folds as a kink.  The table
-then holds fewer states, but every polynomial read off it is the same, so
-`sum_counts` folds bigons only where its caller asks; `check`, which counts
-the states it checks and reads each entry, does not.
+join crossing disks x != y and bound one cap with exactly two corners.  The
+two crossing disks, the two bands and the cap form a disk in F.  Of the
+four splice pairs at x and y, the through pair lets both strands pass; the
+other three turn them back, agree outside that disk, and inside it one of
+them has one more circle, around the cap, which bounds a disk: so the three
+share one signature, with k, k and k + 1 disk circles.  Whether an R2
+deletion would keep the surface is a question about moves, and the sum
+never asks it, so the torus look-alike U1+ U2- O1+ O2- folds too.
+- An R2 bigon has one band over at both ends and one under at both, at
+  crossings of opposite signs.  Its three turned-back states have naturals
+  n and n - 4 with k disk circles and n - 2 with k + 1, so they add up to
+  A^(n-2) delta^k (A^2 + A^-2 + delta) = 0.  `block` traces only the
+  through pair of an R2 bigon whose two bits it is free to choose, and
+  counts nothing for the other three.  A kink on its crossing has the
+  bigon's through choice as its own, and the bigon takes precedence: the
+  kink is not spread in such a block.
+- An alternating bigon has bands from over to under, at crossings of equal
+  signs, and equal through bits (around a two-corner cap the over-and-under
+  test and the sign test agree).  Say the through pair is AA (mirror it
+  all when it is BB): AB and BA have natural n - 2 and k disk circles, BB
+  n - 4 and k + 1, and the weights do not cancel.  `block` traces x's
+  through choice and both of y's, and spreads y's turned-back state as a
+  kink's loop-off is spread: count 2 at its own key, and 1 at one more disk
+  circle and one more B-splice, one fewer when the through bits are 1.
+  Half of the four states are traced.  A kink on an alternating bigon's
+  crossing folds as a kink, and that bigon is traced as it stands.
+The search takes the R2 bigons first, as they fold two bits each, and the
+pairs are disjoint.  A bigon with a fixed bit is traced as it stands, and a
+kink on it folds as a kink.  An R2 fold leaves fewer states in the table,
+but every polynomial read off it is the same, so `sum_counts` folds bigons
+only where its caller asks; `check`, which counts the states it checks and
+reads each entry, does not.
 
 The sum counts with ints.  Each class of essential curve has a small int
 id, and the essential curves closed so far are one node of a trie of
@@ -89,7 +107,12 @@ multiset, reached in different orders, merge by exact addition, and each
 distinct signature is built once.  The table's keys pack that id in place
 of the node, and the brackets read them as ints.  Node and class ids
 belong to one engine and signature ids to one table, so a table that
-crosses a process is re-keyed by signature (`CountTable.add`).
+crosses a process is re-keyed by signature (`CountTable.add`).  The double
+bracket and R need no signature: a node's (M, d) label, packed as an int,
+is its parent's plus its own curve's, so the leaf counts merge by (label,
+inessential count, B-splices) into `DoubleCounts`, whose labels mean the
+same in every process (`_Engine.double`), and the writhe is read off the
+ribbon.
 
 The two structure results of the paper are checked without a state walk.
 A curve of positive index never separates: `_Engine.classify` refuses a
@@ -194,38 +217,55 @@ class _Trie(dict):
 class _Classes(dict):
     """Essential curve classes by int key idx << (h1_dim + 1) | hom << 1 |
     flip, of a curve's index, homology class and flip parity, each mapped to
-    a small int id made on first use.  `entries[id]` is the class's
-    signature entry (index, mobius, separating, hom_class), and `order[id]`
-    an int that sorts as that entry does: the index, the flip, whether the
-    class is 0, and the class's bits read from bit 0 down.  Id 0 stands for
-    a curve that bounds a disk, which has no class key and no entry."""
+    a small int id made on first use; `by_id[id]` is the key.  Id 0 stands
+    for a curve that bounds a disk, which has no class key and no entry.
+    Only the count table reads `entries[id]`, the class's signature entry
+    (index, mobius, separating, hom_class), and `order[id]`, an int that
+    sorts as that entry does: the index, the flip, whether the class is 0,
+    and the class's bits read from bit 0 down.  Both are made on first read,
+    for the ids made since, so a sum that prints only R builds none."""
 
-    __slots__ = ("h1_dim", "entries", "order")
+    __slots__ = ("h1_dim", "by_id", "_entries", "_order")
 
     def __init__(self, h1_dim: int):
         super().__init__()
         self.h1_dim = h1_dim
-        self.entries: list = [None]
-        self.order: list = [-1]
+        self.by_id: list = [None]
+        self._entries: list = [None]
+        self._order: list = [-1]
 
     def __missing__(self, key: int) -> int:
-        h1 = self.h1_dim
-        idx, hom, flip = key >> (h1 + 1), key >> 1 & ((1 << h1) - 1), key & 1
-        bits = ()
-        rev = 0
-        for shift in range(0, h1, 8):
-            byte = hom >> shift & 255
-            bits += _BYTE_BITS[byte]
-            rev = rev << 8 | _REVERSED_BYTE[byte]
-        sid = len(self.entries)
+        sid = len(self.by_id)
         if sid >= _ID_LIMIT:
             raise AssertionError("too many curve classes for a trie key")
-        self.entries.append((idx, bool(flip), hom == 0, bits[:h1]))
-        # the class's bits, bit 0 highest: they sort as the bit tuple does
-        rev >>= -h1 & 7
-        self.order.append((idx << 2 | flip << 1 | (hom == 0)) << h1 | rev)
+        self.by_id.append(key)
         self[key] = sid
         return sid
+
+    def _grow(self) -> None:
+        h1 = self.h1_dim
+        for key in islice(self.by_id, len(self._entries), None):
+            idx, hom, flip = key >> (h1 + 1), key >> 1 & ((1 << h1) - 1), key & 1
+            bits = ()
+            rev = 0
+            for shift in range(0, h1, 8):
+                byte = hom >> shift & 255
+                bits += _BYTE_BITS[byte]
+                rev = rev << 8 | _REVERSED_BYTE[byte]
+            self._entries.append((idx, bool(flip), hom == 0, bits[:h1]))
+            # the class's bits, bit 0 highest: they sort as the bit tuple does
+            rev >>= -h1 & 7
+            self._order.append((idx << 2 | flip << 1 | (hom == 0)) << h1 | rev)
+
+    @property
+    def entries(self) -> list:
+        self._grow()
+        return self._entries
+
+    @property
+    def order(self) -> list:
+        self._grow()
+        return self._order
 
 
 class CountTable:
@@ -270,6 +310,34 @@ class CountTable:
             counts[key] = counts.get(key, 0) + n
 
 
+class DoubleCounts:
+    """The states of a splice range, counted by all that the double bracket
+    and R need, with int keys and no signature.
+
+    `counts` maps label << shift | iness << pc_bits | B-splices to a count
+    of states, like `CountTable.counts`, but with the state's (M, d) part
+    in place of a signature id.  That part is packed as `width`-bit fields:
+    field 0 holds the number of one-sided curves (M's exponent), and field
+    i >= 1 holds the number of curves of index i (d_i's exponent).  A label
+    is thus the same int in every process, so `add` is plain addition.
+    `writhe` is the diagram's writhe, read off its ribbon."""
+
+    __slots__ = ("c", "pc_bits", "shift", "width", "writhe", "counts")
+
+    def __init__(self, c: int, pc_bits: int, shift: int, width: int, writhe: int):
+        self.c = c
+        self.pc_bits = pc_bits
+        self.shift = shift
+        self.width = width
+        self.writhe = writhe
+        self.counts: dict = {}
+
+    def add(self, other: DoubleCounts) -> None:
+        counts = self.counts
+        for key, n in other.counts.items():
+            counts[key] = counts.get(key, 0) + n
+
+
 class _Engine:
     """Splice tables for one surface, its curve classes and its cache of
     disk tests.
@@ -300,9 +368,11 @@ class _Engine:
     the key `walk` returns.
     `block` carries the essential curves closed so far as a node of `trie`
     and counts states under int leaf keys; `table` turns those into the
-    count table.  `kinks` maps each crossing that has an R1 kink to its
-    loop-off bit, and `bigons` lists disjoint R2 bigons as (x, through bit,
-    y, through bit) (see the module docstring).
+    count table, and `double` into the double counts.  `kinks` maps each
+    crossing that has an R1 kink to its loop-off bit, and `bigons` lists
+    disjoint bigons as (x, through bit, y, through bit, alternating), the
+    R2 bigons first (see the module docstring).  `writhe` is the sum of
+    the crossing signs.
     """
 
     def __init__(self, F: ClosedSurface):
@@ -330,72 +400,85 @@ class _Engine:
         self.band_hc = [band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
         self.cache: dict = {}
         self.classes = _Classes(F.h1_dim)
-        # a leaf key packs (trie node, inessential count, B-splice count):
-        # node << node_shift | iness << pc_bits | B-splices.  A state has at
-        # most one curve per band and one B-splice per crossing
-        self.pc_bits = rs.n_crossings.bit_length()
-        self.node_shift = self.pc_bits + len(rs.bands).bit_length()
-        self.trie = _Trie()
+        # the writhe: disk k is positive iff bit 1 of its second dart is 0
+        self.writhe = rs.n_crossings - 2 * sum(negative)
         side = self.side
         succ, pred = F._succ, F._pred
         band_at = rs.band_at
-        cap = F._corner_root
         # R1 kinks, one per crossing disk at most: an unflipped band from an
         # out-dart to the other strand's in-dart on its own disk.  The
         # loop-off bit draws the chord that closes that band into a circle;
-        # the fold's premise is checked here, in O(1) per kink.
-        # R2 bigons, on disjoint pairs of crossing disks x != y, as (x, its
-        # through bit, y, its through bit).  An unflipped band (u, v) over at
-        # both ends and an unflipped band under at both ends, from a dart w
-        # beside u, join x and y, whose signs are opposite.  They bound one
-        # cap with exactly two corners: the corner at x lies between d and
-        # e = succ d, {d, e} = {u, w}, and its sides run along the bands at d
-        # and e to the corners pred(other d) and other e, so the cap closes
-        # after two corners iff those are one.  The corners opposite it at x
-        # and y, succ e and succ(other d), must lie on different caps, or an
-        # R2 deletion would change the surface (the torus look-alike
-        # U1+ U2- O1+ O2-).  Around a two-corner cap the over-and-under test
-        # and the sign test agree, so an alternating bigon fails both.  A
-        # disk's through bit is the one whose chords leave its bigon corner
-        # whole.  One pass over the bands finds both: a kink's band has its
-        # two ends on one disk, a bigon's on two
+        # the fold's premise is checked here, in O(1) per kink
         self.kinks: dict[int, int] = {}
-        self.bigons: list[tuple[int, int, int, int]] = []
-        taken: set[int] = set()
         for u, v, flip in rs.bands:
-            x, y = u >> 2, v >> 2
-            if flip:
+            x = u >> 2
+            if flip or x != v >> 2 or u >= c4 or not (u ^ v) & 1 or x in self.kinks:
                 continue
-            if x == y:
-                if u >= c4 or not (u ^ v) & 1 or x in self.kinks:
+            tau = _TAU[negative[x]]
+            off = int(tau[1][u & 3] == v & 3)
+            if any(side[off][d] >= 0 for d in range(4 * x, 4 * x + 4)):
+                raise AssertionError("a kink's loop-off chords carry a pole")
+            if self.band_hc[u]:
+                raise AssertionError("a kink's loop band has a class or flip")
+            # the loop-off chord joins u and v; when they are rotation
+            # adjacent it cuts off the corner between them, u when pred
+            # v = u and v when pred u = v.  The unflipped band's side from
+            # that corner (u ~ pred v, or pred u ~ v) returns to it, so
+            # the circle runs beside a one-corner cap and bounds a disk
+            if tau[off][u & 3] != v & 3 or not (pred[v] == u or pred[u] == v):
+                raise AssertionError("a kink's loop-off circle bounds no disk")
+            self.kinks[x] = off
+        # Bigons, on disjoint pairs of crossing disks x != y, as (x, its
+        # through bit, y, its through bit, alternating).  An unflipped band
+        # (u, v) and an unflipped band from a dart w beside u join x and y
+        # and bound one cap with exactly two corners: the corner at x lies
+        # between d and e = succ d, {d, e} = {u, w}, and its sides run along
+        # the bands at d and e to the corners pred(other d) and other e, so
+        # the cap closes after two corners iff those are one.  An R2 bigon
+        # has one band over at both ends, where it is found, and one under
+        # at both, and opposite signs; an alternating bigon has bands from
+        # over to under, equal signs and equal through bits, and no kink on
+        # its crossings.  Around a two-corner cap the over-and-under test
+        # and the sign test agree.  A disk's through bit is the one whose
+        # chords leave its bigon corner whole
+        self.bigons: list[tuple[int, int, int, int, bool]] = []
+        taken: set[int] = set()
+        # R2 bigons first, which fold two bits each, alternating ones one
+        joins: tuple[list, list] = ([], [])
+        for u, v, flip in rs.bands:
+            if not flip and u >> 2 != v >> 2:
+                joins[(u ^ v) & 1].append((u, v))
+        for alternating, bands in enumerate(joins):
+            for u, v in bands:
+                x, y = u >> 2, v >> 2
+                if (x in taken or y in taken
+                        or (x in self.kinks or y in self.kinks if alternating else u & 1)
+                        or (negative[x] != negative[y]) == alternating):
                     continue
-                tau = _TAU[negative[x]]
-                off = int(tau[1][u & 3] == v & 3)
-                if any(side[off][d] >= 0 for d in range(4 * x, 4 * x + 4)):
-                    raise AssertionError("a kink's loop-off chords carry a pole")
-                if self.band_hc[u]:
-                    raise AssertionError("a kink's loop band has a class or flip")
-                # the loop-off chord joins u and v; when they are rotation
-                # adjacent it cuts off the corner between them, u when pred
-                # v = u and v when pred u = v.  The unflipped band's side from
-                # that corner (u ~ pred v, or pred u ~ v) returns to it, so
-                # the circle runs beside a one-corner cap and bounds a disk
-                if tau[off][u & 3] != v & 3 or not (pred[v] == u or pred[u] == v):
-                    raise AssertionError("a kink's loop-off circle bounds no disk")
-                self.kinks[x] = off
-                continue
-            if (u | v) & 1 or x in taken or y in taken or negative[x] == negative[y]:
-                continue
-            for d, e in ((u, succ[u]), (pred[u], u)):
-                w2, wflip, _b = band_at[e if d == u else d]
-                d2, e2 = band_at[d][0], band_at[e][0]
-                if (wflip or not w2 & 1 or w2 >> 2 != y or succ[e2] != d2
-                        or cap[succ[e]] == cap[succ[d2]]):
-                    continue
-                self.bigons.append((x, int(_TAU[negative[x]][1][d & 3] != e & 3),
-                                    y, int(_TAU[negative[y]][1][e2 & 3] != d2 & 3)))
-                taken.update((x, y))
-                break
+                for d, e in ((u, succ[u]), (pred[u], u)):
+                    w2, wflip, _b = band_at[e if d == u else d]
+                    d2, e2 = band_at[d][0], band_at[e][0]
+                    if wflip or w2 >> 2 != y or succ[e2] != d2:
+                        continue
+                    tx = int(_TAU[negative[x]][1][d & 3] != e & 3)
+                    ty = int(_TAU[negative[y]][1][e2 & 3] != d2 & 3)
+                    if alternating and tx != ty:
+                        continue
+                    self.bigons.append((x, tx, y, ty, bool(alternating)))
+                    taken.update((x, y))
+                    break
+        # a leaf key packs (trie node, inessential count, B-splice count):
+        # node << node_shift | iness << pc_bits | B-splices.  A state has at
+        # most one curve per band and one B-splice per crossing.  An engine
+        # with alternating bigons keeps two more fields below the node, which
+        # `block` fills while it traces: per through bit, the number of them
+        # whose turned-back choice a state took
+        self.pc_bits = rs.n_crossings.bit_length()
+        self.mark_shift = self.pc_bits + len(rs.bands).bit_length()
+        through = [t for _x, t, _y, _t, alt in self.bigons if alt]
+        self.mark_bits = (len(through) - sum(through)).bit_length()
+        self.node_shift = self.mark_shift + self.mark_bits + sum(through).bit_length()
+        self.trie = _Trie()
 
     @cached_property
     def step(self) -> tuple[list, list]:
@@ -535,8 +618,8 @@ class _Engine:
 
     def block(self, base: int, k: int, fold: bool) -> dict:
         """The 2^k states from `base` (a multiple of 2^k), counted under
-        leaf keys; with `fold`, the turned-back states of each R2 bigon whose
-        two bits are free are left out, because they sum to zero.
+        leaf keys; with `fold`, each bigon whose two bits are free is traced
+        on part of its four splice pairs (see the module docstring).
 
         The bands start as open paths, and each open path carries, at each
         of its ends d: `end[d]`, the other end; `hc[d]`, its homology class
@@ -548,9 +631,11 @@ class _Engine:
         first, 0 before 1, so the states come in increasing order.  A fixed
         bit k .. c-1 is a depth with the one choice that `base` makes, and a
         free bit of a kink (`kinks`) a depth with its through choice only.
-        With `fold`, so are the two bits of a bigon (`bigons`) when both are
-        free, and a kink on one of them is then not spread; a bigon with a
-        fixed bit is traced as it stands.
+        With `fold`, so are the two bits of an R2 bigon (`bigons`) when both
+        are free, and a kink on one of them is then not spread.  Of an
+        alternating bigon with both bits free, x takes its through choice
+        and y both, its turned-back one marked in the leaf key; a bigon with
+        a fixed bit is traced as it stands.
 
         A chord (a, b) whose darts end one path closes a curve, once for
         every state below.  The closing (`entry`, given the values at a and
@@ -585,24 +670,39 @@ class _Engine:
         closing one moves to the child for its id; a curve that bounds a
         disk (id 0) adds one to the inessential count instead.  Each traced
         state adds 1 to the block's own table `leaves` under its leaf key,
-        node << node_shift | iness << pc_bits | B-splices; `table` reads
-        these keys back.  With no folded kink `leaves` is the block's
-        table; otherwise the block spreads it into a new one at its end:
-        taking the loop-off choice at j of the p folded kinks whose loop-off
-        bit is 1 and at l of the q whose loop-off bit is 0 adds j + l disk
-        circles and j - l B-splices to a traced state's key, and C(p, j)
-        C(q, l) states share that key."""
+        node << node_shift | marks << mark_shift | iness << pc_bits |
+        B-splices; `table` and `double` read these keys back.  With no
+        folded kink or alternating bigon `leaves` is the block's table;
+        otherwise the block spreads it into a new one at its end.  Taking
+        the loop-off choice at j of the p folded kinks whose loop-off bit is
+        1 and at l of the q whose loop-off bit is 0 adds j + l disk circles
+        and j - l B-splices to a traced state's key, and C(p, j) C(q, l)
+        states share that key.  A state that took the turned-back choice of
+        an alternating bigon counts 2 at its own key, for itself and the
+        other turned-back state with x's choice turned back too, and 1 at
+        one more disk circle and one more B-splice, or one fewer where the
+        through bits are 1, for the state that turns back both.  So a key
+        with m0 and m1 such marks, by through bit, counts C(m0, j) 2^(m0-j)
+        C(m1, l) 2^(m1-l) at j + l more disk circles and j - l more
+        B-splices, and its marks are cleared."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
         items, loops = self._items()
         choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
         paired = set()
+        marks = 0
         if fold:
-            for x, tx, y, ty in self.bigons:
+            mark = (1 << self.mark_shift, 1 << self.mark_shift + self.mark_bits)
+            for x, tx, y, ty, alternating in self.bigons:
                 if x < k and y < k:
                     choices[x] = (items[x][tx],)
-                    choices[y] = (items[y][ty],)
-                    paired.update((x, y))
+                    if alternating:
+                        back = items[y][1 - ty]
+                        choices[y] = (items[y][ty], (back[0] + mark[ty],) + back[1:])
+                        marks = 1
+                    else:
+                        choices[y] = (items[y][ty],)
+                        paired.update((x, y))
         folded = []
         for i, off in self.kinks.items():
             if i < k and i not in paired:
@@ -618,6 +718,8 @@ class _Engine:
         one = 1 << self.pc_bits
         nc = self.n_chords
         hc_shift = self.F.h1_dim + 1
+        hc_mask = (1 << hc_shift) - 1
+        class_keys = classes.by_id
 
         # kinds are 1 and 2, so ka & kb is nonzero just when the poles at
         # two ends are of one kind, and (ka | kb) & kc when either is kc's.
@@ -640,7 +742,7 @@ class _Engine:
             if hit is None:
                 hit = classify(key, idx)
                 # it carried class 0 and no flip: two-sided and separating
-                if hit and classes.entries[hit][1:3] != (False, True):
+                if hit and class_keys[hit] & hc_mask:
                     raise AssertionError("carried class disagrees with the band mask")
             return hit
 
@@ -796,16 +898,22 @@ class _Engine:
                 raise AssertionError("undo left the open paths changed")
         else:
             leaves[node << sh | t] = 1
-        if not folded:
+        if not folded and not marks:
             return leaves
         # a loop-off adds one inessential circle and shifts the B-count by
         # b_off - b_through, +1 where the loop-off bit is 1, -1 where it is 0
         up = sum(folded)
-        down = len(folded) - up
-        spread = [((j + l) * one + j - l, comb(up, j) * comb(down, l))
-                  for j in range(up + 1) for l in range(down + 1)]
+        kinked = _spread(up, len(folded) - up, one, 1)
+        ms, mb = self.mark_shift, self.mark_bits
+        spreads = {0: kinked}
         counts: dict = {}
         for key, n in leaves.items():
+            m = key >> ms & ((1 << sh - ms) - 1)
+            spread = spreads.get(m)
+            if spread is None:
+                # each shift also clears the marks
+                spread = spreads[m] = [(s1 + s2 - (m << ms), w1 * w2) for s1, w1 in kinked
+                                       for s2, w2 in _spread(m & ((1 << mb) - 1), m >> mb, one, 2)]
             for shift, w in spread:
                 counts[key + shift] = counts.get(key + shift, 0) + n * w
         return counts
@@ -854,6 +962,42 @@ class _Engine:
             key = s << sh | key & low
             counts[key] = counts.get(key, 0) + n
         return table
+
+    def double(self, raw: dict) -> DoubleCounts:
+        """The double-bracket counts of `block`'s leaf-key counts, and a
+        fresh trie in place of the one they refer to.  No signature is
+        built: a node's (M, d) label is its parent's plus its own curve's,
+        one more in field 0 for a one-sided curve and in field idx for a
+        curve of index idx >= 1, so nodes with one label merge here, by
+        exact addition, and in any other process too."""
+        up, keys = self.trie.up, self.classes.by_id
+        self.trie = _Trie()
+        rs = self.F.ribbon
+        sh = self.node_shift
+        low, id_mask = (1 << sh) - 1, (1 << _ID_BITS) - 1
+        # a state has at most one curve per band
+        width = len(rs.bands).bit_length()
+        hc_shift = self.F.h1_dim + 1
+        # each class's part and each node's label, shifted into place
+        part = [0] + [((key & 1) + (1 << width * (key >> hc_shift) if key >> hc_shift else 0)) << sh
+                      for key in islice(keys, 1, None)]
+        labels = [0]
+        for key in islice(up, 1, None):
+            labels.append(labels[key >> _ID_BITS] + part[key & id_mask])
+        out = DoubleCounts(rs.n_crossings, self.pc_bits, sh, width, self.writhe)
+        counts = out.counts
+        for key, n in raw.items():
+            key = labels[key >> sh] | key & low
+            counts[key] = counts.get(key, 0) + n
+        return out
+
+
+def _spread(up: int, down: int, one: int, stay: int) -> list:
+    """(leaf-key shift, weight) of each way to move j of `up` states and l
+    of `down` states: j + l more disk circles (`one` each) and j - l more
+    B-splices, with weight C(up, j) C(down, l) stay^(up - j + down - l)."""
+    return [((j + l) * one + j - l, comb(up, j) * comb(down, l) * stay ** (up - j + down - l))
+            for j in range(up + 1) for l in range(down + 1)]
 
 
 def _engine(F: ClosedSurface) -> _Engine:
@@ -999,11 +1143,13 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
     }
 
 
-def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool) -> CountTable:
+def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool, want: str = "table"):
     """Count the states of a bitmask range by everything the brackets need:
-    per signature (the sorted per-essential-curve tuple (index, mobius,
-    separating, hom_class)), natural and number of curves that bound disks,
-    as a `CountTable`.
+    as a `CountTable`, per signature (the sorted per-essential-curve tuple
+    (index, mobius, separating, hom_class)), natural and number of curves
+    that bound disks, with `want` "table"; as `DoubleCounts`, per (M, d)
+    label in place of the signature, with no signature built, with "double";
+    and as the pair (table, double counts) of one trace with "both".
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
     bits; `_Engine.block` sums each one depth first over its k low bits, so
@@ -1011,13 +1157,14 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool) -> CountTable:
     among the k low bits is traced on its through splice alone, and its
     loop-off states are counted in closed form; a kink among the fixed high
     bits is traced as it stands.  Either way every state of the range is
-    counted once.  With `fold`, an R2 bigon whose two bits are both among
-    the k low bits is traced on its through pair alone, and its turned-back
-    states, which sum to zero, are not counted: every polynomial the
-    brackets read off the table is the same, but the table is not, so a
-    caller that counts states or reads each one passes False.  The blocks
-    count under int leaf keys, which `_Engine.table` turns into the count
-    table once, at the end."""
+    counted once.  With `fold`, a bigon whose two bits are both among the k
+    low bits is traced on part of its splice pairs: an R2 bigon's
+    turned-back states, which sum to zero, are not counted, and an
+    alternating bigon's are counted from the one traced.  Every polynomial
+    the brackets read off the table is the same, but an R2 fold's table is
+    not, so a caller that counts states or reads each one passes False.
+    The blocks count under int leaf keys, which `_Engine.table` and
+    `_Engine.double` read once, at the end."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
     if lo < 0 or hi > 1 << c:
@@ -1034,4 +1181,11 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool) -> CountTable:
         else:
             raw = part
         lo += 1 << k
+    if want == "double":
+        return eng.double(raw)
+    if want == "both":
+        trie = eng.trie
+        double = eng.double(raw)
+        eng.trie = trie
+        return eng.table(raw), double
     return eng.table(raw)

@@ -8,7 +8,7 @@ site (twisted diagrams) or the planar oracle (classical ones).  The move
 sweep sums each distinct realization once, keyed by the moved diagram's
 ribbon: the sum reads nothing else, and the ribbon's rotations fix every
 crossing's sign, so the key is exact; a miss sums from that ribbon, with
-its R2 bigons folded.  The diagram's own sum folds none, because the
+its bigons folded.  The diagram's own sum folds none, because the
 battery counts and checks every state.  Classical fixtures are produced by
 braid closure so their planarity is by construction, not by luck.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .brackets import bracket_pair, ribbon_normalized, specialize_bracket, writhe_normalize
+from .brackets import _fold_double, bracket_pair, ribbon_normalized, specialize_bracket
 from .codes import TwistedGaussCode, Visit, make_code, parse_code, random_diagram
 from .moves import (
     MoveError,
@@ -146,11 +146,11 @@ def all_move_sites(code: TwistedGaussCode, rng) -> list:
     )
 
 
-def move_invariance(code: TwistedGaussCode, ribbon, double, rng):
-    """R of `code`, read off its double bracket, against R after each move
-    site drawn from `rng`; a site fails if R changes, `apply_move` rejects
-    it or the moved sum raises.  `ribbon` is the code's own `build_ribbon`.
-    Returns (checked, [(code, site), ...]).
+def move_invariance(code: TwistedGaussCode, ribbon, before, rng):
+    """R of `code`, `before`, against R after each move site drawn from
+    `rng`; a site fails if R changes, `apply_move` rejects it or the moved
+    sum raises.  `ribbon` is the code's own `build_ribbon`.  Returns
+    (checked, [(code, site), ...]).
 
     Each distinct realization is summed once: R is kept per moved ribbon,
     starting from the code's own.  This is exact, because everything the
@@ -158,10 +158,9 @@ def move_invariance(code: TwistedGaussCode, ribbon, double, rng):
     so equal ribbons have equal writhe and equal R.  T1 and T2 sites, and
     insert draws that repeat, sum nothing, nor do diagrams that differ only
     in their crossing labels: the ribbon keeps none.  A miss sums from the
-    ribbon it was keyed by, with R2 bigons folded, which every R2 insert
+    ribbon it was keyed by, with its bigons folded, which every R2 insert
     makes.  A rejected move or a refused sum stores nothing, so each such
     site fails."""
-    before = writhe_normalize(code, double)
     seen = {ribbon: before}
     sites = all_move_sites(code, rng)
     failures = []
@@ -170,7 +169,7 @@ def move_invariance(code: TwistedGaussCode, ribbon, double, rng):
             moved = apply_move(code, spec)
             key = build_ribbon(moved)
             if key not in seen:
-                seen[key] = ribbon_normalized(moved, key)
+                seen[key] = ribbon_normalized(key)
             ok = seen[key] == before
         except (MoveError, AssertionError):
             # a site the enumerators offer must be one the move takes, and
@@ -186,10 +185,11 @@ def run_battery(seed: int, count: int):
     Returns a list of (label, checked, failures).  One state sum per
     diagram, and no state walk: pole balance is counted on the surface's
     caps (one failure per unbalanced region of a state), non-separation is
-    read off the count table (one per (state, curve) that breaks it), and
-    both brackets come from that table.  That sum folds no R2 bigon, so it
-    counts, and checks, every state; the move sweep's sums fold them, and
-    it keys the diagram by the surface's own ribbon.  A sum that raises
+    read off the count table (one per (state, curve) that breaks it), the
+    surface pole bracket comes from that table, and the double bracket and R
+    from the same sum's leaf keys.  That sum folds no bigon, so it counts,
+    and checks, every state; the move sweep's sums fold them, and it keys
+    the diagram by the surface's own ribbon.  A sum that raises
     AssertionError (the engine refused a curve) is one non-separation
     failure with all its states checked, and its diagram gets no other
     check."""
@@ -203,19 +203,19 @@ def run_battery(seed: int, count: int):
         F = realize(code)
         l2_bad += [(code, v) for v in check_pole_balance(F)]
         try:
-            table = sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
+            table, part = sum_counts(F, 0, 1 << F.ribbon.n_crossings, False, "both")
         except AssertionError:
             states += 1 << F.ribbon.n_crossings
             t1_bad.append(code)
             continue
         states += table.states()
         t1_bad += [code] * check_nonseparation(table)
-        bracket, double = bracket_pair(table)
+        bracket, double = bracket_pair(table, part)
         summed += 1
         if specialize_bracket(bracket) != double:
             spec_bad.append(code)
         if i < len(twisted):
-            checked, bad = move_invariance(code, F.ribbon, double, rng)
+            checked, bad = move_invariance(code, F.ribbon, _fold_double(part, True), rng)
             moved += checked
             move_bad += bad
         else:

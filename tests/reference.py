@@ -30,7 +30,9 @@ its count table took int keys: `decode` turns a block's leaf counts into a
 table keyed by (signature, natural, iness), `fold` sums such a table per
 label, and `bracket_of`, `double_of` and `nonseparation_of` read the
 brackets and the non-separation count off it.  `by_signature` and
-`count_table` convert between that table and a `states.CountTable`.
+`count_table` convert between that table and a `states.CountTable`, and
+`double_counts` packs it as the `states.DoubleCounts` that the double
+bracket and R are folded from.
 
 The first steps of every command, as the library first wrote them:
 `parse_code_regex` reads a visit token with a regular expression and
@@ -57,7 +59,7 @@ from polebracket.cells import PolygonComplex
 from polebracket.codes import BAR, Bar, CodeError, TwistedGaussCode, Visit
 from polebracket.laurent import MultiLaurent, a_polys
 from polebracket.polewords import MARK, Word, arc, make_word
-from polebracket.states import _ID_BITS, CountTable, PoleCurve, _engine
+from polebracket.states import _ID_BITS, CountTable, DoubleCounts, PoleCurve, _engine
 from polebracket.surfaces import ClosedSurface, EmbeddedCurve, RibbonComplex, ribbon_faces
 
 
@@ -225,7 +227,8 @@ def splice_tables(F: ClosedSurface) -> dict:
     """The state engine's splice tables of `F`, built per dart: "side",
     "kind", "step", "items" (what `_Engine._items` returns), "chords" (the
     sorted chord list, whose index is the chord's bit), "kinks" and
-    "bigons".  Bit 0 of rotation (r0, r1, r2, r3) draws chords (r1, r2) and
+    "bigons", R2 bigons first, each checked on a two-corner cap of the
+    reference's own cap union-find.  Bit 0 of rotation (r0, r1, r2, r3) draws chords (r1, r2) and
     (r3, r0), bit 1 (r0, r1) and (r2, r3); a chord between two in-darts or
     two out-darts is a pole, of side 0 at dart a when b follows a."""
     rs = F.ribbon
@@ -288,23 +291,37 @@ def splice_tables(F: ClosedSurface) -> dict:
             x = cap[x]
         return x
 
+    # corner d lies between d and succ d
     for u, v, flip in rs.bands:
         for x, y in ((u, v), (pred[u], pred[v])) if flip else ((u, pred[v]), (pred[u], v)):
             cap[find(y)] = find(x)
+    corners = Counter(find(d) for d in range(n))
+    negative = [rot[1] >> 1 & 1 for rot in rs.rotations]
     bigons = []
     taken = set()
-    for u, v, flip in rs.bands:
+    for u, v, flip in sorted(rs.bands, key=lambda band: (band[0] ^ band[1]) & 1):
         x, y = u >> 2, v >> 2
-        if (flip or (u | v) & 1 or x == y or x in taken or y in taken
-                or not (rs.rotations[x][1] ^ rs.rotations[y][1]) & 2):
+        if flip or x == y or x in taken or y in taken:
             continue
-        for d, e in ((u, succ[u]), (pred[u], u)):
-            w2, wflip, _b = rs.band_at[e if d == u else d]
-            d2, e2 = rs.band_at[d][0], rs.band_at[e][0]
-            if (wflip or not w2 & 1 or w2 >> 2 != y or succ[e2] != d2
-                    or find(succ[e]) == find(succ[d2])):
+        if (u ^ v) & 1:
+            # alternating: over to under, equal signs, no kink on either disk
+            if negative[x] != negative[y] or x in kinks or y in kinks:
                 continue
-            bigons.append((x, int(tau[1][d] != e), y, int(tau[1][e2] != d2)))
+        elif u & 1 or negative[x] == negative[y]:
+            # R2: found from the band over at both ends, opposite signs
+            continue
+        for w in (succ[u], pred[u]):
+            d, e = (u, w) if w == succ[u] else (w, u)
+            w2, wflip, _b = rs.band_at[w]
+            # the cap of corner d has two corners, the other one at y
+            other = [f for f in range(n) if f != d and find(f) == find(d)]
+            if wflip or w2 >> 2 != y or corners[find(d)] != 2 or other[0] >> 2 != y:
+                continue
+            d2, e2 = rs.band_at[d][0], rs.band_at[e][0]
+            tx, ty = int(tau[1][d] != e), int(tau[1][e2] != d2)
+            if (u ^ v) & 1 and tx != ty:
+                continue
+            bigons.append((x, tx, y, ty, bool((u ^ v) & 1)))
             taken.update((x, y))
             break
     return {"side": side, "kind": kind, "step": step, "items": (items, loops),
@@ -401,6 +418,26 @@ def count_table(counts: dict, c: int) -> CountTable:
         key = s << table.shift | i << pc_bits | b
         table.counts[key] = table.counts.get(key, 0) + n
     return table
+
+
+def double_counts(counts: dict, c: int, writhe: int) -> DoubleCounts:
+    """The `DoubleCounts` of a {(signature, natural, iness): count} table of
+    a diagram with c crossings and this writhe: each signature packed as its
+    (M, d) label, one-sided curves in field 0 and curves of index i >= 1 in
+    field i, each field wide enough for the longest signature."""
+    iness = max((i for _s, _n, i in counts), default=0)
+    width = max((len(sig) for sig, _n, _i in counts), default=0).bit_length()
+    pc_bits = c.bit_length()
+    out = DoubleCounts(c, pc_bits, pc_bits + iness.bit_length(), width, writhe)
+    for (sig, nat, i), n in counts.items():
+        b, odd = divmod(c - nat, 2)
+        if odd or not 0 <= b <= c:
+            raise ValueError("natural out of range")
+        label = sum(1 << width * idx if idx else 0 for idx, _m, _s, _h in sig)
+        label += sum(1 for _i, mob, _s, _h in sig if mob)
+        key = label << out.shift | i << pc_bits | b
+        out.counts[key] = out.counts.get(key, 0) + n
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -88,13 +88,13 @@ def test_criterion_1_worked_example_table():
     _verdict(1, "worked-example table assembly", ok, f" ({elapsed * 1e6:.0f} us)")
 
 
-def _move_sweep(corpus, doubles, seed=SEED):
-    """`move_invariance` over a corpus with one Random(seed), as `check`
-    runs it: (sites checked, failures)."""
+def _move_sweep(corpus, invariants, seed=SEED):
+    """`move_invariance` over a corpus with one Random(seed), given each
+    diagram's R, as `check` runs it: (sites checked, failures)."""
     rng = random.Random(seed)
     checked, failures = 0, []
-    for code, double in zip(corpus, doubles):
-        n, bad = move_invariance(code, build_ribbon(code), double, rng)
+    for code, before in zip(corpus, invariants):
+        n, bad = move_invariance(code, build_ribbon(code), before, rng)
         checked += n
         failures += bad
     return checked, failures
@@ -102,7 +102,7 @@ def _move_sweep(corpus, doubles, seed=SEED):
 
 def test_criterion_2_move_invariance(twisted_corpus):
     t0 = time.perf_counter()
-    checked, failures = _move_sweep(twisted_corpus, map(double_bracket, twisted_corpus))
+    checked, failures = _move_sweep(twisted_corpus, map(normalized, twisted_corpus))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300.0
     _verdict(
@@ -138,18 +138,18 @@ def _site_by_site(corpus, seed=SEED):
 
 
 def test_move_sweep_reads_R_off_given_doubles(monkeypatch):
-    # `check` passes each diagram's double bracket, from its one state sum,
-    # to `move_invariance`: it reads the diagram's R off it, and sums each
-    # distinct moved ribbon other than the diagram's own exactly once
+    # `check` passes each diagram's R, folded off the leaf keys of its one
+    # state sum, to `move_invariance`, which sums each distinct moved
+    # ribbon other than the diagram's own exactly once
     corpus = corpus_twisted(SEED, 12)
     checked, failures, ribbons = _site_by_site(corpus)
-    doubles = [double_bracket(code) for code in corpus]
+    invariants = [normalized(code) for code in corpus]
     summed = []
     monkeypatch.setattr(verify, "ribbon_normalized",
-                        lambda code, ribbon: summed.append(code) or ribbon_normalized(code, ribbon))
-    assert _move_sweep(corpus, doubles) == (checked, failures)
+                        lambda ribbon: summed.append(ribbon) or ribbon_normalized(ribbon))
+    assert _move_sweep(corpus, invariants) == (checked, failures)
     assert len(summed) == sum(map(len, ribbons)) > 0
-    assert [build_ribbon(code) for code in summed] == [r for per in ribbons for r in per]
+    assert summed == [r for per in ribbons for r in per]
 
 
 _SWEEP_CORPORA = [(SEED, 40)] + [(seed, 6) for seed in range(1, 5)]
@@ -170,13 +170,13 @@ def test_move_sweep_sums_no_T1_or_T2_site(monkeypatch):
     for seed, count in _SWEEP_CORPORA:
         corpus = corpus_twisted(seed, count)
         checked, failures, ribbons = _site_by_site(corpus, seed)
-        doubles = [double_bracket(code) for code in corpus]
+        invariants = [normalized(code) for code in corpus]
         summed_at.clear()
         with monkeypatch.context() as m:
             m.setattr(verify, "apply_move", applying)
             m.setattr(verify, "ribbon_normalized",
-                      lambda code, ribbon: summed_at.append(site[0]) or ribbon_normalized(code, ribbon))
-            assert _move_sweep(corpus, doubles, seed) == (checked, failures)
+                      lambda ribbon: summed_at.append(site[0]) or ribbon_normalized(ribbon))
+            assert _move_sweep(corpus, invariants, seed) == (checked, failures)
         assert len(summed_at) == sum(map(len, ribbons))
         assert not [spec for spec in summed_at if spec.kind in ("T1", "T2")]
     assert t_sites[0] > 100
@@ -186,7 +186,7 @@ def test_move_sweep_answers_each_site_by_its_own_ribbon(monkeypatch):
     # with a stand-in sum that returns the moved diagram's ribbon, a site
     # fails iff its ribbon differs from the diagram's: a memo keyed by
     # anything coarser than the ribbon passes a site it should fail
-    monkeypatch.setattr(verify, "ribbon_normalized", lambda code, _ribbon: build_ribbon(code))
+    monkeypatch.setattr(verify, "ribbon_normalized", lambda ribbon: ribbon)
     for seed, count in _SWEEP_CORPORA:
         corpus = corpus_twisted(seed, count)
         rng = random.Random(seed)
@@ -196,8 +196,8 @@ def test_move_sweep_answers_each_site_by_its_own_ribbon(monkeypatch):
             for spec in verify.all_move_sites(code, rng)
             if build_ribbon(apply_move(code, spec)) != build_ribbon(code)
         ]
-        doubles = [double_bracket(code) for code in corpus]
-        assert _move_sweep(corpus, doubles, seed)[1] == expected
+        invariants = [normalized(code) for code in corpus]
+        assert _move_sweep(corpus, invariants, seed)[1] == expected
 
 
 def _cli_text(code, *argv):
@@ -247,15 +247,15 @@ def test_move_sweep_fails_each_site_whose_refused_ribbon_repeats(monkeypatch):
     spec = MoveSpec("R1+", "insert", (0, 1), 0)
     refused = []
 
-    def refusing(moved, _ribbon):
-        refused.append(moved)
+    def refusing(ribbon):
+        refused.append(ribbon)
         raise AssertionError("a curve of positive index separates")
 
     monkeypatch.setattr(verify, "all_move_sites", lambda _code, _rng: [spec, spec])
     monkeypatch.setattr(verify, "ribbon_normalized", refusing)
-    checked, failures = move_invariance(code, build_ribbon(code), double_bracket(code), random.Random(SEED))
+    checked, failures = move_invariance(code, build_ribbon(code), normalized(code), random.Random(SEED))
     assert (checked, failures) == (2, [(code, spec), (code, spec)])
-    assert len(refused) == 2 and build_ribbon(refused[0]) == build_ribbon(refused[1])
+    assert len(refused) == 2 and refused[0] == refused[1]
 
 
 def test_move_sweep_fails_a_site_whose_moved_sum_raises(monkeypatch, capsys):
@@ -264,11 +264,11 @@ def test_move_sweep_fails_a_site_whose_moved_sum_raises(monkeypatch, capsys):
     # no traceback
     refused = []
 
-    def refusing(code, ribbon):
-        if len(code.crossing_ids) >= 3:
-            refused.append(code)
+    def refusing(ribbon):
+        if ribbon.n_crossings >= 3:
+            refused.append(ribbon)
             raise AssertionError("a curve of positive index separates")
-        return ribbon_normalized(code, ribbon)
+        return ribbon_normalized(ribbon)
 
     monkeypatch.setattr(verify, "ribbon_normalized", refusing)
     assert cli.main(["check", "--seed", "1", "--count", "2"]) == 3

@@ -113,7 +113,7 @@ def test_records_are_named_tuples_with_the_frozen_dataclass_contract(name):
         # the frozen dataclass's hash, so sets and dicts keep their order
         assert hash(x) == hash(tuple(x)) == hash(tuple(getattr(x, f) for f in fields))
     if name == "TwistedGaussCode":
-        assert repr(x) == "TwistedGaussCode<O1- O2+ U1- U2+ / B />"
+        assert repr(x) == "TwistedGaussCode<O1- O2+ U1- U2+ / B>"
     else:
         assert repr(x) == f"{name}({', '.join(f'{f}={getattr(x, f)!r}' for f in fields)})"
     with pytest.raises(AttributeError):

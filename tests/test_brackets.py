@@ -2,12 +2,13 @@
 
 The classical fixtures are checked against a separate planar Kauffman
 bracket implementation (the oracle) rather than against values computed by
-the code under test.  The int-table assembly of both brackets, of
-`specialize_bracket` and of `assemble_from_table` (`tests/reference.py`,
-which folds state-table rows through the signature-keyed `fold` there) is
-checked against the plain `MultiLaurent` assembly below, one product and
-sum per count-table key, and against the signature-keyed reference
-assembly, on random count tables.
+the code under test.  The int-table assembly of both brackets (the pole
+bracket from a count table, the double bracket and R from its double
+counts, packed by `reference.double_counts`), of `specialize_bracket` and
+of `assemble_from_table` (`tests/reference.py`, which folds state-table
+rows through the signature-keyed `fold` there) is checked against the plain
+`MultiLaurent` assembly below, one product and sum per count-table key, and
+against the signature-keyed reference assembly, on random count tables.
 """
 
 import os
@@ -29,8 +30,8 @@ from polebracket.laurent import MultiLaurent, delta, minus_A_pow
 from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
 from polebracket.surfaces import realize
-from polebracket.verify import braid_closure, classical_fixtures, corpus_twisted, twisted_fixtures
-from reference import assemble_from_table, bracket_of, count_table, double_of
+from polebracket.verify import braid_closure, classical_fixtures, corpus_classical, corpus_twisted, twisted_fixtures
+from reference import assemble_from_table, bracket_of, count_table, double_counts, double_of
 
 A = MultiLaurent.A
 M = MultiLaurent.M
@@ -51,18 +52,28 @@ def test_kink_values_and_normalization():
     assert normalized(minus) == delta()
 
 
-def test_writhe_normalize_is_the_monomial_product():
-    # the shift of A-exponents and the sign flip give the product with
-    # (-A)^(-3 writhe) term for term, in the same order, so every printed
-    # byte of R is the same
+def test_R_is_the_double_bracket_times_the_writhe_monomial():
+    # R is folded off the leaf keys with each A-exponent shifted and the
+    # signs flipped, the writhe read off the ribbon: it must be the product
+    # with (-A)^(-3 writhe), the writhe summed over the code's signs, and
+    # print the same bytes
     codes = [code for _name, code in classical_fixtures() + twisted_fixtures()]
     codes += corpus_twisted(5, 30, 5)
     assert {writhe(code) % 2 for code in codes} == {0, 1}
     for code in codes:
-        double = double_bracket(code)
-        got = brackets.writhe_normalize(code, double)
-        want = minus_A_pow(-3 * writhe(code)) * double
-        assert list(got.terms.items()) == list(want.terms.items()), code
+        got = normalized(code)
+        want = minus_A_pow(-3 * writhe(code)) * double_bracket(code)
+        assert got == want and got.to_text() == want.to_text() and got.to_json() == want.to_json(), code
+
+
+def test_writhe_off_the_ribbon_is_the_sum_of_signs():
+    # a disk is positive iff bit 1 of its second dart is 0
+    codes = [code for s in range(1, 6) for code in corpus_twisted(s, 200)]
+    codes += [code for s in range(1, 3) for code in corpus_classical(s)]
+    codes += [code for _name, code in classical_fixtures() + twisted_fixtures()]
+    assert {writhe(code) for code in codes} >= set(range(-5, 6))
+    for code in codes:
+        assert states._engine(realize(code)).writhe == writhe(code), code
 
 
 def test_one_bar_loop_is_M():
@@ -175,7 +186,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
 
 
 def _full_sum(F):
-    return states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
+    return states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False, "both")
 
 
 def test_bracket_pair_matches_both_brackets():
@@ -184,12 +195,12 @@ def test_bracket_pair_matches_both_brackets():
     for text in ("EMPTY", "B", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
         code = parse_code(text)
         expect = (surface_pole_bracket(code), double_bracket(code))
-        assert bracket_pair(_full_sum(realize(code))) == expect
+        assert bracket_pair(*_full_sum(realize(code))) == expect
         F = realize(code)
         for s in enumerate_states(F):
             classify_state(F, s)
         assert states._engine(F).cache
-        assert bracket_pair(_full_sum(F)) == expect
+        assert bracket_pair(*_full_sum(F)) == expect
 
 
 def test_assemble_from_table_worked_example():
@@ -296,10 +307,11 @@ _signature = st.lists(_curve, max_size=4).map(lambda curves: tuple(sorted(curves
 
 @st.composite
 def count_tables(draw):
-    """(c, {(signature, natural, iness): count}) of a c-crossing diagram, c
-    <= 12: negative naturals, up to ten inessential curves, counts up to
-    2^40; a few signatures, naturals and counts, so that keys share classes
-    and terms cancel.  A natural is c - 2 B, B <= c being the B-splices."""
+    """(c, {(signature, natural, iness): count}, writhe) of a c-crossing
+    diagram, c <= 12: negative naturals, up to ten inessential curves,
+    counts up to 2^40; a few signatures, naturals and counts, so that keys
+    share classes and terms cancel.  A natural is c - 2 B, B <= c being the
+    B-splices, and |writhe| <= c."""
     c = draw(st.integers(min_value=0, max_value=12))
     counts = draw(st.dictionaries(
         st.tuples(
@@ -310,21 +322,27 @@ def count_tables(draw):
         st.integers(min_value=1, max_value=1 << 40),
         max_size=30,
     ))
-    return c, counts
+    return c, counts, draw(st.integers(min_value=-c, max_value=c))
 
 
 @given(count_tables())
 @settings(max_examples=200, deadline=None)
 def test_int_table_assembly_matches_reference(drawn):
-    c, counts = drawn
+    # the bracket folds the count table; the double bracket and R fold the
+    # double counts, keyed by packed (M, d) labels and no signature
+    c, counts, w = drawn
     table = count_table(counts, c)
     bracket = brackets._bracket_from_counts(table)
     assert bracket == ref_bracket_from_counts(counts) == bracket_of(counts)
     assert bracket.to_text() == ref_bracket_from_counts(counts).to_text()
     assert_printers_match_reference(bracket)
-    double = brackets._double_from_counts(table)
+    part = double_counts(counts, c, w)
+    double = brackets._fold_double(part, False)
     assert double == ref_double_from_counts(counts) == double_of(counts)
     assert double.to_text() == ref_double_from_counts(counts).to_text()
+    invariant = brackets._fold_double(part, True)
+    assert invariant == minus_A_pow(-3 * w) * ref_double_from_counts(counts)
+    assert invariant.to_text() == (minus_A_pow(-3 * w) * double).to_text()
     assert specialize_bracket(bracket) == ref_specialize_bracket(bracket) == double
     rows = [(nat, iness, sig) for (sig, nat, iness) in counts]
     assert assemble_from_table(rows) == ref_assemble_from_table(rows)
@@ -333,10 +351,12 @@ def test_int_table_assembly_matches_reference(drawn):
 def test_int_table_assembly_of_the_empty_table():
     empty = count_table({}, 0)
     assert brackets._bracket_from_counts(empty) == ref_bracket_from_counts({}) == BracketValue({})
-    assert brackets._double_from_counts(empty) == ref_double_from_counts({}) == double_of({}) == 0
+    for normalize in (False, True):
+        assert brackets._fold_double(double_counts({}, 0, 0), normalize) == ref_double_from_counts({}) == 0
+    assert double_of({}) == 0
     assert specialize_bracket(BracketValue({})) == ref_specialize_bracket(BracketValue({})) == 0
     # no state gives 0 for both brackets, so the specialization identity holds
-    assert specialize_bracket(brackets._bracket_from_counts(empty)) == brackets._double_from_counts(empty)
+    assert specialize_bracket(brackets._bracket_from_counts(empty)) == brackets._fold_double(double_counts({}, 0, 0), False)
     assert assemble_from_table([]) == ref_assemble_from_table([]) == {}
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from polebracket.cli import main
 from polebracket.codes import serialize
+from polebracket.verify import braid_closure
 
 
 def run(capsys, *argv):
@@ -124,20 +125,31 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+def _no_folds(n):
+    """O1+ .. On+ U2+ U1+ U3+ .. Un+: n >= 16 crossings, and no kink or
+    bigon for a sum to fold."""
+    return " ".join(f"O{i}+" for i in range(1, n + 1)) + " U2+ U1+ " + " ".join(f"U{i}+" for i in range(3, n + 1))
+
+
 def test_state_guard_refuses_large(capsys):
     # 25 crossings would be 2^25 states
-    toks_o = " ".join(f"O{i}+" for i in range(1, 26))
-    toks_u = " ".join(f"U{i}+" for i in range(1, 26))
     with pytest.raises(SystemExit) as exc:
-        run(capsys, "dbracket", "-i", toks_o + " " + toks_u)
+        run(capsys, "dbracket", "-i", _no_folds(25))
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert "25 crossings means 2^25 traced states, about 3 min" in err
     assert "us per traced state" in err
     # info has no state sum and must not refuse
-    code, _, _ = run(capsys, "info", "-i", toks_o + " " + toks_u)
+    code, _, _ = run(capsys, "info", "-i", _no_folds(25))
     assert code == 0
+    # with U1+ .. U25+ in order, the wrap-around bands make an alternating
+    # bigon, which the sum traces on one of its two bits
+    toks = " ".join(f"O{i}+" for i in range(1, 26)) + " " + " ".join(f"U{i}+" for i in range(1, 26))
+    with pytest.raises(SystemExit):
+        run(capsys, "dbracket", "--max-crossings", "23", "-i", toks)
+    assert ("25 crossings less 1 alternating bigons traced on half their splices"
+            " means 2^24 traced states, about 2 min") in capsys.readouterr().err
 
 
 def test_state_guard_prices_short_sums_in_seconds(capsys):
@@ -152,10 +164,11 @@ def test_state_guard_prices_short_sums_in_seconds(capsys):
         return err
 
     assert "2^2 traced states, under 1 s in one process" in refusal("states", "-i", "O1+ U1+ O2+ U2+")
+    # the bar flips a band of the virtual trefoil's alternating bigon, so
+    # nothing folds
     for cmd in ("bracket", "dbracket", "invariant"):
-        assert "2^2 traced states, under 1 s in one process" in refusal(cmd, "-i", "O1+ O2+ U1+ U2+")
-    toks = " ".join(f"O{i}+" for i in range(1, 23)) + " " + " ".join(f"U{i}+" for i in range(1, 23))
-    assert "22 crossings means 2^22 traced states, about 25 s in one process" in refusal("dbracket", "-i", toks)
+        assert "2^2 traced states, under 1 s in one process" in refusal(cmd, "-i", "O1+ O2+ B U1+ U2+")
+    assert "22 crossings means 2^22 traced states, about 25 s in one process" in refusal("dbracket", "-i", _no_folds(22))
     toks = " ".join(f"O{i}+" for i in range(1, 17)) + " " + " ".join(f"U{i}+" for i in range(1, 17))
     assert "16 crossings means 2^16 traced states, about 5 s in one process" in refusal("states", "-i", toks)
 
@@ -204,6 +217,23 @@ def test_state_guard_prices_folded_bigons(capsys):
     chain = " ".join(f"O{2 * i + 1}+ O{2 * i + 2}- U{2 * i + 2}- U{2 * i + 1}+" for i in range(26))
     code, out, _ = run(capsys, "invariant", "-i", chain)
     assert code == 0 and out == "-A^2-A^-2\n"
+
+
+def test_state_guard_prices_alternating_bigons(capsys):
+    # the closure of sigma1^12: a twist region whose 12 crossings pair into
+    # 6 disjoint alternating bigons, each traced on one of its two bits, so
+    # the sum traces 2^6 states, one over a limit of 5
+    for e in (1, -1):
+        twist = serialize(braid_closure([(1, e)] * 12, 2)).replace("\n", ";")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "invariant", "--max-crossings", "5", "-i", twist)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("12 crossings less 6 alternating bigons traced on half their splices"
+                " means 2^6 traced states, under 1 s") in err, err
+        code, out, _ = run(capsys, "invariant", "--max-crossings", "6", "-i", twist)
+        assert code == 0 and out
 
 
 def test_inline_semicolon_components(capsys):
@@ -503,6 +533,35 @@ def test_info_builds_no_band_class_table(capsys, monkeypatch):
     assert [run(capsys, "info", "-i", t) for t in texts] == before
     with pytest.raises(AssertionError, match="band class table"):
         run(capsys, "invariant", "-i", texts[0])
+
+
+def _no_signature(*_args):
+    raise AssertionError("program code built a signature")
+
+
+def test_R_builds_no_signature(capsys, monkeypatch):
+    # `invariant`, `dbracket` and the move sweep fold R off the leaf keys:
+    # they build no bag, no signature and no class bit tuple, which only
+    # the count table of `bracket` and `check` reads
+    import random
+
+    from polebracket import states, verify
+    from polebracket.brackets import normalized
+    from polebracket.surfaces import build_ribbon
+    from polebracket.verify import classical_fixtures, corpus_twisted, twisted_fixtures
+
+    codes = [code for _n, code in classical_fixtures() + twisted_fixtures()] + corpus_twisted(2, 6)
+    texts = [serialize(code) for code in codes]
+    before = [run(capsys, cmd, "-i", t) for t in texts for cmd in ("invariant", "dbracket")]
+    invariants = [normalized(code) for code in codes]
+    monkeypatch.setattr(states._Engine, "table", _no_signature)
+    monkeypatch.setattr(states._Classes, "_grow", _no_signature)
+    assert [run(capsys, cmd, "-i", t) for t in texts for cmd in ("invariant", "dbracket")] == before
+    rng = random.Random(2)
+    swept = [verify.move_invariance(code, build_ribbon(code), r, rng) for code, r in zip(codes, invariants)]
+    assert sum(n for n, _bad in swept) > 50 and not [bad for _n, bad in swept if bad]
+    with pytest.raises(AssertionError, match="built a signature"):
+        run(capsys, "bracket", "-i", texts[0])
 
 
 def test_check_builds_no_polygon_complex(capsys, monkeypatch):

@@ -48,10 +48,10 @@ from hypothesis import given, settings, strategies as st
 
 from polebracket import brackets, states
 from polebracket.brackets import (
-    BracketValue, double_bracket, normalized, surface_pole_bracket, writhe_normalize,
+    BracketValue, double_bracket, normalized, surface_pole_bracket,
 )
-from polebracket.codes import parse_code, random_diagram, serialize
-from polebracket.laurent import MultiLaurent, delta
+from polebracket.codes import parse_code, random_diagram, serialize, writhe
+from polebracket.laurent import MultiLaurent, delta, minus_A_pow
 from polebracket.moves import apply_move, insert_sites
 from polebracket.polewords import MARK
 from polebracket.states import (
@@ -1093,16 +1093,17 @@ def test_swapped_kind_at_the_last_crossing_raises():
 
 
 def count_every_state(mp):
-    """Make the brackets' sums fold no R2 bigon, so that their tables count
+    """Make the brackets' sums fold no bigon, so that their tables count
     every state, as `check`'s own sums do."""
-    mp.setattr(brackets, "sum_counts", lambda F, lo, hi, _fold: states.sum_counts(F, lo, hi, False))
+    mp.setattr(brackets, "sum_counts", lambda F, lo, hi, _fold, *want: states.sum_counts(F, lo, hi, False, *want))
 
 
 def pickling_pool(parts):
     """A stand-in for ProcessPoolExecutor that runs each job in this
-    process, on its own surface and engine, and hands its table back through
-    pickle, as a worker process would; each table's {signature: id} is
-    appended to `parts` before the parent merges them."""
+    process, on its own surface and engine, and hands its count table or
+    double counts back through pickle, as a worker process would; each
+    count table's {signature: id} is appended to `parts` before the parent
+    merges them."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -1116,7 +1117,7 @@ def pickling_pool(parts):
 
         def map(self, fn, jobs):
             tables = [pickle.loads(pickle.dumps(fn(job))) for job in jobs]
-            parts.append([{sig: s for s, sig in enumerate(t.sigs)} for t in tables])
+            parts.append([{sig: s for s, sig in enumerate(t.sigs)} for t in tables if isinstance(t, states.CountTable)])
             return tables
 
     return Pool
@@ -1146,7 +1147,7 @@ def assert_table_matches_reference(code):
     eng = states._Engine(F)
     ref = decode(eng, eng.block(0, F.ribbon.n_crossings, False))
     bracket, double = bracket_of(ref), double_of(ref)
-    invariant = writhe_normalize(code, double)
+    invariant = minus_A_pow(-3 * writhe(code)) * double
     for w in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             count_every_state(mp)

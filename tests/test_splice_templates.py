@@ -51,7 +51,8 @@ def with_inserts(code, seed):
 
 
 FIXTURES = ["EMPTY", "B", "B B", "O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
-            "O1- O2+ U1- U2+\nB", "O1+ U1+\nEMPTY", "U1+ U2- O2- O1+", "U1+ U2- O1+ O2-"]
+            "O1- O2+ U1- U2+\nB", "O1+ U1+\nEMPTY", "U1+ U2- O2- O1+", "U1+ U2- O1+ O2-",
+            "O1+ O2+ B U1+ U2+", "O1+ B B U1+ O2+ U2+ B B", "O1- U2- O3- U1- O2- U3-"]
 
 
 @pytest.mark.parametrize("text", FIXTURES)

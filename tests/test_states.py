@@ -217,10 +217,10 @@ def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
     expect = [double_bracket(code) for code in diagrams]
     sums, doubles = [], []
     monkeypatch.setattr(verify, "sum_counts",
-                        lambda F, lo, hi, fold: sums.append((F, lo, hi, fold)) or sum_counts(F, lo, hi, fold))
+                        lambda F, lo, hi, fold, want: sums.append((F, lo, hi, fold)) or sum_counts(F, lo, hi, fold, want))
 
-    def pair_of(table):
-        pair = bracket_pair(table)
+    def pair_of(table, part):
+        pair = bracket_pair(table, part)
         doubles.append(pair[1])
         return pair
 
@@ -257,10 +257,10 @@ def test_check_prints_a_fail_line_when_a_sum_refuses(monkeypatch, capsys):
     # gets no other check
     refused = []
 
-    def faulty_sum(F, lo, hi, fold):
+    def faulty_sum(F, lo, hi, fold, want):
         F._state_engine = _flip_first_pole(F)
         try:
-            return sum_counts(F, lo, hi, fold)
+            return sum_counts(F, lo, hi, fold, want)
         except AssertionError as err:
             refused.append(str(err))
             raise
