@@ -8,29 +8,28 @@ a product of d_index variables, with d_0 = 1 and inessential curves each
 contributing a delta factor.  The normalized invariant multiplies by
 (-A)^(-3 writhe).
 
-The surface pole bracket reads one state-sum count table
-(`states.CountTable`), whose int keys pack a signature id, the inessential
-count and the B-splice count, beside the list of distinct signatures.
+All three read one kind of state-sum count table (`states.CountTable`),
+whose int keys pack a label id, the inessential count and the B-splice
+count, beside the list of distinct labels.  The sum labels each state
+once per table it is asked for: by its signature for the surface pole
+bracket, or by the (M, d) part that the double bracket and R keep of it,
+for which no signature is built.
 `_fold` makes one pass over the int keys and adds each key's count times a
 row of binomial coefficients (delta^n, expanded once per process) into an
-{A-exponent: int} table per signature, so each distinct signature is
-hashed once.  The bracket's tables become A-only polynomials in one pass
+{A-exponent: int} table per label id, with R's writhe shift applied as it
+folds.  The bracket's tables become A-only polynomials in one pass
 (`laurent.a_polys`), and `BracketValue.to_text` formats each distinct
-curve entry and each distinct coefficient once.  The double bracket and R
-build no signature: they are read straight off the state sum's leaf keys
-(`states.DoubleCounts`), whose keys pack an (M, d) label in place of the
-signature id, and `_fold_double` folds them the same way, per label, with
-R's writhe shift applied as it folds.  `check` folds both from one sum and
-compares the signature-collapsed bracket with that double bracket.  The sums
-here fold bigons (see `states`): their tables hold fewer states than
+curve entry and each distinct coefficient once; the (M, d) tables become
+one `MultiLaurent`.  `check` takes both tables from one sum and compares
+the signature-collapsed bracket with that double bracket.  The sums here
+fold bigons (see `states`): their tables hold fewer states than
 `check`'s, but every polynomial is the same.  State evaluation partitions
 the splice bitmask range across processes when asked; each worker returns
-its count table, whose signature ids are its own, and the parent re-keys
-them by signature and adds the counts exactly, or its double counts, whose
-labels are the same in every process, and the parent adds them as they are;
-so worker count never changes a single output bit.  The process pool, and
-with it `multiprocessing`, is imported only when a sum runs on more than one
-worker, so a one-worker call loads neither.
+its count table, whose label ids are its own, and the parent re-keys them
+by label and adds the counts exactly, so worker count never changes a
+single output bit.  The process pool, and with it `multiprocessing`, is
+imported only when a sum runs on more than one worker, so a one-worker
+call loads neither.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from operator import itemgetter
 
 from .codes import TwistedGaussCode
 from .laurent import MultiLaurent, _a_poly_text, a_polys
-from .states import CountTable, DoubleCounts, sum_counts
+from .states import CountTable, sum_counts
 from .surfaces import ClosedSurface, RibbonComplex, realize
 
 Signature = tuple  # sorted per-curve tuples (index, mobius, separating, hom)
@@ -141,9 +140,8 @@ def _counts(code: TwistedGaussCode, workers: int = 1, want: str = "table"):
     from concurrent.futures import ProcessPoolExecutor
 
     # the masks are still cut into `workers` jobs; the pool size only caps
-    # how many processes run them at once.  Each count table's signature
-    # ids are its own, and `CountTable.add` re-keys them by signature;
-    # double-bracket labels are the same everywhere, so those add as they are
+    # how many processes run them at once.  Each count table's label ids
+    # are its own, and `CountTable.add` re-keys them by label
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         parts = iter(pool.map(_worker_counts, jobs))
         table = next(parts)
@@ -159,21 +157,20 @@ def _delta_row(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * k - 4 * j, -comb(k, j) if k & 1 else comb(k, j)) for j in range(k + 1))
 
 
-def _fold(table: CountTable, labels: list) -> dict:
-    """Per label, Sum count * A^nat * delta^iness over a count table, the
-    label of a key being labels[s] for its signature id s: one {A-exponent:
-    int} table per label, in the order labels first appear.  Each label is
-    hashed once, and each key is read as the ints it packs: nat = c - 2
-    B-splices."""
-    tables: dict = {}
-    by_sig = [tables.setdefault(label, {}) for label in labels]
-    counts, c, pb, sh = table.counts, table.c, table.pc_bits, table.shift
+def _fold(table: CountTable, k: int) -> list:
+    """Per label id, Sum count * A^nat * delta^iness over a count table,
+    times (-A)^k: one {A-exponent: int} table per label.  Each key is read
+    as the ints it packs, nat = c - 2 B-splices; every A-exponent shifts by
+    k, and the signs flip when k is odd."""
+    tables = [{} for _ in table.labels]
+    counts, pb, sh = table.counts, table.pc_bits, table.shift
     pc_mask, iness_mask = (1 << pb) - 1, (1 << (sh - pb)) - 1
-    rows = list(map(_delta_row, range(max((key >> pb & iness_mask for key in counts), default=0) + 1)))
+    c, sign = table.c + k, -1 if k & 1 else 1
     for key, count in counts.items():
-        t = by_sig[key >> sh]
+        t = tables[key >> sh]
         nat = c - 2 * (key & pc_mask)
-        for e, co in rows[key >> pb & iness_mask]:
+        count *= sign
+        for e, co in _delta_row(key >> pb & iness_mask):
             a = nat + e
             t[a] = t.get(a, 0) + co * count
     return tables
@@ -192,61 +189,32 @@ def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:
     return mob, tuple(sorted(d.items()))
 
 
-def _fold_double(part: DoubleCounts, normalize: bool) -> MultiLaurent:
-    """The double bracket, or with `normalize` R, of a sum's double counts:
-    Sum count * A^nat * delta^iness per (M, d) label, one {A-exponent: int}
-    table each, and then each label unpacked once to its (M, d) part.  R
-    multiplies by (-A)^(-3 writhe): every A-exponent shifts by k = -3
-    writhe, and the signs flip when k is odd."""
-    c, pb, sh, width = part.c, part.pc_bits, part.shift, part.width
-    pc_mask, iness_mask, field = (1 << pb) - 1, (1 << (sh - pb)) - 1, (1 << width) - 1
-    k = -3 * part.writhe if normalize else 0
-    sign = -1 if k & 1 else 1
-    tables: dict = {}
-    for key, count in part.counts.items():
-        t = tables.get(key >> sh)
-        if t is None:
-            t = tables[key >> sh] = {}
-        nat = c - 2 * (key & pc_mask) + k
-        count *= sign
-        for e, co in _delta_row(key >> pb & iness_mask):
-            a = nat + e
-            t[a] = t.get(a, 0) + co * count
-    terms: dict = {}
-    for label, t in tables.items():
-        # field 0 holds M's exponent, field i >= 1 d_i's
-        d, i, rest = [], 1, label >> width
-        while rest:
-            if rest & field:
-                d.append((i, rest & field))
-            rest >>= width
-            i += 1
-        m, d = label & field, tuple(d)
-        for a, co in t.items():
-            terms[a, m, d] = co
-    return MultiLaurent(terms)
+def _bracket(table: CountTable) -> BracketValue:
+    """The surface pole bracket of a signature-labelled count table."""
+    return BracketValue(a_polys(zip(table.labels, _fold(table, 0))))
 
 
-def _bracket_from_counts(table: CountTable) -> BracketValue:
-    return BracketValue(a_polys(_fold(table, table.sigs)))
+def _double(table: CountTable, normalize: bool) -> MultiLaurent:
+    """The double bracket, or with `normalize` R, of an (M, d)-labelled
+    count table: R multiplies by (-A)^(-3 writhe)."""
+    tables = _fold(table, -3 * table.writhe if normalize else 0)
+    return MultiLaurent({(a, m, d): co for (m, d), t in zip(table.labels, tables) for a, co in t.items()})
 
 
 def double_bracket(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
-    return _fold_double(_counts(code, workers, "double"), False)
+    return _double(_counts(code, workers, "double"), False)
 
 
 def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketValue:
-    return _bracket_from_counts(_counts(code, workers))
+    return _bracket(_counts(code, workers))
 
 
-def bracket_pair(table: CountTable, part: DoubleCounts) -> tuple[BracketValue, MultiLaurent]:
-    """(surface pole bracket, double bracket) from the count table and the
-    double counts of one `sum_counts` call, which its caller also reads:
-    the `check` battery counts each diagram's non-separation violations off
-    the table and checks the specialization identity on the pair, which
-    compares the signature-collapsed bracket with the double bracket folded
-    off the leaf keys."""
-    return _bracket_from_counts(table), _fold_double(part, False)
+def bracket_pair(table: CountTable, part: CountTable) -> tuple[BracketValue, MultiLaurent]:
+    """(surface pole bracket, double bracket) from the two tables of one
+    "both" `sum_counts` call, which its caller also reads: the `check`
+    battery counts each diagram's non-separation violations off the first
+    and checks the specialization identity on the pair."""
+    return _bracket(table), _double(part, False)
 
 
 def specialize_bracket(b: BracketValue) -> MultiLaurent:
@@ -262,12 +230,11 @@ def specialize_bracket(b: BracketValue) -> MultiLaurent:
 
 
 def normalized(code: TwistedGaussCode, workers: int = 1) -> MultiLaurent:
-    return _fold_double(_counts(code, workers, "double"), True)
+    return _double(_counts(code, workers, "double"), True)
 
 
 def ribbon_normalized(ribbon: RibbonComplex) -> MultiLaurent:
     """R of the code whose `build_ribbon` is `ribbon`, summed in one
     process: the move sweep keys each moved diagram by its ribbon, so it
     has the ribbon already, and the writhe is read off its rotations."""
-    part = sum_counts(ClosedSurface(ribbon), 0, 1 << ribbon.n_crossings, True, "double")
-    return _fold_double(part, True)
+    return _double(sum_counts(ClosedSurface(ribbon), 0, 1 << ribbon.n_crossings, True, "double"), True)

@@ -13,7 +13,7 @@ Coefficients are arbitrary-precision ints; there is no floating point here.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Monomial = tuple[int, int, tuple[tuple[int, int], ...]]
 
@@ -208,13 +208,13 @@ class _Monomials(dict):
         return mono
 
 
-def a_polys(tables: Mapping) -> dict:
-    """{label: Sum c A^a} of {label: {a: c}} tables, in one pass that drops
+def a_polys(tables: Iterable) -> dict:
+    """{label: Sum c A^a} of (label, {a: c}) pairs, in one pass that drops
     the zero c.  The polynomials share one monomial tuple per exponent, so
     the thousands of coefficients of a bracket hold a few dozen in all."""
     monos = _Monomials()
     out = {}
-    for label, table in tables.items():
+    for label, table in tables:
         p = out[label] = object.__new__(MultiLaurent)
         p.terms = {monos[a]: c for a, c in table.items() if c}
     return out

@@ -16,9 +16,10 @@ its word.  A curve that is one-sided or has a nonzero class bounds no
 disk, so its class is a function of (index, class, parity): an int id in
 one small per-surface class table, and 0 for a disk.  Only a two-sided
 curve of class 0 is keyed by its chord set, in a cache of disk tests;
-`sum_counts` folds each state into one count table keyed by what the
-surface pole bracket needs, or into double counts keyed by what the double
-bracket and R need, or both from one trace.  Only the walker path builds
+`sum_counts` folds each state into one count table, under one of two
+labellings of its essential curves: by signature, which the surface pole
+bracket needs, or by (M, d) part, all that the double bracket and R need;
+or under both, from one trace.  Only the walker path builds
 `CurveClassification`s.
 
 Every chord a splice can draw has one bit, so a chord set is an int: the
@@ -100,19 +101,18 @@ The sum counts with ints.  Each class of essential curve has a small int
 id, and the essential curves closed so far are one node of a trie of
 such ids: closing a curve moves to a child node by one dict lookup.  A
 state is counted under one int leaf key that packs its node, its
-inessential-curve count and its B-splice count.  At the end one pass
-turns the leaf counts into the count table (`CountTable`) and uses them
-up: each node gets the id of its multiset of curves, nodes that hold one
-multiset, reached in different orders, merge by exact addition, and each
-distinct signature is built once.  The table's keys pack that id in place
-of the node, and the brackets read them as ints.  Node and class ids
-belong to one engine and signature ids to one table, so a table that
-crosses a process is re-keyed by signature (`CountTable.add`).  The double
-bracket and R need no signature: a node's (M, d) label, packed as an int,
-is its parent's plus its own curve's, so the leaf counts merge by (label,
-inessential count, B-splices) into `DoubleCounts`, whose labels mean the
-same in every process (`_Engine.double`), and the writhe is read off the
-ribbon.
+inessential-curve count and its B-splice count.  At the end a labelling
+gives each node a label: its bag of class ranks, which unpacks to its
+signature (`_Engine.signatures`), or its (M, d) part packed as an int, its
+parent's plus its own curve's (`_Engine.parts`), so that R builds no
+signature.  One pass (`_Engine.table`) turns the leaf counts into the count
+table (`CountTable`): each node gets the id of its label, nodes that hold
+one label merge by exact addition, and each distinct label is unpacked
+once.  The table's keys pack that id in place of the node, and the
+brackets read them as ints.  Node and class ids belong to one engine and
+label ids to one table, so a table that crosses a process is re-keyed by
+label (`CountTable.add`).  The writhe, which R reads off the table, is read
+off the ribbon.
 
 The two structure results of the paper are checked without a state walk.
 A curve of positive index never separates: `_Engine.classify` refuses a
@@ -133,7 +133,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import islice
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import polewords
 from .polewords import MARK
@@ -219,11 +219,11 @@ class _Classes(dict):
     flip, of a curve's index, homology class and flip parity, each mapped to
     a small int id made on first use; `by_id[id]` is the key.  Id 0 stands
     for a curve that bounds a disk, which has no class key and no entry.
-    Only the count table reads `entries[id]`, the class's signature entry
-    (index, mobius, separating, hom_class), and `order[id]`, an int that
-    sorts as that entry does: the index, the flip, whether the class is 0,
-    and the class's bits read from bit 0 down.  Both are made on first read,
-    for the ids made since, so a sum that prints only R builds none."""
+    Only the signature labelling reads `entries[id]`, the class's signature
+    entry (index, mobius, separating, hom_class), and `order[id]`, an int
+    that sorts as that entry does: the index, the flip, whether the class
+    is 0, and the class's bits read from bit 0 down.  Both are made on first
+    read, for the ids made since, so a sum that prints only R builds none."""
 
     __slots__ = ("h1_dim", "by_id", "_entries", "_order")
 
@@ -269,72 +269,44 @@ class _Classes(dict):
 
 
 class CountTable:
-    """The states of a splice range, counted by everything the brackets
-    need, with int keys.
+    """The states of a splice range, counted by one labelling of their
+    essential curves, with int keys.
 
-    `sigs[s]` is a signature: the sorted per-essential-curve tuple (index,
-    mobius, separating, hom_class) of a state, each distinct signature
-    once.  `counts` maps s << shift | iness << pc_bits | B-splices to the
-    number of states with signature `sigs[s]`, `iness` curves that bound
-    disks and that many B-splices; such a state's natural is c - 2
-    B-splices.  A signature id means nothing outside its table: `add`
-    re-keys another table's ids by signature."""
+    `labels[s]` is a state's label, each distinct label once: its signature,
+    the sorted per-essential-curve tuple (index, mobius, separating,
+    hom_class) that the surface pole bracket keeps (`_Engine.signatures`),
+    or the (M, d) part that the double bracket and R keep of it, (M's
+    exponent, ((i, d_i's exponent), ...)) over i >= 1 (`_Engine.parts`).
+    `counts` maps s << shift | iness << pc_bits | B-splices to the number of
+    states with label `labels[s]`, `iness` curves that bound disks and that
+    many B-splices; such a state's natural is c - 2 B-splices.  `writhe` is
+    the diagram's writhe, read off its ribbon.  A label id means nothing
+    outside its table: `add` re-keys another table's ids by label."""
 
-    __slots__ = ("c", "pc_bits", "shift", "sigs", "counts")
+    __slots__ = ("c", "pc_bits", "shift", "writhe", "labels", "counts")
 
-    def __init__(self, c: int, pc_bits: int, shift: int):
+    def __init__(self, c: int, pc_bits: int, shift: int, writhe: int):
         self.c = c
         self.pc_bits = pc_bits
         self.shift = shift
-        self.sigs: list = []
+        self.writhe = writhe
+        self.labels: list = []
         self.counts: dict = {}
 
     def states(self) -> int:
         return sum(self.counts.values())
 
     def add(self, other: CountTable) -> None:
-        """Add the counts of `other`, a table of the same diagram, by exact
-        addition, its signatures found or added here by value."""
-        sigs, counts, sh = self.sigs, self.counts, self.shift
-        ids = {sig: s for s, sig in enumerate(sigs)}
-        remap = []
-        for sig in other.sigs:
-            s = ids.get(sig)
-            if s is None:
-                s = ids[sig] = len(sigs)
-                sigs.append(sig)
-            remap.append(s)
+        """Add the counts of `other`, a table of the same diagram under the
+        same labelling, by exact addition, its labels found or added here by
+        value."""
+        labels, counts, sh = self.labels, self.counts, self.shift
+        ids = {label: s for s, label in enumerate(labels)}
+        remap = [ids.setdefault(label, len(ids)) for label in other.labels]
+        labels.extend(islice(ids, len(labels), None))
         low = (1 << sh) - 1
         for key, n in other.counts.items():
             key = remap[key >> sh] << sh | key & low
-            counts[key] = counts.get(key, 0) + n
-
-
-class DoubleCounts:
-    """The states of a splice range, counted by all that the double bracket
-    and R need, with int keys and no signature.
-
-    `counts` maps label << shift | iness << pc_bits | B-splices to a count
-    of states, like `CountTable.counts`, but with the state's (M, d) part
-    in place of a signature id.  That part is packed as `width`-bit fields:
-    field 0 holds the number of one-sided curves (M's exponent), and field
-    i >= 1 holds the number of curves of index i (d_i's exponent).  A label
-    is thus the same int in every process, so `add` is plain addition.
-    `writhe` is the diagram's writhe, read off its ribbon."""
-
-    __slots__ = ("c", "pc_bits", "shift", "width", "writhe", "counts")
-
-    def __init__(self, c: int, pc_bits: int, shift: int, width: int, writhe: int):
-        self.c = c
-        self.pc_bits = pc_bits
-        self.shift = shift
-        self.width = width
-        self.writhe = writhe
-        self.counts: dict = {}
-
-    def add(self, other: DoubleCounts) -> None:
-        counts = self.counts
-        for key, n in other.counts.items():
             counts[key] = counts.get(key, 0) + n
 
 
@@ -367,8 +339,9 @@ class _Engine:
     (`lookup`, which alone builds classification records) every curve, by
     the key `walk` returns.
     `block` carries the essential curves closed so far as a node of `trie`
-    and counts states under int leaf keys; `table` turns those into the
-    count table, and `double` into the double counts.  `kinks` maps each
+    and counts states under int leaf keys; `table` turns those into a count
+    table, under a labelling of the trie's nodes by `signatures` or by
+    `parts`.  `kinks` maps each
     crossing that has an R1 kink to its loop-off bit, and `bigons` lists
     disjoint bigons as (x, through bit, y, through bit, alternating), the
     R2 bigons first (see the module docstring).  `writhe` is the sum of
@@ -474,7 +447,8 @@ class _Engine:
         # `block` fills while it traces: per through bit, the number of them
         # whose turned-back choice a state took
         self.pc_bits = rs.n_crossings.bit_length()
-        self.mark_shift = self.pc_bits + len(rs.bands).bit_length()
+        self.part_width = len(rs.bands).bit_length()
+        self.mark_shift = self.pc_bits + self.part_width
         through = [t for _x, t, _y, _t, alt in self.bigons if alt]
         self.mark_bits = (len(through) - sum(through)).bit_length()
         self.node_shift = self.mark_shift + self.mark_bits + sum(through).bit_length()
@@ -671,7 +645,7 @@ class _Engine:
         disk (id 0) adds one to the inessential count instead.  Each traced
         state adds 1 to the block's own table `leaves` under its leaf key,
         node << node_shift | marks << mark_shift | iness << pc_bits |
-        B-splices; `table` and `double` read these keys back.  With no
+        B-splices; `table` reads these keys back.  With no
         folded kink or alternating bigon `leaves` is the block's table;
         otherwise the block spreads it into a new one at its end.  Taking
         the loop-off choice at j of the p folded kinks whose loop-off bit is
@@ -918,78 +892,83 @@ class _Engine:
                 counts[key + shift] = counts.get(key + shift, 0) + n * w
         return counts
 
-    def table(self, raw: dict) -> CountTable:
-        """The count table of `block`'s leaf-key counts, which it uses up,
-        and a fresh trie in place of the one they refer to.  The classes are
-        ranked as their entries sort (`_Classes.order`).  A node is made
-        after its parent, so in id order each node's sorted tuple of class
-        ranks, its bag, is its parent's with its own rank put in place.
-        Each leaf key's node gets the signature id of its bag, made the
-        first time a key reads that bag, with its signature, the bag's
-        entries in order; so nodes reached in different orders that hold
-        one multiset of curves merge here, by exact addition, and each
-        signature is built once."""
-        up, entries, order = self.trie.up, self.classes.entries, self.classes.order
-        self.trie = _Trie()
+    def table(self, raw: dict, labels: list, unpack: Callable) -> CountTable:
+        """The count table of `block`'s leaf-key counts under one labelling
+        of the trie they refer to: `labels[node]` is the label of a node's
+        multiset of curves, in a form quick to hash, and `unpack` turns it
+        into the table's label.  Each leaf key's node gets the id of its
+        label, made the first time a key reads it, so nodes that hold one
+        label, reached in different orders or by different curves, merge
+        here, by exact addition, and each distinct label is unpacked once."""
         sh = self.node_shift
-        low, id_mask = (1 << sh) - 1, (1 << _ID_BITS) - 1
+        low = (1 << sh) - 1
+        table = CountTable(self.F.ribbon.n_crossings, self.pc_bits, sh, self.writhe)
+        counts = table.counts
+        # per node, and per label in order of first use, its id shifted
+        # into place; None until read
+        node_id = [None] * len(labels)
+        ids: dict = {}
+        for key, n in raw.items():
+            node = key >> sh
+            s = node_id[node]
+            if s is None:
+                label = labels[node]
+                s = ids.get(label)
+                if s is None:
+                    s = ids[label] = len(ids) << sh
+                node_id[node] = s
+            key = s | key & low
+            counts[key] = counts.get(key, 0) + n
+        table.labels = list(map(unpack, ids))
+        return table
+
+    def signatures(self, up: list) -> tuple[list, Callable]:
+        """The signature labelling of the trie whose `up` list is `up`.  The
+        classes are ranked as their entries sort (`_Classes.order`).  A node
+        is made after its parent, so in id order each node's sorted tuple of
+        class ranks, its bag, is its parent's with its own rank put in
+        place; a bag unpacks to its signature, the bag's entries in order."""
+        entries, order = self.classes.entries, self.classes.order
+        id_mask = (1 << _ID_BITS) - 1
         by_rank = sorted(range(1, len(entries)), key=order.__getitem__)
         rank = [0] * len(entries)
         for r, cid in enumerate(by_rank):
             rank[cid] = r
-        ranked_entries = [entries[cid] for cid in by_rank]
+        ranked = [entries[cid] for cid in by_rank]
         bags = [()]
         for key in islice(up, 1, None):
             bag = bags[key >> _ID_BITS]
             r = rank[key & id_mask]
             i = bisect_right(bag, r)
             bags.append(bag[:i] + (r,) + bag[i:])
-        table = CountTable(self.F.ribbon.n_crossings, self.pc_bits, sh)
-        sigs, counts = table.sigs, table.counts
-        node_sig = [-1] * len(bags)
-        ids: dict = {}
-        while raw:
-            key, n = raw.popitem()
-            node = key >> sh
-            s = node_sig[node]
-            if s < 0:
-                bag = bags[node]
-                s = ids.get(bag)
-                if s is None:
-                    s = ids[bag] = len(sigs)
-                    sigs.append(tuple(map(ranked_entries.__getitem__, bag)))
-                node_sig[node] = s
-            key = s << sh | key & low
-            counts[key] = counts.get(key, 0) + n
-        return table
+        return bags, lambda bag: tuple(map(ranked.__getitem__, bag))
 
-    def double(self, raw: dict) -> DoubleCounts:
-        """The double-bracket counts of `block`'s leaf-key counts, and a
-        fresh trie in place of the one they refer to.  No signature is
-        built: a node's (M, d) label is its parent's plus its own curve's,
-        one more in field 0 for a one-sided curve and in field idx for a
-        curve of index idx >= 1, so nodes with one label merge here, by
-        exact addition, and in any other process too."""
-        up, keys = self.trie.up, self.classes.by_id
-        self.trie = _Trie()
-        rs = self.F.ribbon
-        sh = self.node_shift
-        low, id_mask = (1 << sh) - 1, (1 << _ID_BITS) - 1
-        # a state has at most one curve per band
-        width = len(rs.bands).bit_length()
-        hc_shift = self.F.h1_dim + 1
-        # each class's part and each node's label, shifted into place
-        part = [0] + [((key & 1) + (1 << width * (key >> hc_shift) if key >> hc_shift else 0)) << sh
-                      for key in islice(keys, 1, None)]
+    def parts(self, up: list) -> tuple[list, Callable]:
+        """The (M, d) labelling of the trie whose `up` list is `up`, which
+        builds no signature: a node's label is an int of `part_width`-bit
+        fields (a state has at most one curve per band), its parent's plus
+        its own curve's, one more in field 0 for a one-sided curve (M's
+        exponent) and in field idx for a curve of index idx >= 1."""
+        width, hc_shift = self.part_width, self.F.h1_dim + 1
+        id_mask = (1 << _ID_BITS) - 1
+        part = [0] + [(key & 1) + (1 << width * (key >> hc_shift) if key >> hc_shift else 0)
+                      for key in islice(self.classes.by_id, 1, None)]
         labels = [0]
         for key in islice(up, 1, None):
             labels.append(labels[key >> _ID_BITS] + part[key & id_mask])
-        out = DoubleCounts(rs.n_crossings, self.pc_bits, sh, width, self.writhe)
-        counts = out.counts
-        for key, n in raw.items():
-            key = labels[key >> sh] | key & low
-            counts[key] = counts.get(key, 0) + n
-        return out
+        return labels, self._unpack_part
+
+    def _unpack_part(self, label: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(M's exponent, ((i, d_i's exponent), ...)) of a packed part."""
+        width = self.part_width
+        field = (1 << width) - 1
+        d, i, rest = [], 1, label >> width
+        while rest:
+            if rest & field:
+                d.append((i, rest & field))
+            rest >>= width
+            i += 1
+        return label & field, tuple(d)
 
 
 def _spread(up: int, down: int, one: int, stay: int) -> list:
@@ -1036,13 +1015,14 @@ def classify_state(F: ClosedSurface, s: PoleState) -> tuple[CurveClassification,
 
 
 def check_nonseparation(table: CountTable) -> int:
-    """The number of (state, curve) pairs of a `sum_counts` table that break
-    "positive index forces non-separating": each signature entry with index
-    > 0 that separates, times the count of its key.  The table holds only
+    """The number of (state, curve) pairs of a signature-labelled
+    `sum_counts` table that break "positive index forces non-separating":
+    each signature entry with index > 0 that separates, times the count of
+    its key.  The table holds only
     essential curves; a curve that bounds a disk has no entry, and
     `_Engine.classify` refuses every separating curve of positive index,
     disk or not, as it sums."""
-    bad = [sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep) for sig in table.sigs]
+    bad = [sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep) for sig in table.labels]
     if not any(bad):
         return 0
     sh = table.shift
@@ -1144,12 +1124,12 @@ def state_report(F: ClosedSurface, s: PoleState) -> dict:
 
 
 def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool, want: str = "table"):
-    """Count the states of a bitmask range by everything the brackets need:
-    as a `CountTable`, per signature (the sorted per-essential-curve tuple
-    (index, mobius, separating, hom_class)), natural and number of curves
-    that bound disks, with `want` "table"; as `DoubleCounts`, per (M, d)
-    label in place of the signature, with no signature built, with "double";
-    and as the pair (table, double counts) of one trace with "both".
+    """Count the states of a bitmask range by everything the brackets need,
+    in a `CountTable` per label, natural and number of curves that bound
+    disks.  With `want` "table" the label is a signature (the sorted
+    per-essential-curve tuple (index, mobius, separating, hom_class)); with
+    "double" it is the (M, d) part, and no signature is built; with "both"
+    the result is the pair of those two tables, from one trace.
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
     bits; `_Engine.block` sums each one depth first over its k low bits, so
@@ -1163,8 +1143,8 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool, want: str = "tabl
     alternating bigon's are counted from the one traced.  Every polynomial
     the brackets read off the table is the same, but an R2 fold's table is
     not, so a caller that counts states or reads each one passes False.
-    The blocks count under int leaf keys, which `_Engine.table` and
-    `_Engine.double` read once, at the end."""
+    The blocks count under int leaf keys, which `_Engine.table` reads once
+    per labelling, at the end."""
     eng = _engine(F)
     c = F.ribbon.n_crossings
     if lo < 0 or hi > 1 << c:
@@ -1181,11 +1161,9 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool, want: str = "tabl
         else:
             raw = part
         lo += 1 << k
-    if want == "double":
-        return eng.double(raw)
+    # the labellings read the trie's `up` list; a fresh trie serves the next sum
+    up = eng.trie.up
+    eng.trie = _Trie()
     if want == "both":
-        trie = eng.trie
-        double = eng.double(raw)
-        eng.trie = trie
-        return eng.table(raw), double
-    return eng.table(raw)
+        return eng.table(raw, *eng.signatures(up)), eng.table(raw, *eng.parts(up))
+    return eng.table(raw, *(eng.parts(up) if want == "double" else eng.signatures(up)))

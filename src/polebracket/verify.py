@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .brackets import _fold_double, bracket_pair, ribbon_normalized, specialize_bracket
+from .brackets import _double, bracket_pair, ribbon_normalized, specialize_bracket
 from .codes import TwistedGaussCode, Visit, make_code, parse_code, random_diagram
 from .moves import (
     MoveError,
@@ -185,9 +185,10 @@ def run_battery(seed: int, count: int):
     Returns a list of (label, checked, failures).  One state sum per
     diagram, and no state walk: pole balance is counted on the surface's
     caps (one failure per unbalanced region of a state), non-separation is
-    read off the count table (one per (state, curve) that breaks it), the
-    surface pole bracket comes from that table, and the double bracket and R
-    from the same sum's leaf keys.  That sum folds no bigon, so it counts,
+    read off its signature-labelled count table (one per (state, curve)
+    that breaks it), the surface pole bracket comes from that table, and the
+    double bracket and R from the same sum's (M, d)-labelled table.  That
+    sum folds no bigon, so it counts,
     and checks, every state; the move sweep's sums fold them, and it keys
     the diagram by the surface's own ribbon.  A sum that raises
     AssertionError (the engine refused a curve) is one non-separation
@@ -215,7 +216,7 @@ def run_battery(seed: int, count: int):
         if specialize_bracket(bracket) != double:
             spec_bad.append(code)
         if i < len(twisted):
-            checked, bad = move_invariance(code, F.ribbon, _fold_double(part, True), rng)
+            checked, bad = move_invariance(code, F.ribbon, _double(part, True), rng)
             moved += checked
             move_bad += bad
         else:

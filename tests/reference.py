@@ -30,8 +30,8 @@ its count table took int keys: `decode` turns a block's leaf counts into a
 table keyed by (signature, natural, iness), `fold` sums such a table per
 label, and `bracket_of`, `double_of` and `nonseparation_of` read the
 brackets and the non-separation count off it.  `by_signature` and
-`count_table` convert between that table and a `states.CountTable`, and
-`double_counts` packs it as the `states.DoubleCounts` that the double
+`count_table` convert between that table and a `states.CountTable`, under
+either labelling: by signature, or by the (M, d) part that the double
 bracket and R are folded from.
 
 The first steps of every command, as the library first wrote them:
@@ -59,7 +59,7 @@ from polebracket.cells import PolygonComplex
 from polebracket.codes import BAR, Bar, CodeError, TwistedGaussCode, Visit
 from polebracket.laurent import MultiLaurent, a_polys
 from polebracket.polewords import MARK, Word, arc, make_word
-from polebracket.states import _ID_BITS, CountTable, DoubleCounts, PoleCurve, _engine
+from polebracket.states import _ID_BITS, CountTable, PoleCurve, _engine
 from polebracket.surfaces import ClosedSurface, EmbeddedCurve, RibbonComplex, ribbon_faces
 
 
@@ -216,7 +216,7 @@ def assemble_from_table(rows) -> dict:
     """Pure assembly Sum A^natural * delta^iness per class label from rows
     (natural, iness_count, label); reproduces printed state tables."""
     counts = Counter((label, nat, iness) for nat, iness, label in rows)
-    return a_polys(fold(counts))
+    return a_polys(fold(counts).items())
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def fold(counts: dict, label=None) -> dict:
 
 
 def bracket_of(counts: dict) -> BracketValue:
-    return BracketValue(a_polys(fold(counts)))
+    return BracketValue(a_polys(fold(counts).items()))
 
 
 def double_of(counts: dict) -> MultiLaurent:
@@ -390,54 +390,39 @@ def nonseparation_of(counts: dict) -> int:
 
 
 def by_signature(table: CountTable) -> dict:
-    """A count table keyed by (signature, natural, iness)."""
+    """A count table keyed by (label, natural, iness): by (signature,
+    natural, iness) under the signature labelling."""
     sh, pb = table.shift, table.pc_bits
     low, pc_mask = (1 << sh) - 1, (1 << pb) - 1
     out: dict = {}
     for key, n in table.counts.items():
         t = key & low
-        full = (table.sigs[key >> sh], table.c - 2 * (t & pc_mask), t >> pb)
+        full = (table.labels[key >> sh], table.c - 2 * (t & pc_mask), t >> pb)
         out[full] = out.get(full, 0) + n
     return out
 
 
-def count_table(counts: dict, c: int) -> CountTable:
-    """The `CountTable` of a {(signature, natural, iness): count} table of
-    a diagram with c crossings; each natural is c - 2 B for 0 <= B <= c."""
+def count_table(counts: dict, c: int, writhe: int = 0, label=None) -> CountTable:
+    """The `CountTable` of a {(signature, natural, iness): count} table of a
+    diagram with c crossings and this writhe, each signature labelled by
+    label(signature), or by itself; `brackets._collapse` gives the (M, d)
+    labelling.  Each natural is c - 2 B for 0 <= B <= c."""
     iness = max((i for _s, _n, i in counts), default=0)
     pc_bits = c.bit_length()
-    table = CountTable(c, pc_bits, pc_bits + iness.bit_length())
+    table = CountTable(c, pc_bits, pc_bits + iness.bit_length(), writhe)
     ids: dict = {}
     for (sig, nat, i), n in counts.items():
         b, odd = divmod(c - nat, 2)
         if odd or not 0 <= b <= c:
             raise ValueError("natural out of range")
+        if label:
+            sig = label(sig)
         s = ids.setdefault(sig, len(ids))
-        if s == len(table.sigs):
-            table.sigs.append(sig)
+        if s == len(table.labels):
+            table.labels.append(sig)
         key = s << table.shift | i << pc_bits | b
         table.counts[key] = table.counts.get(key, 0) + n
     return table
-
-
-def double_counts(counts: dict, c: int, writhe: int) -> DoubleCounts:
-    """The `DoubleCounts` of a {(signature, natural, iness): count} table of
-    a diagram with c crossings and this writhe: each signature packed as its
-    (M, d) label, one-sided curves in field 0 and curves of index i >= 1 in
-    field i, each field wide enough for the longest signature."""
-    iness = max((i for _s, _n, i in counts), default=0)
-    width = max((len(sig) for sig, _n, _i in counts), default=0).bit_length()
-    pc_bits = c.bit_length()
-    out = DoubleCounts(c, pc_bits, pc_bits + iness.bit_length(), width, writhe)
-    for (sig, nat, i), n in counts.items():
-        b, odd = divmod(c - nat, 2)
-        if odd or not 0 <= b <= c:
-            raise ValueError("natural out of range")
-        label = sum(1 << width * idx if idx else 0 for idx, _m, _s, _h in sig)
-        label += sum(1 for _i, mob, _s, _h in sig if mob)
-        key = label << out.shift | i << pc_bits | b
-        out.counts[key] = out.counts.get(key, 0) + n
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,8 @@ def assert_fold_keeps_polynomials(code, lo, hi):
     # the double bracket and R, folded off the leaf keys, with and without
     # the fold
     for normalize in (False, True):
-        got = brackets._fold_double(states.sum_counts(realize(code), 0, n, True, "double"), normalize)
-        assert got == brackets._fold_double(states.sum_counts(realize(code), 0, n, False, "double"), normalize)
+        got = brackets._double(states.sum_counts(realize(code), 0, n, True, "double"), normalize)
+        assert got == brackets._double(states.sum_counts(realize(code), 0, n, False, "double"), normalize)
     # a range folds the bigons whose bits its blocks leave free
     part = by_signature(states.sum_counts(realize(code), lo, hi, True))
     whole = by_signature(states.sum_counts(realize(code), lo, hi, False))
@@ -268,7 +268,7 @@ def assert_fold_keeps_polynomials(code, lo, hi):
     assert sum(part.values()) <= sum(whole.values())
     part = states.sum_counts(realize(code), lo, hi, True, "double")
     whole = states.sum_counts(realize(code), lo, hi, False, "double")
-    assert brackets._fold_double(part, True) == brackets._fold_double(whole, True), (serialize(code), lo, hi)
+    assert brackets._double(part, True) == brackets._double(whole, True), (serialize(code), lo, hi)
 
 
 def test_fold_keeps_polynomials_on_the_corpus():

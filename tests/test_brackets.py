@@ -3,8 +3,9 @@
 The classical fixtures are checked against a separate planar Kauffman
 bracket implementation (the oracle) rather than against values computed by
 the code under test.  The int-table assembly of both brackets (the pole
-bracket from a count table, the double bracket and R from its double
-counts, packed by `reference.double_counts`), of `specialize_bracket` and
+bracket from a signature-labelled count table, the double bracket and R
+from an (M, d)-labelled one, both packed by `reference.count_table`), of
+`specialize_bracket` and
 of `assemble_from_table` (`tests/reference.py`, which folds state-table
 rows through the signature-keyed `fold` there) is checked against the plain
 `MultiLaurent` assembly below, one product and sum per count-table key, and
@@ -31,7 +32,7 @@ from polebracket.oracle import classical_kauffman_oracle
 from polebracket.states import classify_state, enumerate_states
 from polebracket.surfaces import realize
 from polebracket.verify import braid_closure, classical_fixtures, corpus_classical, corpus_twisted, twisted_fixtures
-from reference import assemble_from_table, bracket_of, count_table, double_counts, double_of
+from reference import assemble_from_table, bracket_of, count_table, double_of
 
 A = MultiLaurent.A
 M = MultiLaurent.M
@@ -328,19 +329,19 @@ def count_tables(draw):
 @given(count_tables())
 @settings(max_examples=200, deadline=None)
 def test_int_table_assembly_matches_reference(drawn):
-    # the bracket folds the count table; the double bracket and R fold the
-    # double counts, keyed by packed (M, d) labels and no signature
+    # the bracket folds the signature-labelled count table; the double
+    # bracket and R fold the (M, d)-labelled one, which has no signature
     c, counts, w = drawn
     table = count_table(counts, c)
-    bracket = brackets._bracket_from_counts(table)
+    bracket = brackets._bracket(table)
     assert bracket == ref_bracket_from_counts(counts) == bracket_of(counts)
     assert bracket.to_text() == ref_bracket_from_counts(counts).to_text()
     assert_printers_match_reference(bracket)
-    part = double_counts(counts, c, w)
-    double = brackets._fold_double(part, False)
+    part = count_table(counts, c, w, brackets._collapse)
+    double = brackets._double(part, False)
     assert double == ref_double_from_counts(counts) == double_of(counts)
     assert double.to_text() == ref_double_from_counts(counts).to_text()
-    invariant = brackets._fold_double(part, True)
+    invariant = brackets._double(part, True)
     assert invariant == minus_A_pow(-3 * w) * ref_double_from_counts(counts)
     assert invariant.to_text() == (minus_A_pow(-3 * w) * double).to_text()
     assert specialize_bracket(bracket) == ref_specialize_bracket(bracket) == double
@@ -350,13 +351,13 @@ def test_int_table_assembly_matches_reference(drawn):
 
 def test_int_table_assembly_of_the_empty_table():
     empty = count_table({}, 0)
-    assert brackets._bracket_from_counts(empty) == ref_bracket_from_counts({}) == BracketValue({})
+    assert brackets._bracket(empty) == ref_bracket_from_counts({}) == BracketValue({})
     for normalize in (False, True):
-        assert brackets._fold_double(double_counts({}, 0, 0), normalize) == ref_double_from_counts({}) == 0
+        assert brackets._double(count_table({}, 0, 0, brackets._collapse), normalize) == ref_double_from_counts({}) == 0
     assert double_of({}) == 0
     assert specialize_bracket(BracketValue({})) == ref_specialize_bracket(BracketValue({})) == 0
     # no state gives 0 for both brackets, so the specialization identity holds
-    assert specialize_bracket(brackets._bracket_from_counts(empty)) == brackets._fold_double(double_counts({}, 0, 0), False)
+    assert specialize_bracket(brackets._bracket(empty)) == brackets._double(count_table({}, 0, 0, brackets._collapse), False)
     assert assemble_from_table([]) == ref_assemble_from_table([]) == {}
 
 

@@ -416,6 +416,9 @@ def test_states_output_bytes_are_pinned(capsys, text, flag, digest):
 _MIXED = "O1+ O4+ U1+ U4+;O2+ B U2+ O3+ U3+ B;B"
 _TWISTED = "U1- O3+ O4- O2- U4- B;B O1- U3+ U2-"
 _CI = "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"
+# its double bracket has M^2 and d_2, the second d field of a packed (M, d)
+# part: `dbracket` prints d_2 + M^2*(A^2+1+A^-2)
+_MD = "U1+ B B O2- B U2- O1+ B"
 
 
 @pytest.mark.parametrize(
@@ -436,6 +439,8 @@ _CI = "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"
         (_TWISTED, ("invariant", "--json"), "3493b09e1db60b852ecec638ec69acf707bd47874e52f692ccf3ac62b71ad643"),
         (_CI, ("dbracket", "--json"), "f454ce02e4f2b6292a188994ef8dc7fa172fb372b3c187abed3275279b96e591"),
         (_CI, ("invariant", "--json"), "47233fa8cb865726841414e19bf1332364516f4e9461dd69b775eec5c8adc9f6"),
+        (_MD, ("dbracket",), "cf9030ea4179488b163f0318d6c9bc6f05595d0a365a7469bb50c7088bb0da78"),
+        (_MD, ("dbracket", "--json"), "e1b054583ae68acaf080984f70d5f5eee7c58fec33156b19b4af3847e9f31b4b"),
     ],
 )
 def test_bracket_and_info_bytes_are_pinned(capsys, text, argv, digest):
@@ -540,9 +545,10 @@ def _no_signature(*_args):
 
 
 def test_R_builds_no_signature(capsys, monkeypatch):
-    # `invariant`, `dbracket` and the move sweep fold R off the leaf keys:
-    # they build no bag, no signature and no class bit tuple, which only
-    # the count table of `bracket` and `check` reads
+    # `invariant`, `dbracket` and the move sweep fold R off the leaf keys,
+    # under the (M, d) labelling: they build no bag, no signature and no
+    # class bit tuple, which only the signature labelling of `bracket` and
+    # `check` builds
     import random
 
     from polebracket import states, verify
@@ -554,7 +560,7 @@ def test_R_builds_no_signature(capsys, monkeypatch):
     texts = [serialize(code) for code in codes]
     before = [run(capsys, cmd, "-i", t) for t in texts for cmd in ("invariant", "dbracket")]
     invariants = [normalized(code) for code in codes]
-    monkeypatch.setattr(states._Engine, "table", _no_signature)
+    monkeypatch.setattr(states._Engine, "signatures", _no_signature)
     monkeypatch.setattr(states._Classes, "_grow", _no_signature)
     assert [run(capsys, cmd, "-i", t) for t in texts for cmd in ("invariant", "dbracket")] == before
     rng = random.Random(2)

@@ -620,22 +620,31 @@ def ref_state_keys(code):
 def assert_ranges_merge(code, a, b, keys):
     # [0, a), [a, b) and [b, 2^c), each summed on a fresh surface, merge to
     # the full table, by signature, and so does `CountTable.add` of the
-    # three, whose signature ids differ; an empty range gives an empty table
+    # three, whose signature ids differ; an empty range gives an empty
+    # table.  The three ranges' (M, d)-labelled tables, added the same way,
+    # hold each label once and fold to the whole range's double bracket and
+    # R, as the reference reads them off the full table
     n = 1 << len(code.crossing_ids)
     merged = Counter()
-    added = None
+    added = parts = None
     for lo, hi in ((0, a), (a, b), (b, n)):
         part = states.sum_counts(realize(code), lo, hi, False)
+        md = states.sum_counts(realize(code), lo, hi, False, "double")
         if lo == hi:
-            assert part.counts == {}
+            assert part.counts == {} == md.counts
         merged.update(by_signature(part))
         if added is None:
-            added = part
+            added, parts = part, md
         else:
             added.add(part)
+            parts.add(md)
     full = by_signature(states.sum_counts(realize(code), 0, n, False))
     assert merged == full == by_signature(added) == Counter(keys), (serialize(code), a, b)
-    assert len(added.sigs) == len(set(added.sigs))
+    assert len(added.labels) == len(set(added.labels))
+    double = double_of(full)
+    assert brackets._double(parts, False) == double, (serialize(code), a, b)
+    assert brackets._double(parts, True) == minus_A_pow(-3 * writhe(code)) * double, (serialize(code), a, b)
+    assert len(parts.labels) == len(set(parts.labels))
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -992,15 +1001,20 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
         t = key & ((1 << eng.node_shift) - 1)
         expect[(sig, c - 2 * (t & ((1 << eng.pc_bits) - 1)), t >> eng.pc_bits)] += count
     decoded = decode(eng, raw)
-    leaves = len(raw)
-    table = eng.table(raw)
+    table = eng.table(raw, *eng.signatures(eng.trie.up))
     assert by_signature(table) == decoded == expect == Counter(ref_state_keys(code))
-    assert len(table.counts) < leaves and not raw
-    assert sorted(table.sigs) == sorted(orders)
-    # the trie is released, and a second sum on the same engine agrees
-    assert eng.trie.up == [0] and not eng.trie
+    assert len(table.counts) < len(raw)
+    assert sorted(table.labels) == sorted(orders)
+    # the same leaf counts under the (M, d) labelling: each signature's
+    # collapse, with the counts of one part merged
+    collapsed = Counter()
+    for (sig, nat, iness), n in decoded.items():
+        collapsed[brackets._collapse(sig), nat, iness] += n
+    assert by_signature(eng.table(raw, *eng.parts(eng.trie.up))) == collapsed
+    # the sum releases the trie, and a second sum on the same engine agrees
     F._state_engine = eng
     assert by_signature(states.sum_counts(F, 0, 1 << c, False)) == decoded
+    assert eng.trie.up == [0] and not eng.trie
 
 
 def test_classify_refuses_ids_beyond_the_trie_key(monkeypatch):
@@ -1100,10 +1114,9 @@ def count_every_state(mp):
 
 def pickling_pool(parts):
     """A stand-in for ProcessPoolExecutor that runs each job in this
-    process, on its own surface and engine, and hands its count table or
-    double counts back through pickle, as a worker process would; each
-    count table's {signature: id} is appended to `parts` before the parent
-    merges them."""
+    process, on its own surface and engine, and hands its count table back
+    through pickle, as a worker process would; each count table's {label:
+    id} is appended to `parts` before the parent merges them."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -1117,14 +1130,14 @@ def pickling_pool(parts):
 
         def map(self, fn, jobs):
             tables = [pickle.loads(pickle.dumps(fn(job))) for job in jobs]
-            parts.append([{sig: s for s, sig in enumerate(t.sigs)} for t in tables if isinstance(t, states.CountTable)])
+            parts.append([{label: s for s, label in enumerate(t.labels)} for t in tables])
             return tables
 
     return Pool
 
 
 def rekeyed(parts):
-    """The signatures that two tables of one merge hold under different ids."""
+    """The labels that two tables of one merge hold under different ids."""
     return sum(
         1
         for tables in parts
@@ -1153,7 +1166,7 @@ def assert_table_matches_reference(code):
             count_every_state(mp)
             table = brackets._counts(code, w)
         assert by_signature(table) == ref, (serialize(code), w)
-        assert len(set(table.sigs)) == len(table.sigs)
+        assert len(set(table.labels)) == len(table.labels)
         assert check_nonseparation(table) == nonseparation_of(ref) == 0
         folded = by_signature(brackets._counts(code, w))
         assert bracket_of(folded) == bracket and double_of(folded) == double, (serialize(code), w)
@@ -1173,7 +1186,7 @@ def test_fixture_tables_match_reference(text, monkeypatch):
 
 
 def test_corpus_tables_match_reference(monkeypatch):
-    # the worker tables of one merge number shared signatures differently,
+    # the worker tables of one merge number shared labels differently,
     # and the parent re-keys them
     parts = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool(parts))
