@@ -137,18 +137,11 @@ def _guard(code, args, err):
         cost = ("25-79 us per state (c = 12 to 16), printed as it goes;"
                 " peak memory was 19-26 MB")
     else:
-        # the sum traces only the through splices of each R1 kink and R2
-        # bigon it folds, and one crossing of each alternating bigon; a kink
-        # on an R2 bigon's crossing folds with the bigon
-        eng = _engine(realize(code))
-        alternating = sum(alt for *_b, alt in eng.bigons)
-        pairs = len(eng.bigons) - alternating
-        paired = {i for x, _tx, y, _ty, alt in eng.bigons if not alt for i in (x, y)}
-        kinks = len(eng.kinks.keys() - paired)
-        bits, per_s = c - kinks - 2 * pairs - alternating, 6e-6
-        parts = [f"{kinks} R1 kinks summed in closed form"] * bool(kinks)
-        parts += [f"{pairs} R2 bigons traced on their through splices"] * bool(pairs)
-        parts += [f"{alternating} alternating bigons traced on half their splices"] * bool(alternating)
+        plan = _engine(realize(code)).plan
+        bits, per_s = plan.bits, 6e-6
+        parts = [f"{len(plan.kinks)} R1 kinks summed in closed form"] * bool(plan.kinks)
+        parts += [f"{len(plan.r2)} R2 bigons traced on their through splices"] * bool(plan.r2)
+        parts += [f"{len(plan.alternating)} alternating bigons traced on half their splices"] * bool(plan.alternating)
         folded = f" less {' and '.join(parts)}" if parts else ""
         cost = ("4-6 us per traced state (c = 16 to 20); peak memory was"
                 " 22-24 MB at c = 16, 24-35 MB at c = 18 and 41-64 MB at c = 20")

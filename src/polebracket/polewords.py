@@ -13,9 +13,10 @@ cancellation.  The index of a curve is half the number of poles left when no
 pair cancels.  Reduction is confluent, so the index does not depend on the
 order of cancellations.  `index` computes it in closed form without
 cancelling anything, and a state sum composes it from the values of the
-open arcs it joins (`arc`, `join_arcs`, `reverse_arc`, `closed_index`).
-The step-by-step rewriting, the search over every cancellation order and
-word equivalence are the tests' reference, in `tests/reference.py`.
+open arcs it joins (`arc`, `closed_index`).  The join and the reversal of
+arcs, which the sum inlines, the step-by-step rewriting, the search over
+every cancellation order and word equivalence are the tests' reference,
+in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -73,16 +74,6 @@ def arc(word: Word) -> int:
         make_word(w)  # raises on the bad item
     ones = w[0::2].count(R) + w[1::2].count(L)
     return 2 * (2 * ones - poles) + (len(w) & 1)
-
-
-def join_arcs(x: int, y: int) -> int:
-    """The value of arc u followed by arc v, from the values x of u and y of v."""
-    return x - y if x & 1 else x + y
-
-
-def reverse_arc(x: int) -> int:
-    """The value of an arc read from its other end, with sides swapped."""
-    return 2 - x if x & 1 else x
 
 
 def closed_index(x: int) -> int:

@@ -56,11 +56,9 @@ two extra poles are adjacent across an unflipped band with equal sides, so
 they cancel: a loop-off state has the through state's curves, plus one
 inessential circle, with the B-count moved by one.  `block` traces only the
 through splice of a kink bit it is free to choose and counts the loop-off
-states from the traced ones; `_Engine.__init__` finds the kinks, one per
-crossing, and checks this premise once.  Every block counts in a table of
-its own, which is its result where it folds no kink, and spreads it over
-the loop-off states at its end where it does.  The count table is the same
-for every range.
+states from the traced ones, which it spreads over the loop-off states at
+its end; `_Engine.__init__` finds the kinks, one per crossing, and checks
+this premise once.  The count table is the same for every range.
 
 Bigons are folded too, when a sum's caller asks (Kauffman, same paper;
 the source paper's R2 invariance).  A bigon is two unflipped bands that
@@ -92,10 +90,12 @@ never asks it, so the torus look-alike U1+ U2- O1+ O2- folds too.
   crossing folds as a kink, and that bigon is traced as it stands.
 The search takes the R2 bigons first, as they fold two bits each, and the
 pairs are disjoint.  A bigon with a fixed bit is traced as it stands, and a
-kink on it folds as a kink.  An R2 fold leaves fewer states in the table,
-but every polynomial read off it is the same, so `sum_counts` folds bigons
-only where its caller asks; `check`, which counts the states it checks and
-reads each entry, does not.
+kink on it folds as a kink.  `_Engine.__init__` makes these decisions once,
+in the engine's fold plan (`_Plan`): each block takes its folds from it,
+and the command line prices a sum by its traced bits.  An R2 fold leaves
+fewer states in the table, but every polynomial read off it is the same,
+so `sum_counts` folds bigons only where its caller asks; `check`, which
+counts the states it checks and reads each entry, does not.
 
 The sum counts with ints.  Each class of essential curve has a small int
 id, and the essential curves closed so far are one node of a trie of
@@ -310,6 +310,18 @@ class CountTable:
             counts[key] = counts.get(key, 0) + n
 
 
+class _Plan(NamedTuple):
+    """The folds of a folded sum over every state: `kinks`, crossing to
+    loop-off bit, of the kinks on no R2 bigon; `r2` and `alternating`, the
+    bigons of each kind as (x, through bit, y, through bit); and `bits`, the
+    splice bits it traces, c - kinks - 2 R2 - alternating."""
+
+    kinks: dict
+    r2: list
+    alternating: list
+    bits: int
+
+
 class _Engine:
     """Splice tables for one surface, its curve classes and its cache of
     disk tests.
@@ -344,8 +356,8 @@ class _Engine:
     `parts`.  `kinks` maps each
     crossing that has an R1 kink to its loop-off bit, and `bigons` lists
     disjoint bigons as (x, through bit, y, through bit, alternating), the
-    R2 bigons first (see the module docstring).  `writhe` is the sum of
-    the crossing signs.
+    R2 bigons first (see the module docstring); `plan` holds the folds made
+    of them (`_Plan`).  `writhe` is the sum of the crossing signs.
     """
 
     def __init__(self, F: ClosedSurface):
@@ -401,22 +413,18 @@ class _Engine:
             if tau[off][u & 3] != v & 3 or not (pred[v] == u or pred[u] == v):
                 raise AssertionError("a kink's loop-off circle bounds no disk")
             self.kinks[x] = off
-        # Bigons, on disjoint pairs of crossing disks x != y, as (x, its
-        # through bit, y, its through bit, alternating).  An unflipped band
-        # (u, v) and an unflipped band from a dart w beside u join x and y
+        # Bigons, on disjoint pairs of crossing disks x != y.  An unflipped
+        # band (u, v) and an unflipped band from a dart w beside u join x and y
         # and bound one cap with exactly two corners: the corner at x lies
         # between d and e = succ d, {d, e} = {u, w}, and its sides run along
         # the bands at d and e to the corners pred(other d) and other e, so
-        # the cap closes after two corners iff those are one.  An R2 bigon
-        # has one band over at both ends, where it is found, and one under
-        # at both, and opposite signs; an alternating bigon has bands from
-        # over to under, equal signs and equal through bits, and no kink on
-        # its crossings.  Around a two-corner cap the over-and-under test
-        # and the sign test agree.  A disk's through bit is the one whose
-        # chords leave its bigon corner whole
-        self.bigons: list[tuple[int, int, int, int, bool]] = []
+        # the cap closes after two corners iff those are one.  The tests of
+        # each kind are the module docstring's; an R2 bigon is found at its
+        # over band, and an alternating one has no kink on its crossings.  A
+        # disk's through bit is the one whose chords leave its bigon corner
+        # whole.  R2 bigons come first, which fold two bits each
+        found: tuple[list, list] = ([], [])
         taken: set[int] = set()
-        # R2 bigons first, which fold two bits each, alternating ones one
         joins: tuple[list, list] = ([], [])
         for u, v, flip in rs.bands:
             if not flip and u >> 2 != v >> 2:
@@ -437,9 +445,15 @@ class _Engine:
                     ty = int(_TAU[negative[y]][1][e2 & 3] != d2 & 3)
                     if alternating and tx != ty:
                         continue
-                    self.bigons.append((x, tx, y, ty, bool(alternating)))
+                    found[alternating].append((x, tx, y, ty))
                     taken.update((x, y))
                     break
+        r2, alternating = found
+        self.bigons = [b + (False,) for b in r2] + [b + (True,) for b in alternating]
+        # the fold plan: a kink on an R2 bigon folds with it
+        on_r2 = {i for x, _tx, y, _ty in r2 for i in (x, y)}
+        kinks = {i: off for i, off in self.kinks.items() if i not in on_r2}
+        self.plan = _Plan(kinks, r2, alternating, rs.n_crossings - len(kinks) - 2 * len(r2) - len(alternating))
         # a leaf key packs (trie node, inessential count, B-splice count):
         # node << node_shift | iness << pc_bits | B-splices.  A state has at
         # most one curve per band and one B-splice per crossing.  An engine
@@ -449,9 +463,9 @@ class _Engine:
         self.pc_bits = rs.n_crossings.bit_length()
         self.part_width = len(rs.bands).bit_length()
         self.mark_shift = self.pc_bits + self.part_width
-        through = [t for _x, t, _y, _t, alt in self.bigons if alt]
-        self.mark_bits = (len(through) - sum(through)).bit_length()
-        self.node_shift = self.mark_shift + self.mark_bits + sum(through).bit_length()
+        ones = sum(t for _x, t, _y, _t in alternating)
+        self.mark_bits = (len(alternating) - ones).bit_length()
+        self.node_shift = self.mark_shift + self.mark_bits + ones.bit_length()
         self.trie = _Trie()
 
     @cached_property
@@ -592,8 +606,7 @@ class _Engine:
 
     def block(self, base: int, k: int, fold: bool) -> dict:
         """The 2^k states from `base` (a multiple of 2^k), counted under
-        leaf keys; with `fold`, each bigon whose two bits are free is traced
-        on part of its four splice pairs (see the module docstring).
+        leaf keys.
 
         The bands start as open paths, and each open path carries, at each
         of its ends d: `end[d]`, the other end; `hc[d]`, its homology class
@@ -603,33 +616,30 @@ class _Engine:
         has none).  A bare-loop chord joins the two ends of its band, so it
         closes a curve at once; then `descend` decides bits c-1 .. 0, depth
         first, 0 before 1, so the states come in increasing order.  A fixed
-        bit k .. c-1 is a depth with the one choice that `base` makes, and a
-        free bit of a kink (`kinks`) a depth with its through choice only.
-        With `fold`, so are the two bits of an R2 bigon (`bigons`) when both
-        are free, and a kink on one of them is then not spread.  Of an
-        alternating bigon with both bits free, x takes its through choice
-        and y both, its turned-back one marked in the leaf key; a bigon with
-        a fixed bit is traced as it stands.
+        bit k .. c-1 is a depth with the one choice that `base` makes.  The
+        block makes each fold of `plan` whose bits are all free, and folds a
+        free kink on an R2 bigon with a fixed bit as a kink; without `fold`
+        it folds every free kink and no bigon (see the module docstring).
 
         A chord (a, b) whose darts end one path closes a curve, once for
         every state below.  The closing (`entry`, given the values at a and
-        b) checks the two pole pairs
-        the chord makes adjacent, which closes the check of every pole pair
-        of the curve, and that the curve's key pm[a] | bit has as many
-        chords as bands; the index of its word is that of vs[b] + the
-        chord's pole: no curve is walked.  A curve with hc[a] nonzero is
-        one-sided or has a nonzero class, so it bounds no disk, and its
-        class is read from `classes` by index and hc[a] alone.  Any other
-        curve is looked up in the cache by its key, and a miss takes the
-        disk test (`classify`).  Any other chord joins the paths a..e and
-        b..f into e..f.  It first checks the pole pairs it makes adjacent,
-        then writes the ends e and f: the XOR of the classes, the union key,
-        the arcs vs[e] + chord + vs[b] and its reverse (`polewords.join_arcs`
-        and `reverse_arc`, inlined), and the kind nearest each end where the
-        old path had no pole.  a and b are never ends again, so undoing the
-        join restores end, hc, pm and kn from them and from the kinds read
-        at the join, and vs from the two values it saved.  At its end the
-        block checks that the undos restored the band tables.
+        b) checks the two pole pairs the chord makes adjacent, which closes
+        the check of every pole pair of the curve, and that the curve's key
+        pm[a] | bit has as many chords as bands; the index of its word is
+        that of vs[b] + the chord's pole: no curve is walked.  A curve with
+        hc[a] nonzero is one-sided or has a nonzero class, so it bounds no
+        disk, and its class is read from `classes` by index and hc[a] alone.
+        Any other curve is looked up in the cache by its key, and a miss
+        takes the disk test (`classify`).  Any other chord joins the paths
+        a..e and b..f into e..f.  It first checks the pole pairs it makes
+        adjacent, then writes the ends e and f: the XOR of the classes, the
+        union key, the arcs vs[e] + chord + vs[b] and its reverse (`join_arcs`
+        and `reverse_arc` in `tests/reference.py`, inlined), and the kind
+        nearest each end where the old path had no pole.  a and b are never
+        ends again, so undoing the join restores end, hc, pm and kn from them
+        and from the kinds read at the join, and vs from the two values it
+        saved.  At its end the block checks that the undos restored the band
+        tables.
 
         Crossing 0 is the last depth, and there its four darts end the two
         open paths left.  Each choice closes both without writing: if its
@@ -645,43 +655,38 @@ class _Engine:
         disk (id 0) adds one to the inessential count instead.  Each traced
         state adds 1 to the block's own table `leaves` under its leaf key,
         node << node_shift | marks << mark_shift | iness << pc_bits |
-        B-splices; `table` reads these keys back.  With no
-        folded kink or alternating bigon `leaves` is the block's table;
-        otherwise the block spreads it into a new one at its end.  Taking
-        the loop-off choice at j of the p folded kinks whose loop-off bit is
-        1 and at l of the q whose loop-off bit is 0 adds j + l disk circles
-        and j - l B-splices to a traced state's key, and C(p, j) C(q, l)
-        states share that key.  A state that took the turned-back choice of
-        an alternating bigon counts 2 at its own key, for itself and the
-        other turned-back state with x's choice turned back too, and 1 at
-        one more disk circle and one more B-splice, or one fewer where the
-        through bits are 1, for the state that turns back both.  So a key
-        with m0 and m1 such marks, by through bit, counts C(m0, j) 2^(m0-j)
-        C(m1, l) 2^(m1-l) at j + l more disk circles and j - l more
-        B-splices, and its marks are cleared."""
+        B-splices; `table` reads these keys back.  With no folded kink or
+        alternating bigon `leaves` is the block's table; otherwise the block
+        spreads it into a new one at its end.  Taking the loop-off choice at
+        j of the p folded kinks whose loop-off bit is 1 and at l of the q
+        whose loop-off bit is 0 adds j + l disk circles and j - l B-splices
+        to a traced state's key, and C(p, j) C(q, l) states share that key.
+        A key with m0 and m1 marks of alternating bigons, by through bit,
+        counts C(m0, j) 2^(m0-j) C(m1, l) 2^(m1-l) at j + l more disk
+        circles and j - l more B-splices, and its marks are cleared."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
         items, loops = self._items()
         choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
-        paired = set()
+        kinks, plan = self.kinks, self.plan
+        folded = {i: off for i, off in (plan.kinks if fold else kinks).items() if i < k}
         marks = 0
         if fold:
-            mark = (1 << self.mark_shift, 1 << self.mark_shift + self.mark_bits)
-            for x, tx, y, ty, alternating in self.bigons:
+            for x, tx, y, ty in plan.r2:
                 if x < k and y < k:
                     choices[x] = (items[x][tx],)
-                    if alternating:
-                        back = items[y][1 - ty]
-                        choices[y] = (items[y][ty], (back[0] + mark[ty],) + back[1:])
-                        marks = 1
-                    else:
-                        choices[y] = (items[y][ty],)
-                        paired.update((x, y))
-        folded = []
-        for i, off in self.kinks.items():
-            if i < k and i not in paired:
-                choices[i] = (items[i][1 - off],)
-                folded.append(off)
+                    choices[y] = (items[y][ty],)
+                else:
+                    folded.update((i, kinks[i]) for i in (x, y) if i < k and i in kinks)
+            mark = (1 << self.mark_shift, 1 << self.mark_shift + self.mark_bits)
+            for x, tx, y, ty in plan.alternating:
+                if x < k and y < k:
+                    back = items[y][1 - ty]
+                    choices[x] = (items[x][tx],)
+                    choices[y] = (items[y][ty], (back[0] + mark[ty],) + back[1:])
+                    marks = 1
+        for i, off in folded.items():
+            choices[i] = (items[i][1 - off],)
         leaves: dict = {}
         end = self.band_other[:]
         hc = self.band_hc[:]
@@ -707,7 +712,7 @@ class _Engine:
             # a closed curve alternates chord, band, chord, ...
             if key.bit_count() != (key >> nc).bit_count() << 1:
                 raise AssertionError("path chord mask disagrees with its walk")
-            # `polewords.join_arcs` and `closed_index`, inlined
+            # `join_arcs` (in `tests/reference.py`) and `closed_index`, inlined
             x = x - v if x & 1 else x + v
             idx = 0 if x & 1 else abs(x) >> 2
             if h:
@@ -876,7 +881,7 @@ class _Engine:
             return leaves
         # a loop-off adds one inessential circle and shifts the B-count by
         # b_off - b_through, +1 where the loop-off bit is 1, -1 where it is 0
-        up = sum(folded)
+        up = sum(folded.values())
         kinked = _spread(up, len(folded) - up, one, 1)
         ms, mb = self.mark_shift, self.mark_bits
         spreads = {0: kinked}
@@ -1133,16 +1138,10 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool, want: str = "tabl
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
     bits; `_Engine.block` sums each one depth first over its k low bits, so
-    the work of a splice prefix is shared by every state below it.  A kink
-    among the k low bits is traced on its through splice alone, and its
-    loop-off states are counted in closed form; a kink among the fixed high
-    bits is traced as it stands.  Either way every state of the range is
-    counted once.  With `fold`, a bigon whose two bits are both among the k
-    low bits is traced on part of its splice pairs: an R2 bigon's
-    turned-back states, which sum to zero, are not counted, and an
-    alternating bigon's are counted from the one traced.  Every polynomial
-    the brackets read off the table is the same, but an R2 fold's table is
-    not, so a caller that counts states or reads each one passes False.
+    the work of a splice prefix is shared by every state below it, and a
+    fold of the engine's plan is made in a block that leaves all its bits
+    free.  Without `fold` only the kinks fold, and every state of the range
+    is counted once (see the module docstring).
     The blocks count under int leaf keys, which `_Engine.table` reads once
     per labelling, at the end."""
     eng = _engine(F)

@@ -10,7 +10,9 @@ calculus it must agree with lives here:
   with both side bits swapped, and sliding a mark past a pole (which
   toggles that pole's side).  Carrying one mark all the way around toggles
   every side, so a global side swap is available exactly when at least one
-  mark is present.
+  mark is present;
+- `join_arcs` and `reverse_arc` compose the values of open arcs
+  (`polewords.arc`), which the state sum inlines.
 
 Beside it, what the state walker no longer builds or reads: `geometry`
 rebuilds a walked curve's `EmbeddedCurve` from its key, `curve_poles` reads
@@ -185,6 +187,20 @@ def canonical_key(word: Word):
 
 def equivalent(w1: Word, w2: Word) -> bool:
     return canonical_key(w1) == canonical_key(w2)
+
+
+# ---------------------------------------------------------------------------
+# arc values
+
+
+def join_arcs(x: int, y: int) -> int:
+    """The value of arc u followed by arc v, from the values x of u and y of v."""
+    return x - y if x & 1 else x + y
+
+
+def reverse_arc(x: int) -> int:
+    """The value of an arc read from its other end, with sides swapped."""
+    return 2 - x if x & 1 else x
 
 
 # ---------------------------------------------------------------------------

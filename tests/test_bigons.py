@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -364,21 +365,67 @@ def traced_leaves(code) -> int:
     return 1 << len(code.crossing_ids) - len(eng.kinks.keys() - r2) - len(r2) - alternating
 
 
-def test_the_statesum_pool_traces_a_fifth_fewer_leaves():
-    # the 81 inputs of the benchmark's `statesum` pool, c = 12-16: 917,504
-    # states, of which 509,184 were traced with R2 bigons folded only where
-    # their deletion keeps the surface
+def statesum_pool():
+    """The 81 codes of the benchmark's `statesum` pool, c = 12-16."""
     pool = json.loads((Path(__file__).parent.parent / "bench" / "reference.json").read_text())
-    codes = [parse_code(item["text"]) for item in pool["pools"]["statesum"]]
+    return [parse_code(item["text"]) for item in pool["pools"]["statesum"]]
+
+
+def block_leaves(code) -> int:
+    """The leaves a folded one-block sum of `code` traces: its counts with
+    every spread made the identity."""
+    F = realize(code)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_spread", lambda *_args: [(0, 1)])
+        return sum(states._Engine(F).block(0, F.ribbon.n_crossings, True).values())
+
+
+FOLDED = [TWIST] + KINKED + POKES
+
+
+def test_the_statesum_pool_traces_a_fifth_fewer_leaves():
+    # the 81 inputs of the benchmark's `statesum` pool: 917,504 states, of
+    # which 390,592 are traced with every R1 kink, R2 bigon and alternating
+    # bigon folded (509,184 when R2 bigons folded only where their deletion
+    # kept the surface, and no alternating bigon did)
+    codes = statesum_pool()
     assert len(codes) == 81 and sum(1 << len(code.crossing_ids) for code in codes) == 917_504
     leaves = sum(map(traced_leaves, codes))
-    assert leaves <= 406_016, leaves
-    # and the formula counts what a block traces: with every spread made
-    # the identity, a block's counts add up to its traced leaves
-    small = sorted(codes, key=lambda code: len(code.crossing_ids))[:4]
-    for code in small + [parse_code(TWIST)] + [parse_code(text) for text in KINKED + POKES]:
-        F = realize(code)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(states, "_spread", lambda *_args: [(0, 1)])
-            traced = states._Engine(F).block(0, F.ribbon.n_crossings, True)
-        assert sum(traced.values()) == traced_leaves(code), serialize(code)
+    assert leaves == 390_592, leaves
+    # and the formula counts what a block traces
+    for code in codes + [parse_code(text) for text in FOLDED]:
+        assert block_leaves(code) == traced_leaves(code), serialize(code)
+
+
+def test_the_fold_plan_traces_what_the_formula_counts():
+    # the engine's plan against `traced_leaves`, its independent restatement
+    codes = statesum_pool() + [parse_code(text) for text in FOLDED]
+    planned = [1 << states._Engine(realize(code)).plan.bits for code in codes]
+    assert planned == list(map(traced_leaves, codes))
+    assert sum(planned[:81]) == 390_592
+
+
+def guard_price(code) -> int:
+    """The N of the 2^N traced states for which `invariant --max-crossings
+    0` refuses `code`, or 0 where it sums it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(["invariant", "--max-crossings", "0", "-i", serialize(code)])
+        except SystemExit as e:
+            assert e.code == 1 and not out.getvalue(), (serialize(code), e.code, out.getvalue())
+            return int(re.search(r" means 2\^(\d+) traced states, ", err.getvalue()).group(1))
+    assert out.getvalue() and not err.getvalue(), serialize(code)
+    return 0
+
+
+def test_the_guard_prices_what_the_sum_traces():
+    for text in FOLDED:
+        code = parse_code(text)
+        assert block_leaves(code) == 1 << guard_price(code), text
+
+
+@given(st.one_of(poked_diagrams(kinds=("R2", "twist", "look-alike")), diagrams(max_crossings=9)))
+@settings(max_examples=60, deadline=None)
+def test_the_guard_prices_what_the_sum_traces_random(code):
+    assert block_leaves(code) == 1 << guard_price(code), serialize(code)

@@ -5,7 +5,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from polebracket import moves
 from polebracket.brackets import normalized, surface_pole_bracket
 from polebracket.codes import Bar, parse_code, serialize, writhe
 from polebracket.laurent import MultiLaurent, minus_A_pow
@@ -21,7 +23,10 @@ from polebracket.moves import (
     t3_sites,
 )
 from polebracket.surfaces import ClosedSurface, EmbeddedCurve, build_ribbon
-from polebracket.verify import braid_closure
+from polebracket.verify import braid_closure, corpus_twisted
+
+from test_arrow import engine_arrow
+from test_bigons import poked_diagrams
 
 
 def _by_first_visit(code):
@@ -198,12 +203,45 @@ def _token_valid_r2_sites(code):
     return valid
 
 
+def _r2_deletions_keep_the_arrow(code):
+    """Check that every token-valid R2 deletion of `code`, whether or not
+    the surface check refuses it, keeps the writhe w and the engine's arrow
+    specialization times (-A)^(-3w); returns (deletions, refused)."""
+    sites = _token_valid_r2_sites(code)
+    if not sites:
+        return 0, 0
+    arrow = minus_A_pow(-3 * writhe(code)) * engine_arrow(code)
+    refused = 0
+    for spec in sites:
+        deleted = moves._r2_deleted(code, spec.site)
+        refused += moves._piece_types(deleted) != moves._piece_types(code)
+        assert writhe(deleted) == writhe(code), (serialize(code), spec)
+        assert minus_A_pow(-3 * writhe(deleted)) * engine_arrow(deleted) == arrow, (serialize(code), spec)
+    return len(sites), refused
+
+
+def test_every_token_valid_r2_deletion_keeps_the_arrow_specialization():
+    # R is an invariant of diagrams on a fixed surface, so `apply_move`
+    # refuses an R2 deletion that changes it; the arrow specialization
+    # weighs every curve delta, so no disk test enters it, and it survives
+    # the refused deletions too
+    found = [_r2_deletions_keep_the_arrow(code) for s in range(1, 7) for code in corpus_twisted(s, 40, 8)]
+    assert tuple(map(sum, zip(*found))) == (33, 22)
+
+
+@given(poked_diagrams(kinds=("R2", "look-alike")))
+@settings(max_examples=40, deadline=None)
+def test_every_token_valid_r2_deletion_keeps_the_arrow_specialization_random(code):
+    # R2 pokes, whose deletion keeps the surface, and torus look-alikes,
+    # whose deletion would drop a handle
+    assert _r2_deletions_keep_the_arrow(code)[0] > 0
+
+
 def test_every_move_circle_runs_beside_a_cap_and_bounds_a_disk():
     """Why only R2 deletes are guarded, and only on the surface (the
     `moves` docstring): on every token-valid R2 site and every R3 site the
     move circle runs along the bands of one cap, so it bounds a disk, and
     every R3 rewrite keeps the surface and undoes itself at its site."""
-    from polebracket import moves
     from polebracket.verify import (
         classical_fixtures, corpus_classical, corpus_twisted, twisted_fixtures,
     )
@@ -469,7 +507,6 @@ def _accepted_r2_deletes(code):
 
 
 def test_r2_sweep_builds_its_inputs_surface_once(monkeypatch):
-    from polebracket import moves
     from polebracket.verify import corpus_classical, corpus_twisted, twisted_fixtures
 
     codes = [code for _n, code in twisted_fixtures()] + corpus_twisted(7, 40) + corpus_classical(8, 40)

@@ -4,18 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polebracket.polewords import (
-    L,
-    MARK,
-    R,
-    arc,
-    closed_index,
-    index,
-    join_arcs,
-    make_word,
-    reverse_arc,
-)
-from reference import canonical_key, confluence_oracle, equivalent, reduce
+from polebracket.polewords import L, MARK, R, arc, closed_index, index, make_word
+from reference import canonical_key, confluence_oracle, equivalent, join_arcs, reduce, reverse_arc
 
 
 # the three moves that keep a word in its equivalence class, and a random
