@@ -175,7 +175,7 @@ _BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
 _REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-# The splice tables of crossing disk 0, whose darts (oi, ui, oo, uo) are
+# The splice templates of crossing disk 0, whose darts (oi, ui, oo, uo) are
 # 0..3, by sign and then by splice bit; disk k's are these shifted by 4k.
 # Sign 0 is a positive disk, rotation (oi, ui, oo, uo), and sign 1 a
 # negative one, (oi, uo, oo, ui): bit 1 of the disk's second dart.  Bit 0
@@ -185,15 +185,27 @@ _REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # differs from the sign joins in-in (0, 1) and out-out (2, 3), an I and an
 # O pole, and the other joins each in-dart to an out-dart.  `_TAU` is the
 # far dart of the chord from each dart, and `_CHORDS` a bit's two chords as
-# (a, b, chord bit), a < b, in order of a.  `_POLE_ROWS` holds by sign the
-# rows of `_Engine.side` for bits 0 and 1, then of `_Engine.kind`: a pole
-# (a, b) has side 0 at a when b is the next dart after a counterclockwise.
+# (a, b, chord bit), a < b, in order of a.  `_ITEMS` is a bit's row of
+# `_Engine.items`, (bit, a1, b1, 1 << chord bit, arc, kind, a2, ...), by
+# sign and bit: a pole's kind is 1 for a sink (I, in-darts 0 and 1) and 2
+# for a source (O), and its arc is the `polewords.arc` of its side read
+# from a, side 0 when b is the next dart after a counterclockwise.
 _CHORD_DARTS = ((0, 1), (0, 3), (1, 2), (2, 3))
 _TAU = (((3, 2, 1, 0), (1, 0, 3, 2)), ((1, 0, 3, 2), (3, 2, 1, 0)))
 _CHORDS = ((((0, 3, 1), (1, 2, 2)), ((0, 1, 0), (2, 3, 3))),
            (((0, 1, 0), (2, 3, 3)), ((0, 3, 1), (1, 2, 2))))
-_POLE_ROWS = (((-1, -1, -1, -1), (0, 1, 0, 1), (0, 0, 0, 0), (1, 1, 2, 2)),
-              ((1, 0, 1, 0), (-1, -1, -1, -1), (1, 1, 2, 2), (0, 0, 0, 0)))
+
+
+def _item(sign: int, bit: int) -> tuple:
+    row = (bit,)
+    for a, b, j in _CHORDS[sign][bit]:
+        # the next dart after a is a + 1 on a positive disk, a - 1 on a negative one
+        pole = (_POLE_ARC[b != (a + 1 - 2 * sign) & 3], 1 + (a > 1)) if (a > 1) == (b > 1) else (0, 0)
+        row += (a, b, 1 << j) + pole
+    return row
+
+
+_ITEMS = tuple(tuple(_item(sign, bit) for bit in (0, 1)) for sign in (0, 1))
 
 
 class _Trie(dict):
@@ -334,13 +346,18 @@ class _Engine:
     (`chords_of`).  Band i has bit n_chords + i above them.  A curve's key
     is the union of its chord and band bits, one-to-one with its chord set.
 
-    Per (splice bit, dart), `side` is the side bit of the pole of the chord
-    from that dart, and `kind` its kind, 1 for a sink (I, two in-darts) and
-    2 for a source (O, two out-darts); both are -1 and 0 where the chord
-    makes no pole.  They are built per engine from the rows of the two
-    sign templates (`_POLE_ROWS`), and `block` (through `_items`, which
-    takes the chords from `_CHORDS`) and the walker read the poles off
-    them.  `step`, which only the walker reads, is made on first use.
+    The splice table is `items` and `loops`, made once per engine.
+    `items[k]` holds crossing k's two choices of its splice bit, each as
+    (bit, a1, b1, cb1, arc1, kind1, a2, b2, cb2, arc2, kind2): the bit and
+    the two chords it draws, (a, b) with a < b, with their chord bits, the
+    `polewords.arc` of the chord's pole read from a to b, and its kind, 1
+    for a sink (I, two in-darts) and 2 for a source (O, two out-darts);
+    arc and kind are 0 where the chord makes no pole.  They are the sign
+    templates `_ITEMS` shifted by 4k.  `loops` holds every bare-loop chord
+    as (a, b, cb, 0, 0).  `block` reads both, and the kink premise reads
+    the loop-off row.  `step`, made from them on first use, which only the
+    walker reads, holds per (splice bit, dart) the same chord and pole
+    seen from that dart, with the rest of a step past it.
 
     Per dart d, the band at d as an open path: `band_other[d]`, the dart at
     its far end; `band_key[d]`, its band bit; `band_arc[d]`, the arc of its
@@ -353,11 +370,9 @@ class _Engine:
     `block` carries the essential curves closed so far as a node of `trie`
     and counts states under int leaf keys; `table` turns those into a count
     table, under a labelling of the trie's nodes by `signatures` or by
-    `parts`.  `kinks` maps each
-    crossing that has an R1 kink to its loop-off bit, and `bigons` lists
-    disjoint bigons as (x, through bit, y, through bit, alternating), the
-    R2 bigons first (see the module docstring); `plan` holds the folds made
-    of them (`_Plan`).  `writhe` is the sum of the crossing signs.
+    `parts`.  `kinks` maps each crossing that has an R1 kink to its
+    loop-off bit, and `plan` holds the folds made of them and of the
+    disjoint bigons (`_Plan`).  `writhe` is the sum of the crossing signs.
     """
 
     def __init__(self, F: ClosedSurface):
@@ -366,18 +381,13 @@ class _Engine:
         n = rs.total_darts
         c4 = 4 * rs.n_crossings
         negative = [rot[1] >> 1 & 1 for rot in rs.rotations[:rs.n_crossings]]
-        side0, side1, kind0, kind1 = [], [], [], []
-        for neg in negative:
-            s0, s1, k0, k1 = _POLE_ROWS[neg]
-            side0 += s0
-            side1 += s1
-            kind0 += k0
-            kind1 += k1
+        self.items = tuple(
+            tuple((bit, a1 + d, b1 + d, cb1 << d, v1, k1, a2 + d, b2 + d, cb2 << d, v2, k2)
+                  for bit, a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 in _ITEMS[neg])
+            for d, neg in zip(range(0, c4, 4), negative))
         # a bare-loop chord makes no pole
-        loops = n - c4
-        self.side = (side0 + [-1] * loops, side1 + [-1] * loops)
-        self.kind = (kind0 + [0] * loops, kind1 + [0] * loops)
-        self.n_chords = c4 + loops // 2
+        self.loops = tuple((d, d + 1, 1 << (c4 + d) // 2, 0, 0) for d in range(c4, n, 2))
+        self.n_chords = c4 + len(self.loops)
         self.band_other = [b[0] for b in rs.band_at]
         self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
         self.band_arc = [_BAND_ARC[flip] for (_o, flip, _b) in rs.band_at]
@@ -387,7 +397,6 @@ class _Engine:
         self.classes = _Classes(F.h1_dim)
         # the writhe: disk k is positive iff bit 1 of its second dart is 0
         self.writhe = rs.n_crossings - 2 * sum(negative)
-        side = self.side
         succ, pred = F._succ, F._pred
         band_at = rs.band_at
         # R1 kinks, one per crossing disk at most: an unflipped band from an
@@ -401,7 +410,7 @@ class _Engine:
                 continue
             tau = _TAU[negative[x]]
             off = int(tau[1][u & 3] == v & 3)
-            if any(side[off][d] >= 0 for d in range(4 * x, 4 * x + 4)):
+            if self.items[x][off][5] or self.items[x][off][10]:
                 raise AssertionError("a kink's loop-off chords carry a pole")
             if self.band_hc[u]:
                 raise AssertionError("a kink's loop band has a class or flip")
@@ -449,7 +458,6 @@ class _Engine:
                     taken.update((x, y))
                     break
         r2, alternating = found
-        self.bigons = [b + (False,) for b in r2] + [b + (True,) for b in alternating]
         # the fold plan: a kink on an R2 bigon folds with it
         on_r2 = {i for x, _tx, y, _ty in r2 for i in (x, y)}
         kinks = {i: off for i, off in self.kinks.items() if i not in on_r2}
@@ -472,16 +480,18 @@ class _Engine:
     def step(self) -> tuple[list, list]:
         """Per (splice bit, dart), the chord from that dart and the rest of
         a step past it: (far dart, chord bit, next dart, band flip, band
-        bit).  Made on first use, from the chords of `_items`: only the
-        walker reads it."""
+        bit, pole side, pole kind), side -1 and kind 0 where the chord
+        makes no pole.  Made on first use, from `items` and `loops`: only
+        the walker reads it."""
         band_at, band_key = self.F.ribbon.band_at, self.band_key
-        items, loops = self._items()
         step = ([None] * len(band_at), [None] * len(band_at))
         for bit, row in enumerate(step):
-            chords = [ch for item in items for ch in (item[bit][1:4], item[bit][6:9])]
-            for a, b, cb in chords + [loop[:3] for loop in loops]:
-                row[a] = (b, cb, *band_at[b][:2], band_key[b])
-                row[b] = (a, cb, *band_at[a][:2], band_key[a])
+            chords = [ch for item in self.items for ch in (item[bit][1:6], item[bit][6:11])]
+            for a, b, cb, v, k in chords + list(self.loops):
+                # the pole's side at a is the one whose arc it has, at b the other
+                s = _POLE_ARC.index(v) if k else -1
+                row[a] = (b, cb, *band_at[b][:2], band_key[b], s, k)
+                row[b] = (a, cb, *band_at[a][:2], band_key[a], 1 - s if k else -1, k)
         return step
 
     def walk(self, mask: int, start: int, visited: bytearray):
@@ -489,21 +499,18 @@ class _Engine:
         dart `start`, marking its darts in `visited`.  Returns its key (chord
         bits | band bits << n_chords, the key `block` and `classify` use) and
         pole word, and checks that its pole kinds alternate."""
-        step, side, kind = self.step, self.side, self.kind
+        step = self.step
         word: list[int] = []
         key = 0
         first = last = 0
         cur = start
         while True:
             # bare-loop darts lie past every mask bit, so their bit reads 0
-            bit = (mask >> (cur >> 2)) & 1
-            x, cb, nxt, flip, bb = step[bit][cur]
+            x, cb, nxt, flip, bb, s, k = step[(mask >> (cur >> 2)) & 1][cur]
             visited[cur] = 1
             visited[x] = 1
             key |= cb | bb
-            s = side[bit][cur]
-            if s >= 0:
-                k = kind[bit][cur]
+            if k:
                 if k == last:
                     raise AssertionError("pole kinds fail to alternate")
                 if not last:
@@ -577,33 +584,6 @@ class _Engine:
             return CurveClassification(False, separating, mobius, idx, hom)
         return CurveClassification(True, True, False, idx, (0,) * self.F.h1_dim)
 
-    def _items(self):
-        """Per crossing, the two choices of its splice bit, each as (bit,
-        a1, b1, cb1, arc1, kind1, a2, b2, cb2, arc2, kind2): the bit and the
-        two chords it draws, from the templates, with their poles read off
-        `side` and `kind`, where arc is the `polewords.arc` of the chord's
-        pole read from a to b (0 for no pole); and every bare-loop chord as
-        (a, b, cb, 0, 0)."""
-        rs = self.F.ribbon
-        items = []
-        for k, rot in enumerate(rs.rotations[:rs.n_crossings]):
-            base = 4 * k
-            chords = _CHORDS[rot[1] >> 1 & 1]
-            pair = []
-            for bit, sd, kd in zip((0, 1), self.side, self.kind):
-                row = (bit,)
-                for a, b, j in chords[bit]:
-                    a += base
-                    s = sd[a]
-                    if s >= 0:
-                        row += (a, base + b, 1 << base + j, _POLE_ARC[s], kd[a])
-                    else:
-                        row += (a, base + b, 1 << base + j, 0, 0)
-                pair.append(row)
-            items.append(tuple(pair))
-        c4 = 4 * len(items)
-        return tuple(items), tuple((d, d + 1, 1 << (c4 + d) // 2, 0, 0) for d in range(c4, len(self.side[0]), 2))
-
     def block(self, base: int, k: int, fold: bool) -> dict:
         """The 2^k states from `base` (a multiple of 2^k), counted under
         leaf keys.
@@ -666,7 +646,7 @@ class _Engine:
         circles and j - l more B-splices, and its marks are cleared."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
-        items, loops = self._items()
+        items, loops = self.items, self.loops
         choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
         kinks, plan = self.kinks, self.plan
         folded = {i: off for i, off in (plan.kinks if fold else kinks).items() if i < k}

@@ -19,13 +19,14 @@ rebuilds a walked curve's `EmbeddedCurve` from its key, `curve_poles` reads
 a curve's poles off its chords, and `assemble_from_table` assembles a
 bracket from printed state-table rows.
 
-The state engine builds its splice tables from two sign templates
-shifted per crossing disk, and numbers its chords by formula.
-`splice_tables` builds the same tables dart by dart from the surface's
-corner order: tau, side and kind per dart, the chords sorted and numbered
-in that order, the walker's step table, the per-crossing chord items, and
-the kinks and bigons read off the per-dart tau and a union-find of the
-caps of its own.
+The state engine builds one splice table, its per-crossing chord items
+and bare-loop chords, from two sign templates shifted per crossing disk,
+numbers its chords by formula, and makes the walker's step table from the
+items.  `splice_tables` builds the same tables dart by dart from the
+surface's corner order: tau, side and kind per dart, the chords sorted and
+numbered in that order, the walker's step rows, the per-crossing chord
+items, and the kinks and bigons read off the per-dart tau and a union-find
+of the caps of its own.
 
 Last, the state sum's signature-keyed path, as the library had it before
 its count table took int keys: `decode` turns a block's leaf counts into a
@@ -241,7 +242,8 @@ def assemble_from_table(rows) -> dict:
 
 def splice_tables(F: ClosedSurface) -> dict:
     """The state engine's splice tables of `F`, built per dart: "side",
-    "kind", "step", "items" (what `_Engine._items` returns), "chords" (the
+    "kind", "step" (the engine's step rows without their side and kind),
+    "items" (the engine's `items` and `loops`), "chords" (the
     sorted chord list, whose index is the chord's bit), "kinks" and
     "bigons", R2 bigons first, each checked on a two-corner cap of the
     reference's own cap union-find.  Bit 0 of rotation (r0, r1, r2, r3) draws chords (r1, r2) and

@@ -103,7 +103,8 @@ def test_poke_codes_match_the_oracle():
         for _ in range(rng.randrange(1, 3)):
             gaps = [(ci, g) for ci, comp in enumerate(code.components) for g in range(len(comp) + 1)]
             code = apply_move(code, MoveSpec("R2", "insert", rng.choice(gaps), rng.randrange(4)))
-        folded += len(_engine(realize(code)).bigons)
+        plan = _engine(realize(code)).plan
+        folded += len(plan.r2) + len(plan.alternating)
         assert engine_arrow(code) == arrow_bracket(code), serialize(code)
     assert folded >= 60, folded
 

@@ -45,6 +45,12 @@ TWIST = "O3- U1+ U6+ U2- O2- O1+ O9+ U10+ O4+ O5+ U3- U9+ O10+ U4+ U5+ B O6+ U7+
 KINKED = ["O1+ B B U1+ O2+ U2+ B B", "U3+ O3+ U2+ B U5- O2+ O5- O4+ O6+ U1+ O1+ U6+ U4+"]
 
 
+def bigons(eng):
+    """The engine's bigons, read off its fold plan, as (x, through bit, y,
+    through bit, alternating), the R2 bigons first."""
+    return [b + (False,) for b in eng.plan.r2] + [b + (True,) for b in eng.plan.alternating]
+
+
 def twisted(code, rng, sign=None):
     """`code` with a sigma^(+-2) twist between two strands at seeded gaps:
     one strand gains O a, U b and another U a, O b, both of one sign, which
@@ -135,11 +141,11 @@ def assert_bigons_are_disjoint_r2_sites(code):
     eng = states._Engine(F)
     rot, succ, cap = F.ribbon.rotations, F._succ, F._corner_root
     sign = {k: rot[k][1] >> 1 & 1 for k in range(F.ribbon.n_crossings)}
-    pairs = [frozenset((x, y)) for x, _tx, y, _ty, _alt in eng.bigons]
+    pairs = [frozenset((x, y)) for x, _tx, y, _ty, _alt in bigons(eng)]
     covered = set().union(*pairs)
     assert len(covered) == 2 * len(pairs), serialize(code)
     keeps = 0
-    for x, _tx, y, _ty, alternating in eng.bigons:
+    for x, _tx, y, _ty, alternating in bigons(eng):
         assert (sign[x] == sign[y]) == alternating, serialize(code)
         if alternating:
             continue
@@ -161,7 +167,7 @@ def test_bigons_are_disjoint_r2_sites():
     # every poke of the corpus is folded, or overlaps a folded bigon; most
     # folded R2 bigons are deletion sites, and some are look-alikes
     assert sum(1 for n, _k in folded if n) > 200
-    r2 = sum(len([b for b in states._Engine(realize(code)).bigons if not b[4]]) for code in codes)
+    r2 = sum(len([b for b in bigons(states._Engine(realize(code))) if not b[4]]) for code in codes)
     assert 100 < sum(k for _n, k in folded) < r2 < sum(n for n, _k in folded) - 50, (folded, r2)
 
 
@@ -174,8 +180,8 @@ def test_bigons_are_disjoint_r2_sites_random(code):
 def _kinds(text):
     """(R2 pairs, alternating pairs, kinks) of a code's engine."""
     eng = states._Engine(realize(parse_code(text)))
-    alternating = sum(alt for *_b, alt in eng.bigons)
-    return len(eng.bigons) - alternating, alternating, len(eng.kinks)
+    alternating = sum(alt for *_b, alt in bigons(eng))
+    return len(bigons(eng)) - alternating, alternating, len(eng.kinks)
 
 
 def test_premise_folds_look_alikes_and_alternating_bigons():
@@ -200,7 +206,7 @@ def test_premise_folds_look_alikes_and_alternating_bigons():
     # bigon is traced as it stands
     for text in KINKED:
         eng = states._Engine(realize(parse_code(text)))
-        assert not any(alt for *_b, alt in eng.bigons) and len(eng.kinks) >= 2, text
+        assert not any(alt for *_b, alt in bigons(eng)) and len(eng.kinks) >= 2, text
 
 
 def test_a_kink_inside_a_folded_bigon_is_not_spread():
@@ -211,7 +217,7 @@ def test_a_kink_inside_a_folded_bigon_is_not_spread():
         code = parse_code(text)
         F = realize(code)
         eng = states._engine(F)
-        assert len(eng.kinks) == 2 and len(eng.bigons) == 1
+        assert len(eng.kinks) == 2 and len(bigons(eng)) == 1
         full = states.sum_counts(F, 0, 4, False)
         folded = states.sum_counts(F, 0, 4, True)
         assert folded.states() == 1 and full.states() == 4
@@ -235,9 +241,9 @@ def test_alternating_folds_count_every_state():
     for code in codes:
         F = realize(code)
         eng = states._engine(F)
-        if any(not alt for *_b, alt in eng.bigons):
+        if any(not alt for *_b, alt in bigons(eng)):
             continue
-        for _x, tx, _y, _ty, _alt in eng.bigons:
+        for _x, tx, _y, _ty, _alt in bigons(eng):
             folded[tx] += 1
         n = 1 << F.ribbon.n_crossings
         lo = rng.randrange(n + 1)
@@ -253,7 +259,7 @@ def assert_fold_keeps_polynomials(code, lo, hi):
     eng = states._engine(realize(code))
     full = by_signature(states.sum_counts(realize(code), 0, n, False))
     folded = states.sum_counts(realize(code), 0, n, True)
-    r2 = sum(1 for *_b, alt in eng.bigons if not alt)
+    r2 = sum(1 for *_b, alt in bigons(eng) if not alt)
     assert folded.states() == n >> 2 * r2, serialize(code)
     assert bracket_of(by_signature(folded)) == bracket_of(full), serialize(code)
     assert double_of(by_signature(folded)) == double_of(full), serialize(code)
@@ -291,7 +297,7 @@ def test_twists_and_look_alikes_match_the_arrow_oracle():
     codes += [look_alike_in(code, rng) for code in corpus_twisted(9, 40, 5)]
     kinds = {False: 0, True: 0}
     for code in codes:
-        for *_b, alt in states._engine(realize(code)).bigons:
+        for *_b, alt in bigons(states._engine(realize(code))):
             kinds[alt] += 1
         assert engine_arrow(code) == arrow_bracket(code), serialize(code)
     assert min(kinds.values()) > 30, kinds
@@ -344,8 +350,8 @@ def test_folded_worker_ranges_merge_to_the_same_brackets():
     # code has an alternating bigon, on its two top crossings, and a
     # look-alike, so 2 and 3 workers split on their bits
     codes = [parse_code("O1+ O3+ O4- U4- U3+ O2+ U1+ U2+ O5- O6+ U6+ U5-"), parse_code(TWIST)]
-    assert len(states._engine(realize(codes[0])).bigons) == 2
-    assert sorted(b[4] for b in states._engine(realize(codes[1])).bigons) == [False, True]
+    assert len(bigons(states._engine(realize(codes[0])))) == 2
+    assert sorted(b[4] for b in bigons(states._engine(realize(codes[1])))) == [False, True]
     for code in codes:
         for cmd in ("bracket", "invariant"):
             texts = {w: _cli_text(code, cmd, "--workers", str(w)) for w in (1, 2, 3)}
@@ -360,8 +366,8 @@ def traced_leaves(code) -> int:
     bit but the free kinks', two bits per R2 bigon, whose kinks fold with
     it, and one per alternating bigon."""
     eng = states._engine(realize(code))
-    r2 = {i for x, _tx, y, _ty, alt in eng.bigons if not alt for i in (x, y)}
-    alternating = sum(alt for *_b, alt in eng.bigons)
+    r2 = {i for x, _tx, y, _ty, alt in bigons(eng) if not alt for i in (x, y)}
+    alternating = sum(alt for *_b, alt in bigons(eng))
     return 1 << len(code.crossing_ids) - len(eng.kinks.keys() - r2) - len(r2) - alternating
 
 

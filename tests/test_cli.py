@@ -401,10 +401,15 @@ def test_states_json_streams_the_same_bytes(capsys):
         ("B O1+ B U1+", "--dump", "1c80f140d2375d158883245ad89c41a9efa5c468474b36f957d5447827c1c328"),
         ("B;O1+ U1+", "--json", "bb03e6ba1587229cf355987877d20e040e9bf2908c0e1ae21e812961c7e3525b"),
         ("B;O1+ U1+", "--dump", "554d02e66fa9738785970e3a335f11a614743704b12305910538719d6415421f"),
+        ("O1- U2- O3- U1- O2- U3-", "--json", "19892b7e2693eec8ea79447d3db2409acdc2187554c4ee453963efe23a16e07c"),
+        ("O1- U2- O3- U1- O2- U3-", "--dump", "eb82495c85c9ba95a774b134528504ee71c004aa34c06ebc5c460f75bac6a984"),
+        ("O1- O2+ U1- U2+;B", "--json", "2d3b3ceb77e60dd47ceaefb4af1ef1408a8c4e18979acdb8cd4a20afb4a745c2"),
+        ("O1- O2+ U1- U2+;B", "--dump", "beb59ba2d823cd108895151fdcac3188e00dc99fda2743c22d54b97f02c7cd28"),
     ],
 )
 def test_states_output_bytes_are_pinned(capsys, text, flag, digest):
-    # SHA-256 of `states` output as first recorded; no bench workload runs it
+    # SHA-256 of `states` output as first recorded; no bench workload runs
+    # it.  The codes reach both crossing signs, flipped bands and bare loops
     rc, out, _ = run(capsys, "states", "-i", text, flag)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

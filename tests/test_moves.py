@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from polebracket import moves
 from polebracket.brackets import normalized, surface_pole_bracket
 from polebracket.codes import Bar, parse_code, serialize, writhe
-from polebracket.laurent import MultiLaurent, minus_A_pow
+from polebracket.laurent import MultiLaurent, delta, minus_A_pow
 from polebracket.moves import (
     MoveError,
     MoveSpec,
@@ -227,6 +227,45 @@ def test_every_token_valid_r2_deletion_keeps_the_arrow_specialization():
     # the refused deletions too
     found = [_r2_deletions_keep_the_arrow(code) for s in range(1, 7) for code in corpus_twisted(s, 40, 8)]
     assert tuple(map(sum, zip(*found))) == (33, 22)
+
+
+def _refused_r2_deletions(code):
+    """Each token-valid R2 deletion of `code` that the surface check
+    refuses, as (serialized code, site, what R does): "equal", "delta" when
+    one R is the other times delta, or "different"."""
+    out = []
+    for spec in _token_valid_r2_sites(code):
+        deleted = moves._r2_deleted(code, spec.site)
+        if moves._piece_types(deleted) == moves._piece_types(code):
+            continue
+        before, after = normalized(code), normalized(deleted)
+        if before == after:
+            how = "equal"
+        elif after == delta() * before or before == delta() * after:
+            how = "delta"
+        else:
+            how = "different"
+        out.append((serialize(code), spec.site, how))
+    return out
+
+
+def test_refused_r2_deletions_sorted_by_what_r_does():
+    # R is an invariant of diagrams on a fixed surface, and a refused
+    # deletion changes the surface, so R may change.  On the corpus above
+    # it keeps R on 12 of the 22, multiplies it by delta on 3 and changes it
+    # otherwise on 7.  Each delta case deletes a whole component that is a
+    # torus look-alike, leaving a bare loop on a sphere: the look-alike's one
+    # uncancelled state curve runs around the torus, essential and weighed
+    # 1, where the bare loop bounds a disk and weighs delta
+    found = [r for s in range(1, 7) for code in corpus_twisted(s, 40, 8) for r in _refused_r2_deletions(code)]
+    assert collections.Counter(how for *_r, how in found) == {"equal": 12, "delta": 3, "different": 7}
+    named = {"O1+ O2-\nB U2- U1+": "equal", "O2- O1+ U2- U1+": "delta",
+             "O1- O4+ B B U1- U2+ B U3- O3- U4+ O2+": "different"}
+    for text, how in named.items():
+        code = serialize(parse_code(text))
+        assert {h for c, _site, h in found if c == code} == {how}, text
+    assert _refused_r2_deletions(parse_code("O2- O1+ U2- U1+")) == [("O2- O1+ U2- U1+\n", (0, 0, 0, 2), "delta")]
+    assert normalized(parse_code("O2- O1+ U2- U1+")) == 1 and normalized(parse_code("EMPTY")) == delta()
 
 
 @given(poked_diagrams(kinds=("R2", "look-alike")))

@@ -66,6 +66,7 @@ from reference import (
     bracket_of, by_signature, curve_poles, decode, double_of, geometry, homology, nonseparation_of,
     reduce,
 )
+from test_states import edit_pole, poles
 
 
 class RefEngine:
@@ -781,9 +782,13 @@ def test_fold_matches_reference_random(code, data):
     assert by_signature(got) == Counter(keys[lo:hi]), (serialize(code), lo, hi)
 
 
-def _without_pole(engine, bit, a, b):
+def _ref_without_pole(engine, bit, a, b):
     engine.side[bit][a] = engine.side[bit][b] = -1
     return engine
+
+
+def _without_pole(engine, bit, a, _b):
+    return edit_pole(engine, bit, a, lambda _v, _k: (0, 0))
 
 
 def assert_alternation_check_matches(code):
@@ -801,7 +806,7 @@ def assert_alternation_check_matches(code):
             b = base.tau[bit][a]
             if a > b or base.side[bit][a] < 0:
                 continue
-            ref = _without_pole(RefEngine(F), bit, a, b)
+            ref = _ref_without_pole(RefEngine(F), bit, a, b)
             for mask in range(1 << c):
                 if (mask >> (a >> 2)) & 1 != bit:
                     continue
@@ -885,9 +890,8 @@ def test_reference_cases_reach_every_arc_rule():
     assert min(seen.values()) > 100 and len(seen) == 4, seen
 
 
-def _swap_kind(engine, bit, a, b):
-    engine.kind[bit][a] = engine.kind[bit][b] = 3 - engine.kind[bit][a]
-    return engine
+def _swap_kind(engine, bit, a, _b):
+    return edit_pole(engine, bit, a, lambda v, k: (v, 3 - k))
 
 
 def kind_check_raisers(code):
@@ -1053,9 +1057,8 @@ def _corrupt_last_crossing(eng):
     """Give both choices of crossing 0 a second chord from the second
     chord's first dart to the first chord's second dart, so that the two
     chords share a dart and the fourth dart's path stays open."""
-    items, loops = eng._items()
-    bad = tuple(ch[:7] + ch[2:3] + ch[8:] for ch in items[0])
-    eng._items = lambda: ((bad,) + items[1:], loops)
+    bad = tuple(ch[:7] + ch[2:3] + ch[8:] for ch in eng.items[0])
+    eng.items = (bad,) + eng.items[1:]
     return eng
 
 
@@ -1083,22 +1086,19 @@ def test_swapped_kind_at_the_last_crossing_raises():
                  "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"):
         F = realize(parse_code(text))
         c = F.ribbon.n_crossings
-        for bit in (0, 1):
-            for a in range(4):
-                eng = states._Engine(F)
-                b = eng.step[bit][a][0]
-                if a > b or eng.side[bit][a] < 0:
-                    continue
-                for k in range(c + 1):
-                    for lo in range(0, 1 << c, 1 << k):
-                        if k == 0 and lo & 1 != bit:
-                            continue
-                        eng = _swap_kind(states._Engine(F), bit, a, b)
-                        with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
-                            eng.block(lo, k, False)
-                        frames = [e for e in err.traceback if e.name == "descend"]
-                        assert frames[-1].locals["i"] == 0, (text, bit, a, k, lo)
-                        where.add(err.traceback[-1].name)
+        for bit, a, b in poles(states._Engine(F)):
+            if a >= 4:
+                continue
+            for k in range(c + 1):
+                for lo in range(0, 1 << c, 1 << k):
+                    if k == 0 and lo & 1 != bit:
+                        continue
+                    eng = _swap_kind(states._Engine(F), bit, a, b)
+                    with pytest.raises(AssertionError, match="pole kinds fail to alternate") as err:
+                        eng.block(lo, k, False)
+                    frames = [e for e in err.traceback if e.name == "descend"]
+                    assert frames[-1].locals["i"] == 0, (text, bit, a, k, lo)
+                    where.add(err.traceback[-1].name)
     assert where == {"entry", "descend"}, where
 
 

@@ -16,6 +16,7 @@ from polebracket.moves import apply_move, insert_sites
 from polebracket.states import _Engine, splice_curves
 from polebracket.surfaces import realize
 from reference import splice_tables
+from test_bigons import bigons
 
 
 def assert_tables_match(code):
@@ -26,17 +27,17 @@ def assert_tables_match(code):
     eng = _Engine(F)
     ref = splice_tables(F)
     where = serialize(code)
-    assert eng.side == ref["side"], where
-    assert eng.kind == ref["kind"], where
-    assert eng.step == ref["step"], where
-    assert eng._items() == ref["items"], where
+    assert (eng.items, eng.loops) == ref["items"], where
+    # the walker's step rows carry the pole's side and kind at each dart
+    step = tuple([row + (s, k) for row, s, k in zip(*rows)] for rows in zip(ref["step"], ref["side"], ref["kind"]))
+    assert eng.step == step, where
     chords = ref["chords"]
     assert eng.n_chords == len(chords), where
     assert [eng.chords_of(1 << j) for j in range(len(chords))] == [(ch,) for ch in chords], where
     assert eng.chords_of((1 << len(chords)) - 1) == tuple(chords), where
     assert eng.kinks == ref["kinks"], where
-    assert eng.bigons == ref["bigons"], where
-    return len(eng.kinks), len(eng.bigons)
+    assert bigons(eng) == ref["bigons"], where
+    return len(eng.kinks), len(bigons(eng))
 
 
 def with_inserts(code, seed):

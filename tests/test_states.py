@@ -131,10 +131,30 @@ def test_class_order_sorts_as_the_entries():
         assert sorted(ids, key=classes.order.__getitem__) == sorted(ids, key=classes.entries.__getitem__)
 
 
-def _flip_side(eng, bit, a, b):
-    eng.side[bit][a] ^= 1
-    eng.side[bit][b] ^= 1
+def poles(eng):
+    """(bit, a, b) of each pole chord (a, b), a < b, that a splice bit
+    draws, read off the engine's `items`, by bit and then by a."""
+    return sorted((row[0], row[j], row[j + 1]) for pair in eng.items for row in pair
+                  for j in (1, 6) if row[j + 4])
+
+
+def edit_pole(eng, bit, a, edit):
+    """`eng` with the pole (arc, kind) of the chord that splice bit `bit`
+    draws from dart a, its lower dart, replaced by edit(arc, kind) in
+    `items`.  The sum reads it there, and the walker's step table, made on
+    first walk, is made from it: pass a fresh engine to reach both."""
+    i = a >> 2
+    pair = list(eng.items[i])
+    row = pair[bit]
+    j = 1 if row[1] == a else 6
+    pair[bit] = row[:j + 3] + edit(*row[j + 3:j + 5]) + row[j + 5:]
+    eng.items = eng.items[:i] + (tuple(pair),) + eng.items[i + 1:]
     return eng
+
+
+def _flip_side(eng, bit, a):
+    # the pole of the other side has arc 2 - v (the arc of a reversed odd word)
+    return edit_pole(eng, bit, a, lambda v, k: (2 - v, k))
 
 
 def test_nonseparation_check_reads_a_disk_curve_own_index():
@@ -150,20 +170,15 @@ def test_nonseparation_check_reads_a_disk_curve_own_index():
     for s in enumerate_states(F):
         classify_state(F, s)
     seen = 0
-    for bit in (0, 1):
-        for a in range(12):
-            eng = _Engine(F)
-            b = eng.step[bit][a][0]
-            if a > b or eng.side[bit][a] < 0:
-                continue
-            F._state_engine = _flip_side(eng, bit, a, b)
-            with pytest.raises(AssertionError, match="positive index separates"):
-                sum_counts(F, 0, 8, False)
-            F._state_engine = _flip_side(_Engine(F), bit, a, b)
-            with pytest.raises(AssertionError, match="positive index separates"):
-                for s in enumerate_states(F):
-                    classify_state(F, s)
-            seen += 1
+    for bit, a, _b in poles(_Engine(F)):
+        F._state_engine = _flip_side(_Engine(F), bit, a)
+        with pytest.raises(AssertionError, match="positive index separates"):
+            sum_counts(F, 0, 8, False)
+        F._state_engine = _flip_side(_Engine(F), bit, a)
+        with pytest.raises(AssertionError, match="positive index separates"):
+            for s in enumerate_states(F):
+                classify_state(F, s)
+        seen += 1
     assert seen == 6
 
 
@@ -179,12 +194,11 @@ def test_engine_refuses_a_separating_essential_curve_of_positive_index():
     for s in enumerate_states(F):
         classify_state(F, s)
     for a, b in ((8, 9), (10, 11)):
-        eng = _Engine(F)
-        assert eng.step[0][a][0] == b and eng.side[0][a] >= 0
-        F._state_engine = _flip_side(eng, 0, a, b)
+        assert (0, a, b) in poles(_Engine(F))
+        F._state_engine = _flip_side(_Engine(F), 0, a)
         with pytest.raises(AssertionError, match="positive index separates"):
             sum_counts(F, 0, 64, False)
-        F._state_engine = _flip_side(_Engine(F), 0, a, b)
+        F._state_engine = _flip_side(_Engine(F), 0, a)
         with pytest.raises(AssertionError, match="positive index separates"):
             for s in enumerate_states(F):
                 classify_state(F, s)
@@ -243,11 +257,8 @@ def _flip_first_pole(F):
     """A fresh engine of `F` with the side of its first pole chord flipped,
     if it has one."""
     eng = _Engine(F)
-    for bit in (0, 1):
-        for a, (b, *_rest) in enumerate(eng.step[bit]):
-            if a < b and eng.side[bit][a] >= 0:
-                return _flip_side(eng, bit, a, b)
-    return eng
+    found = poles(eng)
+    return _flip_side(eng, *found[0][:2]) if found else eng
 
 
 def test_check_prints_a_fail_line_when_a_sum_refuses(monkeypatch, capsys):
