@@ -209,14 +209,6 @@ def surface_pole_bracket(code: TwistedGaussCode, workers: int = 1) -> BracketVal
     return _bracket(_counts(code, workers))
 
 
-def bracket_pair(table: CountTable, part: CountTable) -> tuple[BracketValue, MultiLaurent]:
-    """(surface pole bracket, double bracket) from the two tables of one
-    "both" `sum_counts` call, which its caller also reads: the `check`
-    battery counts each diagram's non-separation violations off the first
-    and checks the specialization identity on the pair."""
-    return _bracket(table), _double(part, False)
-
-
 def specialize_bracket(b: BracketValue) -> MultiLaurent:
     """Collapse bracket classes to the double-bracket variables: each curve
     of a signature becomes d_index (d_0 = 1), one-sided curves contribute M."""

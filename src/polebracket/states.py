@@ -171,8 +171,6 @@ _BAND_ARC = (polewords.arc(()), polewords.arc((MARK,)))
 _POLE_ARC = (polewords.arc((0,)), polewords.arc((1,)))
 # the bits of a byte, low bit first: a homology class is unpacked 8 bits at a time
 _BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
-# each byte with its bits in reverse order
-_REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 # The splice templates of crossing disk 0, whose darts (oi, ui, oo, uo) are
@@ -232,19 +230,16 @@ class _Classes(dict):
     a small int id made on first use; `by_id[id]` is the key.  Id 0 stands
     for a curve that bounds a disk, which has no class key and no entry.
     Only the signature labelling reads `entries[id]`, the class's signature
-    entry (index, mobius, separating, hom_class), and `order[id]`, an int
-    that sorts as that entry does: the index, the flip, whether the class
-    is 0, and the class's bits read from bit 0 down.  Both are made on first
-    read, for the ids made since, so a sum that prints only R builds none."""
+    entry (index, mobius, separating, hom_class), made on first read for the
+    ids made since, so a sum that prints only R builds none."""
 
-    __slots__ = ("h1_dim", "by_id", "_entries", "_order")
+    __slots__ = ("h1_dim", "by_id", "_entries")
 
     def __init__(self, h1_dim: int):
         super().__init__()
         self.h1_dim = h1_dim
         self.by_id: list = [None]
         self._entries: list = [None]
-        self._order: list = [-1]
 
     def __missing__(self, key: int) -> int:
         sid = len(self.by_id)
@@ -254,30 +249,16 @@ class _Classes(dict):
         self[key] = sid
         return sid
 
-    def _grow(self) -> None:
+    @property
+    def entries(self) -> list:
         h1 = self.h1_dim
         for key in islice(self.by_id, len(self._entries), None):
             idx, hom, flip = key >> (h1 + 1), key >> 1 & ((1 << h1) - 1), key & 1
             bits = ()
-            rev = 0
             for shift in range(0, h1, 8):
-                byte = hom >> shift & 255
-                bits += _BYTE_BITS[byte]
-                rev = rev << 8 | _REVERSED_BYTE[byte]
+                bits += _BYTE_BITS[hom >> shift & 255]
             self._entries.append((idx, bool(flip), hom == 0, bits[:h1]))
-            # the class's bits, bit 0 highest: they sort as the bit tuple does
-            rev >>= -h1 & 7
-            self._order.append((idx << 2 | flip << 1 | (hom == 0)) << h1 | rev)
-
-    @property
-    def entries(self) -> list:
-        self._grow()
         return self._entries
-
-    @property
-    def order(self) -> list:
-        self._grow()
-        return self._order
 
 
 class CountTable:
@@ -304,9 +285,6 @@ class CountTable:
         self.writhe = writhe
         self.labels: list = []
         self.counts: dict = {}
-
-    def states(self) -> int:
-        return sum(self.counts.values())
 
     def add(self, other: CountTable) -> None:
         """Add the counts of `other`, a table of the same diagram under the
@@ -909,13 +887,14 @@ class _Engine:
 
     def signatures(self, up: list) -> tuple[list, Callable]:
         """The signature labelling of the trie whose `up` list is `up`.  The
-        classes are ranked as their entries sort (`_Classes.order`).  A node
-        is made after its parent, so in id order each node's sorted tuple of
-        class ranks, its bag, is its parent's with its own rank put in
-        place; a bag unpacks to its signature, the bag's entries in order."""
-        entries, order = self.classes.entries, self.classes.order
+        classes are ranked as their entries sort, the order a signature's
+        entries take.  A node is made after its parent, so in id order each
+        node's sorted tuple of class ranks, its bag, is its parent's with its
+        own rank put in place; a bag unpacks to its signature, the bag's
+        entries in order."""
+        entries = self.classes.entries
         id_mask = (1 << _ID_BITS) - 1
-        by_rank = sorted(range(1, len(entries)), key=order.__getitem__)
+        by_rank = sorted(range(1, len(entries)), key=entries.__getitem__)
         rank = [0] * len(entries)
         for r, cid in enumerate(by_rank):
             rank[cid] = r
@@ -1025,19 +1004,22 @@ def pole_regions(F: ClosedSurface) -> Iterator[list[tuple[int, int]]]:
     In a full state every band is split and every crossing disk carries two
     chords, each cutting one corner off as a lune, so each fragment of the
     cut holds corners and each lane runs beside a band side.  The regions
-    are then the caps (`ClosedSurface.corner_caps`), joined at each crossing
-    disk by its middle fragment, which holds the two corners that no chord
-    cuts off; a bare-loop disk's two fragments hold one corner each and join
-    nothing.  A pole counts once on its lune's region and once on the
-    middle's region, as `surfaces.regions` counts it.  Its kind is read off
-    the dart layout (in-in is I, out-out is O), not off the state sum's
-    tables, so the check shares nothing with the sum it checks.  Bit b of a
+    are then the caps, joined at each crossing disk by its middle fragment,
+    which holds the two corners that no chord cuts off; a bare-loop disk's
+    two fragments hold one corner each and join nothing.  A pole counts once
+    on its lune's region and once on the middle's region, as
+    `surfaces.regions` counts it.  Its kind is read off the dart layout
+    (in-in is I, out-out is O), not off the state sum's tables, so the
+    check shares nothing with the sum it checks.  Bit b of a
     crossing with rotation (r0, r1, r2, r3) draws the chords from corners
     r(b+1) and r(b+3), and its middle joins the caps of r(b) and r(b+2).
-    The caps are unioned per state, O(c) each."""
+    The caps are unioned per state, O(c) each; the corner-to-cap index,
+    `cap[d]` the position in `_cap_corner` of corner d's cap, is made once
+    per call, since no other reader needs it."""
     rs = F.ribbon
-    cap = F.corner_caps
-    n_caps = len(F._cap_masks)
+    index = {r: i for i, r in enumerate(F._cap_corner)}
+    cap = [index[r] for r in F._corner_root]
+    n_caps = len(index)
     table = []
     for rot in rs.rotations[:rs.n_crossings]:
         row = []

@@ -196,9 +196,8 @@ class ClosedSurface:
     rejects one that is not a cycle and reads the same table.  Instances
     are immutable after construction, except that `states` attaches its
     per-surface engine (splice tables, curve-class table and cache of disk
-    tests) and that two tables are made on first use: `band_class`, which
-    the state sum and the curve predicates read, and `corner_caps`, which
-    only the pole-balance check reads.  Construction makes what `info`
+    tests) and that `band_class`, which the state sum and the curve
+    predicates read, is made on first use.  Construction makes what `info`
     prints: the pieces, Euler characteristic, orientability and the rank
     of H1, which it checks against 2 x pieces - chi.
 
@@ -418,15 +417,6 @@ class ClosedSurface:
             h ^= table[low.bit_length() - 1]
             band_mask ^= low
         return h
-
-    @cached_property
-    def corner_caps(self) -> list[int]:
-        """Per corner, named by the dart it follows, the index of its cap in
-        `_cap_masks` order.  Made on first use from the cap roots that
-        `__init__` finds: only the pole-balance check reads it, so a surface
-        that `info` reports builds none."""
-        index = {r: i for i, r in enumerate(self._cap_corner)}
-        return [index[r] for r in self._corner_root]
 
     # -- curve predicates ---------------------------------------------------
 

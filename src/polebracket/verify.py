@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .brackets import _double, bracket_pair, ribbon_normalized, specialize_bracket
+from .brackets import _bracket, _double, ribbon_normalized, specialize_bracket
 from .codes import TwistedGaussCode, Visit, make_code, parse_code, random_diagram
 from .moves import (
     MoveError,
@@ -209,9 +209,9 @@ def run_battery(seed: int, count: int):
             states += 1 << F.ribbon.n_crossings
             t1_bad.append(code)
             continue
-        states += table.states()
+        states += sum(table.counts.values())
         t1_bad += [code] * check_nonseparation(table)
-        bracket, double = bracket_pair(table, part)
+        bracket, double = _bracket(table), _double(part, False)
         summed += 1
         if specialize_bracket(bracket) != double:
             spec_bad.append(code)

@@ -11,6 +11,8 @@ from polebracket.cli import main
 from polebracket.codes import serialize
 from polebracket.verify import braid_closure
 
+from test_brackets import HIGH_GENUS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -424,6 +426,8 @@ _CI = "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"
 # its double bracket has M^2 and d_2, the second d field of a packed (M, d)
 # part: `dbracket` prints d_2 + M^2*(A^2+1+A^-2)
 _MD = "U1+ B B O2- B U2- O1+ B"
+# `HIGH_GENUS` has h1_rank 14: a class spans two bytes, so `bracket` prints
+# signatures whose entries sort on bits past the first byte
 
 
 @pytest.mark.parametrize(
@@ -446,6 +450,8 @@ _MD = "U1+ B B O2- B U2- O1+ B"
         (_CI, ("invariant", "--json"), "47233fa8cb865726841414e19bf1332364516f4e9461dd69b775eec5c8adc9f6"),
         (_MD, ("dbracket",), "cf9030ea4179488b163f0318d6c9bc6f05595d0a365a7469bb50c7088bb0da78"),
         (_MD, ("dbracket", "--json"), "e1b054583ae68acaf080984f70d5f5eee7c58fec33156b19b4af3847e9f31b4b"),
+        (HIGH_GENUS, ("bracket",), "b10d314aeb026b21d49410741ef15e7d6e2c1e30ff1fe2d91b6db3156f8de1dc"),
+        (HIGH_GENUS, ("bracket", "--json"), "68526767d0b31a7585038f5b7f645a95ac031f633a80dadda089f26385d335c8"),
     ],
 )
 def test_bracket_and_info_bytes_are_pinned(capsys, text, argv, digest):
@@ -514,14 +520,15 @@ def _no_cap_table(*_args):
 
 
 def test_only_check_builds_a_cap_table(capsys, monkeypatch):
-    # `corner_caps` is made on first use, and only the pole-balance check
-    # of `check` uses it; `info` on large codes must not pay for it
-    from polebracket.surfaces import ClosedSurface
+    # the corner-to-cap table is made by `pole_regions`, which only the
+    # pole-balance check of `check` runs; `info` on large codes must not
+    # pay for it
+    from polebracket import states
     from polebracket.verify import classical_fixtures, twisted_fixtures
 
     texts = [serialize(code) for _n, code in classical_fixtures() + twisted_fixtures()]
     before = [run(capsys, "info", "-i", t) for t in texts]
-    monkeypatch.setattr(ClosedSurface, "corner_caps", property(_no_cap_table))
+    monkeypatch.setattr(states, "pole_regions", _no_cap_table)
     assert [run(capsys, "info", "-i", t) for t in texts] == before
     with pytest.raises(AssertionError, match="cap table"):
         run(capsys, "check", "--seed", "1", "--count", "0")
@@ -566,7 +573,7 @@ def test_R_builds_no_signature(capsys, monkeypatch):
     before = [run(capsys, cmd, "-i", t) for t in texts for cmd in ("invariant", "dbracket")]
     invariants = [normalized(code) for code in codes]
     monkeypatch.setattr(states._Engine, "signatures", _no_signature)
-    monkeypatch.setattr(states._Classes, "_grow", _no_signature)
+    monkeypatch.setattr(states._Classes, "entries", property(_no_signature))
     assert [run(capsys, cmd, "-i", t) for t in texts for cmd in ("invariant", "dbracket")] == before
     rng = random.Random(2)
     swept = [verify.move_invariance(code, build_ribbon(code), r, rng) for code, r in zip(codes, invariants)]

@@ -1,9 +1,7 @@
-import random
-
 import pytest
 
 from polebracket import cli, verify
-from polebracket.brackets import bracket_pair, double_bracket
+from polebracket.brackets import _double, double_bracket
 from polebracket.codes import parse_code, random_diagram
 from polebracket.polewords import MARK
 from polebracket.states import (
@@ -116,21 +114,6 @@ def test_class_table_unpacks_every_homology_bit():
                     idx, bool(flip), hom == 0, tuple((hom >> i) & 1 for i in range(h1)))
 
 
-def test_class_order_sorts_as_the_entries():
-    # the count table ranks classes by `order`, so it must sort the ids as
-    # their entries sort, over every index, flip and class tried
-    rng = random.Random(5)
-    for h1 in range(20):
-        classes = _Classes(h1)
-        homs = {0, (1 << h1) - 1} | {rng.getrandbits(h1) if h1 else 0 for _ in range(40)}
-        keys = [idx << (h1 + 1) | hom << 1 | flip for idx in (0, 1, 2, 5) for hom in homs for flip in (0, 1)]
-        rng.shuffle(keys)
-        for key in keys:
-            classes[key]
-        ids = range(1, len(classes.entries))
-        assert sorted(ids, key=classes.order.__getitem__) == sorted(ids, key=classes.entries.__getitem__)
-
-
 def poles(eng):
     """(bit, a, b) of each pole chord (a, b), a < b, that a splice bit
     draws, read off the engine's `items`, by bit and then by a."""
@@ -233,12 +216,13 @@ def test_state_sweep_sums_once_and_walks_no_state(monkeypatch):
     monkeypatch.setattr(verify, "sum_counts",
                         lambda F, lo, hi, fold, want: sums.append((F, lo, hi, fold)) or sum_counts(F, lo, hi, fold, want))
 
-    def pair_of(table, part):
-        pair = bracket_pair(table, part)
-        doubles.append(pair[1])
-        return pair
+    def double_of(part, normalize):
+        value = _double(part, normalize)
+        if not normalize:
+            doubles.append(value)
+        return value
 
-    monkeypatch.setattr(verify, "bracket_pair", pair_of)
+    monkeypatch.setattr(verify, "_double", double_of)
     monkeypatch.setattr(_Engine, "walk", _no_walk)
     monkeypatch.setattr(_Engine, "lookup", _no_walk)
     results = verify.run_battery(seed, count)
