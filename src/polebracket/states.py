@@ -35,13 +35,15 @@ its choices closes both by reading their ends, with no write and no undo.
 A curve closed at a node is classified once, for every state below that
 node.  A block of states that share their high bits takes each of those
 bits as a depth with one choice, so one descent serves every block.
-Each open path carries at its ends all a closing needs: its homology
-class and flip parity, the XOR of per-band tables; its chord and band
-bits, the curve's key; the `polewords.arc` value of its word, read from
-either end, which gives the index by the composition law of arcs; and the
-kind of the pole nearest each end, so that each pole pair is checked to
-alternate when a join or a closing chord makes it adjacent.  Every
-closing also checks that the curve has as many chords as bands.
+Each open path keeps one record at each of its ends, with all a closing
+needs: the other end; its homology class and flip parity, the XOR of
+per-band values; its chord and band bits, the curve's key; the
+`polewords.arc` value of its word read from that end, which gives the
+index by the composition law of arcs; and the kind of the pole nearest
+that end, so that each pole pair is checked to alternate when a join or
+a closing chord makes it adjacent.  A join writes two records and its
+undo puts them back.  Every closing also checks that the curve has as
+many chords as bands.
 `splice_curves` walks each curve of one state with `_Engine.walk`, which
 makes the same alternation check and returns the same key, so `lookup`
 reads the cache `block` fills.
@@ -337,10 +339,11 @@ class _Engine:
     walker reads, holds per (splice bit, dart) the same chord and pole
     seen from that dart, with the rest of a step past it.
 
-    Per dart d, the band at d as an open path: `band_other[d]`, the dart at
-    its far end; `band_key[d]`, its band bit; `band_arc[d]`, the arc of its
-    word (one mark when it is flipped); `band_hc[d]`, its class and flip as
-    band_class << 1 | flip.  `classes` maps a class key to its id (see
+    `paths[d]` is the band at dart d as an open path, in the end record that
+    `block` keeps per path end: (the dart at its far end, its class and flip
+    as band_class << 1 | flip, its band bit, the arc of its word read from d
+    (one mark when it is flipped), the kind of the pole nearest d, 0 as a
+    band has none).  `classes` maps a class key to its id (see
     `_Classes`), and `cache` a curve key to its id; `block` keys only the
     two-sided class-0 curves that reach the disk test, the walker path
     (`lookup`, which alone builds classification records) every curve, by
@@ -366,11 +369,9 @@ class _Engine:
         # a bare-loop chord makes no pole
         self.loops = tuple((d, d + 1, 1 << (c4 + d) // 2, 0, 0) for d in range(c4, n, 2))
         self.n_chords = c4 + len(self.loops)
-        self.band_other = [b[0] for b in rs.band_at]
-        self.band_key = [1 << (self.n_chords + bi) for (_o, _f, bi) in rs.band_at]
-        self.band_arc = [_BAND_ARC[flip] for (_o, flip, _b) in rs.band_at]
         band_class = F.band_class
-        self.band_hc = [band_class[bi] << 1 | flip for (_o, flip, bi) in rs.band_at]
+        self.paths = [(o, band_class[bi] << 1 | flip, 1 << (self.n_chords + bi), _BAND_ARC[flip], 0)
+                      for o, flip, bi in rs.band_at]
         self.cache: dict = {}
         self.classes = _Classes(F.h1_dim)
         # the writhe: disk k is positive iff bit 1 of its second dart is 0
@@ -390,7 +391,7 @@ class _Engine:
             off = int(tau[1][u & 3] == v & 3)
             if self.items[x][off][5] or self.items[x][off][10]:
                 raise AssertionError("a kink's loop-off chords carry a pole")
-            if self.band_hc[u]:
+            if self.paths[u][1]:
                 raise AssertionError("a kink's loop band has a class or flip")
             # the loop-off chord joins u and v; when they are rotation
             # adjacent it cuts off the corner between them, u when pred
@@ -461,15 +462,15 @@ class _Engine:
         bit, pole side, pole kind), side -1 and kind 0 where the chord
         makes no pole.  Made on first use, from `items` and `loops`: only
         the walker reads it."""
-        band_at, band_key = self.F.ribbon.band_at, self.band_key
+        band_at, paths = self.F.ribbon.band_at, self.paths
         step = ([None] * len(band_at), [None] * len(band_at))
         for bit, row in enumerate(step):
             chords = [ch for item in self.items for ch in (item[bit][1:6], item[bit][6:11])]
             for a, b, cb, v, k in chords + list(self.loops):
                 # the pole's side at a is the one whose arc it has, at b the other
                 s = _POLE_ARC.index(v) if k else -1
-                row[a] = (b, cb, *band_at[b][:2], band_key[b], s, k)
-                row[b] = (a, cb, *band_at[a][:2], band_key[a], 1 - s if k else -1, k)
+                row[a] = (b, cb, *band_at[b][:2], paths[b][2], s, k)
+                row[b] = (a, cb, *band_at[a][:2], paths[a][2], 1 - s if k else -1, k)
         return step
 
     def walk(self, mask: int, start: int, visited: bytearray):
@@ -566,11 +567,11 @@ class _Engine:
         """The 2^k states from `base` (a multiple of 2^k), counted under
         leaf keys.
 
-        The bands start as open paths, and each open path carries, at each
-        of its ends d: `end[d]`, the other end; `hc[d]`, its homology class
-        and flip parity as class << 1 | flip; `pm[d]`, the union of its
-        chord and band bits; `vs[d]`, the `polewords.arc` value of its word
-        read from d; and `kn[d]`, the kind of the pole nearest d (0 if it
+        The bands start as open paths, in a copy P of `paths`, and P[d] is
+        the record of the path with an end at d: (the other end, its
+        homology class and flip parity as class << 1 | flip, its key, the
+        union of its chord and band bits, the `polewords.arc` value of its
+        word read from d, and the kind of the pole nearest d, 0 if it
         has none).  A bare-loop chord joins the two ends of its band, so it
         closes a curve at once; then `descend` decides bits c-1 .. 0, depth
         first, 0 before 1, so the states come in increasing order.  A fixed
@@ -580,31 +581,33 @@ class _Engine:
         it folds every free kink and no bigon (see the module docstring).
 
         A chord (a, b) whose darts end one path closes a curve, once for
-        every state below.  The closing (`entry`, given the values at a and
-        b) checks the two pole pairs the chord makes adjacent, which closes
-        the check of every pole pair of the curve, and that the curve's key
-        pm[a] | bit has as many chords as bands; the index of its word is
-        that of vs[b] + the chord's pole: no curve is walked.  A curve with
-        hc[a] nonzero is one-sided or has a nonzero class, so it bounds no
-        disk, and its class is read from `classes` by index and hc[a] alone.
-        Any other curve is looked up in the cache by its key, and a miss
-        takes the disk test (`classify`).  Any other chord joins the paths
-        a..e and b..f into e..f.  It first checks the pole pairs it makes
-        adjacent, then writes the ends e and f: the XOR of the classes, the
-        union key, the arcs vs[e] + chord + vs[b] and its reverse (`join_arcs`
-        and `reverse_arc` in `tests/reference.py`, inlined), and the kind
-        nearest each end where the old path had no pole.  a and b are never
-        ends again, so undoing the join restores end, hc, pm and kn from them
-        and from the kinds read at the join, and vs from the two values it
-        saved.  At its end the block checks that the undos restored the band
-        tables.
+        every state below.  The closing (`entry`, given the values in the
+        records at a and b) checks the two pole pairs the chord makes
+        adjacent, which closes the check of every pole pair of the curve,
+        and that the curve's key, the path's key | bit, has as many chords
+        as bands; the index of its word is that of the arc read from b + the
+        chord's pole: no curve is walked.  A curve whose class << 1 | flip
+        is nonzero is one-sided or has a nonzero class, so it bounds no
+        disk, and its class is read from `classes` by index, class and flip
+        alone.  Any other curve is looked up in the cache by its key, and a
+        miss takes the disk test (`classify`).  Any other chord joins the
+        paths a..e and b..f into e..f.  It reads the four end records,
+        checks the pole pairs it makes adjacent, then writes new records at
+        e and f: the XOR of the classes, the union key, the arcs (arc read
+        from e) + chord + (arc read from b) and its reverse (`join_arcs` and
+        `reverse_arc` in `tests/reference.py`, inlined), and the kind
+        nearest each end, the chord's or the other path's where the old path
+        had no pole.  a and b are never ends again, so their records are
+        never read until the join is undone, and the undo puts back the two
+        records it replaced.  At its end the block checks that the undos
+        left P equal to `paths`.
 
         Crossing 0 is the last depth, and there its four darts end the two
         open paths left.  Each choice closes both without writing: if its
         first chord closes a path, its second must close the other; if the
         first joins a1..e1 and b1..f1, the second must join e1 and f1, and
         the joined path's key, class, arc and end kinds are read off the
-        two paths as a write would have made them.  Both closings make the
+        two records as a write would have made them.  Both closings make the
         checks above, the join its kind check, and a choice that would
         leave a path open raises AssertionError.
 
@@ -646,11 +649,7 @@ class _Engine:
         for i, off in folded.items():
             choices[i] = (items[i][1 - off],)
         leaves: dict = {}
-        end = self.band_other[:]
-        hc = self.band_hc[:]
-        pm = self.band_key[:]
-        vs = self.band_arc[:]
-        kn = [0] * len(end)
+        P = self.paths[:]
         sh = self.node_shift
         one = 1 << self.pc_bits
         nc = self.n_chords
@@ -685,7 +684,9 @@ class _Engine:
 
         node = t = 0
         for a, b, cb, v, kc in loops:
-            sid = entry(kn[a], kn[b], kc, pm[a] | cb, vs[b], v, hc[a])
+            _b, h, m, _x, ka = P[a]
+            _a, _h, _m, x, kb = P[b]
+            sid = entry(ka, kb, kc, m | cb, x, v, h)
             if sid:
                 node = trie[node << _ID_BITS | sid]
             else:
@@ -697,41 +698,41 @@ class _Engine:
             i -= 1
             if not i:
                 # crossing 0: its four darts end the two open paths left, so
-                # each choice closes both, reading the tables and writing
+                # each choice closes both, reading the records and writing
                 # nothing
                 for bit, a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 in choices[0]:
                     nd = node
                     u = t + bit
-                    e1 = end[a1]
+                    e1, h1, m1, _x, ka1 = P[a1]
+                    f1, g1, n1, y1, kb1 = P[b1]
                     if e1 == b1:
-                        if end[a2] != b2:
+                        e2, h2, m2, _x, ka2 = P[a2]
+                        if e2 != b2:
                             raise AssertionError("the last splice leaves a path open")
-                        sid = entry(kn[a1], kn[b1], k1, pm[a1] | cb1, vs[b1], v1, hc[a1])
+                        sid = entry(ka1, kb1, k1, m1 | cb1, y1, v1, h1)
                         if sid:
                             nd = trie[nd << _ID_BITS | sid]
                         else:
                             u += one
-                        sid = entry(kn[a2], kn[b2], k2, pm[a2] | cb2, vs[b2], v2, hc[a2])
+                        _a, _h, _m, y2, kb2 = P[b2]
+                        sid = entry(ka2, kb2, k2, m2 | cb2, y2, v2, h2)
                     else:
                         # the first chord joins a1..e1 and b1..f1 into e1..f1,
                         # which the second must close: x is the joined word's
                         # arc read from e1, ke and kf the kinds nearest e1 and f1
-                        f1 = end[b1]
-                        ka1 = kn[a1]
-                        kb1 = kn[b1]
                         if (ka1 | kb1) & k1 if k1 else ka1 & kb1:
                             raise AssertionError("pole kinds fail to alternate")
-                        x = vs[e1]
+                        re1 = P[e1]
+                        x = re1[3]
                         x = x - v1 if x & 1 else x + v1
-                        y = vs[b1]
-                        x = x - y if x & 1 else x + y
-                        ke = kn[e1] if ka1 else k1 or kb1
-                        kf = kn[f1] if kb1 else k1 or ka1
-                        key = pm[a1] | pm[b1] | cb1 | cb2
+                        x = x - y1 if x & 1 else x + y1
+                        ke = re1[4] if ka1 else k1 or kb1
+                        kf = P[f1][4] if kb1 else k1 or ka1
+                        key = m1 | n1 | cb1 | cb2
                         if a2 == f1 and b2 == e1:
-                            sid = entry(kf, ke, k2, key, x, v2, hc[a1] ^ hc[b1])
+                            sid = entry(kf, ke, k2, key, x, v2, h1 ^ g1)
                         elif a2 == e1 and b2 == f1:
-                            sid = entry(ke, kf, k2, key, 2 - x if x & 1 else x, v2, hc[a1] ^ hc[b1])
+                            sid = entry(ke, kf, k2, key, 2 - x if x & 1 else x, v2, h1 ^ g1)
                         else:
                             raise AssertionError("the last splice leaves a path open")
                     if sid:
@@ -744,94 +745,57 @@ class _Engine:
             for bit, a1, b1, cb1, v1, k1, a2, b2, cb2, v2, k2 in choices[i]:
                 nd = node
                 u = t + bit
-                e1 = end[a1]
+                e1, h1, m1, _x, ka1 = P[a1]
+                f1, g1, n1, y1, kb1 = P[b1]
                 if e1 == b1:
-                    sid = entry(kn[a1], kn[b1], k1, pm[a1] | cb1, vs[b1], v1, hc[a1])
+                    sid = entry(ka1, kb1, k1, m1 | cb1, y1, v1, h1)
                     if sid:
                         nd = trie[nd << _ID_BITS | sid]
                     else:
                         u += one
                 else:
-                    f1 = end[b1]
-                    ka1 = kn[a1]
-                    kb1 = kn[b1]
                     if (ka1 | kb1) & k1 if k1 else ka1 & kb1:
                         raise AssertionError("pole kinds fail to alternate")
-                    end[e1] = f1
-                    end[f1] = e1
-                    hc[e1] = hc[f1] = hc[a1] ^ hc[b1]
-                    pm[e1] = pm[f1] = pm[a1] | pm[b1] | cb1
-                    x = ve1 = vs[e1]
-                    vf1 = vs[f1]
+                    re1 = P[e1]
+                    rf1 = P[f1]
+                    x = re1[3]
                     x = x - v1 if x & 1 else x + v1
-                    y = vs[b1]
-                    x = x - y if x & 1 else x + y
-                    vs[e1] = x
-                    vs[f1] = 2 - x if x & 1 else x
-                    if not ka1:
-                        kn[e1] = k1 or kb1
-                    if not kb1:
-                        kn[f1] = k1 or ka1
-                e2 = end[a2]
+                    x = x - y1 if x & 1 else x + y1
+                    h1 ^= g1
+                    m1 |= n1 | cb1
+                    P[e1] = (f1, h1, m1, x, re1[4] if ka1 else k1 or kb1)
+                    P[f1] = (e1, h1, m1, 2 - x if x & 1 else x, rf1[4] if kb1 else k1 or ka1)
+                e2, h2, m2, _x, ka2 = P[a2]
+                f2, g2, n2, y2, kb2 = P[b2]
                 if e2 == b2:
-                    sid = entry(kn[a2], kn[b2], k2, pm[a2] | cb2, vs[b2], v2, hc[a2])
+                    sid = entry(ka2, kb2, k2, m2 | cb2, y2, v2, h2)
                     if sid:
                         nd = trie[nd << _ID_BITS | sid]
                     else:
                         u += one
                 else:
-                    f2 = end[b2]
-                    ka2 = kn[a2]
-                    kb2 = kn[b2]
                     if (ka2 | kb2) & k2 if k2 else ka2 & kb2:
                         raise AssertionError("pole kinds fail to alternate")
-                    end[e2] = f2
-                    end[f2] = e2
-                    hc[e2] = hc[f2] = hc[a2] ^ hc[b2]
-                    pm[e2] = pm[f2] = pm[a2] | pm[b2] | cb2
-                    x = ve2 = vs[e2]
-                    vf2 = vs[f2]
+                    re2 = P[e2]
+                    rf2 = P[f2]
+                    x = re2[3]
                     x = x - v2 if x & 1 else x + v2
-                    y = vs[b2]
-                    x = x - y if x & 1 else x + y
-                    vs[e2] = x
-                    vs[f2] = 2 - x if x & 1 else x
-                    if not ka2:
-                        kn[e2] = k2 or kb2
-                    if not kb2:
-                        kn[f2] = k2 or ka2
+                    x = x - y2 if x & 1 else x + y2
+                    h2 ^= g2
+                    m2 |= n2 | cb2
+                    P[e2] = (f2, h2, m2, x, re2[4] if ka2 else k2 or kb2)
+                    P[f2] = (e2, h2, m2, 2 - x if x & 1 else x, rf2[4] if kb2 else k2 or ka2)
                 descend(i, nd, u)
                 if e2 != b2:
-                    end[e2] = a2
-                    end[f2] = b2
-                    hc[e2] = hc[a2]
-                    hc[f2] = hc[b2]
-                    pm[e2] = pm[a2]
-                    pm[f2] = pm[b2]
-                    vs[e2] = ve2
-                    vs[f2] = vf2
-                    if not ka2:
-                        kn[e2] = 0
-                    if not kb2:
-                        kn[f2] = 0
+                    P[e2] = re2
+                    P[f2] = rf2
                 if e1 != b1:
-                    end[e1] = a1
-                    end[f1] = b1
-                    hc[e1] = hc[a1]
-                    hc[f1] = hc[b1]
-                    pm[e1] = pm[a1]
-                    pm[f1] = pm[b1]
-                    vs[e1] = ve1
-                    vs[f1] = vf1
-                    if not ka1:
-                        kn[e1] = 0
-                    if not kb1:
-                        kn[f1] = 0
+                    P[e1] = re1
+                    P[f1] = rf1
 
         if c:
             descend(c, node, t)
-            bands = (self.band_other, self.band_hc, self.band_key, self.band_arc, [0] * len(end))
-            if (end, hc, pm, vs, kn) != bands:
+            if P != self.paths:
                 raise AssertionError("undo left the open paths changed")
         else:
             leaves[node << sh | t] = 1

@@ -943,7 +943,9 @@ def test_count_check_sees_a_lost_band():
     F = realize(code)
     for d in range(F.ribbon.total_darts):
         eng = states._Engine(F)
-        eng.band_key[d] = eng.band_key[eng.band_other[d]] = 0
+        for e in (d, eng.paths[d][0]):
+            rec = eng.paths[e]
+            eng.paths[e] = rec[:2] + (0,) + rec[3:]
         F._state_engine = eng
         with pytest.raises(AssertionError, match="path chord mask disagrees"):
             states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
@@ -957,11 +959,36 @@ def test_class_check_sees_a_lost_band_class():
     F = realize(code)
     for d in range(F.ribbon.total_darts):
         eng = states._Engine(F)
-        assert eng.band_hc[d]
-        eng.band_hc[d] = eng.band_hc[eng.band_other[d]] = 0
+        assert eng.paths[d][1]
+        for e in (d, eng.paths[d][0]):
+            rec = eng.paths[e]
+            eng.paths[e] = rec[:1] + (0,) + rec[2:]
         F._state_engine = eng
         with pytest.raises(AssertionError, match="carried class disagrees"):
             states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
+
+
+def test_undo_check_sees_a_changed_path_record():
+    # the trace works on a copy of the engine's start records, and its undos
+    # must leave that copy equal to them; change one start record while the
+    # trace runs (at its one disk test) and the end-of-block check refuses
+    F = realize(parse_code("O1+ U1+"))
+    eng = states._Engine(F)
+    classify = eng.classify
+    calls = []
+
+    def changing(key, idx):
+        if not calls:
+            rec = eng.paths[0]
+            eng.paths[0] = rec[:4] + (rec[4] ^ 1,)
+        calls.append(key)
+        return classify(key, idx)
+
+    eng.classify = changing
+    F._state_engine = eng
+    with pytest.raises(AssertionError, match="undo left the open paths changed"):
+        states.sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
+    assert len(calls) == 1
 
 
 @given(
