@@ -435,30 +435,17 @@ def r1_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
 
 
 def r2_delete_sites(code: TwistedGaussCode) -> list[MoveSpec]:
-    """The R2 deletions `apply_move` accepts.  The input's surface is built
-    once per sweep, on the first token-valid site, and each site's result
-    is compared with it as `_r2_delete` compares them."""
     pairs = [
         (ci, i, t) for ci, i, t, u in _adjacent_pairs(code)
         if _two_crossings(t, u) and t.over == u.over
     ]
+    # the handler takes two pairs only if one is all over and the other all under
     sites = (
         (c1, p1, c2, p2)
         for (c1, p1, a1), (c2, p2, a2) in combinations(pairs, 2)
         if a1.over != a2.over
     )
-    out = []
-    ours = None
-    for s in sites:
-        try:
-            result = _r2_deleted(code, s)
-        except MoveError:
-            continue
-        if ours is None:
-            ours = _piece_types(code)
-        if _piece_types(result) == ours:
-            out.append(MoveSpec("R2", "delete", s))
-    return out
+    return [MoveSpec("R2", "delete", s) for s in sites if _accepts(_r2_delete, code, s)]
 
 
 def r3_sites(code: TwistedGaussCode) -> list[MoveSpec]:

@@ -185,6 +185,25 @@ def _classify_piece(euler: int, orientable: bool) -> PieceReport:
     return PieceReport(euler, False, 0, 2 - euler)
 
 
+def _roots(n: int, pairs) -> list[int]:
+    """Union-find over 0..n-1 with path halving (Tarjan and van Leeuwen,
+    JACM 31, 1984): each pair (x, y) puts y's root under x's.  Flattened
+    once at the end, so that root[x] is the root of x's class."""
+    root = list(range(n))
+    for x, y in pairs:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        root[y] = x
+    for x in range(n):
+        r = root[x]
+        while root[r] != r:
+            r = root[r]
+        root[x] = r
+    return root
+
+
 class ClosedSurface:
     """Band surface with all boundary circles capped by disks.
 
@@ -205,9 +224,9 @@ class ClosedSurface:
     disk is named by the dart it follows.  A band side joins two corners:
     u ~ pred v and pred u ~ v on an unflipped band (u, v), u ~ v and
     pred u ~ pred v on a flipped one.  The caps are the classes of corners,
-    found by a union-find run inline and flattened once, so that
-    `_corner_root[d]` is the root corner of d's cap; each cap keeps the
-    mask of the bands it runs along once and its root corner.  The pieces
+    found by the shared union-find `_roots`, so that `_corner_root[d]` is
+    the root corner of d's cap; each cap keeps the mask of the bands it
+    runs along once and its root corner.  The pieces
     are the trees of a spanning forest, with chi = disks - bands + caps; a
     piece is one-sided iff w1, the flip parity, is odd on one of its
     fundamental cycles, read off the flip parity of each disk's tree path.
@@ -238,27 +257,16 @@ class ClosedSurface:
                 pred[b] = a
                 a = b
         # the caps: classes of corners joined by band sides, which start at
-        # corners u (side 0) and pred u (side 1); a union-find with path
-        # halving, flattened at the end so that root[d] is the root of d
+        # corners u (side 0) and pred u (side 1)
         flip_mask = 0
-        root = list(range(n))
+        sides = []
         for bi, (u, v, flip) in enumerate(rs.bands):
             if flip:
                 flip_mask |= 1 << bi
-                sides = ((u, v), (pred[u], pred[v]))
+                sides += ((u, v), (pred[u], pred[v]))
             else:
-                sides = ((u, pred[v]), (pred[u], v))
-            for x, y in sides:
-                while root[x] != x:
-                    root[x] = x = root[root[x]]
-                while root[y] != y:
-                    root[y] = y = root[root[y]]
-                root[y] = x
-        for d in range(n):
-            r = root[d]
-            while root[r] != r:
-                r = root[r]
-            root[d] = r
+                sides += ((u, pred[v]), (pred[u], v))
+        root = _roots(n, sides)
         masks = [0] * n
         for bi, (u, _v, _f) in enumerate(rs.bands):
             masks[root[u]] ^= 1 << bi
@@ -504,18 +512,7 @@ class ClosedSurface:
                 lanes.append((frag[u], frag[pred[v]]))
                 lanes.append((frag[pred[u]], frag[v]))
 
-        root = list(range(n_frag))
-        for (f, g) in lanes:
-            while root[f] != f:
-                root[f] = f = root[root[f]]
-            while root[g] != g:
-                root[g] = g = root[root[g]]
-            root[g] = f
-        for x in range(n_frag):
-            r = root[x]
-            while root[r] != r:
-                r = root[r]
-            root[x] = r
+        root = _roots(n_frag, lanes)
         euler = [0] * n_frag
         for r in root:
             euler[r] += 1

@@ -297,6 +297,29 @@ def test_worker_flag_identical_output(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_agree_under_start_method(capsys, method):
+    # a spawned or forkserver worker imports the package afresh rather than
+    # inheriting the parent's memory (forkserver is Python 3.14's default on
+    # Linux); CI's 6-crossing code, summed by three workers in a fresh
+    # interpreter in development mode, prints the one-worker bytes
+    import polebracket
+
+    code = "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"
+    _, want, _ = run(capsys, "bracket", "--workers", "1", "-i", code)
+    src = str(Path(polebracket.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = (
+        "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
+        "from polebracket.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script, method, "bracket", "--workers", "3", "-i", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, want, "")
+
+
 def test_check_small_battery(capsys):
     code, out, _ = run(capsys, "check", "--seed", "1", "--count", "6")
     assert code == 0

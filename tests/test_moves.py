@@ -545,28 +545,35 @@ def _accepted_r2_deletes(code):
     return out
 
 
-def test_r2_sweep_builds_its_inputs_surface_once(monkeypatch):
+def test_r2_sweep_offers_what_r2_delete_takes(monkeypatch):
     from polebracket.verify import corpus_classical, corpus_twisted, twisted_fixtures
 
     codes = [code for _n, code in twisted_fixtures()] + corpus_twisted(7, 40) + corpus_classical(8, 40)
     codes += [parse_code(t) for t in ("O1+ U2+ U3- U1+ O2+ O3-", "U1+ U2- O1+ O2-", "O1+ U3+ U2- U1+ O2- O3+")]
     expect = [_accepted_r2_deletes(code) for code in codes]
-    real = moves._piece_types
-    built = []
+    real = moves._r2_delete
+    verdicts = []
 
-    def counting(code):
-        built.append(code)
-        return real(code)
+    def recording(code, site, variant):
+        try:
+            result = real(code, site, variant)
+        except MoveError as exc:
+            verdicts.append((site, str(exc)))
+            raise
+        verdicts.append((site, None))
+        return result
 
-    monkeypatch.setattr(moves, "_piece_types", counting)
-    swept = 0
+    monkeypatch.setattr(moves, "_r2_delete", recording)
+    refused_by_surface = 0
     for code, accepted in zip(codes, expect):
-        built.clear()
-        assert r2_delete_sites(code) == accepted
-        assert built.count(code) <= 1
-        swept += len(built) > 2
-    # some sweeps compared several candidates against the one input surface
-    assert swept
+        verdicts.clear()
+        sites = r2_delete_sites(code)
+        assert sites == accepted
+        # the sweep keeps exactly the token candidates the handler takes
+        assert [spec.site for spec in sites] == [site for site, refusal in verdicts if refusal is None]
+        refused_by_surface += sum(refusal == "rewrite would change the realization surface" for _s, refusal in verdicts)
+    # the surface verdict reaches the sweep through the handler alone
+    assert refused_by_surface
     # apply_move still compares the input's surface with the result's, and
     # refuses a deletion that would change it
     with pytest.raises(MoveError, match="rewrite would change the realization surface"):
