@@ -181,7 +181,8 @@ def parse_code(text: str) -> TwistedGaussCode:
                 raise CodeError(
                     f"component {comp_no}, token {off + 1}: bad token {w!r}"
                 )
-            toks.append(Visit(int(digits), head == "O", sign))
+            # the named tuple, made without its Python-level __new__
+            toks.append(tuple.__new__(Visit, (int(digits), head == "O", sign)))
         components.append(tuple(toks))
     return make_code(components)
 

@@ -186,9 +186,9 @@ def _classify_piece(euler: int, orientable: bool) -> PieceReport:
 
 
 def _roots(n: int, pairs) -> list[int]:
-    """Union-find over 0..n-1 with path halving (Tarjan and van Leeuwen,
-    JACM 31, 1984): each pair (x, y) puts y's root under x's.  Flattened
-    once at the end, so that root[x] is the root of x's class."""
+    """The cutter's union-find over 0..n-1, with path halving (Tarjan and
+    van Leeuwen, JACM 31, 1984): each pair (x, y) puts y's root under x's.
+    Flattened once at the end, so that root[x] is the root of x's class."""
     root = list(range(n))
     for x, y in pairs:
         while root[x] != x:
@@ -221,17 +221,18 @@ class ClosedSurface:
     of H1, which it checks against 2 x pieces - chi.
 
     Everything is read off the ribbon graph with int tables.  A corner of a
-    disk is named by the dart it follows.  A band side joins two corners:
+    disk is named by the dart it follows, and a band side joins two corners:
     u ~ pred v and pred u ~ v on an unflipped band (u, v), u ~ v and
-    pred u ~ pred v on a flipped one.  The caps are the classes of corners,
-    found by the shared union-find `_roots`, so that `_corner_root[d]` is
-    the root corner of d's cap; each cap keeps the mask of the bands it
-    runs along once and its root corner.  The pieces
-    are the trees of a spanning forest, with chi = disks - bands + caps; a
-    piece is one-sided iff w1, the flip parity, is odd on one of its
-    fundamental cycles, read off the flip parity of each disk's tree path.
-    Pieces are ordered by their largest disk: that is the order `info` has
-    always printed, so its output does not change.
+    pred u ~ pred v on a flipped one.  The caps are the boundary circles,
+    each walked once by face tracing (Gross and Tucker, 1987): forward,
+    corner d leaves by a side of band(succ d), backward by one of band(d),
+    and a flipped band turns the walk round.  A cap is named by its least
+    corner (`_cap_corner` ascending, `_corner_root[d]`) and keeps the mask
+    of the bands it runs along once.  The pieces are the trees of a
+    spanning forest, with chi = disks - bands + caps; a piece is one-sided
+    iff w1, the flip parity, is odd on one of its fundamental cycles, read
+    off the flip parity of each disk's tree path (0 on a tree band).
+    Pieces are ordered by their largest disk, as `info` has always printed.
 
     Homology: every cycle is the sum of the fundamental cycles of its
     non-tree bands, so those bits are its coordinates, and the caps'
@@ -256,33 +257,34 @@ class ClosedSurface:
                 succ[a] = b
                 pred[b] = a
                 a = b
-        # the caps: classes of corners joined by band sides, which start at
-        # corners u (side 0) and pred u (side 1)
+        # the caps: each boundary circle walked once from its least corner
+        band_at = rs.band_at
+        self._corner_root = root = [-1] * n
+        self._cap_corner = caps = []
+        self._cap_masks = masks = []
         flip_mask = 0
-        sides = []
-        for bi, (u, v, flip) in enumerate(rs.bands):
-            if flip:
-                flip_mask |= 1 << bi
-                sides += ((u, v), (pred[u], pred[v]))
-            else:
-                sides += ((u, pred[v]), (pred[u], v))
-        root = _roots(n, sides)
-        masks = [0] * n
-        for bi, (u, _v, _f) in enumerate(rs.bands):
-            masks[root[u]] ^= 1 << bi
-            masks[root[pred[u]]] ^= 1 << bi
+        for first in range(n):
+            if root[first] >= 0:
+                continue
+            mask, d, forward = 0, first, 1
+            while root[d] < 0:
+                root[d] = first
+                o, flip, bi = band_at[succ[d] if forward else d]
+                mask ^= 1 << bi
+                if flip:
+                    forward ^= 1
+                    flip_mask |= 1 << bi
+                d = o if forward else pred[o]
+            caps.append(first)
+            masks.append(mask)
         self.flip_mask = flip_mask
-        self._cap_corner = [d for d in range(n) if root[d] == d]
-        self._cap_masks = tuple(masks[d] for d in self._cap_corner)
-        self._corner_root = root
         self._build_homology()
 
     # -- homology --------------------------------------------------------
 
     def _build_homology(self):
         """Pieces, orientability and the caps' echelon rows, which fix the
-        rank of Z/2 homology; `band_class` reads the classes off the rows
-        (see the class docstring)."""
+        rank of Z/2 homology (see the class docstring)."""
         rs = self.ribbon
         n_disks = len(rs.rotations)
         # spanning forest: roots ascending, depth first, bands in index order;
@@ -323,12 +325,10 @@ class ClosedSurface:
             euler[piece[disk_of[d]]] += 1
         one_sided = [False] * len(index)
         for bi, (u, v, flip) in enumerate(bands):
-            if not (tree_mask >> bi) & 1 and parity[disk_of[u]] ^ parity[disk_of[v]] ^ flip:
+            if parity[disk_of[u]] ^ parity[disk_of[v]] ^ flip:
                 one_sided[band_piece[bi]] = True
 
-        # a cycle is the sum of the fundamental cycles of its non-tree bands,
-        # so those bits are its coordinates.  The caps span the boundaries:
-        # their non-tree bits in echelon form, highest bit as pivot
+        # the caps' non-tree bits span the boundaries: echelon, highest pivot
         cotree = ~tree_mask & ((1 << len(bands)) - 1)
         rows: dict[int, int] = {}
         for vec in self._cap_masks:

@@ -46,7 +46,7 @@ reduces the
 capped surface's Z/2 homology in band space, the caps first, then the
 fundamental cycles of the non-tree bands in band order, and reads its caps
 and pieces off the polygon complex (`surfaces.ribbon_faces`), not off the
-library's corner union-find.
+library's cap walk.
 """
 
 from __future__ import annotations

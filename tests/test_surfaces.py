@@ -132,6 +132,41 @@ def test_capped_complex_agrees(c, b, k, seed):
     _assert_capped_complex_agrees(random_diagram(seed, c, b, min(k, max(1, 2 * c + b))))
 
 
+def _find(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def test_caps_partition_the_corners():
+    # the cap walk's corner partition, which `pole_regions` and `_cut` read:
+    # each band side joins two corners of one cap (u ~ pred v and pred u ~ v,
+    # or u ~ v and pred u ~ pred v on a flipped band), nothing else does, and
+    # a cap is named by its least corner, in ascending order.  Checked with a
+    # union-find over the band sides
+    codes = [code for seed in (1, 2, 3) for code in corpus_twisted(seed)]
+    codes += [random_diagram(seed, c, 2 + seed % 4, k)
+              for seed in range(30) for c, k in ((3, 2), (7, 3), (10, 2))]
+    codes += [make_code(list(code.components) + [(), (BAR,), (BAR, BAR)])
+              for code in codes[-30:]]
+    for code in codes:
+        F = realize(code)
+        pred, root = F._pred, F._corner_root
+        sides = []
+        for u, v, flip in F.ribbon.bands:
+            sides += ((u, v), (pred[u], pred[v])) if flip else ((u, pred[v]), (pred[u], v))
+        parent = list(range(len(root)))
+        for x, y in sides:
+            assert root[x] == root[y], code
+            parent[_find(parent, x)] = _find(parent, y)
+        least = {}
+        for d in range(len(root)):
+            least.setdefault(_find(parent, d), d)
+        assert root == [least[_find(parent, d)] for d in range(len(root))], code
+        assert F._cap_corner == sorted(least.values())
+        assert len(F._cap_masks) == len(F._cap_corner)
+
+
 def test_large_surface_report_scales():
     # info has no crossing guard, so surface build must stay cheap at large c;
     # anything quadratic in the homology rank or the code length (such as a
