@@ -117,7 +117,10 @@ def classical_kauffman_oracle(code: TwistedGaussCode) -> MultiLaurent:
     dpow = [MultiLaurent.one()]
     for _ in range(max_loops):
         dpow.append(dpow[-1] * delta())
-    total = MultiLaurent.zero()
-    for (aexp, loops), count in sorted(leaf_counts.items()):
-        total = total + MultiLaurent.A(aexp) * count * dpow[loops]
-    return total
+    # one dict for the whole sum: adding polynomials copies the sum per term
+    total: dict = {}
+    for (aexp, loops), count in leaf_counts.items():
+        for (a, m, d), co in dpow[loops].terms.items():
+            key = (a + aexp, m, d)
+            total[key] = total.get(key, 0) + co * count
+    return MultiLaurent(total)

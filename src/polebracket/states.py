@@ -977,13 +977,11 @@ def pole_regions(F: ClosedSurface) -> Iterator[list[tuple[int, int]]]:
     check shares nothing with the sum it checks.  Bit b of a
     crossing with rotation (r0, r1, r2, r3) draws the chords from corners
     r(b+1) and r(b+3), and its middle joins the caps of r(b) and r(b+2).
-    The caps are unioned per state, O(c) each; the corner-to-cap index,
-    `cap[d]` the position in `_cap_corner` of corner d's cap, is made once
-    per call, since no other reader needs it."""
+    The caps are unioned per state, O(c) each, by their positions in
+    `_cap_corner`, which the surface's `_corner_cap` gives per corner."""
     rs = F.ribbon
-    index = {r: i for i, r in enumerate(F._cap_corner)}
-    cap = [index[r] for r in F._corner_root]
-    n_caps = len(index)
+    cap = F._corner_cap
+    n_caps = len(F._cap_corner)
     table = []
     for rot in rs.rotations[:rs.n_crossings]:
         row = []

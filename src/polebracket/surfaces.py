@@ -185,25 +185,6 @@ def _classify_piece(euler: int, orientable: bool) -> PieceReport:
     return PieceReport(euler, False, 0, 2 - euler)
 
 
-def _roots(n: int, pairs) -> list[int]:
-    """The cutter's union-find over 0..n-1, with path halving (Tarjan and
-    van Leeuwen, JACM 31, 1984): each pair (x, y) puts y's root under x's.
-    Flattened once at the end, so that root[x] is the root of x's class."""
-    root = list(range(n))
-    for x, y in pairs:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        while root[y] != y:
-            root[y] = y = root[root[y]]
-        root[y] = x
-    for x in range(n):
-        r = root[x]
-        while root[r] != r:
-            r = root[r]
-        root[x] = r
-    return root
-
-
 class ClosedSurface:
     """Band surface with all boundary circles capped by disks.
 
@@ -226,12 +207,12 @@ class ClosedSurface:
     pred u ~ pred v on a flipped one.  The caps are the boundary circles,
     each walked once by face tracing (Gross and Tucker, 1987): forward,
     corner d leaves by a side of band(succ d), backward by one of band(d),
-    and a flipped band turns the walk round.  A cap is named by its least
-    corner (`_cap_corner` ascending, `_corner_root[d]`) and keeps the mask
-    of the bands it runs along once.  The pieces are the trees of a
-    spanning forest, with chi = disks - bands + caps; a piece is one-sided
-    iff w1, the flip parity, is odd on one of its fundamental cycles, read
-    off the flip parity of each disk's tree path (0 on a tree band).
+    and a flipped band turns the walk round.  The caps are listed by least
+    corner (`_cap_corner`, ascending) with the mask of the bands each runs
+    along once, and `_corner_cap[d]` is the position of corner d's cap.
+    The pieces are the trees of a spanning forest, chi = disks - bands +
+    caps; a piece is one-sided iff w1, the flip parity, is odd on one of
+    its fundamental cycles, read off each disk's tree path (0 on a tree band).
     Pieces are ordered by their largest disk, as `info` has always printed.
 
     Homology: every cycle is the sum of the fundamental cycles of its
@@ -259,16 +240,16 @@ class ClosedSurface:
                 a = b
         # the caps: each boundary circle walked once from its least corner
         band_at = rs.band_at
-        self._corner_root = root = [-1] * n
+        self._corner_cap = cap = [-1] * n
         self._cap_corner = caps = []
         self._cap_masks = masks = []
         flip_mask = 0
         for first in range(n):
-            if root[first] >= 0:
+            if cap[first] >= 0:
                 continue
-            mask, d, forward = 0, first, 1
-            while root[d] < 0:
-                root[d] = first
+            mask, d, forward, k = 0, first, 1, len(caps)
+            while cap[d] < 0:
+                cap[d] = k
                 o, flip, bi = band_at[succ[d] if forward else d]
                 mask ^= 1 << bi
                 if flip:
@@ -432,18 +413,21 @@ class ClosedSurface:
         """True when the curve bounds an embedded disk inside the capped
         surface.  Mobius cores and homologically nontrivial curves (class
         read off `band_class`) are rejected outright, and on a sphere piece
-        every remaining curve bounds a disk.  Otherwise the curve is two-sided and null-homologous, so it
-        splits its piece into two sides, each with the curve as its one
-        boundary circle, and it bounds a disk iff one side has chi 1.  Chi
-        of the side that holds the lune of the curve's first chord is counted
-        on the handle decomposition cut along the curve (`_cut`), and chi of
-        the other side is chi(piece) minus it."""
-        if curve.flip_parity or self._cycle_class(curve.band_mask):
+        every remaining curve bounds a disk.  Otherwise the curve is two-sided
+        and null-homologous, so it splits its piece into two sides, each with
+        the curve as its one boundary circle, and it bounds a disk iff one
+        side has chi 1.  Chi of the side that holds the lune of the curve's
+        first chord is counted on the handle decomposition cut along the
+        curve (`_cut`), and chi of the other side is chi(piece) minus it."""
+        mask = curve.band_mask
+        if curve.flip_parity or self._cycle_class(mask):
             return False
-        piece_euler = self.pieces[self._curve_piece(curve)].euler
+        if not mask:
+            raise ValueError("curve uses no bands")
+        piece_euler = self.pieces[self.band_piece[(mask & -mask).bit_length() - 1]].euler
         if piece_euler == 2:
             return True
-        root, euler = self._cut(curve.chords, curve.band_mask)
+        root, euler = self._cut(curve.chords, mask)
         side = euler[root[len(self.ribbon.rotations)]]
         return side == 1 or piece_euler - side == 1
 
@@ -511,8 +495,20 @@ class ClosedSurface:
             else:
                 lanes.append((frag[u], frag[pred[v]]))
                 lanes.append((frag[pred[u]], frag[v]))
-
-        root = _roots(n_frag, lanes)
+        # union-find with path halving (Tarjan and van Leeuwen, JACM 31, 1984):
+        # a lane puts y's root under x's; flattened, root[f] is f's class root
+        root = list(range(n_frag))
+        for x, y in lanes:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            while root[y] != y:
+                root[y] = y = root[root[y]]
+            root[y] = x
+        for x in range(n_frag):
+            r = root[x]
+            while root[r] != r:
+                r = root[r]
+            root[x] = r
         euler = [0] * n_frag
         for r in root:
             euler[r] += 1
@@ -521,11 +517,6 @@ class ClosedSurface:
         for d in self._cap_corner:
             euler[root[frag[d]]] += 1
         return root, euler
-
-    def _curve_piece(self, curve: EmbeddedCurve) -> int:
-        if not curve.band_mask:
-            raise ValueError("curve uses no bands")
-        return self.band_piece[(curve.band_mask & -curve.band_mask).bit_length() - 1]
 
     # -- reports -------------------------------------------------------------
 

@@ -75,8 +75,8 @@ def _ports(code: TwistedGaussCode):
 
 
 def _curves(partner: dict, succ: dict, arcs: dict):
-    """(one-sided, index) of each curve of a state, given each port's splice
-    partner."""
+    """(a port it passes, one-sided, index) of each curve of a state, given
+    each port's splice partner."""
     seen = set()
     for start in partner:
         if start in seen:
@@ -93,7 +93,7 @@ def _curves(partner: dict, succ: dict, arcs: dict):
                 flips ^= 1
             if port == start:
                 break
-        yield flips, _index(tuple(word))
+        yield start, flips, _index(tuple(word))
 
 
 def arrow_bracket(code: TwistedGaussCode) -> MultiLaurent:
@@ -107,7 +107,7 @@ def arrow_bracket(code: TwistedGaussCode) -> MultiLaurent:
         for k, pairs in enumerate(splices):
             for a, b in pairs[mask >> k & 1]:
                 partner[a], partner[b] = b, a
-        labels = Counter(_curves(partner, succ, arcs))
+        labels = Counter((flips, idx) for _p, flips, idx in _curves(partner, succ, arcs))
         labels.update((flip, 0) for flip in bare)
         states[c - 2 * mask.bit_count(), frozenset(labels.items())] += 1
     out = MultiLaurent()

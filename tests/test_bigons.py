@@ -139,7 +139,7 @@ def assert_bigons_are_disjoint_r2_sites(code):
         comp = bare.components[ci]
         sites.add(frozenset((disk[comp[pos].crossing], disk[comp[(pos + 1) % len(comp)].crossing])))
     eng = states._Engine(F)
-    rot, succ, cap = F.ribbon.rotations, F._succ, F._corner_root
+    rot, succ, cap = F.ribbon.rotations, F._succ, F._corner_cap
     sign = {k: rot[k][1] >> 1 & 1 for k in range(F.ribbon.n_crossings)}
     pairs = [frozenset((x, y)) for x, _tx, y, _ty, _alt in bigons(eng)]
     covered = set().union(*pairs)

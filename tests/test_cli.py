@@ -539,13 +539,12 @@ def test_check_output_bytes_are_pinned(capsys, seed, count):
 
 
 def _no_cap_table(*_args):
-    raise AssertionError("built a corner-to-cap table")
+    raise AssertionError("built a per-state cap table")
 
 
 def test_only_check_builds_a_cap_table(capsys, monkeypatch):
-    # the corner-to-cap table is made by `pole_regions`, which only the
-    # pole-balance check of `check` runs; `info` on large codes must not
-    # pay for it
+    # `pole_regions` builds a pole table per state; only the pole-balance
+    # check of `check` runs it, and `info` runs no per-state pole table
     from polebracket import states
     from polebracket.verify import classical_fixtures, twisted_fixtures
 

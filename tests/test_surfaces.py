@@ -141,9 +141,10 @@ def _find(parent, x):
 def test_caps_partition_the_corners():
     # the cap walk's corner partition, which `pole_regions` and `_cut` read:
     # each band side joins two corners of one cap (u ~ pred v and pred u ~ v,
-    # or u ~ v and pred u ~ pred v on a flipped band), nothing else does, and
-    # a cap is named by its least corner, in ascending order.  Checked with a
-    # union-find over the band sides
+    # or u ~ v and pred u ~ pred v on a flipped band), nothing else does,
+    # the caps are listed by least corner in ascending order, and
+    # `_corner_cap[d]` is the position of d's cap in that list.  Checked with
+    # a union-find over the band sides
     codes = [code for seed in (1, 2, 3) for code in corpus_twisted(seed)]
     codes += [random_diagram(seed, c, 2 + seed % 4, k)
               for seed in range(30) for c, k in ((3, 2), (7, 3), (10, 2))]
@@ -151,20 +152,23 @@ def test_caps_partition_the_corners():
               for code in codes[-30:]]
     for code in codes:
         F = realize(code)
-        pred, root = F._pred, F._corner_root
+        pred, cap, caps = F._pred, F._corner_cap, F._cap_corner
         sides = []
         for u, v, flip in F.ribbon.bands:
             sides += ((u, v), (pred[u], pred[v])) if flip else ((u, pred[v]), (pred[u], v))
-        parent = list(range(len(root)))
+        parent = list(range(len(cap)))
         for x, y in sides:
-            assert root[x] == root[y], code
+            assert cap[x] == cap[y], code
             parent[_find(parent, x)] = _find(parent, y)
         least = {}
-        for d in range(len(root)):
+        for d in range(len(cap)):
             least.setdefault(_find(parent, d), d)
-        assert root == [least[_find(parent, d)] for d in range(len(root))], code
-        assert F._cap_corner == sorted(least.values())
-        assert len(F._cap_masks) == len(F._cap_corner)
+        assert caps == sorted(least.values())
+        assert sorted(set(cap)) == list(range(len(caps))), code
+        assert [caps[cap[d]] for d in range(len(cap))] == [
+            least[_find(parent, d)] for d in range(len(cap))
+        ], code
+        assert len(F._cap_masks) == len(caps)
 
 
 def test_large_surface_report_scales():
