@@ -8,15 +8,15 @@ a product of d_index variables, with d_0 = 1 and inessential curves each
 contributing a delta factor.  The normalized invariant multiplies by
 (-A)^(-3 writhe).
 
-All three read one kind of state-sum count table (`states.CountTable`),
-whose int keys pack a label id, the inessential count and the B-splice
-count, beside the list of distinct labels.  The sum labels each state
-once per table it is asked for: by its signature for the surface pole
-bracket, or by the (M, d) part that the double bracket and R keep of it,
-for which no signature is built.
-`_fold` makes one pass over the int keys and adds each key's count times a
+All three read one kind of state-sum count table (`states.CountTable`):
+a row of counts per label, each keyed by an int that packs the inessential
+count and the B-splice count.  The sum labels each state once per table
+it is asked for: by its signature for the surface pole bracket, or by the
+(M, d) part that the double bracket and R keep of it, for which no
+signature is built.
+`_fold` makes one pass over each row and adds each key's count times a
 row of binomial coefficients (delta^n, expanded once per process) into an
-{A-exponent: int} table per label id, with R's writhe shift applied as it
+{A-exponent: int} table per label, with R's writhe shift applied as it
 folds.  The bracket's tables become A-only polynomials in one pass
 (`laurent.a_polys`), and `BracketValue.to_text` formats each distinct
 curve entry and each distinct coefficient once; the (M, d) tables become
@@ -25,11 +25,10 @@ the signature-collapsed bracket with that double bracket.  The sums here
 fold bigons (see `states`): their tables hold fewer states than
 `check`'s, but every polynomial is the same.  State evaluation partitions
 the splice bitmask range across processes when asked; each worker returns
-its count table, whose label ids are its own, and the parent re-keys them
-by label and adds the counts exactly, so worker count never changes a
-single output bit.  The process pool, and with it `multiprocessing`, is
-imported only when a sum runs on more than one worker, so a one-worker
-call loads neither.
+its count table, and the parent adds the rows label by label, exactly,
+so worker count never changes a single output bit.  The process pool,
+and with it `multiprocessing`, is imported only when a sum runs on more
+than one worker, so a one-worker call loads neither.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import os
 from functools import cache
 from math import comb
 from operator import itemgetter
+from typing import Iterator
 
 from .codes import TwistedGaussCode
 from .laurent import MultiLaurent, _a_poly_text, a_polys
@@ -140,8 +140,7 @@ def _counts(code: TwistedGaussCode, workers: int = 1, want: str = "table"):
     from concurrent.futures import ProcessPoolExecutor
 
     # the masks are still cut into `workers` jobs; the pool size only caps
-    # how many processes run them at once.  Each count table's label ids
-    # are its own, and `CountTable.add` re-keys them by label
+    # how many processes run them at once
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         parts = iter(pool.map(_worker_counts, jobs))
         table = next(parts)
@@ -157,23 +156,25 @@ def _delta_row(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * k - 4 * j, -comb(k, j) if k & 1 else comb(k, j)) for j in range(k + 1))
 
 
-def _fold(table: CountTable, k: int) -> list:
-    """Per label id, Sum count * A^nat * delta^iness over a count table,
-    times (-A)^k: one {A-exponent: int} table per label.  Each key is read
-    as the ints it packs, nat = c - 2 B-splices; every A-exponent shifts by
-    k, and the signs flip when k is odd."""
-    tables = [{} for _ in table.labels]
-    counts, pb, sh = table.counts, table.pc_bits, table.shift
-    pc_mask, iness_mask = (1 << pb) - 1, (1 << (sh - pb)) - 1
+def _fold(table: CountTable, k: int) -> Iterator[dict]:
+    """Per label, Sum count * A^nat * delta^iness over its row of a count
+    table, times (-A)^k: one {A-exponent: int} table per label, in label
+    order, each made as it is read, so a reader that keeps only its
+    polynomial holds one at a time.  Each key is read as the ints it packs,
+    nat = c - 2 B-splices; every A-exponent shifts by k, and the signs flip
+    when k is odd."""
+    pb = table.pc_bits
+    pc_mask = (1 << pb) - 1
     c, sign = table.c + k, -1 if k & 1 else 1
-    for key, count in counts.items():
-        t = tables[key >> sh]
-        nat = c - 2 * (key & pc_mask)
-        count *= sign
-        for e, co in _delta_row(key >> pb & iness_mask):
-            a = nat + e
-            t[a] = t.get(a, 0) + co * count
-    return tables
+    for row in table.rows:
+        t = {}
+        for key, count in row.items():
+            nat = c - 2 * (key & pc_mask)
+            count *= sign
+            for e, co in _delta_row(key >> pb):
+                a = nat + e
+                t[a] = t.get(a, 0) + co * count
+        yield t
 
 
 def _collapse(sig: Signature) -> tuple[int, tuple[tuple[int, int], ...]]:

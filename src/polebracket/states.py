@@ -108,13 +108,10 @@ gives each node a label: its bag of class ranks, which unpacks to its
 signature (`_Engine.signatures`), or its (M, d) part packed as an int, its
 parent's plus its own curve's (`_Engine.parts`), so that R builds no
 signature.  One pass (`_Engine.table`) turns the leaf counts into the count
-table (`CountTable`): each node gets the id of its label, nodes that hold
-one label merge by exact addition, and each distinct label is unpacked
-once.  The table's keys pack that id in place of the node, and the
-brackets read them as ints.  Node and class ids belong to one engine and
-label ids to one table, so a table that crosses a process is re-keyed by
-label (`CountTable.add`).  The writhe, which R reads off the table, is read
-off the ribbon.
+table (`CountTable`), one row of counts per distinct label: each node gets
+its label's row, nodes that hold one label merge by exact addition, and
+each label is unpacked once.  The writhe, which R reads off the table, is
+read off the ribbon.
 
 The two structure results of the paper are checked without a state walk.
 A curve of positive index never separates: `_Engine.classify` refuses a
@@ -265,41 +262,38 @@ class _Classes(dict):
 
 class CountTable:
     """The states of a splice range, counted by one labelling of their
-    essential curves, with int keys.
+    essential curves, one row of counts per label.
 
-    `labels[s]` is a state's label, each distinct label once: its signature,
-    the sorted per-essential-curve tuple (index, mobius, separating,
-    hom_class) that the surface pole bracket keeps (`_Engine.signatures`),
-    or the (M, d) part that the double bracket and R keep of it, (M's
-    exponent, ((i, d_i's exponent), ...)) over i >= 1 (`_Engine.parts`).
-    `counts` maps s << shift | iness << pc_bits | B-splices to the number of
-    states with label `labels[s]`, `iness` curves that bound disks and that
-    many B-splices; such a state's natural is c - 2 B-splices.  `writhe` is
-    the diagram's writhe, read off its ribbon.  A label id means nothing
-    outside its table: `add` re-keys another table's ids by label."""
+    `labels[s]` is a label, each distinct label once: a signature, the
+    sorted per-essential-curve tuple (index, mobius, separating, hom_class)
+    that the surface pole bracket keeps (`_Engine.signatures`), or the (M,
+    d) part that the double bracket and R keep of it, (M's exponent, ((i,
+    d_i's exponent), ...)) over i >= 1 (`_Engine.parts`).  `rows[s]` maps
+    iness << pc_bits | B-splices to the number of states with label
+    `labels[s]`, `iness` curves that bound disks and that many B-splices;
+    such a state's natural is c - 2 B-splices.  `writhe` is the diagram's
+    writhe, read off its ribbon."""
 
-    __slots__ = ("c", "pc_bits", "shift", "writhe", "labels", "counts")
+    __slots__ = ("c", "pc_bits", "writhe", "labels", "rows")
 
-    def __init__(self, c: int, pc_bits: int, shift: int, writhe: int):
+    def __init__(self, c: int, pc_bits: int, writhe: int):
         self.c = c
         self.pc_bits = pc_bits
-        self.shift = shift
         self.writhe = writhe
         self.labels: list = []
-        self.counts: dict = {}
+        self.rows: list = []
 
     def add(self, other: CountTable) -> None:
         """Add the counts of `other`, a table of the same diagram under the
-        same labelling, by exact addition, its labels found or added here by
-        value."""
-        labels, counts, sh = self.labels, self.counts, self.shift
-        ids = {label: s for s, label in enumerate(labels)}
-        remap = [ids.setdefault(label, len(ids)) for label in other.labels]
-        labels.extend(islice(ids, len(labels), None))
-        low = (1 << sh) - 1
-        for key, n in other.counts.items():
-            key = remap[key >> sh] << sh | key & low
-            counts[key] = counts.get(key, 0) + n
+        same labelling, label by label, by exact addition."""
+        rows = dict(zip(self.labels, self.rows))
+        for label, row in zip(other.labels, other.rows):
+            mine = rows.get(label)
+            if mine is None:
+                self.labels.append(label)
+                self.rows.append(mine := {})
+            for key, n in row.items():
+                mine[key] = mine.get(key, 0) + n
 
 
 class _Plan(NamedTuple):
@@ -823,30 +817,25 @@ class _Engine:
         """The count table of `block`'s leaf-key counts under one labelling
         of the trie they refer to: `labels[node]` is the label of a node's
         multiset of curves, in a form quick to hash, and `unpack` turns it
-        into the table's label.  Each leaf key's node gets the id of its
-        label, made the first time a key reads it, so nodes that hold one
+        into the table's label.  Each leaf key's node gets its label's row,
+        made the first time a key reads that label, so nodes that hold one
         label, reached in different orders or by different curves, merge
         here, by exact addition, and each distinct label is unpacked once."""
         sh = self.node_shift
         low = (1 << sh) - 1
-        table = CountTable(self.F.ribbon.n_crossings, self.pc_bits, sh, self.writhe)
-        counts = table.counts
-        # per node, and per label in order of first use, its id shifted
-        # into place; None until read
-        node_id = [None] * len(labels)
-        ids: dict = {}
+        table = CountTable(self.F.ribbon.n_crossings, self.pc_bits, self.writhe)
+        # per node, and per label in order of first use, its row; None until read
+        node_row = [None] * len(labels)
+        rows: dict = {}
         for key, n in raw.items():
             node = key >> sh
-            s = node_id[node]
-            if s is None:
-                label = labels[node]
-                s = ids.get(label)
-                if s is None:
-                    s = ids[label] = len(ids) << sh
-                node_id[node] = s
-            key = s | key & low
-            counts[key] = counts.get(key, 0) + n
-        table.labels = list(map(unpack, ids))
+            row = node_row[node]
+            if row is None:
+                row = node_row[node] = rows.setdefault(labels[node], {})
+            key &= low
+            row[key] = row.get(key, 0) + n
+        table.labels = list(map(unpack, rows))
+        table.rows = list(rows.values())
         return table
 
     def signatures(self, up: list) -> tuple[list, Callable]:
@@ -945,16 +934,12 @@ def classify_state(F: ClosedSurface, s: PoleState) -> tuple[CurveClassification,
 def check_nonseparation(table: CountTable) -> int:
     """The number of (state, curve) pairs of a signature-labelled
     `sum_counts` table that break "positive index forces non-separating":
-    each signature entry with index > 0 that separates, times the count of
-    its key.  The table holds only
-    essential curves; a curve that bounds a disk has no entry, and
-    `_Engine.classify` refuses every separating curve of positive index,
-    disk or not, as it sums."""
-    bad = [sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep) for sig in table.labels]
-    if not any(bad):
-        return 0
-    sh = table.shift
-    return sum(n * bad[key >> sh] for key, n in table.counts.items())
+    each signature entry with index > 0 that separates, times its row's
+    total.  The table holds only essential curves; a curve that bounds a
+    disk has no entry, and `_Engine.classify` refuses every separating curve
+    of positive index, disk or not, as it sums."""
+    bad = (sum(1 for idx, _mob, sep, _hom in sig if idx > 0 and sep) for sig in table.labels)
+    return sum(b * sum(row.values()) for b, row in zip(bad, table.rows) if b)
 
 
 # a pole load packs a region's I-pole count and O-pole count into one int

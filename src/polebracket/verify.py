@@ -209,7 +209,7 @@ def run_battery(seed: int, count: int):
             states += 1 << F.ribbon.n_crossings
             t1_bad.append(code)
             continue
-        states += sum(table.counts.values())
+        states += sum(sum(row.values()) for row in table.rows)
         t1_bad += [code] * check_nonseparation(table)
         bracket, double = _bracket(table), _double(part, False)
         summed += 1

@@ -410,13 +410,13 @@ def nonseparation_of(counts: dict) -> int:
 def by_signature(table: CountTable) -> dict:
     """A count table keyed by (label, natural, iness): by (signature,
     natural, iness) under the signature labelling."""
-    sh, pb = table.shift, table.pc_bits
-    low, pc_mask = (1 << sh) - 1, (1 << pb) - 1
+    pb = table.pc_bits
+    pc_mask = (1 << pb) - 1
     out: dict = {}
-    for key, n in table.counts.items():
-        t = key & low
-        full = (table.labels[key >> sh], table.c - 2 * (t & pc_mask), t >> pb)
-        out[full] = out.get(full, 0) + n
+    for label, row in zip(table.labels, table.rows, strict=True):
+        for key, n in row.items():
+            full = (label, table.c - 2 * (key & pc_mask), key >> pb)
+            out[full] = out.get(full, 0) + n
     return out
 
 
@@ -425,21 +425,17 @@ def count_table(counts: dict, c: int, writhe: int = 0, label=None) -> CountTable
     diagram with c crossings and this writhe, each signature labelled by
     label(signature), or by itself; `brackets._collapse` gives the (M, d)
     labelling.  Each natural is c - 2 B for 0 <= B <= c."""
-    iness = max((i for _s, _n, i in counts), default=0)
     pc_bits = c.bit_length()
-    table = CountTable(c, pc_bits, pc_bits + iness.bit_length(), writhe)
-    ids: dict = {}
+    table = CountTable(c, pc_bits, writhe)
+    rows: dict = {}
     for (sig, nat, i), n in counts.items():
         b, odd = divmod(c - nat, 2)
         if odd or not 0 <= b <= c:
             raise ValueError("natural out of range")
-        if label:
-            sig = label(sig)
-        s = ids.setdefault(sig, len(ids))
-        if s == len(table.labels):
-            table.labels.append(sig)
-        key = s << table.shift | i << pc_bits | b
-        table.counts[key] = table.counts.get(key, 0) + n
+        row = rows.setdefault(label(sig) if label else sig, {})
+        key = i << pc_bits | b
+        row[key] = row.get(key, 0) + n
+    table.labels, table.rows = list(rows), list(rows.values())
     return table
 
 

@@ -23,6 +23,9 @@ cutter of `surfaces`: it counts the complementary regions of each state on
   one side's chi, summed over that side's regions, is 1.
 - A bare loop bounds a disk on its own sphere, or is the core of a
   projective plane when its bars are odd.
+- Two two-sided curves of a state have one Z/2 homology class iff their
+  union bounds: iff, with every other curve joining its own two sides,
+  neither has both its sides in one component (`bounding_pairs`).
 
 R = (-A)^(-3w) Sum A^(c - 2b) delta^disks M^(one-sided) Prod d_index over
 the states, with w the sum of the signs, b the B-splices and d_0 = 1.  The
@@ -34,6 +37,7 @@ chi and orientability, for the tests to compare with `pole_regions` and
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from polebracket.codes import TwistedGaussCode
 from polebracket.laurent import MultiLaurent, delta
@@ -92,10 +96,10 @@ def pieces(code: TwistedGaussCode) -> Counter:
 
 def state_curves(code: TwistedGaussCode):
     """Per state, in mask order: its B-splices, chi per region, per curve
-    (one-sided, index, region of one side, region of the other), and per
-    region its [I poles, O poles].  A pole, a splice pair joining two
-    in-ports or two out-ports, counts once on its lune's region and once
-    on the middle's."""
+    (one-sided, index, region of one side, region of the other, a port it
+    passes), and per region its [I poles, O poles].  A pole, a splice pair
+    joining two in-ports or two out-ports, counts once on its lune's region
+    and once on the middle's."""
     succ, splices, arcs, _bare = _ports(code)
     pred, cap, n_caps = _caps(succ, arcs)
     for mask in range(1 << len(splices)):
@@ -108,7 +112,7 @@ def state_curves(code: TwistedGaussCode):
             poles += [(p, q) for p, q in ((a, x), (b, y)) if (p % 4 < 2) == (q % 4 < 2)]
         euler = Counter(_find(region, k) for k in range(n_caps))
         euler.subtract(_find(region, cap[x]) for x in middles)
-        curves = [(flips, idx, _find(region, cap[pred[p]]), _find(region, cap[p]))
+        curves = [(flips, idx, _find(region, cap[pred[p]]), _find(region, cap[p]), p)
                   for p, flips, idx in _curves(partner, succ, arcs)]
         loads = {r: [0, 0] for r in euler}
         for p, q in poles:
@@ -120,13 +124,10 @@ def state_curves(code: TwistedGaussCode):
 def _label(i: int, curves: list, euler: Counter) -> tuple:
     """("disk",), ("one-sided", index) or ("essential", index, separating)
     for curve i of a state."""
-    flips, idx, a, b = curves[i]
+    flips, idx, a, b, _p = curves[i]
     if flips:
         return ("one-sided", idx)
-    side = {r: r for r in euler}
-    for j, (_f, _i, x, y) in enumerate(curves):
-        if j != i:
-            side[_find(side, x)] = _find(side, y)
+    side = _join_except(curves, euler, (i,))
     a, b = _find(side, a), _find(side, b)
     if a == b:
         return ("essential", idx, False)
@@ -136,17 +137,43 @@ def _label(i: int, curves: list, euler: Counter) -> tuple:
     return ("disk",) if 1 in (chi[a], chi[b]) else ("essential", idx, True)
 
 
+def _join_except(curves: list, euler: Counter, skip: tuple) -> dict:
+    """The union-find of a state's regions in which every curve not in
+    `skip` joins its own two sides."""
+    side = {r: r for r in euler}
+    for j, (_f, _i, x, y, _p) in enumerate(curves):
+        if j not in skip:
+            side[_find(side, x)] = _find(side, y)
+    return side
+
+
+def bounding_pairs(euler: Counter, curves: list) -> set:
+    """The pairs (i, j), i < j, of two-sided curves of one state, given as
+    `state_curves` gives them, whose union bounds: the pairs of one Z/2
+    homology class.  With every other curve joining its own two sides, the
+    two curves are edges between the components left, and their union
+    bounds iff those two edges form a bipartite graph: iff neither curve
+    has both its sides in one component.  That holds for curves on
+    different pieces too."""
+    pairs = set()
+    for i, j in combinations([i for i, cv in enumerate(curves) if not cv[0]], 2):
+        side = _join_except(curves, euler, (i, j))
+        if all(_find(side, curves[k][2]) != _find(side, curves[k][3]) for k in (i, j)):
+            pairs.add((i, j))
+    return pairs
+
+
 def oracle_states(code: TwistedGaussCode):
     """Per state, in mask order: its B-splices, the label of each curve
-    (bare loops last), and the (I poles, O poles) of each region, where a
-    bare loop's caps, two or one when its bars are odd, are regions with
-    none."""
+    (bare loops last), the (I poles, O poles) of each region, where a bare
+    loop's caps, two or one when its bars are odd, are regions with none,
+    and the chi per region and curves that `state_curves` gives."""
     bare = _ports(code)[3]
     bare_labels = [("one-sided", 0) if odd else ("disk",) for odd in bare]
     bare_caps = [(0, 0)] * sum(1 if odd else 2 for odd in bare)
     for b, euler, curves, loads in state_curves(code):
         labels = [_label(i, curves, euler) for i in range(len(curves))]
-        yield b, labels + bare_labels, Counter([tuple(n) for n in loads.values()] + bare_caps)
+        yield b, labels + bare_labels, Counter([tuple(n) for n in loads.values()] + bare_caps), euler, curves
 
 
 def _weight(label: tuple) -> MultiLaurent:
@@ -160,7 +187,7 @@ def oracle_normalized(code: TwistedGaussCode) -> MultiLaurent:
     """R of the code, summed over its states by their curve labels."""
     signs = code.signs()
     c, w = len(signs), sum(signs.values())
-    states = Counter((b, tuple(sorted(labels))) for b, labels, _loads in oracle_states(code))
+    states = Counter((b, tuple(sorted(labels))) for b, labels, *_rest in oracle_states(code))
     out = MultiLaurent()
     for (b, labels), count in states.items():
         term = MultiLaurent.const(count) * MultiLaurent.A(c - 2 * b - 3 * w)

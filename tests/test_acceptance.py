@@ -308,7 +308,7 @@ def state_sweep(twisted_corpus, classical_corpus):
     for code in twisted_corpus + classical_corpus:
         F = realize(code)
         table = sum_counts(F, 0, 1 << F.ribbon.n_crossings, False)
-        states += sum(table.counts.values())
+        states += sum(n for row in table.rows for n in row.values())
         t1_bad += check_nonseparation(table)
         l2_bad += check_pole_balance(F)
     assert states == sum(1 << len(c.crossing_ids) for c in twisted_corpus + classical_corpus)

@@ -220,7 +220,7 @@ def test_a_kink_inside_a_folded_bigon_is_not_spread():
         assert len(eng.kinks) == 2 and len(bigons(eng)) == 1
         full = states.sum_counts(F, 0, 4, False)
         folded = states.sum_counts(F, 0, 4, True)
-        assert sum(folded.counts.values()) == 1 and sum(full.counts.values()) == 4
+        assert sum(by_signature(folded).values()) == 1 and sum(by_signature(full).values()) == 4
         assert bracket_of(by_signature(folded)) == bracket_of(by_signature(full))
         for lo, hi in ((0, 2), (2, 4), (1, 3)):
             assert by_signature(states.sum_counts(F, lo, hi, True)) == by_signature(states.sum_counts(F, lo, hi, False))
@@ -260,7 +260,7 @@ def assert_fold_keeps_polynomials(code, lo, hi):
     full = by_signature(states.sum_counts(realize(code), 0, n, False))
     folded = states.sum_counts(realize(code), 0, n, True)
     r2 = sum(1 for *_b, alt in bigons(eng) if not alt)
-    assert sum(folded.counts.values()) == n >> 2 * r2, serialize(code)
+    assert sum(by_signature(folded).values()) == n >> 2 * r2, serialize(code)
     assert bracket_of(by_signature(folded)) == bracket_of(full), serialize(code)
     assert double_of(by_signature(folded)) == double_of(full), serialize(code)
     # the double bracket and R, folded off the leaf keys, with and without
@@ -339,7 +339,7 @@ def test_the_move_sweep_folds_every_poke():
                 continue
             moved = apply_move(code, spec)
             table = states.sum_counts(realize(moved), 0, 1 << len(moved.crossing_ids), True)
-            assert sum(table.counts.values()) <= 1 << len(moved.crossing_ids) - 2, (serialize(code), spec)
+            assert sum(by_signature(table).values()) <= 1 << len(moved.crossing_ids) - 2, (serialize(code), spec)
             checked += 1
     assert checked == 6 * 30
 

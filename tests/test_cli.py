@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -391,6 +392,25 @@ def test_undecodable_input_file_is_parse_error(capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("polebracket: cannot read ./bin.tgc: ")
     assert err.count("\n") == 1
+
+
+def test_no_component_line_is_the_empty_link(capsys, tmp_path, monkeypatch):
+    # empty stdin, an empty file and a comment-only file parse as the empty
+    # link, with the bytes CI pins; an empty --input string is a usage error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.tgc").write_text("", encoding="utf-8")
+    (tmp_path / "comment.tgc").write_text("# nothing\n\n", encoding="utf-8")
+    for source in ("-", "./empty.tgc", "./comment.tgc"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert run(capsys, "invariant", "-i", source) == (0, "1\n", "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert run(capsys, "info", "--json", "-i", source) == \
+            (0, '{"euler":0,"h1_rank":0,"orientable":true,"pieces":[]}\n', "")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "invariant", "-i", "")
+    assert exc.value.code == 1
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == "polebracket: an input code is required (--input)\n"
 
 
 def test_inline_code_wins_over_file_of_that_name(capsys, tmp_path, monkeypatch):

@@ -632,7 +632,7 @@ def assert_ranges_merge(code, a, b, keys):
         part = states.sum_counts(realize(code), lo, hi, False)
         md = states.sum_counts(realize(code), lo, hi, False, "double")
         if lo == hi:
-            assert part.counts == {} == md.counts
+            assert part.labels == part.rows == [] == md.labels == md.rows
         merged.update(by_signature(part))
         if added is None:
             added, parts = part, md
@@ -1034,7 +1034,7 @@ def test_decode_merges_one_multiset_reached_in_two_orders():
     decoded = decode(eng, raw)
     table = eng.table(raw, *eng.signatures(eng.trie.up))
     assert by_signature(table) == decoded == expect == Counter(ref_state_keys(code))
-    assert len(table.counts) < len(raw)
+    assert sum(map(len, table.rows)) < len(raw)
     assert sorted(table.labels) == sorted(orders)
     # the same leaf counts under the (M, d) labelling: each signature's
     # collapse, with the counts of one part merged
@@ -1143,7 +1143,8 @@ def pickling_pool(parts):
     """A stand-in for ProcessPoolExecutor that runs each job in this
     process, on its own surface and engine, and hands its count table back
     through pickle, as a worker process would; each count table's {label:
-    id} is appended to `parts` before the parent merges them."""
+    place in its labels} is appended to `parts` before the parent merges
+    them."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -1164,7 +1165,7 @@ def pickling_pool(parts):
 
 
 def rekeyed(parts):
-    """The labels that two tables of one merge hold under different ids."""
+    """The labels that two tables of one merge hold at different places."""
     return sum(
         1
         for tables in parts
@@ -1175,17 +1176,31 @@ def rekeyed(parts):
     )
 
 
+def lone(parts):
+    """The labels that only one table of a merge of two or more holds."""
+    return sum(
+        1
+        for tables in parts
+        if len(tables) > 1
+        for i, ids in enumerate(tables)
+        for sig in ids
+        if not any(sig in other for other in tables[:i] + tables[i + 1:])
+    )
+
+
 def assert_table_matches_reference(code):
     # the leaf counts of one full block on a fresh engine, decoded by the
     # reference, give the signature-keyed table; the count table, its
     # brackets, R and its non-separation count must match what the
-    # reference reads off it, at 1, 2 and 3 workers.  The brackets' own
-    # tables fold R2 bigons, so they hold fewer states; they are compared by
-    # polynomial, and the same ranges and merge with every state counted are
-    # compared state by state
+    # reference reads off it, at 1, 2 and 3 workers, and the workers'
+    # tables must add up to the one-range table, label by label and row by
+    # row.  The brackets' own tables fold R2 bigons, so they hold fewer
+    # states; they are compared by polynomial, and the same ranges and
+    # merge with every state counted are compared state by state
     F = realize(code)
     eng = states._Engine(F)
     ref = decode(eng, eng.block(0, F.ribbon.n_crossings, False))
+    whole = states.sum_counts(realize(code), 0, 1 << F.ribbon.n_crossings, False)
     bracket, double = bracket_of(ref), double_of(ref)
     invariant = minus_A_pow(-3 * writhe(code)) * double
     for w in (1, 2, 3):
@@ -1194,6 +1209,7 @@ def assert_table_matches_reference(code):
             table = brackets._counts(code, w)
         assert by_signature(table) == ref, (serialize(code), w)
         assert len(set(table.labels)) == len(table.labels)
+        assert dict(zip(table.labels, table.rows)) == dict(zip(whole.labels, whole.rows)), (serialize(code), w)
         assert check_nonseparation(table) == nonseparation_of(ref) == 0
         folded = by_signature(brackets._counts(code, w))
         assert bracket_of(folded) == bracket and double_of(folded) == double, (serialize(code), w)
@@ -1213,13 +1229,15 @@ def test_fixture_tables_match_reference(text, monkeypatch):
 
 
 def test_corpus_tables_match_reference(monkeypatch):
-    # the worker tables of one merge number shared labels differently,
-    # and the parent re-keys them
+    # the worker tables of one merge list shared labels in different
+    # orders, and some labels in one table only; the parent adds them by
+    # label
     parts = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pickling_pool(parts))
     for code in corpus_twisted(7, 40):
         assert_table_matches_reference(code)
     assert rekeyed(parts) > 50, rekeyed(parts)
+    assert lone(parts) > 50, lone(parts)
 
 
 @given(diagrams(max_crossings=9))

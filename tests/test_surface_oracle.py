@@ -12,13 +12,17 @@ disk test shows here even though the engine and the reference engine of
 Disks and essential curves of index 0 differ by delta, and an essential
 curve separates only in rare states, so `SEPARATING` pins codes that have
 one: without them, an oracle that let every separating curve bound a disk
-would still agree on nearly every code.
+would still agree on nearly every code.  State by state, two two-sided
+curves must share the engine's Z/2 class just when the oracle finds that
+their union bounds, which does not depend on the engine's basis.
 """
 
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import given, settings
 
+from polebracket import states
 from polebracket.brackets import normalized
 from polebracket.codes import parse_code, serialize
 from polebracket.states import classify_state, enumerate_states, pole_regions
@@ -27,7 +31,7 @@ from polebracket.verify import (
     classical_fixtures, corpus_classical, corpus_twisted, random_diagram, twisted_fixtures,
 )
 
-from surface_oracle import oracle_normalized, oracle_states, pieces
+from surface_oracle import bounding_pairs, oracle_normalized, oracle_states, pieces
 from test_reference_engine import diagrams
 
 NAMED = ["EMPTY\nEMPTY", "B\nO1+ U1+", "O1+ U1+\nEMPTY", "O1- U2- O3- U1- O2- U3-\nB B",
@@ -94,35 +98,51 @@ def _engine_label(cl) -> tuple:
     return ("essential", cl.index, cl.separating)
 
 
-def assert_states_match_oracle(code) -> int:
+def assert_states_match_oracle(code) -> Counter:
     """Compare each state's B-splices, curve kinds and regions' pole loads
-    (`pole_regions`).  On the oracle's own regions, check that each region
-    balances its poles and that no essential curve of positive index
-    separates.  Returns the number of essential separating curves."""
+    (`pole_regions`), and whether two two-sided curves share a Z/2 class
+    (`hom_class`) with whether their union bounds (`bounding_pairs`).  On
+    the oracle's own regions, check that each region balances its poles
+    and that no essential curve of positive index separates.  Returns the
+    number of essential separating curves, and of pairs of two-sided
+    curves of one nonzero class."""
     F = realize(code)
-    states = zip(enumerate_states(F), pole_regions(F), oracle_states(code), strict=True)
-    essential_separating = 0
-    for s, regions, (b, labels, loads) in states:
+    walked = zip(enumerate_states(F), pole_regions(F), oracle_states(code), strict=True)
+    # an oracle curve is matched to the engine's by the band at its port,
+    # whose bit is in the key of exactly one curve of the state
+    band_at, nc = F.ribbon.band_at, states._engine(F).n_chords
+    found = Counter()
+    for s, regions, (b, labels, loads, euler, curves) in walked:
         where = (serialize(code), s.choice)
         assert s.natural == F.ribbon.n_crossings - 2 * b, where
-        assert Counter(map(_engine_label, classify_state(F, s))) == Counter(labels), where
+        classes = classify_state(F, s)
+        assert Counter(map(_engine_label, classes)) == Counter(labels), where
         assert Counter(regions) == loads, where
         assert all(i == o for i, o in loads), where
         for label in labels:
             if label[0] == "essential" and label[2]:
                 assert label[1] == 0, where
-                essential_separating += 1
-    return essential_separating
+                found["essential separating"] += 1
+        hom = [next(cl.hom_class for cv, cl in zip(s.curves, classes) if cv.key >> nc >> band_at[p][2] & 1)
+               for *_curve, p in curves]
+        pairs = bounding_pairs(euler, curves)
+        for i, j in combinations([i for i, cv in enumerate(curves) if not cv[0]], 2):
+            assert (hom[i] == hom[j]) == ((i, j) in pairs), where + (i, j)
+            if hom[i] == hom[j] and any(hom[i]):
+                found["one nonzero class"] += 1
+    return found
 
 
 def test_states_match_oracle():
+    found = Counter()
     for code in STATE_CORPUS:
-        assert_states_match_oracle(code)
+        found += assert_states_match_oracle(code)
+    assert found["one nonzero class"] > 0, found
 
 
 def test_separating_corpus_matches_oracle_state_by_state():
     for code in SEPARATING:
-        assert assert_states_match_oracle(code) > 0, serialize(code)
+        assert assert_states_match_oracle(code)["essential separating"] > 0, serialize(code)
 
 
 def test_pieces_match_info():
