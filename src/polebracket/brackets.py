@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from math import comb
 from operator import itemgetter
 from typing import Iterator
 
@@ -152,8 +151,14 @@ def _counts(code: TwistedGaussCode, workers: int = 1, want: str = "table"):
 @cache
 def _delta_row(k: int) -> tuple[tuple[int, int], ...]:
     """delta^k = (-1)^k Sum_j C(k, j) A^(2k - 4j), as (exponent, coefficient)
-    pairs; each row is expanded once per process."""
-    return tuple((2 * k - 4 * j, -comb(k, j) if k & 1 else comb(k, j)) for j in range(k + 1))
+    pairs; each row is expanded once per process, its binomials by
+    C(k, j + 1) = C(k, j) (k - j) / (j + 1), one product per term."""
+    co = -1 if k & 1 else 1
+    row = []
+    for j in range(k + 1):
+        row.append((2 * k - 4 * j, co))
+        co = co * (k - j) // (j + 1)
+    return tuple(row)
 
 
 def _fold(table: CountTable, k: int) -> Iterator[dict]:

@@ -147,7 +147,10 @@ def _guard(code, args, err):
                 " 22-24 MB at c = 16, 24-35 MB at c = 18 and 41-64 MB at c = 20")
     if bits > args.max_crossings:
         seconds = (1 << bits) * per_s
-        took = (f"about {seconds / 60:.0f} min" if seconds >= 60
+        days = seconds / 86400
+        took = ("more than a year" if days >= 365
+                else f"about {days:.0f} day{'s' * (days >= 1.5)}" if days >= 1
+                else f"about {seconds / 60:.0f} min" if seconds >= 60
                 else f"about {seconds:.0f} s" if seconds >= 1 else "under 1 s")
         err(
             EXIT_USAGE,

@@ -26,24 +26,23 @@ Every chord a splice can draw has one bit, so a chord set is an int: the
 bits of crossing disk k's four chords are 4k .. 4k+3, and bare loop i's is
 4c+i (see `_Engine`).
 `sum_counts` never traces a state from scratch and never walks a curve.
-It grows the curves of all states at once, depth first over the splice
-bits: the bands start as open paths, each decided crossing adds its two
-chords, a chord that joins the two ends of one path closes a curve, and
-any other chord joins two paths and is undone on the way back.  Crossing
-0 is decided last, when its four darts end the two paths left, so each of
-its choices closes both by reading their ends, with no write and no undo.
-A curve closed at a node is classified once, for every state below that
-node.  A block of states that share their high bits takes each of those
-bits as a depth with one choice, so one descent serves every block.
+It grows the curves of a block of states at once: the bands start as
+open paths, a chord that joins the two ends of one path closes a curve,
+and any other chord joins two paths.  One pass draws, for good, the
+chords every state of the block shares, then the block descends over the
+crossings above 0 it chooses, as deep as the traced bits, undoing their
+joins on the way back.  Crossing 0 comes last: its four darts end the
+two paths left, so each of its choices closes both by reading their
+ends, with no write and no undo.  A curve closed at a node is classified
+once, for every state below it.
 Each open path keeps one record at each of its ends, with all a closing
 needs: the other end; its homology class and flip parity, the XOR of
 per-band values; its chord and band bits, the curve's key; the
 `polewords.arc` value of its word read from that end, which gives the
 index by the composition law of arcs; and the kind of the pole nearest
 that end, so that each pole pair is checked to alternate when a join or
-a closing chord makes it adjacent.  A join writes two records and its
-undo puts them back.  Every closing also checks that the curve has as
-many chords as bands.
+a closing chord makes it adjacent.  A join writes two records.  Every
+closing also checks that the curve has as many chords as bands.
 `splice_curves` walks each curve of one state with `_Engine.walk`, which
 makes the same alternation check and returns the same key, so `lookup`
 reads the cache `block` fills.
@@ -561,18 +560,18 @@ class _Engine:
         """The 2^k states from `base` (a multiple of 2^k), counted under
         leaf keys.
 
-        The bands start as open paths, in a copy P of `paths`, and P[d] is
-        the record of the path with an end at d: (the other end, its
-        homology class and flip parity as class << 1 | flip, its key, the
-        union of its chord and band bits, the `polewords.arc` value of its
-        word read from d, and the kind of the pole nearest d, 0 if it
-        has none).  A bare-loop chord joins the two ends of its band, so it
-        closes a curve at once; then `descend` decides bits c-1 .. 0, depth
-        first, 0 before 1, so the states come in increasing order.  A fixed
-        bit k .. c-1 is a depth with the one choice that `base` makes.  The
-        block makes each fold of `plan` whose bits are all free, and folds a
-        free kink on an R2 bigon with a fixed bit as a kink; without `fold`
-        it folds every free kink and no bigon (see the module docstring).
+        The bands start as open paths, in a copy P of `paths`: P[d] is the
+        record of the path with an end at d, as in the class docstring.
+        The block makes each fold of `plan` whose bits are all free, and
+        folds a free kink on an R2 bigon with a fixed bit as a kink; without
+        `fold` it folds every free kink and no bigon (see the module
+        docstring).  A crossing above 0 that the block does not choose (a
+        fixed bit k .. c-1, a folded kink's through splice, an R2 bigon's
+        through pair, an alternating bigon's x) has one choice: one pass
+        draws its chords and every bare-loop chord, once for all the block's
+        states, and adds its B-splice.  Then `descend` decides the crossings
+        above 0 with two choices, from the top, depth first, and crossing 0
+        last, so it recurses as deep as the traced bits.
 
         A chord (a, b) whose darts end one path closes a curve, once for
         every state below.  The closing (`entry`, given the values in the
@@ -592,9 +591,9 @@ class _Engine:
         `reverse_arc` in `tests/reference.py`, inlined), and the kind
         nearest each end, the chord's or the other path's where the old path
         had no pole.  a and b are never ends again, so their records are
-        never read until the join is undone, and the undo puts back the two
-        records it replaced.  At its end the block checks that the undos
-        left P equal to `paths`.
+        not read until a join of the descent is undone, which puts back the
+        two records it replaced; at its end the block checks that P is as
+        the pass left it (`start`).
 
         Crossing 0 is the last depth, and there its four darts end the two
         open paths left.  Each choice closes both without writing: if its
@@ -621,7 +620,7 @@ class _Engine:
         circles and j - l more B-splices, and its marks are cleared."""
         c = self.F.ribbon.n_crossings
         cache, classify, classes, trie = self.cache, self.classify, self.classes, self.trie
-        items, loops = self.items, self.loops
+        items = self.items
         choices = [pair if i < k else (pair[base >> i & 1],) for i, pair in enumerate(items)]
         kinks, plan = self.kinks, self.plan
         folded = {i: off for i, off in (plan.kinks if fold else kinks).items() if i < k}
@@ -676,20 +675,35 @@ class _Engine:
                     raise AssertionError("carried class disagrees with the band mask")
             return hit
 
-        node = t = 0
-        for a, b, cb, v, kc in loops:
-            _b, h, m, _x, ka = P[a]
-            _a, _h, _m, x, kb = P[b]
-            sid = entry(ka, kb, kc, m | cb, x, v, h)
-            if sid:
-                node = trie[node << _ID_BITS | sid]
-            else:
-                t += one
+        # the pass: the chords every state shares, closed or joined for good
+        node = 0
+        fixed = [pair[0] for pair in choices[:0:-1] if len(pair) == 1]
+        t = sum(item[0] for item in fixed)
+        for a, b, cb, v, kc in self.loops + tuple(ch for item in fixed for ch in (item[1:6], item[6:11])):
+            e, h, m, _x, ka = P[a]
+            f, g, n, y, kb = P[b]
+            if e == b:
+                if sid := entry(ka, kb, kc, m | cb, y, v, h):
+                    node = trie[node << _ID_BITS | sid]
+                else:
+                    t += one
+                continue
+            if (ka | kb) & kc if kc else ka & kb:
+                raise AssertionError("pole kinds fail to alternate")
+            re, rf = P[e], P[f]
+            x = re[3]
+            x = x - v if x & 1 else x + v
+            x = x - y if x & 1 else x + y
+            h, m = h ^ g, m | n | cb
+            P[e] = (f, h, m, x, re[4] if ka else kc or kb)
+            P[f] = (e, h, m, 2 - x if x & 1 else x, rf[4] if kb else kc or ka)
+        start = P[:]
+        free = [i for i in range(c - 1, 0, -1) if len(choices[i]) > 1] + [0]
 
         # both chords' joins are written out: one loop over the two chords
         # with an undo list measured about 30% slower per state
-        def descend(i: int, node: int, t: int) -> None:
-            i -= 1
+        def descend(j: int, node: int, t: int) -> None:
+            i = free[j]
             if not i:
                 # crossing 0: its four darts end the two open paths left, so
                 # each choice closes both, reading the records and writing
@@ -779,7 +793,7 @@ class _Engine:
                     m2 |= n2 | cb2
                     P[e2] = (f2, h2, m2, x, re2[4] if ka2 else k2 or kb2)
                     P[f2] = (e2, h2, m2, 2 - x if x & 1 else x, rf2[4] if kb2 else k2 or ka2)
-                descend(i, nd, u)
+                descend(j + 1, nd, u)
                 if e2 != b2:
                     P[e2] = re2
                     P[f2] = rf2
@@ -788,8 +802,8 @@ class _Engine:
                     P[f1] = rf1
 
         if c:
-            descend(c, node, t)
-            if P != self.paths:
+            descend(0, node, t)
+            if P != start:
                 raise AssertionError("undo left the open paths changed")
         else:
             leaves[node << sh | t] = 1
@@ -1046,11 +1060,12 @@ def sum_counts(F: ClosedSurface, lo: int, hi: int, fold: bool, want: str = "tabl
     the result is the pair of those two tables, from one trace.
 
     `[lo, hi)` is cut into aligned blocks of 2^k masks that share their high
-    bits; `_Engine.block` sums each one depth first over its k low bits, so
-    the work of a splice prefix is shared by every state below it, and a
-    fold of the engine's plan is made in a block that leaves all its bits
-    free.  Without `fold` only the kinks fold, and every state of the range
-    is counted once (see the module docstring).
+    bits; `_Engine.block` draws the chords a block's states share once and
+    sums the rest depth first over the bits it traces, so a splice prefix's
+    work is shared by every state below it, and a fold of the engine's plan
+    is made in a block that leaves all its bits free.  Without `fold` only
+    the kinks fold, and every state of the range is counted once (see the
+    module docstring).
     The blocks count under int leaf keys, which `_Engine.table` reads once
     per labelling, at the end."""
     eng = _engine(F)

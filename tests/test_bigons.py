@@ -344,6 +344,17 @@ def test_the_move_sweep_folds_every_poke():
     assert checked == 6 * 30
 
 
+def test_five_hundred_pokes_sum_under_the_default_recursion_limit():
+    # 500 R2 pokes on the virtual trefoil's strand: 1,002 crossings, of
+    # which the fold traces 2.  The block's pass draws the 1,000 folded
+    # ones, so the descent is as deep as the traced bits, and R is the
+    # trefoil's
+    pokes = " ".join(f"O{x}+ O{x + 1}- U{x + 1}- U{x}+" for x in range(3, 1003, 2))
+    code = parse_code(f"O1+ O2+ U1+ U2+ {pokes}")
+    assert len(code.crossing_ids) == 1002
+    assert brackets.normalized(code) == brackets.normalized(parse_code("O1+ O2+ U1+ U2+"))
+
+
 def test_folded_worker_ranges_merge_to_the_same_brackets():
     # real worker processes: ranges whose high bits split a bigon trace it
     # as it stands, and the merged polynomials still agree.  The second

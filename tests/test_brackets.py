@@ -13,6 +13,7 @@ against the signature-keyed reference assembly, on random count tables.
 """
 
 import os
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,7 +195,7 @@ def _pair(table, part):
     return brackets._bracket(table), brackets._double(part, False)
 
 
-def test_bracket_pair_matches_both_brackets():
+def test_one_both_sum_gives_both_brackets():
     # on a fresh surface, and on one whose curve-class cache the state
     # walker has filled
     for text in ("EMPTY", "B", "O1+ O2+ U1+ U2+", "B O1+ B U1+", "O1- U2- O3- U1- O2- U3-\nB B"):
@@ -206,6 +207,13 @@ def test_bracket_pair_matches_both_brackets():
             classify_state(F, s)
         assert states._engine(F).cache
         assert _pair(*_full_sum(F)) == expect
+
+
+def test_delta_rows_are_the_binomial_rows():
+    # each row is made by the recurrence C(k, j + 1) = C(k, j) (k - j) / (j + 1)
+    for k in range(201):
+        sign = -1 if k & 1 else 1
+        assert brackets._delta_row(k) == tuple((2 * k - 4 * j, sign * comb(k, j)) for j in range(k + 1))
 
 
 def test_assemble_from_table_worked_example():

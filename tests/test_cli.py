@@ -176,6 +176,17 @@ def test_state_guard_prices_short_sums_in_seconds(capsys):
     assert "16 crossings means 2^16 traced states, about 5 s in one process" in refusal("states", "-i", toks)
 
 
+def test_state_guard_prices_long_sums_in_days(capsys):
+    # from a day the estimate is in whole days, and from 365 days it is
+    # "more than a year"; a minute count that long would say little
+    for n, took in ((34, "about 1 day in"), (40, "about 76 days in"), (43, "more than a year in")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "invariant", "-i", _no_folds(n))
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"{n} crossings means 2^{n} traced states, {took} one process" in err, err
+
+
 def test_state_guard_counts_folded_kinks(capsys):
     # 26 R1 kinks in a row: a sum folds every one of them and traces one
     # state, so the default guard lets it run; `states` walks all 2^26
@@ -194,6 +205,15 @@ def test_state_guard_counts_folded_kinks(capsys):
     assert "5 crossings less 3 R1 kinks summed in closed form means 2^2" in capsys.readouterr().err
     code, _, _ = run(capsys, "dbracket", "--max-crossings", "2", "-i", "O1+ U1+ O2+ U2+ O3+ O4+ U3+ U4+ O5+ U5+")
     assert code == 0
+
+
+def test_eleven_hundred_kinks_sum_under_the_default_recursion_limit(capsys):
+    # every kink folds, so the block's pass draws all 1,099 crossings above
+    # 0 and the descent has one level; the fold reads delta^k rows up to
+    # k = 1,100
+    kinks = " ".join(f"O{i}+ U{i}+" for i in range(1, 1101))
+    code, out, _ = run(capsys, "invariant", "-i", kinks)
+    assert code == 0 and out == "-A^2-A^-2\n"
 
 
 def test_state_guard_prices_folded_bigons(capsys):

@@ -40,6 +40,7 @@ are compared on codes that have them, folded and traced, over any range.
 
 import pickle
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -928,12 +929,14 @@ def kind_check_raisers(code):
 def test_kind_check_raises_mid_path_and_on_closing():
     # `entry` checks the pairs a closing chord makes adjacent (the
     # wrap-around pair, or a single pole with itself); `descend` checks the
-    # pairs a join makes adjacent mid-path, for the fixed and the free bits
+    # pairs a join makes adjacent mid-path for the free bits, and `block`'s
+    # pass those of the chords every state of the block shares
     where = set()
     for text in ("O1+ U1+", "O1- U1-", "O1+ O2+ U1+ U2+", "B O1+ B U1+",
-                 "O1- U2- O3- U1- O2- U3-\nB B"):
+                 "O1- U2- O3- U1- O2- U3-\nB B",
+                 "O3- U1+ U6+ U2- O2- O1+ O4+ O5+ U3- U4+ U5+ B O6+ B"):
         where |= kind_check_raisers(parse_code(text))
-    assert where == {"entry", "descend"}, where
+    assert where == {"entry", "descend", "block"}, where
 
 
 def test_count_check_sees_a_lost_band():
@@ -969,9 +972,10 @@ def test_class_check_sees_a_lost_band_class():
 
 
 def test_undo_check_sees_a_changed_path_record():
-    # the trace works on a copy of the engine's start records, and its undos
-    # must leave that copy equal to them; change one start record while the
-    # trace runs (at its one disk test) and the end-of-block check refuses
+    # the descent works on the records the block's pass leaves, and its undos
+    # must leave them as they were, which the block keeps as `start`; change
+    # one record of `start` while the descent runs (at its one disk test)
+    # and the end-of-block check refuses
     F = realize(parse_code("O1+ U1+"))
     eng = states._Engine(F)
     classify = eng.classify
@@ -979,8 +983,11 @@ def test_undo_check_sees_a_changed_path_record():
 
     def changing(key, idx):
         if not calls:
-            rec = eng.paths[0]
-            eng.paths[0] = rec[:4] + (rec[4] ^ 1,)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "block":
+                frame = frame.f_back
+            start = frame.f_locals["start"]
+            start[0] = start[0][:4] + (start[0][4] ^ 1,)
         calls.append(key)
         return classify(key, idx)
 
@@ -1127,6 +1134,52 @@ def test_swapped_kind_at_the_last_crossing_raises():
                     assert frames[-1].locals["i"] == 0, (text, bit, a, k, lo)
                     where.add(err.traceback[-1].name)
     assert where == {"entry", "descend"}, where
+
+
+def descend_levels(eng, lo, k, fold):
+    """Sum `eng.block(lo, k, fold)` and return the (crossing `i`, number of
+    choices of `i`) of each `descend` frame, and the deepest nesting of
+    those frames."""
+    levels, depth = [], [0, 0]
+
+    def profile(frame, event, _arg):
+        if frame.f_code.co_name != "descend":
+            return
+        if event == "call":
+            depth[0] += 1
+            depth[1] = max(depth)
+        elif event == "return":
+            depth[0] -= 1
+            i = frame.f_locals["i"]
+            levels.append((i, len(frame.f_locals["choices"][i])))
+
+    sys.setprofile(profile)
+    try:
+        eng.block(lo, k, fold)
+    finally:
+        sys.setprofile(None)
+    return levels, depth[1]
+
+
+def test_the_descent_holds_only_the_crossings_a_block_chooses():
+    # the block's pass draws every chord its states share (fixed bits,
+    # folded kinks, bigons' through choices), so `descend` recurses only
+    # over the two-choice crossings above 0, and crossing 0 is its last
+    # level in every block: a full folded sum is as deep as its traced bits
+    for text in ("O1+ O3+ O4- U4- U3+ O2+ U1+ U2+ O5+ U5+", "O1- U2- O3- U1- O2- U3-\nB B",
+                 "O3- U1+ U6+ U2- O2- O1+ O9+ U10+ O4+ O5+ U3- U9+ O10+ U4+ U5+ B O6+ U7+ U8- O7+ O8- B"):
+        F = realize(parse_code(text))
+        c = F.ribbon.n_crossings
+        for fold in (False, True):
+            for k in range(c + 1):
+                for lo in range(0, 1 << c, 1 << k):
+                    levels, deepest = descend_levels(states._Engine(F), lo, k, fold)
+                    chosen = {i for i, n in levels if i}
+                    assert all(n == 2 for i, n in levels if i), (text, fold, k, lo)
+                    assert 0 in {i for i, _n in levels} and deepest == len(chosen) + 1
+                    assert len(chosen) <= k
+        levels, deepest = descend_levels(states._Engine(F), 0, c, True)
+        assert deepest <= states._Engine(F).plan.bits + 1
 
 
 # ---------------------------------------------------------------------------
